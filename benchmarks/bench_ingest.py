@@ -20,7 +20,10 @@ Three checks over the delta-index write path (``POST /objects``,
    runs mid-stream: no request may fail or be lost, and every response
    must be bit-for-bit equal to one of the staged dataset states (the
    state before any write, or the state after any complete batch) --
-   a torn answer that mixes two states fails the gate.
+   a torn answer that mixes two states fails the gate.  Run twice: against
+   the unsharded service, and against the 4-shard router, where a write
+   batch is applied shard by shard and only the router's quiesce gate
+   keeps a concurrent scatter from merging two states.
 
 Run it as::
 
@@ -329,8 +332,9 @@ def run_cost_phase(
 
 def run_load_phase(
     data, features, grid_size: int, requests: int, client_threads: int,
-    seed: int, write_batches: int = 8,
+    seed: int, write_batches: int = 8, shards: int = 0,
 ) -> Dict[str, object]:
+    """Serve under writes; ``shards`` > 0 targets a shard router instead."""
     rng = random.Random(seed + 17)
     pool = [f"w{rng.randrange(400):04d}" for _ in range(6)]
     specs = [
@@ -345,16 +349,22 @@ def run_load_phase(
         )
     ]
 
-    service = QueryService(
-        data,
-        features,
-        engine_config=EngineConfig(grid_size=grid_size),
-        config=ServiceConfig(
-            engines=2, result_cache_capacity=64, default_grid_size=grid_size
-        ),
+    engine_config = EngineConfig(grid_size=grid_size)
+    service_config = ServiceConfig(
+        engines=2, result_cache_capacity=64, default_grid_size=grid_size
     )
+    if shards:
+        service = ShardRouter(
+            data, features, engine_config=engine_config,
+            service_config=service_config,
+            sharding=ShardingConfig(shards=shards),
+        )
+    else:
+        service = QueryService(
+            data, features, engine_config=engine_config, config=service_config
+        )
     with service:
-        extent = service.engines[0].extent
+        extent = service.plan.extent if shards else service.engines[0].extent
         ops = scripted_ops(data, features, extent, seed + 23,
                            batches=write_batches)
 
@@ -419,23 +429,21 @@ def run_load_phase(
         ]
         for thread in threads:
             thread.start()
-        compacted = False
+        compactions = 0
         for index, op in enumerate(ops):
             service.apply_objects(**op)
-            if index == len(ops) // 2:
-                service.compact()
-                compacted = True
+            if index == len(ops) // 2 and service.compact()["compacted"]:
+                compactions += 1
             time.sleep(0.05)
         for thread in threads:
             thread.join()
-        ingest_stats = service.stats()["ingest"]
 
     return {
         "requests": requests,
         "client_threads": client_threads,
+        "shards": shards,
         "write_batches": len(ops),
-        "compaction_ran": compacted,
-        "compactions": ingest_stats["compactions"],
+        "compactions": compactions,
         "issued": issued,
         "completed": completed,
         "failed": len(errors),
@@ -487,14 +495,16 @@ def main(argv=None) -> int:
           f"{cost['full_swap_seconds'] * 1000:.1f}ms -> "
           f"{cost['speedup']:.1f}x cheaper")
 
-    load = run_load_phase(
-        data, features, args.grid_size, args.requests, args.client_threads,
-        args.seed,
-    )
-    print(f"load phase: {load['completed']}/{load['issued']} served during "
-          f"{load['write_batches']} write batches + "
-          f"{load['compactions']} compaction(s); {load['failed']} failed, "
-          f"{load['invalid_responses']} invalid")
+    loads = {}
+    for name, shards in (("service", 0), ("router", args.shards)):
+        load = loads[name] = run_load_phase(
+            data, features, args.grid_size, args.requests,
+            args.client_threads, args.seed, shards=shards,
+        )
+        print(f"load phase ({name}): {load['completed']}/{load['issued']} "
+              f"served during {load['write_batches']} write batches + "
+              f"{load['compactions']} compaction(s); {load['failed']} failed, "
+              f"{load['invalid_responses']} invalid")
 
     summary = {
         "execution": execution_info(),
@@ -508,7 +518,8 @@ def main(argv=None) -> int:
         },
         "identity": identity,
         "cost": cost,
-        "load": load,
+        "load": loads["service"],
+        "load_sharded": loads["router"],
     }
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -530,25 +541,29 @@ def main(argv=None) -> int:
                 f"incremental cost: {cost['speedup']:.1f}x below required "
                 f"{args.min_speedup}x vs a full swap"
             )
-        if load["failed"] or load["lost_requests"]:
-            failures.append(
-                f"load: {load['failed']} failed, "
-                f"{load['lost_requests']} unanswered requests"
-            )
-        if load["invalid_responses"]:
-            failures.append(
-                f"load: {load['invalid_responses']} responses matched no "
-                "staged dataset state"
-            )
-        if not load["compaction_ran"] or not load["compactions"]:
-            failures.append("load: the mid-stream compaction did not run")
+        for name, load in loads.items():
+            if load["failed"] or load["lost_requests"]:
+                failures.append(
+                    f"load ({name}): {load['failed']} failed, "
+                    f"{load['lost_requests']} unanswered requests"
+                )
+            if load["invalid_responses"]:
+                failures.append(
+                    f"load ({name}): {load['invalid_responses']} responses "
+                    "matched no staged dataset state"
+                )
+            if not load["compactions"]:
+                failures.append(
+                    f"load ({name}): the mid-stream compaction did not run"
+                )
         if failures:
             for failure in failures:
                 print(f"FAIL: {failure}", file=sys.stderr)
             return 1
         print(f"OK: identity bit-for-bit, append {cost['speedup']:.1f}x >= "
               f"{args.min_speedup}x cheaper than a swap, "
-              f"{load['completed']} requests served losslessly under writes")
+              f"{sum(load['completed'] for load in loads.values())} requests "
+              "served losslessly under writes (service + router)")
     return 0
 
 

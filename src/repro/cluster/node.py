@@ -219,14 +219,6 @@ class ShardNodeService:
         info["dataset_epoch"] = self.dataset_epoch
         return info
 
-    def set_datasets(
-        self,
-        data_objects: Sequence[DataObject],
-        feature_objects: Sequence[FeatureObject],
-    ) -> None:
-        """Alias of :meth:`swap_datasets` (the :class:`QueryService` name)."""
-        self.swap_datasets(data_objects, feature_objects)
-
     def apply_objects(
         self,
         append_data: Sequence[DataObject] = (),

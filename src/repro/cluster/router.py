@@ -1,12 +1,12 @@
 """Scatter-gather over process-isolated shard nodes, with failover.
 
 :class:`ClusterRouter` is the cluster-mode counterpart of
-:class:`~repro.sharding.router.ShardRouter`: it duck-types
-:class:`~repro.server.service.QueryService` (``submit``, ``submit_many``,
-``stats``, ``uptime_seconds``, ``swap_datasets``, context manager) so
-:func:`repro.server.http.make_server` serves it unchanged -- but where the
-shard router calls N in-process services, this router speaks the existing
-JSON-over-HTTP protocol to N *node endpoints*, each a
+:class:`~repro.sharding.router.ShardRouter`: the same
+:class:`~repro.sharding.router.ScatterGatherRouter` core -- request
+lifecycle, quiesce gate, swap and write paths -- but where the shard router
+scatters to N in-process services, this router scatters to
+:class:`RemoteShardTarget`, which speaks the existing JSON-over-HTTP
+protocol to the *node endpoints* of one shard, each a
 :class:`~repro.cluster.node.ShardNodeService` in its own OS process
 (``repro serve --cluster N``).  What that buys over ``--shards``:
 
@@ -27,12 +27,11 @@ JSON-over-HTTP protocol to N *node endpoints*, each a
   response is still returned from the shards that answered, explicitly
   marked ``"degraded": true`` with ``"shards_answered"`` /
   ``"shards_missing"`` listed (and never cached);
-* **cluster-wide hot swap** -- ``POST /datasets`` quiesces the router
-  gate, pushes the full new snapshot to every node (each repartitions and
-  slices locally), bumps the router dataset version/epoch and invalidates
-  the result cache.  Nodes that were unreachable during the swap keep
-  reporting their old epoch and are excluded from routing until the
-  heartbeat loop resynchronises them.
+* **epochs** -- every swap and every write batch mints a fleet-wide
+  dataset epoch that travels with the push and comes back in heartbeats.
+  Nodes that were unreachable during a push keep reporting their old epoch
+  and are excluded from routing until the heartbeat loop resynchronises
+  them with a full snapshot.
 
 ``benchmarks/bench_cluster.py --check`` gates healthy-fleet bit-for-bit
 identity against the unsharded oracle and zero lost/wrong responses while
@@ -41,13 +40,11 @@ a node is SIGKILLed under load with replication >= 2.
 
 from __future__ import annotations
 
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.cluster.membership import (
+    NODE_DEAD,
     ClusterMembership,
     MembershipConfig,
 )
@@ -57,22 +54,17 @@ from repro.cluster.transport import (
     get_json,
     post_json,
 )
-from repro.core.engine import (
-    ALGORITHM_CHOICES,
-    EngineConfig,
-    validate_algorithm_combination,
-)
-from repro.exceptions import InvalidQueryError, OverloadError
-from repro.index.delta import DatasetDelta, materialize
+from repro.core.engine import EngineConfig
+from repro.exceptions import InvalidQueryError
+from repro.index.delta import materialize
 from repro.model.objects import DataObject, FeatureObject
-from repro.model.result import QueryResult, ScoredObject, merge_top_k
-from repro.server.admission import AdmissionController
-from repro.server.cache import ResultCache
-from repro.server.metrics import LatencyHistogram
-from repro.server.protocol import ParsedRequest, parse_query_spec, result_payload
-from repro.server.service import ServiceConfig, resolve_request_defaults
-from repro.sharding.partition import ShardingPlan, partition_datasets
-from repro.spatial.partitioning import GridPartitioner
+# Not called here: ``benchmarks/e2e/trace.py`` patches these names in this
+# module's namespace as well as in the router core's.
+from repro.model.result import merge_top_k  # noqa: F401
+from repro.server.protocol import parse_query_spec, result_payload  # noqa: F401
+from repro.server.service import ServiceConfig
+from repro.sharding.partition import ShardingPlan
+from repro.sharding.router import ScatterGatherRouter
 
 
 @dataclass(frozen=True)
@@ -125,23 +117,74 @@ class ClusterConfig:
     initial_epoch: str = BOOT_EPOCH
 
 
-@dataclass
-class _ClusterCounters:
-    """Mutable request accounting (guarded by the router lock)."""
+class RemoteShardTarget:
+    """One shard's replica set behind ``post_json``.
 
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    cache_hits: int = 0
-    swaps: int = 0
-    failovers: int = 0
-    degraded_responses: int = 0
-    resyncs: int = 0
-    write_batches: int = 0
+    Reads fail over across the shard's routing-eligible replicas in
+    membership rank order; swaps and writes are pushed to every replica
+    that is not dead.  The fleet-wide state (membership, current epoch,
+    snapshot) stays on the router.
+    """
+
+    def __init__(self, router: "ClusterRouter", shard_index: int) -> None:
+        self._router = router
+        self._shard_index = shard_index
+
+    def query(self, spec: Mapping[str, object]) -> Optional[Dict[str, object]]:
+        """One shard's sub-request: deadline per attempt, failover retries.
+
+        Tries the shard's routing-eligible replicas in replica-rank order,
+        at most ``1 + retries`` attempts.  A transport failure (refused,
+        reset, timeout, 5xx) demotes the node in the membership and moves
+        on; an application-level 400 is raised to the caller unchanged (a
+        replica would reject it identically).  Returns None when no
+        eligible replica answered -- the degraded case.
+        """
+        router = self._router
+        membership = router.membership
+        candidates = membership.candidates(
+            self._shard_index, router.dataset_epoch
+        )
+        failed: List[str] = []
+        for url in candidates[: 1 + router.cluster.retries]:
+            try:
+                response = post_json(
+                    f"{url}/query", spec, timeout=router.cluster.node_deadline
+                )
+            except NodeTransportError:
+                membership.mark_failure(url)
+                failed.append(url)
+                continue
+            membership.mark_success(url)
+            if failed:
+                for loser in failed:
+                    membership.record_failover(loser)
+                router._bump("failovers")
+            return response
+        return None
+
+    def swap(self, plan: ShardingPlan, shard_id: int) -> None:
+        """Push the router's full snapshot: each node slices it locally."""
+        self._push_all("datasets", self._router._dataset_payload())
+
+    def apply(self, update: Mapping[str, Sequence]) -> None:
+        """Push the sub-update -- a pure epoch bump when it is empty, so
+        the whole fleet moves epochs together."""
+        self._push_all(
+            "objects", _objects_payload(update, self._router.dataset_epoch)
+        )
+
+    def _push_all(self, endpoint: str, payload: Mapping[str, object]) -> None:
+        router = self._router
+        for replica in router.membership.replicas(self._shard_index):
+            if replica.state != NODE_DEAD:
+                router._push(replica.url, endpoint, payload)
 
 
-class ClusterRouter:
+class ClusterRouter(ScatterGatherRouter):
     """HTTP scatter-gather front-end over process-isolated shard nodes."""
+
+    _stats_key = "cluster"
 
     def __init__(
         self,
@@ -154,9 +197,10 @@ class ClusterRouter:
     ) -> None:
         """Register the fleet and derive request defaults from the dataset.
 
-        The router holds the full current snapshot (it needs it to resync
-        stale nodes and to repartition on swaps) but runs no engine of its
-        own -- all query work happens on the nodes.
+        The router holds the full current snapshot -- the boot dataset plus
+        the incremental write mirror; it needs it to resync stale nodes and
+        to repartition on swaps -- but runs no engine of its own: all query
+        work happens on the nodes.
 
         Args:
             data_objects: The full object dataset the fleet booted with.
@@ -166,10 +210,9 @@ class ClusterRouter:
                 no node can only ever be answered in degraded mode).
             cluster: Cluster knobs (defaults to :class:`ClusterConfig`).
             engine_config: Used only to resolve request defaults
-                (grid size) identically to the nodes'.
-            service_config: Used for request defaults and the router
-                result-cache capacity override (``result_cache_capacity``
-                on ``cluster`` wins).
+                (grid size, planner mode) identically to the nodes'.
+            service_config: Used for request defaults and admission (the
+                router result-cache capacity is ``cluster``'s).
 
         Raises:
             ValueError: for an empty fleet, a bad shard count, or a node
@@ -189,16 +232,16 @@ class ClusterRouter:
                 )
         if self.cluster.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.cluster.retries}")
-        self._engine_config = engine_config or EngineConfig()
-        self._service_config = service_config or ServiceConfig()
-        self._plan = partition_datasets(
+        super().__init__(
             data_objects,
             feature_objects,
-            self.cluster.shards,
+            shards=self.cluster.shards,
             max_radius=self.cluster.max_radius,
+            scatter_threads=self.cluster.scatter_threads,
+            result_cache_capacity=self.cluster.result_cache_capacity,
+            engine_config=engine_config,
+            service_config=service_config,
         )
-        self._current_data: List[DataObject] = list(data_objects)
-        self._current_features: List[FeatureObject] = list(feature_objects)
         self._membership = ClusterMembership(
             MembershipConfig(
                 max_misses=self.cluster.max_misses,
@@ -210,110 +253,30 @@ class ClusterRouter:
                 spec.url, spec.shard_index, dataset_epoch=self.cluster.initial_epoch
             )
         self._epoch = self.cluster.initial_epoch
-        self._defaults = resolve_request_defaults(
-            self._plan.extent, self._engine_config.grid_size, self._service_config
-        )
-        self._cache = ResultCache(self.cluster.result_cache_capacity)
-        #: Admission happens once, at the cluster front (the shard-node
-        #: processes run without admission configured): a request admitted
-        #: here is never half-shed by one node of its scatter, and every
-        #: deployment mode sheds with the same 429 contract.
-        self._admission = AdmissionController(
-            queue_depth=self._service_config.admission_queue_depth,
-            default_deadline_ms=self._service_config.default_deadline_ms,
-        )
-        self._latency = LatencyHistogram()
-        self._counters = _ClusterCounters()
-        self._dataset_version = 0
-        #: Monotonic write-batch counter; with the dataset version it forms
-        #: the composite cache version, so a cached response can never
-        #: outlive the write that changed its answer.
-        self._write_version = 0
-        self._lock = threading.Lock()
-        #: Serializes hot swaps (and resyncs) against each other.
-        self._swap_lock = threading.Lock()
-        #: Quiesce gate: while ``_paused`` no new request scatters.
-        self._gate = threading.Condition()
-        self._paused = False
-        self._inflight = 0
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._heartbeat_stop = threading.Event()
-        self._heartbeat_thread: Optional[threading.Thread] = None
-        self._started = False
-        self._closed = False
-        self._started_monotonic: Optional[float] = None
+        self._targets = [
+            RemoteShardTarget(self, shard_index)
+            for shard_index in range(self.cluster.shards)
+        ]
 
     # ------------------------------------------------------------------ #
-    # lifecycle
+    # heartbeats / membership
+    #
+    # The node processes are *not* owned by the router (``repro serve
+    # --cluster`` owns the subprocesses it spawned; remote nodes are
+    # somebody else's): shutting the router down leaves them serving.
 
-    def start(self) -> "ClusterRouter":
-        """Probe the fleet once, start the scatter pool and heartbeats."""
-        with self._lock:
-            if self._started or self._closed:
-                return self
-            self._started = True
-            self._started_monotonic = time.monotonic()
-        workers = self.cluster.scatter_threads or min(
-            64, self.cluster.shards * 8
-        )
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-cluster-scatter"
-        )
+    def _on_start(self) -> None:
         # A synchronous first round: node identities and epochs are known
         # before the first request is routed.
         self.probe_now()
         if self.cluster.heartbeat_interval > 0:
-            self._heartbeat_thread = threading.Thread(
-                target=self._run_heartbeats,
-                name="repro-cluster-heartbeat",
-                daemon=True,
+            self._start_background(
+                self._run_heartbeats, "repro-cluster-heartbeat"
             )
-            self._heartbeat_thread.start()
-        return self
-
-    def shutdown(self) -> None:
-        """Drain in-flight requests, stop heartbeats and the pool.
-
-        The node processes are *not* owned by the router (``repro serve
-        --cluster`` owns the subprocesses it spawned; remote nodes are
-        somebody else's); shutting the router down leaves them serving.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._heartbeat_stop.set()
-        if self._heartbeat_thread is not None:
-            self._heartbeat_thread.join()
-        with self._gate:
-            while self._inflight:
-                self._gate.wait()
-        with self._swap_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ClusterRouter":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`shutdown` has been called."""
-        return self._closed
-
-    def uptime_seconds(self) -> float:
-        """Seconds since :meth:`start` (0.0 before it); lock-free."""
-        started = self._started_monotonic
-        return time.monotonic() - started if started is not None else 0.0
-
-    # ------------------------------------------------------------------ #
-    # heartbeats / membership
 
     def _run_heartbeats(self) -> None:
         interval = self.cluster.heartbeat_interval
-        while not self._heartbeat_stop.wait(interval):
+        while not self._background_stop.wait(interval):
             try:
                 self.probe_now()
             except Exception:  # noqa: BLE001 - the loop must survive
@@ -327,9 +290,9 @@ class ClusterRouter:
         Probes every registered node, applies the liveness timeout, and
         resynchronises stale-epoch nodes (alive nodes whose last reported
         dataset epoch is not the router's current one -- they were dead
-        through a swap, or restarted from their boot file).  Called by the
-        heartbeat thread on its cadence, and directly by tests/operators
-        for a deterministic round.
+        through a swap or a write, or restarted from their boot file).
+        Called by the heartbeat thread on its cadence, and directly by
+        tests/operators for a deterministic round.
         """
         for url in self._membership.urls():
             self._probe_node(url)
@@ -356,35 +319,50 @@ class ClusterRouter:
 
     def _resync_stale_nodes(self) -> None:
         """Push the current snapshot to alive nodes reporting an old epoch."""
-        stale = self._membership.stale_nodes(self._epoch)
-        if not stale:
+        if not self._membership.stale_nodes(self._epoch):
             return
         with self._swap_lock:
-            # Re-check under the lock: a concurrent swap may have moved the
-            # epoch (and will resync against the new one itself).
+            # Re-check under the lock: a concurrent swap or write may have
+            # moved the epoch (and pushed it to these nodes itself).
             stale = self._membership.stale_nodes(self._epoch)
+            payload = self._dataset_payload() if stale else {}
             for url in stale:
-                if self._push_dataset(url, self._epoch):
-                    with self._lock:
-                        self._counters.resyncs += 1
+                if self._push(url, "datasets", payload):
+                    self._bump("resyncs")
 
-    def _push_dataset(self, url: str, epoch: str) -> bool:
-        """POST the current full snapshot to one node; True on success."""
-        payload = _dataset_payload(
-            self._current_data, self._current_features, epoch
+    def _dataset_payload(self) -> Dict[str, object]:
+        """The inline ``POST /datasets`` body: current snapshot + epoch.
+
+        The one place the full dataset (base + write mirror, in bulk-swap
+        order) is materialized -- per swap or resync, never per write.
+        """
+        data_objects, feature_objects = materialize(
+            self._base_data, self._base_features, self._delta.snapshot()
         )
+        return {
+            "epoch": self._epoch,
+            "data_objects": [_data_json(obj) for obj in data_objects],
+            "feature_objects": [_feature_json(obj) for obj in feature_objects],
+        }
+
+    def _push(
+        self, url: str, endpoint: str, payload: Mapping[str, object]
+    ) -> bool:
+        """POST one epoch-tagged state change to one node; True on success."""
         try:
             post_json(
-                f"{url}/datasets", payload, timeout=self.cluster.node_deadline
+                f"{url}/{endpoint}", payload, timeout=self.cluster.node_deadline
             )
         except NodeTransportError:
             self._membership.mark_failure(url)
             return False
         except InvalidQueryError:
-            # A node that rejects the snapshot (4xx) is misconfigured, not
-            # merely unreachable; it stays excluded by its stale epoch.
+            # A node that rejects the push (4xx) is misconfigured or has
+            # diverged from the router's snapshot, not merely unreachable;
+            # its stale epoch keeps it out of routing until a full-snapshot
+            # resync succeeds.
             return False
-        self._membership.mark_success(url, dataset_epoch=epoch)
+        self._membership.mark_success(url, dataset_epoch=payload["epoch"])
         return True
 
     @property
@@ -414,354 +392,53 @@ class ClusterRouter:
             RuntimeError: when the router is not started or already shut
                 down.
         """
-        parsed = self._parse(spec)
-        return self._serve(parsed)
+        return self._serve(self._parse(spec))
 
-    def submit_many(
-        self, specs: Sequence[Mapping[str, object]]
-    ) -> List[Dict[str, object]]:
-        """Serve a batch of request objects; responses in input order.
-
-        Validated up front as one batch, then served concurrently on a
-        batch-local pool so the scatter round-trips overlap (same two-level
-        pool structure as the in-process shard router).
-        """
-        parsed_list = [self._parse(spec) for spec in specs]
-        if len(parsed_list) <= 1:
-            return [self._serve(parsed) for parsed in parsed_list]
-        with ThreadPoolExecutor(
-            max_workers=min(len(parsed_list), 8),
-            thread_name_prefix="repro-cluster-batch",
-        ) as pool:
-            return list(pool.map(self._serve, parsed_list))
-
-    def _parse(self, spec: Mapping[str, object]) -> ParsedRequest:
-        parsed = parse_query_spec(spec, self._defaults, ALGORITHM_CHOICES)
-        validate_algorithm_combination(
-            parsed.item.algorithm, parsed.item.score_mode
-        )
-        max_radius = self.cluster.max_radius
-        if max_radius is not None and parsed.item.query.radius > max_radius:
-            raise InvalidQueryError(
-                f"query radius {parsed.item.query.radius} exceeds the cluster "
-                f"replication radius (max_radius={max_radius}); features "
-                "beyond it were not replicated across shard boundaries, so "
-                "the cluster cannot answer this query exactly"
-            )
-        return parsed
-
-    def _serve(self, parsed: ParsedRequest) -> Dict[str, object]:
-        started = time.monotonic()
-        with self._lock:
-            if not self._started:
-                raise RuntimeError("the query service is not started")
-            if self._closed:
-                raise RuntimeError("the query service is shut down")
-            self._counters.submitted += 1
-        admission = self._admission
-        deadline = admission.resolve_deadline(parsed.deadline_ms)
-        admission.on_arrival(deadline)
-        admission.acquire()
-        try:
-            response = self._serve_admitted(parsed, deadline)
-        except OverloadError:
-            # The gate's queue-expiry check -- or, when someone points the
-            # router at admission-enabled nodes (not the spawned-fleet
-            # default), a 429 relayed by the transport.  Either way the
-            # client sees a 429, so it lands in the shed bucket.
-            admission.release("expired")
-            with self._lock:
-                self._counters.failed += 1
-            raise
-        except BaseException:
-            admission.release("failed")
-            with self._lock:
-                self._counters.failed += 1
-            raise
-        latency = time.monotonic() - started
-        admission.release("completed", latency)
-        self._latency.record(latency)
-        with self._lock:
-            self._counters.completed += 1
-        return response
-
-    def _serve_admitted(
-        self, parsed: ParsedRequest, deadline: Optional[float]
+    def _scatter_stats(
+        self, queried: int, missing: List[int], planned: Dict[str, str]
     ) -> Dict[str, object]:
-        """Gate entry + HTTP scatter-gather for one admitted request."""
-        with self._gate:
-            while self._paused:
-                self._gate.wait()
-            if self._closed:
-                raise RuntimeError("the query service is shut down")
-            self._inflight += 1
-        try:
-            # A fleet-wide swap may have held the gate past the request's
-            # budget; shed explicitly instead of serving a too-late answer.
-            if self._admission.expired_in_queue(deadline):
-                raise self._admission.queue_expiry_error()
-            return self._serve_gated(parsed)
-        finally:
-            with self._gate:
-                self._inflight -= 1
-                self._gate.notify_all()
-
-    def _serve_gated(self, parsed: ParsedRequest) -> Dict[str, object]:
-        """Cache probe + HTTP scatter-gather; runs inside the quiesce gate."""
-        key = parsed.canonical_key((self._dataset_version, self._write_version))
-        if self._cache.enabled:
-            payload = self._cache.get(key)
-            if payload is not None:
-                payload["cached"] = True
-                if not parsed.include_stats:
-                    payload.pop("stats", None)
-                with self._lock:
-                    self._counters.cache_hits += 1
-                return payload
-
-        answered, missing = self._scatter(parsed)
-        full = self._gather(parsed, answered, missing)
-        if not missing:
-            # A degraded (partial) answer must never be served to a later
-            # healthy request from the cache.
-            self._cache.put(key, full)
-        response = dict(full)
-        if not parsed.include_stats:
-            response.pop("stats", None)
-        return response
-
-    def _resolved_spec(self, parsed: ParsedRequest) -> Dict[str, object]:
-        """The fully resolved spec scattered to the nodes (always with stats)."""
-        item = parsed.item
         return {
-            "keywords": sorted(item.query.keywords),
-            "k": item.query.k,
-            "radius": item.query.radius,
-            "algorithm": item.algorithm,
-            "grid_size": item.grid_size,
-            "score_mode": item.score_mode,
-            "stats": True,
-        }
-
-    def _scatter(
-        self, parsed: ParsedRequest
-    ) -> Tuple[List[Tuple[int, Dict[str, object]]], List[int]]:
-        """Fan out to every data-bearing shard; returns (answered, missing)."""
-        spec = self._resolved_spec(parsed)
-        targets = [
-            shard.shard_id for shard in self._plan.shards if not shard.is_empty
-        ]
-        if not targets:
-            return [], []
-        if len(targets) == 1:
-            outcomes = [self._query_shard(targets[0], spec)]
-        else:
-            assert self._pool is not None  # started before requests are gated
-            futures = [
-                self._pool.submit(self._query_shard, shard_id, spec)
-                for shard_id in targets
-            ]
-            outcomes = [future.result() for future in futures]
-        answered: List[Tuple[int, Dict[str, object]]] = []
-        missing: List[int] = []
-        for shard_id, response in zip(targets, outcomes):
-            if response is None:
-                missing.append(shard_id)
-            else:
-                answered.append((shard_id, response))
-        return answered, missing
-
-    def _query_shard(
-        self, shard_index: int, spec: Mapping[str, object]
-    ) -> Optional[Dict[str, object]]:
-        """One shard's sub-request: deadline per attempt, failover retries.
-
-        Tries the shard's routing-eligible replicas in replica-rank order,
-        at most ``1 + retries`` attempts.  A transport failure (refused,
-        reset, timeout, 5xx) demotes the node in the membership and moves
-        on; an application-level 400 is raised to the caller unchanged (a
-        replica would reject it identically).  Returns None when no
-        eligible replica answered -- the degraded case.
-        """
-        candidates = self._membership.candidates(shard_index, self._epoch)
-        attempts = candidates[: 1 + self.cluster.retries]
-        failed: List[str] = []
-        for url in attempts:
-            try:
-                response = post_json(
-                    f"{url}/query", spec, timeout=self.cluster.node_deadline
-                )
-            except NodeTransportError:
-                self._membership.mark_failure(url)
-                failed.append(url)
-                continue
-            self._membership.mark_success(url)
-            if failed:
-                for loser in failed:
-                    self._membership.record_failover(loser)
-                with self._lock:
-                    self._counters.failovers += 1
-            return response
-        return None
-
-    def _gather(
-        self,
-        parsed: ParsedRequest,
-        answered: List[Tuple[int, Dict[str, object]]],
-        missing: List[int],
-    ) -> Dict[str, object]:
-        """Merge per-shard partials; attach cluster stats and degraded marks."""
-        partials: List[List[ScoredObject]] = [
-            [
-                ScoredObject(
-                    DataObject(oid=entry["oid"], x=entry["x"], y=entry["y"]),
-                    entry["score"],
-                )
-                for entry in response["results"]
-            ]
-            for _, response in answered
-        ]
-        entries = merge_top_k(partials, parsed.item.query.k)
-        stats = self._aggregate_stats(parsed, answered, missing)
-        stats_parsed = ParsedRequest(item=parsed.item, include_stats=True)
-        payload = result_payload(stats_parsed, QueryResult(entries, stats=stats))
-        if missing:
-            payload["degraded"] = True
-            payload["shards_answered"] = sorted(
-                shard_id for shard_id, _ in answered
-            )
-            payload["shards_missing"] = sorted(missing)
-            with self._lock:
-                self._counters.degraded_responses += 1
-        return payload
-
-    def _aggregate_stats(
-        self,
-        parsed: ParsedRequest,
-        answered: List[Tuple[int, Dict[str, object]]],
-        missing: List[int],
-    ) -> Dict[str, object]:
-        """Cluster stats tree: sums of shard work, makespan of shard time."""
-        stats: Dict[str, object] = {
-            "algorithm": parsed.item.algorithm,
-            "grid_size": parsed.item.grid_size,
-        }
-        summed = (
-            "shuffled_records",
-            "features_pruned",
-            "features_examined",
-            "score_computations",
-        )
-        totals: Dict[str, float] = dict.fromkeys(summed, 0)
-        makespan = 0.0
-        planned: Dict[str, str] = {}
-        for shard_id, response in answered:
-            shard_stats = response.get("stats", {})
-            for name in summed:
-                if name in shard_stats:
-                    totals[name] += shard_stats[name]
-            makespan = max(makespan, shard_stats.get("simulated_seconds", 0.0))
-            if "planned_algorithm" in response:
-                planned[str(shard_id)] = response["planned_algorithm"]
-            if "backend" in shard_stats and "backend" not in stats:
-                stats["backend"] = shard_stats["backend"]
-                stats["workers"] = shard_stats.get("workers")
-        stats.update(totals)
-        stats["simulated_seconds"] = makespan
-        stats["cluster"] = {
-            "shards_queried": len(answered),
+            **super()._scatter_stats(queried, missing, planned),
             "shards_missing": sorted(missing),
             "degraded": bool(missing),
-            "dataset_version": self._dataset_version,
             "dataset_epoch": self._epoch,
-            "planned_algorithms": planned or None,
         }
-        if planned and len(set(planned.values())) == 1:
-            stats["planned_algorithm"] = next(iter(planned.values()))
-        return stats
 
     # ------------------------------------------------------------------ #
-    # datasets
+    # datasets + incremental ingest (see docs/cluster.md, docs/ingest.md)
 
-    def swap_datasets(
-        self,
-        data_objects: Sequence[DataObject],
-        feature_objects: Sequence[FeatureObject],
-    ) -> Dict[str, object]:
-        """Hot-swap the dataset across the whole fleet; returns snapshot info.
-
-        The cluster extension of the two-level quiesce protocol:
-
-        1. the router gate pauses (in-flight scatter-gathers drain, new
-           requests queue);
-        2. a new epoch tag is minted and the full snapshot is pushed to
-           every non-dead node (``POST /datasets`` with the epoch); each
-           node repartitions deterministically and swaps its slice under
-           its own quiesce gate;
-        3. the router dataset version bumps (cache entries become
-           unreachable), defaults re-derive from the new extent, and the
-           gate reopens.
+    def _swap_targets(self, plan: ShardingPlan) -> None:
+        """The cluster extension of the hot swap: mint a new epoch and push
+        the full snapshot with it to every non-dead node (each repartitions
+        deterministically and swaps its slice under its own quiesce gate).
 
         A node the push could not reach keeps its old epoch: it is
         excluded from routing (its shard's other replicas answer, or the
         shard goes degraded) until the heartbeat loop resynchronises it.
         """
-        with self._swap_lock:
-            with self._gate:
-                self._paused = True
-                while self._inflight:
-                    self._gate.wait()
-            try:
-                plan = partition_datasets(
-                    data_objects,
-                    feature_objects,
-                    self.cluster.shards,
-                    max_radius=self.cluster.max_radius,
-                )
-                version = self._dataset_version + 1
-                epoch = f"v{version}"
-                self._current_data = list(data_objects)
-                self._current_features = list(feature_objects)
-                for url in self._membership.urls():
-                    if self._membership.status_of(url).state == "dead":
-                        continue
-                    self._push_dataset(url, epoch)
-                self._plan = plan
-                self._dataset_version = version
-                self._epoch = epoch
-                self._cache.invalidate()
-                self._defaults = resolve_request_defaults(
-                    plan.extent,
-                    self._engine_config.grid_size,
-                    self._service_config,
-                )
-                with self._lock:
-                    self._counters.swaps += 1
-            finally:
-                with self._gate:
-                    self._paused = False
-                    self._gate.notify_all()
-        return self.dataset_info()
+        self._epoch = f"v{self._dataset_version}"
+        super()._swap_targets(plan)
 
-    def set_datasets(
-        self,
-        data_objects: Sequence[DataObject],
-        feature_objects: Sequence[FeatureObject],
-    ) -> None:
-        """Alias of :meth:`swap_datasets` (the :class:`QueryService` name)."""
-        self.swap_datasets(data_objects, feature_objects)
+    def _apply_targets(self, updates: List[Dict[str, list]]) -> None:
+        """Every write batch mints a fresh epoch and is pushed to **every**
+        non-dead node -- nodes the batch routes nothing to get a pure epoch
+        bump -- so the whole fleet moves epochs together; a node the push
+        cannot reach is handled exactly like one that slept through a swap.
+        """
+        self._epoch = f"v{self._dataset_version}w{self._write_version}"
+        super()._apply_targets(updates)
 
     def dataset_info(self) -> Dict[str, object]:
-        """Version, epoch and sizes of the current (full) dataset snapshot."""
+        """Version, epoch and sizes of the current (full, live) dataset."""
+        delta = self._delta.snapshot()
         return {
             "version": self._dataset_version,
             "dataset_epoch": self._epoch,
-            "data_objects": len(self._current_data),
-            "feature_objects": len(self._current_features),
+            "data_objects": len(self._base_data)
+            - len(delta.deleted_data_oids) + len(delta.data),
+            "feature_objects": len(self._base_features)
+            - len(delta.deleted_feature_oids) + len(delta.features),
         }
-
-    # ------------------------------------------------------------------ #
-    # incremental ingest (write routing; see docs/ingest.md)
 
     def apply_objects(
         self,
@@ -772,28 +449,14 @@ class ClusterRouter:
     ) -> Dict[str, object]:
         """Route one incremental write batch to the whole fleet.
 
-        The batch is validated atomically against the router's full
-        snapshot first (a batch any node would reject is rejected whole,
-        before any node sees it), folded into the router's own copy (the
-        resync source of truth), then routed by the same rules
-        :func:`~repro.sharding.partition.partition_datasets` applies at
-        build time: a data append goes to the nodes of the one shard whose
-        cell contains it, a feature append is replicated to every shard
-        within ``max_radius`` (all shards when unbounded), deletes are
-        broadcast (node deltas are idempotent).  Every write batch mints a
-        fresh cluster epoch and is pushed to **every** non-dead node --
-        nodes the batch routes nothing to get a pure epoch bump -- so the
-        whole fleet moves epochs together.  A node the push cannot reach
-        keeps its old epoch, drops out of routing, and is resynchronised
-        with a full snapshot by the heartbeat loop, exactly like a node
-        that slept through a hot swap.
-
-        Unlike single-process delta writes (which never block readers),
-        a cluster write briefly quiesces the scatter gate: per-node applies
-        are not atomic across the fleet, and routing reads concurrently
-        would let one response mix pre- and post-write shard answers.  The
-        node-local deltas still make each push tiny next to a snapshot
-        push, which is where the incremental win lives.
+        Validated whole against the router's write mirror (the resync
+        source of truth), routed like :func:`~repro.sharding.partition.
+        partition_datasets` would have placed the objects, and pushed --
+        with a freshly minted epoch -- to the nodes with the scatter gate
+        briefly paused, so no read can straddle the per-node applies (see
+        :meth:`~repro.sharding.router.ScatterGatherRouter._apply_write`).
+        The node-local deltas keep each push tiny next to a snapshot push,
+        which is where the incremental win lives.
 
         Returns:
             The applied counts plus the new epoch and write version.
@@ -803,132 +466,18 @@ class ClusterRouter:
                 serving is not paused).
             RuntimeError: when the router is not started or shut down.
         """
-        with self._lock:
-            if not self._started:
-                raise RuntimeError("the query service is not started")
-            if self._closed:
-                raise RuntimeError("the query service is shut down")
-        append_data = list(append_data)
-        append_features = list(append_features)
-        delete_data_oids = list(delete_data_oids)
-        delete_feature_oids = list(delete_feature_oids)
-        with self._swap_lock:
-            # Validate before quiescing: a rejected batch must not pause
-            # serving.  The throwaway delta applies the exact same
-            # deletes-first / duplicate-oid / extent rules a node would.
-            probe = DatasetDelta()
-            counts = probe.apply(
-                append_data=append_data,
-                append_features=append_features,
-                delete_data_oids=delete_data_oids,
-                delete_feature_oids=delete_feature_oids,
-                base_data_oids={obj.oid for obj in self._current_data},
-                base_feature_oids={obj.oid for obj in self._current_features},
-                extent=self._plan.extent,
-            )
-            counts.pop("delta_version", None)
-            with self._gate:
-                self._paused = True
-                while self._inflight:
-                    self._gate.wait()
-            try:
-                self._current_data, self._current_features = materialize(
-                    self._current_data, self._current_features,
-                    probe.snapshot(),
-                )
-                self._write_version += 1
-                epoch = f"v{self._dataset_version}w{self._write_version}"
-                sub_updates = self._route_update(
-                    append_data, append_features,
-                    delete_data_oids, delete_feature_oids,
-                )
-                for url in self._membership.urls():
-                    status = self._membership.status_of(url)
-                    if status.state == "dead":
-                        continue
-                    self._push_objects(
-                        url, sub_updates[status.shard_index], epoch
-                    )
-                self._epoch = epoch
-                with self._lock:
-                    self._counters.write_batches += 1
-            finally:
-                with self._gate:
-                    self._paused = False
-                    self._gate.notify_all()
+        counts = self._apply_write(
+            append_data, append_features, delete_data_oids, delete_feature_oids
+        )
+        counts.pop("delta_version", None)
         return {
             **counts,
-            "dataset_epoch": epoch,
+            "dataset_epoch": self._epoch,
             "write_version": self._write_version,
         }
 
-    def _route_update(
-        self,
-        append_data: Sequence[DataObject],
-        append_features: Sequence[FeatureObject],
-        delete_data_oids: Sequence[str],
-        delete_feature_oids: Sequence[str],
-    ) -> List[Dict[str, object]]:
-        """Slice one validated batch into per-shard sub-updates."""
-        num_shards = self.cluster.shards
-        grid = self._plan.grid
-        sub_data: List[List[DataObject]] = [[] for _ in range(num_shards)]
-        for obj in append_data:
-            sub_data[grid.locate(obj.x, obj.y) - 1].append(obj)
-        sub_features: List[List[FeatureObject]] = [
-            [] for _ in range(num_shards)
-        ]
-        if append_features:
-            if self.cluster.max_radius is None or num_shards == 1:
-                for shard_id in range(num_shards):
-                    sub_features[shard_id] = list(append_features)
-            else:
-                partitioner = GridPartitioner(grid, self.cluster.max_radius)
-                for feature in append_features:
-                    for cell_id in partitioner.assign_feature_object(feature):
-                        sub_features[cell_id - 1].append(feature)
-        return [
-            {
-                "append_data": sub_data[shard_id],
-                "append_features": sub_features[shard_id],
-                "delete_data_oids": list(delete_data_oids),
-                "delete_feature_oids": list(delete_feature_oids),
-            }
-            for shard_id in range(num_shards)
-        ]
-
-    def _push_objects(
-        self, url: str, sub_update: Mapping[str, object], epoch: str
-    ) -> bool:
-        """POST one shard's slice of a write batch to one node."""
-        payload = _objects_payload(sub_update, epoch)
-        try:
-            post_json(
-                f"{url}/objects", payload, timeout=self.cluster.node_deadline
-            )
-        except NodeTransportError:
-            self._membership.mark_failure(url)
-            return False
-        except InvalidQueryError:
-            # A node that rejects the sub-update (4xx) diverged from the
-            # router's snapshot; its stale epoch keeps it out of routing
-            # until the heartbeat loop resyncs it with a full snapshot.
-            return False
-        self._membership.mark_success(url, dataset_epoch=epoch)
-        return True
-
     # ------------------------------------------------------------------ #
     # introspection
-
-    @property
-    def admission(self) -> AdmissionController:
-        """The front-door admission controller (nodes run without one)."""
-        return self._admission
-
-    @property
-    def plan(self) -> ShardingPlan:
-        """The current partitioning plan (replaced wholesale by hot swaps)."""
-        return self._plan
 
     def stats(self) -> Dict[str, object]:
         """Aggregate router statistics (the cluster ``GET /stats`` payload).
@@ -938,113 +487,65 @@ class ClusterRouter:
         ``/stats`` stays cheap and answers even with the fleet down.
         Per-node counter trees live on the nodes' own ``GET /stats``.
         """
-        with self._lock:
-            counters = _ClusterCounters(**vars(self._counters))
+        counters = self._snapshot_counters()
         plan_stats = self._plan.stats
-        return {
-            "uptime_seconds": self.uptime_seconds(),
-            "started": self._started,
-            "closed": self._closed,
-            "requests": {
-                "submitted": counters.submitted,
-                "completed": counters.completed,
-                "failed": counters.failed,
-                "result_cache_hits": counters.cache_hits,
-                "failovers": counters.failovers,
-                "degraded_responses": counters.degraded_responses,
-            },
-            "latency": self._latency.snapshot(),
-            "admission": self._admission.snapshot(),
-            "result_cache": {
-                "capacity": self._cache.capacity,
-                "size": len(self._cache),
-                **self._cache.stats.as_dict(),
-            },
-            "cluster": {
-                "shards": plan_stats.num_shards,
-                "layout": list(plan_stats.layout),
-                "max_radius": self.cluster.max_radius,
-                "nodes": self._membership.snapshot(),
-                "alive_nodes": self._membership.alive_count(),
-                "dataset_epoch": self._epoch,
-                "heartbeat_interval_seconds": self.cluster.heartbeat_interval,
-                "liveness_timeout_seconds": self.cluster.liveness_timeout,
-                "max_misses": self.cluster.max_misses,
-                "node_deadline_seconds": self.cluster.node_deadline,
-                "retries": self.cluster.retries,
-                "resyncs": counters.resyncs,
-                "feature_replication_factor": plan_stats.replication_factor,
-                "grid_aligned_default": self._plan.grid_aligned(
-                    self._defaults.grid_size
-                ),
-            },
-            "ingest": {
-                "write_batches": counters.write_batches,
-                "write_version": self._write_version,
-            },
-            "dataset": {**self.dataset_info(), "swaps": counters.swaps},
-            "defaults": vars(self._defaults),
+        stats = self._common_stats(counters)
+        stats["requests"]["failovers"] = counters["failovers"]
+        stats["requests"]["degraded_responses"] = counters["degraded_responses"]
+        stats["cluster"] = {
+            "shards": plan_stats.num_shards,
+            "layout": list(plan_stats.layout),
+            "max_radius": self.cluster.max_radius,
+            "nodes": self._membership.snapshot(),
+            "alive_nodes": self._membership.alive_count(),
+            "dataset_epoch": self._epoch,
+            "heartbeat_interval_seconds": self.cluster.heartbeat_interval,
+            "liveness_timeout_seconds": self.cluster.liveness_timeout,
+            "max_misses": self.cluster.max_misses,
+            "node_deadline_seconds": self.cluster.node_deadline,
+            "retries": self.cluster.retries,
+            "resyncs": counters["resyncs"],
+            "feature_replication_factor": plan_stats.replication_factor,
+            "grid_aligned_default": self._plan.grid_aligned(
+                self._defaults.grid_size
+            ),
         }
+        stats["ingest"] = {
+            "write_batches": counters["write_batches"],
+            "write_version": self._write_version,
+        }
+        return stats
+
+
+def _data_json(obj: DataObject) -> Dict[str, object]:
+    return {"oid": obj.oid, "x": obj.x, "y": obj.y}
+
+
+def _feature_json(obj: FeatureObject) -> Dict[str, object]:
+    return {**_data_json(obj), "keywords": sorted(obj.keywords)}
 
 
 def _objects_payload(
-    sub_update: Mapping[str, object], epoch: str
+    update: Mapping[str, Sequence], epoch: str
 ) -> Dict[str, object]:
     """The ``POST /objects`` body for one shard's slice of a write batch.
 
-    An all-empty sub-update still produces a valid body -- just the epoch
-    tag -- which the node HTTP handler accepts as a pure epoch bump.
+    An all-empty sub-update is still a valid body: with the epoch tag the
+    node HTTP handler accepts it as a pure epoch bump.
     """
-    payload: Dict[str, object] = {"epoch": epoch}
-    append: Dict[str, object] = {}
-    if sub_update["append_data"]:
-        append["data_objects"] = [
-            {"oid": obj.oid, "x": obj.x, "y": obj.y}
-            for obj in sub_update["append_data"]
-        ]
-    if sub_update["append_features"]:
-        append["feature_objects"] = [
-            {
-                "oid": obj.oid,
-                "x": obj.x,
-                "y": obj.y,
-                "keywords": sorted(obj.keywords),
-            }
-            for obj in sub_update["append_features"]
-        ]
-    if append:
-        payload["append"] = append
-    delete: Dict[str, object] = {}
-    if sub_update["delete_data_oids"]:
-        delete["data_oids"] = list(sub_update["delete_data_oids"])
-    if sub_update["delete_feature_oids"]:
-        delete["feature_oids"] = list(sub_update["delete_feature_oids"])
-    if delete:
-        payload["delete"] = delete
-    return payload
-
-
-def _dataset_payload(
-    data_objects: Sequence[DataObject],
-    feature_objects: Sequence[FeatureObject],
-    epoch: str,
-) -> Dict[str, object]:
-    """The inline ``POST /datasets`` body for one full snapshot + epoch."""
     return {
         "epoch": epoch,
-        "data_objects": [
-            {"oid": obj.oid, "x": obj.x, "y": obj.y} for obj in data_objects
-        ],
-        "feature_objects": [
-            {
-                "oid": obj.oid,
-                "x": obj.x,
-                "y": obj.y,
-                "keywords": sorted(obj.keywords),
-            }
-            for obj in feature_objects
-        ],
+        "append": {
+            "data_objects": [_data_json(o) for o in update["append_data"]],
+            "feature_objects": [
+                _feature_json(o) for o in update["append_features"]
+            ],
+        },
+        "delete": {
+            "data_oids": update["delete_data_oids"],
+            "feature_oids": update["delete_feature_oids"],
+        },
     }
 
 
-__all__ = ["ClusterConfig", "ClusterRouter", "NodeSpec"]
+__all__ = ["ClusterConfig", "ClusterRouter", "NodeSpec", "RemoteShardTarget"]

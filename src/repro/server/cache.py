@@ -7,7 +7,7 @@ query (same dataset version, k, radius, keyword set, algorithm, grid size
 and score mode) is answered without touching an engine at all.
 
 Keys embed the dataset version, so mutating the datasets
-(``QueryService.set_datasets``) implicitly invalidates every entry: stale
+(``QueryService.swap_datasets``) implicitly invalidates every entry: stale
 keys become unreachable and age out of the LRU.  Values are the response
 payloads of :func:`repro.server.protocol.result_payload`; callers receive a
 copy, never the cached object itself.

@@ -47,6 +47,7 @@ from repro.planner.persistence import save_calibration, try_restore_calibration
 from repro.server.admission import AdmissionController
 from repro.server.batching import MicroBatcher, PendingRequest
 from repro.server.cache import ResultCache
+from repro.server.gate import QuiesceGate
 from repro.server.metrics import LatencyHistogram
 from repro.server.protocol import (
     ParsedRequest,
@@ -281,11 +282,9 @@ class QueryService:
         self._derive_extent_on_swap = extent is None
         #: Single-flight gate of the background auto-compaction thread.
         self._compaction_thread: Optional[threading.Thread] = None
-        #: Quiesce gate: while ``_paused`` no new micro-batch starts;
-        #: ``_inflight_batches`` counts batches currently executing.
-        self._pause_cond = threading.Condition()
-        self._paused = False
-        self._inflight_batches = 0
+        #: Quiesce gate over micro-batches: a dispatcher enters it for the
+        #: duration of one batch, a dataset swap holds it paused.
+        self._gate = QuiesceGate()
         self._checkpoint_stop = threading.Event()
         self._checkpoint_thread: Optional[threading.Thread] = None
         self._started = False
@@ -462,19 +461,6 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # datasets
 
-    def set_datasets(
-        self,
-        data_objects: Sequence[DataObject],
-        feature_objects: Sequence[FeatureObject],
-    ) -> None:
-        """Swap the dataset snapshot on every pooled engine (quiescing).
-
-        Alias of :meth:`swap_datasets`, kept for callers of the pre-hot-swap
-        API; since the quiesce protocol landed, swapping under live traffic
-        is safe (no request is lost or fails because of the swap).
-        """
-        self.swap_datasets(data_objects, feature_objects)
-
     def swap_datasets(
         self,
         data_objects: Sequence[DataObject],
@@ -513,22 +499,13 @@ class QueryService:
             # this, a compaction's explicit extent pin would survive into
             # later full swaps and keep serving the *old* extent.
             extent = dataset_extent(data_objects, feature_objects)
-        with self._write_lock, self._swap_lock:
-            with self._pause_cond:
-                self._paused = True
-                while self._inflight_batches:
-                    self._pause_cond.wait()
-            try:
-                for engine in self._engines:
-                    engine.set_datasets(data_objects, feature_objects, extent=extent)
-                self._result_cache.invalidate()
-                self._defaults = self._resolve_defaults()
-                with self._lock:
-                    self._counters.swaps += 1
-            finally:
-                with self._pause_cond:
-                    self._paused = False
-                    self._pause_cond.notify_all()
+        with self._write_lock, self._swap_lock, self._gate.paused():
+            for engine in self._engines:
+                engine.set_datasets(data_objects, feature_objects, extent=extent)
+            self._result_cache.invalidate()
+            self._defaults = self._resolve_defaults()
+            with self._lock:
+                self._counters.swaps += 1
         return self.dataset_info()
 
     # ------------------------------------------------------------------ #
@@ -803,16 +780,8 @@ class QueryService:
         dispatch this blocks *before* touching the engine, so no batch ever
         runs against a half-swapped pool.
         """
-        with self._pause_cond:
-            while self._paused:
-                self._pause_cond.wait()
-            self._inflight_batches += 1
-        try:
+        with self._gate.enter():
             self._execute_batch_inner(worker_index, batch)
-        finally:
-            with self._pause_cond:
-                self._inflight_batches -= 1
-                self._pause_cond.notify_all()
 
     def _execute_batch_inner(
         self, worker_index: int, batch: Sequence[PendingRequest]

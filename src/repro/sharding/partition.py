@@ -105,8 +105,7 @@ class ShardingPlan:
             (cell-for-cell alignment with an unsharded engine is what makes
             scatter-gather results identical).
         grid: The layout grid (for uniform layouts: the coarse shard grid,
-            one cell per shard -- the historical shape write routers rely
-            on).
+            one cell per shard).
         max_radius: The replication radius (None = unbounded).
         shards: Per-shard datasets, in shard-id order.
         stats: Replication accounting.

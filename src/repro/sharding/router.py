@@ -1,14 +1,13 @@
-"""Scatter-gather query router over per-shard query services.
+"""Scatter-gather query routing: the router core and the in-process shard router.
 
-:class:`ShardRouter` is the sharded counterpart of
-:class:`~repro.server.service.QueryService` and serves the same request
-objects through the same front-end (``repro serve --shards N``):
+:class:`ScatterGatherRouter` is the one request lifecycle both sharded
+deployment modes serve through -- parse, admit, gate, cache probe, scatter,
+gather, record -- written against the small :class:`ShardTarget` protocol:
 
 * at build time the dataset is split by :func:`~repro.sharding.partition.
-  partition_datasets` and one :class:`QueryService` is started per shard,
-  each over the shard's slice but gridding over the *full* dataset extent,
-  so every shard engine's query grid is cell-for-cell the unsharded
-  engine's grid;
+  partition_datasets`; every shard target serves its slice but grids over
+  the *full* dataset extent, so every shard engine's query grid is
+  cell-for-cell the unsharded engine's grid;
 * a request is parsed and resolved once at the router, answered from the
   router's result cache when possible, and otherwise *scattered* -- in
   parallel -- to every shard that owns data (the routing rule; feature
@@ -19,20 +18,21 @@ objects through the same front-end (``repro serve --shards N``):
   ``(-score, oid)`` tie order, the engine uses for per-cell lists -- which
   is associative, so the merged result equals a single unsharded engine's
   (see :meth:`~repro.sharding.partition.ShardingPlan.grid_aligned` for the
-  exact tie contract);
-* hot swaps (``POST /datasets``) quiesce the router (in-flight scatter
-  requests drain, new ones queue at the gate), repartition, swap every
-  shard atomically and invalidate the router's result cache by bumping the
-  router dataset version;
-* **rebalancing** (``POST /rebalance``, or the background controller when
-  ``--rebalance-threshold`` is set) recomputes a skew-aware
-  :class:`~repro.sharding.layout.ShardLayout` from the live data
-  histogram, materializes the current base+delta state in bulk-swap order
-  and applies it through the same quiesce path -- the dataset content is
-  unchanged, so answers stay bit-for-bit identical across the layout
-  change, and freshly populated shards re-seed their planner calibrators
-  from the shared snapshot (the PR-7 ``calibration_seed_path`` rule)
-  instead of starting cold.
+  exact tie contract); a shard whose target reports no answer makes the
+  response *degraded* (explicitly marked, never cached);
+* every state change -- hot swap (``POST /datasets``), rebalance, routed
+  write batch (``POST /objects``) -- holds the router's
+  :class:`~repro.server.gate.QuiesceGate` paused, so every scatter-gather
+  sees one whole dataset state on every shard: what makes the merge exact.
+
+:class:`ShardRouter` (``repro serve --shards N``) is the core over one
+in-process :class:`QueryService` per shard (:class:`LocalShardTarget`) plus
+what is sharding-only: skew layouts, **rebalancing** (``POST /rebalance``
+or the ``--rebalance-threshold`` controller: a fresh layout is derived from
+the live data histogram and applied through the swap path, content
+unchanged, so answers stay bit-for-bit identical), per-shard compaction and
+per-shard calibration.  :class:`~repro.cluster.router.ClusterRouter` is the
+same core over remote targets.
 
 ``benchmarks/bench_sharding.py --check`` gates result identity, 4-shard
 throughput and loss-free hot swaps under load;
@@ -45,18 +45,25 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
 
-from repro.core.engine import ALGORITHM_CHOICES, EngineConfig
+from repro.core.engine import (
+    ALGORITHM_CHOICES,
+    EngineConfig,
+    validate_algorithm_combination,
+)
 from repro.exceptions import InvalidQueryError, OverloadError
 from repro.index.delta import DatasetDelta, materialize
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.result import QueryResult, ScoredObject, merge_top_k
+from repro.planner.core import resolve_planner_mode
 from repro.planner.persistence import scoped_calibration_path
 from repro.server.admission import AdmissionController
 from repro.server.cache import ResultCache
+from repro.server.gate import QuiesceGate
 from repro.server.metrics import LatencyHistogram
 from repro.server.protocol import ParsedRequest, parse_query_spec, result_payload
 from repro.server.service import (
@@ -109,27 +116,688 @@ class ShardingConfig:
     rebalance_min_requests: int = 50
 
 
-@dataclass
-class _RouterCounters:
-    """Mutable request accounting (guarded by the router lock)."""
+class ShardTarget(Protocol):
+    """One shard as the router core sees it."""
 
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    cache_hits: int = 0
-    swaps: int = 0
-    write_batches: int = 0
-    rebalances: int = 0
+    def query(self, spec: Mapping[str, object]) -> Optional[Dict[str, object]]:
+        """Answer one fully resolved spec; None when no replica answered."""
+
+    def swap(self, plan: ShardingPlan, shard_id: int) -> None:
+        """Start serving this shard's slice of the router's new snapshot."""
+
+    def apply(self, update: Mapping[str, Sequence]) -> None:
+        """Absorb this shard's slice of one validated, routed write batch."""
 
 
-class ShardRouter:
-    """Scatter-gather front-end over one :class:`QueryService` per shard.
+def _shard_slice(
+    plan: ShardingPlan, shard_id: int
+) -> Tuple[List[DataObject], List[FeatureObject]]:
+    """``shard_id``'s slice of ``plan`` (empty past the plan's end)."""
+    if shard_id < len(plan.shards):
+        shard = plan.shards[shard_id]
+        return shard.data_objects, shard.feature_objects
+    return [], []
 
-    Duck-types the :class:`QueryService` serving surface (``submit``,
-    ``submit_many``, ``stats``, ``uptime_seconds``, ``swap_datasets``,
-    context manager), so :func:`repro.server.http.make_server` serves a
-    router and a plain service interchangeably.
+
+class LocalShardTarget:
+    """A shard served by an in-process :class:`QueryService`; it never reports
+    a missing answer (a failing service raises and fails the whole request)."""
+
+    def __init__(self, service: QueryService) -> None:
+        self.service = service
+
+    def query(self, spec: Mapping[str, object]) -> Optional[Dict[str, object]]:
+        """The shard service's answer for ``spec``."""
+        return self.service.submit(spec)
+
+    def swap(self, plan: ShardingPlan, shard_id: int) -> None:
+        """Swap the service onto its slice, gridding over the full extent."""
+        data, features = _shard_slice(plan, shard_id)
+        self.service.swap_datasets(data, features, extent=plan.extent)
+
+    def apply(self, update: Mapping[str, Sequence]) -> None:
+        """Apply the sub-update, unless the batch routed nothing here."""
+        if any(update.values()):
+            self.service.apply_objects(**update)
+
+
+class ScatterGatherRouter:
+    """The request lifecycle and state-change protocol of a sharded front-end.
+
+    With the ``submit`` / ``apply_objects`` / ``stats`` its subclasses add
+    it duck-types the :class:`QueryService` serving surface, so
+    :func:`repro.server.http.make_server` serves a router and a plain
+    service interchangeably.  Subclasses fill ``_targets`` with one
+    :class:`ShardTarget` per shard and override the ``_on_*`` /
+    ``_*_targets`` hooks for what their deployment mode adds.
     """
+
+    #: Name of the subtree this mode's per-request stats are reported under.
+    _stats_key = "sharding"
+
+    def __init__(
+        self,
+        data_objects: Sequence[DataObject],
+        feature_objects: Sequence[FeatureObject],
+        shards: int,
+        max_radius: Optional[float],
+        scatter_threads: Optional[int],
+        result_cache_capacity: int,
+        engine_config: Optional[EngineConfig],
+        service_config: Optional[ServiceConfig],
+        layout: str = "uniform",
+        layout_resolution: Optional[int] = None,
+    ) -> None:
+        """Partition the dataset and build the serving structures.
+
+        Raises:
+            ValueError: for a non-positive shard count.
+            InvalidQueryError: for a negative ``max_radius``.
+            JobConfigurationError: for an unknown planner mode.
+        """
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
+        self._shards = shards
+        self._max_radius = max_radius
+        self._scatter_threads = scatter_threads
+        self._engine_config = engine_config or EngineConfig()
+        self._service_config = service_config or ServiceConfig()
+        self._planner_mode = resolve_planner_mode(
+            self._engine_config.planner_mode
+        )
+        #: Skew layouts snap to this grid; following the served default
+        #: query grid keeps the default grid layout-aligned.
+        self._layout_resolution = (
+            layout_resolution
+            or self._service_config.default_grid_size
+            or self._engine_config.grid_size
+        )
+        #: One per shard, in shard-id order; filled by the subclass.
+        self._targets: List[ShardTarget] = []
+        #: Router-level mirror of the incremental write stream: the single
+        #: atomic validator of a write batch (duplicate oids, extent)
+        #: *before* anything is pushed to a shard -- a batch that would
+        #: fail on shard 2 after succeeding on shard 1 must be rejected
+        #: whole, up front.  Kept incrementally, so a write costs O(batch).
+        self._delta = DatasetDelta()
+        self._adopt(
+            self._partition(data_objects, feature_objects, layout),
+            data_objects,
+            feature_objects,
+        )
+        self._cache = ResultCache(result_cache_capacity)
+        #: Admission happens once, at the router: the shard targets run
+        #: with admission disabled, so a request admitted here can never be
+        #: half-shed by one shard of its scatter.  Same 429 contract as an
+        #: unsharded service.
+        self._admission = AdmissionController(
+            queue_depth=self._service_config.admission_queue_depth,
+            default_deadline_ms=self._service_config.default_deadline_ms,
+        )
+        self._latency = LatencyHistogram()
+        #: Request and state-change accounting (guarded by the router lock).
+        self._counters: Counter = Counter()
+        #: The result-cache version is ``(dataset version, write version)``:
+        #: swaps and rebalances bump the first, routed write batches the
+        #: second, so a cached response can never outlive the state change
+        #: that changed its answer.
+        self._dataset_version = 0
+        self._write_version = 0
+        self._lock = threading.Lock()
+        #: Serializes state changes (swaps, rebalances, writes, resyncs).
+        self._swap_lock = threading.Lock()
+        self._gate = QuiesceGate()  # over scatter-gathers
+        self._pool: Optional[ThreadPoolExecutor] = None
+        #: The mode's background threads loop on ``_background_stop.wait()``.
+        self._background_stop = threading.Event()
+        self._background_threads: List[threading.Thread] = []
+        self._started = False
+        self._closed = False
+        self._started_monotonic: Optional[float] = None
+
+    def _partition(
+        self,
+        data_objects: Sequence[DataObject],
+        feature_objects: Sequence[FeatureObject],
+        layout: str,
+        extent: Optional[BoundingBox] = None,
+    ) -> ShardingPlan:
+        return partition_datasets(
+            data_objects,
+            feature_objects,
+            self._shards,
+            max_radius=self._max_radius,
+            extent=extent,
+            layout=layout,
+            layout_resolution=self._layout_resolution,
+        )
+
+    def _adopt(
+        self,
+        plan: ShardingPlan,
+        data_objects: Sequence[DataObject],
+        feature_objects: Sequence[FeatureObject],
+    ) -> None:
+        """Make ``plan`` over this base snapshot the router's current state."""
+        self._plan = plan
+        self._layout_kind = plan.stats.kind
+        #: The base snapshot behind the shards, in storage order; together
+        #: with the delta mirror this is the full current dataset in
+        #: bulk-swap order (what a rebalance or a node resync materializes).
+        self._base_data = list(data_objects)
+        self._base_features = list(feature_objects)
+        self._base_data_oids = {obj.oid for obj in data_objects}
+        self._base_feature_oids = {obj.oid for obj in feature_objects}
+        self._defaults = resolve_request_defaults(
+            plan.extent, self._engine_config.grid_size, self._service_config
+        )
+        #: The shards a request scatters to: those owning data objects
+        #: (nothing to rank elsewhere).  Data appends extend it.
+        self._data_bearing = {s.shard_id for s in plan.shards if not s.is_empty}
+
+    def _bump(self, counter: str) -> None:
+        with self._lock:
+            self._counters[counter] += 1
+
+    def _start_background(self, run: Callable[[], None], name: str) -> threading.Thread:
+        thread = threading.Thread(target=run, name=name, daemon=True)
+        self._background_threads.append(thread)
+        thread.start()
+        return thread
+
+    def _require_serving(self) -> None:
+        if not self._started:
+            raise RuntimeError("the query service is not started")
+        if self._closed:
+            raise RuntimeError("the query service is shut down")
+
+    # ------------------------------------------------------------------ #
+    # lifecycle
+
+    def start(self) -> "ScatterGatherRouter":
+        """Start the scatter pool and the mode's own machinery (idempotent)."""
+        with self._lock:
+            if self._started or self._closed:
+                return self
+            self._started = True
+            self._started_monotonic = time.monotonic()
+        self._pool = ThreadPoolExecutor(
+            max_workers=self._scatter_threads or min(64, self._shards * 8),
+            thread_name_prefix="repro-scatter",
+        )
+        self._on_start()
+        return self
+
+    def shutdown(self) -> None:
+        """Drain in-flight requests, then tear everything down (idempotent).
+
+        A request that passed the submission check races shutdown; tearing
+        the scatter pool down under it would fail an accepted request (the
+        close-while-serving race class).  Instead the gate is drained first
+        -- accepted requests complete, requests that reach the gate after
+        it closed are rejected cleanly -- and only then are the pool and
+        whatever the targets own stopped (serialized against a concurrent
+        state change via the swap lock).
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+        self._background_stop.set()
+        for thread in self._background_threads:
+            thread.join()
+        self._gate.drain_and_close()
+        with self._swap_lock:
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+            self._on_shutdown()
+
+    def _on_start(self) -> None:
+        """Start what the targets need and any background thread."""
+
+    def _on_shutdown(self) -> None:
+        """Stop what the router owns behind its targets, after the drain."""
+
+    def __enter__(self) -> "ScatterGatherRouter":
+        return self.start()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.shutdown()
+
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`shutdown` has been called."""
+        return self._closed
+
+    def uptime_seconds(self) -> float:
+        """Seconds since :meth:`start` (0.0 before it); lock-free."""
+        started = self._started_monotonic
+        return time.monotonic() - started if started is not None else 0.0
+
+    # ------------------------------------------------------------------ #
+    # serving
+
+    def submit_many(
+        self, specs: Sequence[Mapping[str, object]]
+    ) -> List[Dict[str, object]]:
+        """Serve a batch of request objects; responses in input order.
+
+        All requests are validated up front (the whole batch is rejected if
+        any is invalid, mirroring ``QueryService.submit_many``), then served
+        concurrently on a batch-local thread pool so their scatter-gather
+        round-trips overlap -- the pool is distinct from the shard scatter
+        pool (batch tasks block on scatter tasks, never the reverse, so the
+        two levels cannot deadlock each other).
+        """
+        parsed_list = [self._parse(spec) for spec in specs]
+        if len(parsed_list) <= 1:
+            return [self._serve(parsed) for parsed in parsed_list]
+        with ThreadPoolExecutor(
+            max_workers=min(len(parsed_list), 8),
+            thread_name_prefix="repro-router-batch",
+        ) as pool:
+            return list(pool.map(self._serve, parsed_list))
+
+    def _parse(self, spec: Mapping[str, object]) -> ParsedRequest:
+        parsed = parse_query_spec(spec, self._defaults, ALGORITHM_CHOICES)
+        validate_algorithm_combination(
+            parsed.item.algorithm,
+            parsed.item.score_mode,
+            planner_mode=self._planner_mode,
+        )
+        max_radius = self._max_radius
+        if max_radius is not None and parsed.item.query.radius > max_radius:
+            raise InvalidQueryError(
+                f"query radius {parsed.item.query.radius} exceeds the shard "
+                f"replication radius (max_radius={max_radius}); features "
+                "beyond it were not replicated across shard boundaries, so "
+                "the shards cannot answer this query exactly"
+            )
+        return parsed
+
+    def _serve(self, parsed: ParsedRequest) -> Dict[str, object]:
+        started = time.monotonic()
+        self._require_serving()
+        self._bump("submitted")
+        admission = self._admission
+        deadline = admission.resolve_deadline(parsed.deadline_ms)
+        admission.on_arrival(deadline)
+        admission.acquire()
+        try:
+            response = self._serve_admitted(parsed, deadline)
+        except BaseException as exc:
+            # An OverloadError past admission is the gate's queue-expiry
+            # check (admitted, then the deadline passed at a paused gate)
+            # or a 429 relayed by a remote target configured with its own
+            # admission.  Either way the client sees a 429: the shed bucket.
+            admission.release(
+                "expired" if isinstance(exc, OverloadError) else "failed"
+            )
+            self._bump("failed")
+            raise
+        latency = time.monotonic() - started
+        admission.release("completed", latency)
+        self._latency.record(latency)
+        self._bump("completed")
+        return response
+
+    def _serve_admitted(
+        self, parsed: ParsedRequest, deadline: Optional[float]
+    ) -> Dict[str, object]:
+        """Gate entry + scatter-gather for one admitted request."""
+        with self._gate.enter():
+            # A state change may have held the gate long enough to blow the
+            # request's budget; shedding it here (explicit 429) instead of
+            # serving a too-late answer is what "quiesce under overload
+            # loses nothing" means -- every request still gets a definite
+            # outcome.
+            if self._admission.expired_in_queue(deadline):
+                raise self._admission.queue_expiry_error()
+            return self._serve_gated(parsed)
+
+    def _serve_gated(self, parsed: ParsedRequest) -> Dict[str, object]:
+        """Cache probe + scatter-gather; runs inside the quiesce gate."""
+        key = parsed.canonical_key((self._dataset_version, self._write_version))
+        response = self._cache.get(key) if self._cache.enabled else None
+        if response is not None:
+            response["cached"] = True
+            self._bump("cache_hits")
+        else:
+            answered, missing = self._scatter(parsed)
+            full = self._gather(parsed, answered, missing)
+            if not missing:
+                # A degraded (partial) answer must never be served to a
+                # later healthy request from the cache.
+                self._cache.put(key, full)
+            response = dict(full)
+        # The cache holds the stats-bearing payload; answer what was asked.
+        if not parsed.include_stats:
+            response.pop("stats", None)
+        return response
+
+    def _scatter(
+        self, parsed: ParsedRequest
+    ) -> Tuple[List[Tuple[int, Dict[str, object]]], List[int]]:
+        """Fan out to every data-bearing shard; returns (answered, missing).
+
+        The scattered spec is fully resolved (every field explicit), so the
+        targets' own defaults can never reinterpret it, and it always asks
+        for stats: the router caches the stats-bearing merged payload (the
+        same trick ``QueryService`` uses) and strips on answer.
+        """
+        item = parsed.item
+        spec: Dict[str, object] = {
+            "keywords": sorted(item.query.keywords),
+            "k": item.query.k,
+            "radius": item.query.radius,
+            "algorithm": item.algorithm,
+            "grid_size": item.grid_size,
+            "score_mode": item.score_mode,
+            "stats": True,
+        }
+        shard_ids = sorted(self._data_bearing)
+        if len(shard_ids) <= 1:
+            outcomes = [self._targets[s].query(spec) for s in shard_ids]
+        else:
+            assert self._pool is not None  # started before requests are gated
+            futures = [
+                self._pool.submit(self._targets[s].query, spec)
+                for s in shard_ids
+            ]
+            outcomes = [future.result() for future in futures]
+        answered: List[Tuple[int, Dict[str, object]]] = []
+        missing: List[int] = []
+        for s, response in zip(shard_ids, outcomes):
+            if response is None:
+                missing.append(s)
+            else:
+                answered.append((s, response))
+        return answered, missing
+
+    def _gather(
+        self,
+        parsed: ParsedRequest,
+        answered: List[Tuple[int, Dict[str, object]]],
+        missing: List[int],
+    ) -> Dict[str, object]:
+        """Merge per-shard partials into the stats-bearing response payload."""
+        partials: List[List[ScoredObject]] = [
+            [
+                ScoredObject(
+                    DataObject(oid=entry["oid"], x=entry["x"], y=entry["y"]),
+                    entry["score"],
+                )
+                for entry in response["results"]
+            ]
+            for _, response in answered
+        ]
+        entries = merge_top_k(partials, parsed.item.query.k)
+        stats = self._aggregate_stats(parsed, answered, missing)
+        stats_parsed = ParsedRequest(item=parsed.item, include_stats=True)
+        payload = result_payload(stats_parsed, QueryResult(entries, stats=stats))
+        if missing:
+            payload["degraded"] = True
+            payload["shards_answered"] = sorted(s for s, _ in answered)
+            payload["shards_missing"] = sorted(missing)
+            self._bump("degraded_responses")
+        return payload
+
+    def _aggregate_stats(
+        self,
+        parsed: ParsedRequest,
+        answered: List[Tuple[int, Dict[str, object]]],
+        missing: List[int],
+    ) -> Dict[str, object]:
+        """Router-level stats tree: sums of shard work, makespan of shard time.
+
+        ``simulated_seconds`` is the *maximum* over shards -- they execute
+        in parallel, so the simulated sharded job time is the slowest
+        shard's -- while the work counters are sums.  Per-shard planner
+        decisions are surfaced under ``planned_algorithms`` of the mode's
+        subtree; the top-level ``planned_algorithm`` is set only when
+        every queried shard chose the same one.
+        """
+        stats: Dict[str, object] = {
+            "algorithm": parsed.item.algorithm,
+            "grid_size": parsed.item.grid_size,
+        }
+        summed = (
+            "shuffled_records",
+            "features_pruned",
+            "features_examined",
+            "score_computations",
+        )
+        totals: Dict[str, float] = dict.fromkeys(summed, 0)
+        makespan = 0.0
+        planned: Dict[str, str] = {}
+        for shard_id, response in answered:
+            shard_stats = response.get("stats", {})
+            for name in summed:
+                if name in shard_stats:
+                    totals[name] += shard_stats[name]
+            makespan = max(makespan, shard_stats.get("simulated_seconds", 0.0))
+            if "planned_algorithm" in response:
+                planned[str(shard_id)] = response["planned_algorithm"]
+            if "backend" in shard_stats and "backend" not in stats:
+                stats["backend"] = shard_stats["backend"]
+                stats["workers"] = shard_stats.get("workers")
+        stats.update(totals)
+        stats["simulated_seconds"] = makespan
+        stats[self._stats_key] = self._scatter_stats(len(answered), missing, planned)
+        if planned and len(set(planned.values())) == 1:
+            stats["planned_algorithm"] = next(iter(planned.values()))
+        return stats
+
+    def _scatter_stats(
+        self, queried: int, missing: List[int], planned: Dict[str, str]
+    ) -> Dict[str, object]:
+        """The mode's per-request stats subtree."""
+        return {
+            "shards_queried": queried,
+            "dataset_version": self._dataset_version,
+            "planned_algorithms": planned or None,
+        }
+
+    # ------------------------------------------------------------------ #
+    # datasets
+
+    def swap_datasets(
+        self,
+        data_objects: Sequence[DataObject],
+        feature_objects: Sequence[FeatureObject],
+    ) -> Dict[str, object]:
+        """Hot-swap the dataset across every shard; returns new snapshot info.
+
+        The two-level quiesce protocol:
+
+        1. the router gate pauses: in-flight scatter-gather requests drain
+           (each sees one consistent shard generation), new requests queue
+           at the gate instead of failing;
+        2. the new dataset is repartitioned over its new extent;
+        3. the router dataset version is bumped -- every cached result
+           becomes unreachable -- and defaults re-derive from the new
+           extent;
+        4. every shard target swaps (an in-process shard service's own
+           quiesce is trivially idle: all router traffic has drained; a
+           remote target pushes the snapshot to its replicas), and the
+           gate reopens.
+
+        No request is lost: requests queued at the gate are served from the
+        new snapshot once the gate reopens.
+        """
+        with self._swap_lock:
+            self._install_plan_locked(
+                data_objects, feature_objects, self._layout_kind
+            )
+            self._bump("swaps")
+        return self.dataset_info()
+
+    def _install_plan_locked(
+        self,
+        data_objects: Sequence[DataObject],
+        feature_objects: Sequence[FeatureObject],
+        layout: str,
+        extent: Optional[BoundingBox] = None,
+    ) -> ShardingPlan:
+        """Repartition + apply a dataset under the quiesce gate (the shared
+        tail of a swap and a rebalance; the caller holds ``_swap_lock``).
+        The write mirror was relative to the old base, so it is reset."""
+        with self._gate.paused():
+            plan = self._partition(data_objects, feature_objects, layout, extent)
+            self._adopt(plan, data_objects, feature_objects)
+            self._delta.reset()
+            self._dataset_version += 1
+            self._cache.invalidate()
+            self._swap_targets(plan)
+        return plan
+
+    def _swap_targets(self, plan: ShardingPlan) -> None:
+        """Hand every target its slice (empty past a shorter plan's end)."""
+        for shard_id, target in enumerate(self._targets):
+            target.swap(plan, shard_id)
+
+    def dataset_info(self) -> Dict[str, object]:
+        """Version and sizes of the current (full) base snapshot."""
+        return {
+            "version": self._dataset_version,
+            "data_objects": len(self._base_data),
+            "feature_objects": len(self._base_features),
+        }
+
+    # ------------------------------------------------------------------ #
+    # incremental ingest (write routing; see docs/ingest.md)
+
+    def _apply_write(
+        self,
+        append_data: Sequence[DataObject],
+        append_features: Sequence[FeatureObject],
+        delete_data_oids: Sequence[str],
+        delete_feature_oids: Sequence[str],
+    ) -> Dict[str, int]:
+        """Validate, route and apply one write batch; returns its counts.
+
+        The batch is validated atomically against the write mirror (a batch
+        any shard would reject is rejected whole, before any shard sees it
+        and without pausing serving), routed, and applied to the targets
+        **with the gate paused**: per-shard applies are not atomic across
+        shards, and a scatter overlapping them would merge -- and cache --
+        one shard's pre-write answer with another's post-write answer, a
+        state the dataset was never in.  The write version moves before the
+        first target is touched, so even a write that fails half-way leaves
+        no pre-write cache entry reachable.
+        """
+        self._require_serving()
+        append_data = list(append_data)
+        append_features = list(append_features)
+        with self._swap_lock:
+            counts = self._delta.apply(
+                append_data=append_data,
+                append_features=append_features,
+                delete_data_oids=delete_data_oids,
+                delete_feature_oids=delete_feature_oids,
+                base_data_oids=self._base_data_oids,
+                base_feature_oids=self._base_feature_oids,
+                extent=self._plan.extent,
+            )
+            updates = self._route_update(
+                append_data, append_features,
+                list(delete_data_oids), list(delete_feature_oids),
+            )
+            with self._gate.paused():
+                self._write_version += 1
+                self._data_bearing.update(
+                    s for s, update in enumerate(updates) if update["append_data"]
+                )
+                self._apply_targets(updates)
+            self._bump("write_batches")
+        return counts
+
+    def _route_update(
+        self,
+        append_data: Sequence[DataObject],
+        append_features: Sequence[FeatureObject],
+        delete_data_oids: List[str],
+        delete_feature_oids: List[str],
+    ) -> List[Dict[str, list]]:
+        """Slice one validated batch into per-shard sub-updates.
+
+        A data append goes to the one shard whose extent contains it, a
+        feature append is replicated to every shard within ``max_radius``
+        of it (all shards when unbounded) and deletes are broadcast (shard
+        deltas are idempotent, so non-owners simply ignore them).
+        """
+        layout = self._plan.layout
+        assert layout is not None  # partition_datasets always sets it
+        max_radius = self._max_radius
+        everywhere = range(layout.num_shards)
+        updates: List[Dict[str, list]] = [
+            {
+                "append_data": [],
+                "append_features": [],
+                "delete_data_oids": delete_data_oids,
+                "delete_feature_oids": delete_feature_oids,
+            }
+            for _ in everywhere
+        ]
+        for obj in append_data:
+            updates[layout.locate(obj.x, obj.y)]["append_data"].append(obj)
+        for feature in append_features:
+            reach = (
+                everywhere
+                if max_radius is None
+                else layout.shards_within(feature.x, feature.y, max_radius)
+            )
+            for shard_id in reach:
+                updates[shard_id]["append_features"].append(feature)
+        return updates
+
+    def _apply_targets(self, updates: List[Dict[str, list]]) -> None:
+        """Hand every plan shard's target its sub-update."""
+        for target, update in zip(self._targets, updates):
+            target.apply(update)
+
+    # ------------------------------------------------------------------ #
+    # introspection
+
+    @property
+    def admission(self) -> AdmissionController:
+        """The router-level admission controller (targets run without one)."""
+        return self._admission
+
+    @property
+    def plan(self) -> ShardingPlan:
+        """The current sharding plan (replaced wholesale by hot swaps)."""
+        return self._plan
+
+    def _common_stats(self, counters: Counter) -> Dict[str, object]:
+        """The ``/stats`` subtrees every mode reports (:meth:`QueryService.stats` shaped)."""
+        return {
+            "uptime_seconds": self.uptime_seconds(),
+            "started": self._started,
+            "closed": self._closed,
+            "requests": {
+                "submitted": counters["submitted"],
+                "completed": counters["completed"],
+                "failed": counters["failed"],
+                "result_cache_hits": counters["cache_hits"],
+            },
+            "latency": self._latency.snapshot(),
+            "admission": self._admission.snapshot(),
+            "result_cache": {
+                "capacity": self._cache.capacity,
+                "size": len(self._cache),
+                **self._cache.stats.as_dict(),
+            },
+            "dataset": {**self.dataset_info(), "swaps": counters["swaps"]},
+            "defaults": vars(self._defaults),
+        }
+
+    def _snapshot_counters(self) -> Counter:
+        with self._lock:
+            return Counter(self._counters)
+
+class ShardRouter(ScatterGatherRouter):
+    """Scatter-gather front-end over one in-process :class:`QueryService` per shard."""
 
     def __init__(
         self,
@@ -158,101 +826,42 @@ class ShardRouter:
             JobConfigurationError: for invalid engine configuration.
         """
         self.sharding = sharding or ShardingConfig()
-        if self.sharding.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.sharding.shards}")
         if self.sharding.layout not in LAYOUT_CHOICES:
             raise ValueError(
                 f"unknown layout {self.sharding.layout!r}; "
                 f"expected one of {LAYOUT_CHOICES}"
             )
-        self._engine_config = engine_config or EngineConfig()
-        self._service_config = service_config or ServiceConfig()
-        #: Skew layouts snap to this grid; following the served default
-        #: query grid keeps the default grid layout-aligned.
-        self._layout_resolution = (
-            self.sharding.layout_resolution
-            or self._service_config.default_grid_size
-            or self._engine_config.grid_size
-        )
-        self._layout_kind = self.sharding.layout
-        self._plan = partition_datasets(
+        service_config = service_config or ServiceConfig()
+        super().__init__(
             data_objects,
             feature_objects,
-            self.sharding.shards,
+            shards=self.sharding.shards,
             max_radius=self.sharding.max_radius,
-            layout=self._layout_kind,
-            layout_resolution=self._layout_resolution,
+            scatter_threads=self.sharding.scatter_threads,
+            result_cache_capacity=service_config.result_cache_capacity,
+            engine_config=engine_config,
+            service_config=service_config,
+            layout=self.sharding.layout,
+            layout_resolution=self.sharding.layout_resolution,
         )
-        #: The base snapshot behind the shards, in storage order; together
-        #: with the delta mirror this is what a rebalance materializes to
-        #: rebuild the full current dataset in bulk-swap order.
-        self._base_data = list(data_objects)
-        self._base_features = list(feature_objects)
         # One service per *configured* shard, even when a degenerate
         # layout produced fewer: a later swap or rebalance may grow the
         # plan back, and extra services idle over empty slices until then
         # (the scatter path only targets plan shards).
         self._services: List[QueryService] = [
             QueryService(
-                *self._shard_slice(self._plan, shard_id),
+                *_shard_slice(self._plan, shard_id),
                 engine_config=self._engine_config,
                 config=self._shard_service_config(shard_id),
                 extent=self._plan.extent,
             )
             for shard_id in range(self.sharding.shards)
         ]
-        self._defaults = resolve_request_defaults(
-            self._plan.extent, self._engine_config.grid_size, self._service_config
-        )
-        self._cache = ResultCache(self._service_config.result_cache_capacity)
-        #: Admission happens once, at the router: the per-shard services
-        #: run with admission disabled (see ``_shard_service_config``), so
-        #: a request admitted here can never be half-shed by one shard of
-        #: its scatter.  Same 429 contract as an unsharded service.
-        self._admission = AdmissionController(
-            queue_depth=self._service_config.admission_queue_depth,
-            default_deadline_ms=self._service_config.default_deadline_ms,
-        )
-        self._latency = LatencyHistogram()
-        self._counters = _RouterCounters()
-        self._dataset_version = 0
-        self._num_features = len(feature_objects)
-        #: Router-level mirror of the incremental write stream.  It is the
-        #: single atomic validator of a write batch (duplicate oids,
-        #: extent) *before* anything is pushed to a shard -- a batch that
-        #: would fail on shard 2 after succeeding on shard 1 must be
-        #: rejected whole, up front -- and its snapshot version is the
-        #: write component of the router's result-cache keys.
-        self._delta = DatasetDelta()
-        self._base_data_oids = {obj.oid for obj in data_objects}
-        self._base_feature_oids = {obj.oid for obj in feature_objects}
-        self._lock = threading.Lock()
-        #: Serializes hot swaps against each other.
-        self._swap_lock = threading.Lock()
-        #: Quiesce gate: while ``_paused`` no new request scatters;
-        #: ``_inflight`` counts requests between gate entry and completion.
-        self._gate = threading.Condition()
-        self._paused = False
-        self._inflight = 0
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._started = False
-        self._closed = False
-        self._started_monotonic: Optional[float] = None
+        self._targets = [LocalShardTarget(s) for s in self._services]
         #: Background imbalance watcher (started only with a threshold).
-        self._rebalance_stop = threading.Event()
         self._rebalance_thread: Optional[threading.Thread] = None
         self._last_rebalance_unix: Optional[float] = None
         self._last_observed_imbalance: Optional[float] = None
-
-    @staticmethod
-    def _shard_slice(
-        plan: ShardingPlan, shard_id: int
-    ) -> Tuple[List[DataObject], List[FeatureObject]]:
-        """``shard_id``'s slice of ``plan`` (empty past the plan's end)."""
-        if shard_id < len(plan.shards):
-            shard = plan.shards[shard_id]
-            return shard.data_objects, shard.feature_objects
-        return [], []
 
     def _shard_service_config(self, shard_id: int) -> ServiceConfig:
         # Shards disable their result caches (the router caches merged
@@ -277,78 +886,20 @@ class ShardRouter:
             )
         return config
 
-    # ------------------------------------------------------------------ #
-    # lifecycle
-
-    def start(self) -> "ShardRouter":
-        """Start every shard service and the scatter pool (idempotent)."""
-        with self._lock:
-            if self._started or self._closed:
-                return self
-            self._started = True
-            self._started_monotonic = time.monotonic()
-        workers = self.sharding.scatter_threads or min(
-            64, self.sharding.shards * 8
-        )
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-scatter"
-        )
+    def _on_start(self) -> None:
         for service in self._services:
             service.start()
         if self.sharding.rebalance_threshold is not None:
-            self._rebalance_thread = threading.Thread(
-                target=self._run_rebalance_controller,
-                name="repro-rebalance",
-                daemon=True,
+            self._rebalance_thread = self._start_background(
+                self._run_rebalance_controller, "repro-rebalance"
             )
-            self._rebalance_thread.start()
-        return self
 
-    def shutdown(self) -> None:
-        """Drain in-flight requests, then tear everything down (idempotent).
-
-        A request that passed the submission check races shutdown; tearing
-        the scatter pool down under it would fail an accepted request (the
-        close-while-serving race class).  Instead the gate's in-flight count
-        is drained first -- accepted requests complete, requests that reach
-        the gate after the closed flag is set are rejected cleanly -- and
-        only then are the pool and the shard services stopped (serialized
-        against a concurrent :meth:`swap_datasets` via the swap lock).
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._rebalance_stop.set()
-        if self._rebalance_thread is not None:
-            self._rebalance_thread.join()
-        with self._gate:
-            while self._inflight:
-                self._gate.wait()
-        with self._swap_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-            for service in self._services:
-                service.shutdown()
-
-    def __enter__(self) -> "ShardRouter":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`shutdown` has been called."""
-        return self._closed
-
-    def uptime_seconds(self) -> float:
-        """Seconds since :meth:`start` (0.0 before it); lock-free."""
-        started = self._started_monotonic
-        return time.monotonic() - started if started is not None else 0.0
+    def _on_shutdown(self) -> None:
+        for service in self._services:
+            service.shutdown()
 
     # ------------------------------------------------------------------ #
-    # serving
+    # serving + ingest
 
     def submit(self, spec: Mapping[str, object]) -> Dict[str, object]:
         """Serve one request object; returns its response payload.
@@ -363,330 +914,54 @@ class ShardRouter:
             RuntimeError: when the router is not started or already shut
                 down.
         """
-        parsed = self._parse(spec)
-        return self._serve(parsed)
+        return self._serve(self._parse(spec))
 
-    def submit_many(
-        self, specs: Sequence[Mapping[str, object]]
-    ) -> List[Dict[str, object]]:
-        """Serve a batch of request objects; responses in input order.
+    def apply_objects(
+        self,
+        append_data: Sequence[DataObject] = (),
+        append_features: Sequence[FeatureObject] = (),
+        delete_data_oids: Sequence[str] = (),
+        delete_feature_oids: Sequence[str] = (),
+    ) -> Dict[str, object]:
+        """Route one incremental write batch to the owning shards.
 
-        All requests are validated up front (the whole batch is rejected if
-        any is invalid, mirroring ``QueryService.submit_many``), then served
-        concurrently on a batch-local thread pool so their scatter-gather
-        round-trips overlap -- the pool is distinct from the shard scatter
-        pool (batch tasks block on scatter tasks, never the reverse, so the
-        two levels cannot deadlock each other).
+        Validated whole against the router's write mirror, routed like
+        :func:`~repro.sharding.partition.partition_datasets` would have
+        placed the objects, and applied to the shard services with the
+        scatter gate briefly paused, so no read can straddle the per-shard
+        applies (see :meth:`ScatterGatherRouter._apply_write`).
+
+        Returns:
+            The applied counts plus the router delta's size summary.
+
+        Raises:
+            DatasetUpdateError: for an invalid batch (no shard is touched).
+            RuntimeError: when the router is not started or shut down.
         """
-        parsed_list = [self._parse(spec) for spec in specs]
-        if len(parsed_list) <= 1:
-            return [self._serve(parsed) for parsed in parsed_list]
-        with ThreadPoolExecutor(
-            max_workers=min(len(parsed_list), 8),
-            thread_name_prefix="repro-shard-batch",
-        ) as pool:
-            return list(pool.map(self._serve, parsed_list))
-
-    def _parse(self, spec: Mapping[str, object]) -> ParsedRequest:
-        parsed = parse_query_spec(spec, self._defaults, ALGORITHM_CHOICES)
-        self._services[0].engines[0].validate_combination(
-            parsed.item.algorithm, parsed.item.score_mode
+        counts = self._apply_write(
+            append_data, append_features, delete_data_oids, delete_feature_oids
         )
-        max_radius = self.sharding.max_radius
-        if max_radius is not None and parsed.item.query.radius > max_radius:
-            raise InvalidQueryError(
-                f"query radius {parsed.item.query.radius} exceeds the shard "
-                f"replication radius (max_radius={max_radius}); features "
-                "beyond it were not replicated across shard boundaries, so "
-                "the sharded service cannot answer this query exactly"
-            )
-        return parsed
+        return {**counts, "delta": self._delta.snapshot().counts()}
 
-    def _serve(self, parsed: ParsedRequest) -> Dict[str, object]:
-        started = time.monotonic()
-        with self._lock:
-            if not self._started:
-                raise RuntimeError("the query service is not started")
-            if self._closed:
-                raise RuntimeError("the query service is shut down")
-            self._counters.submitted += 1
-        admission = self._admission
-        deadline = admission.resolve_deadline(parsed.deadline_ms)
-        admission.on_arrival(deadline)
-        admission.acquire()
-        try:
-            response = self._serve_admitted(parsed, deadline)
-        except OverloadError:
-            # Only the gate's queue-expiry check raises this past
-            # admission: the request was admitted, then its deadline
-            # passed while waiting at the (possibly swap-paused) gate.
-            admission.release("expired")
-            with self._lock:
-                self._counters.failed += 1
-            raise
-        except BaseException:
-            admission.release("failed")
-            with self._lock:
-                self._counters.failed += 1
-            raise
-        latency = time.monotonic() - started
-        admission.release("completed", latency)
-        self._latency.record(latency)
-        with self._lock:
-            self._counters.completed += 1
-        return response
+    def compact(self) -> Dict[str, object]:
+        """Fold every shard's delta into its base snapshot now.
 
-    def _serve_admitted(
-        self, parsed: ParsedRequest, deadline: Optional[float]
-    ) -> Dict[str, object]:
-        """Gate entry + scatter-gather for one admitted request."""
-        with self._gate:
-            while self._paused:
-                self._gate.wait()
-            # The authoritative closed-check: a request may pass the early
-            # check above, then lose the race with shutdown -- rejecting it
-            # here (before the in-flight count) keeps shutdown's drain exact.
-            if self._closed:
-                raise RuntimeError("the query service is shut down")
-            self._inflight += 1
-        try:
-            # A swap may have held the gate long enough to blow the
-            # request's budget; shedding it here (explicit 429) instead of
-            # serving a too-late answer is what "quiesce under overload
-            # loses nothing" means -- every request still gets a definite
-            # outcome.
-            if self._admission.expired_in_queue(deadline):
-                raise self._admission.queue_expiry_error()
-            return self._serve_gated(parsed)
-        finally:
-            with self._gate:
-                self._inflight -= 1
-                self._gate.notify_all()
-
-    def _serve_gated(self, parsed: ParsedRequest) -> Dict[str, object]:
-        """Cache probe + scatter-gather; runs inside the quiesce gate."""
-        # Composite version: incremental writes bump only the delta
-        # component (the shard engines' base snapshots stay valid), making
-        # every cached merged result unreachable the moment a write lands.
-        key = parsed.canonical_key(
-            (self._dataset_version, self._delta.snapshot().version)
-        )
-        if self._cache.enabled:
-            payload = self._cache.get(key)
-            if payload is not None:
-                payload["cached"] = True
-                if not parsed.include_stats:
-                    payload.pop("stats", None)
-                with self._lock:
-                    self._counters.cache_hits += 1
-                return payload
-
-        shard_responses = self._scatter(parsed)
-        full = self._gather(parsed, shard_responses)
-        self._cache.put(key, full)
-        response = dict(full)
-        if not parsed.include_stats:
-            response.pop("stats", None)
-        return response
-
-    def _scatter(
-        self, parsed: ParsedRequest
-    ) -> List[Tuple[int, Dict[str, object]]]:
-        """Fan the resolved request out to every data-bearing shard.
-
-        The scattered spec is fully resolved (every field explicit), so the
-        shard services' own defaults can never reinterpret it, and it always
-        asks for stats: the router caches the stats-bearing merged payload
-        (the same trick ``QueryService`` uses) and strips on answer.
+        Each shard compacts independently under its own write lock and
+        quiesce (the shard extent stays pinned to the full-dataset extent,
+        so grids never drift).  Compaction changes no result, so the
+        router's cache and write mirror are left untouched -- the mirror
+        keeps validating against the same live oid set either way.
         """
-        item = parsed.item
-        spec: Dict[str, object] = {
-            "keywords": sorted(item.query.keywords),
-            "k": item.query.k,
-            "radius": item.query.radius,
-            "algorithm": item.algorithm,
-            "grid_size": item.grid_size,
-            "score_mode": item.score_mode,
-            "stats": True,
+        shards = [service.compact() for service in self._services]
+        return {
+            "compacted": any(info["compacted"] for info in shards),
+            "folded_ops": sum(info["folded_ops"] for info in shards),
+            "shards": [
+                {"shard": shard_id, "compacted": info["compacted"],
+                 "folded_ops": info["folded_ops"]}
+                for shard_id, info in enumerate(shards)
+            ],
         }
-        targets = [
-            (shard.shard_id, self._services[shard.shard_id])
-            for shard in self._plan.shards
-            if not shard.is_empty
-        ]
-        if not targets:
-            return []
-        if len(targets) == 1:
-            shard_id, service = targets[0]
-            return [(shard_id, service.submit(spec))]
-        assert self._pool is not None  # started before any request is gated
-        futures = [
-            (shard_id, self._pool.submit(service.submit, spec))
-            for shard_id, service in targets
-        ]
-        return [(shard_id, future.result()) for shard_id, future in futures]
-
-    def _gather(
-        self,
-        parsed: ParsedRequest,
-        shard_responses: List[Tuple[int, Dict[str, object]]],
-    ) -> Dict[str, object]:
-        """Merge per-shard partials into the stats-bearing response payload."""
-        partials: List[List[ScoredObject]] = [
-            [
-                ScoredObject(
-                    DataObject(oid=entry["oid"], x=entry["x"], y=entry["y"]),
-                    entry["score"],
-                )
-                for entry in response["results"]
-            ]
-            for _, response in shard_responses
-        ]
-        entries = merge_top_k(partials, parsed.item.query.k)
-        stats = self._aggregate_stats(parsed, shard_responses)
-        stats_parsed = ParsedRequest(item=parsed.item, include_stats=True)
-        return result_payload(stats_parsed, QueryResult(entries, stats=stats))
-
-    def _aggregate_stats(
-        self,
-        parsed: ParsedRequest,
-        shard_responses: List[Tuple[int, Dict[str, object]]],
-    ) -> Dict[str, object]:
-        """Router-level stats tree: sums of shard work, makespan of shard time.
-
-        ``simulated_seconds`` is the *maximum* over shards -- they execute
-        in parallel, so the simulated sharded job time is the slowest
-        shard's -- while the work counters are sums.  Per-shard planner
-        decisions are surfaced under ``sharding.planned_algorithms``; the
-        top-level ``planned_algorithm`` is set only when every queried
-        shard chose the same one.
-        """
-        stats: Dict[str, object] = {
-            "algorithm": parsed.item.algorithm,
-            "grid_size": parsed.item.grid_size,
-        }
-        summed = (
-            "shuffled_records",
-            "features_pruned",
-            "features_examined",
-            "score_computations",
-        )
-        totals: Dict[str, float] = dict.fromkeys(summed, 0)
-        makespan = 0.0
-        planned: Dict[str, str] = {}
-        for shard_id, response in shard_responses:
-            shard_stats = response.get("stats", {})
-            for name in summed:
-                if name in shard_stats:
-                    totals[name] += shard_stats[name]
-            makespan = max(makespan, shard_stats.get("simulated_seconds", 0.0))
-            if "planned_algorithm" in response:
-                planned[str(shard_id)] = response["planned_algorithm"]
-            if "backend" in shard_stats and "backend" not in stats:
-                stats["backend"] = shard_stats["backend"]
-                stats["workers"] = shard_stats.get("workers")
-        stats.update(totals)
-        stats["simulated_seconds"] = makespan
-        stats["sharding"] = {
-            "shards_queried": len(shard_responses),
-            "dataset_version": self._dataset_version,
-            "planned_algorithms": planned or None,
-        }
-        if planned and len(set(planned.values())) == 1:
-            stats["planned_algorithm"] = next(iter(planned.values()))
-        return stats
-
-    # ------------------------------------------------------------------ #
-    # datasets
-
-    def swap_datasets(
-        self,
-        data_objects: Sequence[DataObject],
-        feature_objects: Sequence[FeatureObject],
-    ) -> Dict[str, object]:
-        """Hot-swap the dataset across every shard; returns new snapshot info.
-
-        The two-level quiesce protocol:
-
-        1. the router gate pauses: in-flight scatter-gather requests drain
-           (each sees one consistent shard generation), new requests queue
-           at the gate instead of failing;
-        2. the new dataset is repartitioned over its new extent;
-        3. every shard service swaps (their own quiesce is trivially idle:
-           all router traffic has drained, and shard queues are empty);
-        4. the router dataset version is bumped -- every cached result
-           becomes unreachable -- defaults re-derive from the new extent,
-           and the gate reopens.
-
-        No request is lost: requests queued at the gate are served from the
-        new snapshot once the gate reopens.
-        """
-        with self._swap_lock:
-            self._install_plan_locked(
-                data_objects, feature_objects, self._layout_kind
-            )
-            with self._lock:
-                self._counters.swaps += 1
-        return self.dataset_info()
-
-    def _install_plan_locked(
-        self,
-        data_objects: Sequence[DataObject],
-        feature_objects: Sequence[FeatureObject],
-        layout: str,
-        extent: Optional[BoundingBox] = None,
-    ) -> ShardingPlan:
-        """Repartition + apply a dataset under the quiesce gate.
-
-        The shared tail of :meth:`swap_datasets` and :meth:`rebalance`;
-        the caller must hold ``_swap_lock``.  Pauses the gate, drains
-        in-flight scatter-gathers, swaps every shard service (padding
-        services past a shorter plan with empty slices at the new extent),
-        bumps the router dataset version -- every cached result becomes
-        unreachable -- resets the write mirror to the new base, re-derives
-        the defaults and reopens the gate.
-        """
-        with self._gate:
-            self._paused = True
-            while self._inflight:
-                self._gate.wait()
-        try:
-            plan = partition_datasets(
-                data_objects,
-                feature_objects,
-                self.sharding.shards,
-                max_radius=self.sharding.max_radius,
-                extent=extent,
-                layout=layout,
-                layout_resolution=self._layout_resolution,
-            )
-            for shard_id, service in enumerate(self._services):
-                shard_data, shard_features = self._shard_slice(plan, shard_id)
-                service.swap_datasets(
-                    shard_data, shard_features, extent=plan.extent
-                )
-            self._plan = plan
-            self._layout_kind = plan.stats.kind
-            self._base_data = list(data_objects)
-            self._base_features = list(feature_objects)
-            self._num_features = len(feature_objects)
-            self._dataset_version += 1
-            # The write mirror was relative to the old base: new base
-            # oid sets, empty delta (the reset still bumps its version).
-            self._base_data_oids = {obj.oid for obj in data_objects}
-            self._base_feature_oids = {obj.oid for obj in feature_objects}
-            self._delta.reset()
-            self._cache.invalidate()
-            self._defaults = resolve_request_defaults(
-                plan.extent,
-                self._engine_config.grid_size,
-                self._service_config,
-            )
-        finally:
-            with self._gate:
-                self._paused = False
-                self._gate.notify_all()
-        return plan
 
     # ------------------------------------------------------------------ #
     # rebalancing (see docs/sharding.md)
@@ -717,11 +992,7 @@ class ShardRouter:
             raise ValueError(
                 f"unknown layout {layout!r}; expected one of {LAYOUT_CHOICES}"
             )
-        with self._lock:
-            if not self._started:
-                raise RuntimeError("the query service is not started")
-            if self._closed:
-                raise RuntimeError("the query service is shut down")
+        self._require_serving()
         with self._swap_lock:
             data_objects, feature_objects = materialize(
                 self._base_data, self._base_features, self._delta.snapshot()
@@ -734,8 +1005,7 @@ class ShardRouter:
                 for shard_id, service in enumerate(self._services)
                 if service.seed_calibration_if_cold()
             ]
-            with self._lock:
-                self._counters.rebalances += 1
+            self._bump("rebalances")
             self._last_rebalance_unix = time.time()
         counts = [len(shard.data_objects) for shard in plan.shards]
         return {
@@ -779,7 +1049,7 @@ class ShardRouter:
         """
         interval = self.sharding.rebalance_interval_seconds
         previous: Optional[List[Dict[object, int]]] = None
-        while not self._rebalance_stop.wait(interval):
+        while not self._background_stop.wait(interval):
             try:
                 current = self._shard_bucket_counts()
                 if previous is not None and self._should_rebalance(
@@ -795,9 +1065,6 @@ class ShardRouter:
 
     def _shard_bucket_counts(self) -> List[Dict[object, int]]:
         """Cumulative latency bucket counts per data-bearing shard."""
-        shard_ids = [
-            shard.shard_id for shard in self._plan.shards if not shard.is_empty
-        ]
         return [
             {
                 bucket["le_ms"]: bucket["count"]
@@ -805,7 +1072,7 @@ class ShardRouter:
                     "buckets"
                 ]
             }
-            for shard_id in shard_ids
+            for shard_id in sorted(self._data_bearing)
         ]
 
     def _should_rebalance(
@@ -863,132 +1130,8 @@ class ShardRouter:
                         else largest_finite * 2.0)
         return (count, largest_finite * 2.0)  # pragma: no cover - defensive
 
-    def set_datasets(
-        self,
-        data_objects: Sequence[DataObject],
-        feature_objects: Sequence[FeatureObject],
-    ) -> None:
-        """Alias of :meth:`swap_datasets` (the :class:`QueryService` name)."""
-        self.swap_datasets(data_objects, feature_objects)
-
-    def dataset_info(self) -> Dict[str, object]:
-        """Version and sizes of the current (full) dataset snapshot."""
-        return {
-            "version": self._dataset_version,
-            "data_objects": self._plan.stats.num_data,
-            "feature_objects": self._num_features,
-        }
-
-    # ------------------------------------------------------------------ #
-    # incremental ingest (write routing; see docs/ingest.md)
-
-    def apply_objects(
-        self,
-        append_data: Sequence[DataObject] = (),
-        append_features: Sequence[FeatureObject] = (),
-        delete_data_oids: Sequence[str] = (),
-        delete_feature_oids: Sequence[str] = (),
-    ) -> Dict[str, object]:
-        """Route one incremental write batch to the owning shards.
-
-        The batch is first validated -- and versioned -- atomically against
-        the router's write mirror (so a batch that any shard would reject is
-        rejected whole, before any shard sees it), then routed by the same
-        rules :func:`~repro.sharding.partition.partition_datasets` applied
-        at build time: a data append goes to the one shard whose cell
-        contains it, a feature append is replicated to every shard within
-        ``max_radius`` of it (all shards when ``max_radius`` is None),
-        and deletes are broadcast (shard deltas are idempotent, so
-        non-owners simply ignore them).  Writes serialize against hot swaps
-        and compactions on the swap lock but never quiesce reads.
-
-        Returns:
-            The applied counts plus the router delta's size summary.
-
-        Raises:
-            DatasetUpdateError: for an invalid batch (no shard is touched).
-            RuntimeError: when the router is not started or shut down.
-        """
-        with self._lock:
-            if not self._started:
-                raise RuntimeError("the query service is not started")
-            if self._closed:
-                raise RuntimeError("the query service is shut down")
-        with self._swap_lock:
-            counts = self._delta.apply(
-                append_data=list(append_data),
-                append_features=list(append_features),
-                delete_data_oids=delete_data_oids,
-                delete_feature_oids=delete_feature_oids,
-                base_data_oids=self._base_data_oids,
-                base_feature_oids=self._base_feature_oids,
-                extent=self._plan.extent,
-            )
-            layout = self._plan.layout
-            assert layout is not None  # partition_datasets always sets it
-            num_shards = layout.num_shards
-            sub_data: List[List[DataObject]] = [[] for _ in range(num_shards)]
-            for obj in append_data:
-                sub_data[layout.locate(obj.x, obj.y)].append(obj)
-            sub_features: List[List[FeatureObject]] = [
-                [] for _ in range(num_shards)
-            ]
-            if append_features:
-                if self.sharding.max_radius is None or num_shards == 1:
-                    for shard_id in range(num_shards):
-                        sub_features[shard_id] = list(append_features)
-                else:
-                    for feature in append_features:
-                        for shard_id in layout.shards_within(
-                            feature.x, feature.y, self.sharding.max_radius
-                        ):
-                            sub_features[shard_id].append(feature)
-            deletes = bool(delete_data_oids) or bool(delete_feature_oids)
-            for shard_id in range(num_shards):
-                service = self._services[shard_id]
-                if sub_data[shard_id] or sub_features[shard_id] or deletes:
-                    service.apply_objects(
-                        append_data=sub_data[shard_id],
-                        append_features=sub_features[shard_id],
-                        delete_data_oids=delete_data_oids,
-                        delete_feature_oids=delete_feature_oids,
-                    )
-            with self._lock:
-                self._counters.write_batches += 1
-        return {**counts, "delta": self._delta.snapshot().counts()}
-
-    def compact(self) -> Dict[str, object]:
-        """Fold every shard's delta into its base snapshot now.
-
-        Each shard compacts independently under its own write lock and
-        quiesce (the shard extent stays pinned to the full-dataset extent,
-        so grids never drift).  Compaction changes no result, so the
-        router's cache and write mirror are left untouched -- the mirror
-        keeps validating against the same live oid set either way.
-        """
-        shards = [service.compact() for service in self._services]
-        return {
-            "compacted": any(info["compacted"] for info in shards),
-            "folded_ops": sum(info["folded_ops"] for info in shards),
-            "shards": [
-                {"shard": shard_id, "compacted": info["compacted"],
-                 "folded_ops": info["folded_ops"]}
-                for shard_id, info in enumerate(shards)
-            ],
-        }
-
     # ------------------------------------------------------------------ #
     # introspection
-
-    @property
-    def admission(self) -> AdmissionController:
-        """The router-level admission controller (shards run without one)."""
-        return self._admission
-
-    @property
-    def plan(self) -> ShardingPlan:
-        """The current sharding plan (replaced wholesale by hot swaps)."""
-        return self._plan
 
     @property
     def services(self) -> List[QueryService]:
@@ -998,14 +1141,12 @@ class ShardRouter:
     def stats(self) -> Dict[str, object]:
         """Aggregate router statistics (the sharded ``GET /stats`` payload).
 
-        The router tree mirrors the :meth:`QueryService.stats` shape where
-        the concepts coincide (requests, latency, result cache, dataset,
-        defaults) and adds a ``sharding`` subtree plus one slim per-shard
-        entry -- including each shard's own latency histogram -- under
-        ``"shards"``.
+        The common router tree plus a ``sharding`` subtree, the write
+        mirror under ``ingest`` and one slim per-shard entry -- including
+        each shard's own latency histogram -- under ``"shards"``.
         """
-        with self._lock:
-            counters = _RouterCounters(**vars(self._counters))
+        counters = self._snapshot_counters()
+        sharding = self.sharding
         plan_stats = self._plan.stats
         shard_data_counts = [
             len(shard.data_objects) for shard in self._plan.shards
@@ -1032,27 +1173,12 @@ class ShardRouter:
                 },
             })
         return {
-            "uptime_seconds": self.uptime_seconds(),
-            "started": self._started,
-            "closed": self._closed,
-            "requests": {
-                "submitted": counters.submitted,
-                "completed": counters.completed,
-                "failed": counters.failed,
-                "result_cache_hits": counters.cache_hits,
-            },
-            "latency": self._latency.snapshot(),
-            "admission": self._admission.snapshot(),
-            "result_cache": {
-                "capacity": self._cache.capacity,
-                "size": len(self._cache),
-                **self._cache.stats.as_dict(),
-            },
+            **self._common_stats(counters),
             "sharding": {
                 "shards": plan_stats.num_shards,
                 "layout": list(plan_stats.layout),
                 "layout_kind": plan_stats.kind,
-                "max_radius": self.sharding.max_radius,
+                "max_radius": sharding.max_radius,
                 "active_shards": plan_stats.num_shards - plan_stats.empty_shards,
                 "empty_shards": plan_stats.empty_shards,
                 "feature_replication_factor": plan_stats.replication_factor,
@@ -1063,33 +1189,28 @@ class ShardRouter:
                     "kind": plan_stats.kind,
                     "data_share": self._data_share(shard_data_counts),
                     "imbalance": self._imbalance(shard_data_counts),
-                    "rebalances": counters.rebalances,
+                    "rebalances": counters["rebalances"],
                     "last_rebalance_unix": self._last_rebalance_unix,
                     "controller": {
-                        "enabled": (
-                            self.sharding.rebalance_threshold is not None
-                        ),
-                        "threshold": self.sharding.rebalance_threshold,
-                        "interval_seconds": (
-                            self.sharding.rebalance_interval_seconds
-                        ),
-                        "min_requests": self.sharding.rebalance_min_requests,
-                        "last_observed_imbalance": (
-                            self._last_observed_imbalance
-                        ),
+                        "enabled": sharding.rebalance_threshold is not None,
+                        "threshold": sharding.rebalance_threshold,
+                        "interval_seconds": sharding.rebalance_interval_seconds,
+                        "min_requests": sharding.rebalance_min_requests,
+                        "last_observed_imbalance": self._last_observed_imbalance,
                     },
                 },
             },
-            "dataset": {**self.dataset_info(), "swaps": counters.swaps},
             "ingest": {
                 "delta": self._delta.snapshot().counts(),
                 "cumulative": dict(vars(self._delta.counters)),
-                "write_batches": counters.write_batches,
+                "write_batches": counters["write_batches"],
                 "compact_threshold": self._service_config.compact_threshold,
             },
-            "defaults": vars(self._defaults),
             "shards": shard_trees,
         }
 
 
-__all__ = ["ShardRouter", "ShardingConfig"]
+__all__ = [
+    "LocalShardTarget", "ScatterGatherRouter", "ShardRouter", "ShardTarget",
+    "ShardingConfig",
+]

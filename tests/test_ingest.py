@@ -641,6 +641,110 @@ class TestShardRouterIngest:
         for service in router.services:
             assert service.stats()["ingest"]["write_batches"] == 0
 
+    def test_read_during_multi_shard_write_is_never_torn(self):
+        """A read overlapping the per-shard applies of one write batch must
+        see a whole dataset state -- and must not poison the result cache.
+
+        Shard 1's apply is held on an event after shard 0 applied.  Before
+        the write path paused the scatter gate, a read issued in that window
+        merged shard 0's post-write partial with shard 1's pre-write one and
+        cached the mix under the post-write version.
+        """
+        from repro.sharding import ShardRouter, ShardingConfig
+
+        data, features = make_dataset(160, 240)
+        router = ShardRouter(
+            data,
+            features,
+            engine_config=EngineConfig(grid_size=GRID),
+            service_config=ServiceConfig(engines=1, default_grid_size=GRID),
+            sharding=ShardingConfig(shards=2),
+        ).start()
+        try:
+            boundary = router.plan.shards[0].box.max_x
+            straddler = FeatureObject(
+                oid="torn-f", x=boundary, y=50.0, keywords=frozenset({"torn"})
+            )
+            query = SpatialPreferenceQuery.create(
+                k=10, radius=15.0, keywords={"torn"}
+            )
+            spec = spec_for(query)
+
+            def oracle(feature_objects):
+                with SPQEngine(
+                    data, feature_objects, EngineConfig(grid_size=GRID),
+                    extent=router.plan.extent,
+                ) as engine:
+                    return fingerprint(
+                        engine.execute(query, algorithm="espq-sco", grid_size=GRID)
+                    )
+
+            pre, post = oracle(features), oracle(features + [straddler])
+            x_of = {obj.oid: obj.x for obj in data}
+            sides = {x_of[oid] < boundary for oid, _ in post}
+            assert pre != post and sides == {True, False}, "vacuous scenario"
+
+            holding, release = threading.Event(), threading.Event()
+            held_shard = router.services[1]
+            real_apply = held_shard.apply_objects
+
+            def held_apply(**update):
+                holding.set()
+                assert release.wait(10.0)
+                return real_apply(**update)
+
+            held_shard.apply_objects = held_apply
+            during = []
+            writer = threading.Thread(
+                target=router.apply_objects,
+                kwargs={"append_features": [straddler]},
+            )
+            reader = threading.Thread(
+                target=lambda: during.append(
+                    payload_fingerprint(router.submit(spec))
+                )
+            )
+            writer.start()
+            assert holding.wait(10.0)  # shard 0 applied, shard 1 has not
+            reader.start()
+            reader.join(0.5)  # (queues at the paused gate)
+            release.set()
+            writer.join(10.0)
+            reader.join(10.0)
+            assert not writer.is_alive() and not reader.is_alive()
+            after = router.submit(spec)
+        finally:
+            router.shutdown()
+        assert during[0] in (pre, post), "read merged two dataset states"
+        assert payload_fingerprint(after) == post
+
+    def test_data_appended_into_an_empty_shard_is_ranked(self):
+        """A shard that owned no data at partition time joins the scatter
+        once a write routes a data object to it (it used to stay skipped,
+        so the appended object was never ranked)."""
+        from repro.sharding import ShardRouter, ShardingConfig
+
+        data = [DataObject(oid=f"d{i}", x=10.0 + i, y=50.0) for i in range(20)]
+        features = [
+            FeatureObject(oid="f0", x=15.0, y=50.0, keywords=frozenset({"cafe"})),
+            FeatureObject(oid="f1", x=90.0, y=50.0, keywords=frozenset({"cafe"})),
+        ]
+        with ShardRouter(
+            data,
+            features,
+            engine_config=EngineConfig(grid_size=GRID),
+            service_config=ServiceConfig(engines=1, default_grid_size=GRID),
+            sharding=ShardingConfig(shards=2),
+        ) as router:
+            assert [s.is_empty for s in router.plan.shards] == [False, True]
+            spec = {"keywords": ["cafe"], "k": 50, "radius": 3.0}
+            before = {entry["oid"] for entry in router.submit(spec)["results"]}
+            router.apply_objects(
+                append_data=[DataObject(oid="east", x=89.0, y=50.0)]
+            )
+            after = {entry["oid"] for entry in router.submit(spec)["results"]}
+        assert after == before | {"east"}
+
     def test_compact_all_shards_preserves_answers(self, routed):
         router, data, features = routed
         new_data, _ = make_appends(8, "rc")

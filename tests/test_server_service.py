@@ -129,7 +129,7 @@ class TestResultCache:
         with make_service(small_uniform_dataset) as service:
             spec = {"keywords": ["w0001"], "k": 3, "radius": 2.0}
             service.submit(spec)
-            service.set_datasets(data[: len(data) // 2], features)
+            service.swap_datasets(data[: len(data) // 2], features)
             response = service.submit(spec)
             assert response["cached"] is False
 
@@ -140,7 +140,7 @@ class TestResultCache:
             old_radius = service.submit({"keywords": ["w0001"], "k": 1})["radius"]
             # A much larger extent must re-derive a proportionally larger
             # default radius: 10% of the new grid's cell side.
-            service.set_datasets(
+            service.swap_datasets(
                 [DataObject("d1", 0.0, 0.0), DataObject("d2", 10_000.0, 10_000.0)],
                 [FeatureObject("f1", 5_000.0, 5_000.0, frozenset({"w0001"}))],
             )
