@@ -31,11 +31,9 @@ a :class:`~repro.cluster.router.ClusterRouter`:
    ``"degraded": true`` with ``"shards_answered"`` / ``"shards_missing"``
    listed.
 4. **Keep-alive reuse** -- the router transport must actually ride warm
-   connections: a probe burst against one node with ``REPRO_KEEPALIVE=on``
-   must reuse its pooled connection for every request after the first,
-   while ``off`` must open one connection per request.  The measured
-   per-request latency of both modes is reported side by side (loopback
-   understates the win; the reuse *counters* are the gate).
+   connections: a probe burst against one node must reuse its pooled
+   connection for every request after the first.  The per-request latency
+   is reported; the reuse *counters* are the gate.
 
 Every node binds port 0 and reports its OS-assigned port on its ready
 line, so concurrent CI runs cannot collide.
@@ -449,54 +447,36 @@ def run_failover_phase(
 def run_keepalive_phase(
     input_path, grid_size: int, probes: int, log_dir,
 ) -> Dict[str, object]:
-    """Probe one node with keep-alive off vs on; compare latency and reuse.
+    """Probe one node in a burst; gate on the pool's reuse counters.
 
-    The gate is on the counters, not the clock: with reuse on, every probe
-    after the first must ride the pooled connection; with reuse off, the
-    pool must stay untouched.
+    Every probe after the first must ride the pooled connection, and a
+    fresh connection may only be opened to replace a stale one.
     """
-    import os
-
     from repro.cluster import transport
 
     nodes = spawn_local_nodes(
         input_path, 1, grid_size=grid_size, engines=1, log_dir=log_dir,
     )
-    previous = os.environ.get(transport.KEEPALIVE_ENV)
-    modes: Dict[str, Dict[str, object]] = {}
     try:
         url = nodes[0].url + "/healthz"
-        for mode in ("off", "on"):
-            os.environ[transport.KEEPALIVE_ENV] = mode
-            transport.close_pooled_connections()
-            transport.reset_pool_stats()
-            started = time.perf_counter()
-            for _ in range(probes):
-                transport.get_json(url, timeout=10.0)
-            elapsed = time.perf_counter() - started
-            modes[mode] = {
-                "seconds": elapsed,
-                "per_request_us": elapsed / probes * 1e6,
-                "pool": transport.pool_stats(),
-            }
+        transport.close_pooled_connections()
+        transport.reset_pool_stats()
+        started = time.perf_counter()
+        for _ in range(probes):
+            transport.get_json(url, timeout=10.0)
+        elapsed = time.perf_counter() - started
+        pool = transport.pool_stats()
         transport.close_pooled_connections()
     finally:
-        if previous is None:
-            os.environ.pop(transport.KEEPALIVE_ENV, None)
-        else:
-            os.environ[transport.KEEPALIVE_ENV] = previous
         terminate_nodes(nodes)
-    on_pool = modes["on"]["pool"]
-    off_pool = modes["off"]["pool"]
     return {
         "probes": probes,
-        "off": modes["off"],
-        "on": modes["on"],
-        "speedup": modes["off"]["seconds"] / max(modes["on"]["seconds"], 1e-9),
+        "seconds": elapsed,
+        "per_request_us": elapsed / probes * 1e6,
+        "pool": pool,
         "reuse_correct": (
-            on_pool["reused"] >= probes - 1
-            and on_pool["opened"] <= 1 + on_pool["stale_retries"]
-            and off_pool["requests"] == 0
+            pool["reused"] >= probes - 1
+            and pool["opened"] <= 1 + pool["stale_retries"]
         ),
     }
 
@@ -518,7 +498,7 @@ def main(argv=None) -> int:
                              "(default: requests // 6)")
     parser.add_argument("--node-deadline", type=float, default=10.0)
     parser.add_argument("--keepalive-probes", type=int, default=200,
-                        help="keep-alive phase: probes per transport mode")
+                        help="keep-alive phase: probes in the burst")
     parser.add_argument("--seed", type=int, default=29)
     parser.add_argument("--json", default=None, help="write the summary JSON here")
     parser.add_argument("--check", action="store_true",
@@ -570,10 +550,8 @@ def main(argv=None) -> int:
         workdir / "keepalive-logs",
     )
     print(f"keep-alive phase: {keepalive['probes']} probes, "
-          f"off={keepalive['off']['per_request_us']:.0f}us/req "
-          f"on={keepalive['on']['per_request_us']:.0f}us/req "
-          f"(x{keepalive['speedup']:.2f}), reused "
-          f"{keepalive['on']['pool']['reused']} connections, "
+          f"{keepalive['per_request_us']:.0f}us/req, reused "
+          f"{keepalive['pool']['reused']} connections, "
           f"reuse_correct={keepalive['reuse_correct']}")
 
     summary = {
@@ -642,8 +620,7 @@ def main(argv=None) -> int:
         if not keepalive["reuse_correct"]:
             failures.append(
                 "keep-alive transport did not reuse connections as required: "
-                f"on={json.dumps(keepalive['on']['pool'])} "
-                f"off={json.dumps(keepalive['off']['pool'])}"
+                f"{json.dumps(keepalive['pool'])}"
             )
         if failures:
             for failure in failures:

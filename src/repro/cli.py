@@ -95,6 +95,80 @@ def _engine_config(args: argparse.Namespace, **extra) -> EngineConfig:
     return EngineConfig(backend=backend, workers=workers, **extra)
 
 
+def _add_serving_arguments(
+    parser: argparse.ArgumentParser, *, port, engines, result_cache, help
+) -> None:
+    """The flags ``serve`` and ``shard-node`` both declare.
+
+    ``port`` / ``engines`` / ``result_cache`` are the per-command defaults;
+    ``help`` maps the flags whose meaning differs by command to their text.
+    """
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=port,
+                        help="TCP port (0 binds an ephemeral port, reported on "
+                             "the 'listening on' line)")
+    parser.add_argument("--engines", type=int, default=engines,
+                        help="warm engine-pool size = micro-batch dispatcher "
+                             "threads (per shard or node)")
+    parser.add_argument("--max-batch", type=int, default=8,
+                        help="largest micro-batch per execute_many call")
+    parser.add_argument("--compact-threshold", type=int, default=0,
+                        help="fold the write delta into the base dataset once it "
+                             "holds this many ops (0 disables auto-compaction; "
+                             "see docs/ingest.md)")
+    parser.add_argument("--result-cache", type=int, default=result_cache,
+                        help="result-cache entries, LRU (0 disables the cache; "
+                             "the shard-node default, because the cluster "
+                             "router caches merged responses and node caches "
+                             "would only hide executions)")
+    parser.add_argument("--grid-size", type=int, default=50)
+    parser.add_argument("--max-radius", type=float, default=None,
+                        help=help["max_radius"])
+    parser.add_argument("--calibration-path", default=None,
+                        help=help["calibration_path"])
+    parser.add_argument("--calibration-seed", default=None,
+                        help=help["calibration_seed"])
+    parser.add_argument("--checkpoint-interval", type=float, default=60.0,
+                        help="calibration checkpoint cadence in seconds "
+                             "(0 = save only on shutdown)")
+    parser.add_argument("--access-log", action="store_true",
+                        help="log one line per HTTP request to stderr")
+
+
+#: ``ServiceConfig`` field -> the argparse dest that sets it.  A serving
+#: command that does not declare a flag keeps the dataclass default.
+_SERVICE_CONFIG_FLAGS = {
+    "engines": "engines",
+    "max_batch": "max_batch",
+    "result_cache_capacity": "result_cache",
+    "compact_threshold": "compact_threshold",
+    "calibration_path": "calibration_path",
+    "calibration_seed_path": "calibration_seed",
+    "checkpoint_interval_seconds": "checkpoint_interval",
+    "default_k": "k",
+    "default_radius": "radius",
+    "default_radius_fraction": "radius_fraction",
+    "default_algorithm": "algorithm",
+    "default_grid_size": "grid_size",
+    "admission_queue_depth": "admission_depth",
+    "default_deadline_ms": "default_deadline_ms",
+}
+
+
+def _service_config(args: argparse.Namespace):
+    """Service configuration from a serving command's flags."""
+    from repro.server import ServiceConfig
+
+    values = {
+        field: getattr(args, dest)
+        for field, dest in _SERVICE_CONFIG_FLAGS.items()
+        if hasattr(args, dest)
+    }
+    if hasattr(args, "batch_window_ms"):
+        values["batch_window_seconds"] = args.batch_window_ms / 1000.0
+    return ServiceConfig(**values)
+
+
 # --------------------------------------------------------------------- #
 # generate
 
@@ -395,7 +469,7 @@ def _run_server_loop(server, shutdown) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.server import QueryService, ServiceConfig, make_server
+    from repro.server import QueryService, make_server
 
     if args.cluster:
         return _cmd_serve_cluster(args)
@@ -423,23 +497,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     try:
         engine_config = _engine_config(args, grid_size=args.grid_size)
-        service_config = ServiceConfig(
-            engines=args.engines,
-            max_batch=args.max_batch,
-            batch_window_seconds=args.batch_window_ms / 1000.0,
-            result_cache_capacity=args.result_cache,
-            compact_threshold=args.compact_threshold,
-            calibration_path=args.calibration_path,
-            calibration_seed_path=args.calibration_seed,
-            checkpoint_interval_seconds=args.checkpoint_interval,
-            default_k=args.k,
-            default_radius=args.radius,
-            default_radius_fraction=args.radius_fraction,
-            default_algorithm=args.algorithm,
-            default_grid_size=args.grid_size,
-            admission_queue_depth=args.admission_depth,
-            default_deadline_ms=args.default_deadline_ms,
-        )
+        service_config = _service_config(args)
         if sharded:
             from repro.sharding import ShardRouter, ShardingConfig
 
@@ -516,29 +574,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     sys.stdout.flush()
 
-    def _request_stop(signum: int, frame: object) -> None:
-        # serve_forever must return before we can join anything; shutdown()
-        # blocks until it does, so run it off the signal-handler frame.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    previous_handlers = {}
-    try:
-        # SIGTERM (and SIGINT, which background shells mask) both trigger
-        # the same clean shutdown: drain, save calibration, close engines.
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            previous_handlers[signum] = signal.signal(signum, _request_stop)
-    except ValueError:  # pragma: no cover - not in the main thread
-        pass
-    try:
-        server.serve_forever(poll_interval=0.1)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        print("shutting down", file=sys.stderr)
-        server.server_close()
-        service.shutdown()
-        for signum, handler in previous_handlers.items():
-            signal.signal(signum, handler)
+    # The service's shutdown drains, saves calibration and closes engines.
+    _run_server_loop(server, [service.shutdown])
     if args.calibration_path and not sharded and service.planner is not None:
         save_error = service.stats()["planner"]["persistence"]["last_error"]
         if save_error:
@@ -564,7 +601,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         spawn_local_nodes,
         terminate_nodes,
     )
-    from repro.server import ServiceConfig, make_server
+    from repro.server import make_server
 
     if args.shards > 1:
         print(
@@ -586,15 +623,9 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         return 2
     try:
         engine_config = _engine_config(args, grid_size=args.grid_size)
-        service_config = ServiceConfig(
-            default_k=args.k,
-            default_radius=args.radius,
-            default_radius_fraction=args.radius_fraction,
-            default_algorithm=args.algorithm,
-            default_grid_size=args.grid_size,
-            admission_queue_depth=args.admission_depth,
-            default_deadline_ms=args.default_deadline_ms,
-        )
+        # The router reads only the request defaults and admission knobs;
+        # the pool, cache and calibration flags configure the nodes.
+        service_config = _service_config(args)
         cluster_config = ClusterConfig(
             shards=args.cluster,
             max_radius=args.max_radius,
@@ -683,7 +714,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
 def _cmd_shard_node(args: argparse.Namespace) -> int:
     """``repro shard-node``: one shard slice of a dataset behind HTTP."""
     from repro.cluster import NodeConfig, ShardNodeService
-    from repro.server import ServiceConfig, make_server
+    from repro.server import make_server
 
     data = None
     dataset_source = f"file {args.input}"
@@ -707,16 +738,6 @@ def _cmd_shard_node(args: argparse.Namespace) -> int:
         return 2
     try:
         engine_config = _engine_config(args, grid_size=args.grid_size)
-        service_config = ServiceConfig(
-            engines=args.engines,
-            max_batch=args.max_batch,
-            result_cache_capacity=args.result_cache,
-            compact_threshold=args.compact_threshold,
-            calibration_path=args.calibration_path,
-            calibration_seed_path=args.calibration_seed,
-            checkpoint_interval_seconds=args.checkpoint_interval,
-            default_grid_size=args.grid_size,
-        )
         node = ShardNodeService(
             data,
             features,
@@ -727,7 +748,7 @@ def _cmd_shard_node(args: argparse.Namespace) -> int:
                 dataset_epoch=args.dataset_epoch,
             ),
             engine_config=engine_config,
-            service_config=service_config,
+            service_config=_service_config(args),
         )
     except (ValueError, InvalidQueryError, JobConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -974,21 +995,21 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the persistent HTTP query service over a dataset file"
     )
     serve.add_argument("--input", required=True, help="dataset file (TSV)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8787,
-                       help="TCP port (0 binds an ephemeral port, printed on start)")
-    serve.add_argument("--engines", type=int, default=2,
-                       help="warm engine-pool size = micro-batch dispatcher threads "
-                            "(per shard when --shards > 1)")
+    _add_serving_arguments(serve, port=8787, engines=2, result_cache=256, help={
+        "max_radius": "with --shards > 1: largest query radius served exactly "
+                      "(bounds cross-shard feature replication; queries above "
+                      "it are rejected; default: unbounded, features "
+                      "replicated to every shard)",
+        "calibration_path": "durable planner-calibration snapshot: restored on "
+                            "start, checkpointed while serving, saved on shutdown",
+        "calibration_seed": "global calibration snapshot that seeds cold shards/"
+                            "nodes (no scoped snapshot yet); never written to "
+                            "(default: the --calibration-path base itself)",
+    })
     serve.add_argument("--shards", type=int, default=1,
                        help="spatial shards: partition the dataset into N disjoint "
                             "extent slices, one query service per shard, "
                             "scatter-gather merge (1 = unsharded)")
-    serve.add_argument("--max-radius", type=float, default=None,
-                       help="with --shards > 1: largest query radius served exactly "
-                            "(bounds cross-shard feature replication; queries above "
-                            "it are rejected; default: unbounded, features "
-                            "replicated to every shard)")
     serve.add_argument("--layout", choices=("uniform", "skew"), default="uniform",
                        help="with --shards > 1: shard extent layout -- 'uniform' "
                             "splits the extent most-square, 'skew' balances "
@@ -1016,33 +1037,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--node-log-dir", default=None,
                        help="with --cluster: directory for per-node log files "
                             "(default: a fresh temporary directory)")
-    serve.add_argument("--max-batch", type=int, default=8,
-                       help="largest micro-batch per execute_many call")
     serve.add_argument("--batch-window-ms", type=float, default=0.0,
                        help="how long a dispatcher waits for batchmates "
                             "(0 = natural batching: group only what is queued)")
-    serve.add_argument("--compact-threshold", type=int, default=0,
-                       help="fold the write delta into the base dataset once it "
-                            "holds this many ops (0 disables auto-compaction; "
-                            "see docs/ingest.md)")
-    serve.add_argument("--result-cache", type=int, default=256,
-                       help="result-cache entries, LRU (0 disables the cache)")
-    serve.add_argument("--calibration-path", default=None,
-                       help="durable planner-calibration snapshot: restored on "
-                            "start, checkpointed while serving, saved on shutdown")
-    serve.add_argument("--calibration-seed", default=None,
-                       help="global calibration snapshot that seeds cold shards/"
-                            "nodes (no scoped snapshot yet); never written to "
-                            "(default: the --calibration-path base itself)")
-    serve.add_argument("--checkpoint-interval", type=float, default=60.0,
-                       help="calibration checkpoint cadence in seconds "
-                            "(0 = save only on shutdown)")
     serve.add_argument("--k", type=int, default=10, help="default k for requests")
     serve.add_argument("--radius", type=float, default=None,
                        help="default absolute radius (overrides --radius-fraction)")
     serve.add_argument("--radius-fraction", type=float, default=0.10,
                        help="default radius as a fraction of the grid-cell side")
-    serve.add_argument("--grid-size", type=int, default=50)
     serve.add_argument("--algorithm", choices=ALGORITHM_CHOICES, default="espq-sco",
                        help="default algorithm for requests ('auto' engages the "
                             "cost-based planner per query)")
@@ -1054,8 +1056,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--default-deadline-ms", type=float, default=None,
                        help="deadline applied to requests that carry no "
                             "'deadline_ms' field (admission control only)")
-    serve.add_argument("--access-log", action="store_true",
-                       help="log one line per HTTP request to stderr")
     _add_backend_arguments(serve)
     serve.set_defaults(func=_cmd_serve)
 
@@ -1072,9 +1072,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="which shard slice this node serves (0-based)")
     shard_node.add_argument("--shards", type=int, required=True,
                             help="total shard count of the cluster partitioning")
-    shard_node.add_argument("--max-radius", type=float, default=None,
-                            help="feature replication radius of the partitioning "
-                                 "(must match the router's; default: unbounded)")
     shard_node.add_argument("--dataset-shm", default=None,
                             help="name of a shared-memory dataset segment "
                                  "published by the spawner; attached instead "
@@ -1083,34 +1080,15 @@ def build_parser() -> argparse.ArgumentParser:
     shard_node.add_argument("--dataset-epoch", default="boot",
                             help="epoch tag of the boot dataset (the router "
                                  "re-tags it on every hot swap)")
-    shard_node.add_argument("--host", default="127.0.0.1")
-    shard_node.add_argument("--port", type=int, default=0,
-                            help="TCP port (default 0: the OS assigns one, "
-                                 "reported on the 'listening on' line)")
-    shard_node.add_argument("--engines", type=int, default=1,
-                            help="warm engine-pool size of this node")
-    shard_node.add_argument("--max-batch", type=int, default=8,
-                            help="largest micro-batch per execute_many call")
-    shard_node.add_argument("--compact-threshold", type=int, default=0,
-                            help="node-local auto-compaction threshold in delta "
-                                 "ops (0 disables)")
-    shard_node.add_argument("--result-cache", type=int, default=0,
-                            help="node-local result-cache entries (default 0: "
-                                 "the cluster router caches merged responses; "
-                                 "node caches would only hide executions)")
-    shard_node.add_argument("--grid-size", type=int, default=50)
-    shard_node.add_argument("--calibration-path", default=None,
-                            help="this node's own durable calibration snapshot "
-                                 "(the spawner derives <base>.node<i>-<r>)")
-    shard_node.add_argument("--calibration-seed", default=None,
-                            help="snapshot that seeds this node's calibrator "
-                                 "on a cold start (no file at "
-                                 "--calibration-path yet); never written to")
-    shard_node.add_argument("--checkpoint-interval", type=float, default=60.0,
-                            help="calibration checkpoint cadence in seconds "
-                                 "(0 = save only on shutdown)")
-    shard_node.add_argument("--access-log", action="store_true",
-                            help="log one line per HTTP request to stderr")
+    _add_serving_arguments(shard_node, port=0, engines=1, result_cache=0, help={
+        "max_radius": "feature replication radius of the partitioning "
+                      "(must match the router's; default: unbounded)",
+        "calibration_path": "this node's own durable calibration snapshot "
+                            "(the spawner derives <base>.node<i>-<r>)",
+        "calibration_seed": "snapshot that seeds this node's calibrator on a "
+                            "cold start (no file at --calibration-path yet); "
+                            "never written to",
+    })
     _add_backend_arguments(shard_node)
     shard_node.set_defaults(func=_cmd_shard_node)
 

@@ -416,7 +416,7 @@ class ClusterRouter(ScatterGatherRouter):
         excluded from routing (its shard's other replicas answer, or the
         shard goes degraded) until the heartbeat loop resynchronises it.
         """
-        self._epoch = f"v{self._dataset_version}"
+        self._epoch = f"v{self._version.dataset}"
         super()._swap_targets(plan)
 
     def _apply_targets(self, updates: List[Dict[str, list]]) -> None:
@@ -425,14 +425,14 @@ class ClusterRouter(ScatterGatherRouter):
         bump -- so the whole fleet moves epochs together; a node the push
         cannot reach is handled exactly like one that slept through a swap.
         """
-        self._epoch = f"v{self._dataset_version}w{self._write_version}"
+        self._epoch = f"v{self._version.dataset}w{self._version.write}"
         super()._apply_targets(updates)
 
     def dataset_info(self) -> Dict[str, object]:
         """Version, epoch and sizes of the current (full, live) dataset."""
         delta = self._delta.snapshot()
         return {
-            "version": self._dataset_version,
+            "version": self._version.dataset,
             "dataset_epoch": self._epoch,
             "data_objects": len(self._base_data)
             - len(delta.deleted_data_oids) + len(delta.data),
@@ -473,7 +473,7 @@ class ClusterRouter(ScatterGatherRouter):
         return {
             **counts,
             "dataset_epoch": self._epoch,
-            "write_version": self._write_version,
+            "write_version": self._version.write,
         }
 
     # ------------------------------------------------------------------ #
@@ -512,7 +512,7 @@ class ClusterRouter(ScatterGatherRouter):
         }
         stats["ingest"] = {
             "write_batches": counters["write_batches"],
-            "write_version": self._write_version,
+            "write_version": self._version.write,
         }
         return stats
 

@@ -1,21 +1,19 @@
 """Minimal JSON-over-HTTP client the cluster router speaks to its nodes.
 
-Stdlib only (:mod:`http.client` / :mod:`urllib.request`), like the server
-side: the cluster adds no dependencies the container does not already have.
+Stdlib only (:mod:`http.client`), like the server side: the cluster adds
+no dependencies the container does not already have.
 
-Two pieces of policy live here.  The first is **connection reuse**: every
-router->node round-trip used to pay a fresh TCP handshake (urllib closes
-its connection per request).  The client now keeps one persistent
-HTTP/1.1 connection per ``(thread, host:port)`` pair and reuses it across
-requests -- the router's scatter pool has stable threads, so the pool needs
-no cross-thread locking, and heartbeats, queries and swaps all ride warm
-connections.  A reused connection can always have gone stale (the node
-restarted, an idle timeout fired); the first failure on a *previously
-used* connection is retried exactly once on a fresh connection before it
-is reported, while a failure on a brand-new connection is reported
-immediately -- that one was a real connect/request failure, and retrying
-it would double the router's failover latency for nothing.  Set
-``REPRO_KEEPALIVE=off`` to fall back to one-shot urllib requests;
+Two pieces of policy live here.  The first is **connection reuse**: instead
+of paying a TCP handshake per router->node round-trip, the client keeps one
+persistent HTTP/1.1 connection per ``(thread, host:port)`` pair and reuses
+it across requests -- the router's scatter pool has stable threads, so the
+pool needs no cross-thread locking, and heartbeats, queries and swaps all
+ride warm connections.  A reused connection can always have gone stale (the
+node restarted, an idle timeout fired); the first failure on a *previously
+used* connection is retried exactly once on a fresh connection before it is
+reported, while a failure on a brand-new connection is reported immediately
+-- that one was a real connect/request failure, and retrying it would double
+the router's failover latency for nothing.
 :func:`pool_stats` exposes reuse counters for benchmarks and tests.
 
 The second is the error taxonomy -- every failure a node request can
@@ -38,29 +36,16 @@ from __future__ import annotations
 
 import http.client
 import json
-import os
 import socket
 import threading
-import urllib.error
-import urllib.request
 from typing import Dict, Mapping, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.exceptions import InvalidQueryError, OverloadError
 
-#: Environment toggle: ``off``/``0``/``false`` disables connection reuse
-#: and restores the one-shot urllib path (e.g. to bisect a proxy issue).
-KEEPALIVE_ENV = "REPRO_KEEPALIVE"
-
 
 class NodeTransportError(Exception):
     """A node request failed in a way a replica retry might fix."""
-
-
-def keepalive_enabled() -> bool:
-    """True unless ``REPRO_KEEPALIVE`` disables connection reuse."""
-    value = os.environ.get(KEEPALIVE_ENV, "on").strip().lower()
-    return value not in ("off", "0", "false")
 
 
 # --------------------------------------------------------------------- #
@@ -175,8 +160,11 @@ def _request_json(
     url: str, payload: Optional[Mapping[str, object]], timeout: float
 ) -> Dict[str, object]:
     parts = urlsplit(url)
-    if parts.scheme != "http" or not keepalive_enabled():
-        return _request_json_oneshot(url, payload, timeout)
+    if parts.scheme != "http":
+        raise NodeTransportError(
+            f"unsupported node URL scheme {parts.scheme!r} in {url} "
+            "(nodes speak plain http)"
+        )
     data = None
     headers: Dict[str, str] = {}
     if payload is not None:
@@ -226,36 +214,6 @@ def _request_json(
                 f"{_error_message(body, status)}"
             )
         return _decode_json(body, url)
-
-
-def _request_json_oneshot(
-    url: str, payload: Optional[Mapping[str, object]], timeout: float
-) -> Dict[str, object]:
-    """The original one-connection-per-request path (and non-http schemes)."""
-    data = None
-    headers = {}
-    if payload is not None:
-        data = json.dumps(payload).encode("utf-8")
-        headers["Content-Type"] = "application/json"
-    request = urllib.request.Request(url, data=data, headers=headers)
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            body = response.read()
-    except urllib.error.HTTPError as exc:
-        # HTTPError subclasses URLError; it must be handled first.
-        body = exc.read()
-        if exc.code == 429:
-            raise _overload_error(body) from exc
-        if 400 <= exc.code < 500:
-            raise InvalidQueryError(_error_message(body, exc.code)) from exc
-        raise NodeTransportError(
-            f"node returned HTTP {exc.code} for {url}: "
-            f"{_error_message(body, exc.code)}"
-        ) from exc
-    except (urllib.error.URLError, http.client.HTTPException, OSError) as exc:
-        # Connection refused/reset, DNS, socket deadline, protocol garbage.
-        raise NodeTransportError(f"node request to {url} failed: {exc}") from exc
-    return _decode_json(body, url)
 
 
 def _decode_json(body: bytes, url: str) -> Dict[str, object]:
@@ -310,11 +268,9 @@ def _error_message(body: bytes, code: int) -> str:
 
 
 __all__ = [
-    "KEEPALIVE_ENV",
     "NodeTransportError",
     "close_pooled_connections",
     "get_json",
-    "keepalive_enabled",
     "pool_stats",
     "post_json",
     "reset_pool_stats",

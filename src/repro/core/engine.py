@@ -152,15 +152,12 @@ class EngineConfig:
             paper's 16-node cluster.
         cost_parameters: Per-unit costs of the cost model.
         backend: Execution backend name (``"serial"``, ``"thread"`` or
-            ``"process"``).  ``None`` (the default) defers to the legacy
-            ``max_workers`` knob, then the ``REPRO_BACKEND`` environment
-            variable, then ``"serial"``.  All backends return bit-for-bit
-            identical results; they differ only in wall-clock time.
+            ``"process"``).  ``None`` (the default) defers to the
+            ``REPRO_BACKEND`` environment variable, then ``"serial"``.  All
+            backends return bit-for-bit identical results; they differ only
+            in wall-clock time.
         workers: Worker count of the parallel backends.  ``None`` picks the
             backend default (``REPRO_WORKERS`` or a capped CPU count).
-        max_workers: Legacy thread-parallelism knob, kept for backwards
-            compatibility: a value > 1 (with ``backend`` unset) selects the
-            thread backend with that many workers.
         pad_with_zero_scores: When True, the merged result is padded with
             arbitrary unreported data objects at score 0.0 so that exactly
             ``k`` entries are returned even when fewer than ``k`` data objects
@@ -183,7 +180,6 @@ class EngineConfig:
     cost_parameters: CostParameters = field(default_factory=CostParameters)
     backend: Optional[str] = None
     workers: Optional[int] = None
-    max_workers: int = 1
     pad_with_zero_scores: bool = False
     index_cache_capacity: int = 4
     planner_mode: Optional[str] = None
@@ -281,9 +277,7 @@ class SPQEngine:
         with self._backend_lock:
             if self._backend is None:
                 self._backend = create_backend(
-                    self.config.backend,
-                    self.config.workers,
-                    fallback_thread_workers=self.config.max_workers,
+                    self.config.backend, self.config.workers
                 )
             return self._backend
 

@@ -87,26 +87,19 @@ def validate_backend_spec(name: str, workers: int) -> None:
 def resolve_backend_spec(
     name: Optional[str] = None,
     workers: Optional[int] = None,
-    fallback_thread_workers: int = 1,
 ) -> Tuple[str, int]:
-    """Resolve an explicit/env/legacy backend choice to ``(name, workers)``.
+    """Resolve an explicit/env backend choice to ``(name, workers)``.
 
-    Precedence for the name: explicit ``name`` > legacy
-    ``fallback_thread_workers > 1`` (the old ``max_workers`` thread knob) >
-    ``$REPRO_BACKEND`` > ``"serial"``.  Precedence for the worker count:
-    explicit ``workers`` > legacy thread knob > ``$REPRO_WORKERS`` > backend
-    default (1 for serial, :func:`default_worker_count` otherwise).
+    Precedence for the name: explicit ``name`` > ``$REPRO_BACKEND`` >
+    ``"serial"``.  Precedence for the worker count: explicit ``workers`` >
+    ``$REPRO_WORKERS`` > backend default (1 for serial,
+    :func:`default_worker_count` otherwise).
 
     Raises:
         JobConfigurationError: if the resolved combination is invalid.
     """
     if name is None:
-        if fallback_thread_workers > 1:
-            name = "thread"
-            if workers is None:
-                workers = fallback_thread_workers
-        else:
-            name = os.environ.get(ENV_BACKEND) or "serial"
+        name = os.environ.get(ENV_BACKEND) or "serial"
     if workers is None:
         env_workers = os.environ.get(ENV_WORKERS)
         if name == "serial":
@@ -125,14 +118,10 @@ def resolve_backend_spec(
 
 
 def create_backend(
-    name: Optional[str] = None,
-    workers: Optional[int] = None,
-    fallback_thread_workers: int = 1,
+    name: Optional[str] = None, workers: Optional[int] = None
 ) -> ExecutionBackend:
     """Instantiate a backend from a (possibly partial) specification."""
-    resolved_name, resolved_workers = resolve_backend_spec(
-        name, workers, fallback_thread_workers
-    )
+    resolved_name, resolved_workers = resolve_backend_spec(name, workers)
     backend_class = _BACKEND_CLASSES[resolved_name]
     if resolved_name == "serial":
         return backend_class()

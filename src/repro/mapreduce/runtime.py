@@ -38,7 +38,6 @@ from repro.execution.tasks import (
     ShuffleEntry,
     run_map_task,
 )
-from repro.execution.thread import ThreadBackend
 from repro.mapreduce import counters as counter_names
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import MapReduceJob
@@ -143,9 +142,6 @@ class LocalJobRunner:
             set to the number of grid cells, as in the paper's experiments.
         split_size: Number of input records per map task; controls the number
             of map tasks only (the map logic is record-at-a-time).
-        max_workers: Legacy thread-parallelism knob: ``1`` (the default)
-            selects the serial backend, ``> 1`` a thread backend with that
-            many workers.  Ignored when ``backend`` is given.
         backend: The :class:`~repro.execution.base.ExecutionBackend` that
             executes map splits and reduce partitions.  Defaults to
             :class:`~repro.execution.serial.SerialBackend`, which is fully
@@ -157,21 +153,15 @@ class LocalJobRunner:
         self,
         num_reducers: int,
         split_size: int = DEFAULT_SPLIT_SIZE,
-        max_workers: int = 1,
         backend: Optional[ExecutionBackend] = None,
     ) -> None:
         if num_reducers < 1:
             raise JobConfigurationError(f"num_reducers must be >= 1, got {num_reducers}")
         if split_size < 1:
             raise JobConfigurationError(f"split_size must be >= 1, got {split_size}")
-        if max_workers < 1:
-            raise JobConfigurationError(f"max_workers must be >= 1, got {max_workers}")
-        if backend is None:
-            backend = SerialBackend() if max_workers == 1 else ThreadBackend(max_workers)
         self.num_reducers = num_reducers
         self.split_size = split_size
-        self.max_workers = max_workers
-        self.backend = backend
+        self.backend = backend if backend is not None else SerialBackend()
 
     # ------------------------------------------------------------------ #
 

@@ -13,6 +13,7 @@ See ``docs/service.md`` for the quickstart and protocol reference.
 from repro.server.admission import AdmissionController, shed_payload
 from repro.server.batching import MicroBatcher, PendingRequest
 from repro.server.cache import ResultCache, ResultCacheStats
+from repro.server.frontdoor import FrontDoor
 from repro.server.http import QueryHTTPServer, make_server
 from repro.server.metrics import LatencyHistogram
 from repro.server.protocol import (
@@ -25,6 +26,7 @@ from repro.server.service import QueryService, ServiceConfig
 
 __all__ = [
     "AdmissionController",
+    "FrontDoor",
     "LatencyHistogram",
     "MicroBatcher",
     "ParsedRequest",

@@ -33,22 +33,19 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 from repro.core.centralized import dataset_extent
 from repro.core.engine import ALGORITHM_CHOICES, EngineConfig, SPQEngine
 from repro.datagen.queries import radius_from_cell_fraction
-from repro.exceptions import OverloadError
 from repro.model.objects import DataObject, FeatureObject
 from repro.index.cache import IndexCache
 from repro.index.delta import DatasetDelta
 from repro.planner.core import PlannerConfig, QueryPlanner, resolve_planner_mode
 from repro.planner.persistence import save_calibration, try_restore_calibration
-from repro.server.admission import AdmissionController
 from repro.server.batching import MicroBatcher, PendingRequest
-from repro.server.cache import ResultCache
+from repro.server.frontdoor import FrontDoor
 from repro.server.gate import QuiesceGate
-from repro.server.metrics import LatencyHistogram
 from repro.server.protocol import (
     ParsedRequest,
     RequestDefaults,
@@ -148,49 +145,14 @@ class ServiceConfig:
     default_grid_size: Optional[int] = None
 
 
-@dataclass
-class _ServiceCounters:
-    """Mutable request/batch accounting (guarded by the service lock)."""
-
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    cache_hits: int = 0
-    batches: int = 0
-    batched_requests: int = 0
-    max_batch: int = 0
-    swaps: int = 0
-    write_batches: int = 0
-    compactions: int = 0
-    last_compaction_unix: Optional[float] = None
-    compaction_error: Optional[str] = None
-    checkpoints: int = 0
-    last_checkpoint_unix: Optional[float] = None
-    checkpoint_error: Optional[str] = None
-    calibration_restored: bool = False
-    calibration_seeded: bool = False
-    calibration_rejected: Optional[str] = None
-
-
-@dataclass
-class _PendingPayload:
-    """What rides through the micro-batch queue for one request."""
-
-    parsed: ParsedRequest
-    #: Submission timestamp (``time.monotonic``) for the latency histogram.
-    submitted_monotonic: float = 0.0
-    #: Absolute monotonic deadline (None = no deadline).  The dispatcher
-    #: checks it before executing: a request whose budget expired while
-    #: queued is failed without ever touching an engine.
-    deadline_monotonic: Optional[float] = None
-
-
-class QueryService:
+class QueryService(FrontDoor):
     """Concurrent, warm query service over one dataset snapshot.
 
-    Use as a context manager (``with QueryService(...) as service:``) or
-    call :meth:`start` / :meth:`shutdown` explicitly.  Thread-safe:
-    :meth:`submit` may be called from any number of transport threads.
+    The :class:`~repro.server.frontdoor.FrontDoor` request lifecycle over
+    a micro-batched engine pool.  Use as a context manager (``with
+    QueryService(...) as service:``) or call :meth:`start` /
+    :meth:`shutdown` explicitly.  Thread-safe: :meth:`submit` may be called
+    from any number of transport threads.
     """
 
     def __init__(
@@ -223,6 +185,11 @@ class QueryService:
         self.config = config or ServiceConfig()
         if self.config.engines < 1:
             raise ValueError(f"engines must be >= 1, got {self.config.engines}")
+        super().__init__(
+            self.config.admission_queue_depth,
+            self.config.default_deadline_ms,
+            self.config.result_cache_capacity,
+        )
         engine_config = engine_config or EngineConfig()
         self.planner_mode = resolve_planner_mode(engine_config.planner_mode)
         self._planner: Optional[QueryPlanner] = None
@@ -252,11 +219,6 @@ class QueryService:
             )
             for _ in range(self.config.engines)
         ]
-        self._result_cache = ResultCache(self.config.result_cache_capacity)
-        self._admission = AdmissionController(
-            queue_depth=self.config.admission_queue_depth,
-            default_deadline_ms=self.config.default_deadline_ms,
-        )
         self._batcher = MicroBatcher(
             self._execute_batch,
             workers=self.config.engines,
@@ -264,9 +226,15 @@ class QueryService:
             window_seconds=self.config.batch_window_seconds,
         )
         self._defaults = self._resolve_defaults()
-        self._counters = _ServiceCounters()
-        self._latency = LatencyHistogram()
-        self._lock = threading.Lock()
+        #: Calibration persistence and compaction outcomes for ``stats()``
+        #: (written under the front-door lock, next to their counters).
+        self._calibration_restored = False
+        self._calibration_seeded = False
+        self._calibration_rejected: Optional[str] = None
+        self._last_checkpoint_unix: Optional[float] = None
+        self._checkpoint_error: Optional[str] = None
+        self._last_compaction_unix: Optional[float] = None
+        self._compaction_error: Optional[str] = None
         #: Serializes dataset swaps against each other.
         self._swap_lock = threading.Lock()
         #: The service's write queue: incremental writes, compactions and
@@ -285,11 +253,6 @@ class QueryService:
         #: Quiesce gate over micro-batches: a dispatcher enters it for the
         #: duration of one batch, a dataset swap holds it paused.
         self._gate = QuiesceGate()
-        self._checkpoint_stop = threading.Event()
-        self._checkpoint_thread: Optional[threading.Thread] = None
-        self._started = False
-        self._closed = False
-        self._started_monotonic: Optional[float] = None
 
     def _resolve_defaults(self) -> RequestDefaults:
         return resolve_request_defaults(
@@ -301,18 +264,13 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # lifecycle
 
-    def start(self) -> "QueryService":
-        """Restore calibration, spawn dispatchers and checkpoints (idempotent).
+    def _on_start(self) -> None:
+        """Restore calibration, spawn dispatchers and checkpoints.
 
         A calibration snapshot that fails validation is *rejected, not
         fatal*: the reason is recorded in :meth:`stats` under
         ``planner.persistence.rejected`` and the service starts cold.
         """
-        with self._lock:
-            if self._started or self._closed:
-                return self
-            self._started = True
-            self._started_monotonic = time.monotonic()
         if self._planner is not None and (
             self.config.calibration_path or self.config.calibration_seed_path
         ):
@@ -324,13 +282,13 @@ class QueryService:
                 seed_path=self.config.calibration_seed_path,
             )
             with self._lock:
-                self._counters.calibration_rejected = rejected
-                self._counters.calibration_restored = (
+                self._calibration_rejected = rejected
+                self._calibration_restored = (
                     rejected is None
                     and self._planner.calibrator.observations > 0
                 )
-                self._counters.calibration_seeded = (
-                    self._counters.calibration_restored and not primary_exists
+                self._calibration_seeded = (
+                    self._calibration_restored and not primary_exists
                 )
         self._batcher.start()
         if (
@@ -338,30 +296,18 @@ class QueryService:
             and self._planner is not None
             and self.config.checkpoint_interval_seconds > 0
         ):
-            self._checkpoint_thread = threading.Thread(
-                target=self._run_checkpoints,
-                name="repro-calibration-checkpoint",
-                daemon=True,
+            self._start_background(
+                self._run_checkpoints, "repro-calibration-checkpoint"
             )
-            self._checkpoint_thread.start()
-        return self
 
-    def shutdown(self) -> None:
-        """Stop serving, save calibration, close every engine (idempotent).
+    def _on_shutdown(self) -> None:
+        """Stop serving, save calibration, close every engine.
 
         Queued requests are drained before the dispatchers exit; engines
         are closed afterwards, and closing an already-closed engine is a
-        no-op, so repeated shutdowns (or external ``close()`` calls on
-        pooled engines) are safe.
+        no-op, so external ``close()`` calls on pooled engines are safe.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
         self._batcher.stop()
-        self._checkpoint_stop.set()
-        if self._checkpoint_thread is not None:
-            self._checkpoint_thread.join()
         compaction = self._compaction_thread
         if compaction is not None and compaction.is_alive():
             compaction.join()
@@ -374,30 +320,9 @@ class QueryService:
         # the cached indexes' shared-memory planes exactly once here.
         self._index_cache.release_all()
 
-    def __enter__(self) -> "QueryService":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`shutdown` has been called."""
-        return self._closed
-
-    def uptime_seconds(self) -> float:
-        """Seconds since :meth:`start` (0.0 before it); lock-free.
-
-        Liveness probes poll this every few seconds -- it must not contend
-        on the counter or calibrator locks the way the full :meth:`stats`
-        tree does.
-        """
-        started = self._started_monotonic
-        return time.monotonic() - started if started is not None else 0.0
-
     def _run_checkpoints(self) -> None:
         interval = self.config.checkpoint_interval_seconds
-        while not self._checkpoint_stop.wait(interval):
+        while not self._background_stop.wait(interval):
             self.checkpoint()
 
     def checkpoint(self) -> Optional[str]:
@@ -418,12 +343,12 @@ class QueryService:
             )
         except OSError as exc:
             with self._lock:
-                self._counters.checkpoint_error = str(exc)
+                self._checkpoint_error = str(exc)
             return None
         with self._lock:
-            self._counters.checkpoints += 1
-            self._counters.last_checkpoint_unix = time.time()
-            self._counters.checkpoint_error = None
+            self._counters["checkpoints"] += 1
+            self._last_checkpoint_unix = time.time()
+            self._checkpoint_error = None
         return self.config.calibration_path
 
     def seed_calibration_if_cold(self) -> bool:
@@ -454,8 +379,8 @@ class QueryService:
         seeded = rejected is None and planner.calibrator.observations > 0
         if seeded:
             with self._lock:
-                self._counters.calibration_restored = True
-                self._counters.calibration_seeded = True
+                self._calibration_restored = True
+                self._calibration_seeded = True
         return seeded
 
     # ------------------------------------------------------------------ #
@@ -502,10 +427,9 @@ class QueryService:
         with self._write_lock, self._swap_lock, self._gate.paused():
             for engine in self._engines:
                 engine.set_datasets(data_objects, feature_objects, extent=extent)
-            self._result_cache.invalidate()
+            self._cache.invalidate()
             self._defaults = self._resolve_defaults()
-            with self._lock:
-                self._counters.swaps += 1
+            self._bump("swaps")
         return self.dataset_info()
 
     # ------------------------------------------------------------------ #
@@ -547,8 +471,7 @@ class QueryService:
                 delete_data_oids=delete_data_oids,
                 delete_feature_oids=delete_feature_oids,
             )
-        with self._lock:
-            self._counters.write_batches += 1
+        self._bump("write_batches")
         self._maybe_autocompact()
         return {**counts, "delta": self._delta.snapshot().counts()}
 
@@ -578,9 +501,9 @@ class QueryService:
             data, features = engine.materialize_datasets(snapshot)
             self.swap_datasets(data, features, extent=extent)
             with self._lock:
-                self._counters.compactions += 1
-                self._counters.last_compaction_unix = time.time()
-                self._counters.compaction_error = None
+                self._counters["compactions"] += 1
+                self._last_compaction_unix = time.time()
+                self._compaction_error = None
         return {
             "compacted": True,
             "folded_ops": snapshot.num_ops,
@@ -608,7 +531,7 @@ class QueryService:
             self.compact()
         except Exception as exc:  # noqa: BLE001 - recorded, never fatal
             with self._lock:
-                self._counters.compaction_error = str(exc)
+                self._compaction_error = str(exc)
 
     def dataset_info(self) -> Dict[str, object]:
         """Version and sizes of the current dataset snapshot."""
@@ -628,7 +551,7 @@ class QueryService:
         The request is parsed and validated on the caller's thread (a bad
         request fails alone, never its micro-batch), answered from the
         result cache when possible, and otherwise queued for the next
-        micro-batch.
+        micro-batch (:meth:`FrontDoor._serve` is the lifecycle).
 
         Raises:
             InvalidQueryError: for an invalid request.
@@ -640,40 +563,7 @@ class QueryService:
             TimeoutError: when no dispatcher answers within the configured
                 request timeout.
         """
-        parsed = self._parse(spec)
-        return self._serve(parsed)
-
-    def submit_many(
-        self, specs: Sequence[Mapping[str, object]]
-    ) -> List[Dict[str, object]]:
-        """Serve a batch of request objects; responses in input order.
-
-        All requests are validated up front (the whole batch is rejected if
-        any is invalid, mirroring ``execute_many``), then enqueued together
-        so they can share micro-batches.
-
-        Batch submission is a trusted bulk surface (offline replay, the
-        ``repro batch`` path) and bypasses admission control: shedding
-        individual requests out of an all-or-nothing batch would break its
-        contract.  Interactive traffic goes through :meth:`submit`.
-        """
-        parsed_list = [self._parse(spec) for spec in specs]
-        pendings: List[Optional[PendingRequest]] = []
-        responses: List[Optional[Dict[str, object]]] = []
-        for parsed in parsed_list:
-            started = time.monotonic()
-            hit = self._lookup(parsed)
-            if hit is not None:
-                self._latency.record(time.monotonic() - started)
-                pendings.append(None)
-                responses.append(hit)
-            else:
-                pendings.append(self._enqueue(parsed, started))
-                responses.append(None)
-        for index, pending in enumerate(pendings):
-            if pending is not None:
-                responses[index] = self._await(pending)
-        return [response for response in responses if response is not None]
+        return self._serve(self._parse(spec))
 
     def _parse(self, spec: Mapping[str, object]) -> ParsedRequest:
         parsed = parse_query_spec(spec, self._defaults, ALGORITHM_CHOICES)
@@ -681,52 +571,6 @@ class QueryService:
             parsed.item.algorithm, parsed.item.score_mode
         )
         return parsed
-
-    def _serve(self, parsed: ParsedRequest) -> Dict[str, object]:
-        started = time.monotonic()
-        admission = self._admission
-        deadline = admission.resolve_deadline(parsed.deadline_ms)
-        # Admission order: deadline first (a blown budget sheds without
-        # consuming anything), then the cache (hits are goodput and never
-        # occupy a slot), then the bounded queue.  With admission disabled
-        # (queue_depth=0) every hook is a no-op and this is the classic
-        # lookup-or-enqueue path.
-        admission.on_arrival(deadline)
-        hit = self._lookup(parsed)
-        if hit is not None:
-            self._latency.record(time.monotonic() - started)
-            admission.admit_bypass()
-            return hit
-        admission.acquire()
-        try:
-            response = self._await(self._enqueue(parsed, started, deadline))
-        except OverloadError:
-            # Only the dispatcher's queue-expiry failure reaches here: the
-            # request was admitted, then its deadline passed while queued.
-            admission.release("expired")
-            raise
-        except BaseException:
-            admission.release("failed")
-            raise
-        admission.release("completed", time.monotonic() - started)
-        return response
-
-    def _lookup(self, parsed: ParsedRequest) -> Optional[Dict[str, object]]:
-        with self._lock:
-            self._counters.submitted += 1
-        if not self._result_cache.enabled:
-            return None
-        key = parsed.canonical_key(self._cache_version())
-        payload = self._result_cache.get(key)
-        if payload is None:
-            return None
-        payload["cached"] = True
-        if not parsed.include_stats:
-            payload.pop("stats", None)
-        with self._lock:
-            self._counters.cache_hits += 1
-            self._counters.completed += 1
-        return payload
 
     def _cache_version(self) -> "tuple[int, int]":
         """Composite result-cache version: base snapshot + delta overlay.
@@ -740,32 +584,22 @@ class QueryService:
             self._delta.snapshot().version,
         )
 
-    def _enqueue(
-        self,
-        parsed: ParsedRequest,
-        started: float,
-        deadline: Optional[float] = None,
-    ) -> PendingRequest:
-        return self._batcher.submit(
-            _PendingPayload(
-                parsed=parsed,
-                submitted_monotonic=started,
-                deadline_monotonic=deadline,
-            )
-        )
+    def _execute(
+        self, parsed: ParsedRequest, deadline: Optional[float]
+    ) -> Dict[str, object]:
+        """Queue ``(parsed, deadline)`` for the next micro-batch and wait for
+        the answer (an ``OverloadError`` is the dispatcher's queue-expiry
+        failure)."""
+        pending = self._batcher.submit((parsed, deadline))
+        return pending.wait(self.config.request_timeout_seconds)  # type: ignore[return-value]
 
-    def _await(self, pending: PendingRequest) -> Dict[str, object]:
-        try:
-            response = pending.wait(self.config.request_timeout_seconds)
-        except BaseException:
-            with self._lock:
-                self._counters.failed += 1
-            raise
-        payload: _PendingPayload = pending.payload  # type: ignore[assignment]
-        self._latency.record(time.monotonic() - payload.submitted_monotonic)
-        with self._lock:
-            self._counters.completed += 1
-        return response  # type: ignore[return-value]
+    def _execute_many(
+        self, parsed_list: Sequence[ParsedRequest]
+    ) -> Iterator[Dict[str, object]]:
+        """Enqueue every miss, *then* wait: a ``/batch`` shares micro-batches."""
+        pendings = [self._batcher.submit((parsed, None)) for parsed in parsed_list]
+        for pending in pendings:
+            yield pending.wait(self.config.request_timeout_seconds)  # type: ignore[misc]
 
     # ------------------------------------------------------------------ #
     # micro-batch execution (dispatcher threads)
@@ -798,15 +632,15 @@ class QueryService:
             # the planner's calibration.
             live: List[PendingRequest] = []
             for pending in batch:
-                payload: _PendingPayload = pending.payload  # type: ignore[assignment]
-                if admission.expired_in_queue(payload.deadline_monotonic):
+                _, deadline = pending.payload  # type: ignore[misc]
+                if admission.expired_in_queue(deadline):
                     pending.fail(admission.queue_expiry_error())
                 else:
                     live.append(pending)
             if not live:
                 return
             batch = live
-        payloads: List[_PendingPayload] = [p.payload for p in batch]  # type: ignore[misc]
+        requests: List[ParsedRequest] = [p.payload[0] for p in batch]  # type: ignore[index]
         # The cache key embeds the dataset version *at execution time* (it
         # cannot change mid-batch: swaps wait for in-flight batches) plus
         # the delta snapshot pinned for the batch: writes land without
@@ -816,69 +650,44 @@ class QueryService:
         version = (engine.dataset_version, snapshot.version)
         try:
             results = engine.execute_many(
-                [p.parsed.item for p in payloads], delta_snapshot=snapshot
+                [parsed.item for parsed in requests], delta_snapshot=snapshot
             )
         except BaseException as exc:  # noqa: BLE001 - delivered to submitters
             for pending in batch:
                 pending.fail(exc)
             return
         with self._lock:
-            self._counters.batches += 1
-            self._counters.batched_requests += len(batch)
-            self._counters.max_batch = max(self._counters.max_batch, len(batch))
-        for pending, payload, result in zip(batch, payloads, results):
-            # Cache the stats-bearing payload, answer with what was asked:
-            # a later stats-requesting hit can then still see them.
-            stats_parsed = ParsedRequest(item=payload.parsed.item, include_stats=True)
+            counters = self._counters
+            counters["batches"] += 1
+            counters["batched_requests"] += len(batch)
+            counters["max_batch"] = max(counters["max_batch"], len(batch))
+        for pending, parsed, result in zip(batch, requests, results):
+            stats_parsed = ParsedRequest(item=parsed.item, include_stats=True)
             full = result_payload(stats_parsed, result)
-            self._result_cache.put(payload.parsed.canonical_key(version), full)
-            response = dict(full)
-            if not payload.parsed.include_stats:
-                response.pop("stats", None)
-            pending.complete(response)
+            self._store(parsed, version, full)
+            pending.complete(self._answer(parsed, full))
 
     # ------------------------------------------------------------------ #
     # introspection
 
     def stats(self) -> Dict[str, object]:
         """Aggregate serving statistics (the ``GET /stats`` payload)."""
-        with self._lock:
-            counters = _ServiceCounters(**vars(self._counters))
-            uptime = (
-                time.monotonic() - self._started_monotonic
-                if self._started_monotonic is not None
-                else 0.0
-            )
-        mean_batch = (
-            counters.batched_requests / counters.batches if counters.batches else 0.0
-        )
+        counters = self._snapshot_counters()
+        batches = counters["batches"]
         engine = self._engines[0]
         stats: Dict[str, object] = {
-            "uptime_seconds": uptime,
-            "started": self._started,
-            "closed": self._closed,
-            "requests": {
-                "submitted": counters.submitted,
-                "completed": counters.completed,
-                "failed": counters.failed,
-                "result_cache_hits": counters.cache_hits,
-            },
-            "latency": self._latency.snapshot(),
+            **self._common_stats(counters),
             "batching": {
-                "batches": counters.batches,
-                "batched_requests": counters.batched_requests,
-                "max_batch_observed": counters.max_batch,
-                "mean_batch": mean_batch,
+                "batches": batches,
+                "batched_requests": counters["batched_requests"],
+                "max_batch_observed": counters["max_batch"],
+                "mean_batch": (
+                    counters["batched_requests"] / batches if batches else 0.0
+                ),
                 "max_batch": self.config.max_batch,
                 "window_seconds": self.config.batch_window_seconds,
                 "queue_depth": self._batcher.queue_depth(),
             },
-            "result_cache": {
-                "capacity": self._result_cache.capacity,
-                "size": len(self._result_cache),
-                **self._result_cache.stats.as_dict(),
-            },
-            "admission": self._admission.snapshot(),
             "index_cache": self._index_cache.stats.as_dict(),
             "engines": {
                 "count": len(self._engines),
@@ -887,22 +696,15 @@ class QueryService:
                     e.active_backend_name for e in self._engines
                 ],
             },
-            "dataset": {
-                "version": engine.dataset_version,
-                "data_objects": len(engine.data_objects),
-                "feature_objects": len(engine.feature_objects),
-                "swaps": counters.swaps,
-            },
             "ingest": {
                 "delta": self._delta.snapshot().counts(),
                 "cumulative": dict(vars(self._delta.counters)),
-                "write_batches": counters.write_batches,
-                "compactions": counters.compactions,
+                "write_batches": counters["write_batches"],
+                "compactions": counters["compactions"],
                 "compact_threshold": self.config.compact_threshold,
-                "last_compaction_unix": counters.last_compaction_unix,
-                "last_compaction_error": counters.compaction_error,
+                "last_compaction_unix": self._last_compaction_unix,
+                "last_compaction_error": self._compaction_error,
             },
-            "defaults": vars(self._defaults),
         }
         planner_stats: Dict[str, object] = {"mode": self.planner_mode}
         if self._planner is not None:
@@ -911,29 +713,18 @@ class QueryService:
             planner_stats["persistence"] = {
                 "path": self.config.calibration_path,
                 "seed_path": self.config.calibration_seed_path,
-                "restored": counters.calibration_restored,
-                "seeded": counters.calibration_seeded,
-                "rejected": counters.calibration_rejected,
-                "checkpoints": counters.checkpoints,
-                "last_checkpoint_unix": counters.last_checkpoint_unix,
-                "last_error": counters.checkpoint_error,
+                "restored": self._calibration_restored,
+                "seeded": self._calibration_seeded,
+                "rejected": self._calibration_rejected,
+                "checkpoints": counters["checkpoints"],
+                "last_checkpoint_unix": self._last_checkpoint_unix,
+                "last_error": self._checkpoint_error,
                 "checkpoint_interval_seconds": (
                     self.config.checkpoint_interval_seconds
                 ),
             }
         stats["planner"] = planner_stats
         return stats
-
-    @property
-    def admission(self) -> AdmissionController:
-        """The admission controller (disabled when ``queue_depth=0``).
-
-        The HTTP front-end duck-types on this attribute for its fast-shed
-        probe (answer 429 before reading the body when the queue is full);
-        routers expose their own controller under the same name so every
-        deployment mode sheds with one contract.
-        """
-        return self._admission
 
     @property
     def planner(self) -> Optional[QueryPlanner]:

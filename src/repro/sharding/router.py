@@ -1,16 +1,19 @@
 """Scatter-gather query routing: the router core and the in-process shard router.
 
-:class:`ScatterGatherRouter` is the one request lifecycle both sharded
-deployment modes serve through -- parse, admit, gate, cache probe, scatter,
-gather, record -- written against the small :class:`ShardTarget` protocol:
+:class:`ScatterGatherRouter` is the executor both sharded deployment modes
+serve through -- gate, scatter, gather, store -- behind the request
+lifecycle every mode shares (:class:`~repro.server.frontdoor.FrontDoor`:
+parse, admit, cache probe, record), written against the small
+:class:`ShardTarget` protocol:
 
 * at build time the dataset is split by :func:`~repro.sharding.partition.
   partition_datasets`; every shard target serves its slice but grids over
   the *full* dataset extent, so every shard engine's query grid is
   cell-for-cell the unsharded engine's grid;
 * a request is parsed and resolved once at the router, answered from the
-  router's result cache when possible, and otherwise *scattered* -- in
-  parallel -- to every shard that owns data (the routing rule; feature
+  router's result cache when possible (before the gate, without taking an
+  admission slot), and otherwise *scattered* -- in parallel -- to every
+  shard that owns data (the routing rule; feature
   reach was already resolved at partition time by the ``MINDIST <=
   max_radius`` replication rule);
 * the per-shard top-k partials are *gathered* through
@@ -43,28 +46,26 @@ on clustered data plus loss-free rebalancing under load.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from repro.core.engine import (
     ALGORITHM_CHOICES,
     EngineConfig,
     validate_algorithm_combination,
 )
-from repro.exceptions import InvalidQueryError, OverloadError
+from repro.exceptions import InvalidQueryError
 from repro.index.delta import DatasetDelta, materialize
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.result import QueryResult, ScoredObject, merge_top_k
 from repro.planner.core import resolve_planner_mode
 from repro.planner.persistence import scoped_calibration_path
-from repro.server.admission import AdmissionController
-from repro.server.cache import ResultCache
+from repro.server.frontdoor import FrontDoor
 from repro.server.gate import QuiesceGate
-from repro.server.metrics import LatencyHistogram
 from repro.server.protocol import ParsedRequest, parse_query_spec, result_payload
 from repro.server.service import (
     QueryService,
@@ -116,6 +117,16 @@ class ShardingConfig:
     rebalance_min_requests: int = 50
 
 
+class CacheVersion(NamedTuple):
+    """The router result-cache version: swaps and rebalances bump
+    ``dataset``, routed write batches bump ``write``; both only grow, so a
+    cached response can never outlive the state change that changed its
+    answer."""
+
+    dataset: int = 0
+    write: int = 0
+
+
 class ShardTarget(Protocol):
     """One shard as the router core sees it."""
 
@@ -161,15 +172,18 @@ class LocalShardTarget:
             self.service.apply_objects(**update)
 
 
-class ScatterGatherRouter:
-    """The request lifecycle and state-change protocol of a sharded front-end.
+class ScatterGatherRouter(FrontDoor):
+    """The scatter-gather executor and state-change protocol of a sharded
+    front-end, behind the :class:`~repro.server.frontdoor.FrontDoor`
+    request lifecycle.
 
     With the ``submit`` / ``apply_objects`` / ``stats`` its subclasses add
     it duck-types the :class:`QueryService` serving surface, so
     :func:`repro.server.http.make_server` serves a router and a plain
     service interchangeably.  Subclasses fill ``_targets`` with one
-    :class:`ShardTarget` per shard and override the ``_on_*`` /
-    ``_*_targets`` hooks for what their deployment mode adds.
+    :class:`ShardTarget` per shard and override the ``_on_start`` /
+    ``_stop_targets`` / ``_*_targets`` hooks for what their deployment
+    mode adds.
     """
 
     #: Name of the subtree this mode's per-request stats are reported under.
@@ -199,9 +213,13 @@ class ScatterGatherRouter:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self._shards = shards
         self._max_radius = max_radius
-        self._scatter_threads = scatter_threads
         self._engine_config = engine_config or EngineConfig()
         self._service_config = service_config or ServiceConfig()
+        super().__init__(
+            self._service_config.admission_queue_depth,
+            self._service_config.default_deadline_ms,
+            result_cache_capacity,
+        )
         self._planner_mode = resolve_planner_mode(
             self._engine_config.planner_mode
         )
@@ -225,35 +243,17 @@ class ScatterGatherRouter:
             data_objects,
             feature_objects,
         )
-        self._cache = ResultCache(result_cache_capacity)
-        #: Admission happens once, at the router: the shard targets run
-        #: with admission disabled, so a request admitted here can never be
-        #: half-shed by one shard of its scatter.  Same 429 contract as an
-        #: unsharded service.
-        self._admission = AdmissionController(
-            queue_depth=self._service_config.admission_queue_depth,
-            default_deadline_ms=self._service_config.default_deadline_ms,
-        )
-        self._latency = LatencyHistogram()
-        #: Request and state-change accounting (guarded by the router lock).
-        self._counters: Counter = Counter()
-        #: The result-cache version is ``(dataset version, write version)``:
-        #: swaps and rebalances bump the first, routed write batches the
-        #: second, so a cached response can never outlive the state change
-        #: that changed its answer.
-        self._dataset_version = 0
-        self._write_version = 0
-        self._lock = threading.Lock()
+        #: One attribute, so a reader takes both components in one step;
+        #: replaced only with the gate paused.
+        self._version = CacheVersion()
         #: Serializes state changes (swaps, rebalances, writes, resyncs).
         self._swap_lock = threading.Lock()
         self._gate = QuiesceGate()  # over scatter-gathers
-        self._pool: Optional[ThreadPoolExecutor] = None
-        #: The mode's background threads loop on ``_background_stop.wait()``.
-        self._background_stop = threading.Event()
-        self._background_threads: List[threading.Thread] = []
-        self._started = False
-        self._closed = False
-        self._started_monotonic: Optional[float] = None
+        #: One task per shard per in-flight request (threads spawn lazily).
+        self._pool = ThreadPoolExecutor(
+            max_workers=scatter_threads or min(64, shards * 8),
+            thread_name_prefix="repro-scatter",
+        )
 
     def _partition(
         self,
@@ -295,41 +295,14 @@ class ScatterGatherRouter:
         #: (nothing to rank elsewhere).  Data appends extend it.
         self._data_bearing = {s.shard_id for s in plan.shards if not s.is_empty}
 
-    def _bump(self, counter: str) -> None:
-        with self._lock:
-            self._counters[counter] += 1
-
-    def _start_background(self, run: Callable[[], None], name: str) -> threading.Thread:
-        thread = threading.Thread(target=run, name=name, daemon=True)
-        self._background_threads.append(thread)
-        thread.start()
-        return thread
-
-    def _require_serving(self) -> None:
-        if not self._started:
-            raise RuntimeError("the query service is not started")
-        if self._closed:
-            raise RuntimeError("the query service is shut down")
-
     # ------------------------------------------------------------------ #
     # lifecycle
 
-    def start(self) -> "ScatterGatherRouter":
-        """Start the scatter pool and the mode's own machinery (idempotent)."""
-        with self._lock:
-            if self._started or self._closed:
-                return self
-            self._started = True
-            self._started_monotonic = time.monotonic()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self._scatter_threads or min(64, self._shards * 8),
-            thread_name_prefix="repro-scatter",
-        )
-        self._on_start()
-        return self
+    def _on_start(self) -> None:
+        """Start what the targets need and any background thread."""
 
-    def shutdown(self) -> None:
-        """Drain in-flight requests, then tear everything down (idempotent).
+    def _on_shutdown(self) -> None:
+        """Drain in-flight requests, then tear everything down.
 
         A request that passed the submission check races shutdown; tearing
         the scatter pool down under it would fail an accepted request (the
@@ -339,64 +312,16 @@ class ScatterGatherRouter:
         whatever the targets own stopped (serialized against a concurrent
         state change via the swap lock).
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._background_stop.set()
-        for thread in self._background_threads:
-            thread.join()
         self._gate.drain_and_close()
         with self._swap_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-            self._on_shutdown()
+            self._pool.shutdown(wait=True)
+            self._stop_targets()
 
-    def _on_start(self) -> None:
-        """Start what the targets need and any background thread."""
-
-    def _on_shutdown(self) -> None:
+    def _stop_targets(self) -> None:
         """Stop what the router owns behind its targets, after the drain."""
 
-    def __enter__(self) -> "ScatterGatherRouter":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`shutdown` has been called."""
-        return self._closed
-
-    def uptime_seconds(self) -> float:
-        """Seconds since :meth:`start` (0.0 before it); lock-free."""
-        started = self._started_monotonic
-        return time.monotonic() - started if started is not None else 0.0
-
     # ------------------------------------------------------------------ #
-    # serving
-
-    def submit_many(
-        self, specs: Sequence[Mapping[str, object]]
-    ) -> List[Dict[str, object]]:
-        """Serve a batch of request objects; responses in input order.
-
-        All requests are validated up front (the whole batch is rejected if
-        any is invalid, mirroring ``QueryService.submit_many``), then served
-        concurrently on a batch-local thread pool so their scatter-gather
-        round-trips overlap -- the pool is distinct from the shard scatter
-        pool (batch tasks block on scatter tasks, never the reverse, so the
-        two levels cannot deadlock each other).
-        """
-        parsed_list = [self._parse(spec) for spec in specs]
-        if len(parsed_list) <= 1:
-            return [self._serve(parsed) for parsed in parsed_list]
-        with ThreadPoolExecutor(
-            max_workers=min(len(parsed_list), 8),
-            thread_name_prefix="repro-router-batch",
-        ) as pool:
-            return list(pool.map(self._serve, parsed_list))
+    # serving (the executor side of the front-door lifecycle)
 
     def _parse(self, spec: Mapping[str, object]) -> ParsedRequest:
         parsed = parse_query_spec(spec, self._defaults, ALGORITHM_CHOICES)
@@ -415,36 +340,21 @@ class ScatterGatherRouter:
             )
         return parsed
 
-    def _serve(self, parsed: ParsedRequest) -> Dict[str, object]:
-        started = time.monotonic()
-        self._require_serving()
-        self._bump("submitted")
-        admission = self._admission
-        deadline = admission.resolve_deadline(parsed.deadline_ms)
-        admission.on_arrival(deadline)
-        admission.acquire()
-        try:
-            response = self._serve_admitted(parsed, deadline)
-        except BaseException as exc:
-            # An OverloadError past admission is the gate's queue-expiry
-            # check (admitted, then the deadline passed at a paused gate)
-            # or a 429 relayed by a remote target configured with its own
-            # admission.  Either way the client sees a 429: the shed bucket.
-            admission.release(
-                "expired" if isinstance(exc, OverloadError) else "failed"
-            )
-            self._bump("failed")
-            raise
-        latency = time.monotonic() - started
-        admission.release("completed", latency)
-        self._latency.record(latency)
-        self._bump("completed")
-        return response
+    def _cache_version(self) -> CacheVersion:
+        """``(dataset version, write version)``, read in one step.
 
-    def _serve_admitted(
+        What makes the front door's probe-before-the-gate sound here: an
+        entry is only ever stored inside the gate under the pair it was
+        computed at, both components only grow, a write bumps its component
+        under the paused gate *before* the first target is touched, and
+        degraded answers are never stored.
+        """
+        return self._version
+
+    def _execute(
         self, parsed: ParsedRequest, deadline: Optional[float]
     ) -> Dict[str, object]:
-        """Gate entry + scatter-gather for one admitted request."""
+        """One scatter-gather inside the quiesce gate."""
         with self._gate.enter():
             # A state change may have held the gate long enough to blow the
             # request's budget; shedding it here (explicit 429) instead of
@@ -453,27 +363,31 @@ class ScatterGatherRouter:
             # outcome.
             if self._admission.expired_in_queue(deadline):
                 raise self._admission.queue_expiry_error()
-            return self._serve_gated(parsed)
-
-    def _serve_gated(self, parsed: ParsedRequest) -> Dict[str, object]:
-        """Cache probe + scatter-gather; runs inside the quiesce gate."""
-        key = parsed.canonical_key((self._dataset_version, self._write_version))
-        response = self._cache.get(key) if self._cache.enabled else None
-        if response is not None:
-            response["cached"] = True
-            self._bump("cache_hits")
-        else:
+            version = self._version
             answered, missing = self._scatter(parsed)
             full = self._gather(parsed, answered, missing)
             if not missing:
                 # A degraded (partial) answer must never be served to a
                 # later healthy request from the cache.
-                self._cache.put(key, full)
-            response = dict(full)
-        # The cache holds the stats-bearing payload; answer what was asked.
-        if not parsed.include_stats:
-            response.pop("stats", None)
-        return response
+                self._store(parsed, version, full)
+            return self._answer(parsed, full)
+
+    def _execute_many(
+        self, parsed_list: Sequence[ParsedRequest]
+    ) -> Iterator[Dict[str, object]]:
+        """Scatter-gather the misses concurrently on a batch-local pool, so
+        their round-trips overlap -- distinct from the shard scatter pool
+        (batch tasks block on scatter tasks, never the reverse, so the two
+        levels cannot deadlock each other)."""
+        execute = functools.partial(self._execute, deadline=None)
+        if len(parsed_list) <= 1:
+            yield from map(execute, parsed_list)
+            return
+        with ThreadPoolExecutor(
+            max_workers=min(len(parsed_list), 8),
+            thread_name_prefix="repro-router-batch",
+        ) as pool:
+            yield from pool.map(execute, parsed_list)
 
     def _scatter(
         self, parsed: ParsedRequest
@@ -499,7 +413,6 @@ class ScatterGatherRouter:
         if len(shard_ids) <= 1:
             outcomes = [self._targets[s].query(spec) for s in shard_ids]
         else:
-            assert self._pool is not None  # started before requests are gated
             futures = [
                 self._pool.submit(self._targets[s].query, spec)
                 for s in shard_ids
@@ -594,7 +507,7 @@ class ScatterGatherRouter:
         """The mode's per-request stats subtree."""
         return {
             "shards_queried": queried,
-            "dataset_version": self._dataset_version,
+            "dataset_version": self._version.dataset,
             "planned_algorithms": planned or None,
         }
 
@@ -646,7 +559,9 @@ class ScatterGatherRouter:
             plan = self._partition(data_objects, feature_objects, layout, extent)
             self._adopt(plan, data_objects, feature_objects)
             self._delta.reset()
-            self._dataset_version += 1
+            self._version = self._version._replace(
+                dataset=self._version.dataset + 1
+            )
             self._cache.invalidate()
             self._swap_targets(plan)
         return plan
@@ -659,7 +574,7 @@ class ScatterGatherRouter:
     def dataset_info(self) -> Dict[str, object]:
         """Version and sizes of the current (full) base snapshot."""
         return {
-            "version": self._dataset_version,
+            "version": self._version.dataset,
             "data_objects": len(self._base_data),
             "feature_objects": len(self._base_features),
         }
@@ -704,7 +619,9 @@ class ScatterGatherRouter:
                 list(delete_data_oids), list(delete_feature_oids),
             )
             with self._gate.paused():
-                self._write_version += 1
+                self._version = self._version._replace(
+                    write=self._version.write + 1
+                )
                 self._data_bearing.update(
                     s for s, update in enumerate(updates) if update["append_data"]
                 )
@@ -760,41 +677,10 @@ class ScatterGatherRouter:
     # introspection
 
     @property
-    def admission(self) -> AdmissionController:
-        """The router-level admission controller (targets run without one)."""
-        return self._admission
-
-    @property
     def plan(self) -> ShardingPlan:
         """The current sharding plan (replaced wholesale by hot swaps)."""
         return self._plan
 
-    def _common_stats(self, counters: Counter) -> Dict[str, object]:
-        """The ``/stats`` subtrees every mode reports (:meth:`QueryService.stats` shaped)."""
-        return {
-            "uptime_seconds": self.uptime_seconds(),
-            "started": self._started,
-            "closed": self._closed,
-            "requests": {
-                "submitted": counters["submitted"],
-                "completed": counters["completed"],
-                "failed": counters["failed"],
-                "result_cache_hits": counters["cache_hits"],
-            },
-            "latency": self._latency.snapshot(),
-            "admission": self._admission.snapshot(),
-            "result_cache": {
-                "capacity": self._cache.capacity,
-                "size": len(self._cache),
-                **self._cache.stats.as_dict(),
-            },
-            "dataset": {**self.dataset_info(), "swaps": counters["swaps"]},
-            "defaults": vars(self._defaults),
-        }
-
-    def _snapshot_counters(self) -> Counter:
-        with self._lock:
-            return Counter(self._counters)
 
 class ShardRouter(ScatterGatherRouter):
     """Scatter-gather front-end over one in-process :class:`QueryService` per shard."""
@@ -894,7 +780,7 @@ class ShardRouter(ScatterGatherRouter):
                 self._run_rebalance_controller, "repro-rebalance"
             )
 
-    def _on_shutdown(self) -> None:
+    def _stop_targets(self) -> None:
         for service in self._services:
             service.shutdown()
 

@@ -41,11 +41,12 @@ def _gate_engines(service):
 
     ``started`` fires when the first gated call begins executing --
     after that, every admitted slot the test fills stays filled until
-    ``release`` fires.
+    ``release`` fires.  A router's engines are its shard services'.
     """
     started = threading.Event()
     release = threading.Event()
-    for engine in service._engines:
+    services = getattr(service, "services", [service])
+    for engine in [e for shard in services for e in shard._engines]:
         original = engine.execute_many
 
         def gated(items, _original=original, **kwargs):
@@ -317,6 +318,36 @@ class TestServiceAdmission:
 
 # --------------------------------------------------------------------- #
 # sharded / routed admission
+
+
+class TestShardRouterAdmission:
+    """The cache-bypass and batch-bypass rules hold in every deployment
+    mode: the same two tests, over a 2-shard router instead of a service."""
+
+    @pytest.fixture()
+    def service(self, small_uniform_dataset):
+        from repro.sharding import ShardRouter, ShardingConfig
+
+        data, features = small_uniform_dataset
+        router = ShardRouter(
+            data,
+            features,
+            service_config=ServiceConfig(
+                engines=1,
+                admission_queue_depth=2,
+                result_cache_capacity=64,
+            ),
+            sharding=ShardingConfig(shards=2),
+        )
+        with router:
+            yield router, features
+
+    test_cache_hits_bypass_the_queue = (
+        TestServiceAdmission.test_cache_hits_bypass_the_queue
+    )
+    test_batch_surface_bypasses_admission = (
+        TestServiceAdmission.test_batch_surface_bypasses_admission
+    )
 
 
 class TestRoutedAdmission:

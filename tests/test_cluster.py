@@ -35,6 +35,7 @@ from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
 from repro.exceptions import InvalidQueryError
 from repro.model.query import SpatialPreferenceQuery
 from repro.server import QueryService, ServiceConfig, make_server
+from repro.sharding import ShardRouter, ShardingConfig
 
 GRID = 10
 
@@ -804,6 +805,66 @@ class TestSpawnValidation:
 
     def test_terminate_is_safe_on_empty_fleet(self):
         terminate_nodes([])
+
+
+# --------------------------------------------------------------------- #
+# the front-door contract: one lifecycle, whatever the deployment mode
+
+
+class TestFrontDoorContract:
+    #: Subtrees whose key sets are identical in every mode; ``requests``
+    #: and ``dataset`` may carry mode-specific extras on top of these.
+    SAME_KEYS = ("latency", "admission", "result_cache", "defaults")
+    REQUESTS = {"submitted", "completed", "failed", "result_cache_hits"}
+    DATASET = {"version", "data_objects", "feature_objects", "swaps"}
+
+    @pytest.mark.parametrize("mode", ["service", "shards", "cluster"])
+    def test_lifecycle_guards_and_common_stats(self, mode, small_uniform_dataset):
+        data, features = small_uniform_dataset
+        configs = dict(
+            engine_config=EngineConfig(grid_size=GRID),
+            service_config=ServiceConfig(engines=1, default_grid_size=GRID),
+        )
+        reference = QueryService(data, features, config=configs["service_config"])
+        fleet = None
+        if mode == "service":
+            door = reference
+        elif mode == "shards":
+            door = ShardRouter(
+                data, features, sharding=ShardingConfig(shards=2), **configs
+            )
+        else:
+            fleet = Fleet(small_uniform_dataset)
+            door = fleet.router
+        spec = {"keywords": ["w0001"], "k": 3, "radius": 2.0}
+        try:
+            with pytest.raises(RuntimeError, match="not started"):
+                door.submit(spec)
+            assert door.start() is door
+            door.start()  # idempotent
+            assert door.submit(spec)["cached"] is False
+            assert door.submit(spec)["cached"] is True
+            stats = door.stats()
+            door.shutdown()
+            door.shutdown()  # idempotent
+            assert door.closed
+            for call in (door.submit, lambda s: door.submit_many([s])):
+                # Even for a spec the result cache still holds.
+                with pytest.raises(RuntimeError, match="shut down"):
+                    call(spec)
+        finally:
+            door.shutdown()
+            reference.shutdown()
+            if fleet is not None:
+                fleet.__exit__()
+        expected = reference.stats()
+        assert stats["started"] is True and stats["closed"] is False
+        assert stats["uptime_seconds"] > 0.0
+        assert stats["requests"]["result_cache_hits"] == 1
+        assert self.REQUESTS <= set(stats["requests"])
+        assert self.DATASET <= set(stats["dataset"])
+        for subtree in self.SAME_KEYS:
+            assert set(stats[subtree]) == set(expected[subtree]), subtree
 
 
 def _drain(url):  # pragma: no cover - debugging helper

@@ -121,7 +121,7 @@ class TestEngineWorkers:
         query = SpatialPreferenceQuery.create(k=5, radius=3.0, keywords=keywords)
         serial = SPQEngine(data, features).execute(query, algorithm="espq-len", grid_size=8)
         threaded = SPQEngine(
-            data, features, config=EngineConfig(max_workers=4)
+            data, features, config=EngineConfig(backend="thread", workers=4)
         ).execute(query, algorithm="espq-len", grid_size=8)
         assert threaded.scores() == pytest.approx(serial.scores())
 

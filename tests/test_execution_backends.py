@@ -127,7 +127,7 @@ class TestRunnerEquivalence:
         assert result.num_reduce_tasks == baseline.num_reduce_tasks
 
     def test_thread_pool_counters_merge_in_task_index_order(self, dataset, queries):
-        """Regression: max_workers>1 must aggregate counters deterministically.
+        """Regression: threaded runs must aggregate counters deterministically.
 
         Per-task counters are merged in task-index order no matter when each
         thread finishes, so repeated parallel runs match serial bit for bit.
@@ -144,17 +144,11 @@ class TestRunnerEquivalence:
             )
             for _ in range(3):
                 threaded = LocalJobRunner(
-                    num_reducers=grid.num_cells, max_workers=4
+                    num_reducers=grid.num_cells, backend=ThreadBackend(4)
                 ).run(job_class(queries[0], grid), records)
                 assert threaded.outputs == serial.outputs
                 assert threaded.counters.as_dict() == serial.counters.as_dict()
                 assert report_dicts(threaded) == report_dicts(serial)
-
-    def test_legacy_max_workers_selects_thread_backend(self):
-        assert isinstance(LocalJobRunner(num_reducers=1).backend, SerialBackend)
-        runner = LocalJobRunner(num_reducers=1, max_workers=4)
-        assert isinstance(runner.backend, ThreadBackend)
-        assert runner.backend.workers == 4
 
     def test_process_backend_propagates_task_errors(self, dataset, queries):
         """Worker-side failures surface in the parent like serial failures do."""
@@ -267,10 +261,6 @@ class TestBackendConfiguration:
     def test_explicit_choice_beats_env_var(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "process")
         assert resolve_backend_spec("thread", 2) == ("thread", 2)
-
-    def test_legacy_thread_workers_beat_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        assert resolve_backend_spec(fallback_thread_workers=4) == ("thread", 4)
 
     def test_bad_env_workers_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "lots")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import JobConfigurationError, JobExecutionError
+from repro.execution.thread import ThreadBackend
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import LocalJobRunner
 
@@ -95,8 +96,9 @@ class TestRunnerConfiguration:
             LocalJobRunner(num_reducers=1, split_size=0)
 
     def test_rejects_zero_workers(self):
+        # The worker count is the backend's; so is the check.
         with pytest.raises(JobConfigurationError):
-            LocalJobRunner(num_reducers=1, max_workers=0)
+            LocalJobRunner(num_reducers=1, backend=ThreadBackend(0))
 
 
 class TestWordCount:
@@ -143,7 +145,9 @@ class TestWordCount:
         records = ["a b c d", "a a b", "d d d d"]
         serial = dict(LocalJobRunner(num_reducers=4).run(WordCountJob(), records).outputs)
         parallel = dict(
-            LocalJobRunner(num_reducers=4, max_workers=4).run(WordCountJob(), records).outputs
+            LocalJobRunner(num_reducers=4, backend=ThreadBackend(4))
+            .run(WordCountJob(), records)
+            .outputs
         )
         assert serial == parallel
 

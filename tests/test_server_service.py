@@ -211,6 +211,16 @@ class TestValidation:
         with pytest.raises(RuntimeError, match="shut down"):
             service.submit({"keywords": ["w0001"]})
 
+    def test_cached_spec_after_shutdown_rejected(self, small_uniform_dataset):
+        """Regression: the result cache must not outlive the service."""
+        service = make_service(small_uniform_dataset)
+        spec = {"keywords": ["w0001"], "k": 3, "radius": 2.0}
+        with service:
+            service.submit(spec)
+            assert service.submit(spec)["cached"] is True
+        with pytest.raises(RuntimeError, match="shut down"):
+            service.submit(spec)
+
 
 class TestMicroBatching:
     def test_concurrent_requests_share_batches(self, small_uniform_dataset):

@@ -1,4 +1,4 @@
-"""Keep-alive node transport: reuse, stale retry, fallbacks, taxonomy."""
+"""Keep-alive node transport: reuse, stale retry, taxonomy."""
 
 from __future__ import annotations
 
@@ -9,11 +9,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro.cluster.transport import (
-    KEEPALIVE_ENV,
     NodeTransportError,
     close_pooled_connections,
     get_json,
-    keepalive_enabled,
     pool_stats,
     post_json,
     reset_pool_stats,
@@ -81,8 +79,7 @@ def server():
 
 
 @pytest.fixture(autouse=True)
-def clean_pool(monkeypatch):
-    monkeypatch.delenv(KEEPALIVE_ENV, raising=False)
+def clean_pool():
     close_pooled_connections()
     reset_pool_stats()
     yield
@@ -138,29 +135,6 @@ class TestConnectionReuse:
         assert pool_stats()["stale_retries"] == 0
 
 
-class TestKeepaliveToggle:
-    def test_enabled_by_default(self):
-        assert keepalive_enabled() is True
-
-    @pytest.mark.parametrize("value", ["off", "0", "false", "OFF"])
-    def test_disabled_values(self, monkeypatch, value):
-        monkeypatch.setenv(KEEPALIVE_ENV, value)
-        assert keepalive_enabled() is False
-
-    def test_oneshot_path_bypasses_pool(self, server, monkeypatch):
-        monkeypatch.setenv(KEEPALIVE_ENV, "off")
-        for _ in range(3):
-            assert get_json(url_of(server, "/healthz"), timeout=TIMEOUT)["ok"]
-        assert pool_stats()["requests"] == 0
-
-    def test_oneshot_error_taxonomy(self, server, monkeypatch):
-        monkeypatch.setenv(KEEPALIVE_ENV, "off")
-        with pytest.raises(InvalidQueryError, match="bad query"):
-            get_json(url_of(server, "/bad"), timeout=TIMEOUT)
-        with pytest.raises(NodeTransportError, match="kaput"):
-            get_json(url_of(server, "/boom"), timeout=TIMEOUT)
-
-
 class TestErrorTaxonomy:
     def test_4xx_raises_invalid_query_with_node_message(self, server):
         with pytest.raises(InvalidQueryError, match="bad query"):
@@ -173,6 +147,11 @@ class TestErrorTaxonomy:
     def test_non_json_body_raises_transport_error(self, server):
         with pytest.raises(NodeTransportError, match="non-JSON"):
             get_json(url_of(server, "/notjson"), timeout=TIMEOUT)
+
+    def test_non_http_scheme_raises_transport_error(self):
+        with pytest.raises(NodeTransportError, match="'https'"):
+            get_json("https://127.0.0.1:1/healthz", timeout=TIMEOUT)
+        assert pool_stats()["requests"] == 0
 
     def test_errors_do_not_poison_the_pool(self, server):
         with pytest.raises(InvalidQueryError):
