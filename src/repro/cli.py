@@ -32,6 +32,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import signal
 import sys
@@ -43,11 +44,9 @@ from repro.core.analysis import duplication_factor, reducer_cost_model
 from repro.core.centralized import dataset_extent
 from repro.core.engine import ALGORITHM_CHOICES, EngineConfig, SPQEngine
 from repro.planner import AUTO_ALGORITHM, PLANNED_ALGORITHMS
-from repro.core.scoring import SCORE_MODES
 from repro.exceptions import JobConfigurationError
 from repro.execution import BACKEND_NAMES, resolve_backend_spec
 from repro.datagen.io import load_dataset, save_dataset
-from repro.datagen.queries import radius_from_cell_fraction
 from repro.datagen.realistic import (
     RealisticDatasetConfig,
     generate_flickr_like,
@@ -59,7 +58,6 @@ from repro.datagen.synthetic import (
     generate_uniform,
 )
 from repro.exceptions import InvalidQueryError
-from repro.index.planner import BatchQuery
 from repro.model.query import SpatialPreferenceQuery
 
 DATASET_CHOICES = ("uniform", "clustered", "flickr", "twitter")
@@ -93,6 +91,52 @@ def _engine_config(args: argparse.Namespace, **extra) -> EngineConfig:
     """
     backend, workers = resolve_backend_spec(args.backend, args.workers)
     return EngineConfig(backend=backend, workers=workers, **extra)
+
+
+class _CliError(Exception):
+    """Bad input: :func:`main` prints ``error: <message>`` and exits 2."""
+
+
+def _warn(message: str) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
+def _load_nonempty_dataset(path: str):
+    """The dataset file every query-running command starts from."""
+    data, features = load_dataset(path)
+    if not data:
+        raise _CliError("dataset contains no data objects")
+    return data, features
+
+
+def _add_query_arguments(
+    parser: argparse.ArgumentParser, *, help, grid_size: bool = True
+) -> None:
+    """The query-parameter flags: what ``query`` runs with, and what ``batch``
+    and ``serve`` resolve a request against that leaves a field out.
+
+    ``help`` maps each flag to the command's wording; ``grid_size=False``
+    is for ``serve``, whose ``--grid-size`` comes with the serving flags.
+    """
+    parser.add_argument("--k", type=int, default=10, help=help.get("k"))
+    parser.add_argument("--radius", type=float, default=None, help=help["radius"])
+    parser.add_argument("--radius-fraction", type=float, default=0.10,
+                        help=help["radius_fraction"])
+    if grid_size:
+        parser.add_argument("--grid-size", type=int, default=50)
+    parser.add_argument("--algorithm", choices=ALGORITHM_CHOICES,
+                        default="espq-sco", help=help["algorithm"])
+
+
+def _default_help(what: str) -> dict:
+    """``_add_query_arguments`` wording for flags that are defaults of ``what``."""
+    return {
+        "k": f"default k for {what}",
+        "radius": "default absolute radius (overrides --radius-fraction)",
+        "radius_fraction": "default radius as a fraction of the grid-cell side",
+        "algorithm": f"default algorithm for {what} ('auto' engages the "
+                     "cost-based planner per query)",
+    }
 
 
 def _add_serving_arguments(
@@ -155,18 +199,51 @@ _SERVICE_CONFIG_FLAGS = {
 }
 
 
+#: ``WorkloadConfig`` field -> the ``loadgen`` dest that sets it.
+_WORKLOAD_CONFIG_FLAGS = {
+    **{name: name for name in (
+        "seed", "rate", "arrival", "diurnal_amplitude", "zipf_exponent",
+        "keywords_per_query", "k", "radius", "deadline_ms", "hotspot_fraction",
+        "burst_size", "slow_client_fraction", "clients",
+    )},
+    "duration_seconds": "duration",
+    "burst_every_seconds": "burst_every",
+}
+
+
+def _config_from_flags(config_class, flags, args: argparse.Namespace, **extra):
+    """``config_class`` built from the flags a command declares."""
+    values = {
+        field: getattr(args, dest)
+        for field, dest in flags.items()
+        if hasattr(args, dest)
+    }
+    return config_class(**values, **extra)
+
+
+def _request_defaults(args: argparse.Namespace, data, features):
+    """What a request that leaves a field out resolves to under the command's
+    flags -- by the service's own rule (``--radius``, else
+    ``--radius-fraction`` of a ``--grid-size`` cell), so ``query``, ``batch``
+    and ``serve`` agree on it."""
+    from repro.server.service import resolve_request_defaults
+
+    try:
+        return resolve_request_defaults(
+            dataset_extent(data, features), args.grid_size, _service_config(args)
+        )
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
+
+
 def _service_config(args: argparse.Namespace):
     """Service configuration from a serving command's flags."""
     from repro.server import ServiceConfig
 
-    values = {
-        field: getattr(args, dest)
-        for field, dest in _SERVICE_CONFIG_FLAGS.items()
-        if hasattr(args, dest)
-    }
+    extra = {}
     if hasattr(args, "batch_window_ms"):
-        values["batch_window_seconds"] = args.batch_window_ms / 1000.0
-    return ServiceConfig(**values)
+        extra["batch_window_seconds"] = args.batch_window_ms / 1000.0
+    return _config_from_flags(ServiceConfig, _SERVICE_CONFIG_FLAGS, args, **extra)
 
 
 # --------------------------------------------------------------------- #
@@ -201,39 +278,21 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     if args.explain and args.algorithm != AUTO_ALGORITHM:
-        print(
-            "error: --explain prints the planner's per-algorithm cost estimates "
-            "and requires --algorithm auto",
-            file=sys.stderr,
+        raise _CliError(
+            "--explain prints the planner's per-algorithm cost estimates "
+            "and requires --algorithm auto"
         )
-        return 2
-    data, features = load_dataset(args.input)
-    if not data:
-        print("error: dataset contains no data objects", file=sys.stderr)
-        return 2
+    data, features = _load_nonempty_dataset(args.input)
     keywords = {word for word in args.keywords.split(",") if word}
     if not keywords:
-        print("error: --keywords must contain at least one keyword", file=sys.stderr)
-        return 2
-
-    try:
-        config = _engine_config(args)
-    except JobConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    engine = SPQEngine(data, features, config=config)
-    if args.radius is not None:
-        radius = args.radius
-    else:
-        extent = dataset_extent(data, features)
-        radius = radius_from_cell_fraction(extent, args.grid_size, args.radius_fraction)
+        raise _CliError("--keywords must contain at least one keyword")
+    radius = _request_defaults(args, data, features).radius
     query = SpatialPreferenceQuery.create(k=args.k, radius=radius, keywords=keywords)
+    config = _engine_config(args)
+    engine = SPQEngine(data, features, config=config)
 
     try:
         result = engine.execute(query, algorithm=args.algorithm, grid_size=args.grid_size)
-    except (InvalidQueryError, JobConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         engine.close()
     backend_name = result.stats.get("backend", config.backend)
@@ -277,152 +336,55 @@ def _print_plan(stats: dict) -> None:
 # batch
 
 
-def _parse_batch_line(
-    line: str, line_number: int, args: argparse.Namespace, extent
-) -> BatchQuery:
-    """One JSONL query spec -> a BatchQuery with per-line overrides."""
-    try:
-        spec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"line {line_number}: invalid JSON ({exc})") from exc
-    if not isinstance(spec, dict):
-        raise ValueError(f"line {line_number}: expected a JSON object")
-
-    keywords = spec.get("keywords")
-    if isinstance(keywords, str):
-        keywords = [word for word in keywords.split(",") if word]
-    if not keywords:
-        raise ValueError(f"line {line_number}: 'keywords' must be a non-empty list")
-
-    grid_size = spec.get("grid_size")
-    if grid_size is not None:
-        try:
-            grid_size = int(grid_size)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"line {line_number}: grid_size must be an integer") from exc
-        if grid_size < 1:
-            raise ValueError(f"line {line_number}: grid_size must be >= 1, got {grid_size}")
-
-    radius = spec.get("radius")
-    if radius is None:
-        if args.radius is not None:
-            radius = args.radius
-        else:
-            # Same rule as `repro query`: a fraction of the cell side of the
-            # grid this query actually runs on (per-line override included).
-            effective_grid = grid_size if grid_size is not None else args.grid_size
-            radius = radius_from_cell_fraction(
-                extent, effective_grid, args.radius_fraction
-            )
-    try:
-        query = SpatialPreferenceQuery.create(
-            k=int(spec.get("k", args.k)), radius=float(radius), keywords=keywords
-        )
-    except (InvalidQueryError, TypeError) as exc:
-        raise ValueError(f"line {line_number}: {exc}") from exc
-    algorithm = spec.get("algorithm")
-    if algorithm is not None and algorithm not in ALGORITHM_CHOICES:
-        raise ValueError(
-            f"line {line_number}: unknown algorithm {algorithm!r}; "
-            f"expected one of {ALGORITHM_CHOICES}"
-        )
-    score_mode = spec.get("score_mode")
-    if score_mode is not None and score_mode not in SCORE_MODES:
-        raise ValueError(
-            f"line {line_number}: unknown score_mode {score_mode!r}; "
-            f"expected one of {SCORE_MODES}"
-        )
-    return BatchQuery(
-        query=query,
-        algorithm=algorithm,
-        grid_size=grid_size,
-        score_mode=score_mode,
+def _cmd_batch(args: argparse.Namespace) -> int:
+    # The query file is the service's wire format, parsed by the service's
+    # own parser against defaults derived the service's way, so a file
+    # replays against ``POST /batch`` of a server started with the same
+    # flags line for line (docs/service.md).
+    from repro.server.protocol import (
+        batch_lines,
+        parse_query_spec,
+        result_payload,
+        split_batch_body,
     )
 
-
-def _cmd_batch(args: argparse.Namespace) -> int:
-    data, features = load_dataset(args.input)
-    if not data:
-        print("error: dataset contains no data objects", file=sys.stderr)
-        return 2
-    extent = dataset_extent(data, features)
-
-    items: List[BatchQuery] = []
+    data, features = _load_nonempty_dataset(args.input)
+    defaults = _request_defaults(args, data, features)
     try:
-        handle = open(args.queries, "r", encoding="utf-8")
+        with open(args.queries, "r", encoding="utf-8") as handle:
+            numbered = split_batch_body(handle.read())
     except OSError as exc:
-        print(f"error: cannot read query file: {exc}", file=sys.stderr)
-        return 2
-    with handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                items.append(_parse_batch_line(line, line_number, args, extent))
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-    if not items:
-        print("error: query file contains no queries", file=sys.stderr)
-        return 2
-
+        raise _CliError(f"cannot read query file: {exc}") from exc
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
+    requests = []
+    for number, spec in numbered:
+        try:
+            parsed = parse_query_spec(spec, defaults, ALGORITHM_CHOICES)
+        except InvalidQueryError as exc:
+            raise _CliError(f"line {number}: {exc}") from exc
+        # A line's "deadline_ms" is legal and means nothing offline.
+        requests.append(dataclasses.replace(
+            parsed, include_stats=parsed.include_stats or args.stats
+        ))
+    engine = SPQEngine(data, features, config=_engine_config(args))
     try:
-        config = _engine_config(args)
-    except JobConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    engine = SPQEngine(data, features, config=config)
-    try:
-        results = engine.execute_many(
-            items, algorithm=args.algorithm, grid_size=args.grid_size
-        )
-    except (InvalidQueryError, JobConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        results = engine.execute_many([request.item for request in requests])
     finally:
         engine.close()
 
-    try:
-        out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot write output file: {exc}", file=sys.stderr)
-        return 2
-    try:
-        for item, result in zip(items, results):
-            record = {
-                "keywords": sorted(item.query.keywords),
-                "k": item.query.k,
-                "radius": item.query.radius,
-                "algorithm": item.algorithm or args.algorithm,
-                "results": [
-                    {"oid": e.obj.oid, "score": e.score, "x": e.obj.x, "y": e.obj.y}
-                    for e in result
-                ],
-            }
-            if "planned_algorithm" in result.stats:
-                record["planned_algorithm"] = result.stats["planned_algorithm"]
-            if args.stats:
-                record["stats"] = {
-                    key: result.stats.get(key)
-                    for key in (
-                        "grid_size",
-                        "backend",
-                        "workers",
-                        "shuffled_records",
-                        "features_pruned",
-                        "features_examined",
-                        "score_computations",
-                        "simulated_seconds",
-                        "planner_estimates",
-                        "index",
-                    )
-                    if key in result.stats
-                }
-            out.write(json.dumps(record) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    # The same renderer as a ``POST /batch`` response: one object per line.
+    lines = batch_lines(
+        [result_payload(request, result) for request, result in zip(requests, results)]
+    )
+    if args.output == "-":
+        sys.stdout.write(lines)
+    else:
+        try:
+            with open(args.output, "w", encoding="utf-8") as out:
+                out.write(lines)
+        except OSError as exc:
+            raise _CliError(f"cannot write output file: {exc}") from exc
     if args.stats:
         cache = engine.index_cache_stats
         print(
@@ -468,72 +430,102 @@ def _run_server_loop(server, shutdown) -> None:
             signal.signal(signum, handler)
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.server import QueryService, make_server
-
-    if args.cluster:
-        return _cmd_serve_cluster(args)
-    data, features = load_dataset(args.input)
-    if not data:
-        print("error: dataset contains no data objects", file=sys.stderr)
-        return 2
-    sharded = args.shards > 1
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return 2
-    if args.max_radius is not None and not sharded:
-        print(
-            "warning: --max-radius only affects sharded serving "
-            "(--shards > 1); ignored",
-            file=sys.stderr,
-        )
-    if not sharded and (
-        args.layout != "uniform" or args.rebalance_threshold is not None
-    ):
-        print(
-            "warning: --layout/--rebalance-threshold only affect sharded "
-            "serving (--shards > 1); ignored",
-            file=sys.stderr,
-        )
+def _from_flags(args: argparse.Namespace, build):
+    """``build(engine_config, service_config)`` -- the serving commands'
+    shared prologue; a flag combination either config or ``build``
+    rejects exits 2."""
     try:
-        engine_config = _engine_config(args, grid_size=args.grid_size)
-        service_config = _service_config(args)
-        if sharded:
-            from repro.sharding import ShardRouter, ShardingConfig
+        return build(
+            _engine_config(args, grid_size=args.grid_size), _service_config(args)
+        )
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
 
-            service = ShardRouter(
-                data,
-                features,
-                engine_config=engine_config,
-                service_config=service_config,
-                sharding=ShardingConfig(
-                    shards=args.shards,
-                    max_radius=args.max_radius,
-                    layout=args.layout,
-                    rebalance_threshold=args.rebalance_threshold,
-                ),
-            )
-        else:
-            service = QueryService(
-                data, features, engine_config=engine_config, config=service_config
-            )
-    except (ValueError, InvalidQueryError, JobConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+
+def _front_door(
+    args: argparse.Namespace, data, features, service_config,
+    engine_config=None, **sharding,
+):
+    """The in-process service of ``serve`` and ``loadgen``: a query service,
+    or with ``--shards > 1`` a shard router (``sharding`` = its other knobs)."""
+    from repro.server import QueryService
+
+    if args.shards <= 1:
+        return QueryService(
+            data, features, engine_config=engine_config, config=service_config
+        )
+    from repro.sharding import ShardRouter, ShardingConfig
+
+    return ShardRouter(
+        data,
+        features,
+        engine_config=engine_config,
+        service_config=service_config,
+        sharding=ShardingConfig(shards=args.shards, **sharding),
+    )
+
+
+def _bind_server(args: argparse.Namespace, service):
+    """The HTTP server of ``service`` on ``--host``/``--port`` (exit 2 when
+    the address cannot be bound)."""
+    from repro.server import make_server
+
     try:
-        server = make_server(
+        return make_server(
             service, args.host, args.port, quiet=not args.access_log
         )
     except OSError as exc:
-        print(f"error: cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
-        return 2
+        raise _CliError(f"cannot bind {args.host}:{args.port}: {exc}") from exc
+
+
+def _print_banner(
+    who: str, args: argparse.Namespace, server, detail: str,
+    extra_post: str = "", extra_get: str = "",
+) -> None:
+    """The two start-up lines of a serving command.  The cluster spawner
+    tails node logs for the exact "listening on http://..." wording to
+    learn the OS-assigned port; keep it stable."""
+    print(f"{who} listening on http://{args.host}:{server.port}  ({detail})")
+    print(
+        "endpoints: POST /query  POST /batch  POST /objects  "
+        f"POST /datasets{extra_post}  GET /healthz  GET /stats{extra_get}"
+    )
+    sys.stdout.flush()
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    if args.cluster:
+        return _cmd_serve_cluster(args)
+    data, features = _load_nonempty_dataset(args.input)
+    sharded = args.shards > 1
+    if args.shards < 1:
+        raise _CliError(f"--shards must be >= 1, got {args.shards}")
+    if args.max_radius is not None and not sharded:
+        _warn("--max-radius only affects sharded serving (--shards > 1); ignored")
+    if not sharded and (
+        args.layout != "uniform" or args.rebalance_threshold is not None
+    ):
+        _warn(
+            "--layout/--rebalance-threshold only affect sharded serving "
+            "(--shards > 1); ignored"
+        )
+
+    service = _from_flags(
+        args,
+        lambda engine_config, service_config: _front_door(
+            args, data, features, service_config, engine_config,
+            max_radius=args.max_radius,
+            layout=args.layout,
+            rebalance_threshold=args.rebalance_threshold,
+        ),
+    )
+    server = _bind_server(args, service)
 
     if not sharded and args.calibration_path and service.planner is None:
-        print(
-            "warning: --calibration-path is ignored because the planner is "
-            "disabled (planner_mode / $REPRO_PLANNER is 'off'); calibration "
-            "will be neither restored nor saved",
-            file=sys.stderr,
+        _warn(
+            "--calibration-path is ignored because the planner is disabled "
+            "(planner_mode / $REPRO_PLANNER is 'off'); calibration will be "
+            "neither restored nor saved"
         )
     if sharded and args.calibration_path:
         print(
@@ -549,10 +541,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         else None
     )
     if persistence and persistence["rejected"]:
-        print(
-            f"warning: calibration snapshot rejected, starting cold: "
-            f"{persistence['rejected']}",
-            file=sys.stderr,
+        _warn(
+            f"calibration snapshot rejected, starting cold: "
+            f"{persistence['rejected']}"
         )
     elif persistence and persistence["restored"]:
         print(
@@ -562,27 +553,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     shard_note = (
         f", {args.shards} shards ({args.layout} layout)" if sharded else ""
     )
-    print(
-        f"repro serve: listening on http://{args.host}:{server.port}  "
-        f"({len(data)} data objects, {len(features)} feature objects, "
-        f"{args.engines} engines{shard_note})"
+    _print_banner(
+        "repro serve:", args, server,
+        f"{len(data)} data objects, {len(features)} feature objects, "
+        f"{args.engines} engines{shard_note}",
+        extra_post="  POST /rebalance" if sharded else "",
     )
-    rebalance_note = "  POST /rebalance" if sharded else ""
-    print(
-        "endpoints: POST /query  POST /batch  POST /objects  "
-        f"POST /datasets{rebalance_note}  GET /healthz  GET /stats"
-    )
-    sys.stdout.flush()
 
     # The service's shutdown drains, saves calibration and closes engines.
     _run_server_loop(server, [service.shutdown])
     if args.calibration_path and not sharded and service.planner is not None:
         save_error = service.stats()["planner"]["persistence"]["last_error"]
         if save_error:
-            print(
-                f"warning: calibration could not be saved: {save_error}",
-                file=sys.stderr,
-            )
+            _warn(f"calibration could not be saved: {save_error}")
         else:
             print(f"calibration saved to {args.calibration_path}")
     return 0
@@ -601,42 +584,30 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         spawn_local_nodes,
         terminate_nodes,
     )
-    from repro.server import make_server
 
     if args.shards > 1:
-        print(
-            "error: --cluster and --shards are mutually exclusive (--cluster N "
-            "already shards the dataset across N node processes)",
-            file=sys.stderr,
+        raise _CliError(
+            "--cluster and --shards are mutually exclusive (--cluster N "
+            "already shards the dataset across N node processes)"
         )
-        return 2
     if args.cluster < 1 or args.replication < 1:
-        print(
-            f"error: --cluster and --replication must be >= 1, got "
-            f"{args.cluster} and {args.replication}",
-            file=sys.stderr,
+        raise _CliError(
+            f"--cluster and --replication must be >= 1, got "
+            f"{args.cluster} and {args.replication}"
         )
-        return 2
-    data, features = load_dataset(args.input)
-    if not data:
-        print("error: dataset contains no data objects", file=sys.stderr)
-        return 2
-    try:
-        engine_config = _engine_config(args, grid_size=args.grid_size)
-        # The router reads only the request defaults and admission knobs;
-        # the pool, cache and calibration flags configure the nodes.
-        service_config = _service_config(args)
-        cluster_config = ClusterConfig(
-            shards=args.cluster,
-            max_radius=args.max_radius,
-            heartbeat_interval=args.heartbeat_interval,
-            liveness_timeout=args.liveness_timeout,
-            node_deadline=args.node_deadline,
-            result_cache_capacity=args.result_cache,
-        )
-    except (ValueError, InvalidQueryError, JobConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    data, features = _load_nonempty_dataset(args.input)
+    engine_config = _engine_config(args, grid_size=args.grid_size)
+    # The router reads only the request defaults and admission knobs; the
+    # pool, cache and calibration flags configure the nodes.
+    service_config = _service_config(args)
+    cluster_config = ClusterConfig(
+        shards=args.cluster,
+        max_radius=args.max_radius,
+        heartbeat_interval=args.heartbeat_interval,
+        liveness_timeout=args.liveness_timeout,
+        node_deadline=args.node_deadline,
+        result_cache_capacity=args.result_cache,
+    )
     extra_args: List[str] = []
     if args.backend is not None:
         extra_args += ["--backend", args.backend]
@@ -667,8 +638,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             extra_args=extra_args,
         )
     except (OSError, RuntimeError, ValueError) as exc:
-        print(f"error: cannot spawn shard nodes: {exc}", file=sys.stderr)
-        return 2
+        raise _CliError(f"cannot spawn shard nodes: {exc}") from exc
     try:
         router = ClusterRouter(
             data,
@@ -678,11 +648,10 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             engine_config=engine_config,
             service_config=service_config,
         )
-        server = make_server(router, args.host, args.port, quiet=not args.access_log)
-    except (OSError, ValueError, InvalidQueryError) as exc:
+        server = _bind_server(args, router)
+    except (_CliError, ValueError, InvalidQueryError) as exc:
         terminate_nodes(nodes)
-        print(f"error: cannot start the cluster router: {exc}", file=sys.stderr)
-        return 2
+        raise _CliError(f"cannot start the cluster router: {exc}") from exc
     if args.calibration_path:
         print(
             f"calibration snapshots are per node: "
@@ -695,16 +664,11 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             f"node shard {node.shard_index} replica {node.replica_rank}: "
             f"{node.url}  (pid {node.process.pid}, log {node.log_path})"
         )
-    print(
-        f"repro serve: listening on http://{args.host}:{server.port}  "
-        f"({len(data)} data objects, {len(features)} feature objects, "
-        f"{args.cluster} shards x {args.replication} replicas)"
+    _print_banner(
+        "repro serve:", args, server,
+        f"{len(data)} data objects, {len(features)} feature objects, "
+        f"{args.cluster} shards x {args.replication} replicas",
     )
-    print(
-        "endpoints: POST /query  POST /batch  POST /objects  "
-        "POST /datasets  GET /healthz  GET /stats"
-    )
-    sys.stdout.flush()
     _run_server_loop(
         server, [router.shutdown, lambda: terminate_nodes(nodes)]
     )
@@ -714,31 +678,28 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
 def _cmd_shard_node(args: argparse.Namespace) -> int:
     """``repro shard-node``: one shard slice of a dataset behind HTTP."""
     from repro.cluster import NodeConfig, ShardNodeService
-    from repro.server import make_server
 
-    data = None
+    dataset = None
     dataset_source = f"file {args.input}"
     if args.dataset_shm:
         from repro.execution.shm import attach_dataset
 
         try:
-            data, features = attach_dataset(args.dataset_shm)
+            dataset = attach_dataset(args.dataset_shm)
             dataset_source = f"shared-memory segment {args.dataset_shm}"
         except (OSError, ValueError) as exc:
-            print(
-                f"warning: cannot attach dataset segment "
-                f"{args.dataset_shm!r} ({exc}); loading {args.input}",
-                file=sys.stderr,
+            _warn(
+                f"cannot attach dataset segment {args.dataset_shm!r} ({exc}); "
+                f"loading {args.input}"
             )
-            data = None
-    if data is None:
-        data, features = load_dataset(args.input)
+    if dataset is None:
+        dataset = load_dataset(args.input)
+    data, features = dataset
     if not data:
-        print("error: dataset contains no data objects", file=sys.stderr)
-        return 2
-    try:
-        engine_config = _engine_config(args, grid_size=args.grid_size)
-        node = ShardNodeService(
+        raise _CliError("dataset contains no data objects")
+    node = _from_flags(
+        args,
+        lambda engine_config, service_config: ShardNodeService(
             data,
             features,
             node_config=NodeConfig(
@@ -748,32 +709,19 @@ def _cmd_shard_node(args: argparse.Namespace) -> int:
                 dataset_epoch=args.dataset_epoch,
             ),
             engine_config=engine_config,
-            service_config=_service_config(args),
-        )
-    except (ValueError, InvalidQueryError, JobConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        server = make_server(node, args.host, args.port, quiet=not args.access_log)
-    except OSError as exc:
-        print(f"error: cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
-        return 2
+            service_config=service_config,
+        ),
+    )
+    server = _bind_server(args, node)
     node.start()
     slice_info = node.dataset_info()
     print(f"repro shard-node: dataset from {dataset_source}")
-    # The spawner tails the log for this exact line to learn the
-    # OS-assigned port; keep the "listening on http://..." wording stable.
-    print(
-        f"repro shard-node: shard {args.shard_index}/{args.shards} "
-        f"listening on http://{args.host}:{server.port}  "
-        f"(node {node.node_id}, {slice_info['data_objects']} data objects, "
-        f"{slice_info['feature_objects']} feature objects)"
+    _print_banner(
+        f"repro shard-node: shard {args.shard_index}/{args.shards}", args, server,
+        f"node {node.node_id}, {slice_info['data_objects']} data objects, "
+        f"{slice_info['feature_objects']} feature objects",
+        extra_get="  GET /heartbeat",
     )
-    print(
-        "endpoints: POST /query  POST /batch  POST /objects  "
-        "POST /datasets  GET /healthz  GET /stats  GET /heartbeat"
-    )
-    sys.stdout.flush()
     _run_server_loop(server, [node.shutdown])
     return 0
 
@@ -800,52 +748,25 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
     data, features = load_dataset(args.input)
     if not features:
-        print("error: dataset contains no feature objects", file=sys.stderr)
-        return 2
+        raise _CliError("dataset contains no feature objects")
     try:
-        workload = WorkloadConfig(
-            seed=args.seed,
-            duration_seconds=args.duration,
-            rate=args.rate,
-            arrival=args.arrival,
-            diurnal_amplitude=args.diurnal_amplitude,
-            zipf_exponent=args.zipf_exponent,
-            keywords_per_query=args.keywords_per_query,
-            k=args.k,
-            radius=args.radius,
-            deadline_ms=args.deadline_ms,
-            hotspot_fraction=args.hotspot_fraction,
-            burst_every_seconds=args.burst_every,
-            burst_size=args.burst_size,
-            slow_client_fraction=args.slow_client_fraction,
-            clients=args.clients,
+        workload = _config_from_flags(
+            WorkloadConfig, _WORKLOAD_CONFIG_FLAGS, args
         )
         model = TrafficModel(features, dataset_extent(data, features), workload)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _CliError(str(exc)) from exc
     schedule = model.schedule()
     service = None
     if args.url:
         target = HttpTarget(args.url)
     else:
-        from repro.server import QueryService, ServiceConfig
+        from repro.server import ServiceConfig
 
-        service_config = ServiceConfig(
+        service = _front_door(args, data, features, ServiceConfig(
             admission_queue_depth=args.admission_depth,
             default_deadline_ms=args.default_deadline_ms,
-        )
-        if args.shards > 1:
-            from repro.sharding import ShardRouter, ShardingConfig
-
-            service = ShardRouter(
-                data,
-                features,
-                service_config=service_config,
-                sharding=ShardingConfig(shards=args.shards),
-            )
-        else:
-            service = QueryService(data, features, config=service_config)
+        ))
         service.start()
         target = ServiceTarget(service)
     print(
@@ -948,15 +869,13 @@ def build_parser() -> argparse.ArgumentParser:
     query = subparsers.add_parser("query", help="run a query over a dataset file")
     query.add_argument("--input", required=True)
     query.add_argument("--keywords", required=True, help="comma-separated query keywords")
-    query.add_argument("--k", type=int, default=10)
-    query.add_argument("--radius", type=float, default=None,
-                       help="absolute query radius (overrides --radius-fraction)")
-    query.add_argument("--radius-fraction", type=float, default=0.10,
-                       help="radius as a fraction of the grid-cell side (default 0.10)")
-    query.add_argument("--grid-size", type=int, default=50)
-    query.add_argument("--algorithm", choices=ALGORITHM_CHOICES, default="espq-sco",
-                       help="algorithm to run, or 'auto' to let the cost-based "
-                            "planner choose per query")
+    _add_query_arguments(query, help={
+        "radius": "absolute query radius (overrides --radius-fraction)",
+        "radius_fraction": "radius as a fraction of the grid-cell side "
+                           "(default 0.10)",
+        "algorithm": "algorithm to run, or 'auto' to let the cost-based "
+                     "planner choose per query",
+    })
     query.add_argument("--explain", action="store_true",
                        help="with --algorithm auto: print the planner's "
                             "per-algorithm cost estimates and the chosen algorithm")
@@ -977,15 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--output", default="-", help="result JSONL path, or '-' for stdout (default)"
     )
-    batch.add_argument("--k", type=int, default=10, help="default k for query lines")
-    batch.add_argument("--radius", type=float, default=None,
-                       help="default absolute radius (overrides --radius-fraction)")
-    batch.add_argument("--radius-fraction", type=float, default=0.10,
-                       help="default radius as a fraction of the grid-cell side")
-    batch.add_argument("--grid-size", type=int, default=50)
-    batch.add_argument("--algorithm", choices=ALGORITHM_CHOICES, default="espq-sco",
-                       help="default algorithm for query lines ('auto' engages "
-                            "the cost-based planner per query)")
+    _add_query_arguments(batch, help=_default_help("query lines"))
     batch.add_argument("--stats", action="store_true",
                        help="attach per-query stats and print cache summary")
     _add_backend_arguments(batch)
@@ -1040,14 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch-window-ms", type=float, default=0.0,
                        help="how long a dispatcher waits for batchmates "
                             "(0 = natural batching: group only what is queued)")
-    serve.add_argument("--k", type=int, default=10, help="default k for requests")
-    serve.add_argument("--radius", type=float, default=None,
-                       help="default absolute radius (overrides --radius-fraction)")
-    serve.add_argument("--radius-fraction", type=float, default=0.10,
-                       help="default radius as a fraction of the grid-cell side")
-    serve.add_argument("--algorithm", choices=ALGORITHM_CHOICES, default="espq-sco",
-                       help="default algorithm for requests ('auto' engages the "
-                            "cost-based planner per query)")
+    _add_query_arguments(serve, help=_default_help("requests"), grid_size=False)
     serve.add_argument("--admission-depth", type=int, default=0,
                        help="admission queue depth (max requests admitted but "
                             "unfinished); beyond it requests are shed with "
@@ -1166,7 +1070,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by ``python -m repro`` and the console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (_CliError, InvalidQueryError, JobConfigurationError) as exc:
+        # Bad flags, a bad dataset or query file, an invalid query: one
+        # line on stderr, never a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

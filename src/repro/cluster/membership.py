@@ -63,6 +63,9 @@ class NodeStatus:
         last_success_monotonic: ``time.monotonic`` of the last success
             (None before any).
         failovers: Requests this node failed that a replica then answered.
+        pushes: Epoch pushes (swaps, writes, resyncs) this node has
+            acknowledged; orders a heartbeat reply against them and is not
+            part of the ``stats()`` row.
     """
 
     url: str
@@ -75,6 +78,7 @@ class NodeStatus:
     misses: int = 0
     last_success_monotonic: Optional[float] = None
     failovers: int = 0
+    pushes: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         """The ``stats()`` row of this node."""
@@ -172,8 +176,19 @@ class ClusterMembership:
         node_id: Optional[str] = None,
         dataset_epoch: Optional[str] = None,
         dataset_version: Optional[int] = None,
+        pushed: bool = False,
+        as_of_push: Optional[int] = None,
     ) -> None:
-        """Record one successful probe/request: re-admits a dead node."""
+        """Record one successful probe/request: re-admits a dead node.
+
+        ``pushed`` marks the acknowledgement of an epoch push.  A heartbeat
+        reply passes, as ``as_of_push``, the :meth:`push_count` read before
+        the probe was sent: when a push was acknowledged in between, the
+        reply may describe the node as it was *before* that push, so it
+        still counts as a sign of life but no longer says which epoch the
+        node serves -- the pushed epoch stands (a stale one would get a
+        healthy node resynchronised with a full snapshot).
+        """
         with self._lock:
             status = self._nodes[url]
             status.state = NODE_ALIVE
@@ -181,10 +196,19 @@ class ClusterMembership:
             status.last_success_monotonic = time.monotonic()
             if node_id is not None:
                 status.node_id = node_id
+            if as_of_push is not None and as_of_push != status.pushes:
+                return
+            if pushed:
+                status.pushes += 1
             if dataset_epoch is not None:
                 status.dataset_epoch = dataset_epoch
             if dataset_version is not None:
                 status.dataset_version = dataset_version
+
+    def push_count(self, url: str) -> int:
+        """Epoch pushes ``url`` has acknowledged so far (see :meth:`mark_success`)."""
+        with self._lock:
+            return self._nodes[url].pushes
 
     def mark_failure(self, url: str) -> str:
         """Record one failed probe/request; returns the resulting state."""

@@ -62,6 +62,7 @@ from repro.model.objects import DataObject, FeatureObject
 # module's namespace as well as in the router core's.
 from repro.model.result import merge_top_k  # noqa: F401
 from repro.server.protocol import parse_query_spec, result_payload  # noqa: F401
+from repro.server.protocol import dataset_body, objects_body
 from repro.server.service import ServiceConfig
 from repro.sharding.partition import ShardingPlan
 from repro.sharding.router import ScatterGatherRouter
@@ -165,13 +166,13 @@ class RemoteShardTarget:
 
     def swap(self, plan: ShardingPlan, shard_id: int) -> None:
         """Push the router's full snapshot: each node slices it locally."""
-        self._push_all("datasets", self._router._dataset_payload())
+        self._push_all("datasets", self._router._dataset_body())
 
     def apply(self, update: Mapping[str, Sequence]) -> None:
         """Push the sub-update -- a pure epoch bump when it is empty, so
         the whole fleet moves epochs together."""
         self._push_all(
-            "objects", _objects_payload(update, self._router.dataset_epoch)
+            "objects", objects_body(update, self._router.dataset_epoch)
         )
 
     def _push_all(self, endpoint: str, payload: Mapping[str, object]) -> None:
@@ -303,6 +304,9 @@ class ClusterRouter(ScatterGatherRouter):
         }
 
     def _probe_node(self, url: str) -> None:
+        # Read before the probe is sent: a push acknowledged while the reply
+        # is in flight outranks the epoch the reply carries.
+        as_of_push = self._membership.push_count(url)
         try:
             payload = get_json(
                 f"{url}/heartbeat", timeout=self.cluster.node_deadline
@@ -315,6 +319,7 @@ class ClusterRouter(ScatterGatherRouter):
             node_id=str(payload.get("node_id")),
             dataset_epoch=str(payload.get("dataset_epoch")),
             dataset_version=payload.get("dataset_version"),
+            as_of_push=as_of_push,
         )
 
     def _resync_stale_nodes(self) -> None:
@@ -325,25 +330,23 @@ class ClusterRouter(ScatterGatherRouter):
             # Re-check under the lock: a concurrent swap or write may have
             # moved the epoch (and pushed it to these nodes itself).
             stale = self._membership.stale_nodes(self._epoch)
-            payload = self._dataset_payload() if stale else {}
+            payload = self._dataset_body() if stale else {}
             for url in stale:
                 if self._push(url, "datasets", payload):
                     self._bump("resyncs")
 
-    def _dataset_payload(self) -> Dict[str, object]:
+    def _dataset_body(self) -> Dict[str, object]:
         """The inline ``POST /datasets`` body: current snapshot + epoch.
 
         The one place the full dataset (base + write mirror, in bulk-swap
         order) is materialized -- per swap or resync, never per write.
         """
-        data_objects, feature_objects = materialize(
-            self._base_data, self._base_features, self._delta.snapshot()
+        return dataset_body(
+            *materialize(
+                self._base_data, self._base_features, self._delta.snapshot()
+            ),
+            epoch=self._epoch,
         )
-        return {
-            "epoch": self._epoch,
-            "data_objects": [_data_json(obj) for obj in data_objects],
-            "feature_objects": [_feature_json(obj) for obj in feature_objects],
-        }
 
     def _push(
         self, url: str, endpoint: str, payload: Mapping[str, object]
@@ -362,7 +365,9 @@ class ClusterRouter(ScatterGatherRouter):
             # its stale epoch keeps it out of routing until a full-snapshot
             # resync succeeds.
             return False
-        self._membership.mark_success(url, dataset_epoch=payload["epoch"])
+        self._membership.mark_success(
+            url, dataset_epoch=payload["epoch"], pushed=True
+        )
         return True
 
     @property
@@ -515,37 +520,6 @@ class ClusterRouter(ScatterGatherRouter):
             "write_version": self._version.write,
         }
         return stats
-
-
-def _data_json(obj: DataObject) -> Dict[str, object]:
-    return {"oid": obj.oid, "x": obj.x, "y": obj.y}
-
-
-def _feature_json(obj: FeatureObject) -> Dict[str, object]:
-    return {**_data_json(obj), "keywords": sorted(obj.keywords)}
-
-
-def _objects_payload(
-    update: Mapping[str, Sequence], epoch: str
-) -> Dict[str, object]:
-    """The ``POST /objects`` body for one shard's slice of a write batch.
-
-    An all-empty sub-update is still a valid body: with the epoch tag the
-    node HTTP handler accepts it as a pure epoch bump.
-    """
-    return {
-        "epoch": epoch,
-        "append": {
-            "data_objects": [_data_json(o) for o in update["append_data"]],
-            "feature_objects": [
-                _feature_json(o) for o in update["append_features"]
-            ],
-        },
-        "delete": {
-            "data_oids": update["delete_data_oids"],
-            "feature_oids": update["delete_feature_oids"],
-        },
-    }
 
 
 __all__ = ["ClusterConfig", "ClusterRouter", "NodeSpec", "RemoteShardTarget"]

@@ -33,12 +33,16 @@ The bound service is a :class:`~repro.server.service.QueryService`, a
 a :class:`~repro.cluster.router.ClusterRouter` (``--cluster N``) or a
 :class:`~repro.cluster.node.ShardNodeService` (``repro shard-node``); all
 expose the same serving surface (``submit``, ``submit_many``, ``stats``,
-``uptime_seconds``, ``swap_datasets``), so the handler never branches on
-which it is.  Cluster-specific capabilities are duck-typed the same way:
-a service with a ``heartbeat`` method gets the ``/heartbeat`` route, and a
-service declaring ``accepts_dataset_epoch`` may receive the optional
-``"epoch"`` field on ``POST /datasets`` (the cluster router tags fleet-wide
-swaps with it).
+``uptime_seconds``, ``swap_datasets``, ``apply_objects``), so the handler
+never branches on which it is.  Every endpoint is one row of the route
+table (:data:`_ROUTES`: verb, body parser, service method, response
+envelope) served by one dispatch; the body shapes themselves live in
+:mod:`repro.server.protocol`.  Mode-specific capabilities are duck-typed,
+in that one dispatch: a route whose method the service lacks
+(``heartbeat``, ``rebalance``) answers ``404``, and a service declaring
+``accepts_dataset_epoch`` may receive the optional ``"epoch"`` field on
+``POST /datasets`` and ``POST /objects`` (the cluster router tags
+fleet-wide swaps and write batches with it).
 
 Built on :class:`http.server.ThreadingHTTPServer` -- one thread per
 connection, no third-party dependencies -- which is exactly what the
@@ -63,11 +67,21 @@ import json
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import OverloadError, ReproError
 from repro.server.admission import shed_payload
-from repro.server.protocol import batch_lines, error_payload
+from repro.server.protocol import (
+    batch_lines,
+    error_payload,
+    load_json,
+    parse_dataset_spec,
+    parse_rebalance_body,
+    split_batch_body,
+    split_epoch,
+)
+# Called through this module's own global: the e2e tracer patches the name.
+from repro.server.protocol import parse_objects_spec as _parse_objects_spec
 from repro.server.service import QueryService
 
 #: Largest accepted request body (16 MiB); protects the JSON parser.
@@ -166,275 +180,84 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         """Serve ``/healthz``, ``/stats`` and (on shard nodes) ``/heartbeat``."""
-        if self.path == "/healthz":
-            self._send_json(200, {
-                "status": "ok",
-                "uptime_seconds": self.server.service.uptime_seconds(),
-            })
-        elif self.path == "/stats":
-            self._send_json(200, self.server.service.stats())
-        elif self.path == "/heartbeat":
-            heartbeat = getattr(self.server.service, "heartbeat", None)
-            if callable(heartbeat):
-                self._send_json(200, heartbeat())
-            else:
-                self._send_json(404, error_payload(
-                    "this server is not a cluster shard node"
-                ))
-        elif self.path in ("/query", "/batch", "/datasets", "/objects",
-                           "/rebalance"):
-            self._send_json(405, error_payload(f"use POST for {self.path}"))
-        else:
-            self._send_json(404, error_payload(f"unknown path {self.path!r}"))
+        self._serve("GET")
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         """Serve ``/query``, ``/batch``, ``/datasets``, ``/objects``, ``/rebalance``."""
-        if self.path == "/query":
-            self._handle_query()
-        elif self.path == "/batch":
-            self._handle_batch()
-        elif self.path == "/datasets":
-            self._handle_datasets()
-        elif self.path == "/objects":
-            self._handle_objects()
-        elif self.path == "/rebalance":
-            self._handle_rebalance()
-        elif self.path in ("/healthz", "/stats", "/heartbeat"):
-            self._send_json(405, error_payload(f"use GET for {self.path}"))
-        else:
+        self._serve("POST")
+
+    def _serve(self, verb: str) -> None:
+        """Serve one :data:`_ROUTES` entry: read, parse, call, answer.
+
+        The one place a request body becomes a service call and a service
+        outcome becomes a status code, whatever the route.
+        """
+        route = _ROUTES.get(self.path)
+        if route is None:
             self._send_json(404, error_payload(f"unknown path {self.path!r}"))
-
-    # ------------------------------------------------------------------ #
-    # endpoints
-
-    def _handle_query(self) -> None:
-        admission = getattr(self.server.service, "admission", None)
-        if admission is not None:
-            retry_after = admission.overloaded()
-            if retry_after is not None:
-                # Fast shed: when the admission queue is already full the
-                # request cannot be served whatever its body says, so the
-                # 429 goes out without reading (or even size-checking) the
-                # body.  _send_shed closes the connection, which is what
-                # keeps the unread bytes from desyncing keep-alive framing.
-                admission.record_fast_shed()
-                self._send_shed(shed_payload("admission queue full", retry_after))
-                self._drain_unread_body()
+            return
+        if route.verb != verb:
+            self._send_json(405, error_payload(f"use {route.verb} for {self.path}"))
+            return
+        service = self.server.service
+        method = getattr(service, route.method, None)
+        if not callable(method):
+            # Capabilities are duck-typed: a service without the route's
+            # method (``heartbeat`` on anything but a shard node,
+            # ``rebalance`` on anything but the shard router) does not
+            # serve the route.
+            self._send_json(404, error_payload(route.not_served))
+            return
+        if route.fast_shed and self._fast_shed(service):
+            return
+        args: Sequence[object] = ()
+        kwargs: Mapping[str, object] = {}
+        if route.parse is not None:
+            body = self._read_body()
+            if body is None:
                 return
-        body = self._read_body()
-        if body is None:
-            return
+            try:
+                args, kwargs = route.parse(
+                    body, getattr(service, "accepts_dataset_epoch", False)
+                )
+            except ValueError as exc:
+                self._send_json(400, error_payload(str(exc)))
+                return
         try:
-            spec = json.loads(body)
-        except json.JSONDecodeError as exc:
-            self._send_json(400, error_payload(f"invalid JSON: {exc}"))
-            return
-        try:
-            payload = self.server.service.submit(spec)
+            result = method(*args, **kwargs)
         except OverloadError as exc:
             # Before the generic ReproError -> 400 rule: a shed request is
             # not a bad request, and the body must carry the shed contract.
             self._send_shed(shed_payload(str(exc), exc.retry_after_ms))
             return
-        except ReproError as exc:
+        except route.client_errors as exc:
             self._send_json(400, error_payload(str(exc)))
             return
         except Exception as exc:  # noqa: BLE001 - surfaced as a 500
             self._send_json(500, error_payload(f"{type(exc).__name__}: {exc}"))
             return
-        self._send_json(200, payload)
+        if route.envelope is not None:
+            self._send_json(200, {"status": "ok", route.envelope: result})
+        elif isinstance(result, list):
+            self._send_text(200, batch_lines(result), "application/x-ndjson")
+        else:
+            self._send_json(200, result)
 
-    def _handle_batch(self) -> None:
-        body = self._read_body()
-        if body is None:
-            return
-        try:
-            specs = self._parse_batch_body(body)
-        except ValueError as exc:
-            self._send_json(400, error_payload(str(exc)))
-            return
-        try:
-            payloads = self.server.service.submit_many(specs)
-        except OverloadError as exc:
-            self._send_shed(shed_payload(str(exc), exc.retry_after_ms))
-            return
-        except ReproError as exc:
-            self._send_json(400, error_payload(str(exc)))
-            return
-        except Exception as exc:  # noqa: BLE001 - surfaced as a 500
-            self._send_json(500, error_payload(f"{type(exc).__name__}: {exc}"))
-            return
-        self._send_text(200, batch_lines(payloads), "application/x-ndjson")
-
-    def _handle_datasets(self) -> None:
-        body = self._read_body()
-        if body is None:
-            return
-        try:
-            spec = json.loads(body)
-        except json.JSONDecodeError as exc:
-            self._send_json(400, error_payload(f"invalid JSON: {exc}"))
-            return
-        epoch: Optional[str] = None
-        if (
-            getattr(self.server.service, "accepts_dataset_epoch", False)
-            and isinstance(spec, Mapping)
-            and "epoch" in spec
-        ):
-            # Shard nodes accept the router's epoch tag alongside either
-            # body shape; plain services reject it as an unknown field.
-            spec = dict(spec)
-            epoch = spec.pop("epoch")
-            if not isinstance(epoch, str) or not epoch:
-                self._send_json(400, error_payload(
-                    f"'epoch' must be a non-empty string, got {epoch!r}"
-                ))
-                return
-        try:
-            data, features = _parse_dataset_spec(spec)
-        except ValueError as exc:
-            self._send_json(400, error_payload(str(exc)))
-            return
-        try:
-            if epoch is not None:
-                info = self.server.service.swap_datasets(
-                    data, features, epoch=epoch
-                )
-            else:
-                info = self.server.service.swap_datasets(data, features)
-        except ReproError as exc:
-            self._send_json(400, error_payload(str(exc)))
-            return
-        except Exception as exc:  # noqa: BLE001 - surfaced as a 500
-            self._send_json(500, error_payload(f"{type(exc).__name__}: {exc}"))
-            return
-        self._send_json(200, {"status": "ok", "dataset": info})
-
-    def _handle_objects(self) -> None:
-        body = self._read_body()
-        if body is None:
-            return
-        try:
-            spec = json.loads(body)
-        except json.JSONDecodeError as exc:
-            self._send_json(400, error_payload(f"invalid JSON: {exc}"))
-            return
-        epoch: Optional[str] = None
-        if (
-            getattr(self.server.service, "accepts_dataset_epoch", False)
-            and isinstance(spec, Mapping)
-            and "epoch" in spec
-        ):
-            # Same duck-typing as POST /datasets: the cluster router tags
-            # the write batches it pushes to shard nodes with an epoch.
-            spec = dict(spec)
-            epoch = spec.pop("epoch")
-            if not isinstance(epoch, str) or not epoch:
-                self._send_json(400, error_payload(
-                    f"'epoch' must be a non-empty string, got {epoch!r}"
-                ))
-                return
-        try:
-            append_data, append_features, delete_data, delete_features = (
-                # An epoch-tagged empty body is a legal epoch bump: the
-                # cluster router pushes every write batch to every live
-                # node, including nodes the batch routed nothing to.
-                _parse_objects_spec(spec, allow_empty=epoch is not None)
-            )
-        except ValueError as exc:
-            self._send_json(400, error_payload(str(exc)))
-            return
-        try:
-            if epoch is not None:
-                info = self.server.service.apply_objects(
-                    append_data=append_data,
-                    append_features=append_features,
-                    delete_data_oids=delete_data,
-                    delete_feature_oids=delete_features,
-                    epoch=epoch,
-                )
-            else:
-                info = self.server.service.apply_objects(
-                    append_data=append_data,
-                    append_features=append_features,
-                    delete_data_oids=delete_data,
-                    delete_feature_oids=delete_features,
-                )
-        except ReproError as exc:
-            self._send_json(400, error_payload(str(exc)))
-            return
-        except Exception as exc:  # noqa: BLE001 - surfaced as a 500
-            self._send_json(500, error_payload(f"{type(exc).__name__}: {exc}"))
-            return
-        self._send_json(200, {"status": "ok", "applied": info})
-
-    def _handle_rebalance(self) -> None:
-        """Re-derive the shard layout from the live data distribution.
-
-        Served only when the bound service exposes a ``rebalance`` method
-        (the shard router does; plain services and cluster fronts answer
-        ``404``) -- the same duck-typing as ``/heartbeat``.  Body: empty,
-        or ``{"layout": "skew"|"uniform"}``.
-        """
-        rebalance = getattr(self.server.service, "rebalance", None)
-        if not callable(rebalance):
-            self._send_json(404, error_payload(
-                "this server is not a sharded router; nothing to rebalance"
-            ))
-            return
-        body = self._read_body()
-        if body is None:
-            return
-        kwargs = {}
-        if body.strip():
-            try:
-                spec = json.loads(body)
-            except json.JSONDecodeError as exc:
-                self._send_json(400, error_payload(f"invalid JSON: {exc}"))
-                return
-            if not isinstance(spec, Mapping) or set(spec) - {"layout"}:
-                self._send_json(400, error_payload(
-                    "body must be empty or {\"layout\": ...}"
-                ))
-                return
-            if "layout" in spec:
-                kwargs["layout"] = spec["layout"]
-        try:
-            info = rebalance(**kwargs)
-        except (ReproError, ValueError) as exc:
-            self._send_json(400, error_payload(str(exc)))
-            return
-        except Exception as exc:  # noqa: BLE001 - surfaced as a 500
-            self._send_json(500, error_payload(f"{type(exc).__name__}: {exc}"))
-            return
-        self._send_json(200, {"status": "ok", "rebalance": info})
-
-    @staticmethod
-    def _parse_batch_body(body: bytes) -> List[Mapping[str, object]]:
-        """JSONL (one object per non-empty line) or a single JSON array."""
-        text = body.decode("utf-8", errors="replace").strip()
-        if not text:
-            raise ValueError("empty batch body; send JSONL or a JSON array")
-        if text.startswith("["):
-            try:
-                specs = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"invalid JSON array: {exc}") from exc
-            if not isinstance(specs, list):
-                raise ValueError("batch body must be a JSON array or JSONL")
-            return specs
-        specs = []
-        for number, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                specs.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {number}: invalid JSON ({exc})") from exc
-        if not specs:
-            raise ValueError("batch body contains no queries")
-        return specs
+    def _fast_shed(self, service: object) -> bool:
+        """Shed before reading the body when the admission queue is full."""
+        admission = getattr(service, "admission", None)
+        retry_after = admission.overloaded() if admission is not None else None
+        if retry_after is None:
+            return False
+        # Fast shed: when the admission queue is already full the request
+        # cannot be served whatever its body says, so the 429 goes out
+        # without reading (or even size-checking) the body.  _send_shed
+        # closes the connection, which is what keeps the unread bytes from
+        # desyncing keep-alive framing.
+        admission.record_fast_shed()
+        self._send_shed(shed_payload("admission queue full", retry_after))
+        self._drain_unread_body()
+        return True
 
     # ------------------------------------------------------------------ #
     # plumbing
@@ -533,157 +356,86 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
 
-def _parse_dataset_spec(spec: object) -> Tuple[List, List]:
-    """Resolve a ``POST /datasets`` body into (data objects, feature objects).
+# --------------------------------------------------------------------- #
+# the route table
+#
+# A body parser turns the raw body into the ``(args, kwargs)`` of the
+# route's service method, raising ValueError (-> 400) for a body it cannot
+# read.  ``epoch_ok`` says the bound service declares
+# ``accepts_dataset_epoch``: shard nodes may receive the cluster router's
+# ``"epoch"`` tag on both state-changing routes, plain services reject it
+# as an unknown field.
 
-    Two body shapes are accepted:
+_Call = Tuple[Sequence[object], Mapping[str, object]]
 
-    * ``{"path": "file.tsv"}`` -- a dataset file in the ``repro generate``
-      text format, loaded server-side (the operational path: generate or
-      copy the file next to the server, then swap);
-    * ``{"data_objects": [{"oid", "x", "y"}, ...],
-      "feature_objects": [{"oid", "x", "y", "keywords": [...]}, ...]}`` --
-      inline object lists (the programmatic path, practical for tests and
-      small datasets).
 
-    Raises:
-        ValueError: for a structurally invalid body, an unreadable or
-            malformed dataset file, or a dataset without data objects.
+def _query_call(body: bytes, epoch_ok: bool) -> _Call:
+    return (load_json(body),), {}
+
+
+def _batch_call(body: bytes, epoch_ok: bool) -> _Call:
+    return ([spec for _, spec in split_batch_body(body)],), {}
+
+
+def _datasets_call(body: bytes, epoch_ok: bool) -> _Call:
+    spec, epoch = split_epoch(load_json(body), epoch_ok)
+    return parse_dataset_spec(spec), epoch
+
+
+def _objects_call(body: bytes, epoch_ok: bool) -> _Call:
+    spec, epoch = split_epoch(load_json(body), epoch_ok)
+    # An epoch-tagged empty body is a legal epoch bump: the cluster router
+    # pushes every write batch to every live node, including nodes the
+    # batch routed nothing to.  Looked up through this module's namespace
+    # on every call (the e2e tracer patches the name here).
+    update = _parse_objects_spec(spec, allow_empty=bool(epoch))
+    return (), {**update, **epoch}
+
+
+def _rebalance_call(body: bytes, epoch_ok: bool) -> _Call:
+    return (), parse_rebalance_body(body)
+
+
+class _Route(NamedTuple):
+    """One endpoint.
+
+    Attributes:
+        verb: The HTTP method that serves it (the other one answers 405).
+        parse: Body parser (see above); None for a route without a body.
+        method: Name of the service method the route calls.
+        envelope: Key the result is wrapped under, beside ``"status":
+            "ok"``; None sends the result itself (a list as JSONL).
+        not_served: The 404 text of a service lacking ``method``.
+        fast_shed: Probe admission before reading the body.
+        client_errors: Exceptions of the call answered with a 400.
     """
-    from repro.datagen.io import load_dataset
-    from repro.exceptions import DatasetFormatError
-    from repro.model.objects import DataObject, FeatureObject
 
-    if not isinstance(spec, Mapping):
-        raise ValueError(f"body must be a JSON object, got {type(spec).__name__}")
-    unknown = set(spec) - {"path", "data_objects", "feature_objects"}
-    if unknown:
-        raise ValueError(
-            f"unknown field(s) {sorted(unknown)}; expected 'path' or "
-            "'data_objects' + 'feature_objects'"
-        )
-    if "path" in spec:
-        if "data_objects" in spec or "feature_objects" in spec:
-            raise ValueError("'path' and inline object lists are mutually exclusive")
-        path = spec["path"]
-        if not isinstance(path, str) or not path:
-            raise ValueError(f"'path' must be a non-empty string, got {path!r}")
-        try:
-            data, features = load_dataset(path)
-        except OSError as exc:
-            raise ValueError(f"cannot read dataset file: {exc}") from exc
-        except DatasetFormatError as exc:
-            raise ValueError(f"malformed dataset file: {exc}") from exc
-    else:
-        raw_data = spec.get("data_objects")
-        raw_features = spec.get("feature_objects", [])
-        if not isinstance(raw_data, list) or not isinstance(raw_features, list):
-            raise ValueError(
-                "'data_objects' and 'feature_objects' must be lists of objects"
-            )
-        try:
-            data = [
-                DataObject(oid=str(obj["oid"]), x=float(obj["x"]), y=float(obj["y"]))
-                for obj in raw_data
-            ]
-            features = [
-                FeatureObject(
-                    oid=str(obj["oid"]),
-                    x=float(obj["x"]),
-                    y=float(obj["y"]),
-                    keywords=frozenset(
-                        str(word) for word in obj.get("keywords", [])
-                    ),
-                )
-                for obj in raw_features
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed inline object: {exc}") from exc
-    if not data:
-        raise ValueError("dataset contains no data objects")
-    return data, features
+    verb: str
+    parse: Optional[Callable[[bytes, bool], _Call]]
+    method: str
+    envelope: Optional[str] = None
+    not_served: str = "this server does not serve this endpoint"
+    fast_shed: bool = False
+    client_errors: Tuple[type, ...] = (ReproError,)
 
 
-def _parse_objects_spec(
-    spec: object, allow_empty: bool = False
-) -> Tuple[List, List, List, List]:
-    """Resolve a ``POST /objects`` body into append lists and delete oids.
-
-    Body shape (both sections optional, but not both absent unless
-    ``allow_empty`` -- an epoch-tagged router push may carry no work)::
-
-        {"append": {"data_objects": [{"oid", "x", "y"}, ...],
-                    "feature_objects": [{"oid", "x", "y", "keywords"}, ...]},
-         "delete": {"data_oids": ["d1", ...], "feature_oids": ["f1", ...]}}
-
-    Returns:
-        ``(append_data, append_features, delete_data_oids,
-        delete_feature_oids)``.
-
-    Raises:
-        ValueError: for a structurally invalid body or an empty update.
-    """
-    from repro.model.objects import DataObject, FeatureObject
-
-    if not isinstance(spec, Mapping):
-        raise ValueError(f"body must be a JSON object, got {type(spec).__name__}")
-    unknown = set(spec) - {"append", "delete"}
-    if unknown:
-        raise ValueError(
-            f"unknown field(s) {sorted(unknown)}; expected 'append' and/or "
-            "'delete'"
-        )
-    append = spec.get("append", {})
-    delete = spec.get("delete", {})
-    if not isinstance(append, Mapping) or not isinstance(delete, Mapping):
-        raise ValueError("'append' and 'delete' must be JSON objects")
-    unknown = set(append) - {"data_objects", "feature_objects"}
-    if unknown:
-        raise ValueError(
-            f"unknown append field(s) {sorted(unknown)}; expected "
-            "'data_objects' and/or 'feature_objects'"
-        )
-    unknown = set(delete) - {"data_oids", "feature_oids"}
-    if unknown:
-        raise ValueError(
-            f"unknown delete field(s) {sorted(unknown)}; expected "
-            "'data_oids' and/or 'feature_oids'"
-        )
-    raw_data = append.get("data_objects", [])
-    raw_features = append.get("feature_objects", [])
-    raw_data_oids = delete.get("data_oids", [])
-    raw_feature_oids = delete.get("feature_oids", [])
-    for name, value in (
-        ("append.data_objects", raw_data),
-        ("append.feature_objects", raw_features),
-        ("delete.data_oids", raw_data_oids),
-        ("delete.feature_oids", raw_feature_oids),
-    ):
-        if not isinstance(value, list):
-            raise ValueError(f"'{name}' must be a list")
-    try:
-        append_data = [
-            DataObject(oid=str(obj["oid"]), x=float(obj["x"]), y=float(obj["y"]))
-            for obj in raw_data
-        ]
-        append_features = [
-            FeatureObject(
-                oid=str(obj["oid"]),
-                x=float(obj["x"]),
-                y=float(obj["y"]),
-                keywords=frozenset(str(word) for word in obj.get("keywords", [])),
-            )
-            for obj in raw_features
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed inline object: {exc}") from exc
-    delete_data = [str(oid) for oid in raw_data_oids]
-    delete_features = [str(oid) for oid in raw_feature_oids]
-    if not allow_empty and not (
-        append_data or append_features or delete_data or delete_features
-    ):
-        raise ValueError("empty update: nothing to append or delete")
-    return append_data, append_features, delete_data, delete_features
+_ROUTES: Dict[str, _Route] = {
+    "/healthz": _Route("GET", None, "uptime_seconds", "uptime_seconds"),
+    "/stats": _Route("GET", None, "stats"),
+    "/heartbeat": _Route(
+        "GET", None, "heartbeat",
+        not_served="this server is not a cluster shard node",
+    ),
+    "/query": _Route("POST", _query_call, "submit", fast_shed=True),
+    "/batch": _Route("POST", _batch_call, "submit_many"),
+    "/datasets": _Route("POST", _datasets_call, "swap_datasets", "dataset"),
+    "/objects": _Route("POST", _objects_call, "apply_objects", "applied"),
+    "/rebalance": _Route(
+        "POST", _rebalance_call, "rebalance", "rebalance",
+        not_served="this server is not a sharded router; nothing to rebalance",
+        client_errors=(ReproError, ValueError),
+    ),
+}
 
 
 def make_server(

@@ -61,12 +61,18 @@ from repro.core.engine import (
 from repro.exceptions import InvalidQueryError
 from repro.index.delta import DatasetDelta, materialize
 from repro.model.objects import DataObject, FeatureObject
-from repro.model.result import QueryResult, ScoredObject, merge_top_k
+from repro.model.result import QueryResult, merge_top_k
 from repro.planner.core import resolve_planner_mode
 from repro.planner.persistence import scoped_calibration_path
 from repro.server.frontdoor import FrontDoor
 from repro.server.gate import QuiesceGate
-from repro.server.protocol import ParsedRequest, parse_query_spec, result_payload
+from repro.server.protocol import (
+    ParsedRequest,
+    parse_query_spec,
+    resolved_spec,
+    result_payload,
+    scored_entries,
+)
 from repro.server.service import (
     QueryService,
     ServiceConfig,
@@ -394,21 +400,13 @@ class ScatterGatherRouter(FrontDoor):
     ) -> Tuple[List[Tuple[int, Dict[str, object]]], List[int]]:
         """Fan out to every data-bearing shard; returns (answered, missing).
 
-        The scattered spec is fully resolved (every field explicit), so the
-        targets' own defaults can never reinterpret it, and it always asks
-        for stats: the router caches the stats-bearing merged payload (the
-        same trick ``QueryService`` uses) and strips on answer.
+        The scattered spec is fully resolved (:func:`~repro.server.protocol.
+        resolved_spec`), so the targets' own defaults can never reinterpret
+        it, and it always asks for stats: the router caches the
+        stats-bearing merged payload (the same trick ``QueryService`` uses)
+        and strips on answer.
         """
-        item = parsed.item
-        spec: Dict[str, object] = {
-            "keywords": sorted(item.query.keywords),
-            "k": item.query.k,
-            "radius": item.query.radius,
-            "algorithm": item.algorithm,
-            "grid_size": item.grid_size,
-            "score_mode": item.score_mode,
-            "stats": True,
-        }
+        spec = resolved_spec(parsed.item)
         shard_ids = sorted(self._data_bearing)
         if len(shard_ids) <= 1:
             outcomes = [self._targets[s].query(spec) for s in shard_ids]
@@ -434,16 +432,7 @@ class ScatterGatherRouter(FrontDoor):
         missing: List[int],
     ) -> Dict[str, object]:
         """Merge per-shard partials into the stats-bearing response payload."""
-        partials: List[List[ScoredObject]] = [
-            [
-                ScoredObject(
-                    DataObject(oid=entry["oid"], x=entry["x"], y=entry["y"]),
-                    entry["score"],
-                )
-                for entry in response["results"]
-            ]
-            for _, response in answered
-        ]
+        partials = [scored_entries(response["results"]) for _, response in answered]
         entries = merge_top_k(partials, parsed.item.query.k)
         stats = self._aggregate_stats(parsed, answered, missing)
         stats_parsed = ParsedRequest(item=parsed.item, include_stats=True)

@@ -1,0 +1,93 @@
+"""Ratchet: the amount of code in the serving paths and in ``src/repro`` is pinned.
+
+ROADMAP aim 2 is "the same behaviour from the least code", and a total that
+nobody checks only ever goes up.  The counts below are *code-only* lines --
+blank lines, comment lines and docstrings are excluded (``ast`` finds the
+docstrings, ``tokenize`` the comments) -- so the cheap ways to shrink a
+number (deleting reason-giving comments, trimming docstrings) are
+worthless, and documenting code is free.
+
+The knob inventory's rule applies: a PR that grows a number edits it below
+in the same diff, which is what makes growth a reviewed decision instead of
+a side effect; a PR that shrinks one lowers it, so the gain cannot silently
+be spent later.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import pathlib
+import tokenize
+
+import pytest
+
+import repro
+
+SRC = pathlib.Path(repro.__file__).resolve().parent
+
+#: Path under ``src/repro`` -> code-only lines, as of the last PR to touch it.
+#: The four serving paths summed: 4 901 before the front-door consolidation,
+#: 4 748 after it, 4 538 after the wire module; ``"."`` is all of ``src/repro``.
+BUDGET = {
+    "server": 1682,
+    "sharding": 1020,
+    "cluster": 985,
+    "cli.py": 851,
+    ".": 11264,
+}
+
+_NOT_CODE = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+    tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER,
+}
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_lines(path: pathlib.Path) -> int:
+    """Lines of ``path`` that hold code: not blank, comment-only or docstring."""
+    source = path.read_text(encoding="utf-8")
+    docstring_lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, _DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            first = node.body[0]
+            docstring_lines.update(range(first.lineno, first.end_lineno + 1))
+    token_lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _NOT_CODE:
+            token_lines.update(range(token.start[0], token.end[0] + 1))
+    return len(token_lines - docstring_lines)
+
+
+def measure(relative: str) -> int:
+    path = SRC / relative
+    files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
+    return sum(code_lines(file) for file in files)
+
+
+@pytest.mark.parametrize("relative", sorted(BUDGET))
+def test_code_size_is_pinned(relative):
+    measured = measure(relative)
+    assert measured == BUDGET[relative], (
+        f"src/repro/{relative} holds {measured} code lines, pinned at "
+        f"{BUDGET[relative]}: edit BUDGET in this diff (and say in the PR "
+        "why it grew, if it grew)"
+    )
+
+
+def test_counter_ignores_comments_docstrings_and_blanks(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        '"""Module docstring\n\nover three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # trailing comments do not hide the code\n"
+        "\n"
+        "def f(x):\n"
+        '    """Docstring."""\n'
+        "    text = '''a string\n"
+        "    that is data, not a docstring'''\n"
+        "    return (x,\n"
+        "            text)\n"
+    )
+    assert code_lines(sample) == 6
