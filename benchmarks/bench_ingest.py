@@ -1,6 +1,6 @@
 """Streaming-ingest gates: identity, incremental cost, writes under load.
 
-Three checks over the delta-index write path (``POST /objects``,
+Four checks over the delta-index write path (``POST /objects``,
 ``src/repro/index/delta.py``; see ``docs/ingest.md``):
 
 1. **Identity** -- after a scripted sequence of incremental append/delete
@@ -25,6 +25,15 @@ Three checks over the delta-index write path (``POST /objects``,
    batch is applied shard by shard and only the router's quiesce gate
    keeps a concurrent scatter from merging two states.
 
+4. **Tombstone cost** -- two engines over the same 10k clustered dataset,
+   one carrying a single live data tombstone (in its most crowded cell),
+   one bulk-swapped to that state, read alternately with the same warmed
+   queries on the index path: per algorithm the tombstoned median may be
+   at most 1.25x the compacted one (ROADMAP item 2: "within 1.25x of a
+   compacted read"), and the *first* read after each new tombstone at most
+   1.5x the steady tombstoned read -- a delete must reach the reducers as
+   a filtered view of the cell's block, not by re-deriving the base.
+
 Run it as::
 
     python benchmarks/bench_ingest.py                  # report only
@@ -36,13 +45,18 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import statistics
 import sys
 import threading
 import time
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.engine import EngineConfig, SPQEngine
-from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
+from repro.datagen.synthetic import (
+    SyntheticDatasetConfig,
+    generate_clustered,
+    generate_uniform,
+)
 from repro.execution import execution_info
 from repro.index.delta import DatasetDelta, materialize
 from repro.model.objects import DataObject, FeatureObject
@@ -455,6 +469,105 @@ def run_load_phase(
 
 # --------------------------------------------------------------------- #
 
+#: Phase-4 gates: tombstoned / compacted median read, and first read after a
+#: new tombstone / steady tombstoned read.
+MAX_TOMBSTONE_RATIO = 1.25
+MAX_FIRST_READ_RATIO = 1.5
+
+
+def run_tombstone_phase(
+    grid_size: int, seed: int, reads: int = 40, rounds: int = 8
+) -> Dict[str, object]:
+    """Phase 4: what live data tombstones cost a read on the index path."""
+    data, features = generate_clustered(
+        SyntheticDatasetConfig(num_objects=10_000, seed=7)
+    )
+    rng = random.Random(seed)
+    config = EngineConfig(grid_size=grid_size)
+    vocabulary = [f"w{number:04d}" for number in range(1000)]
+    queries = [
+        SpatialPreferenceQuery.create(
+            k=10, radius=0.25 * 100.0 / grid_size, keywords=rng.sample(vocabulary, 3)
+        )
+        for _ in range(reads)
+    ]
+
+    def read_ms(engine, query, algorithm) -> float:
+        started = time.perf_counter()
+        engine.execute_many([query], algorithm=algorithm)
+        return (time.perf_counter() - started) * 1000.0
+
+    with SPQEngine(data, features, config=config) as tombstoned:
+        index = tombstoned.get_index(grid_size)
+        # Victims come from the most crowded cells, where a filtered view
+        # costs the most and nearly every read touches it.
+        crowded = sorted(index.data_cell_counts, key=index.data_cell_counts.get)
+        victims = [
+            next(
+                obj.oid
+                for position, obj in enumerate(data)
+                if index.data_cell_of(position) == cell
+            )
+            for cell in reversed(crowded[-(rounds + 1):])
+        ]
+        tombstoned.apply_updates(delete_data_oids=victims[:1])
+        final_data, final_features = tombstoned.materialize_datasets()
+        algorithms: Dict[str, Dict[str, float]] = {}
+        with SPQEngine(
+            final_data, final_features, config=config, extent=tombstoned.extent
+        ) as compacted:
+            for algorithm in MR_ALGORITHMS:
+                for query in queries:  # warm: blocks, radius lists, planner
+                    read_ms(tombstoned, query, algorithm)
+                    read_ms(compacted, query, algorithm)
+                samples = {"tombstoned": [], "compacted": []}
+                for number, query in enumerate(queries):
+                    order = (
+                        (("tombstoned", tombstoned), ("compacted", compacted))
+                        if number % 2
+                        else (("compacted", compacted), ("tombstoned", tombstoned))
+                    )
+                    for name, engine in order:
+                        samples[name].append(read_ms(engine, query, algorithm))
+                medians = {
+                    name: statistics.median(values) for name, values in samples.items()
+                }
+                algorithms[algorithm] = {
+                    "tombstoned_ms": medians["tombstoned"],
+                    "compacted_ms": medians["compacted"],
+                    "ratio": medians["tombstoned"] / medians["compacted"],
+                }
+        # First read after each *new* tombstone vs the same read repeated.
+        first: Dict[str, List[float]] = {name: [] for name in MR_ALGORITHMS}
+        steady: Dict[str, List[float]] = {name: [] for name in MR_ALGORITHMS}
+        for number, victim in enumerate(victims[1:]):
+            tombstoned.apply_updates(delete_data_oids=[victim])
+            query = queries[number % len(queries)]
+            for algorithm in MR_ALGORITHMS:
+                first[algorithm].append(read_ms(tombstoned, query, algorithm))
+            for algorithm in MR_ALGORITHMS:
+                steady[algorithm].extend(
+                    read_ms(tombstoned, query, algorithm) for _ in range(3)
+                )
+        for algorithm in MR_ALGORITHMS:
+            entry = algorithms[algorithm]
+            entry["first_read_ms"] = statistics.median(first[algorithm])
+            entry["steady_read_ms"] = statistics.median(steady[algorithm])
+            entry["first_read_ratio"] = (
+                entry["first_read_ms"] / entry["steady_read_ms"]
+            )
+    return {
+        "objects": len(data) + len(features),
+        "reads_per_algorithm": reads,
+        "new_tombstone_rounds": rounds,
+        "algorithms": algorithms,
+        "worst_ratio": max(entry["ratio"] for entry in algorithms.values()),
+        "worst_first_read_ratio": max(
+            entry["first_read_ratio"] for entry in algorithms.values()
+        ),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--objects", type=int, default=20_000)
@@ -506,6 +619,15 @@ def main(argv=None) -> int:
               f"{load['compactions']} compaction(s); {load['failed']} failed, "
               f"{load['invalid_responses']} invalid")
 
+    tombstone = run_tombstone_phase(args.grid_size, args.seed)
+    for algorithm, entry in tombstone["algorithms"].items():
+        print(f"tombstone phase ({algorithm}): {entry['tombstoned_ms']:.1f}ms "
+              f"with one live data tombstone vs {entry['compacted_ms']:.1f}ms "
+              f"compacted -> x{entry['ratio']:.2f}; first read after a new "
+              f"tombstone {entry['first_read_ms']:.1f}ms vs "
+              f"{entry['steady_read_ms']:.1f}ms steady -> "
+              f"x{entry['first_read_ratio']:.2f}")
+
     summary = {
         "execution": execution_info(),
         "workload": {
@@ -520,6 +642,7 @@ def main(argv=None) -> int:
         "cost": cost,
         "load": loads["service"],
         "load_sharded": loads["router"],
+        "tombstone": tombstone,
     }
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -556,6 +679,18 @@ def main(argv=None) -> int:
                 failures.append(
                     f"load ({name}): the mid-stream compaction did not run"
                 )
+        for algorithm, entry in tombstone["algorithms"].items():
+            if entry["ratio"] > MAX_TOMBSTONE_RATIO:
+                failures.append(
+                    f"tombstone cost ({algorithm}): x{entry['ratio']:.2f} a "
+                    f"compacted read, above x{MAX_TOMBSTONE_RATIO}"
+                )
+            if entry["first_read_ratio"] > MAX_FIRST_READ_RATIO:
+                failures.append(
+                    f"tombstone cost ({algorithm}): first read after a new "
+                    f"tombstone x{entry['first_read_ratio']:.2f} the steady "
+                    f"read, above x{MAX_FIRST_READ_RATIO}"
+                )
         if failures:
             for failure in failures:
                 print(f"FAIL: {failure}", file=sys.stderr)
@@ -563,7 +698,11 @@ def main(argv=None) -> int:
         print(f"OK: identity bit-for-bit, append {cost['speedup']:.1f}x >= "
               f"{args.min_speedup}x cheaper than a swap, "
               f"{sum(load['completed'] for load in loads.values())} requests "
-              "served losslessly under writes (service + router)")
+              "served losslessly under writes (service + router), a live data "
+              f"tombstone costs x{tombstone['worst_ratio']:.2f} <= "
+              f"x{MAX_TOMBSTONE_RATIO} (first read "
+              f"x{tombstone['worst_first_read_ratio']:.2f} <= "
+              f"x{MAX_FIRST_READ_RATIO})")
     return 0
 
 

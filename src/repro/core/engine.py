@@ -47,8 +47,8 @@ from repro.index.dataset_index import DatasetIndex
 from repro.index.delta import (
     DatasetDelta,
     DeltaSnapshot,
-    delta_data_records,
-    delta_feature_records,
+    delta_data_appends,
+    delta_feature_appends,
     materialize,
 )
 from repro.index.planner import BatchQuery, PlannedQuery, plan_batch
@@ -812,32 +812,35 @@ class SPQEngine:
                 "planner_calibrated": decision.calibrated,
             }
         records: Iterable = prepared.records
-        preloaded = index.data_shuffle(job)
+        tombstoned: List[DataObject] = []
         if snapshot is not None:
-            # Delta appends ride the live record stream: sequence rebasing
-            # places them after the base entries of the same sort key --
-            # exactly the storage position a bulk swap would give them --
-            # and data/feature sort keys never collide, so the stream
-            # order between the two groups is immaterial.
-            appended_features, delta_pruned = delta_feature_records(
+            # Delta appends ride the live record stream: a cell's base block
+            # is injected ahead of every live value, so appended data lands
+            # after the base data of its cell -- exactly the storage
+            # position a bulk swap would give it -- and data/feature sort
+            # keys never collide, so the stream order between the two
+            # groups is immaterial.
+            appended_features, delta_pruned = delta_feature_appends(
                 snapshot, item.query, index.grid
             )
             extra_pruned = delta_pruned
             records = chain(
-                delta_data_records(snapshot, index.grid),
+                delta_data_appends(snapshot, index.grid),
                 prepared.records,
                 appended_features,
             )
-            if snapshot.deleted_data_oids:
-                preloaded = index.filtered_data_shuffle(
-                    job, snapshot.deleted_data_oids
-                )
+            # Data tombstones: the base objects they name are withheld from
+            # their cells' blocks -- before the reduce, like the features.
+            base = self._oid_lookup()
+            tombstoned = [
+                base[oid] for oid in snapshot.deleted_data_oids if oid in base
+            ]
         result = self._run_job(
             job,
             index.grid,
             item.query,
             records,
-            preloaded=preloaded,
+            preloaded=index.data_shuffle(job, tombstoned),
             pruned_by_index=prepared.num_pruned + extra_pruned,
             index_stats={
                 "index_cache_hit": cache_hit,

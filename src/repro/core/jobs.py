@@ -164,9 +164,11 @@ class _SPQJobBase(MapReduceJob):
         self.grid = grid
         self.prune_irrelevant = prune_irrelevant
         self.partitioner = GridPartitioner(grid, query.radius)
-        # Captured at construction so one query runs one data plane end to
-        # end even if the environment changes mid-flight; pickled to worker
-        # processes along with the rest of the job spec.
+        # Which reduce loop runs: the columnar one, or the per-object oracle
+        # of the same math (data reaches either as blocks).  Captured at
+        # construction so one query runs one loop end to end even if the
+        # environment changes mid-flight; pickled to worker processes along
+        # with the rest of the job spec.
         self.dataplane = dataplane_mode()
         self._scorer: Optional[JaccardScorer] = None
         # oid -> serialized size; a feature's size is recomputed for every
@@ -246,6 +248,26 @@ class _SPQJobBase(MapReduceJob):
         self._count_map_feature_work(len(cells), counters)
         for cell_id in cells:
             yield self._feature_key(cell_id, record), self._feature_value(record)
+
+    @staticmethod
+    def mapped_data_counters(count: int) -> Counters:
+        """What mapping ``count`` pre-assigned data records counts, in closed form.
+
+        :meth:`map` turns every data record into exactly one 24-byte shuffle
+        record (:meth:`estimated_record_size`), whatever the job class, so
+        the preloaded side of a run (``DatasetIndex.data_shuffle``) states
+        its counter deltas without mapping anything -- key for key what
+        ``run_map_task`` over the records produces, including that only
+        ``map.input_records`` exists when ``count`` is 0.
+        """
+        counters = Counters()
+        if count:
+            counters.increment(SPQ_GROUP, DATA_OBJECTS, count)
+            counters.increment(counter_names.GROUP_MAP, counter_names.MAP_OUTPUT_RECORDS, count)
+            counters.increment(counter_names.GROUP_SHUFFLE, counter_names.SHUFFLE_RECORDS, count)
+            counters.increment(counter_names.GROUP_SHUFFLE, counter_names.SHUFFLE_BYTES, 24 * count)
+        counters.increment(counter_names.GROUP_MAP, counter_names.MAP_INPUT_RECORDS, count)
+        return counters
 
     def _data_key(self, cell_id: int) -> Tuple:
         raise NotImplementedError
@@ -401,7 +423,11 @@ class PSPQJob(_SPQJobBase):
     def _reduce_objects(
         self, group: int, values: Iterator[Any], counters: Counters
     ) -> Iterable[Tuple[int, str, float]]:
-        """The original per-object reduce: the columnar path's oracle."""
+        """The original per-object reduce: the columnar loop's oracle.
+
+        A preinjected :class:`DataBlock` is unpacked into the object list;
+        from there on nothing columnar is touched.
+        """
         data_objects: List[DataObject] = []
         top = TopKList(self.query.k)
         examined = 0
@@ -409,6 +435,9 @@ class PSPQJob(_SPQJobBase):
         range_mode = self.score_mode == "range"
         radius = self.query.radius
         for value in values:
+            if value.__class__ is DataBlock:
+                data_objects.extend(value.objs)
+                continue
             if isinstance(value, DataObject):
                 data_objects.append(value)
                 continue
@@ -529,6 +558,9 @@ class ESPQLenJob(_SPQJobBase):
         examined = 0
         computations = 0
         for value in values:
+            if value.__class__ is DataBlock:
+                data_objects.extend(value.objs)
+                continue
             if isinstance(value, DataObject):
                 data_objects.append(value)
                 continue
@@ -669,6 +701,9 @@ class ESPQScoJob(_SPQJobBase):
         computations = 0
         done = False
         for value in values:
+            if value.__class__ is DataBlock:
+                data_objects.extend(value.objs)
+                continue
             if isinstance(value, DataObject):
                 data_objects.append(value)
                 continue

@@ -11,9 +11,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.execution.tasks import MapTaskResult, ReduceTaskReport, ShuffleEntry
+from repro.execution.tasks import (
+    MapTaskResult,
+    ReduceTaskReport,
+    ShuffleEntry,
+    run_reduce_task,
+)
 
 
 @dataclass
@@ -23,62 +28,31 @@ class ReduceTask:
     Attributes:
         task_index: The reduce partition index.
         entries: Live shuffle entries produced by this run's map phase
-            (already globally sequenced by the orchestrator).
-        preloaded_entries: Shuffle entries injected from a
-            :class:`~repro.mapreduce.runtime.PreloadedShuffle`, if any.
-            Shared across runs -- never mutated, always copied.
-        preloaded_blob: Zero-argument callable returning the compact pickled
-            form of ``preloaded_entries`` (cached at the shuffle snapshot, so
-            repeated queries do not re-pickle the index).  Process backends
-            ship the blob instead of re-pickling the entry list per query;
-            in-process backends ignore it.
-        preloaded_block: Zero-argument callable returning the partition's
-            columnar ``(group, DataBlock)`` replacement for the preloaded
-            entries (or None when the partition holds no data).  Set only
-            for columnar-mode jobs; when present, in-process backends feed
-            the block to :func:`~repro.execution.tasks.run_reduce_task`
-            instead of materializing the preloaded entries.
-        preloaded_ref: Zero-argument callable returning the partition's
-            shared-memory descriptor ``(segment name, partition index)`` (or
-            None when no segment is published).  Process backends ship the
-            descriptor and workers attach the segment; the pickle blob
-            remains the fallback.
+            (already globally sequenced by the orchestrator, owned by this
+            run and safe to sort in place).
+        preloaded: The run's
+            :class:`~repro.mapreduce.runtime.PreloadedShuffle`, if any: the
+            one handle through which a backend obtains this partition's
+            preloaded block -- the block itself in process
+            (:func:`run_task_in_process`), its shared-memory descriptor or
+            pickled form for a worker process.
     """
 
     task_index: int
     entries: List[ShuffleEntry]
-    preloaded_entries: Optional[Sequence[ShuffleEntry]] = None
-    preloaded_blob: Optional[Callable[[], bytes]] = None
-    preloaded_block: Optional[Callable[[], Optional[Tuple[Any, Any]]]] = None
-    preloaded_ref: Optional[Callable[[], Optional[Tuple[str, int]]]] = None
+    preloaded: Optional[Any] = None
 
-    def materialize(self) -> List[ShuffleEntry]:
-        """The full bucket: preloaded entries (if any) plus live entries.
 
-        Returns a fresh list when preloaded entries are present (they are
-        shared across runs); otherwise the live list itself, which is owned
-        by the current run and safe to sort in place.
-        """
-        if self.preloaded_entries:
-            bucket = list(self.preloaded_entries)
-            bucket.extend(self.entries)
-            return bucket
-        return self.entries
-
-    def bucket_and_block(self) -> Tuple[List[ShuffleEntry], Optional[Tuple[Any, Any]]]:
-        """The live bucket plus columnar block, or the materialized bucket.
-
-        In-process backends call this: when a block provider is set the
-        preloaded entries are *replaced* by the block (never both), so the
-        live entry list is returned as-is (owned by this run, safe to sort
-        in place).  A provider that yields nothing for a partition that
-        does have preloaded entries falls back to :meth:`materialize`.
-        """
-        if self.preloaded_block is not None:
-            block = self.preloaded_block()
-            if block is not None or not self.preloaded_entries:
-                return self.entries, block
-        return self.materialize(), None
+def run_task_in_process(
+    job: Any, task: ReduceTask
+) -> Tuple[List[Any], ReduceTaskReport]:
+    """Reduce one task in the calling process (serial, thread, 1-worker pool)."""
+    block = (
+        task.preloaded.reduce_block(task.task_index)
+        if task.preloaded is not None
+        else None
+    )
+    return run_reduce_task(job, task.task_index, task.entries, block)
 
 
 class ExecutionBackend(ABC):
@@ -89,8 +63,8 @@ class ExecutionBackend(ABC):
     * ``run_map_tasks`` / ``run_reduce_tasks`` return one result per task,
       **in task-index order**, regardless of scheduling.
     * Task execution must go through :func:`~repro.execution.tasks.run_map_task`
-      / :func:`~repro.execution.tasks.run_reduce_task` so every backend runs
-      identical task code.
+      / :func:`~repro.execution.tasks.run_reduce_task` (in process:
+      :func:`run_task_in_process`) so every backend runs identical task code.
     * Backends hold no per-job state; one backend instance serves many runs
       (and, for pooled backends, amortises pool start-up across them).
     """

@@ -8,13 +8,14 @@ crossing the process boundary is an explicit, picklable payload:
   at most once per worker per job;
 * **map payloads** carry one input split of records;
 * **reduce payloads** carry the partition's live shuffle entries plus -- for
-  pre-partitioned batch runs -- either the partition's *shared-memory
-  descriptor* ``(segment name, partition index)`` (preferred: workers attach
-  the index's published columnar plane once and build/cache the partition's
-  reduce block from it, so nothing dataset-sized crosses the pipe at all) or
-  its *compact serialized form* (a pickle blob cached at the
-  :class:`~repro.mapreduce.runtime.PreloadedShuffle`), so repeated queries
-  never re-pickle the index's data-object entries;
+  pre-partitioned batch runs -- the partition's *shared-memory descriptor*
+  ``(segment name, partition index)`` (workers attach the index's published
+  columnar plane once and build/cache the partition's reduce block from it,
+  so nothing dataset-sized crosses the pipe at all) or, only where shared
+  memory is unavailable, the *pickled block* (pickled once per snapshot,
+  cached at the :class:`~repro.mapreduce.runtime.PreloadedShuffle`);
+  beside either ride the partition's tombstoned oids, which the worker
+  drops from its copy of the block;
 * task payloads are submitted through ``Pool.map`` with a computed
   ``chunksize``, so the many small per-cell reduce tasks of an SPQ job are
   serialized in chunks instead of one IPC round-trip each.
@@ -34,14 +35,15 @@ import itertools
 import multiprocessing
 import pickle
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import JobConfigurationError
-from repro.execution.base import ExecutionBackend, ReduceTask
+from repro.execution.base import ExecutionBackend, ReduceTask, run_task_in_process
 from repro.execution.tasks import (
     MapTaskResult,
     ReduceTaskReport,
     ShuffleEntry,
+    block_without,
     run_map_task,
     run_reduce_task,
 )
@@ -93,21 +95,24 @@ def _worker_plane(name: str) -> Any:
 
 def _worker_run_reduce(
     payload: Tuple[
-        int, bytes, int, Optional[bytes], List[ShuffleEntry], Optional[Tuple[str, int]]
+        int,
+        bytes,
+        int,
+        List[ShuffleEntry],
+        Optional[Tuple[str, int]],
+        Optional[bytes],
+        Optional[AbstractSet[str]],
     ],
 ) -> Tuple[List[Any], ReduceTaskReport]:
-    token, job_blob, task_index, preloaded_blob, entries, preloaded_ref = payload
+    token, job_blob, task_index, entries, ref, blob, excluded = payload
     job = _worker_job(token, job_blob)
     block = None
-    if preloaded_ref is not None:
-        segment_name, partition = preloaded_ref
+    if ref is not None:
+        segment_name, partition = ref
         block = _worker_plane(segment_name).block(partition)
-    if preloaded_blob is not None:
-        bucket: List[ShuffleEntry] = pickle.loads(preloaded_blob)
-        bucket.extend(entries)
-    else:
-        bucket = entries
-    return run_reduce_task(job, task_index, bucket, block)
+    elif blob is not None:
+        block = pickle.loads(blob)
+    return run_reduce_task(job, task_index, entries, block_without(block, excluded))
 
 
 class ProcessBackend(ExecutionBackend):
@@ -176,34 +181,22 @@ class ProcessBackend(ExecutionBackend):
             return []
         if self.workers == 1:
             # A one-process pool buys no parallelism; skip the IPC entirely.
-            results = []
-            for task in tasks:
-                bucket, block = task.bucket_and_block()
-                results.append(run_reduce_task(job, task.task_index, bucket, block))
-            return results
+            return [run_task_in_process(job, task) for task in tasks]
         token, job_blob = self._job_payload(job)
         payloads = []
         for task in tasks:
-            ref: Optional[Tuple[str, int]] = (
-                task.preloaded_ref() if task.preloaded_ref is not None else None
-            )
-            if ref is not None:
+            index = task.task_index
+            preloaded = task.preloaded
+            ref = blob = excluded = None
+            if preloaded is not None:
+                excluded = preloaded.excluded.get(index)
                 # Shared-memory descriptor: the worker attaches the published
                 # plane and builds the block there; nothing preloaded ships.
-                blob: Optional[bytes] = None
-                entries = task.entries
-            elif task.preloaded_blob is not None:
-                blob = task.preloaded_blob()
-                entries = task.entries
-            elif task.preloaded_entries:
-                # No compact form available: fall back to shipping the
-                # combined bucket (still correct, just re-pickled per run).
-                blob = None
-                entries = task.materialize()
-            else:
-                blob = None
-                entries = task.entries
-            payloads.append((token, job_blob, task.task_index, blob, entries, ref))
+                # Only without shared memory does the pickled block travel.
+                ref = preloaded.shared_ref(index)
+                if ref is None:
+                    blob = preloaded.blob(index)
+            payloads.append((token, job_blob, index, task.entries, ref, blob, excluded))
         # Chunked shuffle serialization: batch the many small per-partition
         # payloads so each worker round-trip carries a meaningful amount of
         # work instead of one tiny task.

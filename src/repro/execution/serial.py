@@ -4,13 +4,8 @@ from __future__ import annotations
 
 from typing import Any, List, Sequence, Tuple
 
-from repro.execution.base import ExecutionBackend, ReduceTask
-from repro.execution.tasks import (
-    MapTaskResult,
-    ReduceTaskReport,
-    run_map_task,
-    run_reduce_task,
-)
+from repro.execution.base import ExecutionBackend, ReduceTask, run_task_in_process
+from repro.execution.tasks import MapTaskResult, ReduceTaskReport, run_map_task
 
 
 class SerialBackend(ExecutionBackend):
@@ -39,8 +34,4 @@ class SerialBackend(ExecutionBackend):
         self, job: Any, tasks: Sequence[ReduceTask]
     ) -> List[Tuple[List[Any], ReduceTaskReport]]:
         """Run every reduce task inline, in task-index order."""
-        results = []
-        for task in tasks:
-            bucket, block = task.bucket_and_block()
-            results.append(run_reduce_task(job, task.task_index, bucket, block))
-        return results
+        return [run_task_in_process(job, task) for task in tasks]

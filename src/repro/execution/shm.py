@@ -1,13 +1,16 @@
 """Shared-memory segments for the columnar data plane.
 
-The process backend used to ship every preloaded reduce partition to its
-workers as a pickle blob -- per query, per task, through a pipe.  Here the
-orchestrator instead *publishes* the index's columnar form once as a
+Shipping a preloaded reduce partition to a worker process as a pickle --
+per query, per task, through a pipe -- is what this module avoids.  The
+orchestrator *publishes* the index's columnar form once as a
 ``multiprocessing.shared_memory`` segment and ships only ``(segment name,
 partition index)`` descriptors; workers attach the segment (an ``shm_open``
 + ``mmap``, constant in dataset size), build each partition's reduce block
 from zero-copy column slices, and cache it for every later query over the
-same snapshot.  The same mechanism backs the shard-node dataset segment:
+same snapshot.  A data tombstone changes none of that: the partition's
+excluded oids ride beside the descriptor and the worker drops those rows
+from its cached block (:func:`~repro.execution.tasks.block_without`).  The
+same mechanism backs the shard-node dataset segment:
 ``repro serve --cluster`` publishes the parsed dataset once and every
 locally spawned node attaches instead of re-reading and re-parsing the
 dataset file.
@@ -25,8 +28,9 @@ Lifecycle rules (the part the VDBMS bug literature says to get right):
   :func:`live_segment_names` exposes every wrapper this process still holds
   open so tests can assert nothing leaks;
 * when shared memory is unavailable (import failure or a failing probe),
-  :func:`shared_memory_available` returns False and callers fall back to
-  the pickle-blob path -- behaviour, results and counters are identical.
+  :func:`shared_memory_available` returns False and the process backend
+  ships each partition's pickled block instead (pickled once per
+  snapshot) -- behaviour, results and counters are identical.
 """
 
 from __future__ import annotations

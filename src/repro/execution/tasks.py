@@ -13,7 +13,11 @@ pool or process pool -- executes the exact same code path:
 * :func:`run_reduce_task` sorts one partition's bucket by ``(sort_key,
   sequence)``, groups it by ``group_key`` and feeds each group to
   ``job.reduce`` through a consumption-tracking iterator (early
-  termination accounting).
+  termination accounting), after injecting the partition's preloaded
+  block, if any, ahead of its group's live values.
+* :func:`block_without` is the one place a data tombstone is applied: the
+  copy of a block a reducer is handed when some of the cell's rows are
+  deleted -- in process and in a worker alike.
 
 Each task gets its own :class:`~repro.mapreduce.counters.Counters`; the
 orchestrator merges them in task-index order, so the aggregate is
@@ -92,8 +96,8 @@ class _ConsumptionTrackingIterator:
 
     A :class:`~repro.index.columns.DataBlock` stands in for that many
     individual data records, so pulling one weighs ``len(block)`` -- the
-    consumption accounting stays identical to the per-entry stream it
-    replaces.
+    consumption accounting stays identical to a run that mapped the
+    records one by one.
     """
 
     def __init__(self, values: Sequence[Any]) -> None:
@@ -177,15 +181,15 @@ def run_reduce_task(
 ) -> Tuple[List[Any], ReduceTaskReport]:
     """Sort, group and reduce one partition bucket.
 
-    ``preloaded_block`` is the columnar replacement for the partition's
-    preloaded data entries: a ``(group, DataBlock)`` pair injected ahead of
-    the live values of its group (data always sorts before features in SPQ
-    jobs, so "first" is exactly where the per-entry stream would have put
-    it).  A block whose group has no live entries is reduced as its own
-    data-only group, in group order; accounting (``input_records``,
-    ``num_groups``, consumption) counts the block as ``len(block)`` records,
-    matching the stream it replaces.  Requires orderable group keys, which
-    every preloaded-shuffle job has (cell ids).
+    ``preloaded_block`` is the partition's preloaded records: a ``(group,
+    DataBlock)`` pair injected ahead of the live values of its group (data
+    always sorts before features in SPQ jobs, so "first" is exactly where
+    mapping the records would have put them).  A block whose group has no
+    live entries is reduced as its own data-only group, in group order;
+    accounting (``input_records``, ``num_groups``, consumption) counts the
+    block as ``len(block)`` records, matching a run that mapped them.
+    Requires orderable group keys, which every preloaded-shuffle job has
+    (cell ids).
     """
     sort_bucket(bucket)
     block_group: Any = None
@@ -211,6 +215,31 @@ def run_reduce_task(
     if block is not None:
         _reduce_group(job, task_index, block_group, [block], report, outputs)
     return outputs, report
+
+
+def block_without(
+    entry: Optional[Tuple[int, DataBlock]], oids
+) -> Optional[Tuple[int, DataBlock]]:
+    """A partition's ``(group, block)`` minus the rows whose oid is in ``oids``.
+
+    This is how a data tombstone reaches a reducer: the cell's cached block
+    is never edited, the reader is handed an O(|cell|) copy without the
+    tombstoned rows, storage order kept.  Returns ``entry`` itself when
+    there is nothing to drop, and None when no row survives (the cell then
+    holds no data, exactly as after a bulk swap of the shrunken dataset).
+    """
+    if entry is None or not oids:
+        return entry
+    group, block = entry
+    keep = [row for row, oid in enumerate(block.oids) if oid not in oids]
+    if not keep:
+        return None
+    return group, DataBlock(
+        group,
+        [block.objs[row] for row in keep],
+        [block.xs[row] for row in keep],
+        [block.ys[row] for row in keep],
+    )
 
 
 def _reduce_group(

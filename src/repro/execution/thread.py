@@ -16,13 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.exceptions import JobConfigurationError
-from repro.execution.base import ExecutionBackend, ReduceTask
-from repro.execution.tasks import (
-    MapTaskResult,
-    ReduceTaskReport,
-    run_map_task,
-    run_reduce_task,
-)
+from repro.execution.base import ExecutionBackend, ReduceTask, run_task_in_process
+from repro.execution.tasks import MapTaskResult, ReduceTaskReport, run_map_task
 
 
 class ThreadBackend(ExecutionBackend):
@@ -67,15 +62,8 @@ class ThreadBackend(ExecutionBackend):
     ) -> List[Tuple[List[Any], ReduceTaskReport]]:
         """Run reduce tasks on the thread pool, results in task order."""
         pool = self._executor()
-        futures = [
-            pool.submit(self._run_one, job, task) for task in tasks
-        ]
+        futures = [pool.submit(run_task_in_process, job, task) for task in tasks]
         return [future.result() for future in futures]
-
-    @staticmethod
-    def _run_one(job: Any, task: ReduceTask) -> Tuple[List[Any], ReduceTaskReport]:
-        bucket, block = task.bucket_and_block()
-        return run_reduce_task(job, task.task_index, bucket, block)
 
     def close(self) -> None:
         """Shut the executor down (idempotent; detaches before tearing down)."""

@@ -3,8 +3,8 @@
 The object model (:mod:`repro.model.objects`) is the API of the system, but
 walking per-object Python instances is also what the hot loops were paying
 for: every ``obj.within_distance(feature, r)`` is a method call plus four
-attribute lookups, and every process-backed reduce task used to ship its
-partition as a pickle blob.  This module packs the same information into
+attribute lookups, and shipping a partition's objects to a worker process
+costs a pickle per task.  This module packs the same information into
 stdlib ``array`` columns:
 
 * :class:`DataColumns`    -- data objects as parallel ``xs``/``ys`` double
@@ -40,6 +40,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.exceptions import JobConfigurationError
 from repro.model.objects import DataObject, FeatureObject
 
 __all__ = [
@@ -51,18 +52,28 @@ __all__ = [
     "dataplane_mode",
 ]
 
-#: Environment toggle for the data plane: ``columnar`` (default) enables the
-#: packed-column reduce paths; ``object`` forces the original per-object
-#: loops, which double as the oracle the differential fuzz suite and
-#: ``bench_dataplane.py`` compare against.
+#: Environment toggle for the reduce *math*: ``columnar`` (default) runs the
+#: packed-column reduce loops; ``object`` runs the original per-object
+#: loops, the oracle the differential fuzz suite and ``bench_dataplane.py``
+#: compare against.  Either way a cell's data reaches its reducer as one
+#: :class:`DataBlock`; the switch does not decide how data travels.
 DATAPLANE_ENV = "REPRO_DATAPLANE"
 DATAPLANE_MODES = ("columnar", "object")
 
 
 def dataplane_mode() -> str:
-    """The active data-plane mode (``columnar`` unless overridden)."""
-    mode = os.environ.get(DATAPLANE_ENV, "columnar").strip().lower()
-    return mode if mode in DATAPLANE_MODES else "columnar"
+    """The active data-plane mode (``columnar`` when unset or empty).
+
+    Raises:
+        JobConfigurationError: for any other value -- a typo must not turn
+            an oracle run into a silent columnar-vs-columnar comparison.
+    """
+    mode = os.environ.get(DATAPLANE_ENV, "").strip().lower() or "columnar"
+    if mode not in DATAPLANE_MODES:
+        raise JobConfigurationError(
+            f"{DATAPLANE_ENV} must be one of {DATAPLANE_MODES}, got {mode!r}"
+        )
+    return mode
 
 
 # ---------------------------------------------------------------------- #
@@ -492,14 +503,16 @@ class ColumnStore:
 class DataBlock:
     """One grid cell's data objects, reduce-ready in columnar form.
 
-    Injected into a reduce group ahead of the live feature stream in place
-    of the per-entry preloaded data records: the columns are extracted once
-    per cell per dataset snapshot (or attached from shared memory) instead
-    of once per query, and the lazily built x-sorted permutation narrows
-    range predicates to the candidate window of each feature.
+    The one shape a cell's indexed data takes on its way to a reducer,
+    whatever the backend, job class or reduce loop: injected into the
+    cell's reduce group ahead of the live feature stream.  The columns are
+    extracted once per cell per dataset snapshot (or attached from shared
+    memory) instead of once per query, and the lazily built x-sorted
+    permutation narrows range predicates to the candidate window of each
+    feature.
 
     ``objs``/``xs``/``ys`` are parallel, in storage order -- the exact order
-    the per-entry path would have streamed the cell's data objects.
+    mapping the cell's data objects one by one would have streamed them.
     """
 
     __slots__ = ("group", "objs", "xs", "ys", "_sorted_xs", "_sorted_rows", "_oids")
@@ -523,6 +536,11 @@ class DataBlock:
     def __len__(self) -> int:
         return len(self.objs)
 
+    def __reduce__(self):
+        # The no-shared-memory process path ships pickled blocks: the
+        # objects alone rebuild the columns, and the lazy caches stay home.
+        return DataBlock.from_objects, (self.group, self.objs)
+
     @property
     def oids(self) -> List[str]:
         """Parallel oid column (cached; used by the report-as-you-go reduce)."""
@@ -542,3 +560,4 @@ class DataBlock:
             self._sorted_rows = [row for row in order]
             self._sorted_xs = sorted_xs = [self.xs[row] for row in order]
         return self._sorted_rows[bisect_left(sorted_xs, low) : bisect_right(sorted_xs, high)]
+

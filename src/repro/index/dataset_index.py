@@ -10,7 +10,10 @@ can be amortised.
 :class:`DatasetIndex` precomputes, for one grid (i.e. one grid size over one
 dataset snapshot):
 
-* the cell assignment of every data object (radius-independent),
+* the cell assignment of every data object (radius-independent) and, from
+  it, the *data plane*: each cell's data objects as one
+  :class:`~repro.index.columns.DataBlock`, the single form in which they
+  reach a reducer (:meth:`DatasetIndex.data_shuffle`),
 * a keyword -> feature inverted index with storage positions
   (:class:`~repro.text.inverted_index.PositionalInvertedIndex`), replacing the
   per-query keyword scan of the map phase, and
@@ -30,13 +33,13 @@ import math
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.index.columns import CellColumns, ColumnStore, DataBlock
-from repro.index.records import PreAssignedData, PreAssignedFeature
+from repro.index.columns import ColumnStore, DataBlock
+from repro.index.records import PreAssignedFeature
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.runtime import LocalJobRunner, PreloadedShuffle
+from repro.mapreduce.runtime import PreloadedShuffle
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
 from repro.spatial.grid import UniformGrid
@@ -51,8 +54,8 @@ class PreparedQuery:
     Attributes:
         records: Pre-assigned feature records in storage order -- exactly the
             order the sequential map phase would have streamed the surviving
-            features.  Data objects are not re-streamed at all: their shuffle
-            entries come preloaded (see :meth:`DatasetIndex.data_shuffle`).
+            features.  Data objects are not re-streamed at all: they come
+            preloaded, one block per cell (see :meth:`DatasetIndex.data_shuffle`).
         num_candidates: Feature objects that survived keyword pruning.
         num_pruned: Feature objects dropped by the index-side pruning rule
             (what the map phase would have counted as ``features_pruned``).
@@ -106,10 +109,6 @@ class DatasetIndex:
 
         partitioner = GridPartitioner(grid, radius=0.0)
         data_cells = partitioner.assign_data_objects(self._data_objects)
-        self._data_records: List[PreAssignedData] = [
-            PreAssignedData(obj, cell_id)
-            for obj, cell_id in zip(self._data_objects, data_cells)
-        ]
         #: cell id -> number of data objects homed there (planner statistic).
         self._data_cell_counts: Dict[int, int] = dict(Counter(data_cells))
         #: storage position -> home cell of every feature (radius-independent;
@@ -130,23 +129,19 @@ class DatasetIndex:
         #: radius -> {feature position -> duplication cell tuple}, filled
         #: lazily for the features queries actually touch.
         self._feature_cells: Dict[float, Dict[int, Tuple[int, ...]]] = {}
-        #: job class -> preloaded data-object shuffle snapshot.
-        self._data_shuffles: Dict[type, PreloadedShuffle] = {}
-        #: (job class, tombstoned data oids) -> filtered shuffle snapshot
-        #: (delta-mode queries with data deletes; see filtered_data_shuffle).
-        self._filtered_shuffles: Dict[Tuple[type, frozenset], PreloadedShuffle] = {}
         #: feature oid -> storage position, built lazily (delta tombstones).
         self._feature_positions: Optional[Dict[str, int]] = None
-        #: Columnar data plane over this snapshot, shared by every job class
-        #: (a reduce block's value stream is DataObject instances in all SPQ
-        #: jobs): the per-row cell assignment (lazy CSR), lazily built
-        #: per-partition reduce blocks, and -- for process backends -- a
-        #: lazily published shared-memory segment of the same columns.
+        #: The data plane over this snapshot -- the one place "the data
+        #: objects of reduce partition p" exist, shared by every job class (a
+        #: reduce block's value stream is DataObject instances in all SPQ
+        #: jobs): the per-row cell assignment, the per-partition reduce
+        #: blocks (built on first use) and, for process backends, a lazily
+        #: published shared-memory segment of the same columns.
         self._data_cells: List[int] = data_cells
-        self._cell_columns: Optional[CellColumns] = None
-        self._blocks: Optional[List[object]] = None
+        self._blocks: Optional[List[Optional[Tuple[int, DataBlock]]]] = None
         self._plane: object = None  # None = not tried, False = unavailable/released
         self._plane_lock = threading.Lock()
+        self._shuffle: Optional[PreloadedShuffle] = None
         #: oid -> estimated serialized size, shared by every job of a batch
         #: (a job's own memo dies with the query; this one lives with the
         #: dataset snapshot, so sizes are computed once per feature ever).
@@ -184,7 +179,7 @@ class DatasetIndex:
 
     def data_cell_of(self, position: int) -> int:
         """Precomputed cell id of the data object at ``position``."""
-        return self._data_records[position].cell_id
+        return self._data_cells[position]
 
     # ------------------------------------------------------------------ #
     # planner statistics (all cheap: precomputed at build or O(candidates))
@@ -275,75 +270,58 @@ class DatasetIndex:
         return cache
 
     # ------------------------------------------------------------------ #
-    # preloaded data-object shuffle
+    # preloaded data objects
 
-    def data_shuffle(self, job: MapReduceJob) -> PreloadedShuffle:
-        """Shuffle-ready data-object entries for one job class (cached).
-
-        The map output of a data object depends only on its grid cell and the
-        job class's composite-key shape -- never on the query -- so the
-        bucketed ``(sort_key, sequence, key, value)`` entries are computed
-        once per job class and injected into every subsequent run, removing
-        the data objects from the per-query map phase entirely.
-
-        Because the snapshot is cached here (one per job class per index),
-        its compact serialized form -- the per-partition pickle blobs of
-        :meth:`~repro.mapreduce.runtime.PreloadedShuffle.partition_blob`
-        that the process backend ships to its workers -- is also computed at
-        most once per index, not re-pickled for every query of a batch.
-        """
-        key = type(job)
-        cached = self._data_shuffles.get(key)
-        if cached is None:
-            runner = LocalJobRunner(num_reducers=self.grid.num_cells)
-            cached = runner.build_preloaded_shuffle(job, self._data_records)
-            # Attach the columnar plane (shared across job classes -- every
-            # SPQ job's preloaded value stream is the same DataObject
-            # instances): columnar-mode runs replace the per-entry partitions
-            # with cached reduce blocks, process backends with shared-memory
-            # descriptors.  Object-mode runs ignore both.
-            cached.block_provider = self.partition_block
-            cached.shared_provider = self.shared_plane_ref
-            self._data_shuffles[key] = cached
-        return cached
-
-    def filtered_data_shuffle(
-        self, job: MapReduceJob, excluded_oids: frozenset
+    def data_shuffle(
+        self, job: MapReduceJob, tombstoned: Iterable[DataObject] = ()
     ) -> PreloadedShuffle:
-        """Data shuffle with the given (tombstoned) data oids filtered out.
+        """The preloaded side of a run over this snapshot: its data plane.
 
-        The delta layer (docs/ingest.md) serves deletes by excluding the
-        tombstoned data objects from the preloaded shuffle instead of
-        post-filtering reduce output: the surviving records keep their
-        relative storage order, so per-cell reduce streams are exactly
-        those a bulk swap of the shrunken dataset would produce -- the
-        bit-for-bit identity contract, score ties included.
+        The map output of a data object depends only on its grid cell --
+        never on the query, nor (beyond a composite key that only ever
+        sorted data before features, which block injection does by
+        construction) on the job class.  So one
+        :class:`~repro.mapreduce.runtime.PreloadedShuffle` serves every SPQ
+        job: it hands each cell's data to its reducer as one cached block,
+        removing the data objects from the per-query map phase entirely.
+        ``job`` only says what mapping them would have counted
+        (``mapped_data_counters``, the same for all three job classes).
 
-        Unlike :meth:`data_shuffle`, no columnar block or shared-memory
-        providers are attached: the cached reduce blocks cover the
-        *unfiltered* snapshot.  Columnar-mode reduces fall back to the
-        per-entry value stream, which every SPQ job consumes with
-        identical results.  Snapshots are cached per (job class,
-        tombstone set) -- tombstone sets only grow between compactions,
-        so a handful of entries covers a serving window.
+        ``tombstoned`` are the indexed data objects the delta layer holds a
+        tombstone for (docs/ingest.md).  A delete is served *before* the
+        reduce, never by post-filtering its top-k, and through the same
+        plane: the view returned here shares the cached blocks, segment and
+        blobs, names per partition the oids to withhold, and states the
+        counters of the surviving records.  Only those partitions hand out
+        a filtered copy (:func:`~repro.execution.tasks.block_without`:
+        O(|cell|), storage order kept, so the reduce stream is exactly a
+        bulk swap's, score ties included); building the view costs
+        O(|tombstones|) and nothing is cached per tombstone set.
         """
-        key = (type(job), excluded_oids)
-        cached = self._filtered_shuffles.get(key)
-        if cached is None:
-            runner = LocalJobRunner(num_reducers=self.grid.num_cells)
-            records = [
-                record
-                for record in self._data_records
-                if record.obj.oid not in excluded_oids
-            ]
-            cached = runner.build_preloaded_shuffle(job, records)
-            if len(self._filtered_shuffles) >= 32:
-                # Drop the oldest snapshots rather than grow without bound
-                # across many distinct tombstone sets (compaction resets
-                # the set, so churn here is already rare).
-                self._filtered_shuffles.clear()
-            self._filtered_shuffles[key] = cached
-        return cached
+        shuffle = self._shuffle
+        if shuffle is None:
+            # Benign race between engines sharing this index: equal
+            # instances, atomic slot write.
+            shuffle = self._shuffle = PreloadedShuffle(
+                num_partitions=self.grid.num_cells,
+                num_input_records=self.num_data,
+                counters=job.mapped_data_counters(self.num_data),
+                block=self.partition_block,
+                shared_ref=self.shared_plane_ref,
+            )
+        excluded: Dict[int, Set[str]] = {}
+        for obj in tombstoned:
+            partition = self._partition_of(self.grid.locate(obj.x, obj.y))
+            excluded.setdefault(partition, set()).add(obj.oid)
+        if not excluded:
+            return shuffle
+        survivors = self.num_data - sum(map(len, excluded.values()))
+        return replace(
+            shuffle,
+            num_input_records=survivors,
+            counters=job.mapped_data_counters(survivors),
+            excluded=excluded,
+        )
 
     def feature_positions_by_oid(self) -> Dict[str, int]:
         """Feature oid -> storage position (built lazily, then cached).
@@ -364,49 +342,47 @@ class DatasetIndex:
     # ------------------------------------------------------------------ #
     # columnar data plane
 
-    def cell_columns(self) -> CellColumns:
-        """Per-row cell assignment + partition CSR (built once, lazily)."""
-        columns = self._cell_columns
-        if columns is None:
-            # Idempotent build: a benign race between engines sharing this
-            # index produces equal columns, and the slot write is atomic.
-            columns = self._cell_columns = CellColumns.from_assignments(
-                self._data_cells, self.grid.num_cells
-            )
-        return columns
-
     def partition_block(self, partition: int) -> Optional[Tuple[int, DataBlock]]:
         """``(group, DataBlock)`` of one reduce partition (None when empty).
 
-        Blocks are materialized lazily per partition and cached for the
-        lifetime of the snapshot, so the per-query cost of a columnar reduce
-        over a warmed partition is a single list lookup -- no entry copying,
-        no re-sorting (the block also caches its x-sorted permutation).
+        All blocks are built in one pass over the data objects the first
+        time any is asked for (a few ms per 10k objects; never, when a
+        process backend's workers build theirs from shared memory instead)
+        and cached for the lifetime of the snapshot, so the per-query cost
+        of a reduce over a cell's data is a single list lookup -- no entry
+        copying, no re-sorting (a block also caches its x-sorted
+        permutation).
         """
         blocks = self._blocks
         if blocks is None:
-            blocks = self._blocks = [False] * self.grid.num_cells
-        block = blocks[partition]
-        if block is False:
-            cells = self.cell_columns()
-            rows = cells.partition_rows(partition)
-            if len(rows) == 0:
-                block = None
-            else:
-                objects = self._data_objects
-                built = DataBlock.from_objects(
-                    int(cells.cells[rows[0]]), [objects[row] for row in rows]
-                )
-                block = (built.group, built)
-            blocks[partition] = block
-        return block
+            with self._plane_lock:
+                blocks = self._blocks
+                if blocks is None:
+                    blocks = self._blocks = self._build_blocks()
+        return blocks[partition]
+
+    def _partition_of(self, cell_id: int) -> int:
+        """The SPQ jobs' partition rule: one reduce partition per grid cell."""
+        return (cell_id - 1) % self.grid.num_cells
+
+    def _build_blocks(self) -> List[Optional[Tuple[int, DataBlock]]]:
+        by_cell: Dict[int, List[DataObject]] = {}
+        for obj, cell_id in zip(self._data_objects, self._data_cells):
+            by_cell.setdefault(cell_id, []).append(obj)
+        blocks: List[Optional[Tuple[int, DataBlock]]] = [None] * self.grid.num_cells
+        for cell_id, objs in by_cell.items():
+            blocks[self._partition_of(cell_id)] = (
+                cell_id,
+                DataBlock.from_objects(cell_id, objs),
+            )
+        return blocks
 
     def shared_plane_ref(self, partition: int) -> Optional[Tuple[str, int]]:
         """Shared-memory descriptor of one partition, or None.
 
         Publishing the plane (one segment holding the coordinate/oid columns
         plus the cell CSR) happens on first use and is skipped -- returning
-        None, which sends process backends down the pickle-blob path -- when
+        None, which makes process backends ship the pickled block -- when
         shared memory is unavailable or the plane was already released.
         """
         plane = self._plane

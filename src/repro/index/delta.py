@@ -6,18 +6,20 @@ incremental updates (``POST /objects``) without touching the base
 :class:`~repro.index.dataset_index.DatasetIndex` at all:
 
 * **Appends** are held in the delta in arrival order.  At query time the
-  engine turns them into the same pre-assigned records the base index
-  emits and appends them to the live record stream; the shuffle's
-  sequence rebasing then places them *after* the base entries of the
-  same sort key -- exactly where a bulk swap of the final state would
-  have placed them, so results (score ties included) are bit-for-bit
-  identical to the swapped dataset's.
+  engine turns them into pre-assigned records on the live record stream:
+  appended features sort after the base features of the same sort key
+  (the base index emits its records first), appended data after the
+  cell's base block (injected ahead of every live value) -- exactly where
+  a bulk swap of the final state would have placed them, so results
+  (score ties included) are bit-for-bit identical to the swapped
+  dataset's.
 * **Deletes** of base objects become *tombstones*: an oid set consulted
-  before the reduce input is assembled (data tombstones filter the
-  preloaded shuffle, feature tombstones filter the candidate positions),
-  never after the top-k cut -- post-filtering a top-k would under-fill
-  it.  Deleting an oid that was itself appended since the last
-  compaction simply removes it from the delta again.
+  before the reduce input is assembled (a data tombstone withholds its
+  row from the cell's block where the block is handed to the reducer --
+  ``DatasetIndex.data_shuffle`` -- feature tombstones filter the
+  candidate positions), never after the top-k cut -- post-filtering a
+  top-k would under-fill it.  Deleting an oid that was itself appended
+  since the last compaction simply removes it from the delta again.
 
 The delta is a copy-on-write immutable snapshot behind one writer lock:
 readers pin a :class:`DeltaSnapshot` per batch with a single attribute
@@ -310,7 +312,7 @@ def materialize(
     return data, features
 
 
-def delta_data_records(
+def delta_data_appends(
     snapshot: DeltaSnapshot, grid: UniformGrid
 ) -> List[PreAssignedData]:
     """Appended data objects as pre-assigned records for ``grid``."""
@@ -320,7 +322,7 @@ def delta_data_records(
     ]
 
 
-def delta_feature_records(
+def delta_feature_appends(
     snapshot: DeltaSnapshot,
     query: SpatialPreferenceQuery,
     grid: UniformGrid,
@@ -353,7 +355,7 @@ __all__ = [
     "DatasetDelta",
     "DeltaCounters",
     "DeltaSnapshot",
-    "delta_data_records",
-    "delta_feature_records",
+    "delta_data_appends",
+    "delta_feature_appends",
     "materialize",
 ]

@@ -28,16 +28,23 @@ from __future__ import annotations
 import itertools
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.exceptions import JobConfigurationError
 from repro.execution.base import ExecutionBackend, ReduceTask
 from repro.execution.serial import SerialBackend
-from repro.execution.tasks import (
-    ReduceTaskReport,
-    ShuffleEntry,
-    run_map_task,
-)
+from repro.execution.tasks import ReduceTaskReport, ShuffleEntry, block_without
 from repro.mapreduce import counters as counter_names
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import MapReduceJob
@@ -57,57 +64,60 @@ DEFAULT_SPLIT_SIZE = 10_000
 
 @dataclass
 class PreloadedShuffle:
-    """Shuffle-ready records injected into a run ahead of the map phase.
+    """The preloaded side of a run: per reduce partition, one ready block.
 
-    Built by :meth:`LocalJobRunner.build_preloaded_shuffle` from records whose
-    map output is query-independent (e.g. the data objects of an SPQ job,
-    whose composite key depends only on the grid cell).  A cached instance can
-    be injected into many runs: the per-partition entry lists are shared
-    read-only (each reduce task copies before appending its own live
-    entries), and the recorded counter deltas are merged into each run so
-    accounting matches a run that mapped the records itself.
+    Records whose map output is query-independent (the data objects of an
+    SPQ job: their key depends only on the grid cell) are never re-mapped.
+    Whoever indexed them -- :class:`~repro.index.dataset_index.DatasetIndex`
+    -- hands each reduce partition its records as one block, injected ahead
+    of the partition's live values, and states what mapping them would have
+    counted.  One instance serves every job class and every run over the
+    snapshot; nothing here is copied or mutated per run.
 
     Attributes:
-        partitions: Per reduce partition, the ``(sort_key, sequence, key,
-            value)`` entries exactly as the map phase would have bucketed
-            them.
-        num_input_records: Map input records these entries represent (counts
+        num_partitions: Reduce partitions the blocks are routed over (must
+            equal the runner's ``num_reducers``).
+        num_input_records: Map input records the blocks stand for (counts
             toward the split/map-task accounting).
-        next_sequence: First sequence number available to live map emissions,
-            preserving the global emission order of an unpreloaded run.
-        counters: Counter deltas (map/shuffle groups plus whatever the job's
-            ``map`` incremented) the preloaded records contribute.
+        counters: Counter deltas mapping those records would have produced,
+            merged into every run that injects the blocks.
+        block: ``block(i)`` is partition ``i``'s cached ``(group, block)``,
+            or None when it holds no preloaded record.
+        shared_ref: ``shared_ref(i)`` is the shared-memory descriptor
+            ``(segment name, i)`` a worker process rebuilds ``block(i)``
+            from, or None when no plane is published.
+        excluded: Partition -> oids of the block rows a reducer must not
+            see (tombstones).  Applied where the block is handed out --
+            :meth:`reduce_block` here, the worker in a process backend --
+            so the cached block, segment and blob are never rebuilt for it.
     """
 
-    partitions: List[List[ShuffleEntry]]
+    num_partitions: int
     num_input_records: int
-    next_sequence: int
     counters: Counters
-    #: Lazily pickled per-partition blobs -- the compact serialized form the
-    #: process backend ships to workers.  Cached here (the snapshot outlives
-    #: individual queries) so the index's entries are pickled once, not once
-    #: per query.
-    _blobs: Optional[List[Optional[bytes]]] = field(
-        default=None, repr=False, compare=False
+    block: Callable[[int], Optional[Tuple[Any, Any]]]
+    shared_ref: Callable[[int], Optional[Tuple[str, int]]]
+    excluded: Mapping[int, AbstractSet[str]] = field(default_factory=dict)
+    #: partition -> pickled ``block(i)``; a ``dataclasses.replace`` copy (a
+    #: tombstone view) shares the dict, so a block is pickled once per
+    #: snapshot, not once per query or per tombstone set.
+    _blobs: Dict[int, Optional[bytes]] = field(
+        default_factory=dict, repr=False, compare=False
     )
-    #: Columnar data plane, attached by the DatasetIndex that built this
-    #: snapshot: ``block_provider(i)`` returns partition ``i``'s ``(group,
-    #: DataBlock)`` (or None), ``shared_provider(i)`` its shared-memory
-    #: descriptor ``(segment name, i)`` (or None).  Both are optional; when
-    #: absent -- or when the job runs the object data plane -- runs fall back
-    #: to the per-entry partitions above.
-    block_provider: Optional[Any] = field(default=None, repr=False, compare=False)
-    shared_provider: Optional[Any] = field(default=None, repr=False, compare=False)
 
-    def partition_blob(self, index: int) -> bytes:
-        """Pickled form of ``partitions[index]`` (computed once, then cached)."""
-        if self._blobs is None:
-            self._blobs = [None] * len(self.partitions)
-        blob = self._blobs[index]
-        if blob is None:
-            blob = pickle.dumps(self.partitions[index], pickle.HIGHEST_PROTOCOL)
-            self._blobs[index] = blob
-        return blob
+    def reduce_block(self, index: int) -> Optional[Tuple[Any, Any]]:
+        """Partition ``index``'s block as its reducer sees it (None when empty)."""
+        return block_without(self.block(index), self.excluded.get(index))
+
+    def blob(self, index: int) -> Optional[bytes]:
+        """``block(index)`` pickled: what a worker process is sent where there
+        is no shared memory (None when the partition is empty)."""
+        if index not in self._blobs:
+            block = self.block(index)
+            self._blobs[index] = (
+                None if block is None else pickle.dumps(block, pickle.HIGHEST_PROTOCOL)
+            )
+        return self._blobs[index]
 
 
 @dataclass
@@ -173,10 +183,10 @@ class LocalJobRunner:
     ) -> JobResult:
         """Execute ``job`` over ``records`` and return the full result.
 
-        When ``preloaded`` is given, its shuffle entries are injected ahead
-        of this run's live map output; the preloaded partition lists are
-        copied, never mutated, so one :class:`PreloadedShuffle` can serve
-        many runs concurrently with per-query record streams.
+        When ``preloaded`` is given, each reduce task gets its partition's
+        block injected ahead of this run's live map output; blocks are
+        shared read-only, so one :class:`PreloadedShuffle` can serve many
+        runs concurrently with per-query record streams.
         """
         counters = Counters()
         job.setup(counters)
@@ -236,18 +246,19 @@ class LocalJobRunner:
         local sequence numbers rebased onto a global counter, reproducing
         the exact emission order of a fully serial run.  Returns the live
         (non-preloaded) partition buckets, the map-task count and the set
-        of partition indexes that received live output.
+        of partition indexes that received live output.  Preloaded blocks
+        need no sequence numbers: they are injected ahead of every live
+        value of their group by construction.
         """
         preloaded_records = 0
         base = 0
         if preloaded is not None:
-            if len(preloaded.partitions) != self.num_reducers:
+            if preloaded.num_partitions != self.num_reducers:
                 raise JobConfigurationError(
-                    f"preloaded shuffle has {len(preloaded.partitions)} partitions, "
+                    f"preloaded shuffle has {preloaded.num_partitions} partitions, "
                     f"runner expects {self.num_reducers}"
                 )
             preloaded_records = preloaded.num_input_records
-            base = preloaded.next_sequence
             counters.merge(preloaded.counters)
 
         splits = self._split(records)
@@ -281,31 +292,6 @@ class LocalJobRunner:
         return live, num_map_tasks, touched
 
     # ------------------------------------------------------------------ #
-    # preloaded shuffle construction
-
-    def build_preloaded_shuffle(
-        self, job: MapReduceJob, records: Iterable[Any]
-    ) -> PreloadedShuffle:
-        """Run the map phase once over ``records`` into a reusable snapshot.
-
-        Only valid for records whose map output does not depend on per-run
-        state the caller intends to vary (the SPQ jobs' data-object keys
-        depend only on the grid, so one snapshot serves every query of a
-        batch).  Counter increments performed by ``job.map`` are captured in
-        the snapshot and replayed into each run that injects it.
-        """
-        result = run_map_task(job, 0, records, self.num_reducers)
-        partitions = [
-            result.buckets.get(index, []) for index in range(self.num_reducers)
-        ]
-        return PreloadedShuffle(
-            partitions=partitions,
-            num_input_records=result.num_input_records,
-            next_sequence=result.num_emitted,
-            counters=result.counters,
-        )
-
-    # ------------------------------------------------------------------ #
     # reduce
 
     def _run_reduce_phase(
@@ -316,39 +302,11 @@ class LocalJobRunner:
         preloaded: Optional[PreloadedShuffle] = None,
         skipped: Optional[Set[int]] = None,
     ) -> Tuple[List[Any], List[ReduceTaskReport]]:
-        tasks: List[ReduceTask] = []
-        # The columnar plane only engages when the snapshot publishes one AND
-        # the job runs the columnar data plane; otherwise (object-mode oracle
-        # runs, jobs without the attribute, plain snapshots) every task uses
-        # the per-entry partitions, exactly as before.
-        use_blocks = (
-            preloaded is not None
-            and preloaded.block_provider is not None
-            and getattr(job, "dataplane", "object") == "columnar"
-        )
-        shared = preloaded.shared_provider if use_blocks else None
-        for index, bucket in enumerate(live):
-            if skipped is not None and index in skipped:
-                continue
-            if preloaded is not None:
-                tasks.append(
-                    ReduceTask(
-                        task_index=index,
-                        entries=bucket,
-                        preloaded_entries=preloaded.partitions[index],
-                        preloaded_blob=lambda i=index: preloaded.partition_blob(i),
-                        preloaded_block=(
-                            (lambda i=index: preloaded.block_provider(i))
-                            if use_blocks
-                            else None
-                        ),
-                        preloaded_ref=(
-                            (lambda i=index: shared(i)) if shared is not None else None
-                        ),
-                    )
-                )
-            else:
-                tasks.append(ReduceTask(task_index=index, entries=bucket))
+        tasks = [
+            ReduceTask(task_index=index, entries=bucket, preloaded=preloaded)
+            for index, bucket in enumerate(live)
+            if skipped is None or index not in skipped
+        ]
 
         task_results = self.backend.run_reduce_tasks(job, tasks)
 

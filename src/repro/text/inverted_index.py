@@ -79,30 +79,34 @@ class InvertedIndex:
 
 
 class PositionalInvertedIndex(InvertedIndex):
-    """Inverted index that also records each feature's insertion position.
+    """Inverted index whose postings are insertion positions, not objects.
 
     The distributed engine needs candidates *in storage order* (the order the
     map phase would have streamed them) so that batch execution reproduces the
     sequential shuffle ordering bit-for-bit.  A plain set of candidate
     features cannot provide that -- and would silently deduplicate equal
-    feature objects -- so this subclass keeps, per keyword, the list of
-    0-based positions at which matching features were added.
+    feature objects -- so this subclass posts, per keyword, the 0-based
+    positions at which matching features were added.  That is its only
+    posting structure: the object-returning lookups of the base class derive
+    their features from the positions through the insertion-ordered feature
+    list, instead of every posting being stored twice.
     """
 
     def __init__(self, features: Iterable[FeatureObject] = ()) -> None:
-        self._keyword_positions: Dict[str, List[int]] = defaultdict(list)
+        self._features: List[FeatureObject] = []
         super().__init__(features)
 
     def add(self, feature: FeatureObject) -> None:
         """Append one feature and index its keywords by storage position."""
-        position = len(self)
-        super().add(feature)
+        position = len(self._features)
+        self._features.append(feature)
+        self._num_features += 1
         for keyword in feature.keywords:
-            self._keyword_positions[keyword].append(position)
+            self._postings[keyword].append(position)
 
     def positions(self, keyword: str) -> List[int]:
         """Insertion positions of the features containing ``keyword``."""
-        return list(self._keyword_positions.get(keyword, ()))
+        return list(self._postings.get(keyword, ()))
 
     def candidate_positions(self, keywords: Iterable[str]) -> List[int]:
         """Positions of features sharing a keyword with the query, ascending.
@@ -112,5 +116,16 @@ class PositionalInvertedIndex(InvertedIndex):
         """
         seen: Set[int] = set()
         for keyword in keywords:
-            seen.update(self._keyword_positions.get(keyword, ()))
+            seen.update(self._postings.get(keyword, ()))
         return sorted(seen)
+
+    def postings(self, keyword: str) -> List[FeatureObject]:
+        """Posting list of one keyword (empty list if unknown)."""
+        return [self._features[position] for position in self.positions(keyword)]
+
+    def candidates(self, keywords: Iterable[str]) -> Set[FeatureObject]:
+        """Features sharing at least one keyword with the query (non-zero Jaccard)."""
+        return {
+            self._features[position]
+            for position in self.candidate_positions(keywords)
+        }

@@ -242,8 +242,8 @@ class TestIngestParityFuzz:
     ``auto`` is compared via the planner's chosen algorithm: the delta
     engine plans on base statistics while the oracle sees final statistics,
     so the decision itself may differ, but the chosen plan's *answer* must
-    not.  Both dataplanes are fuzzed: tombstones force the columnar plane
-    onto its filtered per-entry fallback, which must stay exact.
+    not.  Both reduce loops are fuzzed: a data tombstone hands either one a
+    filtered view of the cell's block, which must stay exact.
     """
 
     CHECK_QUERIES = 3

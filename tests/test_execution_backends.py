@@ -283,6 +283,7 @@ class TestBackendConfiguration:
 
 class TestPreloadedShuffleBlobs:
     def test_partition_blob_is_cached(self, dataset, queries):
+        """The pickled block is cached and round-trips to an equal block."""
         import pickle
 
         data, features = dataset
@@ -290,6 +291,17 @@ class TestPreloadedShuffleBlobs:
         index = engine.get_index(grid_size=6)
         job = PSPQJob(queries[0], index.grid)
         shuffle = index.data_shuffle(job)
-        blob = shuffle.partition_blob(0)
-        assert shuffle.partition_blob(0) is blob  # computed once, then cached
-        assert pickle.loads(blob) == shuffle.partitions[0]
+        held = [p for p in range(shuffle.num_partitions) if shuffle.block(p)]
+        assert held
+        for partition in held:
+            blob = shuffle.blob(partition)
+            assert shuffle.blob(partition) is blob  # pickled once, then cached
+            group, block = shuffle.block(partition)
+            # Warm the block's lazy caches: they must not travel in the blob.
+            block.candidate_rows(float("-inf"), float("inf"))
+            assert shuffle.blob(partition) is blob
+            got_group, got = pickle.loads(blob)
+            assert got_group == group == got.group
+            assert (got.objs, got.xs, got.ys) == (block.objs, block.xs, block.ys)
+        empty = set(range(shuffle.num_partitions)) - set(held)
+        assert all(shuffle.blob(p) is None for p in empty)

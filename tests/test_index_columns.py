@@ -7,6 +7,8 @@ from array import array
 
 import pytest
 
+from repro.core.engine import SPQEngine
+from repro.exceptions import JobConfigurationError
 from repro.index.columns import (
     DATAPLANE_ENV,
     CellColumns,
@@ -19,6 +21,7 @@ from repro.index.columns import (
     unpack_sections,
 )
 from repro.model.objects import DataObject, FeatureObject
+from repro.model.query import SpatialPreferenceQuery
 
 
 def make_data(count: int, seed: int = 7):
@@ -234,6 +237,19 @@ class TestDataplaneMode:
         monkeypatch.setenv(DATAPLANE_ENV, "object")
         assert dataplane_mode() == "object"
 
-    def test_garbage_falls_back_to_columnar(self, monkeypatch):
-        monkeypatch.setenv(DATAPLANE_ENV, "vectorized")
+    def test_empty_means_columnar(self, monkeypatch):
+        monkeypatch.setenv(DATAPLANE_ENV, "  ")
         assert dataplane_mode() == "columnar"
+
+    @pytest.mark.parametrize("value", ("vectorized", "objects"))
+    def test_garbage_raises(self, monkeypatch, value):
+        # "objects" is the typo that used to make the CI oracle sweep
+        # compare the columnar plane with itself.
+        monkeypatch.setenv(DATAPLANE_ENV, value)
+        with pytest.raises(JobConfigurationError, match="REPRO_DATAPLANE.*columnar.*object"):
+            dataplane_mode()
+        # ... and a query fails loudly instead of running some plane.
+        engine = SPQEngine(make_data(5), make_features(5))
+        query = SpatialPreferenceQuery.create(k=1, radius=1.0, keywords={"w1"})
+        with pytest.raises(JobConfigurationError):
+            engine.execute(query)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.centralized import dataset_extent
-from repro.core.jobs import ESPQScoJob, PSPQJob
+from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob
 from repro.index.cache import IndexCache
 from repro.index.dataset_index import DatasetIndex
 from repro.index.planner import BatchQuery, plan_batch
@@ -58,6 +58,30 @@ class TestPositionalInvertedIndex:
         feature = FeatureObject("f1", 0.1, 0.1, frozenset({"a"}))
         index = PositionalInvertedIndex([feature, feature])
         assert index.candidate_positions({"a"}) == [0, 1]
+
+
+    def test_one_posting_structure_and_object_lookups_agree(self, small_uniform_dataset):
+        from repro.text.inverted_index import InvertedIndex
+
+        _, features = small_uniform_dataset
+        positional = PositionalInvertedIndex(features)
+        plain = InvertedIndex(features)
+        # Positions are the only postings held: no feature is stored per keyword.
+        assert all(
+            isinstance(posting, int)
+            for postings in positional._postings.values()
+            for posting in postings
+        )
+        assert not hasattr(positional, "_keyword_positions")
+        assert len(positional) == len(plain) == len(features)
+        assert positional.vocabulary_size == plain.vocabulary_size
+        keywords = sorted({word for feature in features for word in feature.keywords})
+        for keyword in keywords[:25] + ["no-such-word"]:
+            assert positional.postings(keyword) == plain.postings(keyword)
+            assert positional.document_frequency(keyword) == plain.document_frequency(keyword)
+        query = frozenset(keywords[:3])
+        assert positional.candidates(query) == plain.candidates(query)
+        assert positional.scored_candidates(query) == plain.scored_candidates(query)
 
 
 class TestDatasetIndex:
@@ -138,15 +162,23 @@ class TestPreloadedShuffle:
         )
         assert sorted(batch.outputs) == sorted(plain.outputs)
 
-    def test_data_shuffle_cached_per_job_class(self, paper_data_objects, paper_feature_objects):
+    def test_one_plane_serves_all_three_job_classes(
+        self, paper_data_objects, paper_feature_objects
+    ):
         from repro.spatial.geometry import BoundingBox
 
         grid = UniformGrid.square(BoundingBox(0.0, 0.0, 10.0, 10.0), 3)
         query = SpatialPreferenceQuery.create(k=1, radius=1.5, keywords={"italian"})
         index = DatasetIndex(paper_data_objects, paper_feature_objects, grid)
-        sco = index.data_shuffle(ESPQScoJob(query, grid))
-        assert index.data_shuffle(ESPQScoJob(query, grid)) is sco
-        assert index.data_shuffle(PSPQJob(query, grid)) is not sco
+        plane = index.data_shuffle(ESPQScoJob(query, grid))
+        assert index.data_shuffle(PSPQJob(query, grid)) is plane
+        assert index.data_shuffle(ESPQLenJob(query, grid)) is plane
+        # ... and hands out the index's own cached blocks, not copies.
+        held = [p for p in range(grid.num_cells) if plane.block(p) is not None]
+        assert held
+        for partition in held:
+            assert plane.reduce_block(partition) is index.partition_block(partition)
+        assert sum(len(plane.block(p)[1]) for p in held) == len(paper_data_objects)
 
     def test_preloaded_partition_count_validated(self, paper_data_objects, paper_feature_objects):
         from repro.exceptions import JobConfigurationError

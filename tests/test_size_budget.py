@@ -1,4 +1,4 @@
-"""Ratchet: the amount of code in the serving paths and in ``src/repro`` is pinned.
+"""Ratchet: the code in the serving paths, the execution core and ``src/repro`` is pinned.
 
 ROADMAP aim 2 is "the same behaviour from the least code", and a total that
 nobody checks only ever goes up.  The counts below are *code-only* lines --
@@ -28,13 +28,20 @@ SRC = pathlib.Path(repro.__file__).resolve().parent
 
 #: Path under ``src/repro`` -> code-only lines, as of the last PR to touch it.
 #: The four serving paths summed: 4 901 before the front-door consolidation,
-#: 4 748 after it, 4 538 after the wire module; ``"."`` is all of ``src/repro``.
+#: 4 748 after it, 4 538 after the wire module.  The execution core (``core``,
+#: ``execution``, ``mapreduce``, ``index``) summed: 3 751 (1 384 / 702 / 670 /
+#: 995) with six representations of a cell's data, 3 722 with one.  ``"."`` is
+#: all of ``src/repro``.
 BUDGET = {
     "server": 1682,
     "sharding": 1020,
     "cluster": 985,
     "cli.py": 851,
-    ".": 11264,
+    "core": 1403,
+    "execution": 689,
+    "mapreduce": 640,
+    "index": 990,
+    ".": 11243,
 }
 
 _NOT_CODE = {
