@@ -47,9 +47,8 @@ from repro.index.dataset_index import DatasetIndex
 from repro.index.delta import (
     DatasetDelta,
     DeltaSnapshot,
-    delta_data_appends,
-    delta_feature_appends,
     materialize,
+    with_delta_appends,
 )
 from repro.index.planner import BatchQuery, PlannedQuery, plan_batch
 from repro.mapreduce.cluster import SimulatedCluster, paper_cluster
@@ -811,23 +810,17 @@ class SPQEngine:
                 "planner_estimates": dict(decision.estimates),
                 "planner_calibrated": decision.calibrated,
             }
-        records: Iterable = prepared.records
+        split = prepared.split
         tombstoned: List[DataObject] = []
         if snapshot is not None:
-            # Delta appends ride the live record stream: a cell's base block
-            # is injected ahead of every live value, so appended data lands
+            # Delta appends ride the same split: a cell's base block is
+            # injected ahead of every live value, so appended data lands
             # after the base data of its cell -- exactly the storage
             # position a bulk swap would give it -- and data/feature sort
-            # keys never collide, so the stream order between the two
-            # groups is immaterial.
-            appended_features, delta_pruned = delta_feature_appends(
-                snapshot, item.query, index.grid
-            )
-            extra_pruned = delta_pruned
-            records = chain(
-                delta_data_appends(snapshot, index.grid),
-                prepared.records,
-                appended_features,
+            # keys never collide, so the order between the two groups is
+            # immaterial.
+            split, extra_pruned = with_delta_appends(
+                split, snapshot, item.query, index.grid
             )
             # Data tombstones: the base objects they name are withheld from
             # their cells' blocks -- before the reduce, like the features.
@@ -839,7 +832,7 @@ class SPQEngine:
             job,
             index.grid,
             item.query,
-            records,
+            split,
             preloaded=index.data_shuffle(job, tombstoned),
             pruned_by_index=prepared.num_pruned + extra_pruned,
             index_stats={

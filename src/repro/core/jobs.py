@@ -27,10 +27,11 @@ which the cluster cost model converts into simulated reduce time.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.exceptions import JobExecutionError
 from repro.index.columns import DataBlock, dataplane_mode
-from repro.index.records import PreAssignedData, PreAssignedFeature
+from repro.index.records import MapSplit
 from repro.mapreduce import counters as counter_names
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import MapReduceJob
@@ -213,23 +214,6 @@ class _SPQJobBase(MapReduceJob):
     # map side
 
     def map(self, record: Any, counters: Counters) -> Iterable[Tuple[Any, Any]]:
-        if isinstance(record, PreAssignedData):
-            # Pre-partitioned input from a DatasetIndex: the spatial work of
-            # the map phase is already done, emit the same key-value pair the
-            # normal path would produce.
-            counters.increment(SPQ_GROUP, DATA_OBJECTS)
-            yield self._data_key(record.cell_id), record.obj
-            return
-        if isinstance(record, PreAssignedFeature):
-            # Keyword pruning happened index-side (the record would not exist
-            # otherwise), so the feature counts as kept, not pruned.
-            counters.increment(SPQ_GROUP, FEATURES_KEPT)
-            counters.increment(SPQ_GROUP, FEATURE_DUPLICATES, len(record.cell_ids) - 1)
-            self._count_map_feature_work(len(record.cell_ids), counters)
-            value = self._feature_value(record.obj)
-            for cell_id in record.cell_ids:
-                yield self._feature_key(cell_id, record.obj), value
-            return
         if isinstance(record, DataObject):
             counters.increment(SPQ_GROUP, DATA_OBJECTS)
             cell_id = self.partitioner.assign_data_object(record)
@@ -245,9 +229,80 @@ class _SPQJobBase(MapReduceJob):
         counters.increment(SPQ_GROUP, FEATURES_KEPT)
         cells = self.partitioner.assign_feature_object(record)
         counters.increment(SPQ_GROUP, FEATURE_DUPLICATES, len(cells) - 1)
-        self._count_map_feature_work(len(cells), counters)
+        self._count_map_feature_work(len(cells), 1, counters)
         for cell_id in cells:
             yield self._feature_key(cell_id, record), self._feature_value(record)
+
+    def map_split(
+        self, split: MapSplit, num_reducers: int, counters: Counters
+    ) -> Tuple[Dict[int, List[Tuple]], int, int]:
+        """Map a pre-assigned columnar split in one fused pass.
+
+        Pruning, grid location and Lemma-1 duplication are already in the
+        split's columns, so this goes straight from them to the partition
+        buckets: entry for entry (``(sort_key, sequence, key, value)``) and
+        counter for counter -- values and key creation order -- what
+        :func:`~repro.execution.tasks.run_map_task` builds by calling
+        :meth:`map` on the same objects one by one, with no per-record
+        dispatch: the class-specific part is :meth:`_feature_columns`, once
+        per split; the routing hook runs once per distinct cell (SPQ jobs
+        partition on the cell id alone); each counter is written once.
+        Returns ``(buckets, emitted, shuffle bytes)``.
+        """
+        buckets: Dict[int, List[Tuple]] = {}
+        by_cell: Dict[int, List[Tuple]] = {}
+
+        def open_bucket(key: Tuple) -> List[Tuple]:
+            partition = self.partition(key, num_reducers)
+            if not 0 <= partition < num_reducers:
+                raise JobExecutionError(
+                    f"partition {partition} outside [0, {num_reducers}) for key {key!r}"
+                )
+            bucket = by_cell[key[0]] = buckets.setdefault(partition, [])
+            return bucket
+
+        sequence = 0
+        for obj, cell_id in zip(split.data, split.data_cells):
+            key = self._data_key(cell_id)
+            bucket = by_cell.get(cell_id)
+            if bucket is None:
+                bucket = open_bucket(key)
+            bucket.append((self.sort_key(key), sequence, key, obj))
+            sequence += 1
+        num_data = sequence
+        features = split.features
+        secondaries, sort_secondaries, values = self._feature_columns(features)
+        shared_key = sort_secondaries is secondaries
+        sizes = self._feature_sizes
+        shuffle_bytes = 24 * num_data
+        for feature, cells, secondary, sort_secondary, value in zip(
+            features, split.cells, secondaries, sort_secondaries, values
+        ):
+            size = sizes.get(feature.oid) or self.estimated_record_size(None, feature)
+            shuffle_bytes += size * len(cells)
+            for cell_id in cells:
+                key = (cell_id, secondary)
+                bucket = by_cell.get(cell_id)
+                if bucket is None:
+                    bucket = open_bucket(key)
+                bucket.append(
+                    (key if shared_key else (cell_id, sort_secondary), sequence, key, value)
+                )
+                sequence += 1
+
+        # The per-record loop creates each counter at its first increment and
+        # data rows precede features, so these writes follow that order; the
+        # caller adds the emission totals, as it does for that loop.
+        kept = len(features)
+        copies = sequence - num_data
+        if num_data:
+            counters.increment(SPQ_GROUP, DATA_OBJECTS, num_data)
+            counters.increment(counter_names.GROUP_MAP, counter_names.MAP_OUTPUT_RECORDS, 0)
+        if kept:
+            counters.increment(SPQ_GROUP, FEATURES_KEPT, kept)
+            counters.increment(SPQ_GROUP, FEATURE_DUPLICATES, copies - kept)
+            self._count_map_feature_work(copies, kept, counters)
+        return buckets, sequence, shuffle_bytes
 
     @staticmethod
     def mapped_data_counters(count: int) -> Counters:
@@ -278,8 +333,21 @@ class _SPQJobBase(MapReduceJob):
     def _feature_value(self, feature: FeatureObject) -> Any:
         return feature
 
-    def _count_map_feature_work(self, copies: int, counters: Counters) -> None:
-        """Record algorithm-specific map-side work for one kept feature.
+    def _feature_columns(
+        self, features: Sequence[FeatureObject]
+    ) -> Tuple[Sequence[Any], Sequence[Any], Sequence[Any]]:
+        """Per feature, what :meth:`map_split` needs beyond its cells.
+
+        Three columns parallel to ``features``: the composite key's secondary
+        component (as :meth:`_feature_key`), the sort key's (as
+        :meth:`sort_key` of that key; the *same* column object when the key
+        sorts as itself) and the shuffled value (as :meth:`_feature_value`).
+        """
+        raise NotImplementedError
+
+    def _count_map_feature_work(self, copies: int, kept: int, counters: Counters) -> None:
+        """Record algorithm-specific map-side work for ``kept`` kept features
+        emitted as ``copies`` records.
 
         The base jobs do none (their composite keys are free to build);
         eSPQsco overrides this -- its map phase computes the Jaccard score
@@ -345,6 +413,10 @@ class PSPQJob(_SPQJobBase):
 
     def _feature_key(self, cell_id: int, feature: FeatureObject) -> Tuple:
         return (cell_id, TAG_FEATURE)
+
+    def _feature_columns(self, features):
+        tags = [TAG_FEATURE] * len(features)
+        return tags, tags, features
 
     def reduce(
         self, group: int, values: Iterator[Any], counters: Counters
@@ -481,6 +553,10 @@ class ESPQLenJob(_SPQJobBase):
     def _feature_key(self, cell_id: int, feature: FeatureObject) -> Tuple:
         return (cell_id, feature.keyword_count)
 
+    def _feature_columns(self, features):
+        counts = [len(feature.keywords) for feature in features]
+        return counts, counts, features
+
     def reduce(
         self, group: int, values: Iterator[Any], counters: Counters
     ) -> Iterable[Tuple[int, str, float]]:
@@ -612,10 +688,17 @@ class ESPQScoJob(_SPQJobBase):
         # Carry the map-side score so the reducer does not recompute it.
         return (feature, self.scorer.score(feature.keywords))
 
-    def _count_map_feature_work(self, copies: int, counters: Counters) -> None:
-        # One score for the value plus one per emitted copy's composite key.
+    def _feature_columns(self, features):
+        # One memo lookup per feature; every copy carries the identical float.
+        score = self.scorer.score
+        scores = [score(feature.keywords) for feature in features]
+        return scores, [-value for value in scores], list(zip(features, scores))
+
+    def _count_map_feature_work(self, copies: int, kept: int, counters: Counters) -> None:
+        # Per feature, one score for the value plus one per emitted copy's
+        # composite key.
         counters.increment(
-            counter_names.GROUP_MAP, counter_names.MAP_SCORE_COMPUTATIONS, copies + 1
+            counter_names.GROUP_MAP, counter_names.MAP_SCORE_COMPUTATIONS, copies + kept
         )
 
     def sort_key(self, key: Tuple) -> Tuple:

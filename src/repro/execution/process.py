@@ -136,6 +136,14 @@ class ProcessBackend(ExecutionBackend):
 
     def _get_pool(self) -> "multiprocessing.pool.Pool":
         if self._pool is None:
+            # Workers must inherit this process's resource tracker.  A pool
+            # forked before any plane was published (a multi-split map phase
+            # comes first) has none to inherit; a worker attaching a plane
+            # then starts its own, which unlinks the segment -- under its
+            # live owner -- as soon as that worker exits.
+            from repro.execution.shm import ensure_resource_tracker
+
+            ensure_resource_tracker()
             context = multiprocessing.get_context(self.start_method)
             self._pool = context.Pool(processes=self.workers)
         return self._pool

@@ -52,6 +52,7 @@ __all__ = [
     "attach_reduce_plane",
     "attach_segment",
     "create_segment",
+    "ensure_resource_tracker",
     "live_segment_names",
     "publish_dataset_segment",
     "shared_memory_available",
@@ -174,6 +175,12 @@ def _finalize_segment(
             segment.unlink()
         except FileNotFoundError:  # pragma: no cover - already unlinked
             pass
+
+
+def ensure_resource_tracker() -> None:
+    """Start this process's shared-memory resource tracker, if it has one."""
+    if resource_tracker is not None and os.name == "posix":
+        resource_tracker.ensure_running()
 
 
 def live_segment_names() -> List[str]:

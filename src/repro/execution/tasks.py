@@ -9,7 +9,9 @@ pool or process pool -- executes the exact same code path:
   emitted key-value pairs by reduce partition, numbering emissions with a
   *task-local* sequence.  The orchestrator rebases local sequences onto a
   global counter in task order, which reproduces the emission order of a
-  fully serial run bit for bit.
+  fully serial run bit for bit.  A columnar
+  :class:`~repro.index.records.MapSplit` (the index path) goes to the job's
+  fused ``map_split`` kernel instead, which returns the same buckets.
 * :func:`run_reduce_task` sorts one partition's bucket by ``(sort_key,
   sequence)``, groups it by ``group_key`` and feeds each group to
   ``job.reduce`` through a consumption-tracking iterator (early
@@ -32,6 +34,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import JobExecutionError
 from repro.index.columns import DataBlock
+from repro.index.records import MapSplit
 from repro.mapreduce import counters as counter_names
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import MapReduceJob
@@ -130,33 +133,20 @@ def run_map_task(
 ) -> MapTaskResult:
     """Apply ``job.map`` to one input split and bucket the output."""
     counters = Counters()
-    buckets: Dict[int, List[ShuffleEntry]] = {}
-    sequence = 0
-    num_records = 0
-    for record in records:
-        num_records += 1
+    if isinstance(records, MapSplit):
+        num_records = len(records)
         try:
-            emitted = job.map(record, counters)
+            buckets, sequence, shuffle_bytes = job.map_split(records, num_reducers, counters)
+        except JobExecutionError:
+            raise
         except Exception as exc:  # pragma: no cover - defensive re-raise
-            raise JobExecutionError(f"map failed on record {record!r}: {exc}") from exc
-        for key, value in emitted:
-            partition = job.partition(key, num_reducers)
-            if not 0 <= partition < num_reducers:
-                raise JobExecutionError(
-                    f"partition {partition} outside [0, {num_reducers}) for key {key!r}"
-                )
-            bucket = buckets.get(partition)
-            if bucket is None:
-                bucket = buckets[partition] = []
-            bucket.append((job.sort_key(key), sequence, key, value))
-            sequence += 1
-            counters.increment(counter_names.GROUP_MAP, counter_names.MAP_OUTPUT_RECORDS)
-            counters.increment(counter_names.GROUP_SHUFFLE, counter_names.SHUFFLE_RECORDS)
-            counters.increment(
-                counter_names.GROUP_SHUFFLE,
-                counter_names.SHUFFLE_BYTES,
-                job.estimated_record_size(key, value),
-            )
+            raise JobExecutionError(f"map failed on split {task_index}: {exc}") from exc
+    else:
+        buckets, sequence, shuffle_bytes, num_records = _map_records(
+            job, records, num_reducers, counters
+        )
+    if sequence:
+        _count_emissions(counters, sequence, shuffle_bytes)
     counters.increment(counter_names.GROUP_MAP, counter_names.MAP_INPUT_RECORDS, num_records)
     return MapTaskResult(
         task_index=task_index,
@@ -168,9 +158,55 @@ def run_map_task(
     )
 
 
+def _map_records(
+    job: MapReduceJob, records: Iterable[Any], num_reducers: int, counters: Counters
+) -> Tuple[Dict[int, List[ShuffleEntry]], int, int, int]:
+    """The record-at-a-time loop: ``(buckets, emitted, shuffle bytes, records)``."""
+    buckets: Dict[int, List[ShuffleEntry]] = {}
+    sequence = 0
+    num_records = 0
+    shuffle_bytes = 0
+    partition_of, sort_key, record_size = job.partition, job.sort_key, job.estimated_record_size
+    for record in records:
+        num_records += 1
+        try:
+            emitted = job.map(record, counters)
+        except Exception as exc:  # pragma: no cover - defensive re-raise
+            raise JobExecutionError(f"map failed on record {record!r}: {exc}") from exc
+        for key, value in emitted:
+            partition = partition_of(key, num_reducers)
+            if not 0 <= partition < num_reducers:
+                raise JobExecutionError(
+                    f"partition {partition} outside [0, {num_reducers}) for key {key!r}"
+                )
+            bucket = buckets.get(partition)
+            if bucket is None:
+                bucket = buckets[partition] = []
+                if not sequence:
+                    # The emission counters exist from the first emission on
+                    # (``job.map`` may create its own around them); their
+                    # totals are written once per task, by the caller.
+                    _count_emissions(counters, 0, 0)
+            bucket.append((sort_key(key), sequence, key, value))
+            sequence += 1
+            shuffle_bytes += record_size(key, value)
+    return buckets, sequence, shuffle_bytes, num_records
+
+
+def _count_emissions(counters: Counters, records: int, shuffle_bytes: int) -> None:
+    counters.increment(counter_names.GROUP_MAP, counter_names.MAP_OUTPUT_RECORDS, records)
+    counters.increment(counter_names.GROUP_SHUFFLE, counter_names.SHUFFLE_RECORDS, records)
+    counters.increment(counter_names.GROUP_SHUFFLE, counter_names.SHUFFLE_BYTES, shuffle_bytes)
+
+
 def sort_bucket(bucket: List[ShuffleEntry]) -> None:
-    """Sort one partition bucket by ``(sort_key, sequence)``, in place."""
-    bucket.sort(key=lambda entry: (entry[0], entry[1]))
+    """Sort one partition bucket by ``(sort_key, sequence)``, in place.
+
+    Entries start with exactly those two fields and a sequence number is
+    unique within a bucket, so plain tuple order is that order and never
+    reaches the key or the value.
+    """
+    bucket.sort()
 
 
 def run_reduce_task(

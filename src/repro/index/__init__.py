@@ -9,8 +9,8 @@ Public API:
   keyed by ``(grid_size, dataset_version)`` by the engine.
 * :class:`~repro.index.planner.BatchQuery` / :func:`~repro.index.planner.plan_batch`
   -- per-query overrides and execution ordering for ``SPQEngine.execute_many``.
-* :class:`~repro.index.records.PreAssignedData` / ``PreAssignedFeature`` --
-  the pre-partitioned record types the SPQ jobs consume directly.
+* :class:`~repro.index.records.MapSplit` -- the pre-partitioned columnar
+  map input the SPQ jobs consume directly.
 * :class:`~repro.index.delta.DatasetDelta` / ``DeltaSnapshot`` -- the
   copy-on-write append/delete overlay queries merge with the base index
   (``docs/ingest.md``).
@@ -20,7 +20,7 @@ from repro.index.cache import CacheStats, IndexCache, IndexCacheStats
 from repro.index.dataset_index import DatasetIndex, IndexBuildStats, PreparedQuery
 from repro.index.delta import DatasetDelta, DeltaSnapshot
 from repro.index.planner import BatchQuery, PlannedQuery, plan_batch
-from repro.index.records import PreAssignedData, PreAssignedFeature
+from repro.index.records import MapSplit
 
 __all__ = [
     "DatasetDelta",
@@ -34,6 +34,5 @@ __all__ = [
     "BatchQuery",
     "PlannedQuery",
     "plan_batch",
-    "PreAssignedData",
-    "PreAssignedFeature",
+    "MapSplit",
 ]

@@ -21,10 +21,11 @@ dataset snapshot):
   lazily the first time a radius is seen and cached for every later query
   with the same radius.
 
-:meth:`DatasetIndex.prepare` turns a query into a stream of pre-assigned
-records that the SPQ jobs consume directly, short-circuiting the map phase
-while producing bit-identical shuffle output (same keys, same values, same
-emission order) -- so batch results equal sequential results exactly.
+:meth:`DatasetIndex.prepare` turns a query into a columnar
+:class:`~repro.index.records.MapSplit` that the SPQ jobs map with one fused
+kernel, short-circuiting the map phase while producing bit-identical shuffle
+output (same keys, same values, same emission order) -- so batch results
+equal sequential results exactly.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.index.columns import ColumnStore, DataBlock
-from repro.index.records import PreAssignedFeature
+from repro.index.records import MapSplit
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import PreloadedShuffle
 from repro.model.objects import DataObject, FeatureObject
@@ -52,10 +53,11 @@ class PreparedQuery:
     """The pre-partitioned input of one query run.
 
     Attributes:
-        records: Pre-assigned feature records in storage order -- exactly the
-            order the sequential map phase would have streamed the surviving
-            features.  Data objects are not re-streamed at all: they come
-            preloaded, one block per cell (see :meth:`DatasetIndex.data_shuffle`).
+        split: The surviving features and their duplication cell lists as
+            parallel columns in storage order -- exactly the order the
+            sequential map phase would have streamed them; re-iterable.  Data
+            objects are not re-streamed at all: they come preloaded, one
+            block per cell (see :meth:`DatasetIndex.data_shuffle`).
         num_candidates: Feature objects that survived keyword pruning.
         num_pruned: Feature objects dropped by the index-side pruning rule
             (what the map phase would have counted as ``features_pruned``).
@@ -64,7 +66,7 @@ class PreparedQuery:
             no Lemma-1 work was performed for this query.
     """
 
-    records: Iterator[object]
+    split: MapSplit
     num_candidates: int
     num_pruned: int
     radius_cache_hit: bool
@@ -129,6 +131,11 @@ class DatasetIndex:
         #: radius -> {feature position -> duplication cell tuple}, filled
         #: lazily for the features queries actually touch.
         self._feature_cells: Dict[float, Dict[int, Tuple[int, ...]]] = {}
+        #: radius -> (entries, total cells) of that cache, kept in step with
+        #: every insert (under the lock) so the observed duplication mean
+        #: costs O(1) per query, not a sum over the whole cache.
+        self._cell_totals: Dict[float, Tuple[int, int]] = {}
+        self._cells_lock = threading.Lock()
         #: feature oid -> storage position, built lazily (delta tombstones).
         self._feature_positions: Optional[Dict[str, int]] = None
         #: The data plane over this snapshot -- the one place "the data
@@ -202,8 +209,7 @@ class DatasetIndex:
 
     def candidate_cell_counts(self, positions: Iterable[int]) -> Dict[int, int]:
         """Home-cell histogram of the given candidate feature positions."""
-        homes = self._feature_homes
-        return dict(Counter(homes[position] for position in positions))
+        return dict(Counter(map(self._feature_homes.__getitem__, positions)))
 
     def keyword_document_frequency(self, keyword: str) -> int:
         """Number of features containing ``keyword`` (inverted-index lookup)."""
@@ -220,14 +226,11 @@ class DatasetIndex:
         point their expected number is the Minkowski sum area of one cell and
         the disk divided by the cell area, clamped to the grid size.
         """
-        cached = self._feature_cells.get(radius)
-        if cached:
-            # Snapshot with one C-level call: another engine sharing this
-            # index may be filling the radius cache concurrently, and
-            # iterating the live dict would race with those inserts.
-            lists = list(cached.values())
-            if lists:
-                return sum(len(cells) for cells in lists) / len(lists)
+        # One atomic read of a pair written whole: another engine sharing
+        # this index may be filling the radius cache concurrently.
+        entries, total = self._cell_totals.get(radius, (0, 0))
+        if entries:
+            return total / entries
         width, height = self.grid.cell_width, self.grid.cell_height
         area = width * height
         expanded = area + 2.0 * radius * (width + height) + math.pi * radius * radius
@@ -247,7 +250,21 @@ class DatasetIndex:
         while one-off radii pay only for their own candidates, exactly like
         the sequential map phase.
         """
+        if positions is None:
+            positions = range(self.num_features)
+        self._gather_cells(radius, list(positions))
+        return self._feature_cells[radius]
+
+    def _gather_cells(
+        self, radius: float, positions: Sequence[int]
+    ) -> Tuple[List[Tuple[int, ...]], bool]:
+        """The cell lists of ``positions`` in order, filling the cache.
+
+        Also says whether this was a pure cache hit: the radius was known
+        and nothing had to be assigned for these positions.
+        """
         cache = self._feature_cells.get(radius)
+        known = cache is not None
         if cache is None:
             # setdefault, not assignment: two pooled engines hitting a new
             # radius concurrently must converge on ONE cache dict.  With a
@@ -256,18 +273,28 @@ class DatasetIndex:
             # thrown away and `radius_cache_hit` stays cold for that radius.
             cache = self._feature_cells.setdefault(radius, {})
             self.stats.radii_cached = self.cached_radii
-        if positions is None:
-            positions = range(self.num_features)
-        partitioner: Optional[GridPartitioner] = None
+        cells = list(map(cache.get, positions))
+        if None not in cells:
+            return cells, known
+        partitioner = GridPartitioner(self.grid, radius)
         features = self._feature_objects
-        for position in positions:
-            if position not in cache:
-                if partitioner is None:
-                    partitioner = GridPartitioner(self.grid, radius)
-                cache[position] = tuple(
+        fresh: Dict[int, Tuple[int, ...]] = {}
+        for slot, position in enumerate(positions):
+            if cells[slot] is None:
+                cells[slot] = fresh[position] = tuple(
                     partitioner.assign_feature_object(features[position])
                 )
-        return cache
+        # Insert and count under one lock, re-checking membership: when two
+        # engines assigned the same position, it is counted once.
+        with self._cells_lock:
+            entries, total = self._cell_totals.get(radius, (0, 0))
+            for position, assigned in fresh.items():
+                if position not in cache:
+                    cache[position] = assigned
+                    entries += 1
+                    total += len(assigned)
+            self._cell_totals[radius] = (entries, total)
+        return cells, False
 
     # ------------------------------------------------------------------ #
     # preloaded data objects
@@ -440,7 +467,7 @@ class DatasetIndex:
         query: SpatialPreferenceQuery,
         candidates: Optional[List[int]] = None,
     ) -> PreparedQuery:
-        """Build the pre-partitioned feature record stream for one query.
+        """Gather the pre-partitioned map input of one query, in one pass.
 
         ``candidates`` lets a caller that already computed
         :meth:`candidate_positions` for this query (the cost-based planner
@@ -448,19 +475,10 @@ class DatasetIndex:
         """
         if candidates is None:
             candidates = self.candidate_positions(query.keywords)
-        already = self._feature_cells.get(query.radius)
-        radius_cache_hit = already is not None and all(
-            position in already for position in candidates
-        )
-        cells = self.feature_cells(query.radius, candidates)
-
-        def records() -> Iterator[object]:
-            features = self._feature_objects
-            for position in candidates:
-                yield PreAssignedFeature(features[position], cells[position])
-
+        cells, radius_cache_hit = self._gather_cells(query.radius, candidates)
+        features = list(map(self._feature_objects.__getitem__, candidates))
         return PreparedQuery(
-            records=records(),
+            split=MapSplit(features, cells),
             num_candidates=len(candidates),
             num_pruned=self.num_features - len(candidates),
             radius_cache_hit=radius_cache_hit,

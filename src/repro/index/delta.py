@@ -6,9 +6,9 @@ incremental updates (``POST /objects``) without touching the base
 :class:`~repro.index.dataset_index.DatasetIndex` at all:
 
 * **Appends** are held in the delta in arrival order.  At query time the
-  engine turns them into pre-assigned records on the live record stream:
+  engine adds them to the query's columnar map split:
   appended features sort after the base features of the same sort key
-  (the base index emits its records first), appended data after the
+  (the base index's candidates come first), appended data after the
   cell's base block (injected ahead of every live value) -- exactly where
   a bulk swap of the final state would have placed them, so results
   (score ties included) are bit-for-bit identical to the swapped
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import DatasetUpdateError
-from repro.index.records import PreAssignedData, PreAssignedFeature
+from repro.index.records import MapSplit
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
 from repro.spatial.geometry import BoundingBox
@@ -312,50 +312,39 @@ def materialize(
     return data, features
 
 
-def delta_data_appends(
-    snapshot: DeltaSnapshot, grid: UniformGrid
-) -> List[PreAssignedData]:
-    """Appended data objects as pre-assigned records for ``grid``."""
-    return [
-        PreAssignedData(obj, grid.locate(obj.x, obj.y))
-        for obj in snapshot.data
-    ]
-
-
-def delta_feature_appends(
+def with_delta_appends(
+    split: MapSplit,
     snapshot: DeltaSnapshot,
     query: SpatialPreferenceQuery,
     grid: UniformGrid,
-) -> Tuple[List[PreAssignedFeature], int]:
-    """Appended features relevant to ``query``, pre-assigned for ``grid``.
+) -> Tuple[MapSplit, int]:
+    """``split`` (the base index's candidates) plus the delta's appends.
 
-    Applies the same keyword pruning and Lemma-1 duplication the base
-    index applied at build/prepare time, so the records are exactly what
-    :meth:`DatasetIndex.prepare` would have emitted had the features been
-    part of the base.  Returns ``(records, num_pruned)``.
+    Appended data objects are located on ``grid``; appended features get
+    the same keyword pruning and Lemma-1 duplication the base index applied
+    at build/prepare time and follow the base candidates, so the columns
+    are exactly what :meth:`DatasetIndex.prepare` would have gathered had
+    the objects been part of the base.  Returns ``(split, num_pruned)``.
     """
-    if not snapshot.features:
-        return [], 0
-    partitioner = GridPartitioner(grid, query.radius)
-    records: List[PreAssignedFeature] = []
+    data = list(snapshot.data)
+    data_cells = [grid.locate(obj.x, obj.y) for obj in data]
+    features, cells = list(split.features), list(split.cells)
     pruned = 0
-    for feature in snapshot.features:
-        if not feature.has_common_keyword(query.keywords):
-            pruned += 1
-            continue
-        records.append(
-            PreAssignedFeature(
-                feature, tuple(partitioner.assign_feature_object(feature))
-            )
-        )
-    return records, pruned
+    if snapshot.features:
+        partitioner = GridPartitioner(grid, query.radius)
+        for feature in snapshot.features:
+            if feature.has_common_keyword(query.keywords):
+                features.append(feature)
+                cells.append(tuple(partitioner.assign_feature_object(feature)))
+            else:
+                pruned += 1
+    return MapSplit(features, cells, data, data_cells), pruned
 
 
 __all__ = [
     "DatasetDelta",
     "DeltaCounters",
     "DeltaSnapshot",
-    "delta_data_appends",
-    "delta_feature_appends",
     "materialize",
+    "with_delta_appends",
 ]

@@ -20,8 +20,8 @@ class Counters:
 
     def increment(self, group: str, name: str, amount: int = 1) -> None:
         """Add ``amount`` to counter ``(group, name)`` (creates it at 0)."""
-        current = self._values[group].get(name, 0)
-        self._values[group][name] = current + amount
+        names = self._values[group]
+        names[name] = names.get(name, 0) + amount
 
     def get(self, group: str, name: str) -> int:
         """Current value of a counter (0 if never incremented)."""

@@ -37,6 +37,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -45,6 +46,7 @@ from repro.exceptions import JobConfigurationError
 from repro.execution.base import ExecutionBackend, ReduceTask
 from repro.execution.serial import SerialBackend
 from repro.execution.tasks import ReduceTaskReport, ShuffleEntry, block_without
+from repro.index.records import MapSplit
 from repro.mapreduce import counters as counter_names
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import MapReduceJob
@@ -222,8 +224,10 @@ class LocalJobRunner:
     # ------------------------------------------------------------------ #
     # map + shuffle
 
-    def _split(self, records: Iterable[Any]) -> List[List[Any]]:
+    def _split(self, records: Iterable[Any]) -> Sequence[Any]:
         """Divide the input into map splits of ``split_size`` records."""
+        if isinstance(records, MapSplit):
+            return records.slices(self.split_size)
         iterator = iter(records)
         splits: List[List[Any]] = []
         while True:

@@ -28,7 +28,6 @@ from repro.execution.shm import live_segment_names
 from repro.execution.tasks import block_without, run_map_task, run_reduce_task
 from repro.index.columns import DataBlock
 from repro.index.dataset_index import DatasetIndex
-from repro.index.records import PreAssignedData
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
 from repro.spatial.geometry import BoundingBox
@@ -172,11 +171,7 @@ class TestBlockWithout:
 
 def mapped_counters(job, index, survivors):
     """Counters obtained by actually mapping the surviving data records."""
-    records = [
-        PreAssignedData(obj, index.data_cell_of(position))
-        for position, obj in enumerate(index._data_objects)
-        if obj.oid in survivors
-    ]
+    records = [obj for obj in index._data_objects if obj.oid in survivors]
     return run_map_task(job, 0, records, index.grid.num_cells)
 
 
@@ -250,14 +245,19 @@ class TestTheFallbackIsGone:
 
         data, features, deletes, appends = build_scenario()
         base_oids = {obj.oid for obj in data}
-        mapped_records = []
-        real_map = _SPQJobBase.map
+        mapped_splits, mapped_records = [], []
+        real_map, real_map_split = _SPQJobBase.map, _SPQJobBase.map_split
 
         def spying_map(job, record, counters):
             mapped_records.append(record)
             return real_map(job, record, counters)
 
+        def spying_map_split(job, split, num_reducers, counters):
+            mapped_splits.append(split)
+            return real_map_split(job, split, num_reducers, counters)
+
         monkeypatch.setattr(_SPQJobBase, "map", spying_map)
+        monkeypatch.setattr(_SPQJobBase, "map_split", spying_map_split)
         reduced = {}
 
         def spying_reduce(job, task_index, bucket, preloaded_block=None):
@@ -284,15 +284,17 @@ class TestTheFallbackIsGone:
             for algorithm, tombstones in zip(ALGORITHMS, tombstone_sets):
                 engine.apply_updates(delete_data_oids=tombstones)
                 gone.update(tombstones)
-                del mapped_records[:]
+                del mapped_splits[:]
                 reduced.clear()
                 engine.execute_many(QUERIES, algorithm=algorithm)
-                # The map phase saw candidate features and delta appends only.
-                assert mapped_records
-                for record in mapped_records:
-                    assert not isinstance(record, DataObject)
-                    if isinstance(record, PreAssignedData):
-                        assert record.obj.oid not in base_oids
+                # The map phase saw candidate features and delta appends
+                # only, all of them through the split: no record was mapped
+                # one by one, and no base data object was mapped at all.
+                assert mapped_splits and not mapped_records
+                for split in mapped_splits:
+                    assert split.features and split.data
+                    assert all(isinstance(f, FeatureObject) for f in split.features)
+                    assert not {obj.oid for obj in split.data} & base_oids
                 # The tombstoned cell reached its reducer as a filtered block.
                 group, block = reduced[partition_of(SOME_ROWS)]
                 assert block.__class__ is DataBlock

@@ -9,7 +9,7 @@ from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob
 from repro.index.cache import IndexCache
 from repro.index.dataset_index import DatasetIndex
 from repro.index.planner import BatchQuery, plan_batch
-from repro.index.records import PreAssignedData, PreAssignedFeature
+from repro.index.records import MapSplit
 from repro.exceptions import InvalidQueryError
 from repro.mapreduce.runtime import LocalJobRunner
 from repro.model.objects import FeatureObject
@@ -126,14 +126,16 @@ class TestDatasetIndex:
             k=5, radius=2.0, keywords={"w0001", "w0042"}
         )
         prepared = index.prepare(query)
-        records = list(prepared.records)
-        assert prepared.num_candidates == len(records)
+        split = prepared.split
+        assert isinstance(split, MapSplit)
+        assert prepared.num_candidates == len(split) == len(split.features)
         assert prepared.num_pruned == index.num_features - prepared.num_candidates
         positions = index.candidate_positions(query.keywords)
-        assert [r.obj for r in records] == [
-            index._feature_objects[p] for p in positions
-        ]
-        assert all(isinstance(r, PreAssignedFeature) for r in records)
+        assert positions
+        assert list(split.features) == [index._feature_objects[p] for p in positions]
+        cached = index.feature_cells(query.radius)
+        assert list(split.cells) == [cached[p] for p in positions]
+        assert not split.data and not split.data_cells
 
     def test_radius_cache_hit_flag(self, index):
         query = SpatialPreferenceQuery.create(k=5, radius=3.0, keywords={"w0001"})
@@ -158,7 +160,7 @@ class TestPreloadedShuffle:
         batch_job = ESPQScoJob(query, grid)
         prepared = index.prepare(query)
         batch = runner.run(
-            batch_job, prepared.records, preloaded=index.data_shuffle(batch_job)
+            batch_job, prepared.split, preloaded=index.data_shuffle(batch_job)
         )
         assert sorted(batch.outputs) == sorted(plain.outputs)
 
@@ -304,8 +306,29 @@ class TestPlanner:
             plan_batch([q], "espq-sco", "20", "range")
 
 
-class TestPreAssignedRecords:
-    def test_records_are_frozen(self, paper_data_objects):
-        record = PreAssignedData(paper_data_objects[0], 3)
+class TestMapSplit:
+    def test_split_is_frozen(self, paper_feature_objects):
+        split = MapSplit([paper_feature_objects[0]], [(3,)])
         with pytest.raises(AttributeError):
-            record.cell_id = 4
+            split.cells = [(4,)]
+
+    def test_slices_walk_data_rows_then_feature_rows(
+        self, paper_data_objects, paper_feature_objects
+    ):
+        data, features = paper_data_objects[:3], paper_feature_objects[:5]
+        split = MapSplit(features, [(i,) for i in range(5)], data, [7, 8, 9])
+        assert len(split) == 8
+        assert split.slices(8) == [split] and split.slices(100) == [split]
+        assert MapSplit().slices(4) == []
+        for size in (1, 2, 3, 5, 7):
+            parts = split.slices(size)
+            assert [len(part) for part in parts] == [
+                min(size, 8 - start) for start in range(0, 8, size)
+            ]
+            for column in ("features", "cells", "data", "data_cells"):
+                joined = [row for part in parts for row in getattr(part, column)]
+                assert joined == list(getattr(split, column)), (size, column)
+            # A task's slice keeps the logical order: no feature row before
+            # a data row anywhere in the walk.
+            kinds = "".join("d" * len(p.data) + "f" * len(p.features) for p in parts)
+            assert kinds == "ddd" + "fffff"

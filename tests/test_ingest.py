@@ -913,6 +913,61 @@ class TestFeatureCellsRadiusCacheRace:
                     partitioner.assign_feature_object(features[position])
                 )
 
+    def test_two_engines_filling_one_radius_count_each_position_once(self):
+        """``duplication_estimate`` reads a running (entries, total cells)
+        pair: two threads assigning the *same* positions must not
+        double-count any, and the mean must stay bit-equal to the mean over
+        the cache's entries."""
+        import sys
+
+        data, features = make_dataset(20, 200)
+        grid = UniformGrid(BoundingBox(0.0, 0.0, 100.0, 100.0), GRID)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_index in range(8):
+                index = DatasetIndex(data, features, grid)
+                radius = 4.0 + round_index
+                query = SpatialPreferenceQuery.create(
+                    k=3, radius=radius, keywords={"alpha", "beta", "gamma"}
+                )
+                barrier = threading.Barrier(2)
+                hits = []
+
+                def fill(order):
+                    barrier.wait()
+                    for start in range(0, len(order), 25):
+                        prepared = index.prepare(
+                            query, candidates=order[start:start + 25]
+                        )
+                        hits.append(prepared.radius_cache_hit)
+                        index.duplication_estimate(radius)
+
+                everything = list(range(len(features)))
+                threads = [
+                    threading.Thread(target=fill, args=(everything,)),
+                    threading.Thread(target=fill, args=(everything[::-1],)),
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                lists = list(index._feature_cells[radius].values())
+                assert len(lists) == len(features)
+                assert index._cell_totals[radius] == (
+                    len(lists), sum(len(cells) for cells in lists)
+                )
+                assert index.duplication_estimate(radius) == (
+                    sum(len(cells) for cells in lists) / len(lists)
+                )
+                assert not all(hits)
+                # Everything is cached now: a pure hit, and nothing moves.
+                assert index.prepare(query, candidates=everything).radius_cache_hit
+                assert index._cell_totals[radius][0] == len(features)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_repeated_radius_hits_cache(self):
         data, features = make_dataset(20, 30)
         grid = UniformGrid(BoundingBox(0.0, 0.0, 100.0, 100.0), GRID)

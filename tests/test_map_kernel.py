@@ -1,0 +1,382 @@
+"""The index path's fused map kernel against the per-record ``map()`` oracle.
+
+``_SPQJobBase.map_split`` goes from a columnar :class:`MapSplit` straight to
+partition buckets.  The raw ``execute()`` path still maps the same objects
+one by one through ``job.map``, and that is the oracle here: over the same
+logical input the two must agree entry for entry (``sort_key``, ``sequence``,
+``key``, ``value``) and counter for counter -- values *and* key creation
+order, the empty split included -- for every job class, with and without a
+live delta, at every split size, on every backend.  The record-at-a-time
+loop is itself held to a verbatim copy of the loop it replaced (one
+``increment`` per emission), so both production routes answer to the same
+reference.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.engine import EngineConfig, SPQEngine
+from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob
+from repro.exceptions import JobExecutionError
+from repro.execution import create_backend
+from repro.execution.tasks import run_map_task, sort_bucket
+from repro.index.dataset_index import DatasetIndex
+from repro.index.delta import DeltaSnapshot, with_delta_appends
+from repro.index.records import MapSplit
+from repro.mapreduce import counters as names
+from repro.mapreduce.counters import Counters
+from repro.mapreduce.runtime import DEFAULT_SPLIT_SIZE, LocalJobRunner
+from repro.model.objects import DataObject, FeatureObject
+from repro.model.query import SpatialPreferenceQuery
+from repro.spatial.geometry import BoundingBox
+from repro.spatial.grid import UniformGrid
+
+GRID = 6
+EXTENT = BoundingBox(0.0, 0.0, 60.0, 60.0)
+JOB_CLASSES = {"pspq": PSPQJob, "espq-len": ESPQLenJob, "espq-sco": ESPQScoJob}
+VOCABULARY = ("cafe", "bar", "park", "museum", "pier")
+QUERY = SpatialPreferenceQuery.create(k=4, radius=7.0, keywords={"cafe", "park"})
+BACKENDS = {"serial": 1, "thread": 2, "process": 2}
+
+
+def build_base():
+    rng = random.Random(2020)
+    data = [
+        DataObject(f"d{i:03d}", rng.uniform(0.0, 60.0), rng.uniform(0.0, 60.0))
+        for i in range(150)
+    ]
+    features = [
+        FeatureObject(
+            f"f{i:03d}",
+            rng.uniform(0.0, 60.0),
+            rng.uniform(0.0, 60.0),
+            # A tiny vocabulary: equal lengths and equal scores -- colliding
+            # sort keys -- are the rule, so the sequence tie-break is used.
+            frozenset(rng.sample(VOCABULARY, rng.randint(1, 3))),
+        )
+        for i in range(160)
+    ]
+    return data, features
+
+
+def delta_batch(data, features):
+    """Appends of both kinds plus tombstones of both kinds."""
+    rng = random.Random(7)
+    return dict(
+        append_data=[
+            DataObject(f"new-d{i}", rng.uniform(0.0, 60.0), rng.uniform(0.0, 60.0))
+            for i in range(5)
+        ],
+        append_features=[
+            FeatureObject("new-f0", 12.0, 12.0, frozenset({"cafe"})),
+            FeatureObject("new-f1", 29.9, 30.1, frozenset({"park", "bar", "pier"})),
+            FeatureObject("new-f2", 40.0, 5.0, frozenset({"museum"})),  # pruned
+            FeatureObject("new-f3", 59.0, 59.0, frozenset({"cafe", "park"})),
+        ],
+        delete_data_oids=[obj.oid for obj in data[::13]],
+        delete_feature_oids=[f.oid for f in features if "cafe" in f.keywords][::3],
+    )
+
+
+def engine_split(engine, algorithm):
+    """The split, preloaded side and grid a real engine run is given."""
+    seen = {}
+    real_run = LocalJobRunner.run
+
+    def spying_run(runner, job, records, preloaded=None):
+        seen.update(split=records, preloaded=preloaded)
+        return real_run(runner, job, records, preloaded=preloaded)
+
+    LocalJobRunner.run = spying_run
+    try:
+        engine.execute_many([QUERY], algorithm=algorithm)
+    finally:
+        LocalJobRunner.run = real_run
+    return seen["split"], seen["preloaded"], engine.get_index(GRID).grid
+
+
+def raw_records(split):
+    """The same logical input as plain objects, for ``job.map``."""
+    return list(split.data) + list(split.features)
+
+
+def chunks(records, size):
+    return [records[start:start + size] for start in range(0, len(records), size)]
+
+
+def ordered(counters):
+    return [(group, list(named.items())) for group, named in counters.as_dict().items()]
+
+
+def reference_map_task(job, records, num_reducers):
+    """The record-at-a-time loop as it stood before this module existed:
+    every emission dispatches ``partition`` / ``sort_key`` /
+    ``estimated_record_size`` and increments three counters."""
+    counters = Counters()
+    buckets = {}
+    sequence = 0
+    num_records = 0
+    for record in records:
+        num_records += 1
+        for key, value in job.map(record, counters):
+            partition = job.partition(key, num_reducers)
+            buckets.setdefault(partition, []).append(
+                (job.sort_key(key), sequence, key, value)
+            )
+            sequence += 1
+            counters.increment(names.GROUP_MAP, names.MAP_OUTPUT_RECORDS)
+            counters.increment(names.GROUP_SHUFFLE, names.SHUFFLE_RECORDS)
+            counters.increment(
+                names.GROUP_SHUFFLE,
+                names.SHUFFLE_BYTES,
+                job.estimated_record_size(key, value),
+            )
+    counters.increment(names.GROUP_MAP, names.MAP_INPUT_RECORDS, num_records)
+    return buckets, sequence, num_records, counters
+
+
+def assert_same_task(got, want_buckets, want_emitted, want_records, want_counters):
+    assert list(got.buckets) == list(want_buckets)  # bucket creation order too
+    assert got.buckets == want_buckets
+    assert got.num_emitted == want_emitted
+    assert got.num_input_records == want_records
+    assert ordered(got.counters) == ordered(want_counters)
+
+
+def report_fields(report):
+    fields = dict(vars(report))
+    fields["counters"] = ordered(fields["counters"])
+    return fields
+
+
+@pytest.fixture(scope="module")
+def scenarios():
+    """``(algorithm, with_delta) -> (split, preloaded, grid)``; the engines
+    stay open for the module, since they own the preloaded data planes."""
+    data, features = build_base()
+    config = EngineConfig(grid_size=GRID, backend="serial")
+    with SPQEngine(data, features, config=config, extent=EXTENT) as base, SPQEngine(
+        data, features, config=config, extent=EXTENT
+    ) as written:
+        written.apply_updates(**delta_batch(data, features))
+        yield {
+            (algorithm, with_delta): engine_split(engine, algorithm)
+            for algorithm in JOB_CLASSES
+            for with_delta, engine in ((False, base), (True, written))
+        }
+
+
+@pytest.mark.parametrize("with_delta", (False, True), ids=("base", "delta"))
+@pytest.mark.parametrize("algorithm", sorted(JOB_CLASSES))
+class TestKernelEqualsPerRecordMap:
+    def test_the_scenario_exercises_every_column(self, scenarios, algorithm, with_delta):
+        split, _, _ = scenarios[algorithm, with_delta]
+        assert isinstance(split, MapSplit)
+        assert len(split.features) == len(split.cells) > 60
+        assert any(len(cells) > 1 for cells in split.cells)  # Lemma-1 copies
+        assert len(split.data) == len(split.data_cells) == (5 if with_delta else 0)
+        appended = {f.oid for f in split.features if f.oid.startswith("new-")}
+        assert appended == ({"new-f0", "new-f1", "new-f3"} if with_delta else set())
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("split_size", (1, 7, DEFAULT_SPLIT_SIZE))
+    def test_map_tasks_and_whole_run(
+        self, scenarios, algorithm, with_delta, split_size, backend
+    ):
+        split, preloaded, grid = scenarios[algorithm, with_delta]
+        job_class = JOB_CLASSES[algorithm]
+        records = raw_records(split)
+        num_reducers = grid.num_cells
+        with create_backend(backend, BACKENDS[backend]) as pool:
+            got = pool.run_map_tasks(
+                job_class(QUERY, grid), split.slices(split_size), num_reducers
+            )
+            want = pool.run_map_tasks(
+                job_class(QUERY, grid), chunks(records, split_size), num_reducers
+            )
+            assert len(got) == len(want) == -(-len(records) // split_size)
+            learned = {}
+            for mine, theirs, part in zip(got, want, split.slices(split_size)):
+                assert mine.task_index == theirs.task_index
+                assert_same_task(
+                    mine, theirs.buckets, theirs.num_emitted,
+                    theirs.num_input_records, theirs.counters,
+                )
+                # The size memo is handed back: at least this task's features.
+                for feature in part.features:
+                    assert mine.task_state[feature.oid] == 24 + sum(
+                        len(word) + 1 for word in feature.keywords
+                    )
+                learned.update(mine.task_state or {})
+            assert learned == {
+                oid: size for r in want for oid, size in (r.task_state or {}).items()
+            }
+            runner = LocalJobRunner(num_reducers, split_size=split_size, backend=pool)
+            fused = runner.run(job_class(QUERY, grid), split, preloaded=preloaded)
+            # The split is columns, not a stream: a second run sees it all again.
+            again = runner.run(job_class(QUERY, grid), split, preloaded=preloaded)
+            plain = runner.run(job_class(QUERY, grid), records, preloaded=preloaded)
+        assert fused.outputs == again.outputs == plain.outputs and fused.outputs
+        assert ordered(fused.counters) == ordered(again.counters) == ordered(plain.counters)
+        assert fused.num_map_tasks == plain.num_map_tasks
+        assert [report_fields(r) for r in fused.reduce_reports] == [
+            report_fields(r) for r in plain.reduce_reports
+        ]
+
+    def test_record_loop_equals_the_loop_it_replaced(self, scenarios, algorithm, with_delta):
+        split, _, grid = scenarios[algorithm, with_delta]
+        job_class = JOB_CLASSES[algorithm]
+        for size in (1, 7, DEFAULT_SPLIT_SIZE):
+            # Features first in one chunk, data first in another: eSPQsco's
+            # map.score_computations is created before/after output_records.
+            for chunk in chunks(raw_records(split), size)[:40]:
+                got = run_map_task(job_class(QUERY, grid), 3, chunk, grid.num_cells)
+                assert got.task_index == 3
+                assert_same_task(
+                    got, *reference_map_task(job_class(QUERY, grid), chunk, grid.num_cells)
+                )
+
+
+@pytest.mark.parametrize("algorithm", sorted(JOB_CLASSES))
+def test_empty_input_creates_only_the_input_counter(algorithm):
+    grid = UniformGrid.square(EXTENT, GRID)
+    for records in (MapSplit(), []):
+        result = run_map_task(JOB_CLASSES[algorithm](QUERY, grid), 0, records, 36)
+        assert result.buckets == {} and result.num_emitted == 0
+        assert result.counters.as_dict() == {"map": {"input_records": 0}}
+    # Pruned features are read but emit nothing: still no emission counters.
+    pruned = [FeatureObject("x", 1.0, 1.0, frozenset({"museum"}))]
+    result = run_map_task(JOB_CLASSES[algorithm](QUERY, grid), 0, pruned, 36)
+    assert ordered(result.counters) == [
+        ("spq", [("features_pruned", 1)]), ("map", [("input_records", 1)])
+    ]
+
+
+def test_out_of_range_partition_is_a_job_execution_error():
+    class Misrouted(PSPQJob):
+        def partition(self, key, num_reducers):
+            return num_reducers
+
+    grid = UniformGrid.square(EXTENT, GRID)
+    feature = FeatureObject("f", 5.0, 5.0, frozenset({"cafe"}))
+    for split in (
+        MapSplit([feature], [(1,)]),
+        MapSplit(data=[DataObject("d", 5.0, 5.0)], data_cells=[1]),
+    ):
+        with pytest.raises(JobExecutionError, match=r"partition 36 outside \[0, 36\)"):
+            run_map_task(Misrouted(QUERY, grid), 0, split, 36)
+
+
+def test_kernel_failures_are_wrapped_like_map_failures():
+    grid = UniformGrid.square(EXTENT, GRID)
+    broken = MapSplit([object()], [(1,)])  # not a feature: no .keywords / .oid
+    with pytest.raises(JobExecutionError, match="map failed on split 5"):
+        run_map_task(ESPQLenJob(QUERY, grid), 5, broken, 36)
+
+
+class TestNoPerRecordDispatch:
+    """Deterministic tripwire: the index path's counter writes per map task
+    do not grow with the records mapped.  Fails at the parent commit, where
+    every emitted copy cost three ``increment`` calls."""
+
+    @pytest.mark.parametrize("algorithm", sorted(JOB_CLASSES))
+    def test_increment_calls_per_task_are_constant(self, algorithm, monkeypatch):
+        data, features = build_base()
+        grid = UniformGrid.square(EXTENT, GRID)
+        index = DatasetIndex(data, features, grid)
+        split = index.prepare(QUERY).split
+        appends = DeltaSnapshot(data=tuple(DataObject(f"a{i}", 3.0, 3.0) for i in range(9)))
+        calls = []
+        real_increment = Counters.increment
+
+        def counting_increment(counters, group, name, amount=1):
+            calls.append((group, name))
+            real_increment(counters, group, name, amount)
+
+        monkeypatch.setattr(Counters, "increment", counting_increment)
+        per_task = {}
+        for label, part in (
+            ("few", split.slices(10)[0]),
+            ("all", split),
+            ("all+data", with_delta_appends(split, appends, QUERY, grid)[0]),
+        ):
+            del calls[:]
+            result = run_map_task(JOB_CLASSES[algorithm](QUERY, grid), 0, part, 36)
+            assert result.num_emitted >= len(part)
+            per_task[label] = len(calls)
+        assert len(split) > 60
+        assert per_task["few"] == per_task["all"] <= 7
+        assert per_task["all+data"] <= 9
+
+
+@st.composite
+def candidate_sets(draw):
+    positions = draw(st.sets(st.integers(0, 159), max_size=40))
+    appended = draw(st.integers(0, 4))
+    return (
+        sorted(positions),
+        appended,
+        draw(st.sampled_from(sorted(JOB_CLASSES))),
+        draw(st.sampled_from((0.0, 2.5, 11.0))),
+        draw(st.sampled_from((1, 3, 16, DEFAULT_SPLIT_SIZE))),
+    )
+
+
+@pytest.fixture(scope="module")
+def property_index():
+    data, features = build_base()
+    return DatasetIndex(data, features, UniformGrid.square(EXTENT, GRID))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=candidate_sets())
+def test_any_candidate_set_maps_like_its_records(property_index, case):
+    positions, appended, algorithm, radius, split_size = case
+    index = property_index
+    query = SpatialPreferenceQuery.create(k=3, radius=radius, keywords={"cafe", "bar"})
+
+    def make_job():
+        # Candidates are handed in, so some share no keyword with the query:
+        # the oracle keeps them too (pruning is the index's job on this path).
+        return JOB_CLASSES[algorithm](query, index.grid, prune_irrelevant=False)
+
+    delta = DeltaSnapshot(
+        data=tuple(DataObject(f"a{i}", 7.0 * i + 1.0, 50.0) for i in range(appended))
+    )
+    split, _ = with_delta_appends(
+        index.prepare(query, candidates=positions).split, delta, query, index.grid
+    )
+    assert len(split) == len(positions) + appended
+    records = raw_records(split)
+    sequence = 0
+    for task, (part, chunk) in enumerate(
+        zip(split.slices(split_size), chunks(records, split_size))
+    ):
+        got = run_map_task(make_job(), task, part, index.grid.num_cells)
+        assert_same_task(
+            got, *reference_map_task(make_job(), chunk, index.grid.num_cells)
+        )
+        sequence += got.num_emitted
+    assert len(split.slices(split_size)) == len(chunks(records, split_size))
+    assert sequence >= len(records)
+
+
+class TestSortBucket:
+    def test_colliding_sort_keys_fall_back_to_the_sequence(self):
+        rng = random.Random(5)
+        unorderable = [FeatureObject(f"f{i}", 0.0, 0.0, frozenset({"a"})) for i in range(40)]
+        bucket = [
+            # Few distinct sort keys, equal keys, values that cannot be
+            # compared: only (sort_key, sequence) may decide the order.
+            ((rng.randint(1, 3), -rng.choice((0.5, 1.0))), sequence, (1, 1), value)
+            for sequence, value in enumerate(unorderable)
+        ]
+        rng.shuffle(bucket)
+        want = sorted(bucket, key=lambda entry: (entry[0], entry[1]))
+        sort_bucket(bucket)
+        assert bucket == want
+        assert len({entry[0] for entry in bucket}) < len(bucket) / 4
