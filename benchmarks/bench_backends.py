@@ -1,7 +1,7 @@
 """Execution-backend equivalence + speedup benchmark.
 
 Runs the same multi-query workload through the pluggable execution backends
-(``serial``, ``thread``, ``process``) and
+(``serial``, ``process``) and
 
 1. **asserts bit-for-bit result equality first**: object ids, scores, work
    counters and the cost model's ``simulated_seconds`` must match the serial
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
     parser.add_argument("--grid-size", type=int, default=6)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--algorithm", default="pspq")
-    parser.add_argument("--backends", default="serial,thread,process",
+    parser.add_argument("--backends", default="serial,process",
                         help="comma-separated backends to benchmark (serial is "
                              "always run first as the reference)")
     parser.add_argument("--workers", type=int, default=None,

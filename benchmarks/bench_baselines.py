@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.centralized import CentralizedSPQ
-from repro.core.indexed_baseline import IndexedCentralizedSPQ
+from repro.paper.indexed_baseline import IndexedCentralizedSPQ
 from repro.core.jobs import ESPQScoJob, PSPQJob
 from repro.mapreduce.runtime import LocalJobRunner
 from benchmarks.conftest import execute

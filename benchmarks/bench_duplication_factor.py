@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.core.analysis import duplication_factor
+from repro.paper.analysis import duplication_factor
 from repro.model.objects import FeatureObject
 from repro.spatial.geometry import BoundingBox
 from repro.spatial.grid import UniformGrid

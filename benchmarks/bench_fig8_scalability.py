@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.experiments import _uniform_spec
+from repro.paper.bench.experiments import _uniform_spec
 from benchmarks.conftest import execute
 
 ALGORITHMS = ("pspq", "espq-len", "espq-sco")

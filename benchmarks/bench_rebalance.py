@@ -12,10 +12,12 @@ Three checks over the skew-aware shard layout and live rebalancing
 2. **Hotspot p99** -- on a dataset with ~90% of its mass in one corner, a
    uniform 2x2 layout parks nearly every object in one shard: that shard
    serializes the fleet and caps tail latency.  The skew layout splits the
-   hot mass count-evenly; under concurrent clients on process-backed
-   shards its p99 must be at least ``--min-p99-ratio`` (default 1.5x)
-   better than uniform's.  Auto-skips (with the reason reported) below
-   ``--min-cores`` usable cores (default 4: one per shard process).
+   hot mass count-evenly; under concurrent clients its p99 must be at
+   least ``--min-p99-ratio`` (default 1.5x) better than uniform's.  The
+   four shard services run in this one process with tasks inline (serial
+   backend; there are no worker processes, see ``bench_sharding.py``).
+   Auto-skips (with the reason reported) below ``--min-cores`` usable
+   cores (default 4).
 3. **Rebalance under load** -- ~3000 requests hammer a router while
    ``rebalance()`` flips the layout skew -> uniform -> skew.  The dataset
    never changes, so every single response must equal the one unsharded
@@ -102,15 +104,13 @@ def response_entries(response: Dict[str, object]) -> List[Entry]:
 
 def make_router(
     data, features, shards: int, grid_size: int, layout: str,
-    backend: str = None, workers: int = None,
+    backend: str = None,
 ) -> ShardRouter:
     """A router over ``grid_size`` grids with the layout grid snapped to it."""
     return ShardRouter(
         data,
         features,
-        engine_config=EngineConfig(
-            grid_size=grid_size, backend=backend, workers=workers
-        ),
+        engine_config=EngineConfig(grid_size=grid_size, backend=backend),
         service_config=ServiceConfig(
             engines=1,
             result_cache_capacity=0,
@@ -233,9 +233,9 @@ def run_p99_phase(
     data, features, grid_size: int, shards: int, requests: int,
     client_threads: int, seed: int, min_cores: int = 4,
 ) -> Dict[str, object]:
-    """Uniform vs skew tail latency on hotspot data, process-backed shards."""
+    """Uniform vs skew tail latency on hotspot data, four in-process shards."""
     # Cores this process may run on (a container's cpuset, not the host's
-    # count): 4 process-backed shards plus the client threads need them.
+    # count).
     cores = (
         len(os.sched_getaffinity(0))
         if hasattr(os, "sched_getaffinity")
@@ -259,11 +259,10 @@ def run_p99_phase(
     results: Dict[str, Dict[str, float]] = {}
     for layout in ("uniform", "skew"):
         with make_router(
-            data, features, shards, grid_size, layout,
-            backend="process", workers=1,
+            data, features, shards, grid_size, layout, backend="serial"
         ) as router:
             imbalance = router.stats()["sharding"]["balance"]["imbalance"]
-            # Warm engines, indexes and worker pools off the clock.
+            # Warm engines and indexes off the clock.
             measure_p99(router, specs[: max(8, len(specs) // 4)],
                         client_threads)
             p99_ms, mean_ms = measure_p99(router, specs, client_threads)

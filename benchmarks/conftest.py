@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.experiments import (
+from repro.paper.bench.experiments import (
     _clustered_spec,
     _flickr_spec,
     _twitter_spec,

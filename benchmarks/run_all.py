@@ -19,8 +19,8 @@ import sys
 import time
 from typing import Dict, TextIO
 
-from repro.bench import experiments
-from repro.bench.harness import SweepResult
+from repro.paper.bench import experiments
+from repro.paper.bench.harness import SweepResult
 
 
 def _write_panels(out: TextIO, title: str, panels: Dict[str, SweepResult]) -> None:
@@ -35,8 +35,8 @@ def _write_panels(out: TextIO, title: str, panels: Dict[str, SweepResult]) -> No
 
 def _write_load_balance(out: TextIO, num_objects: int) -> None:
     """Reducer work-distribution comparison (the §7.2.4 Figure 9 discussion)."""
-    from repro.bench.experiments import _clustered_spec, _uniform_spec
-    from repro.bench.reporting import compare_load_balance
+    from repro.paper.bench.experiments import _clustered_spec, _uniform_spec
+    from repro.paper.bench.reporting import compare_load_balance
     from repro.core.jobs import PSPQJob
     from repro.mapreduce.runtime import LocalJobRunner
 

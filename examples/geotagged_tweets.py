@@ -23,7 +23,7 @@ from repro import SPQEngine
 from repro.core.centralized import dataset_extent
 from repro.datagen.queries import QueryWorkload
 from repro.datagen.realistic import RealisticDatasetConfig, generate_twitter_like
-from repro.mapreduce.hdfs import HDFS
+from repro.paper.hdfs import HDFS
 from repro.model.objects import DataObject, FeatureObject
 from repro.text.vocabulary import Vocabulary
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.bench.harness import run_scalability
+from repro.paper.bench.harness import run_scalability
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
 
 

@@ -40,7 +40,6 @@ import threading
 from typing import List, Optional, Sequence
 
 from repro import __version__
-from repro.core.analysis import duplication_factor, reducer_cost_model
 from repro.core.centralized import dataset_extent
 from repro.core.engine import ALGORITHM_CHOICES, EngineConfig, SPQEngine
 from repro.planner import AUTO_ALGORITHM, PLANNED_ALGORITHMS
@@ -69,15 +68,16 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=BACKEND_NAMES,
         default=None,
-        help="execution backend: 'serial' (deterministic default), 'thread' "
-        "(thread pool), or 'process' (true multi-core multiprocessing pool); "
-        "all three return identical results (default: $REPRO_BACKEND or serial)",
+        help="execution backend: 'serial' (deterministic default) or 'process' "
+        "(multiprocessing pool; wins only when reduce compute dwarfs the "
+        "shuffle it pickles); both return identical results "
+        "(default: $REPRO_BACKEND or serial)",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker count for the thread/process backends "
+        help="worker count for the process backend "
         "(default: $REPRO_WORKERS or the CPU count, capped at 8)",
     )
 
@@ -521,12 +521,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     server = _bind_server(args, service)
 
-    if not sharded and args.calibration_path and service.planner is None:
-        _warn(
-            "--calibration-path is ignored because the planner is disabled "
-            "(planner_mode / $REPRO_PLANNER is 'off'); calibration will be "
-            "neither restored nor saved"
-        )
     if sharded and args.calibration_path:
         print(
             f"calibration snapshots are per shard: "
@@ -562,7 +556,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     # The service's shutdown drains, saves calibration and closes engines.
     _run_server_loop(server, [service.shutdown])
-    if args.calibration_path and not sharded and service.planner is not None:
+    if args.calibration_path and not sharded:
         save_error = service.stats()["planner"]["persistence"]["last_error"]
         if save_error:
             _warn(f"calibration could not be saved: {save_error}")
@@ -803,6 +797,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.paper.analysis import duplication_factor, reducer_cost_model
+
     if args.what == "duplication":
         df = duplication_factor(args.cell_side, args.radius)
         print(f"cell side a = {args.cell_side}, radius r = {args.radius}")
@@ -826,7 +822,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.bench import experiments as exp
+    from repro.paper.bench import experiments as exp
 
     figure_map = {
         "5": lambda: exp.figure5_flickr(args.objects),

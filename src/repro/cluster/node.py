@@ -58,15 +58,12 @@ class NodeConfig:
         max_radius: The partitioner's feature replication radius
             (None = unbounded; must match the router's).
         dataset_epoch: The epoch tag of the boot dataset.
-        node_id: Stable-for-the-process node identity; a fresh UUID plus
-            the PID when unset, so a restarted process is distinguishable.
     """
 
     shard_index: int = 0
     shards: int = 1
     max_radius: Optional[float] = None
     dataset_epoch: str = BOOT_EPOCH
-    node_id: Optional[str] = None
 
 
 class ShardNodeService:
@@ -114,9 +111,9 @@ class ShardNodeService:
                 f"shard_index must be in [0, {self.node_config.shards}), "
                 f"got {self.node_config.shard_index}"
             )
-        self.node_id = self.node_config.node_id or (
-            f"node-{uuid.uuid4().hex[:8]}-pid{os.getpid()}"
-        )
+        #: Stable for the process: a fresh UUID plus the PID, so a
+        #: restarted process is distinguishable.
+        self.node_id = f"node-{uuid.uuid4().hex[:8]}-pid{os.getpid()}"
         self._engine_config = engine_config or EngineConfig()
         self._service_config = service_config or ServiceConfig()
         self._epoch_lock = threading.Lock()

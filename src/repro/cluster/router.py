@@ -67,6 +67,10 @@ from repro.server.service import ServiceConfig
 from repro.sharding.partition import ShardingPlan
 from repro.sharding.router import ScatterGatherRouter
 
+#: Extra attempts per shard after the primary fails (the "one retry"
+#: contract; each attempt goes to the next live replica).
+FAILOVER_RETRIES = 1
+
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -97,13 +101,7 @@ class ClusterConfig:
         liveness_timeout: Silence (seconds) after which a node is dead.
         max_misses: Consecutive failures after which a node is dead.
         node_deadline: Per-sub-request socket deadline (seconds).
-        retries: Extra attempts per shard after the primary fails (the
-            "one retry" contract; each attempt goes to the next live
-            replica).
-        scatter_threads: Scatter pool size; None picks
-            ``min(64, shards * 8)``.
         result_cache_capacity: Router response LRU entries (0 disables).
-        initial_epoch: Dataset epoch the fleet booted with.
     """
 
     shards: int = 2
@@ -112,10 +110,7 @@ class ClusterConfig:
     liveness_timeout: float = 6.0
     max_misses: int = 3
     node_deadline: float = 10.0
-    retries: int = 1
-    scatter_threads: Optional[int] = None
     result_cache_capacity: int = 256
-    initial_epoch: str = BOOT_EPOCH
 
 
 class RemoteShardTarget:
@@ -135,7 +130,7 @@ class RemoteShardTarget:
         """One shard's sub-request: deadline per attempt, failover retries.
 
         Tries the shard's routing-eligible replicas in replica-rank order,
-        at most ``1 + retries`` attempts.  A transport failure (refused,
+        at most ``1 + FAILOVER_RETRIES`` attempts.  A transport failure (refused,
         reset, timeout, 5xx) demotes the node in the membership and moves
         on; an application-level 400 is raised to the caller unchanged (a
         replica would reject it identically).  Returns None when no
@@ -147,7 +142,7 @@ class RemoteShardTarget:
             self._shard_index, router.dataset_epoch
         )
         failed: List[str] = []
-        for url in candidates[: 1 + router.cluster.retries]:
+        for url in candidates[: 1 + FAILOVER_RETRIES]:
             try:
                 response = post_json(
                     f"{url}/query", spec, timeout=router.cluster.node_deadline
@@ -210,8 +205,8 @@ class ClusterRouter(ScatterGatherRouter):
                 ``[0, shards)`` should appear at least once (a shard with
                 no node can only ever be answered in degraded mode).
             cluster: Cluster knobs (defaults to :class:`ClusterConfig`).
-            engine_config: Used only to resolve request defaults
-                (grid size, planner mode) identically to the nodes'.
+            engine_config: Used only to resolve request defaults (grid
+                size) identically to the nodes'.
             service_config: Used for request defaults and admission (the
                 router result-cache capacity is ``cluster``'s).
 
@@ -231,14 +226,11 @@ class ClusterRouter(ScatterGatherRouter):
                     f"node {spec.url!r} serves shard {spec.shard_index}, "
                     f"outside [0, {self.cluster.shards})"
                 )
-        if self.cluster.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.cluster.retries}")
         super().__init__(
             data_objects,
             feature_objects,
             shards=self.cluster.shards,
             max_radius=self.cluster.max_radius,
-            scatter_threads=self.cluster.scatter_threads,
             result_cache_capacity=self.cluster.result_cache_capacity,
             engine_config=engine_config,
             service_config=service_config,
@@ -251,9 +243,9 @@ class ClusterRouter(ScatterGatherRouter):
         )
         for spec in nodes:
             self._membership.register(
-                spec.url, spec.shard_index, dataset_epoch=self.cluster.initial_epoch
+                spec.url, spec.shard_index, dataset_epoch=BOOT_EPOCH
             )
-        self._epoch = self.cluster.initial_epoch
+        self._epoch = BOOT_EPOCH
         self._targets = [
             RemoteShardTarget(self, shard_index)
             for shard_index in range(self.cluster.shards)
@@ -508,7 +500,7 @@ class ClusterRouter(ScatterGatherRouter):
             "liveness_timeout_seconds": self.cluster.liveness_timeout,
             "max_misses": self.cluster.max_misses,
             "node_deadline_seconds": self.cluster.node_deadline,
-            "retries": self.cluster.retries,
+            "retries": FAILOVER_RETRIES,
             "resyncs": counters["resyncs"],
             "feature_replication_factor": plan_stats.replication_factor,
             "grid_aligned_default": self._plan.grid_aligned(

@@ -7,18 +7,14 @@ Public API:
   algorithms (``pSPQ``, ``eSPQlen``, ``eSPQsco``) on the simulated MapReduce
   substrate, or with the centralized oracle used for correctness checks.
 * The individual MapReduce job classes in :mod:`repro.core.jobs`.
-* The theoretical analysis helpers of Section 6 in :mod:`repro.core.analysis`.
+
+The Section 6 analysis helpers and the r-tree baseline are paper
+reproduction, not query processing: :mod:`repro.paper.analysis`,
+:mod:`repro.paper.indexed_baseline`.
 """
 
-from repro.core.analysis import (
-    duplication_factor,
-    max_duplication_factor,
-    reducer_cost_model,
-    optimal_relative_cell_size,
-)
 from repro.core.centralized import CentralizedSPQ
 from repro.core.engine import ALGORITHMS, EngineConfig, SPQEngine
-from repro.core.indexed_baseline import IndexedCentralizedSPQ
 from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob
 from repro.core.scoring import compute_score, rank_objects
 
@@ -27,14 +23,9 @@ __all__ = [
     "EngineConfig",
     "ALGORITHMS",
     "CentralizedSPQ",
-    "IndexedCentralizedSPQ",
     "PSPQJob",
     "ESPQLenJob",
     "ESPQScoJob",
     "compute_score",
     "rank_objects",
-    "duplication_factor",
-    "max_duplication_factor",
-    "reducer_cost_model",
-    "optimal_relative_cell_size",
 ]

@@ -30,17 +30,13 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.centralized import CentralizedSPQ, dataset_extent
 from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob, _SPQJobBase
-from repro.exceptions import (
-    InvalidQueryError,
-    JobConfigurationError,
-    ResultIntegrityError,
-)
+from repro.exceptions import InvalidQueryError, ResultIntegrityError
 from repro.execution import ExecutionBackend, create_backend
 from repro.index.cache import IndexCache
 from repro.index.dataset_index import DatasetIndex
@@ -51,19 +47,12 @@ from repro.index.delta import (
     with_delta_appends,
 )
 from repro.index.planner import BatchQuery, PlannedQuery, plan_batch
-from repro.mapreduce.cluster import SimulatedCluster, paper_cluster
-from repro.mapreduce.costmodel import CostModel, CostParameters
+from repro.mapreduce.costmodel import CostModel
 from repro.mapreduce.runtime import JobResult, LocalJobRunner, PreloadedShuffle
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
 from repro.model.result import QueryResult, ScoredObject, merge_top_k
-from repro.planner.core import (
-    AUTO_ALGORITHM,
-    PlannerConfig,
-    PlannerDecision,
-    QueryPlanner,
-    resolve_planner_mode,
-)
+from repro.planner.core import AUTO_ALGORITHM, PlannerDecision, QueryPlanner
 from repro.spatial.geometry import BoundingBox
 from repro.spatial.grid import UniformGrid
 
@@ -81,9 +70,7 @@ _JOB_CLASSES = {
 }
 
 
-def validate_algorithm_combination(
-    algorithm: str, score_mode: str, planner_mode: str = "on"
-) -> None:
+def validate_algorithm_combination(algorithm: str, score_mode: str) -> None:
     """Reject unsupported algorithm / score-mode combinations up front.
 
     Module-level so front-ends that run no local engine -- the cluster
@@ -94,13 +81,10 @@ def validate_algorithm_combination(
     Args:
         algorithm: One of :data:`ALGORITHM_CHOICES`.
         score_mode: ``"range"`` / ``"influence"`` / ``"nearest"``.
-        planner_mode: The resolved planner mode; ``"auto"`` requires
-            ``"on"``.
 
     Raises:
-        InvalidQueryError: for an unknown algorithm or score mode, an
-            unsupported combination, or ``"auto"`` with the planner
-            disabled.
+        InvalidQueryError: for an unknown algorithm or score mode, or an
+            unsupported combination.
     """
     if algorithm not in ALGORITHM_CHOICES:
         raise InvalidQueryError(
@@ -112,11 +96,6 @@ def validate_algorithm_combination(
                 "algorithm='auto' plans only the 'range' score mode (the "
                 "early-termination algorithms it chooses between are "
                 "defined for 'range' only); pick an algorithm explicitly"
-            )
-        if planner_mode != "on":
-            raise InvalidQueryError(
-                "algorithm='auto' requires the cost-based planner, which "
-                "is disabled (planner_mode / $REPRO_PLANNER is 'off')"
             )
         return
     if algorithm == "centralized":
@@ -147,15 +126,12 @@ class EngineConfig:
     Attributes:
         grid_size: Default number of grid cells per axis (the paper's "grid
             size"); can be overridden per query.
-        cluster: Simulated cluster used by the cost model; defaults to the
-            paper's 16-node cluster.
-        cost_parameters: Per-unit costs of the cost model.
-        backend: Execution backend name (``"serial"``, ``"thread"`` or
-            ``"process"``).  ``None`` (the default) defers to the
-            ``REPRO_BACKEND`` environment variable, then ``"serial"``.  All
-            backends return bit-for-bit identical results; they differ only
-            in wall-clock time.
-        workers: Worker count of the parallel backends.  ``None`` picks the
+        backend: Execution backend name (``"serial"`` or ``"process"``).
+            ``None`` (the default) defers to the ``REPRO_BACKEND``
+            environment variable, then ``"serial"``.  Both backends return
+            bit-for-bit identical results; they differ only in wall-clock
+            time.
+        workers: Worker count of the process backend.  ``None`` picks the
             backend default (``REPRO_WORKERS`` or a capped CPU count).
         pad_with_zero_scores: When True, the merged result is padded with
             arbitrary unreported data objects at score 0.0 so that exactly
@@ -163,27 +139,12 @@ class EngineConfig:
             have a positive score (the centralized oracle naturally does
             this; the distributed algorithms, like the paper's, only report
             positively scored objects).
-        index_cache_capacity: How many :class:`DatasetIndex` instances (one
-            per grid size) the engine keeps alive for batch execution.
-        planner_mode: ``"on"`` (cost-based planning + calibration, the
-            default) or ``"off"`` (``algorithm="auto"`` is rejected and no
-            planner statistics are collected).  ``None`` defers to the
-            ``REPRO_PLANNER`` environment variable, then ``"on"``.
-        planner_memory: Bounded calibration memory -- how many query-class
-            entries the planner's calibrator keeps (LRU).
-        planner_smoothing: EWMA weight of each new calibration observation.
     """
 
     grid_size: int = 50
-    cluster: SimulatedCluster = field(default_factory=paper_cluster)
-    cost_parameters: CostParameters = field(default_factory=CostParameters)
     backend: Optional[str] = None
     workers: Optional[int] = None
     pad_with_zero_scores: bool = False
-    index_cache_capacity: int = 4
-    planner_mode: Optional[str] = None
-    planner_memory: int = 64
-    planner_smoothing: float = 0.3
 
 
 class SPQEngine:
@@ -229,11 +190,7 @@ class SPQEngine:
         #: (query-service engine pool) is released by the service's shutdown,
         #: not by any single pooled engine's close().
         self._owns_index_cache = index_cache is None
-        self._index_cache = (
-            index_cache
-            if index_cache is not None
-            else IndexCache(capacity=self.config.index_cache_capacity)
-        )
+        self._index_cache = index_cache if index_cache is not None else IndexCache()
         self._oid_index: Optional[Dict[str, DataObject]] = None
         self._oid_index_source: Optional[List[DataObject]] = None
         self._delta = delta if delta is not None else DatasetDelta()
@@ -249,7 +206,9 @@ class SPQEngine:
         self._backend_refs: Dict[int, int] = {}
         self._retired_backends: Dict[int, ExecutionBackend] = {}
         self._planner: Optional[QueryPlanner] = planner
-        self._planner_mode: Optional[str] = None
+        #: The paper's 16-node cluster at the default per-unit costs: the
+        #: model behind ``simulated_seconds`` and the planner's estimates.
+        self._cost_model = CostModel()
         if extent is not None and (extent.width <= 0 or extent.height <= 0):
             raise InvalidQueryError(
                 f"explicit engine extent is degenerate ({extent.width} x "
@@ -338,17 +297,6 @@ class SPQEngine:
     # adaptive planner
 
     @property
-    def planner_mode(self) -> str:
-        """Resolved planner mode (``"on"``/``"off"``; cached per engine).
-
-        Raises:
-            JobConfigurationError: for an invalid ``REPRO_PLANNER`` value.
-        """
-        if self._planner_mode is None:
-            self._planner_mode = resolve_planner_mode(self.config.planner_mode)
-        return self._planner_mode
-
-    @property
     def planner(self) -> QueryPlanner:
         """This engine's adaptive query planner (created lazily, persistent).
 
@@ -356,20 +304,8 @@ class SPQEngine:
         observations decay through the EWMA as new queries run.
         """
         if self._planner is None:
-            self._planner = QueryPlanner(
-                cluster=self.config.cluster,
-                parameters=self.config.cost_parameters,
-                config=PlannerConfig(
-                    mode=self.planner_mode,
-                    memory=self.config.planner_memory,
-                    smoothing=self.config.planner_smoothing,
-                ),
-            )
+            self._planner = QueryPlanner()
         return self._planner
-
-    def _active_planner(self) -> Optional[QueryPlanner]:
-        """The planner when planning/calibration is enabled, else None."""
-        return self.planner if self.planner_mode == "on" else None
 
     def planner_snapshot(self) -> Dict[str, object]:
         """Durable calibration state of this engine's planner.
@@ -378,30 +314,17 @@ class SPQEngine:
         :func:`repro.planner.persistence.save_calibration` (the query
         service does so on shutdown and at every checkpoint) and feed it
         back through :meth:`restore_planner` after a restart.
-
-        Raises:
-            JobConfigurationError: when the planner is disabled.
         """
-        self._require_planner("snapshot")
         return self.planner.snapshot_state()
 
     def restore_planner(self, state: Mapping[str, object]) -> None:
         """Restore a :meth:`planner_snapshot` into this engine's planner.
 
         Raises:
-            JobConfigurationError: when the planner is disabled.
             CalibrationStateError: if the state fails validation; the
                 planner is left unchanged.
         """
-        self._require_planner("restore")
         self.planner.restore_state(state)
-
-    def _require_planner(self, action: str) -> None:
-        if self.planner_mode != "on":
-            raise JobConfigurationError(
-                f"cannot {action} planner calibration: the planner is "
-                "disabled (planner_mode / $REPRO_PLANNER is 'off')"
-            )
 
     @property
     def active_backend_name(self) -> Optional[str]:
@@ -417,7 +340,7 @@ class SPQEngine:
         """Aggregate serving statistics of this engine (for ``/stats``).
 
         Covers the execution backend, dataset snapshot, index cache
-        counters, and -- when the planner is enabled -- the planner's
+        counters, and -- once a planner exists -- the planner's
         decision count and calibration summary.  Cheap to call; never
         creates a backend or planner as a side effect.
         """
@@ -432,7 +355,7 @@ class SPQEngine:
             "num_feature_objects": len(self.feature_objects),
             "index_cache": self.index_cache_stats,
         }
-        if self._planner is not None and self.planner_mode == "on":
+        if self._planner is not None:
             stats["planner"] = {
                 "decisions": self._planner.decisions,
                 "calibration": self._planner.calibrator.snapshot(),
@@ -628,8 +551,7 @@ class SPQEngine:
 
         Raises:
             InvalidQueryError: for an unknown algorithm name or an unsupported
-                algorithm / score-mode combination, and for ``"auto"`` when
-                the planner is disabled.
+                algorithm / score-mode combination.
         """
         self.validate_combination(algorithm, score_mode)
         snapshot = self._delta.snapshot()
@@ -696,10 +618,6 @@ class SPQEngine:
             default_grid_size=grid_size or self.config.grid_size,
             default_score_mode=score_mode,
         )
-        # Resolve the planner mode up front (it gates planning *and*
-        # calibration of every item) so a bad REPRO_PLANNER value fails
-        # here, before any query runs, like the rest of the validation.
-        self.planner_mode
         for item in plan:
             self.validate_combination(item.algorithm, item.score_mode)
 
@@ -731,13 +649,10 @@ class SPQEngine:
         fail the micro-batch it would have joined.
 
         Raises:
-            InvalidQueryError: for an unknown algorithm or score mode, an
-                unsupported combination, or ``"auto"`` with the planner
-                disabled.
+            InvalidQueryError: for an unknown algorithm or score mode, or an
+                unsupported combination.
         """
-        validate_algorithm_combination(
-            algorithm, score_mode, planner_mode=self.planner_mode
-        )
+        validate_algorithm_combination(algorithm, score_mode)
 
     def _execute_centralized(
         self,
@@ -769,18 +684,14 @@ class SPQEngine:
                 item.query, item.score_mode, snapshot=snapshot
             )
         index, cache_hit = self._get_index(item.grid_size)
-        planner = self._active_planner()
-        statistics = None
+        planner = self.planner
+        statistics = planner.collect(index, item.query, item.grid_size)
         decision: Optional[PlannerDecision] = None
-        if planner is not None:
-            statistics = planner.collect(index, item.query, item.grid_size)
         algorithm = item.algorithm
         if algorithm == AUTO_ALGORITHM:
-            # validate_combination rejected "auto" already when the planner is off, so
-            # statistics are guaranteed here.
             decision = planner.decide(statistics)
             algorithm = decision.algorithm
-        candidates = statistics.candidate_positions if statistics else None
+        candidates = statistics.candidate_positions
         extra_pruned = 0
         if snapshot is not None and snapshot.deleted_feature_oids:
             # Feature tombstones: drop the deleted candidates *before*
@@ -793,8 +704,6 @@ class SPQEngine:
                 for oid in snapshot.deleted_feature_oids
                 if oid in positions
             }
-            if candidates is None:
-                candidates = index.candidate_positions(item.query.keywords)
             candidates = [
                 position
                 for position in candidates
@@ -844,16 +753,15 @@ class SPQEngine:
             planner_stats=planner_stats,
             delta_snapshot=snapshot,
         )
-        if planner is not None and statistics is not None:
-            # Calibration: every executed distributed query refines the
-            # estimates for the algorithm that ran, whether the planner
-            # chose it or the caller fixed it.
-            planner.observe(
-                statistics,
-                algorithm,
-                result.stats["counters"],
-                result.stats["simulated_breakdown"],
-            )
+        # Calibration: every executed distributed query refines the
+        # estimates for the algorithm that ran, whether the planner chose it
+        # or the caller fixed it.
+        planner.observe(
+            statistics,
+            algorithm,
+            result.stats["counters"],
+            result.stats["simulated_breakdown"],
+        )
         return result
 
     def _make_job(
@@ -898,8 +806,7 @@ class SPQEngine:
         if self.config.pad_with_zero_scores and len(entries) < query.k:
             entries = self._pad(entries, query.k, snapshot=delta_snapshot)
 
-        cost_model = CostModel(self.config.cluster, self.config.cost_parameters)
-        breakdown = cost_model.estimate(job_result)
+        breakdown = self._cost_model.estimate(job_result)
 
         stats: Dict[str, object] = {
             "algorithm": job.name,

@@ -3,28 +3,26 @@
 The :class:`~repro.mapreduce.runtime.LocalJobRunner` orchestrates a job --
 splitting the input, merging shuffle buckets, aggregating counters and
 reports -- but delegates the actual *task execution* to an
-:class:`~repro.execution.base.ExecutionBackend`.  Three backends ship with
+:class:`~repro.execution.base.ExecutionBackend`.  Two backends ship with
 the package:
 
 * :class:`~repro.execution.serial.SerialBackend` -- runs every map split and
   reduce partition inline, in task order.  Fully deterministic; the default.
-* :class:`~repro.execution.thread.ThreadBackend` -- runs tasks on a thread
-  pool.  Cheap to start and shares memory with the caller, but the GIL caps
-  CPU-bound work at roughly one core; useful mostly for I/O-heavy jobs and
-  as a stepping stone to the process backend.
 * :class:`~repro.execution.process.ProcessBackend` -- runs tasks in a
   ``multiprocessing`` pool with picklable task payloads and chunked shuffle
   serialization.  True multi-core execution; results, counters and reports
-  are bit-for-bit identical to serial execution.
+  are bit-for-bit identical to serial execution.  It pays for itself only
+  when reduce-side compute dwarfs the shuffle it has to pickle
+  (``benchmarks/bench_backends.py``); ``docs/paper-map.md`` has the numbers.
 
-All backends honour the same contract (see :class:`ExecutionBackend`):
+Both backends honour the same contract (see :class:`ExecutionBackend`):
 results come back in task-index order, so counter aggregation is
 deterministic no matter how tasks were scheduled.
 
 The default backend is selected by :func:`resolve_backend_spec`:
 an explicit name wins, otherwise the ``REPRO_BACKEND`` environment variable,
 otherwise ``"serial"``.  ``REPRO_WORKERS`` likewise seeds the default worker
-count for the parallel backends.
+count for the process backend.
 """
 
 from __future__ import annotations
@@ -42,10 +40,9 @@ from repro.execution.tasks import (
     run_map_task,
     run_reduce_task,
 )
-from repro.execution.thread import ThreadBackend
 
 #: Backend names accepted everywhere a backend can be chosen.
-BACKEND_NAMES = ("serial", "thread", "process")
+BACKEND_NAMES = ("serial", "process")
 
 #: Environment variables seeding the *default* backend/worker count.  An
 #: explicit choice (EngineConfig, CLI flag, constructor argument) always wins.
@@ -54,13 +51,12 @@ ENV_WORKERS = "REPRO_WORKERS"
 
 _BACKEND_CLASSES = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
 }
 
 
 def default_worker_count() -> int:
-    """Default worker count of the parallel backends (capped CPU count)."""
+    """Default worker count of the process backend (capped CPU count)."""
     return min(8, os.cpu_count() or 1)
 
 
@@ -80,7 +76,7 @@ def validate_backend_spec(name: str, workers: int) -> None:
     if name == "serial" and workers != 1:
         raise JobConfigurationError(
             "the serial backend is single-worker by definition; "
-            "use --backend thread or --backend process with --workers N"
+            "use --backend process with --workers N"
         )
 
 
@@ -146,7 +142,6 @@ __all__ = [
     "ReduceTask",
     "ReduceTaskReport",
     "SerialBackend",
-    "ThreadBackend",
     "create_backend",
     "default_worker_count",
     "execution_info",

@@ -2,7 +2,7 @@
 
 A backend executes the tasks of one job phase and returns their results **in
 task-index order** -- that ordering contract is what makes counter and report
-aggregation deterministic across serial, threaded and multiprocess execution.
+aggregation deterministic across serial and multiprocess execution.
 Backends never aggregate anything themselves; the orchestrator
 (:class:`~repro.mapreduce.runtime.LocalJobRunner`) owns the merge.
 """
@@ -46,7 +46,7 @@ class ReduceTask:
 def run_task_in_process(
     job: Any, task: ReduceTask
 ) -> Tuple[List[Any], ReduceTaskReport]:
-    """Reduce one task in the calling process (serial, thread, 1-worker pool)."""
+    """Reduce one task in the calling process (serial, 1-worker pool)."""
     block = (
         task.preloaded.reduce_block(task.task_index)
         if task.preloaded is not None

@@ -2,8 +2,8 @@
 
 A MapReduce job run decomposes into *map tasks* (one per input split) and
 *reduce tasks* (one per reduce partition).  Both are expressed here as plain
-functions over picklable arguments so that any backend -- inline, thread
-pool or process pool -- executes the exact same code path:
+functions over picklable arguments so that both backends -- inline and
+process pool -- execute the exact same code path:
 
 * :func:`run_map_task` applies ``job.map`` to one split and buckets the
   emitted key-value pairs by reduce partition, numbering emissions with a

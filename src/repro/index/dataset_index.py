@@ -356,7 +356,7 @@ class DatasetIndex:
         Used by the delta layer to translate feature tombstones into the
         candidate positions to drop before :meth:`prepare`.  The benign
         build race between pooled engines produces equal dicts and the
-        slot write is atomic, same as :meth:`cell_columns`.
+        slot write is atomic, same as :meth:`data_shuffle`.
         """
         positions = self._feature_positions
         if positions is None:

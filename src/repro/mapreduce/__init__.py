@@ -1,4 +1,4 @@
-"""A from-scratch, in-process MapReduce engine with an HDFS-style storage model.
+"""A from-scratch, in-process MapReduce engine.
 
 The paper implements its algorithms as single Hadoop MapReduce jobs that rely
 on three framework hooks (Section 2.1):
@@ -11,9 +11,11 @@ on three framework hooks (Section 2.1):
   by decreasing score).
 
 This package reproduces those hooks faithfully so the three SPQ algorithms can
-be expressed exactly as in the paper, and adds a simulated HDFS + cluster so
-experiments can report a *simulated job execution time* with the same shape as
-the paper's wall-clock measurements.
+be expressed exactly as in the paper, and adds a simulated cluster and cost
+model so every run reports a *simulated job execution time* with the same
+shape as the paper's wall-clock measurements -- the number the adaptive
+planner estimates and calibrates against.  (The HDFS storage simulator, which
+no query path reads, lives in :mod:`repro.paper.hdfs`.)
 """
 
 from repro.mapreduce.counters import Counters
@@ -23,7 +25,6 @@ from repro.mapreduce.partitioner import (
     HashPartitioner,
     Partitioner,
 )
-from repro.mapreduce.hdfs import HDFS, HDFSFile, Block, DataNode
 from repro.mapreduce.cluster import ClusterNode, SimulatedCluster
 
 #: Names re-exported lazily (PEP 562): the runtime depends on the pluggable
@@ -60,10 +61,6 @@ __all__ = [
     "LocalJobRunner",
     "JobResult",
     "ReduceTaskReport",
-    "HDFS",
-    "HDFSFile",
-    "Block",
-    "DataNode",
     "SimulatedCluster",
     "ClusterNode",
     "CostModel",

@@ -15,8 +15,8 @@ faithfully reproducing the Hadoop execution model the paper relies on:
 The runner is an *orchestrator*: it builds splits, rebases shuffle sequence
 numbers, merges counters and reports -- always in task-index order -- and
 delegates the execution of individual map/reduce tasks to a pluggable
-:class:`~repro.execution.base.ExecutionBackend` (serial, thread pool, or a
-true multiprocess pool).  All backends produce bit-for-bit identical
+:class:`~repro.execution.base.ExecutionBackend` (serial, or a true
+multiprocess pool).  Both backends produce bit-for-bit identical
 results, counters and reports; they differ only in wall-clock time.
 
 The runner collects global counters and a per-reduce-task report that the

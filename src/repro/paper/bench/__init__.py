@@ -6,20 +6,20 @@ size, number of query keywords, query radius (as a fraction of the cell side),
 MapReduce job execution time for each of the three algorithms.  This package
 provides:
 
-* :class:`~repro.bench.harness.ExperimentSpec` / :func:`~repro.bench.harness.run_sweep`
+* :class:`~repro.paper.bench.harness.ExperimentSpec` / :func:`~repro.paper.bench.harness.run_sweep`
   -- generic one-parameter sweeps over the three algorithms,
-* :mod:`repro.bench.experiments` -- one function per figure of the paper,
+* :mod:`repro.paper.bench.experiments` -- one function per figure of the paper,
 * formatting helpers producing the tables recorded in ``EXPERIMENTS.md``.
 """
 
-from repro.bench.harness import (
+from repro.paper.bench.harness import (
     ExperimentSpec,
     SweepResult,
     format_series_table,
     run_sweep,
 )
-from repro.bench.reporting import ascii_chart, compare_load_balance, load_balance
-from repro.bench import experiments
+from repro.paper.bench.reporting import ascii_chart, compare_load_balance, load_balance
+from repro.paper.bench import experiments
 
 __all__ = [
     "ExperimentSpec",

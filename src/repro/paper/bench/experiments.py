@@ -1,7 +1,7 @@
 """One function per figure of the paper's evaluation (Section 7).
 
 Every function returns a dict mapping a sub-figure label (e.g. ``"(a) grid
-size"``) to a :class:`~repro.bench.harness.SweepResult`.  The dataset
+size"``) to a :class:`~repro.paper.bench.harness.SweepResult`.  The dataset
 cardinalities are scaled down from the paper's (millions of objects) to sizes
 that a single Python process sweeps in seconds; the *parameter values* are the
 paper's own (Table 3), scaled only where the dataset-size ratio makes a value
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.bench.harness import (
+from repro.paper.bench.harness import (
     ExperimentSpec,
     SweepResult,
     run_scalability,
@@ -154,7 +154,7 @@ def duplication_factor_experiment(
     """
     import random
 
-    from repro.core.analysis import duplication_factor
+    from repro.paper.analysis import duplication_factor
     from repro.model.objects import FeatureObject
     from repro.spatial.geometry import BoundingBox
     from repro.spatial.grid import UniformGrid
@@ -189,7 +189,7 @@ def cell_size_experiment(
     is measured (the quantity the makespan depends on) and reported next to the
     normalised analytic cost.
     """
-    from repro.core.analysis import reducer_cost_model
+    from repro.paper.analysis import reducer_cost_model
     from repro.core.jobs import PSPQJob
     from repro.mapreduce.runtime import LocalJobRunner
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.bench.harness import SweepResult
+from repro.paper.bench.harness import SweepResult
 from repro.mapreduce.runtime import JobResult
 
 

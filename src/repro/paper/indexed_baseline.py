@@ -26,7 +26,7 @@ from typing import Dict, List, Sequence
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
 from repro.model.result import QueryResult, ScoredObject
-from repro.spatial.rtree import RTree
+from repro.paper.rtree import RTree
 from repro.text.inverted_index import InvertedIndex
 
 

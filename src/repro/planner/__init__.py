@@ -20,12 +20,9 @@ from repro.planner.persistence import (
 )
 from repro.planner.core import (
     AUTO_ALGORITHM,
-    ENV_PLANNER,
-    PLANNER_MODES,
     PlannerConfig,
     PlannerDecision,
     QueryPlanner,
-    resolve_planner_mode,
 )
 from repro.planner.estimator import (
     DEFAULT_WORK_FACTORS,
@@ -43,9 +40,7 @@ __all__ = [
     "Calibrator",
     "CostEstimator",
     "DEFAULT_WORK_FACTORS",
-    "ENV_PLANNER",
     "PLANNED_ALGORITHMS",
-    "PLANNER_MODES",
     "PlannerConfig",
     "PlannerDecision",
     "QueryPlanner",
@@ -53,7 +48,6 @@ __all__ = [
     "WorkFactors",
     "collect_statistics",
     "load_calibration",
-    "resolve_planner_mode",
     "restore_calibration",
     "save_calibration",
     "scoped_calibration_path",

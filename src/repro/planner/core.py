@@ -17,18 +17,16 @@ the cheapest:
    engine feeds the measured counters back through :meth:`QueryPlanner.observe`
    so later estimates improve.
 
-The planner is engine-owned: one planner per :class:`~repro.core.engine.SPQEngine`,
-with knobs on :class:`~repro.core.engine.EngineConfig` and an environment
-default (``REPRO_PLANNER=on|off``).
+The planner is engine-owned: one planner per :class:`~repro.core.engine.SPQEngine`
+(one per pool in a query service), and always on -- every index-path query
+is observed, whether ``"auto"`` chose its algorithm or the caller did.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
-from repro.exceptions import JobConfigurationError
 from repro.index.dataset_index import DatasetIndex
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.costmodel import CostBreakdown, CostParameters
@@ -45,35 +43,13 @@ from repro.planner.estimator import (
 #: The algorithm name that triggers planning.
 AUTO_ALGORITHM = "auto"
 
-#: Environment variable seeding the default planner mode.
-ENV_PLANNER = "REPRO_PLANNER"
-
-#: Accepted planner modes: ``"on"`` (plan + calibrate) or ``"off"``
-#: (``algorithm="auto"`` is rejected and no statistics are collected).
-PLANNER_MODES = ("on", "off")
-
-
-def resolve_planner_mode(mode: Optional[str] = None) -> str:
-    """Resolve an explicit/environment planner mode (explicit wins).
-
-    Raises:
-        JobConfigurationError: for a value outside :data:`PLANNER_MODES`.
-    """
-    if mode is None:
-        mode = os.environ.get(ENV_PLANNER) or "on"
-    if mode not in PLANNER_MODES:
-        raise JobConfigurationError(
-            f"unknown planner mode {mode!r}; expected one of {PLANNER_MODES} "
-            f"(set explicitly or via ${ENV_PLANNER})"
-        )
-    return mode
-
 
 @dataclass
 class PlannerConfig:
-    """Knobs of one engine's planner (see ``EngineConfig`` for the wiring)."""
+    """Calibration constants of one planner: the calibrator's LRU ``memory``
+    (query-class entries kept) and the EWMA ``smoothing`` weight of each new
+    observation.  Engines and services always run the defaults."""
 
-    mode: str = "on"
     memory: int = 64
     smoothing: float = 0.3
 

@@ -41,7 +41,7 @@ from repro.datagen.queries import radius_from_cell_fraction
 from repro.model.objects import DataObject, FeatureObject
 from repro.index.cache import IndexCache
 from repro.index.delta import DatasetDelta
-from repro.planner.core import PlannerConfig, QueryPlanner, resolve_planner_mode
+from repro.planner.core import QueryPlanner
 from repro.planner.persistence import save_calibration, try_restore_calibration
 from repro.server.batching import MicroBatcher, PendingRequest
 from repro.server.frontdoor import FrontDoor
@@ -53,6 +53,10 @@ from repro.server.protocol import (
     result_payload,
 )
 from repro.spatial.geometry import BoundingBox
+
+#: How long one submitted request may wait for its micro-batch before
+#: :class:`TimeoutError`.
+REQUEST_TIMEOUT_SECONDS = 60.0
 
 
 def resolve_request_defaults(
@@ -103,8 +107,6 @@ class ServiceConfig:
             shared global snapshot.
         checkpoint_interval_seconds: Periodic calibration checkpoint cadence
             while serving (0 = save only on shutdown).
-        request_timeout_seconds: How long one submitted request may wait for
-            its micro-batch before :class:`TimeoutError`.
         compact_threshold: Once the delta overlay holds this many live
             operations (appends + tombstones), a background compaction
             folds it into a fresh base snapshot.  0 (the default) disables
@@ -134,7 +136,6 @@ class ServiceConfig:
     calibration_path: Optional[str] = None
     calibration_seed_path: Optional[str] = None
     checkpoint_interval_seconds: float = 0.0
-    request_timeout_seconds: float = 60.0
     compact_threshold: int = 0
     admission_queue_depth: int = 0
     default_deadline_ms: Optional[float] = None
@@ -178,8 +179,7 @@ class QueryService(FrontDoor):
 
         Raises:
             ValueError: for a non-positive engine pool.
-            JobConfigurationError: for invalid engine backend/planner
-                configuration.
+            JobConfigurationError: for invalid engine backend configuration.
             InvalidQueryError: for an explicit degenerate ``extent``.
         """
         self.config = config or ServiceConfig()
@@ -191,19 +191,8 @@ class QueryService(FrontDoor):
             self.config.result_cache_capacity,
         )
         engine_config = engine_config or EngineConfig()
-        self.planner_mode = resolve_planner_mode(engine_config.planner_mode)
-        self._planner: Optional[QueryPlanner] = None
-        if self.planner_mode == "on":
-            self._planner = QueryPlanner(
-                cluster=engine_config.cluster,
-                parameters=engine_config.cost_parameters,
-                config=PlannerConfig(
-                    mode=self.planner_mode,
-                    memory=engine_config.planner_memory,
-                    smoothing=engine_config.planner_smoothing,
-                ),
-            )
-        self._index_cache = IndexCache(capacity=engine_config.index_cache_capacity)
+        self._planner = QueryPlanner()
+        self._index_cache = IndexCache()
         #: One delta overlay shared by the whole pool: a write absorbed via
         #: any engine is visible to every dispatcher's next batch.
         self._delta = DatasetDelta()
@@ -271,9 +260,7 @@ class QueryService(FrontDoor):
         fatal*: the reason is recorded in :meth:`stats` under
         ``planner.persistence.rejected`` and the service starts cold.
         """
-        if self._planner is not None and (
-            self.config.calibration_path or self.config.calibration_seed_path
-        ):
+        if self.config.calibration_path or self.config.calibration_seed_path:
             primary = self.config.calibration_path
             primary_exists = bool(primary) and os.path.exists(primary)
             rejected = try_restore_calibration(
@@ -293,7 +280,6 @@ class QueryService(FrontDoor):
         self._batcher.start()
         if (
             self.config.calibration_path
-            and self._planner is not None
             and self.config.checkpoint_interval_seconds > 0
         ):
             self._start_background(
@@ -328,14 +314,14 @@ class QueryService(FrontDoor):
     def checkpoint(self) -> Optional[str]:
         """Persist the calibration state now; returns the path written.
 
-        No-op (returns None) without a ``calibration_path`` or with the
-        planner disabled.  A failed write (directory gone, disk full, ...)
-        never raises -- shutdown must still close the engines and the
-        periodic checkpoint thread must survive transient failures -- it
+        No-op (returns None) without a ``calibration_path``.  A failed write
+        (directory gone, disk full, ...) never raises -- shutdown must still
+        close the engines and the periodic checkpoint thread must survive
+        transient failures -- it
         returns None and records the error under
         ``planner.persistence.last_error`` in :meth:`stats`.
         """
-        if self._planner is None or not self.config.calibration_path:
+        if not self.config.calibration_path:
             return None
         try:
             save_calibration(
@@ -365,7 +351,7 @@ class QueryService(FrontDoor):
             True when a snapshot or seed was applied.
         """
         planner = self._planner
-        if planner is None or planner.calibrator.observations > 0:
+        if planner.calibrator.observations > 0:
             return False
         if not (
             self.config.calibration_path or self.config.calibration_seed_path
@@ -560,8 +546,8 @@ class QueryService(FrontDoor):
                 to HTTP 429.
             RuntimeError: when the service is not started or already shut
                 down.
-            TimeoutError: when no dispatcher answers within the configured
-                request timeout.
+            TimeoutError: when no dispatcher answers within
+                :data:`REQUEST_TIMEOUT_SECONDS`.
         """
         return self._serve(self._parse(spec))
 
@@ -591,7 +577,7 @@ class QueryService(FrontDoor):
         the answer (an ``OverloadError`` is the dispatcher's queue-expiry
         failure)."""
         pending = self._batcher.submit((parsed, deadline))
-        return pending.wait(self.config.request_timeout_seconds)  # type: ignore[return-value]
+        return pending.wait(REQUEST_TIMEOUT_SECONDS)  # type: ignore[return-value]
 
     def _execute_many(
         self, parsed_list: Sequence[ParsedRequest]
@@ -599,7 +585,7 @@ class QueryService(FrontDoor):
         """Enqueue every miss, *then* wait: a ``/batch`` shares micro-batches."""
         pendings = [self._batcher.submit((parsed, None)) for parsed in parsed_list]
         for pending in pendings:
-            yield pending.wait(self.config.request_timeout_seconds)  # type: ignore[misc]
+            yield pending.wait(REQUEST_TIMEOUT_SECONDS)  # type: ignore[misc]
 
     # ------------------------------------------------------------------ #
     # micro-batch execution (dispatcher threads)
@@ -706,11 +692,11 @@ class QueryService(FrontDoor):
                 "last_compaction_error": self._compaction_error,
             },
         }
-        planner_stats: Dict[str, object] = {"mode": self.planner_mode}
-        if self._planner is not None:
-            planner_stats["decisions"] = self._planner.decisions
-            planner_stats["calibration"] = self._planner.calibrator.snapshot()
-            planner_stats["persistence"] = {
+        stats["planner"] = {
+            "mode": "on",  # the planner has no off switch; the key is wire format
+            "decisions": self._planner.decisions,
+            "calibration": self._planner.calibrator.snapshot(),
+            "persistence": {
                 "path": self.config.calibration_path,
                 "seed_path": self.config.calibration_seed_path,
                 "restored": self._calibration_restored,
@@ -722,13 +708,13 @@ class QueryService(FrontDoor):
                 "checkpoint_interval_seconds": (
                     self.config.checkpoint_interval_seconds
                 ),
-            }
-        stats["planner"] = planner_stats
+            },
+        }
         return stats
 
     @property
-    def planner(self) -> Optional[QueryPlanner]:
-        """The shared planner (None when the planner is disabled)."""
+    def planner(self) -> QueryPlanner:
+        """The planner every pooled engine shares."""
         return self._planner
 
     @property

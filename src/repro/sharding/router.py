@@ -62,7 +62,6 @@ from repro.exceptions import InvalidQueryError
 from repro.index.delta import DatasetDelta, materialize
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.result import QueryResult, merge_top_k
-from repro.planner.core import resolve_planner_mode
 from repro.planner.persistence import scoped_calibration_path
 from repro.server.frontdoor import FrontDoor
 from repro.server.gate import QuiesceGate
@@ -92,9 +91,6 @@ class ShardingConfig:
         max_radius: Largest query radius the shards answer exactly; the
             feature replication radius of the partitioner.  ``None``
             replicates every feature to every shard and accepts any radius.
-        scatter_threads: Size of the scatter thread pool (one task per
-            shard per in-flight request).  ``None`` picks
-            ``min(64, shards * 8)``.
         layout: Initial shard layout kind: ``"uniform"`` (the historical
             most-square extent split) or ``"skew"`` (count-balancing kd
             split over the data histogram; see
@@ -115,7 +111,6 @@ class ShardingConfig:
 
     shards: int = 2
     max_radius: Optional[float] = None
-    scatter_threads: Optional[int] = None
     layout: str = "uniform"
     layout_resolution: Optional[int] = None
     rebalance_threshold: Optional[float] = None
@@ -201,7 +196,6 @@ class ScatterGatherRouter(FrontDoor):
         feature_objects: Sequence[FeatureObject],
         shards: int,
         max_radius: Optional[float],
-        scatter_threads: Optional[int],
         result_cache_capacity: int,
         engine_config: Optional[EngineConfig],
         service_config: Optional[ServiceConfig],
@@ -213,7 +207,6 @@ class ScatterGatherRouter(FrontDoor):
         Raises:
             ValueError: for a non-positive shard count.
             InvalidQueryError: for a negative ``max_radius``.
-            JobConfigurationError: for an unknown planner mode.
         """
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -225,9 +218,6 @@ class ScatterGatherRouter(FrontDoor):
             self._service_config.admission_queue_depth,
             self._service_config.default_deadline_ms,
             result_cache_capacity,
-        )
-        self._planner_mode = resolve_planner_mode(
-            self._engine_config.planner_mode
         )
         #: Skew layouts snap to this grid; following the served default
         #: query grid keeps the default grid layout-aligned.
@@ -257,7 +247,7 @@ class ScatterGatherRouter(FrontDoor):
         self._gate = QuiesceGate()  # over scatter-gathers
         #: One task per shard per in-flight request (threads spawn lazily).
         self._pool = ThreadPoolExecutor(
-            max_workers=scatter_threads or min(64, shards * 8),
+            max_workers=min(64, shards * 8),
             thread_name_prefix="repro-scatter",
         )
 
@@ -332,9 +322,7 @@ class ScatterGatherRouter(FrontDoor):
     def _parse(self, spec: Mapping[str, object]) -> ParsedRequest:
         parsed = parse_query_spec(spec, self._defaults, ALGORITHM_CHOICES)
         validate_algorithm_combination(
-            parsed.item.algorithm,
-            parsed.item.score_mode,
-            planner_mode=self._planner_mode,
+            parsed.item.algorithm, parsed.item.score_mode
         )
         max_radius = self._max_radius
         if max_radius is not None and parsed.item.query.radius > max_radius:
@@ -712,7 +700,6 @@ class ShardRouter(ScatterGatherRouter):
             feature_objects,
             shards=self.sharding.shards,
             max_radius=self.sharding.max_radius,
-            scatter_threads=self.sharding.scatter_threads,
             result_cache_capacity=service_config.result_cache_capacity,
             engine_config=engine_config,
             service_config=service_config,

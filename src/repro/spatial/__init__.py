@@ -15,7 +15,6 @@ from repro.spatial.partitioning import (
     PartitioningStats,
     duplication_regions,
 )
-from repro.spatial.rtree import RTree
 
 __all__ = [
     "Point",
@@ -27,5 +26,4 @@ __all__ = [
     "CellAssignment",
     "PartitioningStats",
     "duplication_regions",
-    "RTree",
 ]

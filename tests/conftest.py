@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
+
 import pytest
 
 from repro.datagen.realistic import RealisticDatasetConfig, generate_flickr_like
@@ -12,6 +16,38 @@ from repro.datagen.synthetic import (
 )
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
+
+
+# --------------------------------------------------------------------- #
+# Per-test watchdog: a test that hangs prints every thread's stack and kills
+# the run, instead of sitting silent until the CI job's 20-minute timeout.
+
+#: Seconds one test (set-up, call and tear-down) may take.  The slowest test
+#: of the suite takes 2.3 s (``pytest --durations=10``) and the slowest under
+#: ``REPRO_BACKEND=process`` about 10 s, so a minute is only ever a hang.
+TEST_WATCHDOG_SECONDS = 60
+
+_TERMINAL_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # Output capture is suspended while this hook runs, so fd 2 is still the
+    # terminal; during a test it is a capture file, which the watchdog's hard
+    # exit would throw away together with the stacks written to it.
+    config.stash[_TERMINAL_STDERR] = os.dup(sys.__stderr__.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_TERMINAL_STDERR])
+
+
+@pytest.fixture(autouse=True)
+def _watchdog(request):
+    faulthandler.dump_traceback_later(
+        TEST_WATCHDOG_SECONDS, exit=True, file=request.config.stash[_TERMINAL_STDERR]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 # --------------------------------------------------------------------- #

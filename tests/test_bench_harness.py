@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import ExperimentSpec, format_series_table, run_scalability, run_sweep
-from repro.bench import experiments
+from repro.paper.bench.harness import (
+    ExperimentSpec,
+    format_series_table,
+    run_scalability,
+    run_sweep,
+)
+from repro.paper.bench import experiments
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
 
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import SweepPoint, SweepResult
-from repro.bench.reporting import (
+from repro.paper.bench.harness import SweepPoint, SweepResult
+from repro.paper.bench.reporting import (
     ascii_chart,
     compare_load_balance,
     load_balance,

@@ -231,15 +231,6 @@ class TestAutoAlgorithmFlags:
         assert code == 2
         assert "--algorithm auto" in capsys.readouterr().err
 
-    def test_auto_rejected_when_planner_disabled(self, dataset_file, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_PLANNER", "off")
-        code = main([
-            "query", "--input", str(dataset_file), "--keywords", "w0001",
-            "--grid-size", "6", "--algorithm", "auto",
-        ])
-        assert code == 2
-        assert "disabled" in capsys.readouterr().err
-
     def test_auto_result_matches_chosen_fixed_algorithm(self, dataset_file, capsys):
         code = main([
             "query", "--input", str(dataset_file), "--keywords", "w0001,w0002",
@@ -348,7 +339,7 @@ class TestBackendFlags:
         assert code == 2
         assert "workers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_query_backends_match_serial_output(self, dataset_file, backend, capsys):
         base_args = [
             "query", "--input", str(dataset_file), "--keywords", "w0001,w0002",
@@ -579,7 +570,6 @@ class TestServeCommand:
         src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-        env.pop("REPRO_PLANNER", None)
         calibration = tmp_path / "calibration.json"
 
         def run_server():

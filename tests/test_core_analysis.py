@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.core.analysis import (
+from repro.paper.analysis import (
     duplication_factor,
     expected_shuffled_features,
     max_duplication_factor,

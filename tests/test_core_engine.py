@@ -114,16 +114,17 @@ class TestEngineStats:
 
 
 class TestEngineWorkers:
-    def test_threaded_execution_matches_serial(self, small_uniform_dataset):
+    def test_parallel_execution_matches_serial(self, small_uniform_dataset):
         data, features = small_uniform_dataset
         vocabulary = Vocabulary.from_features(features)
         keywords = set(vocabulary.most_frequent(2))
         query = SpatialPreferenceQuery.create(k=5, radius=3.0, keywords=keywords)
         serial = SPQEngine(data, features).execute(query, algorithm="espq-len", grid_size=8)
-        threaded = SPQEngine(
-            data, features, config=EngineConfig(backend="thread", workers=4)
-        ).execute(query, algorithm="espq-len", grid_size=8)
-        assert threaded.scores() == pytest.approx(serial.scores())
+        with SPQEngine(
+            data, features, config=EngineConfig(backend="process", workers=2)
+        ) as engine:
+            parallel = engine.execute(query, algorithm="espq-len", grid_size=8)
+        assert parallel.scores() == pytest.approx(serial.scores())
 
 
 class TestEngineClose:
@@ -134,7 +135,7 @@ class TestEngineClose:
     def engine(self, small_uniform_dataset):
         data, features = small_uniform_dataset
         return SPQEngine(
-            data, features, config=EngineConfig(backend="thread", workers=2)
+            data, features, config=EngineConfig(backend="process", workers=2)
         )
 
     def test_double_close(self, engine):

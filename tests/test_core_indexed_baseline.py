@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.centralized import CentralizedSPQ
-from repro.core.indexed_baseline import IndexedCentralizedSPQ
+from repro.paper.indexed_baseline import IndexedCentralizedSPQ
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
 from repro.text.vocabulary import Vocabulary

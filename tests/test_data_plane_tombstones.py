@@ -43,7 +43,6 @@ VOCABULARY = ("cafe", "bar", "park", "museum")
 #: How a cell's data can reach its reducer: backend, workers, shared memory?
 TRANSPORTS = {
     "serial": ("serial", 1, True),
-    "thread": ("thread", 2, True),
     "process-shm": ("process", 2, True),
     "process-no-shm": ("process", 2, False),
 }

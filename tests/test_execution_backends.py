@@ -1,6 +1,6 @@
 """Equivalence and configuration tests for the pluggable execution backends.
 
-The contract under test: the serial, thread and process backends produce
+The contract under test: the serial and process backends produce
 bit-for-bit identical job results -- outputs, counters, per-task reports and
 therefore the cost model's simulated seconds -- for all three SPQ algorithms,
 on both the per-query and the pre-partitioned batch path.
@@ -18,7 +18,6 @@ from repro.execution import (
     BACKEND_NAMES,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     create_backend,
     execution_info,
     resolve_backend_spec,
@@ -70,8 +69,6 @@ def queries():
 def make_backend(name):
     if name == "serial":
         return SerialBackend()
-    if name == "thread":
-        return ThreadBackend(workers=3)
     return ProcessBackend(workers=2)
 
 
@@ -95,7 +92,7 @@ def report_dicts(result):
 
 class TestRunnerEquivalence:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("backend_name", ("thread", "process"))
+    @pytest.mark.parametrize("backend_name", ("process",))
     def test_outputs_counters_reports_match_serial(
         self, dataset, queries, algorithm, backend_name
     ):
@@ -125,30 +122,6 @@ class TestRunnerEquivalence:
         assert result.counters.as_dict() == baseline.counters.as_dict()
         assert report_dicts(result) == report_dicts(baseline)
         assert result.num_reduce_tasks == baseline.num_reduce_tasks
-
-    def test_thread_pool_counters_merge_in_task_index_order(self, dataset, queries):
-        """Regression: threaded runs must aggregate counters deterministically.
-
-        Per-task counters are merged in task-index order no matter when each
-        thread finishes, so repeated parallel runs match serial bit for bit.
-        """
-        data, features = dataset
-        from repro.core.centralized import dataset_extent
-
-        grid = UniformGrid.square(dataset_extent(data, features), 6)
-        records = list(data) + list(features)
-        for algorithm in ALGORITHMS:
-            job_class = JOB_CLASSES[algorithm]
-            serial = LocalJobRunner(num_reducers=grid.num_cells).run(
-                job_class(queries[0], grid), records
-            )
-            for _ in range(3):
-                threaded = LocalJobRunner(
-                    num_reducers=grid.num_cells, backend=ThreadBackend(4)
-                ).run(job_class(queries[0], grid), records)
-                assert threaded.outputs == serial.outputs
-                assert threaded.counters.as_dict() == serial.counters.as_dict()
-                assert report_dicts(threaded) == report_dicts(serial)
 
     def test_process_backend_propagates_task_errors(self, dataset, queries):
         """Worker-side failures surface in the parent like serial failures do."""
@@ -193,7 +166,7 @@ class TestEngineEquivalence:
         return results
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("backend_name", ("thread", "process"))
+    @pytest.mark.parametrize("backend_name", ("process",))
     def test_query_results_match_serial(
         self, dataset, queries, serial_results, algorithm, backend_name
     ):
@@ -217,7 +190,7 @@ class TestEngineEquivalence:
 
     def test_engine_close_is_reentrant_and_recreates_backend(self, dataset, queries):
         data, features = dataset
-        config = EngineConfig(backend="thread", workers=2)
+        config = EngineConfig(backend="process", workers=2)
         engine = SPQEngine(data, features, config=config)
         first = engine.execute(queries[0], grid_size=6)
         engine.close()
@@ -233,7 +206,7 @@ class TestEngineEquivalence:
 
 class TestBackendConfiguration:
     def test_backend_names_are_stable(self):
-        assert BACKEND_NAMES == ("serial", "thread", "process")
+        assert BACKEND_NAMES == ("serial", "process")
 
     def test_serial_with_multiple_workers_rejected(self):
         with pytest.raises(JobConfigurationError):
@@ -259,8 +232,8 @@ class TestBackendConfiguration:
         assert execution_info() == {"backend": "process", "workers": 3}
 
     def test_explicit_choice_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        assert resolve_backend_spec("thread", 2) == ("thread", 2)
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        assert resolve_backend_spec("process", 2) == ("process", 2)
 
     def test_bad_env_workers_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "lots")
@@ -269,12 +242,9 @@ class TestBackendConfiguration:
 
     def test_create_backend_instantiates_each_kind(self):
         assert isinstance(create_backend("serial"), SerialBackend)
-        thread = create_backend("thread", 2)
-        assert isinstance(thread, ThreadBackend) and thread.workers == 2
         process = create_backend("process", 2)
         assert isinstance(process, ProcessBackend) and process.workers == 2
         process.close()
-        thread.close()
 
 
 # --------------------------------------------------------------------- #

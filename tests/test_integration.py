@@ -18,7 +18,7 @@ from repro.datagen.io import load_dataset, save_dataset
 from repro.datagen.queries import QueryWorkload
 from repro.datagen.realistic import RealisticDatasetConfig, generate_twitter_like
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_clustered, generate_uniform
-from repro.mapreduce.hdfs import HDFS
+from repro.paper.hdfs import HDFS
 from repro.model.query import SpatialPreferenceQuery
 from repro.text.vocabulary import Vocabulary
 

@@ -5,6 +5,11 @@ the configurations tests and benchmarks must cover, so adding one is a
 decision, not a side effect.  A PR that adds (or removes) a knob edits the
 inventory below in the same diff -- which is what makes "no new knobs"
 reviewable in CI instead of by hand.
+
+A config field must also be *reachable*: named by a CLI option, or listed in
+``API_ONLY`` with the file outside ``src/`` that sets it and why.  A field
+that nothing sets has one value, and a one-valued knob is a constant that
+still doubles the configurations to cover.
 """
 
 from __future__ import annotations
@@ -20,33 +25,67 @@ from repro.core.engine import EngineConfig
 from repro.server import ServiceConfig
 from repro.sharding import ShardingConfig
 
-ENVIRONMENT = {"REPRO_BACKEND", "REPRO_DATAPLANE", "REPRO_PLANNER", "REPRO_WORKERS"}
+ENVIRONMENT = {"REPRO_BACKEND", "REPRO_DATAPLANE", "REPRO_WORKERS"}
 
 CONFIG_FIELDS = {
-    EngineConfig: {
-        "grid_size", "cluster", "cost_parameters", "backend", "workers",
-        "pad_with_zero_scores", "index_cache_capacity", "planner_mode",
-        "planner_memory", "planner_smoothing",
-    },
+    EngineConfig: {"grid_size", "backend", "workers", "pad_with_zero_scores"},
     ServiceConfig: {
         "engines", "max_batch", "batch_window_seconds", "result_cache_capacity",
         "calibration_path", "calibration_seed_path",
-        "checkpoint_interval_seconds", "request_timeout_seconds",
-        "compact_threshold", "admission_queue_depth", "default_deadline_ms",
-        "default_k", "default_radius", "default_radius_fraction",
-        "default_algorithm", "default_grid_size",
+        "checkpoint_interval_seconds", "compact_threshold",
+        "admission_queue_depth", "default_deadline_ms", "default_k",
+        "default_radius", "default_radius_fraction", "default_algorithm",
+        "default_grid_size",
     },
     ShardingConfig: {
-        "shards", "max_radius", "scatter_threads", "layout", "layout_resolution",
+        "shards", "max_radius", "layout", "layout_resolution",
         "rebalance_threshold", "rebalance_interval_seconds",
         "rebalance_min_requests",
     },
     ClusterConfig: {
         "shards", "max_radius", "heartbeat_interval", "liveness_timeout",
-        "max_misses", "node_deadline", "retries", "scatter_threads",
-        "result_cache_capacity", "initial_epoch",
+        "max_misses", "node_deadline", "result_cache_capacity",
     },
-    NodeConfig: {"shard_index", "shards", "max_radius", "dataset_epoch", "node_id"},
+    NodeConfig: {"shard_index", "shards", "max_radius", "dataset_epoch"},
+}
+
+#: Config field -> the CLI option that sets it, where the two are not the
+#: same word (``max_radius`` is ``--max-radius`` and needs no entry).
+CLI_SPELLING = {
+    (ServiceConfig, "batch_window_seconds"): "--batch-window-ms",
+    (ServiceConfig, "result_cache_capacity"): "--result-cache",
+    (ServiceConfig, "calibration_seed_path"): "--calibration-seed",
+    (ServiceConfig, "checkpoint_interval_seconds"): "--checkpoint-interval",
+    (ServiceConfig, "admission_queue_depth"): "--admission-depth",
+    (ServiceConfig, "default_k"): "--k",
+    (ServiceConfig, "default_radius"): "--radius",
+    (ServiceConfig, "default_radius_fraction"): "--radius-fraction",
+    (ServiceConfig, "default_algorithm"): "--algorithm",
+    (ServiceConfig, "default_grid_size"): "--grid-size",
+    (ClusterConfig, "shards"): "--cluster",
+    (ClusterConfig, "result_cache_capacity"): "--result-cache",
+}
+
+#: Fields no CLI option reaches -> ``"<file that sets it>: <why it stays>"``.
+#: The file lives outside ``src/`` and passes ``<field>=``.  The four that
+#: name a test are test seams: no benchmark or example needs another value,
+#: a test cannot do without one.
+API_ONLY = {
+    (EngineConfig, "pad_with_zero_scores"):
+        "tests/test_core_engine.py: the centralized oracle returns exactly k "
+        "entries, so comparing entry counts with it needs padded results",
+    (ShardingConfig, "layout_resolution"):
+        "benchmarks/bench_rebalance.py: pins the skew layout grid to the "
+        "benchmark's query grid so shard extents stay grid-aligned",
+    (ShardingConfig, "rebalance_interval_seconds"):
+        "tests/test_sharding.py: the controller test samples every 50 ms "
+        "instead of waiting out the 2 s production period",
+    (ShardingConfig, "rebalance_min_requests"):
+        "tests/test_sharding.py: the same test trips the controller after 10 "
+        "requests instead of 50",
+    (ClusterConfig, "max_misses"):
+        "tests/test_cluster.py: failover tests declare a node dead after 1-3 "
+        "misses they inject themselves",
 }
 
 _BACKEND = {"--backend", "--workers"}
@@ -98,10 +137,13 @@ def test_config_dataclass_fields():
         assert fields == expected, config.__name__
 
 
-def test_cli_option_strings():
-    subcommands = next(
+def _subcommands():
+    return next(
         action.choices for action in build_parser()._subparsers._group_actions
     )
+
+
+def test_cli_option_strings():
     options = {
         name: {
             option
@@ -109,6 +151,41 @@ def test_cli_option_strings():
             for option in action.option_strings
             if option not in ("-h", "--help")
         }
-        for name, sub in subcommands.items()
+        for name, sub in _subcommands().items()
     }
     assert options == CLI_OPTIONS
+
+
+def test_backend_choices():
+    for name in ("query", "batch", "serve", "shard-node"):
+        backend = next(
+            action for action in _subcommands()[name]._actions
+            if "--backend" in action.option_strings
+        )
+        assert tuple(backend.choices) == ("serial", "process"), name
+
+
+def test_every_config_field_is_reachable():
+    """Fails on a field that no CLI option and no named caller sets."""
+    repo = pathlib.Path(repro.__file__).resolve().parents[2]
+    every_option = set().union(*CLI_OPTIONS.values())
+    for config, fields in CONFIG_FIELDS.items():
+        for field in sorted(fields):
+            key = (config, field)
+            reason = API_ONLY.get(key)
+            if reason is None:
+                option = CLI_SPELLING.get(key, "--" + field.replace("_", "-"))
+                assert option in every_option, (
+                    f"{config.__name__}.{field}: no CLI option {option} and no "
+                    "API_ONLY entry -- wire it, name its caller, or make it a "
+                    "constant"
+                )
+                continue
+            assert key not in CLI_SPELLING, f"{config.__name__}.{field} is listed twice"
+            caller, _, why = reason.partition(": ")
+            assert why and not caller.startswith("src/"), reason
+            assert f"{field}=" in (repo / caller).read_text("utf-8"), (
+                f"{config.__name__}.{field}: {caller} does not set it"
+            )
+    stale = set(API_ONLY) | set(CLI_SPELLING)
+    assert all(field in CONFIG_FIELDS[config] for config, field in stale)

@@ -6,7 +6,8 @@ one by one through ``job.map``, and that is the oracle here: over the same
 logical input the two must agree entry for entry (``sort_key``, ``sequence``,
 ``key``, ``value``) and counter for counter -- values *and* key creation
 order, the empty split included -- for every job class, with and without a
-live delta, at every split size, on every backend.  The record-at-a-time
+live delta, at every split size, on every backend and from two threads at
+once.  The record-at-a-time
 loop is itself held to a verbatim copy of the loop it replaced (one
 ``increment`` per emission), so both production routes answer to the same
 reference.
@@ -15,6 +16,7 @@ reference.
 from __future__ import annotations
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob
 from repro.exceptions import JobExecutionError
-from repro.execution import create_backend
+from repro.execution import SerialBackend, create_backend
 from repro.execution.tasks import run_map_task, sort_bucket
 from repro.index.dataset_index import DatasetIndex
 from repro.index.delta import DeltaSnapshot, with_delta_appends
@@ -40,7 +42,29 @@ EXTENT = BoundingBox(0.0, 0.0, 60.0, 60.0)
 JOB_CLASSES = {"pspq": PSPQJob, "espq-len": ESPQLenJob, "espq-sco": ESPQScoJob}
 VOCABULARY = ("cafe", "bar", "park", "museum", "pier")
 QUERY = SpatialPreferenceQuery.create(k=4, radius=7.0, keywords={"cafe", "park"})
-BACKENDS = {"serial": 1, "thread": 2, "process": 2}
+
+
+class TwoThreads(SerialBackend):
+    """The serial map loop entered from two threads at once over one job.
+
+    Not a backend the package ships: it is how a query service reaches the
+    kernel -- its dispatcher threads map concurrently and write one shared
+    feature-size memo (``DatasetIndex.feature_sizes``).
+    """
+
+    def run_map_tasks(self, job, splits, num_reducers):
+        with ThreadPoolExecutor(2) as pool:
+            return list(pool.map(
+                lambda task: run_map_task(job, task[0], task[1], num_reducers),
+                enumerate(splits),
+            ))
+
+
+BACKENDS = {
+    "serial": SerialBackend,
+    "thread": TwoThreads,
+    "process": lambda: create_backend("process", 2),
+}
 
 
 def build_base():
@@ -191,7 +215,7 @@ class TestKernelEqualsPerRecordMap:
         job_class = JOB_CLASSES[algorithm]
         records = raw_records(split)
         num_reducers = grid.num_cells
-        with create_backend(backend, BACKENDS[backend]) as pool:
+        with BACKENDS[backend]() as pool:
             got = pool.run_map_tasks(
                 job_class(QUERY, grid), split.slices(split_size), num_reducers
             )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import HDFSError
-from repro.mapreduce.hdfs import HDFS
+from repro.paper.hdfs import HDFS
 
 
 @pytest.fixture()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import JobConfigurationError, JobExecutionError
-from repro.execution.thread import ThreadBackend
+from repro.execution.process import ProcessBackend
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import LocalJobRunner
 
@@ -98,7 +98,7 @@ class TestRunnerConfiguration:
     def test_rejects_zero_workers(self):
         # The worker count is the backend's; so is the check.
         with pytest.raises(JobConfigurationError):
-            LocalJobRunner(num_reducers=1, backend=ThreadBackend(0))
+            LocalJobRunner(num_reducers=1, backend=ProcessBackend(0))
 
 
 class TestWordCount:
@@ -144,11 +144,12 @@ class TestWordCount:
     def test_parallel_reduce_gives_same_result(self):
         records = ["a b c d", "a a b", "d d d d"]
         serial = dict(LocalJobRunner(num_reducers=4).run(WordCountJob(), records).outputs)
-        parallel = dict(
-            LocalJobRunner(num_reducers=4, backend=ThreadBackend(4))
-            .run(WordCountJob(), records)
-            .outputs
-        )
+        with ProcessBackend(2) as backend:
+            parallel = dict(
+                LocalJobRunner(num_reducers=4, backend=backend)
+                .run(WordCountJob(), records)
+                .outputs
+            )
         assert serial == parallel
 
 

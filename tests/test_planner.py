@@ -4,16 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import ALGORITHM_CHOICES, EngineConfig, SPQEngine
+from repro.core.engine import ALGORITHM_CHOICES, SPQEngine
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
-from repro.exceptions import InvalidQueryError, JobConfigurationError
+from repro.exceptions import InvalidQueryError
 from repro.index.dataset_index import DatasetIndex
 from repro.index.planner import BatchQuery
 from repro.model.query import SpatialPreferenceQuery
 from repro.planner import (
     AUTO_ALGORITHM,
     DEFAULT_WORK_FACTORS,
-    ENV_PLANNER,
     PLANNED_ALGORITHMS,
     Calibrator,
     CostEstimator,
@@ -21,7 +20,6 @@ from repro.planner import (
     QueryPlanner,
     WorkFactors,
     collect_statistics,
-    resolve_planner_mode,
 )
 from repro.planner.calibration import count_bucket, radius_bucket, signature_of
 from repro.spatial.grid import UniformGrid
@@ -322,51 +320,12 @@ class TestAutoAlgorithm:
 
 
 class TestPlannerConfiguration:
-    def test_mode_off_rejects_auto(self, planner_dataset):
-        data, features = planner_dataset
-        engine = SPQEngine(data, features, config=EngineConfig(planner_mode="off"))
-        with pytest.raises(InvalidQueryError, match="disabled"):
-            engine.execute(make_query(), algorithm="auto")
-
-    def test_mode_off_skips_calibration(self, planner_dataset):
-        data, features = planner_dataset
-        engine = SPQEngine(data, features, config=EngineConfig(planner_mode="off"))
-        engine.execute_many([make_query()], algorithm="pspq", grid_size=10)
-        assert engine._planner is None
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_PLANNER, "off")
-        assert resolve_planner_mode() == "off"
-        monkeypatch.delenv(ENV_PLANNER)
-        assert resolve_planner_mode() == "on"
-
-    def test_explicit_mode_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_PLANNER, "off")
-        assert resolve_planner_mode("on") == "on"
-
-    def test_invalid_mode_rejected(self, monkeypatch):
-        with pytest.raises(JobConfigurationError, match="planner mode"):
-            resolve_planner_mode("bogus")
-        monkeypatch.setenv(ENV_PLANNER, "sometimes")
-        with pytest.raises(JobConfigurationError, match="REPRO_PLANNER"):
-            resolve_planner_mode()
-
-    def test_engine_env_off(self, planner_dataset, monkeypatch):
-        monkeypatch.setenv(ENV_PLANNER, "off")
-        data, features = planner_dataset
-        engine = SPQEngine(data, features)
-        with pytest.raises(InvalidQueryError, match="disabled"):
-            engine.execute(make_query(), algorithm="auto")
-
-    def test_memory_knob_reaches_calibrator(self, planner_dataset):
-        data, features = planner_dataset
-        engine = SPQEngine(data, features, config=EngineConfig(planner_memory=7))
-        assert engine.planner.calibrator.memory == 7
+    def test_memory_knob_reaches_calibrator(self):
+        planner = QueryPlanner(config=PlannerConfig(memory=7))
+        assert planner.calibrator.memory == 7
 
     def test_auto_is_an_algorithm_choice(self):
         assert AUTO_ALGORITHM in ALGORITHM_CHOICES
-        config = PlannerConfig()
-        assert config.mode == "on"
 
 
 # --------------------------------------------------------------------- #

@@ -7,8 +7,8 @@ import os
 
 import pytest
 
-from repro.core.engine import EngineConfig, SPQEngine
-from repro.exceptions import CalibrationStateError, JobConfigurationError
+from repro.core.engine import SPQEngine
+from repro.exceptions import CalibrationStateError
 from repro.model.query import SpatialPreferenceQuery
 from repro.planner import (
     CALIBRATION_FORMAT,
@@ -266,18 +266,6 @@ class TestEngineSnapshotRestore:
                 == stats_first["planner_estimates"]
             )
             assert stats_second["planner_calibrated"] is True
-
-    def test_snapshot_requires_planner_on(self, small_uniform_dataset, monkeypatch):
-        monkeypatch.delenv("REPRO_PLANNER", raising=False)
-        data, features = small_uniform_dataset
-        engine = SPQEngine(
-            data, features, config=EngineConfig(planner_mode="off")
-        )
-        with pytest.raises(JobConfigurationError, match="disabled"):
-            engine.planner_snapshot()
-        with pytest.raises(JobConfigurationError, match="disabled"):
-            engine.restore_planner({})
-        engine.close()
 
 
 class TestCalibrationSeeding:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.analysis import duplication_factor, max_duplication_factor
+from repro.paper.analysis import duplication_factor, max_duplication_factor
 from repro.core.centralized import CentralizedSPQ
 from repro.core.engine import SPQEngine
 from repro.model.objects import DataObject, FeatureObject

@@ -41,17 +41,32 @@ SRC = pathlib.Path(repro.__file__).resolve().parent
 #: there that the estimate did not foresee -- process pools start the
 #: resource tracker before forking, a segment-unlinking bug the new
 #: split_size = 1 x process cases exposed.  ``"."`` is all of ``src/repro``.
+#:
+#: The PR-21 audit: ``"."`` 11 337 -> 11 153, all of it deletion (the thread
+#: backend, the planner's off switch, twelve one-valued config fields and the
+#: re-exports of what moved).  ``paper`` is new and is *moved* code: 786
+#: lines that left ``core`` (93), ``mapreduce`` (149), ``spatial`` (134) and
+#: the former top-level ``bench`` (410) unchanged.  That is why ``core`` and
+#: ``mapreduce`` fell further than anything was deleted from them, and why
+#: ``paper`` counts in ``"."`` -- a moved line is not a reduction.  The
+#: serving surface (``server`` + ``sharding`` + ``cluster`` + ``cli.py``) is
+#: 4 502, from 4 538.
 BUDGET = {
-    "server": 1682,
-    "sharding": 1020,
-    "cluster": 985,
-    "cli.py": 851,
-    "core": 1450,
-    "execution": 716,
-    "mapreduce": 644,
+    "server": 1668,
+    "sharding": 1011,
+    "cluster": 977,
+    "cli.py": 846,
+    "core": 1285,
+    "execution": 667,
+    "mapreduce": 490,
     "index": 1006,
-    ".": 11337,
+    "paper": 786,
+    ".": 11153,
 }
+
+#: What the serving path can reach (``src/repro`` minus ``repro.paper``) may
+#: not grow past this, whatever moves in or out of ``paper``.
+OUTSIDE_PAPER_CEILING = 10450
 
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -89,6 +104,10 @@ def test_code_size_is_pinned(relative):
         f"{BUDGET[relative]}: edit BUDGET in this diff (and say in the PR "
         "why it grew, if it grew)"
     )
+
+
+def test_everything_outside_paper_stays_under_its_ceiling():
+    assert measure(".") - measure("paper") <= OUTSIDE_PAPER_CEILING
 
 
 def test_counter_ignores_comments_docstrings_and_blanks(tmp_path):

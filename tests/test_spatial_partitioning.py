@@ -131,7 +131,7 @@ class TestDuplicationRegions:
             duplication_regions(cell_side=0.0, radius=0.0)
 
     def test_expected_duplicates_matches_df_minus_one(self):
-        from repro.core.analysis import duplication_factor
+        from repro.paper.analysis import duplication_factor
 
         a, r = 8.0, 1.5
         assert expected_duplicates_per_feature(a, r) == pytest.approx(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.spatial.geometry import BoundingBox
-from repro.spatial.rtree import RTree
+from repro.paper.rtree import RTree
 
 
 def _brute_range(points, x, y, radius):

@@ -14,7 +14,6 @@ from repro.traffic import (
     HttpTarget,
     LoadGenerator,
     ResultsLedger,
-    ServiceTarget,
     TrafficModel,
     WorkloadConfig,
 )
