@@ -43,6 +43,7 @@ Run it as::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import statistics
@@ -290,6 +291,10 @@ def run_cost_phase(
     probe = {"keywords": [f"w{rng.randrange(400):04d}"], "k": 10, "radius": 2.0}
 
     def timed(service, action) -> float:
+        # One-shot timings: start both from a collected heap, or whichever
+        # side a pending full collection (~80 ms after the identity phase)
+        # happens to land in decides the ratio.
+        gc.collect()
         started = time.perf_counter()
         action()
         service.submit(probe)  # first post-op query pays any rebuild

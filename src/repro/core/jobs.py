@@ -27,11 +27,12 @@ which the cluster cost model converts into simulated reduce time.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import JobExecutionError
 from repro.index.columns import DataBlock, dataplane_mode
-from repro.index.records import MapSplit
+from repro.index.records import CellRun, MapSplit
 from repro.mapreduce import counters as counter_names
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import MapReduceJob
@@ -235,66 +236,64 @@ class _SPQJobBase(MapReduceJob):
 
     def map_split(
         self, split: MapSplit, num_reducers: int, counters: Counters
-    ) -> Tuple[Dict[int, List[Tuple]], int, int]:
-        """Map a pre-assigned columnar split in one fused pass.
+    ) -> Tuple[Dict[int, Dict[int, CellRun]], int, int]:
+        """Map a pre-assigned columnar split into per-cell runs of its rows.
 
         Pruning, grid location and Lemma-1 duplication are already in the
-        split's columns, so this goes straight from them to the partition
-        buckets: entry for entry (``(sort_key, sequence, key, value)``) and
-        counter for counter -- values and key creation order -- what
+        split's columns, and nothing is built per emitted copy: the feature
+        rows are stable-sorted **once**, by the sort secondary of
+        :meth:`_feature_columns`, and scattered in that order, so each cell
+        collects the row numbers of the records that reach it -- delta data
+        rows first, in row order, then features -- already in ``(sort_key,
+        sequence)`` order (emission is feature-major and a feature reaches a
+        cell at most once, so within one sort key row order *is* sequence
+        order).  Expanded back into ``(sort_key, sequence, key, value)``
+        entries the runs are, entry for entry and counter for counter --
+        values and key creation order -- what
         :func:`~repro.execution.tasks.run_map_task` builds by calling
-        :meth:`map` on the same objects one by one, with no per-record
-        dispatch: the class-specific part is :meth:`_feature_columns`, once
-        per split; the routing hook runs once per distinct cell (SPQ jobs
-        partition on the cell id alone); each counter is written once.
-        Returns ``(buckets, emitted, shuffle bytes)``.
+        :meth:`map` on the same objects one by one; the counters are closed
+        forms over the cell-list lengths, each written once, and the routing
+        hook runs once per distinct cell (SPQ jobs partition on the cell id
+        alone).  Returns ``(partition -> cell -> run, emitted, shuffle
+        bytes)``.
         """
-        buckets: Dict[int, List[Tuple]] = {}
-        by_cell: Dict[int, List[Tuple]] = {}
-
-        def open_bucket(key: Tuple) -> List[Tuple]:
+        features = split.features
+        cells = split.cells
+        num_data = len(split.data)
+        sort_keys, values = self._feature_columns(features)
+        if num_data:
+            # Delta data rows ride in front; their sort secondary is the same
+            # for every cell and sorts ahead of any feature's.
+            values = [*split.data, *values]
+            sort_keys = [self.sort_key(self._data_key(0))[1]] * num_data + sort_keys
+        runs: Dict[int, Dict[int, CellRun]] = {}
+        send: Dict[int, Any] = {}
+        for cell_id in dict.fromkeys(chain(split.data_cells, chain.from_iterable(cells))):
+            key = self._data_key(cell_id)
             partition = self.partition(key, num_reducers)
             if not 0 <= partition < num_reducers:
                 raise JobExecutionError(
                     f"partition {partition} outside [0, {num_reducers}) for key {key!r}"
                 )
-            bucket = by_cell[key[0]] = buckets.setdefault(partition, [])
-            return bucket
-
-        sequence = 0
-        for obj, cell_id in zip(split.data, split.data_cells):
-            key = self._data_key(cell_id)
-            bucket = by_cell.get(cell_id)
-            if bucket is None:
-                bucket = open_bucket(key)
-            bucket.append((self.sort_key(key), sequence, key, obj))
-            sequence += 1
-        num_data = sequence
-        features = split.features
-        secondaries, sort_secondaries, values = self._feature_columns(features)
-        shared_key = sort_secondaries is secondaries
-        sizes = self._feature_sizes
-        shuffle_bytes = 24 * num_data
-        for feature, cells, secondary, sort_secondary, value in zip(
-            features, split.cells, secondaries, sort_secondaries, values
-        ):
-            size = sizes.get(feature.oid) or self.estimated_record_size(None, feature)
-            shuffle_bytes += size * len(cells)
-            for cell_id in cells:
-                key = (cell_id, secondary)
-                bucket = by_cell.get(cell_id)
-                if bucket is None:
-                    bucket = open_bucket(key)
-                bucket.append(
-                    (key if shared_key else (cell_id, sort_secondary), sequence, key, value)
-                )
-                sequence += 1
+            rows: List[int] = []
+            send[cell_id] = rows.append
+            runs.setdefault(partition, {})[cell_id] = CellRun(rows, values, sort_keys)
+        for row, cell_id in enumerate(split.data_cells):
+            send[cell_id](row)
+        for row in sorted(range(num_data, len(values)), key=sort_keys.__getitem__):
+            for cell_id in cells[row - num_data]:
+                send[cell_id](row)
 
         # The per-record loop creates each counter at its first increment and
         # data rows precede features, so these writes follow that order; the
         # caller adds the emission totals, as it does for that loop.
         kept = len(features)
-        copies = sequence - num_data
+        copies = sum(map(len, cells))
+        sizes = self._feature_sizes
+        shuffle_bytes = 24 * num_data
+        for feature, reached in zip(features, cells):
+            size = sizes.get(feature.oid) or self.estimated_record_size(None, feature)
+            shuffle_bytes += size * len(reached)
         if num_data:
             counters.increment(SPQ_GROUP, DATA_OBJECTS, num_data)
             counters.increment(counter_names.GROUP_MAP, counter_names.MAP_OUTPUT_RECORDS, 0)
@@ -302,7 +301,7 @@ class _SPQJobBase(MapReduceJob):
             counters.increment(SPQ_GROUP, FEATURES_KEPT, kept)
             counters.increment(SPQ_GROUP, FEATURE_DUPLICATES, copies - kept)
             self._count_map_feature_work(copies, kept, counters)
-        return buckets, sequence, shuffle_bytes
+        return runs, num_data + copies, shuffle_bytes
 
     @staticmethod
     def mapped_data_counters(count: int) -> Counters:
@@ -335,13 +334,12 @@ class _SPQJobBase(MapReduceJob):
 
     def _feature_columns(
         self, features: Sequence[FeatureObject]
-    ) -> Tuple[Sequence[Any], Sequence[Any], Sequence[Any]]:
+    ) -> Tuple[List[Any], Sequence[Any]]:
         """Per feature, what :meth:`map_split` needs beyond its cells.
 
-        Three columns parallel to ``features``: the composite key's secondary
-        component (as :meth:`_feature_key`), the sort key's (as
-        :meth:`sort_key` of that key; the *same* column object when the key
-        sorts as itself) and the shuffled value (as :meth:`_feature_value`).
+        Two columns parallel to ``features``: the sort key's secondary
+        component (as :meth:`sort_key` of :meth:`_feature_key`) and the
+        shuffled value (as :meth:`_feature_value`).
         """
         raise NotImplementedError
 
@@ -415,8 +413,7 @@ class PSPQJob(_SPQJobBase):
         return (cell_id, TAG_FEATURE)
 
     def _feature_columns(self, features):
-        tags = [TAG_FEATURE] * len(features)
-        return tags, tags, features
+        return [TAG_FEATURE] * len(features), features
 
     def reduce(
         self, group: int, values: Iterator[Any], counters: Counters
@@ -554,8 +551,7 @@ class ESPQLenJob(_SPQJobBase):
         return (cell_id, feature.keyword_count)
 
     def _feature_columns(self, features):
-        counts = [len(feature.keywords) for feature in features]
-        return counts, counts, features
+        return [len(feature.keywords) for feature in features], features
 
     def reduce(
         self, group: int, values: Iterator[Any], counters: Counters
@@ -689,10 +685,9 @@ class ESPQScoJob(_SPQJobBase):
         return (feature, self.scorer.score(feature.keywords))
 
     def _feature_columns(self, features):
-        # One memo lookup per feature; every copy carries the identical float.
-        score = self.scorer.score
-        scores = [score(feature.keywords) for feature in features]
-        return scores, [-value for value in scores], list(zip(features, scores))
+        # Scored once per feature; every copy carries the identical float.
+        scores = self.scorer.score_many([feature.keywords for feature in features])
+        return [-value for value in scores], list(zip(features, scores))
 
     def _count_map_feature_work(self, copies: int, kept: int, counters: Counters) -> None:
         # Per feature, one score for the value plus one per emitted copy's

@@ -13,23 +13,19 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.execution.tasks import (
-    MapTaskResult,
-    ReduceTaskReport,
-    ShuffleEntry,
-    run_reduce_task,
-)
+from repro.execution.tasks import Bucket, MapTaskResult, ReduceTaskReport, run_reduce_task
 
 
 @dataclass
 class ReduceTask:
-    """One reduce partition, ready to be sorted, grouped and reduced.
+    """One reduce partition, ready to be reduced.
 
     Attributes:
         task_index: The reduce partition index.
-        entries: Live shuffle entries produced by this run's map phase
-            (already globally sequenced by the orchestrator, owned by this
-            run and safe to sort in place).
+        entries: Live map output of this run, owned by it: per-cell runs
+            over the map tasks' columns (the index path; nothing left to
+            sort), or shuffle entries already globally sequenced by the
+            orchestrator and safe to sort in place (the raw route).
         preloaded: The run's
             :class:`~repro.mapreduce.runtime.PreloadedShuffle`, if any: the
             one handle through which a backend obtains this partition's
@@ -39,7 +35,7 @@ class ReduceTask:
     """
 
     task_index: int
-    entries: List[ShuffleEntry]
+    entries: Bucket
     preloaded: Optional[Any] = None
 
 

@@ -7,7 +7,9 @@ crossing the process boundary is an explicit, picklable payload:
   token, so the (tiny) spec rides along with task payloads but is unpickled
   at most once per worker per job;
 * **map payloads** carry one input split of records;
-* **reduce payloads** carry the partition's live shuffle entries plus -- for
+* **reduce payloads** carry the partition's live shuffle input -- a run
+  *detached* from the map task's columns, holding its own rows' values and
+  nothing else of the split -- plus, for
   pre-partitioned batch runs -- the partition's *shared-memory descriptor*
   ``(segment name, partition index)`` (workers attach the index's published
   columnar plane once and build/cache the partition's reduce block from it,
@@ -40,9 +42,9 @@ from typing import AbstractSet, Any, Dict, List, Optional, Sequence, Tuple
 from repro.exceptions import JobConfigurationError
 from repro.execution.base import ExecutionBackend, ReduceTask, run_task_in_process
 from repro.execution.tasks import (
+    Bucket,
     MapTaskResult,
     ReduceTaskReport,
-    ShuffleEntry,
     block_without,
     run_map_task,
     run_reduce_task,
@@ -98,7 +100,7 @@ def _worker_run_reduce(
         int,
         bytes,
         int,
-        List[ShuffleEntry],
+        Bucket,
         Optional[Tuple[str, int]],
         Optional[bytes],
         Optional[AbstractSet[str]],
@@ -190,6 +192,15 @@ class ProcessBackend(ExecutionBackend):
         if self.workers == 1:
             # A one-process pool buys no parallelism; skip the IPC entirely.
             return [run_task_in_process(job, task) for task in tasks]
+        # Chunked shuffle serialization: batch the many small per-partition
+        # payloads so each worker round-trip carries a meaningful amount of
+        # work instead of one tiny task.
+        payloads = self.reduce_payloads(job, tasks)
+        chunksize = max(1, len(payloads) // (self.workers * 4))
+        return self._get_pool().map(_worker_run_reduce, payloads, chunksize=chunksize)
+
+    def reduce_payloads(self, job: Any, tasks: Sequence[ReduceTask]) -> List[Tuple]:
+        """What each reduce task sends across the process boundary."""
         token, job_blob = self._job_payload(job)
         payloads = []
         for task in tasks:
@@ -204,12 +215,13 @@ class ProcessBackend(ExecutionBackend):
                 ref = preloaded.shared_ref(index)
                 if ref is None:
                     blob = preloaded.blob(index)
-            payloads.append((token, job_blob, index, task.entries, ref, blob, excluded))
-        # Chunked shuffle serialization: batch the many small per-partition
-        # payloads so each worker round-trip carries a meaningful amount of
-        # work instead of one tiny task.
-        chunksize = max(1, len(payloads) // (self.workers * 4))
-        return self._get_pool().map(_worker_run_reduce, payloads, chunksize=chunksize)
+            entries = task.entries
+            if isinstance(entries, dict):
+                # A run is a view of a whole map task's columns; ship the
+                # rows it reads, not the split.
+                entries = {cell: run.detached() for cell, run in entries.items()}
+            payloads.append((token, job_blob, index, entries, ref, blob, excluded))
+        return payloads
 
     # ------------------------------------------------------------------ #
 

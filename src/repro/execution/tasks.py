@@ -5,18 +5,21 @@ A MapReduce job run decomposes into *map tasks* (one per input split) and
 functions over picklable arguments so that both backends -- inline and
 process pool -- execute the exact same code path:
 
-* :func:`run_map_task` applies ``job.map`` to one split and buckets the
-  emitted key-value pairs by reduce partition, numbering emissions with a
-  *task-local* sequence.  The orchestrator rebases local sequences onto a
-  global counter in task order, which reproduces the emission order of a
-  fully serial run bit for bit.  A columnar
-  :class:`~repro.index.records.MapSplit` (the index path) goes to the job's
-  fused ``map_split`` kernel instead, which returns the same buckets.
-* :func:`run_reduce_task` sorts one partition's bucket by ``(sort_key,
-  sequence)``, groups it by ``group_key`` and feeds each group to
-  ``job.reduce`` through a consumption-tracking iterator (early
-  termination accounting), after injecting the partition's preloaded
-  block, if any, ahead of its group's live values.
+* :func:`run_map_task` maps one split into sparse reduce-partition buckets.
+  A columnar :class:`~repro.index.records.MapSplit` (the index path) goes
+  to the job's fused ``map_split`` kernel, whose buckets are *views*: per
+  cell, a :class:`~repro.index.records.CellRun` of row numbers into the
+  task's own columns, already in reduce order.  Any other input (the raw
+  ``execute()`` route) is mapped record by record through ``job.map`` into
+  ``(sort_key, sequence, key, value)`` entries numbered with a *task-local*
+  sequence, which the orchestrator rebases onto a global counter in task
+  order -- the emission order of a fully serial run, bit for bit.
+* :func:`run_reduce_task` feeds each group of one partition to
+  ``job.reduce`` through a consumption-tracking iterator (early termination
+  accounting), after injecting the partition's preloaded block, if any,
+  ahead of its group's live values.  Runs need no sort, no grouping and no
+  value list -- each is one group, read lazily; only an entry bucket is
+  sorted by ``(sort_key, sequence)`` and grouped by ``group_key`` here.
 * :func:`block_without` is the one place a data tombstone is applied: the
   copy of a block a reducer is handed when some of the cell's rows are
   deleted -- in process and in a worker alike.
@@ -30,11 +33,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.exceptions import JobExecutionError
 from repro.index.columns import DataBlock
-from repro.index.records import MapSplit
+from repro.index.records import CellRun, MapSplit
 from repro.mapreduce import counters as counter_names
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import MapReduceJob
@@ -43,6 +46,10 @@ from repro.mapreduce.job import MapReduceJob
 #: sequence number is a stable tie-break so sorting is deterministic even
 #: when sort keys collide.
 ShuffleEntry = Tuple[Any, int, Any, Any]
+
+#: One reduce partition's live input: entries to sort and group (the
+#: record-at-a-time route), or one ready run per cell (a mapped split).
+Bucket = Union[List[ShuffleEntry], Dict[int, CellRun]]
 
 
 @dataclass
@@ -75,8 +82,10 @@ class MapTaskResult:
 
     Attributes:
         task_index: Position of the split in the input (merge order).
-        buckets: Sparse reduce-partition buckets with *task-local* sequence
-            numbers; the orchestrator rebases them onto the global counter.
+        buckets: Sparse reduce-partition buckets: per cell, a run over this
+            task's columns (a mapped split), or entries with *task-local*
+            sequence numbers that the orchestrator rebases onto the global
+            counter (the record-at-a-time route).
         num_input_records: Records this task consumed.
         num_emitted: Key-value pairs this task emitted (sequence span).
         counters: Counter deltas of this task, including the job's own
@@ -87,7 +96,7 @@ class MapTaskResult:
     """
 
     task_index: int
-    buckets: Dict[int, List[ShuffleEntry]]
+    buckets: Dict[int, Bucket]
     num_input_records: int
     num_emitted: int
     counters: Counters
@@ -103,26 +112,17 @@ class _ConsumptionTrackingIterator:
     records one by one.
     """
 
-    def __init__(self, values: Sequence[Any]) -> None:
-        self._values = values
-        self._position = 0
-        self._extra = 0
+    def __init__(self, values: Iterable[Any]) -> None:
+        self._pull = iter(values).__next__
+        self.consumed = 0
 
     def __iter__(self) -> "_ConsumptionTrackingIterator":
         return self
 
     def __next__(self) -> Any:
-        if self._position >= len(self._values):
-            raise StopIteration
-        value = self._values[self._position]
-        self._position += 1
-        if value.__class__ is DataBlock:
-            self._extra += len(value) - 1
+        value = self._pull()
+        self.consumed += len(value) if value.__class__ is DataBlock else 1
         return value
-
-    @property
-    def consumed(self) -> int:
-        return self._position + self._extra
 
 
 def run_map_task(
@@ -200,7 +200,7 @@ def _count_emissions(counters: Counters, records: int, shuffle_bytes: int) -> No
 
 
 def sort_bucket(bucket: List[ShuffleEntry]) -> None:
-    """Sort one partition bucket by ``(sort_key, sequence)``, in place.
+    """Sort one entry bucket by ``(sort_key, sequence)``, in place.
 
     Entries start with exactly those two fields and a sequence number is
     unique within a bucket, so plain tuple order is that order and never
@@ -212,10 +212,10 @@ def sort_bucket(bucket: List[ShuffleEntry]) -> None:
 def run_reduce_task(
     job: MapReduceJob,
     task_index: int,
-    bucket: List[ShuffleEntry],
+    bucket: Bucket,
     preloaded_block: Optional[Tuple[Any, DataBlock]] = None,
 ) -> Tuple[List[Any], ReduceTaskReport]:
-    """Sort, group and reduce one partition bucket.
+    """Reduce one partition bucket, group by group.
 
     ``preloaded_block`` is the partition's preloaded records: a ``(group,
     DataBlock)`` pair injected ahead of the live values of its group (data
@@ -227,29 +227,40 @@ def run_reduce_task(
     Requires orderable group keys, which every preloaded-shuffle job has
     (cell ids).
     """
-    sort_bucket(bucket)
     block_group: Any = None
     block: Optional[DataBlock] = None
     block_records = 0
     if preloaded_block is not None:
         block_group, block = preloaded_block
         block_records = len(block)
+    groups: Iterator[Tuple[Any, Iterable[Any]]]
+    if isinstance(bucket, dict):
+        live_records = sum(len(run.rows) for run in bucket.values())
+        groups = ((cell, bucket[cell].read()) for cell in sorted(bucket))
+    else:
+        live_records = len(bucket)
+        sort_bucket(bucket)
+        groups = (
+            (group, [value for _, _, _, value in entries])
+            for group, entries in itertools.groupby(
+                bucket, key=lambda entry: job.group_key(entry[2])
+            )
+        )
     report = ReduceTaskReport(
-        task_index=task_index, input_records=len(bucket) + block_records
+        task_index=task_index, input_records=live_records + block_records
     )
     outputs: List[Any] = []
 
-    for group, entries in itertools.groupby(bucket, key=lambda entry: job.group_key(entry[2])):
-        values = [value for _, _, _, value in entries]
+    for group, values in groups:
         if block is not None and block_group <= group:
             if block_group < group:
-                _reduce_group(job, task_index, block_group, [block], report, outputs)
+                _reduce_group(job, task_index, block_group, (block,), report, outputs)
             else:
-                values.insert(0, block)
+                values = itertools.chain((block,), values)
             block = None
         _reduce_group(job, task_index, group, values, report, outputs)
     if block is not None:
-        _reduce_group(job, task_index, block_group, [block], report, outputs)
+        _reduce_group(job, task_index, block_group, (block,), report, outputs)
     return outputs, report
 
 
@@ -282,7 +293,7 @@ def _reduce_group(
     job: MapReduceJob,
     task_index: int,
     group: Any,
-    values: Sequence[Any],
+    values: Iterable[Any],
     report: ReduceTaskReport,
     outputs: List[Any],
 ) -> None:

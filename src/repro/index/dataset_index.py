@@ -446,14 +446,19 @@ class DatasetIndex:
         its engine/service shuts down.  In-process blocks stay usable --
         they are plain Python lists -- and the segment's name is unlinked
         once the last attachment closes.  The plane slot resets to
-        "untried", so an index that keeps serving queries after a shutdown
-        (engines stay usable after ``close()``) simply republishes on next
+        "untried" and the cached shuffle handle is dropped, so an index that
+        keeps serving queries after a shutdown (engines stay usable after
+        ``close()``) simply republishes, and rebuilds the handle, on next
         use.
         """
         with self._plane_lock:
             plane, self._plane = self._plane, None
         if plane is not None and plane is not False:
             plane.release()
+        # The cached handle holds bound methods of this index: a cycle that
+        # keeps a retired generation (features, cell lists, blocks) alive
+        # until the collector's next full pass instead of dying here.
+        self._shuffle = None
 
     # ------------------------------------------------------------------ #
     # query preparation

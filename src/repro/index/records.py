@@ -1,4 +1,4 @@
-"""The columnar input of the short-circuited map phase.
+"""The columnar input of the short-circuited map phase, and its output view.
 
 When a query runs through a :class:`~repro.index.dataset_index.DatasetIndex`,
 the spatial work of the map phase (grid location, keyword pruning, MINDIST
@@ -6,8 +6,10 @@ neighbour duplication) has already been done -- at index-build time, in the
 per-radius Lemma-1 cache, or by the delta layer for appended objects.  The
 engine then hands the job runner one :class:`MapSplit` instead of a stream of
 raw :class:`~repro.model.objects.DataObject` / FeatureObject records; the SPQ
-jobs map it with one fused kernel (``_SPQJobBase.map_split``) that emits
-exactly the key-value pairs the per-record map phase would have produced.
+jobs map it with one fused kernel (``_SPQJobBase.map_split``) that stands for
+exactly the key-value pairs the per-record map phase would have produced --
+without building them: what a reducer receives is a :class:`CellRun`, a run
+of row numbers into the split's own columns.
 
 This module deliberately imports only :mod:`repro.model` so that
 :mod:`repro.core.jobs` can depend on it without an import cycle.
@@ -16,7 +18,7 @@ This module deliberately imports only :mod:`repro.model` so that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Any, Iterator, List, NamedTuple, Sequence, Tuple
 
 from repro.model.objects import DataObject, FeatureObject
 
@@ -67,3 +69,52 @@ class MapSplit:
                 )
             )
         return parts
+
+
+class CellRun(NamedTuple):
+    """One cell's live shuffle input, as a view over a map task's columns.
+
+    The kernel copies nothing per emitted record: a cell receives the *row
+    numbers* of the records that reach it, already in ``(sort_key,
+    sequence)`` order, and its reducer pulls ``values[row]`` one at a time
+    -- what early termination never reads is never touched.
+
+    Attributes:
+        rows: Row numbers into the two columns, in reduce order.
+        values: Row -> shuffled value (one column per map task, shared by
+            every run the task produced).
+        sort_keys: Row -> the sort key's secondary component; read only
+            when runs of several map tasks meet in one cell.
+    """
+
+    rows: Sequence[int]
+    values: Sequence[Any]
+    sort_keys: Sequence[Any]
+
+    def read(self) -> Iterator[Any]:
+        """The run's values in reduce order, materialised as they are pulled."""
+        return map(self.values.__getitem__, self.rows)
+
+    def detached(self) -> "CellRun":
+        """The same run over a column of its own rows only.
+
+        This is what crosses a process boundary: the size of the run, not
+        of the split it is a view of.
+        """
+        return CellRun(range(len(self.rows)), list(self.read()), ())
+
+    def followed_by(self, later: "CellRun") -> "CellRun":
+        """This run and a later map task's run of the same cell, as one.
+
+        Each is in ``(sort_key, sequence)`` order and every sequence number
+        of ``later`` is larger, so a stable sort of the concatenation on the
+        sort key alone is the order of the whole.
+        """
+        values = [*self.read(), *later.read()]
+        sort_keys = [
+            *map(self.sort_keys.__getitem__, self.rows),
+            *map(later.sort_keys.__getitem__, later.rows),
+        ]
+        return CellRun(
+            sorted(range(len(values)), key=sort_keys.__getitem__), values, sort_keys
+        )

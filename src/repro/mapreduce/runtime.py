@@ -12,8 +12,15 @@ faithfully reproducing the Hadoop execution model the paper relies on:
    iterator, so a reducer that stops reading values performs *early
    termination* and the engine records exactly how many values it consumed.
 
+That order is a contract, not a procedure.  The raw route builds, sorts and
+groups ``(sort_key, sequence, key, value)`` entries literally; a mapped
+:class:`~repro.index.records.MapSplit` (the index path) arrives as per-cell
+runs of row numbers that are *born* in that order, so steps 2-4 cost nothing
+per record there and a reducer materialises only the values it reads.
+
 The runner is an *orchestrator*: it builds splits, rebases shuffle sequence
-numbers, merges counters and reports -- always in task-index order -- and
+numbers (or, for runs, merges the cells several map tasks fed), merges
+counters and reports -- always in task-index order -- and
 delegates the execution of individual map/reduce tasks to a pluggable
 :class:`~repro.execution.base.ExecutionBackend` (serial, or a true
 multiprocess pool).  Both backends produce bit-for-bit identical
@@ -45,7 +52,7 @@ from typing import (
 from repro.exceptions import JobConfigurationError
 from repro.execution.base import ExecutionBackend, ReduceTask
 from repro.execution.serial import SerialBackend
-from repro.execution.tasks import ReduceTaskReport, ShuffleEntry, block_without
+from repro.execution.tasks import Bucket, ReduceTaskReport, block_without
 from repro.index.records import MapSplit
 from repro.mapreduce import counters as counter_names
 from repro.mapreduce.counters import Counters
@@ -243,16 +250,21 @@ class LocalJobRunner:
         records: Iterable[Any],
         counters: Counters,
         preloaded: Optional[PreloadedShuffle] = None,
-    ) -> Tuple[List[List[ShuffleEntry]], int, Set[int]]:
+    ) -> Tuple[List[Bucket], int, Set[int]]:
         """Run the map tasks through the backend and merge their buckets.
 
         Per-task buckets are concatenated in task-index order with their
         local sequence numbers rebased onto a global counter, reproducing
-        the exact emission order of a fully serial run.  Returns the live
-        (non-preloaded) partition buckets, the map-task count and the set
-        of partition indexes that received live output.  Preloaded blocks
-        need no sequence numbers: they are injected ahead of every live
-        value of their group by construction.
+        the exact emission order of a fully serial run.  Buckets of runs
+        (a mapped split) carry no sequence numbers: a cell fed by one task
+        keeps that task's run as it is, and only where a later task fed the
+        same cell are the two merged, stably, on the sort key -- equal keys
+        then stay in task-then-row order, which *is* sequence order.
+
+        Returns the live (non-preloaded) partition buckets, the map-task
+        count and the set of partition indexes that received live output.
+        Preloaded blocks need no sequence numbers: they are injected ahead
+        of every live value of their group by construction.
         """
         preloaded_records = 0
         base = 0
@@ -268,7 +280,7 @@ class LocalJobRunner:
         splits = self._split(records)
         map_results = self.backend.run_map_tasks(job, splits, self.num_reducers)
 
-        live: List[List[ShuffleEntry]] = [[] for _ in range(self.num_reducers)]
+        live: List[Bucket] = [[] for _ in range(self.num_reducers)]
         touched: Set[int] = set()
         num_records = 0
         for result in map_results:
@@ -277,15 +289,22 @@ class LocalJobRunner:
             if result.task_state is not None:
                 job.merge_task_state(result.task_state)
             for index, entries in result.buckets.items():
-                touched.add(index)
                 bucket = live[index]
-                if base:
+                if isinstance(entries, dict):
+                    if index not in touched:
+                        live[index] = entries
+                    else:
+                        for cell, run in entries.items():
+                            earlier = bucket.get(cell)
+                            bucket[cell] = run if earlier is None else earlier.followed_by(run)
+                elif base:
                     bucket.extend(
                         (sort_key, base + sequence, key, value)
                         for sort_key, sequence, key, value in entries
                     )
                 else:
                     bucket.extend(entries)
+                touched.add(index)
             base += result.num_emitted
         # The input-records counter must exist even for an empty input (no
         # map task ran to create it), matching record-at-a-time accounting.
@@ -301,7 +320,7 @@ class LocalJobRunner:
     def _run_reduce_phase(
         self,
         job: MapReduceJob,
-        live: List[List[ShuffleEntry]],
+        live: List[Bucket],
         counters: Counters,
         preloaded: Optional[PreloadedShuffle] = None,
         skipped: Optional[Set[int]] = None,

@@ -15,7 +15,7 @@ early termination (Lemma 2).
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Set, Union
+from typing import AbstractSet, Iterable, List, Set, Union
 
 KeywordSet = Union[AbstractSet[str], frozenset]
 
@@ -72,6 +72,23 @@ class JaccardScorer:
             cached = jaccard(feature_keywords, self.query_keywords)
             memo[feature_keywords] = cached
         return cached
+
+    def score_many(self, keyword_sets: Iterable[AbstractSet[str]]) -> List[float]:
+        """``w(f, q)`` for a column of keyword sets, unmemoized.
+
+        One pass for inputs whose sets rarely repeat (a split's candidate
+        features), where the memo only costs a probe.  The division is
+        :func:`jaccard`'s, over the same integers, so every float is
+        bit-identical to :meth:`score`'s.
+        """
+        query = self.query_keywords
+        size = len(query)
+        return [
+            common / (len(keywords) + size - common)
+            if (common := len(keywords & query))
+            else 0.0
+            for keywords in keyword_sets
+        ]
 
 
 def upper_bound_for_length(feature_length: int, query_length: int) -> float:

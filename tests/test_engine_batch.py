@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.engine import SPQEngine
@@ -178,6 +181,24 @@ class TestIndexLifecycle:
         assert engine.dataset_version == version + 1
         engine.execute_many([query], grid_size=8)
         assert engine.index_cache_stats["misses"] == 2
+
+    def test_a_retired_index_dies_without_the_cyclic_collector(self, uniform_engine_data):
+        # A served index caches a PreloadedShuffle holding its own bound
+        # methods.  Retiring it must break that cycle: a whole generation
+        # (features, Lemma-1 lists, blocks) waiting for the collector's next
+        # full pass is peak RSS on every compaction and hot-swap.
+        data, features = uniform_engine_data
+        query = SpatialPreferenceQuery.create(k=2, radius=4.0, keywords={"w0001"})
+        engine = SPQEngine(data, features)
+        engine.execute_many([query], grid_size=8)
+        retired = weakref.ref(engine.get_index(8))
+        gc.collect()
+        gc.disable()
+        try:
+            engine.invalidate_indexes()
+            assert retired() is None
+        finally:
+            gc.enable()
 
     def test_set_datasets_invalidates_and_changes_results(self, uniform_engine_data):
         data, features = uniform_engine_data

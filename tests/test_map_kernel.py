@@ -1,20 +1,25 @@
 """The index path's fused map kernel against the per-record ``map()`` oracle.
 
 ``_SPQJobBase.map_split`` goes from a columnar :class:`MapSplit` straight to
-partition buckets.  The raw ``execute()`` path still maps the same objects
-one by one through ``job.map``, and that is the oracle here: over the same
-logical input the two must agree entry for entry (``sort_key``, ``sequence``,
-``key``, ``value``) and counter for counter -- values *and* key creation
-order, the empty split included -- for every job class, with and without a
-live delta, at every split size, on every backend and from two threads at
-once.  The record-at-a-time
-loop is itself held to a verbatim copy of the loop it replaced (one
-``increment`` per emission), so both production routes answer to the same
-reference.
+per-cell *runs* of row numbers into its own columns -- no entry is built per
+emitted copy.  The raw ``execute()`` path still maps the same objects one by
+one through ``job.map`` into ``(sort_key, sequence, key, value)`` entries,
+and that is the oracle here: expanded back into entries (``expand_runs``, a
+test-side helper) the runs must equal the oracle's buckets sorted by
+``(sort_key, sequence)`` -- same partitions in the same creation order, same
+entries -- and agree counter for counter, values *and* key creation order,
+the empty split included: for every job class, with and without a live
+delta, at every split size, on every backend, under both reduce loops and
+from two threads at once.  The record-at-a-time loop is itself held to a
+verbatim copy of the loop it replaced (one ``increment`` per emission), so
+both production routes answer to the same reference.  The last two classes
+pin what the view is *for*: a reducer materialises exactly the values it
+reads, and a worker process is sent exactly the rows of its partition.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,10 +30,11 @@ from repro.core.engine import EngineConfig, SPQEngine
 from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob
 from repro.exceptions import JobExecutionError
 from repro.execution import SerialBackend, create_backend
+from repro.execution.base import ReduceTask
 from repro.execution.tasks import run_map_task, sort_bucket
 from repro.index.dataset_index import DatasetIndex
 from repro.index.delta import DeltaSnapshot, with_delta_appends
-from repro.index.records import MapSplit
+from repro.index.records import CellRun, MapSplit
 from repro.mapreduce import counters as names
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.runtime import DEFAULT_SPLIT_SIZE, LocalJobRunner
@@ -163,10 +169,56 @@ def reference_map_task(job, records, num_reducers):
     return buckets, sequence, num_records, counters
 
 
-def assert_same_task(got, want_buckets, want_emitted, want_records, want_counters):
-    assert list(got.buckets) == list(want_buckets)  # bucket creation order too
-    assert got.buckets == want_buckets
-    assert got.num_emitted == want_emitted
+def expand_runs(job, part, buckets):
+    """A mapped split's runs as the entries the per-record loop would build.
+
+    Sequence numbers follow the logical record order of ``part``: every data
+    row, then every feature copy, feature-major, cells in Lemma-1 order.
+    """
+    num_data = len(part.data)
+    sequence_of = {}
+    sequence = num_data
+    for row, cells in enumerate(part.cells, num_data):
+        for cell in cells:
+            sequence_of[row, cell] = sequence
+            sequence += 1
+    expanded = {}
+    for partition, cells in buckets.items():
+        entries = expanded[partition] = []
+        for cell in sorted(cells):
+            run = cells[cell]
+            assert run.__class__ is CellRun
+            for row, value in zip(run.rows, run.read()):
+                assert row.__class__ is int
+                if row < num_data:
+                    key, sequence = job._data_key(cell), row
+                else:
+                    key = job._feature_key(cell, part.features[row - num_data])
+                    sequence = sequence_of[row, cell]
+                entries.append((job.sort_key(key), sequence, key, value))
+    return expanded
+
+
+def in_reduce_order(buckets):
+    return {
+        partition: sorted(entries, key=lambda entry: (entry[0], entry[1]))
+        for partition, entries in buckets.items()
+    }
+
+
+def assert_same_task(
+    got, want_buckets, want_emitted, want_records, want_counters, job=None, part=None
+):
+    """``job`` and ``part`` (the task's split) are given when ``got`` mapped a
+    split: its buckets are runs, compared as the entries they stand for."""
+    buckets = got.buckets if part is None else expand_runs(job, part, got.buckets)
+    assert list(buckets) == list(want_buckets)  # bucket creation order too
+    if part is None:
+        assert buckets == want_buckets  # entries are born in emission order
+    else:
+        # A run is born sorted: nothing downstream sorts it again.
+        assert buckets == in_reduce_order(want_buckets)
+    assert got.num_emitted == want_emitted == sum(map(len, buckets.values()))
     assert got.num_input_records == want_records
     assert ordered(got.counters) == ordered(want_counters)
 
@@ -229,6 +281,7 @@ class TestKernelEqualsPerRecordMap:
                 assert_same_task(
                     mine, theirs.buckets, theirs.num_emitted,
                     theirs.num_input_records, theirs.counters,
+                    job=job_class(QUERY, grid), part=part,
                 )
                 # The size memo is handed back: at least this task's features.
                 for feature in part.features:
@@ -250,6 +303,18 @@ class TestKernelEqualsPerRecordMap:
         assert [report_fields(r) for r in fused.reduce_reports] == [
             report_fields(r) for r in plain.reduce_reports
         ]
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("split_size", (1, 7, DEFAULT_SPLIT_SIZE))
+    def test_whole_run_under_the_object_reduce_loop(
+        self, scenarios, algorithm, with_delta, split_size, backend, monkeypatch
+    ):
+        # The per-object loops pull the same runs; jobs capture the switch
+        # at construction.
+        monkeypatch.setenv("REPRO_DATAPLANE", "object")
+        self.test_map_tasks_and_whole_run(
+            scenarios, algorithm, with_delta, split_size, backend
+        )
 
     def test_record_loop_equals_the_loop_it_replaced(self, scenarios, algorithm, with_delta):
         split, _, grid = scenarios[algorithm, with_delta]
@@ -382,7 +447,8 @@ def test_any_candidate_set_maps_like_its_records(property_index, case):
     ):
         got = run_map_task(make_job(), task, part, index.grid.num_cells)
         assert_same_task(
-            got, *reference_map_task(make_job(), chunk, index.grid.num_cells)
+            got, *reference_map_task(make_job(), chunk, index.grid.num_cells),
+            job=make_job(), part=part,
         )
         sequence += got.num_emitted
     assert len(split.slices(split_size)) == len(chunks(records, split_size))
@@ -404,3 +470,115 @@ class TestSortBucket:
         sort_bucket(bucket)
         assert bucket == want
         assert len({entry[0] for entry in bucket}) < len(bucket) / 4
+
+    @pytest.mark.parametrize("algorithm", sorted(JOB_CLASSES))
+    def test_runs_of_several_map_tasks_merge_in_sequence_order(self, algorithm):
+        """The twin of the case above for the run path, where no bucket is
+        ever sorted: the cell's order has to survive the sort-once kernel and
+        the orchestrator's merge of the runs several map tasks fed it."""
+        rng = random.Random(5)
+        grid = UniformGrid.square(EXTENT, GRID)
+        # One spot in cell 1, within the radius of its neighbours; one to
+        # three keywords, always "cafe": few distinct lengths, few distinct
+        # scores, and values -- features, or (feature, score) pairs with
+        # equal scores -- that cannot be compared.
+        features = [
+            FeatureObject(
+                f"f{i:02d}", 5.0, 5.0,
+                frozenset({"cafe", *rng.sample(VOCABULARY[1:], rng.randint(0, 2))}),
+            )
+            for i in range(40)
+        ]
+        data = [DataObject("d0", 4.0, 4.0), DataObject("d1", 12.0, 4.0)]
+        split = DatasetIndex(data, features, grid).prepare(QUERY).split
+        split = MapSplit(split.features, split.cells, data, [1, 2])
+        job = JOB_CLASSES[algorithm](QUERY, grid)
+        runner = LocalJobRunner(grid.num_cells, split_size=7)
+        assert len(split.slices(7)) >= 3 and all(1 in cells for cells in split.cells)
+        live, _, touched = runner._run_map_phase(job, split, Counters())
+        entries, _, _, _ = reference_map_task(
+            JOB_CLASSES[algorithm](QUERY, grid), raw_records(split), grid.num_cells
+        )
+        want = in_reduce_order(entries)
+        assert touched == set(want)
+        for partition, bucket in want.items():
+            (cell, run), = live[partition].items()
+            assert cell == partition + 1
+            assert list(run.read()) == [value for _, _, _, value in bucket]
+        assert len({entry[0] for entry in want[0]}) < len(want[0]) / 4
+
+
+class CountingColumn(list):
+    """A value column that counts the rows read out of it one by one."""
+
+    reads = 0
+
+    def __getitem__(self, row):
+        self.reads += 1
+        return list.__getitem__(self, row)
+
+
+@pytest.mark.parametrize("algorithm", sorted(JOB_CLASSES))
+class TestTheShuffleIsAView:
+    def test_reducers_materialise_only_the_values_they_read(self, algorithm, monkeypatch):
+        job_class = JOB_CLASSES[algorithm]
+        real_columns = job_class._feature_columns
+        columns = []
+
+        def counting_columns(job, features):
+            sort_keys, values = real_columns(job, features)
+            columns.append(CountingColumn(values))
+            return sort_keys, columns[-1]
+
+        monkeypatch.setattr(job_class, "_feature_columns", counting_columns)
+        data, features = build_base()
+        config = EngineConfig(grid_size=GRID, backend="serial")
+        with SPQEngine(data, features, config=config, extent=EXTENT) as engine:
+            result, = engine.execute_many([QUERY], algorithm=algorithm)
+        counters = result.stats["counters"]
+        (column,) = columns
+        live = counters["spq"]["features_kept"] + counters["spq"]["feature_duplicates"]
+        # Every reduced cell pulls its whole preloaded block, as one value.
+        preloaded = counters["reduce"]["input_records"] - live
+        assert column.reads == counters["reduce"]["consumed_records"] - preloaded
+        assert column.reads == counters["work"]["features_examined"]
+        if algorithm != "pspq":
+            assert counters["spq"]["early_terminations"] and column.reads < live
+
+    def test_the_kernel_builds_rows_not_entries(self, algorithm):
+        data, features = build_base()
+        grid = UniformGrid.square(EXTENT, GRID)
+        split = DatasetIndex(data, features, grid).prepare(QUERY).split
+        buckets, emitted, _ = JOB_CLASSES[algorithm](QUERY, grid).map_split(
+            split, grid.num_cells, Counters()
+        )
+        runs = [run for cells in buckets.values() for run in cells.values()]
+        assert emitted == sum(len(run.rows) for run in runs) > 2 * len(split)
+        for run in runs:
+            assert run.__class__ is CellRun and list(run.rows) == [int(r) for r in run.rows]
+            # One value column and one sort column per task, shared by all.
+            assert run.values is runs[0].values and run.sort_keys is runs[0].sort_keys
+        assert len(runs[0].values) == len(runs[0].sort_keys) == len(split)
+
+    def test_a_reduce_payload_is_the_size_of_its_rows(self, algorithm):
+        rng = random.Random(11)
+        grid = UniformGrid.square(EXTENT, GRID)
+        features = [
+            FeatureObject(
+                f"f{i:04d}", rng.uniform(0.0, 60.0), rng.uniform(0.0, 60.0),
+                frozenset({"cafe", *rng.sample(VOCABULARY[1:], rng.randint(0, 3))}),
+            )
+            for i in range(2000)
+        ]
+        split = DatasetIndex([], features, grid).prepare(QUERY).split
+        assert len(split) == 2000
+        job = JOB_CLASSES[algorithm](QUERY, grid)
+        mapped = run_map_task(job, 0, split, grid.num_cells)
+        whole = len(pickle.dumps(mapped.buckets[0][1].values))
+        with create_backend("process", 2) as backend:
+            payloads = backend.reduce_payloads(
+                job, [ReduceTask(index, bucket) for index, bucket in mapped.buckets.items()]
+            )
+        for payload, bucket in zip(payloads, mapped.buckets.values()):
+            own = [value for run in bucket.values() for value in run.read()]
+            assert len(pickle.dumps(payload)) < 2 * len(pickle.dumps(own)) < whole / 2
