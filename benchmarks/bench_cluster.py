@@ -56,6 +56,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
+from _oracle import raw_execute, reference_execute
 from repro.cluster import (
     ClusterConfig,
     ClusterRouter,
@@ -83,8 +84,8 @@ def reference_results(
             query = SpatialPreferenceQuery.create(
                 k=spec["k"], radius=spec["radius"], keywords=set(spec["keywords"])
             )
-            result = engine.execute(
-                query, algorithm=spec.get("algorithm", "espq-sco"),
+            result = reference_execute(
+                engine, query, algorithm=spec.get("algorithm", "espq-sco"),
                 grid_size=grid_size,
             )
             results.append([(entry.obj.oid, entry.score) for entry in result])
@@ -205,7 +206,7 @@ def oracle_entries(
         radius=spec["radius"],
         keywords=set(spec["keywords"]),
     )
-    result = oracle.execute(query, algorithm=algorithm, grid_size=grid_size)
+    result = raw_execute(oracle, query, algorithm=algorithm, grid_size=grid_size)
     return [(entry.obj.oid, entry.score) for entry in result]
 
 

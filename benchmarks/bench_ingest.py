@@ -52,6 +52,7 @@ import threading
 import time
 from typing import Dict, List, Sequence, Tuple
 
+from _oracle import raw_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.datagen.synthetic import (
     SyntheticDatasetConfig,
@@ -201,7 +202,7 @@ def oracle_answers(
             )
             answers.append({
                 algorithm: engine_entries(
-                    engine.execute(query, algorithm=algorithm, grid_size=grid_size)
+                    raw_execute(engine, query, algorithm=algorithm, grid_size=grid_size)
                 )
                 for algorithm in algorithms
             })

@@ -41,6 +41,7 @@ import threading
 import time
 from typing import Dict, List, Sequence, Tuple
 
+from _oracle import raw_execute, reference_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_clustered
 from repro.execution import execution_info
@@ -90,8 +91,8 @@ def reference_results(
             query = SpatialPreferenceQuery.create(
                 k=spec["k"], radius=spec["radius"], keywords=set(spec["keywords"])
             )
-            result = engine.execute(
-                query, algorithm=spec.get("algorithm", "espq-sco"),
+            result = reference_execute(
+                engine, query, algorithm=spec.get("algorithm", "espq-sco"),
                 grid_size=grid_size,
             )
             results.append([(entry.obj.oid, entry.score) for entry in result])
@@ -169,7 +170,7 @@ def run_identity_phase(
         query = SpatialPreferenceQuery.create(
             k=spec["k"], radius=spec["radius"], keywords=set(spec["keywords"])
         )
-        result = engine.execute(query, algorithm=algorithm, grid_size=grid_size)
+        result = raw_execute(engine, query, algorithm=algorithm, grid_size=grid_size)
         return [(entry.obj.oid, entry.score) for entry in result]
 
     with engine, make_router(data, features, shards, grid_size, "skew") as router:

@@ -40,6 +40,7 @@ import threading
 import time
 from typing import Dict, List, Sequence, Tuple
 
+from _oracle import reference_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
 from repro.execution import execution_info
@@ -60,8 +61,8 @@ def reference_results(
             query = SpatialPreferenceQuery.create(
                 k=spec["k"], radius=spec["radius"], keywords=set(spec["keywords"])
             )
-            result = engine.execute(
-                query, algorithm=spec.get("algorithm", "espq-sco"),
+            result = reference_execute(
+                engine, query, algorithm=spec.get("algorithm", "espq-sco"),
                 grid_size=grid_size,
             )
             results.append([(entry.obj.oid, entry.score) for entry in result])

@@ -16,14 +16,23 @@ Typical use::
         print(entry.obj.oid, entry.score)
     print(result.stats["simulated_seconds"])
 
-For multi-query traffic, :meth:`SPQEngine.execute_many` amortises the
-per-query setup across a batch: it builds (or fetches from an LRU cache) a
-:class:`~repro.index.dataset_index.DatasetIndex` per grid size and feeds the
-jobs pre-partitioned records, skipping the per-query grid build, data-object
-location, keyword scan and MINDIST duplication while returning results
-identical to sequential :meth:`SPQEngine.execute` calls::
+There is **one execution path**.  Every distributed query -- ``execute``
+with a named algorithm or ``"auto"``, ``execute_many``, the CLI, the service
+-- builds a :class:`~repro.index.planner.PlannedQuery` and runs through
+:meth:`SPQEngine._execute_planned`: the (LRU-cached)
+:class:`~repro.index.dataset_index.DatasetIndex` of its grid size supplies the
+candidate features and their Lemma-1 cells as a columnar split and each
+cell's data objects as a preloaded block, so a query examines only the
+records that can matter to it.  The index build and the per-radius
+duplication lists are shared by every later query of the engine;
+:meth:`SPQEngine.execute_many` also pins one delta snapshot for its batch::
 
     results = engine.execute_many(queries, algorithm="espq-sco")
+
+The paper's plain formulation -- every data and feature object streamed
+through the per-record ``map`` -- is not an engine route any more: it is the
+test oracle ``tests/raw_oracle.py::raw_execute``, kept beside the centralized
+oracle to check the index path against.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ from repro.index.delta import (
     with_delta_appends,
 )
 from repro.index.planner import BatchQuery, PlannedQuery, plan_batch
+from repro.index.records import MapSplit
 from repro.mapreduce.costmodel import CostModel
 from repro.mapreduce.runtime import JobResult, LocalJobRunner, PreloadedShuffle
 from repro.model.objects import DataObject, FeatureObject
@@ -113,8 +123,8 @@ def validate_algorithm_combination(algorithm: str, score_mode: str) -> None:
             f"pspq supports score modes 'range' and 'influence', got {score_mode!r}"
         )
 
-#: Counter group/name used to report index-side pruning (kept in sync with
-#: the map-side counter so stats look the same on both execution paths).
+#: Counter group/name used to report index-side pruning (the map-side
+#: counter of the generic record route, see ``core/jobs.py``).
 _SPQ_GROUP = "spq"
 _FEATURES_PRUNED = "features_pruned"
 
@@ -205,6 +215,9 @@ class SPQEngine:
         #: query to finish, never under a running one.
         self._backend_refs: Dict[int, int] = {}
         self._retired_backends: Dict[int, ExecutionBackend] = {}
+        #: Set by a :meth:`close` that found queries in flight: the last
+        #: check-in unpublishes the cached indexes' shared-memory planes.
+        self._planes_release_pending = False
         self._planner: Optional[QueryPlanner] = planner
         #: The paper's 16-node cluster at the default per-unit costs: the
         #: model behind ``simulated_seconds`` and the planner's estimates.
@@ -248,7 +261,7 @@ class SPQEngine:
             return backend
 
     def _checkin_backend(self, backend: ExecutionBackend) -> None:
-        """Unregister an in-flight user; tear down a retired backend last."""
+        """Unregister an in-flight user; the last one out finishes a close()."""
         key = id(backend)
         with self._backend_lock:
             remaining = self._backend_refs.get(key, 1) - 1
@@ -257,8 +270,21 @@ class SPQEngine:
                 return
             self._backend_refs.pop(key, None)
             retired = self._retired_backends.pop(key, None)
+            self._release_planes_if_idle()
         if retired is not None:
             retired.close()
+
+    def _release_planes_if_idle(self) -> None:
+        """Finish a pending plane release once no query is in flight.
+
+        Runs under ``_backend_lock``: a plane is only ever published or
+        attached between a check-out and its check-in, so with no check-out
+        registered (and none able to register while the lock is held)
+        nothing can be reading a segment this unlinks.
+        """
+        if self._planes_release_pending and not self._backend_refs:
+            self._planes_release_pending = False
+            self._index_cache.release_all()
 
     def close(self) -> None:
         """Release the backend's worker pool (idempotent and thread-safe).
@@ -271,21 +297,22 @@ class SPQEngine:
         the query service may be closed by both a dispatcher and the
         service's shutdown path) release each backend exactly once.  A
         close racing in-flight queries does not interrupt them: the backend
-        is detached immediately (new queries get a fresh one) and its pool
-        is torn down by the last in-flight query when it finishes.
+        is detached immediately (new queries get a fresh one), and its pool
+        is torn down -- and the cached indexes' shared-memory planes are
+        unpublished -- by the last in-flight query when it finishes, never
+        under a worker that may still attach them.
         """
         with self._backend_lock:
             backend, self._backend = self._backend, None
             if backend is not None and self._backend_refs.get(id(backend), 0) > 0:
                 self._retired_backends[id(backend)] = backend
                 backend = None
+            # No /dev/shm segment outlives the engine; the indexes themselves
+            # stay cached and republish on demand if the engine is reused.
+            self._planes_release_pending = self._owns_index_cache
+            self._release_planes_if_idle()
         if backend is not None:
             backend.close()
-        if self._owns_index_cache:
-            # Unpublish the cached indexes' shared-memory planes so no
-            # /dev/shm segment outlives the engine; the indexes themselves
-            # stay cached and republish on demand if the engine is reused.
-            self._index_cache.release_all()
 
     def __enter__(self) -> "SPQEngine":
         return self
@@ -534,6 +561,11 @@ class SPQEngine:
     ) -> QueryResult:
         """Run a query with the chosen algorithm and return the global top-k.
 
+        The same path as a one-query :meth:`execute_many`: the result, its
+        counters and its ``stats`` tree (``stats["index"]`` included) are
+        equal key for key, and the run feeds the planner's calibration
+        whether the algorithm was named or planned.
+
         Args:
             query: The query ``q(k, r, W)``.
             algorithm: One of ``"pspq"``, ``"espq-len"``, ``"espq-sco"``,
@@ -554,31 +586,15 @@ class SPQEngine:
                 algorithm / score-mode combination.
         """
         self.validate_combination(algorithm, score_mode)
-        snapshot = self._delta.snapshot()
-        if snapshot.is_empty:
-            snapshot = None
-        if algorithm == "centralized":
-            return self._execute_centralized(query, score_mode, snapshot=snapshot)
-        if algorithm == AUTO_ALGORITHM:
-            # Planning needs the index statistics, so auto always runs on
-            # the index-backed path (identical results either way).
-            return self._execute_planned(
-                PlannedQuery(
-                    position=0,
-                    query=query,
-                    algorithm=AUTO_ALGORITHM,
-                    grid_size=grid_size or self.config.grid_size,
-                    score_mode=score_mode,
-                ),
-                delta_snapshot=snapshot,
-            )
-        grid = self.build_grid(grid_size)
-        job = self._make_job(algorithm, query, grid, score_mode)
-        # With a live delta the raw map phase simply streams the
-        # materialized record order (base minus tombstones, then appends)
-        # -- literally the bulk-swap input, so identity is by construction.
-        return self._run_job(
-            job, grid, query, self._input_records(snapshot), delta_snapshot=snapshot
+        return self._execute_planned(
+            PlannedQuery(
+                position=0,
+                query=query,
+                algorithm=algorithm,
+                grid_size=grid_size or self.config.grid_size,
+                score_mode=score_mode,
+            ),
+            delta_snapshot=self._delta.snapshot(),
         )
 
     def execute_many(
@@ -629,8 +645,6 @@ class SPQEngine:
             if delta_snapshot is not None
             else self._delta.snapshot()
         )
-        if snapshot.is_empty:
-            snapshot = None
         results: List[Optional[QueryResult]] = [None] * len(plan)
         for item in plan:
             results[item.position] = self._execute_planned(
@@ -693,6 +707,7 @@ class SPQEngine:
             algorithm = decision.algorithm
         candidates = statistics.candidate_positions
         extra_pruned = 0
+        deleted_positions: Set[int] = set()
         if snapshot is not None and snapshot.deleted_feature_oids:
             # Feature tombstones: drop the deleted candidates *before*
             # prepare, so the surviving records keep their relative
@@ -743,7 +758,11 @@ class SPQEngine:
             item.query,
             split,
             preloaded=index.data_shuffle(job, tombstoned),
-            pruned_by_index=prepared.num_pruned + extra_pruned,
+            # A tombstoned feature is gone, not pruned: a bulk swap of the
+            # shrunken feature set would never have counted it.
+            pruned_by_index=(
+                prepared.num_pruned - len(deleted_positions) + extra_pruned
+            ),
             index_stats={
                 "index_cache_hit": cache_hit,
                 "radius_cache_hit": prepared.radius_cache_hit,
@@ -781,10 +800,10 @@ class SPQEngine:
         job: _SPQJobBase,
         grid: UniformGrid,
         query: SpatialPreferenceQuery,
-        records: Iterable,
-        preloaded: Optional[PreloadedShuffle] = None,
-        pruned_by_index: int = 0,
-        index_stats: Optional[Dict[str, object]] = None,
+        split: MapSplit,
+        preloaded: PreloadedShuffle,
+        pruned_by_index: int,
+        index_stats: Dict[str, object],
         planner_stats: Optional[Dict[str, object]] = None,
         delta_snapshot: Optional[DeltaSnapshot] = None,
     ) -> QueryResult:
@@ -792,14 +811,13 @@ class SPQEngine:
         try:
             runner = LocalJobRunner(num_reducers=grid.num_cells, backend=backend)
             started = time.perf_counter()
-            job_result = runner.run(job, records, preloaded=preloaded)
+            job_result = runner.run(job, split, preloaded=preloaded)
             elapsed = time.perf_counter() - started
         finally:
             self._checkin_backend(backend)
         if pruned_by_index:
-            # Features the index pruned before the map phase ever saw them;
-            # folding them into the map-side counter keeps the reported
-            # statistics comparable across the two execution paths.
+            # Features the index pruned before the map phase ever saw them,
+            # reported where a map phase over every record would count them.
             job_result.counters.increment(_SPQ_GROUP, _FEATURES_PRUNED, pruned_by_index)
 
         entries = self._merge(job_result, query, snapshot=delta_snapshot)
@@ -827,35 +845,10 @@ class SPQEngine:
             "feature_duplicates": job_result.counters.get("spq", "feature_duplicates"),
             "features_pruned": job_result.counters.get("spq", "features_pruned"),
         }
-        if index_stats:
-            stats["index"] = dict(index_stats)
+        stats["index"] = index_stats
         if planner_stats:
             stats.update(planner_stats)
         return QueryResult(entries, stats=stats)
-
-    def _input_records(
-        self, snapshot: Optional[DeltaSnapshot] = None
-    ) -> Iterable:
-        """The horizontally partitioned input: all objects, in storage order.
-
-        With a live delta snapshot, this is the *materialized* storage
-        order -- surviving base objects, then delta appends -- i.e. the
-        exact input stream a bulk swap of the final state would produce.
-        """
-        if snapshot is None:
-            yield from self.data_objects
-            yield from self.feature_objects
-            return
-        deleted_data = snapshot.deleted_data_oids
-        deleted_features = snapshot.deleted_feature_oids
-        for obj in self.data_objects:
-            if obj.oid not in deleted_data:
-                yield obj
-        yield from snapshot.data
-        for obj in self.feature_objects:
-            if obj.oid not in deleted_features:
-                yield obj
-        yield from snapshot.features
 
     def _oid_lookup(self) -> Dict[str, DataObject]:
         """Cached oid -> data object mapping (reset by :meth:`invalidate_indexes`).

@@ -25,7 +25,8 @@ class ReduceTask:
         entries: Live map output of this run, owned by it: per-cell runs
             over the map tasks' columns (the index path; nothing left to
             sort), or shuffle entries already globally sequenced by the
-            orchestrator and safe to sort in place (the raw route).
+            orchestrator and safe to sort in place (the generic record
+            route).
         preloaded: The run's
             :class:`~repro.mapreduce.runtime.PreloadedShuffle`, if any: the
             one handle through which a backend obtains this partition's

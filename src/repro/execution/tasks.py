@@ -9,8 +9,9 @@ process pool -- execute the exact same code path:
   A columnar :class:`~repro.index.records.MapSplit` (the index path) goes
   to the job's fused ``map_split`` kernel, whose buckets are *views*: per
   cell, a :class:`~repro.index.records.CellRun` of row numbers into the
-  task's own columns, already in reduce order.  Any other input (the raw
-  ``execute()`` route) is mapped record by record through ``job.map`` into
+  task's own columns, already in reduce order.  Any other input (the
+  generic record route: plain objects, as the raw-stream test oracle and
+  non-SPQ jobs feed it) is mapped record by record through ``job.map`` into
   ``(sort_key, sequence, key, value)`` entries numbered with a *task-local*
   sequence, which the orchestrator rebases onto a global counter in task
   order -- the emission order of a fully serial run, bit for bit.

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -46,6 +46,13 @@ from repro.model.query import SpatialPreferenceQuery
 from repro.spatial.grid import UniformGrid
 from repro.spatial.partitioning import GridPartitioner
 from repro.text.inverted_index import PositionalInvertedIndex
+
+
+#: Distinct radii whose Lemma-1 lists one index keeps (least recently used
+#: evicted first).  A serving workload uses one or two radii and the paper's
+#: sweeps five or six; without a bound, ad-hoc radii accumulate one
+#: ``{position -> cells}`` dict each for the life of the index.
+MAX_CACHED_RADII = 8
 
 
 @dataclass
@@ -129,8 +136,11 @@ class DatasetIndex:
         )
         self._inverted = PositionalInvertedIndex(self._feature_objects)
         #: radius -> {feature position -> duplication cell tuple}, filled
-        #: lazily for the features queries actually touch.
-        self._feature_cells: Dict[float, Dict[int, Tuple[int, ...]]] = {}
+        #: lazily for the features queries actually touch; an LRU over at
+        #: most MAX_CACHED_RADII radii.
+        self._feature_cells: "OrderedDict[float, Dict[int, Tuple[int, ...]]]" = (
+            OrderedDict()
+        )
         #: radius -> (entries, total cells) of that cache, kept in step with
         #: every insert (under the lock) so the observed duplication mean
         #: costs O(1) per query, not a sum over the whole cache.
@@ -253,7 +263,29 @@ class DatasetIndex:
         if positions is None:
             positions = range(self.num_features)
         self._gather_cells(radius, list(positions))
-        return self._feature_cells[radius]
+        return self._radius_cache(radius)[0]
+
+    def _radius_cache(self, radius: float) -> Tuple[Dict[int, Tuple[int, ...]], bool]:
+        """``radius``'s position -> cells dict and whether it already existed.
+
+        Look-up, LRU touch, insert and eviction are one step under the lock:
+        two pooled engines hitting a new radius concurrently converge on ONE
+        dict (were each to install its own, the loser would fill an orphaned
+        copy -- its Lemma-1 work thrown away and ``radius_cache_hit`` cold
+        for that radius).
+        """
+        with self._cells_lock:
+            cache = self._feature_cells.get(radius)
+            known = cache is not None
+            if known:
+                self._feature_cells.move_to_end(radius)
+            else:
+                cache = self._feature_cells[radius] = {}
+                if len(self._feature_cells) > MAX_CACHED_RADII:
+                    evicted, _ = self._feature_cells.popitem(last=False)
+                    self._cell_totals.pop(evicted, None)
+                self.stats.radii_cached = self.cached_radii
+        return cache, known
 
     def _gather_cells(
         self, radius: float, positions: Sequence[int]
@@ -263,16 +295,7 @@ class DatasetIndex:
         Also says whether this was a pure cache hit: the radius was known
         and nothing had to be assigned for these positions.
         """
-        cache = self._feature_cells.get(radius)
-        known = cache is not None
-        if cache is None:
-            # setdefault, not assignment: two pooled engines hitting a new
-            # radius concurrently must converge on ONE cache dict.  With a
-            # plain `self._feature_cells[radius] = {}` each installs its own
-            # and the loser fills an orphaned copy -- its Lemma-1 work is
-            # thrown away and `radius_cache_hit` stays cold for that radius.
-            cache = self._feature_cells.setdefault(radius, {})
-            self.stats.radii_cached = self.cached_radii
+        cache, known = self._radius_cache(radius)
         cells = list(map(cache.get, positions))
         if None not in cells:
             return cells, known
@@ -285,8 +308,11 @@ class DatasetIndex:
                     partitioner.assign_feature_object(features[position])
                 )
         # Insert and count under one lock, re-checking membership: when two
-        # engines assigned the same position, it is counted once.
+        # engines assigned the same position, it is counted once.  A radius
+        # evicted meanwhile keeps no totals (this query's lists stay valid).
         with self._cells_lock:
+            if self._feature_cells.get(radius) is not cache:
+                return cells, False
             entries, total = self._cell_totals.get(radius, (0, 0))
             for position, assigned in fresh.items():
                 if position not in cache:

@@ -12,8 +12,9 @@ faithfully reproducing the Hadoop execution model the paper relies on:
    iterator, so a reducer that stops reading values performs *early
    termination* and the engine records exactly how many values it consumed.
 
-That order is a contract, not a procedure.  The raw route builds, sorts and
-groups ``(sort_key, sequence, key, value)`` entries literally; a mapped
+That order is a contract, not a procedure.  The generic record route (plain
+records through ``job.map``) builds, sorts and groups ``(sort_key, sequence,
+key, value)`` entries literally; a mapped
 :class:`~repro.index.records.MapSplit` (the index path) arrives as per-cell
 runs of row numbers that are *born* in that order, so steps 2-4 cost nothing
 per record there and a reducer materialises only the values it reads.

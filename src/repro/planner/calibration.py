@@ -47,6 +47,8 @@ def radius_bucket(radius: float, cell_side: float) -> int:
     if radius <= 0 or cell_side <= 0:
         return -8
     ratio = radius / cell_side
+    if ratio <= 0:  # a denormal radius underflows to 0.0
+        return -8
     return max(-8, min(8, round(math.log2(ratio))))
 
 

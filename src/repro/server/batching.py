@@ -16,7 +16,7 @@ trading per-request latency for larger batches.
 
 Micro-batch composition never changes a request's result: every request is
 fully resolved (no deferred defaults) and ``execute_many`` returns results
-identical to per-query ``execute`` calls, so grouping is purely a
+identical to per-query ``execute`` calls (one code path), so grouping is purely a
 performance decision.
 """
 

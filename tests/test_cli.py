@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from raw_oracle import raw_execute
 from repro.cli import build_parser, main
 from repro.core.engine import SPQEngine
 from repro.datagen.io import load_dataset
@@ -148,7 +149,7 @@ class TestBatchCommand:
         data, features = load_dataset(dataset_file)
         engine = SPQEngine(data, features)
         query = SpatialPreferenceQuery.create(k=5, radius=6.0, keywords={"w0001"})
-        expected = engine.execute(query, algorithm="espq-sco", grid_size=6)
+        expected = raw_execute(engine, query, algorithm="espq-sco", grid_size=6)
         assert [e["oid"] for e in record["results"]] == expected.object_ids()
         assert [e["score"] for e in record["results"]] == expected.scores()
 
@@ -249,7 +250,7 @@ class TestAutoAlgorithmFlags:
         query = SpatialPreferenceQuery.create(
             k=4, radius=6.0, keywords={"w0001", "w0002"}
         )
-        expected = engine.execute(query, algorithm=chosen, grid_size=6)
+        expected = raw_execute(engine, query, algorithm=chosen, grid_size=6)
         for rank, entry in enumerate(expected, start=1):
             assert f"{rank:>3}. {entry.obj.oid:<16}" in out
 

@@ -17,6 +17,7 @@ import urllib.request
 
 import pytest
 
+from raw_oracle import reference_execute
 from repro.cluster import (
     BOOT_EPOCH,
     ClusterConfig,
@@ -154,8 +155,8 @@ def offline_entries(dataset, spec, grid=GRID):
         keywords=set(spec["keywords"]),
     )
     with SPQEngine(data, features, config=EngineConfig(grid_size=grid)) as engine:
-        result = engine.execute(
-            query, algorithm=spec.get("algorithm", "espq-sco"), grid_size=grid
+        result = reference_execute(
+            engine, query, algorithm=spec.get("algorithm", "espq-sco"), grid_size=grid
         )
     return [(entry.obj.oid, entry.score) for entry in result]
 

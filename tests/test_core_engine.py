@@ -202,6 +202,43 @@ class TestEngineClose:
         engine.close()
         assert not errors
 
+    @pytest.mark.parametrize("mode", ["execute", "execute-auto", "execute-many"])
+    def test_close_never_unlinks_a_plane_under_a_query(self, engine, mode):
+        """close() used to unpublish the cached indexes' shared-memory planes
+        at once: a worker of a still-running index-path query then attached
+        a segment that no longer existed (``FileNotFoundError:
+        '/repro_dp_<pid>_<n>'`` out of ``Pool.map``).  The release now waits
+        for the last in-flight query, on every entry point."""
+        import glob
+        import threading
+
+        query = SpatialPreferenceQuery.create(k=3, radius=2.0, keywords={"w0001"})
+        run = {
+            "execute": lambda: engine.execute(query, grid_size=8),
+            "execute-auto": lambda: engine.execute(
+                query, algorithm="auto", grid_size=8
+            ),
+            "execute-many": lambda: engine.execute_many([query], grid_size=8),
+        }[mode]
+        segments_before = sorted(glob.glob("/dev/shm/repro_dp_*"))
+        errors = []
+
+        def run_queries() -> None:
+            try:
+                for _ in range(20):
+                    run()
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        worker = threading.Thread(target=run_queries)
+        worker.start()
+        while worker.is_alive():
+            engine.close()
+            worker.join(0.002)
+        engine.close()
+        assert not errors
+        assert sorted(glob.glob("/dev/shm/repro_dp_*")) == segments_before
+
     def test_context_manager_exit_is_idempotent_with_close(
         self, small_uniform_dataset
     ):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from raw_oracle import raw_execute
 from repro.core.centralized import CentralizedSPQ, dataset_extent
 from repro.core.engine import SPQEngine
 from repro.exceptions import InvalidGridError, InvalidQueryError
@@ -110,7 +111,7 @@ class TestEngineOnDegenerateDatasets:
         data, features = vertical_line_dataset()
         engine = SPQEngine(data, features)
         query = SpatialPreferenceQuery.create(k=2, radius=1.0, keywords={"cafe"})
-        sequential = engine.execute(query, algorithm="espq-len", grid_size=4)
+        sequential = raw_execute(engine, query, algorithm="espq-len", grid_size=4)
         batched = engine.execute_many([query], algorithm="espq-len", grid_size=4)[0]
         assert batched.object_ids() == sequential.object_ids()
         assert batched.scores() == sequential.scores()

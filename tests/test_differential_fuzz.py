@@ -12,7 +12,9 @@ everywhere-matching ("stop-word-only") extremes -- asserting that
   tied objects is a correct answer -- eSPQsco's Lemma 3 reports the first
   ``k`` found per cell, the oracle breaks ties by object id);
 * ``execute_many`` is bit-for-bit identical (ids *and* scores, ties
-  included) to per-query ``execute`` for every algorithm; and
+  included) to the raw record stream (``tests/raw_oracle.py`` -- per-query
+  ``execute`` is the same index path since PR 23, so it is not the
+  reference any more) for every algorithm; and
 * the true multiprocess backend is bit-for-bit identical to serial for a
   seeded subsample (kept small to bound runtime).
 
@@ -29,6 +31,7 @@ from typing import Dict, List, Tuple
 
 import pytest
 
+from raw_oracle import raw_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.core.scoring import compute_score
 from repro.datagen.synthetic import (
@@ -177,7 +180,7 @@ class TestSerialDifferentialFuzz:
         data, features, queries, engine = setup
         for algorithm in MR_ALGORITHMS:
             sequential = [
-                fingerprint(engine.execute(query, algorithm=algorithm, grid_size=6))
+                fingerprint(raw_execute(engine, query, algorithm=algorithm, grid_size=6))
                 for query in queries
             ]
             batched = [
@@ -203,6 +206,8 @@ class TestSerialDifferentialFuzz:
             chosen = result.stats["planned_algorithm"]
             explicit = engine.execute_many([query], algorithm=chosen, grid_size=6)[0]
             assert fingerprint(result) == fingerprint(explicit)
+            raw = raw_execute(engine, query, algorithm=chosen, grid_size=6)
+            assert fingerprint(result) == fingerprint(raw)
 
 
 class TestProcessBackendDifferentialFuzz:
@@ -315,8 +320,8 @@ class TestIngestParityFuzz:
                             got = engine.execute(
                                 query, algorithm=algorithm, grid_size=6
                             )
-                            want = oracle.execute(
-                                query, algorithm=algorithm, grid_size=6
+                            want = raw_execute(
+                                oracle, query, algorithm=algorithm, grid_size=6
                             )
                             assert fingerprint(got) == fingerprint(want), (
                                 f"{algorithm} diverged at step {step} "
@@ -324,8 +329,8 @@ class TestIngestParityFuzz:
                             )
                         auto = engine.execute(query, algorithm="auto", grid_size=6)
                         chosen = auto.stats["planned_algorithm"]
-                        want = oracle.execute(
-                            query, algorithm=chosen, grid_size=6
+                        want = raw_execute(
+                            oracle, query, algorithm=chosen, grid_size=6
                         )
                         assert fingerprint(auto) == fingerprint(want), (
                             f"auto ({chosen}) diverged at step {step} "
@@ -449,8 +454,8 @@ class TestSkewLayoutParityFuzz:
                                 (e["oid"], e["score"])
                                 for e in response["results"]
                             )
-                            want = fingerprint(oracle.execute(
-                                query, algorithm=algorithm, grid_size=grid
+                            want = fingerprint(raw_execute(
+                                oracle, query, algorithm=algorithm, grid_size=grid
                             ))
                             assert got == want, (
                                 f"{algorithm} diverged at step {step} "
@@ -463,8 +468,8 @@ class TestSkewLayoutParityFuzz:
                                 (e["oid"], e["score"])
                                 for e in auto["results"]
                             )
-                            want = fingerprint(oracle.execute(
-                                query, algorithm=chosen, grid_size=grid
+                            want = fingerprint(raw_execute(
+                                oracle, query, algorithm=chosen, grid_size=grid
                             ))
                             assert got == want, (
                                 f"auto ({chosen}) diverged at step {step} "

@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+from raw_oracle import raw_execute
 from repro.core.engine import SPQEngine
 from repro.exceptions import InvalidQueryError, ResultIntegrityError
 from repro.index.planner import BatchQuery
@@ -46,7 +47,7 @@ class TestBatchEqualsSequential:
         ])
         engine = SPQEngine(data, features)
         sequential = [
-            engine.execute(query, algorithm=algorithm, grid_size=8)
+            raw_execute(engine, query, algorithm=algorithm, grid_size=8)
             for query in queries
         ]
         batch_engine = SPQEngine(data, features)
@@ -60,7 +61,7 @@ class TestBatchEqualsSequential:
         self, paper_data_objects, paper_feature_objects, paper_query
     ):
         engine = SPQEngine(paper_data_objects, paper_feature_objects)
-        sequential = engine.execute(paper_query, algorithm="espq-sco", grid_size=3)
+        sequential = raw_execute(engine, paper_query, algorithm="espq-sco", grid_size=3)
         [batch] = engine.execute_many([paper_query], algorithm="espq-sco", grid_size=3)
         assert batch.object_ids() == sequential.object_ids()
         assert batch.scores() == sequential.scores()
@@ -69,8 +70,8 @@ class TestBatchEqualsSequential:
         data, features = uniform_engine_data
         query = SpatialPreferenceQuery.create(k=3, radius=5.0, keywords={"w0001"})
         engine = SPQEngine(data, features)
-        sequential = engine.execute(
-            query, algorithm="pspq", grid_size=6, score_mode="influence"
+        sequential = raw_execute(
+            engine, query, algorithm="pspq", grid_size=6, score_mode="influence"
         )
         [batch] = engine.execute_many(
             [query], algorithm="pspq", grid_size=6, score_mode="influence"
@@ -92,10 +93,10 @@ class TestBatchEqualsSequential:
         results = engine.execute_many(items, algorithm="espq-sco", grid_size=6)
         assert len(results) == 4
         expected = [
-            engine.execute(query_a, algorithm="espq-sco", grid_size=10),
-            engine.execute(query_b, algorithm="pspq", grid_size=6),
-            engine.execute(query_a, algorithm="espq-sco", grid_size=6),
-            engine.execute(query_b, algorithm="espq-len", grid_size=10),
+            raw_execute(engine, query_a, algorithm="espq-sco", grid_size=10),
+            raw_execute(engine, query_b, algorithm="pspq", grid_size=6),
+            raw_execute(engine, query_a, algorithm="espq-sco", grid_size=6),
+            raw_execute(engine, query_b, algorithm="espq-len", grid_size=10),
         ]
         for got, want in zip(results, expected):
             assert got.object_ids() == want.object_ids()
@@ -231,7 +232,7 @@ class TestIndexLifecycle:
         data, features = uniform_engine_data
         query = SpatialPreferenceQuery.create(k=2, radius=4.0, keywords={"w0001"})
         engine = SPQEngine(data, features)
-        sequential = engine.execute(query, algorithm="espq-sco", grid_size=8)
+        sequential = raw_execute(engine, query, algorithm="espq-sco", grid_size=8)
         [batch] = engine.execute_many([query], algorithm="espq-sco", grid_size=8)
         assert batch.stats["features_pruned"] == sequential.stats["features_pruned"]
         assert batch.stats["feature_duplicates"] == sequential.stats["feature_duplicates"]

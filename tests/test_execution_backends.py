@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from raw_oracle import assert_same_work, raw_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
@@ -187,6 +188,33 @@ class TestEngineEquivalence:
                     assert mine.stats[key] == reference.stats[key], (mode, key)
                 assert mine.stats["backend"] == backend_name
                 assert mine.stats["workers"] == 2
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_serial_reference_matches_the_raw_oracle(
+        self, dataset, queries, serial_results, algorithm
+    ):
+        """``execute`` and ``execute_many`` are one path now, so the serial
+        reference the process backend is held to is itself checked against
+        the record stream (run on a process backend: the generic record
+        route still crosses the process boundary there)."""
+        data, features = dataset
+        backend = ProcessBackend(workers=2)
+        try:
+            with SPQEngine(data, features) as engine:
+                raw = [
+                    raw_execute(
+                        engine, query, algorithm=algorithm, grid_size=6,
+                        backend=backend,
+                    )
+                    for query in queries
+                ]
+        finally:
+            backend.close()
+        for mode in ("execute", "batch"):
+            for mine, reference in zip(serial_results[algorithm][mode], raw):
+                assert mine.object_ids() == reference.object_ids()
+                assert mine.scores() == reference.scores()
+                assert_same_work(mine.stats, reference.stats)
 
     def test_engine_close_is_reentrant_and_recreates_backend(self, dataset, queries):
         data, features = dataset

@@ -137,6 +137,34 @@ class TestDatasetIndex:
         assert list(split.cells) == [cached[p] for p in positions]
         assert not split.data and not split.data_cells
 
+    def test_radius_cache_is_an_lru_over_radii(self, index):
+        """One ``{position -> cells}`` dict per distinct radius used to live
+        as long as the index; a sweep of ad-hoc radii now keeps the last
+        ``MAX_CACHED_RADII`` and a radius re-used inside that window stays
+        a hit (and stays the most recently used)."""
+        from repro.index.dataset_index import MAX_CACHED_RADII
+
+        def query(radius):
+            return SpatialPreferenceQuery.create(
+                k=5, radius=radius, keywords={"w0001", "w0042"}
+            )
+
+        hot = query(0.5)
+        assert index.prepare(hot).radius_cache_hit is False
+        for step in range(100):
+            assert index.prepare(query(1.0 + step / 100)).radius_cache_hit is False
+            if step % (MAX_CACHED_RADII - 1) == 0:
+                assert index.prepare(hot).radius_cache_hit is True
+            assert len(index._feature_cells) <= MAX_CACHED_RADII
+        assert len(index.cached_radii) == MAX_CACHED_RADII
+        assert sorted(index._cell_totals) == index.cached_radii
+        assert index.stats.radii_cached == index.cached_radii
+        assert 0.5 in index.cached_radii and 1.0 not in index.cached_radii
+        # An evicted radius is simply recomputed; the estimate falls back to
+        # the geometric expectation until then.
+        assert index.prepare(query(1.0)).radius_cache_hit is False
+        assert index.prepare(query(1.0)).radius_cache_hit is True
+
     def test_radius_cache_hit_flag(self, index):
         query = SpatialPreferenceQuery.create(k=5, radius=3.0, keywords={"w0001"})
         assert index.prepare(query).radius_cache_hit is False

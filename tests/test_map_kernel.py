@@ -2,9 +2,12 @@
 
 ``_SPQJobBase.map_split`` goes from a columnar :class:`MapSplit` straight to
 per-cell *runs* of row numbers into its own columns -- no entry is built per
-emitted copy.  The raw ``execute()`` path still maps the same objects one by
-one through ``job.map`` into ``(sort_key, sequence, key, value)`` entries,
-and that is the oracle here: expanded back into entries (``expand_runs``, a
+emitted copy.  The generic record route (what ``execute()`` took for a named
+algorithm until PR 23, and ``tests/raw_oracle.py`` still does) maps the same
+objects one by one through ``job.map`` into ``(sort_key, sequence, key,
+value)`` entries, and that is the oracle here -- this file never calls
+``engine.execute``, so nothing in it compared the index path with itself:
+expanded back into entries (``expand_runs``, a
 test-side helper) the runs must equal the oracle's buckets sorted by
 ``(sort_key, sequence)`` -- same partitions in the same creation order, same
 entries -- and agree counter for counter, values *and* key creation order,
@@ -12,7 +15,7 @@ the empty split included: for every job class, with and without a live
 delta, at every split size, on every backend, under both reduce loops and
 from two threads at once.  The record-at-a-time loop is itself held to a
 verbatim copy of the loop it replaced (one ``increment`` per emission), so
-both production routes answer to the same reference.  The last two classes
+both routes answer to the same reference.  The last two classes
 pin what the view is *for*: a reducer materialises exactly the values it
 reads, and a worker process is sent exactly the rows of its partition.
 """

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from raw_oracle import raw_execute
 from repro.core.engine import ALGORITHM_CHOICES, SPQEngine
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
 from repro.exceptions import InvalidQueryError
@@ -165,6 +166,12 @@ class TestCalibration:
         assert count_bucket(0) == 0
         assert count_bucket(1 << 30) == 12
 
+    def test_denormal_radius_does_not_underflow_the_bucket(self):
+        """``5e-324 / 3.0`` is ``0.0``: ``log2`` raised a domain error out of
+        every planned query (hypothesis found it the day fixed-algorithm
+        ``execute`` started collecting planner statistics)."""
+        assert radius_bucket(5e-324, 3.0) == -8
+
     def test_memory_is_bounded(self):
         calibrator = Calibrator(memory=4, smoothing=0.5)
         for grid in range(20):
@@ -245,6 +252,9 @@ class TestAutoAlgorithm:
             assert auto.object_ids() == explicit.object_ids()
             assert auto.scores() == explicit.scores()
             assert auto.stats["simulated_seconds"] == explicit.stats["simulated_seconds"]
+            raw = raw_execute(engine, query, algorithm=chosen, grid_size=10)
+            assert auto.object_ids() == raw.object_ids()
+            assert auto.scores() == raw.scores()
 
     def test_auto_records_estimate_vector(self, planner_dataset):
         data, features = planner_dataset
@@ -317,6 +327,16 @@ class TestAutoAlgorithm:
         engine = SPQEngine(data, features)
         engine.execute_many([make_query()], algorithm="espq-len", grid_size=10)
         assert engine.planner.calibrator.observations == 1
+
+    def test_fixed_algorithm_execute_feeds_calibration_too(self, planner_dataset):
+        """``execute`` with a named algorithm used to stream the raw records
+        past the planner; it is the same path as ``execute_many`` now."""
+        data, features = planner_dataset
+        engine = SPQEngine(data, features)
+        result = engine.execute(make_query(), algorithm="espq-len", grid_size=10)
+        assert engine.planner.calibrator.observations == 1
+        assert engine.planner.decisions == 0
+        assert "planned_algorithm" not in result.stats
 
 
 class TestPlannerConfiguration:

@@ -9,6 +9,7 @@ import urllib.request
 
 import pytest
 
+from raw_oracle import raw_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.model.query import SpatialPreferenceQuery
 from repro.server import QueryService, ServiceConfig, make_server
@@ -70,7 +71,8 @@ class TestQueryEndpoint:
         )
         assert status == 200
         with SPQEngine(data, features) as engine:
-            offline = engine.execute(
+            offline = raw_execute(
+                engine,
                 SpatialPreferenceQuery.create(k=5, radius=2.0, keywords={"w0001"}),
                 algorithm="espq-sco",
                 grid_size=GRID,
@@ -398,7 +400,8 @@ class TestDatasetsEndpoint:
         with SPQEngine(data, features,
                        config=EngineConfig(grid_size=GRID)) as engine:
             for spec in specs:
-                result = engine.execute(
+                result = raw_execute(
+                    engine,
                     SpatialPreferenceQuery.create(
                         k=spec["k"], radius=spec["radius"],
                         keywords=set(spec["keywords"]),
@@ -532,7 +535,8 @@ class TestDatasetsEndpoint:
                 })
                 assert status == 200
                 with SPQEngine(data, features, config=EngineConfig(grid_size=GRID)) as engine:
-                    offline = engine.execute(
+                    offline = raw_execute(
+                        engine,
                         SpatialPreferenceQuery.create(
                             k=3, radius=2.0, keywords={"w0001"}
                         ),

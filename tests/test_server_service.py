@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from raw_oracle import raw_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.exceptions import InvalidQueryError
 from repro.model.query import SpatialPreferenceQuery
@@ -41,7 +42,8 @@ class TestSubmitIdentity:
         spec = {"keywords": ["w0001"], "k": 5, "radius": 2.0}
         response = service.submit(spec)
         with SPQEngine(data, features) as engine:
-            offline = engine.execute(
+            offline = raw_execute(
+                engine,
                 SpatialPreferenceQuery.create(k=5, radius=2.0, keywords={"w0001"}),
                 algorithm="espq-sco",
                 grid_size=GRID,

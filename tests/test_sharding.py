@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from raw_oracle import reference_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.exceptions import InvalidQueryError
 from repro.model.objects import DataObject, FeatureObject
@@ -44,8 +45,8 @@ def offline_entries(dataset, spec, grid=GRID):
         keywords=set(spec["keywords"]),
     )
     with SPQEngine(data, features, config=EngineConfig(grid_size=grid)) as engine:
-        result = engine.execute(
-            query, algorithm=spec.get("algorithm", "espq-sco"), grid_size=grid
+        result = reference_execute(
+            engine, query, algorithm=spec.get("algorithm", "espq-sco"), grid_size=grid
         )
     return [(entry.obj.oid, entry.score) for entry in result]
 
