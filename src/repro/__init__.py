@@ -28,7 +28,7 @@ from repro.model import (
     SpatialPreferenceQuery,
     TopKList,
 )
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 #: Lazily exported names (PEP 562): the query service and shard router pull
 #: in the whole HTTP server stack, which `repro generate`, plain engine use,

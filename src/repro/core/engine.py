@@ -871,13 +871,18 @@ class SPQEngine:
         query: SpatialPreferenceQuery,
         snapshot: Optional[DeltaSnapshot] = None,
     ) -> List[ScoredObject]:
-        """Merge per-cell outputs ``(cell_id, object_id, score)`` into the global top-k."""
+        """Merge per-cell outputs ``(cell_id, object_id, score)`` into the global top-k.
+
+        Every output is checked -- a deleted or unknown oid raises however
+        low it scored -- and handed on as a plain ``(obj, score)`` pair;
+        :func:`merge_top_k` builds scored objects for the k winners only.
+        """
         index = self._oid_lookup()
         delta_index: Dict[str, DataObject] = (
             {obj.oid: obj for obj in snapshot.data} if snapshot is not None else {}
         )
         deleted = snapshot.deleted_data_oids if snapshot is not None else frozenset()
-        by_cell: Dict[int, List[ScoredObject]] = {}
+        checked: List[Tuple[DataObject, float]] = []
         for cell_id, oid, score in job_result.outputs:
             if oid in deleted:
                 # Tombstoned oids were filtered out of the reduce input;
@@ -894,8 +899,8 @@ class SPQEngine:
                     f"{oid!r} from cell {cell_id}; the datasets may have been "
                     "mutated without invalidate_indexes()"
                 )
-            by_cell.setdefault(cell_id, []).append(ScoredObject(obj, score))
-        return merge_top_k(by_cell.values(), query.k)
+            checked.append((obj, score))
+        return merge_top_k([checked], query.k)
 
     def _pad(
         self,

@@ -487,7 +487,7 @@ class PSPQJob(_SPQJobBase):
             counters.increment(WORK_GROUP, FEATURES_EXAMINED, examined)
         if computations:
             counters.increment(WORK_GROUP, SCORE_COMPUTATIONS, computations)
-        return [(group, entry.obj.oid, entry.score) for entry in top.top()]
+        return [(group, oid, score) for oid, score in top.ranked()]
 
     def _reduce_objects(
         self, group: int, values: Iterator[Any], counters: Counters
@@ -531,7 +531,7 @@ class PSPQJob(_SPQJobBase):
             counters.increment(WORK_GROUP, FEATURES_EXAMINED, examined)
         if computations:
             counters.increment(WORK_GROUP, SCORE_COMPUTATIONS, computations)
-        return [(group, entry.obj.oid, entry.score) for entry in top.top()]
+        return [(group, oid, score) for oid, score in top.ranked()]
 
 
 class ESPQLenJob(_SPQJobBase):
@@ -617,7 +617,7 @@ class ESPQLenJob(_SPQJobBase):
             counters.increment(WORK_GROUP, FEATURES_EXAMINED, examined)
         if computations:
             counters.increment(WORK_GROUP, SCORE_COMPUTATIONS, computations)
-        return [(group, entry.obj.oid, entry.score) for entry in top.top()]
+        return [(group, oid, score) for oid, score in top.ranked()]
 
     def _reduce_objects(
         self, group: int, values: Iterator[Any], counters: Counters
@@ -654,7 +654,7 @@ class ESPQLenJob(_SPQJobBase):
             counters.increment(WORK_GROUP, FEATURES_EXAMINED, examined)
         if computations:
             counters.increment(WORK_GROUP, SCORE_COMPUTATIONS, computations)
-        return [(group, entry.obj.oid, entry.score) for entry in top.top()]
+        return [(group, oid, score) for oid, score in top.ranked()]
 
 
 class ESPQScoJob(_SPQJobBase):

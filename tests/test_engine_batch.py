@@ -238,20 +238,21 @@ class TestIndexLifecycle:
         assert batch.stats["feature_duplicates"] == sequential.stats["feature_duplicates"]
 
 
-class TestMergeIntegrity:
-    def _fake_result(self, outputs):
-        return JobResult(
-            job_name="fake",
-            outputs=outputs,
-            counters=Counters(),
-            reduce_reports=[],
-            num_map_tasks=1,
-            num_reduce_tasks=1,
-        )
+def fake_job_result(outputs):
+    return JobResult(
+        job_name="fake",
+        outputs=outputs,
+        counters=Counters(),
+        reduce_reports=[],
+        num_map_tasks=1,
+        num_reduce_tasks=1,
+    )
 
+
+class TestMergeIntegrity:
     def test_unknown_oid_raises(self, paper_data_objects, paper_feature_objects, paper_query):
         engine = SPQEngine(paper_data_objects, paper_feature_objects)
-        fake = self._fake_result([(1, "no-such-object", 0.5)])
+        fake = fake_job_result([(1, "no-such-object", 0.5)])
         with pytest.raises(ResultIntegrityError, match="no-such-object"):
             engine._merge(fake, paper_query)
 
@@ -259,6 +260,77 @@ class TestMergeIntegrity:
         self, paper_data_objects, paper_feature_objects, paper_query
     ):
         engine = SPQEngine(paper_data_objects, paper_feature_objects)
-        fake = self._fake_result([(1, "p1", 0.5), (2, "p2", 0.7)])
+        fake = fake_job_result([(1, "p1", 0.5), (2, "p2", 0.7)])
         entries = engine._merge(fake, paper_query)
         assert [entry.obj.oid for entry in entries] == ["p2"]  # k == 1
+
+
+@pytest.fixture(params=("columnar", "object"))
+def dataplane(request, monkeypatch):
+    monkeypatch.setenv("REPRO_DATAPLANE", request.param)
+    return request.param
+
+
+class TestMergeContract:
+    """``_merge`` checks every reducer output, not just the k it materialises.
+
+    A bad oid is slipped in *below* the k-th winner -- where a merge that
+    only looked at its winners would never see it -- after real reducers
+    (either data plane) produced the rest of the outputs.
+    """
+
+    def _execute_with_extra_output(self, monkeypatch, engine, query, algorithm, oid):
+        clean = engine.execute(query, algorithm=algorithm)
+        kth = clean.scores()[-1]
+        assert len(clean) == query.k and kth > 0.0
+        merge = SPQEngine._merge
+
+        def merge_with_extra(self, job_result, query, snapshot=None):
+            job_result.outputs.append((1, oid, kth / 2))
+            return merge(self, job_result, query, snapshot=snapshot)
+
+        monkeypatch.setattr(SPQEngine, "_merge", merge_with_extra)
+        return engine.execute(query, algorithm=algorithm)
+
+    @pytest.mark.parametrize("algorithm", DISTRIBUTED)
+    def test_unknown_oid_below_the_winners_raises(
+        self, dataplane, algorithm, uniform_engine_data, monkeypatch
+    ):
+        data, features = uniform_engine_data
+        engine = SPQEngine(data, features)
+        query = SpatialPreferenceQuery.create(k=3, radius=4.0, keywords={"w0001", "w0002"})
+        with pytest.raises(ResultIntegrityError, match="unknown data object 'ghost'"):
+            self._execute_with_extra_output(monkeypatch, engine, query, algorithm, "ghost")
+
+    @pytest.mark.parametrize("algorithm", DISTRIBUTED)
+    def test_deleted_oid_below_the_winners_raises(
+        self, dataplane, algorithm, uniform_engine_data, monkeypatch
+    ):
+        data, features = uniform_engine_data
+        engine = SPQEngine(data, features)
+        query = SpatialPreferenceQuery.create(k=3, radius=4.0, keywords={"w0001", "w0002"})
+        winners = set(engine.execute(query, algorithm=algorithm).object_ids())
+        victim = next(obj.oid for obj in data if obj.oid not in winners)
+        engine.apply_updates(delete_data_oids=[victim])
+        with pytest.raises(ResultIntegrityError, match=f"deleted data object '{victim}'"):
+            self._execute_with_extra_output(monkeypatch, engine, query, algorithm, victim)
+
+    def test_equal_scores_from_different_cells_resolve_by_oid(
+        self, dataplane, paper_data_objects, paper_feature_objects
+    ):
+        engine = SPQEngine(paper_data_objects, paper_feature_objects)
+        query = SpatialPreferenceQuery.create(k=2, radius=1.5, keywords={"italian"})
+        fake = fake_job_result([(3, "p3", 0.5), (1, "p2", 0.5), (2, "p1", 0.5)])
+        entries = engine._merge(fake, query)
+        assert [(e.obj.oid, e.score) for e in entries] == [("p1", 0.5), ("p2", 0.5)]
+
+    @pytest.mark.parametrize("best_first", (True, False))
+    def test_an_oid_from_two_partials_keeps_its_best_score(
+        self, dataplane, best_first, paper_data_objects, paper_feature_objects
+    ):
+        engine = SPQEngine(paper_data_objects, paper_feature_objects)
+        query = SpatialPreferenceQuery.create(k=2, radius=1.5, keywords={"italian"})
+        reports = [(1, "p2", 0.75), (2, "p1", 0.5), (3, "p2", 0.25)]
+        fake = fake_job_result(reports if best_first else reports[::-1])
+        entries = engine._merge(fake, query)
+        assert [(e.obj.oid, e.score) for e in entries] == [("p2", 0.75), ("p1", 0.5)]

@@ -138,7 +138,8 @@ class TestTopKProperties:
         for index, score in enumerate(scores):
             top.offer(DataObject(f"o{index}", 0.0, 0.0), score)
         expected = sorted(scores, reverse=True)[:k]
-        assert [entry.score for entry in top.top()] == pytest.approx(expected)
+        # Exact: result identity is bit-for-bit, so no tolerance.
+        assert [entry.score for entry in top.top()] == expected
 
     @given(
         scores=st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False),

@@ -81,6 +81,20 @@ SRC = pathlib.Path(repro.__file__).resolve().parent
 #: the guard that keeps an evicted radius from re-growing its totals) -- the
 #: price of every ``execute`` now feeding that cache.  Outside the core,
 #: ``planner`` +2: ``radius_bucket`` survives a denormal radius.
+#:
+#: PR 25, ``Lk`` keeps its ``tau``: ``"."`` 11 176 -> 11 175, all of it in
+#: ``model/result.py`` (85 -> 84); ``core`` unchanged at 1 253.  Function by
+#: function: ``_kth_best`` left (-3); ``_prune`` -2 (its size guard moved
+#: into ``offer``) and ``offer`` +3 (the guard, a bound ``oid``, the stale
+#: mark); ``threshold`` +1 and ``__init__`` +1 (the cached ``tau``);
+#: ``_select`` (the one selection) +2 and ``TopKList._best`` +2, ``ranked``
+#: (what the reducers emit) +2, ``top`` -1; ``ScoredObject.__iter__`` +2 (the
+#: engine hands ``merge_top_k`` plain ``(obj, score)`` pairs); ``merge_top_k``
+#: -7 (one dedupe dict and ``_select``: no heap, counter or ``seen`` set);
+#: module level -1 (the ``heapq`` / ``itertools`` imports out, the ``Entry``
+#: alias in).  In ``core`` the four reducers' return lines and ``_merge``'s
+#: per-cell dict became ``ranked()`` reads and one list of checked pairs,
+#: line for line.
 BUDGET = {
     "server": 1668,
     "sharding": 1011,
@@ -91,7 +105,7 @@ BUDGET = {
     "mapreduce": 497,
     "index": 1038,
     "paper": 786,
-    ".": 11176,
+    ".": 11175,
 }
 
 #: What the serving path can reach (``src/repro`` minus ``repro.paper``) may
