@@ -34,7 +34,6 @@ from typing import Dict, List
 from _oracle import raw_execute
 from repro.core.engine import SPQEngine
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
-from repro.execution import execution_info
 from repro.model.query import SpatialPreferenceQuery
 
 DEFAULT_ALGORITHMS = ("espq-sco", "espq-len", "pspq")
@@ -162,7 +161,6 @@ def main(argv=None) -> int:
               f"{run['ratio']:>6.2f}x  {run['identical_results']}")
 
     summary = {
-        "execution": execution_info(),
         "workload": {
             "objects": args.objects,
             "queries": args.queries,

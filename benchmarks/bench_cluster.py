@@ -67,7 +67,6 @@ from repro.cluster import (
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.datagen.io import save_dataset
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
-from repro.execution import execution_info
 from repro.model.query import SpatialPreferenceQuery
 from repro.server import ServiceConfig
 
@@ -556,7 +555,6 @@ def main(argv=None) -> int:
           f"reuse_correct={keepalive['reuse_correct']}")
 
     summary = {
-        "execution": execution_info(),
         "workload": {
             "objects": args.objects,
             "grid_size": args.grid_size,

@@ -13,14 +13,15 @@ Three checks over the columnar data plane (``src/repro/index/columns.py``,
    plane must preserve the cost model's accounting, not just the answers.
 2. **Reduce throughput** -- a reduce-dominated pSPQ workload (large cells,
    selective radius) must run at least ``--min-speedup`` (default 2x)
-   faster columnar than object, same serial backend, after one warm-up run
-   per mode (the index build is shared cost, not reduce cost).
-3. **Attach cost** -- attaching a published shared-memory reduce plane is
-   an ``shm_open`` + ``mmap`` + header parse: its cost must stay roughly
-   constant while the dataset grows 4x, and must beat unpickling the
-   equivalent partition payload (what the process backend used to ship per
-   task) by a wide margin.  Skipped (and not gated) where shared memory is
-   unavailable -- the engine falls back to pickle there by design.
+   faster columnar than object, after one warm-up run per mode (the index
+   build is shared cost, not reduce cost).
+3. **Attach cost** -- attaching the dataset segment ``repro serve
+   --cluster`` publishes for its shard nodes (``publish_dataset_segment``,
+   then ``attach_segment`` + ``ColumnStore.attach``) is an ``shm_open`` +
+   ``mmap`` + header parse: its cost must stay roughly constant while the
+   dataset grows 4x, and must beat unpickling the same datasets by a wide
+   margin.  Skipped (and not gated) where shared memory is unavailable --
+   nodes load the dataset file there by design.
 
 Run it as::
 
@@ -41,11 +42,10 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
-from repro.execution import execution_info
 from repro.execution.shm import (
-    AttachedReducePlane,
-    OwnedSegmentPlane,
+    attach_segment,
     live_segment_names,
+    publish_dataset_segment,
     shared_memory_available,
 )
 from repro.index.columns import DATAPLANE_ENV, ColumnStore
@@ -166,7 +166,7 @@ def run_throughput_phase(
         ) as engine:
             engine.execute_many(
                 [specs[0][0]], algorithm="pspq", grid_size=grid_size
-            )  # warm-up: index build + plane publication
+            )  # warm-up: index build + reduce blocks
             started = time.perf_counter()
             results = engine.execute_many(
                 [query for query, _ in specs],
@@ -202,40 +202,43 @@ def _time_best(callable_, repeats: int) -> float:
     return best
 
 
+def _attach_and_detach(name: str) -> None:
+    """What a shard node does before it reads a row: map and index the
+    segment's columns zero-copy, then drop every view."""
+    segment = attach_segment(name)
+    try:
+        ColumnStore.attach(segment.buf).detach()
+    finally:
+        segment.release()
+
+
 def run_attach_phase(
-    small: int, large: int, grid_size: int, seed: int, repeats: int = 30
+    small: int, large: int, seed: int, repeats: int = 30
 ) -> Dict[str, object]:
-    """Shared-memory attach vs dataset size, vs unpickling the same rows."""
+    """Dataset-segment attach vs dataset size, vs unpickling the datasets."""
     if not shared_memory_available():
         return {"skipped": "shared memory unavailable here"}
     sizes = {}
-    planes = []
+    segments = []
     try:
         for label, objects in (("small", small), ("large", large)):
             data, features = generate_uniform(
                 SyntheticDatasetConfig(num_objects=objects, seed=seed)
             )
-            num_cells = grid_size * grid_size
-            cell_ids = [1 + (index % num_cells) for index in range(len(data))]
-            payload = ColumnStore.from_datasets(
-                data_objects=data, cell_ids=cell_ids, num_partitions=num_cells
-            ).to_bytes()
-            plane = OwnedSegmentPlane(payload)
-            planes.append(plane)
-            blob = pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
-
-            def attach_once(name=plane.name):
-                AttachedReducePlane(name).close()
-
+            segment = publish_dataset_segment(data, features)
+            segments.append(segment)
+            blob = pickle.dumps((data, features), protocol=pickle.HIGHEST_PROTOCOL)
             sizes[label] = {
                 "objects": objects,
-                "segment_bytes": plane.size,
-                "attach_seconds": _time_best(attach_once, repeats),
+                "segment_bytes": len(segment.buf),
+                "attach_seconds": _time_best(
+                    lambda name=segment.name: _attach_and_detach(name), repeats
+                ),
                 "unpickle_seconds": _time_best(lambda: pickle.loads(blob), repeats),
             }
     finally:
-        for plane in planes:
-            plane.release()
+        for segment in segments:
+            segment.release()
     ratio = sizes["large"]["attach_seconds"] / max(
         sizes["small"]["attach_seconds"], 1e-9
     )
@@ -299,9 +302,7 @@ def main(argv=None) -> int:
         else:
             os.environ[DATAPLANE_ENV] = previous_mode
 
-    attach = run_attach_phase(
-        args.attach_small, args.attach_large, args.grid_size, args.seed
-    )
+    attach = run_attach_phase(args.attach_small, args.attach_large, args.seed)
     if "skipped" in attach:
         print(f"attach phase: skipped ({attach['skipped']})")
     else:
@@ -318,7 +319,6 @@ def main(argv=None) -> int:
     print(f"leaked segments: {leaked or 'none'}")
 
     summary = {
-        "execution": execution_info(),
         "identity": identity,
         "throughput": throughput,
         "attach": attach,
@@ -350,7 +350,9 @@ def main(argv=None) -> int:
                     f"x{attach['size_ratio']:.0f} data (not ~constant)"
                 )
             if not attach["attach_beats_unpickle"]:
-                failures.append("attaching a plane is slower than unpickling")
+                failures.append(
+                    "attaching the dataset segment is slower than unpickling"
+                )
         if leaked:
             failures.append(f"leaked shared-memory segments: {leaked}")
         if failures:

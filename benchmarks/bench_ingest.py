@@ -59,7 +59,6 @@ from repro.datagen.synthetic import (
     generate_clustered,
     generate_uniform,
 )
-from repro.execution import execution_info
 from repro.index.delta import DatasetDelta, materialize
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
@@ -635,7 +634,6 @@ def main(argv=None) -> int:
               f"x{entry['first_read_ratio']:.2f}")
 
     summary = {
-        "execution": execution_info(),
         "workload": {
             "objects": args.objects,
             "grid_size": args.grid_size,

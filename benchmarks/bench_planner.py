@@ -40,7 +40,6 @@ from repro.datagen.synthetic import (
     generate_clustered,
     generate_uniform,
 )
-from repro.execution import execution_info
 from repro.index.planner import BatchQuery
 from repro.model.query import SpatialPreferenceQuery
 from repro.planner import PLANNED_ALGORITHMS
@@ -229,7 +228,6 @@ def main(argv=None) -> int:
             "ks": KS,
             "grid_sizes": GRID_SIZES,
         },
-        **execution_info(),
         "datasets": reports,
     }
     if args.json:

@@ -14,8 +14,8 @@ Three checks over the skew-aware shard layout and live rebalancing
    serializes the fleet and caps tail latency.  The skew layout splits the
    hot mass count-evenly; under concurrent clients its p99 must be at
    least ``--min-p99-ratio`` (default 1.5x) better than uniform's.  The
-   four shard services run in this one process with tasks inline (serial
-   backend; there are no worker processes, see ``bench_sharding.py``).
+   four shard services run in this one process with tasks inline (see
+   ``bench_sharding.py``).
    Auto-skips (with the reason reported) below ``--min-cores`` usable
    cores (default 4).
 3. **Rebalance under load** -- ~3000 requests hammer a router while
@@ -44,7 +44,6 @@ from typing import Dict, List, Sequence, Tuple
 from _oracle import raw_execute, reference_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_clustered
-from repro.execution import execution_info
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
 from repro.server import ServiceConfig
@@ -105,13 +104,12 @@ def response_entries(response: Dict[str, object]) -> List[Entry]:
 
 def make_router(
     data, features, shards: int, grid_size: int, layout: str,
-    backend: str = None,
 ) -> ShardRouter:
     """A router over ``grid_size`` grids with the layout grid snapped to it."""
     return ShardRouter(
         data,
         features,
-        engine_config=EngineConfig(grid_size=grid_size, backend=backend),
+        engine_config=EngineConfig(grid_size=grid_size),
         service_config=ServiceConfig(
             engines=1,
             result_cache_capacity=0,
@@ -259,9 +257,7 @@ def run_p99_phase(
     ]
     results: Dict[str, Dict[str, float]] = {}
     for layout in ("uniform", "skew"):
-        with make_router(
-            data, features, shards, grid_size, layout, backend="serial"
-        ) as router:
+        with make_router(data, features, shards, grid_size, layout) as router:
             imbalance = router.stats()["sharding"]["balance"]["imbalance"]
             # Warm engines and indexes off the clock.
             measure_p99(router, specs[: max(8, len(specs) // 4)],
@@ -431,7 +427,6 @@ def main(argv=None) -> int:
           f"{rebalance['final_layout']}")
 
     summary = {
-        "execution": execution_info(),
         "workload": {
             "objects": args.objects,
             "grid_size": args.grid_size,

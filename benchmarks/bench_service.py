@@ -37,7 +37,6 @@ from typing import Dict, List, Sequence, Tuple
 from _oracle import raw_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
-from repro.execution import execution_info
 from repro.server import QueryService, ServiceConfig, make_server
 
 DEFAULT_ALGORITHM = "espq-sco"
@@ -266,7 +265,6 @@ def main(argv=None) -> int:
           f"restored {calibration_phase['mean_error_restored']:.3f}")
 
     summary = {
-        "execution": execution_info(),
         "workload": {
             "objects": args.objects,
             "queries": args.queries,

@@ -10,10 +10,8 @@ Three checks over the shard router (``src/repro/sharding/``):
 2. **Throughput** -- under concurrent clients, 4 shards must clear
    ``--min-speedup`` (default 1.5x) over 1 shard of the same configuration.
    What runs: four ``QueryService`` instances *in this one process*, each
-   executing its tasks inline on its dispatcher thread (serial backend),
-   under one GIL.  No worker process exists -- and none did when this phase
-   asked for ``backend="process", workers=1``, which is the same inline
-   execution under another name.  Sharding splits every query's reduce work
+   executing its tasks inline on its dispatcher thread, under one GIL.
+   Sharding splits every query's reduce work
    four ways; whether that clears 1.5x is a property of a >= 4-core box
    this repo has not had (forced on 2 vCPUs it measures 0.21x), so the
    gate auto-skips, with the reason reported, below ``--min-cores`` usable
@@ -43,7 +41,6 @@ from typing import Dict, List, Sequence, Tuple
 from _oracle import reference_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
-from repro.execution import execution_info
 from repro.model.query import SpatialPreferenceQuery
 from repro.server import ServiceConfig
 from repro.sharding import ShardRouter, ShardingConfig
@@ -75,14 +72,13 @@ def response_entries(response: Dict[str, object]) -> List[Entry]:
 
 
 def make_router(
-    data, features, shards: int, grid_size: int,
-    backend: str = None, result_cache: int = 0,
+    data, features, shards: int, grid_size: int, result_cache: int = 0,
 ) -> ShardRouter:
     """A router with per-shard single-engine services over ``grid_size`` grids."""
     return ShardRouter(
         data,
         features,
-        engine_config=EngineConfig(grid_size=grid_size, backend=backend),
+        engine_config=EngineConfig(grid_size=grid_size),
         service_config=ServiceConfig(
             engines=1,
             result_cache_capacity=result_cache,
@@ -191,9 +187,7 @@ def run_throughput_phase(
 
     timings: Dict[str, float] = {}
     for label, num_shards in (("one_shard", 1), ("sharded", shards)):
-        with make_router(
-            data, features, num_shards, grid_size, backend="serial"
-        ) as router:
+        with make_router(data, features, num_shards, grid_size) as router:
             drive_concurrent(router, specs[: max(4, len(specs) // 4)],
                              client_threads)  # warm indexes
             timings[label] = drive_concurrent(router, specs, client_threads)
@@ -361,7 +355,6 @@ def main(argv=None) -> int:
           f"{hot_swap['post_swap_serves_new_dataset']}")
 
     summary = {
-        "execution": execution_info(),
         "workload": {
             "objects": args.objects,
             "grid_size": args.grid_size,

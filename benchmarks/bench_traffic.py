@@ -48,7 +48,6 @@ from typing import Dict, List, Optional
 from repro.core.centralized import dataset_extent
 from repro.datagen.io import save_dataset
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
-from repro.execution import execution_info
 from repro.server import QueryService, ServiceConfig, make_server
 from repro.traffic import HttpTarget, LoadGenerator, TrafficModel, WorkloadConfig
 
@@ -572,7 +571,6 @@ def main(argv=None) -> int:
     )
 
     summary = {
-        "execution": execution_info(),
         "workload": {
             "objects": args.objects,
             "grid_size": GRID,

@@ -23,17 +23,6 @@ from repro.paper.bench.experiments import (
 BENCH_NUM_OBJECTS = 4_000
 
 
-def pytest_benchmark_update_machine_info(config, machine_info):
-    """Stamp the execution backend into every pytest-benchmark JSON artifact.
-
-    Perf trajectories are only comparable across machines/runs when the
-    backend and worker count that produced them are recorded alongside.
-    """
-    from repro.execution import execution_info
-
-    machine_info["repro_execution"] = execution_info()
-
-
 @pytest.fixture(scope="session")
 def flickr_spec():
     return _flickr_spec(BENCH_NUM_OBJECTS)

@@ -17,7 +17,6 @@ paper-versus-measured record of every figure.
 """
 
 from repro.core.engine import ALGORITHM_CHOICES, ALGORITHMS, EngineConfig, SPQEngine
-from repro.execution import BACKEND_NAMES, ExecutionBackend, create_backend
 from repro.index import BatchQuery, DatasetIndex, IndexCache
 from repro.planner import AUTO_ALGORITHM, PlannerDecision, QueryPlanner
 from repro.model import (
@@ -28,11 +27,11 @@ from repro.model import (
     SpatialPreferenceQuery,
     TopKList,
 )
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 #: Lazily exported names (PEP 562): the query service and shard router pull
-#: in the whole HTTP server stack, which `repro generate`, plain engine use,
-#: and every process-backend worker spawn should not pay for.
+#: in the whole HTTP server stack, which `repro generate` and plain engine
+#: use should not pay for.
 _LAZY_EXPORTS = {
     "QueryService": "repro.server",
     "ServiceConfig": "repro.server",
@@ -58,9 +57,6 @@ __all__ = [
     "AUTO_ALGORITHM",
     "QueryPlanner",
     "PlannerDecision",
-    "BACKEND_NAMES",
-    "ExecutionBackend",
-    "create_backend",
     "BatchQuery",
     "DatasetIndex",
     "IndexCache",

@@ -44,7 +44,6 @@ from repro.core.centralized import dataset_extent
 from repro.core.engine import ALGORITHM_CHOICES, EngineConfig, SPQEngine
 from repro.planner import AUTO_ALGORITHM, PLANNED_ALGORITHMS
 from repro.exceptions import JobConfigurationError
-from repro.execution import BACKEND_NAMES, resolve_backend_spec
 from repro.datagen.io import load_dataset, save_dataset
 from repro.datagen.realistic import (
     RealisticDatasetConfig,
@@ -62,35 +61,26 @@ from repro.model.query import SpatialPreferenceQuery
 DATASET_CHOICES = ("uniform", "clustered", "flickr", "twitter")
 
 
-def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    """The execution-backend flags shared by ``query`` and ``batch``."""
+def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
+    """``--backend serial``: one value, kept because scripts spell it out.
+
+    Tasks run serially, always; ``benchmarks/e2e`` and existing command
+    lines pass ``--backend serial`` to ``query``, ``batch``, ``serve`` and
+    ``shard-node``.  Any other value exits 2 through argparse.
+    """
     parser.add_argument(
         "--backend",
-        choices=BACKEND_NAMES,
-        default=None,
-        help="execution backend: 'serial' (deterministic default) or 'process' "
-        "(multiprocessing pool; wins only when reduce compute dwarfs the "
-        "shuffle it pickles); both return identical results "
-        "(default: $REPRO_BACKEND or serial)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count for the process backend "
-        "(default: $REPRO_WORKERS or the CPU count, capped at 8)",
+        choices=("serial",),
+        default="serial",
+        help="execution backend; 'serial' is the only one (every task runs "
+        "inline -- the paper's parallelism is simulated by the cost model, "
+        "and real scale-out is --cluster)",
     )
 
 
-def _engine_config(args: argparse.Namespace, **extra) -> EngineConfig:
-    """Engine configuration from CLI flags, validating the backend combo.
-
-    Raises:
-        JobConfigurationError: for bad combinations such as
-            ``--backend serial --workers 4`` or ``--workers 0``.
-    """
-    backend, workers = resolve_backend_spec(args.backend, args.workers)
-    return EngineConfig(backend=backend, workers=workers, **extra)
+def _engine_config(args: argparse.Namespace) -> EngineConfig:
+    """The engine configuration of a serving command: its ``--grid-size``."""
+    return EngineConfig(grid_size=args.grid_size)
 
 
 class _CliError(Exception):
@@ -288,16 +278,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
         raise _CliError("--keywords must contain at least one keyword")
     radius = _request_defaults(args, data, features).radius
     query = SpatialPreferenceQuery.create(k=args.k, radius=radius, keywords=keywords)
-    config = _engine_config(args)
-    engine = SPQEngine(data, features, config=config)
+    engine = SPQEngine(data, features)
 
     try:
         result = engine.execute(query, algorithm=args.algorithm, grid_size=args.grid_size)
     finally:
         engine.close()
-    backend_name = result.stats.get("backend", config.backend)
-    print(f"Query: {query.describe()}  [algorithm={args.algorithm}, grid={args.grid_size}, "
-          f"backend={backend_name}]")
+    print(f"Query: {query.describe()}  [algorithm={args.algorithm}, grid={args.grid_size}]")
     if args.explain:
         _print_plan(result.stats)
     if not result.entries:
@@ -367,7 +354,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         requests.append(dataclasses.replace(
             parsed, include_stats=parsed.include_stats or args.stats
         ))
-    engine = SPQEngine(data, features, config=_engine_config(args))
+    engine = SPQEngine(data, features)
     try:
         results = engine.execute_many([request.item for request in requests])
     finally:
@@ -435,9 +422,7 @@ def _from_flags(args: argparse.Namespace, build):
     shared prologue; a flag combination either config or ``build``
     rejects exits 2."""
     try:
-        return build(
-            _engine_config(args, grid_size=args.grid_size), _service_config(args)
-        )
+        return build(_engine_config(args), _service_config(args))
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
 
@@ -590,7 +575,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             f"{args.cluster} and {args.replication}"
         )
     data, features = _load_nonempty_dataset(args.input)
-    engine_config = _engine_config(args, grid_size=args.grid_size)
+    engine_config = _engine_config(args)
     # The router reads only the request defaults and admission knobs; the
     # pool, cache and calibration flags configure the nodes.
     service_config = _service_config(args)
@@ -603,10 +588,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         result_cache_capacity=args.result_cache,
     )
     extra_args: List[str] = []
-    if args.backend is not None:
-        extra_args += ["--backend", args.backend]
-    if args.workers is not None:
-        extra_args += ["--workers", str(args.workers)]
     if args.compact_threshold:
         # Compaction is node-local in cluster mode: each node folds its own
         # delta when it crosses the threshold (the cluster epoch is kept).
@@ -876,7 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --algorithm auto: print the planner's "
                             "per-algorithm cost estimates and the chosen algorithm")
     query.add_argument("--stats", action="store_true", help="print execution statistics")
-    _add_backend_arguments(query)
+    _add_backend_argument(query)
     query.set_defaults(func=_cmd_query)
 
     batch = subparsers.add_parser(
@@ -895,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_query_arguments(batch, help=_default_help("query lines"))
     batch.add_argument("--stats", action="store_true",
                        help="attach per-query stats and print cache summary")
-    _add_backend_arguments(batch)
+    _add_backend_argument(batch)
     batch.set_defaults(func=_cmd_batch)
 
     serve = subparsers.add_parser(
@@ -956,7 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--default-deadline-ms", type=float, default=None,
                        help="deadline applied to requests that carry no "
                             "'deadline_ms' field (admission control only)")
-    _add_backend_arguments(serve)
+    _add_backend_argument(serve)
     serve.set_defaults(func=_cmd_serve)
 
     shard_node = subparsers.add_parser(
@@ -989,7 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "cold start (no file at --calibration-path yet); "
                             "never written to",
     })
-    _add_backend_arguments(shard_node)
+    _add_backend_argument(shard_node)
     shard_node.set_defaults(func=_cmd_shard_node)
 
     loadgen = subparsers.add_parser(

@@ -119,7 +119,7 @@ def spawn_local_nodes(
         log_dir: Directory for per-node log files (a fresh temporary
             directory when None).
         extra_args: Extra ``repro shard-node`` arguments appended verbatim
-            (backend flags, ``--result-cache`` overrides, ...).
+            (``--compact-threshold``, ``--result-cache`` overrides, ...).
         startup_timeout: Seconds to wait for each node's ready line.
 
     Returns:

@@ -37,7 +37,6 @@ oracle to check the index path against.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from itertools import chain
@@ -45,8 +44,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.centralized import CentralizedSPQ, dataset_extent
 from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob, _SPQJobBase
-from repro.exceptions import InvalidQueryError, ResultIntegrityError
-from repro.execution import ExecutionBackend, create_backend
+from repro.exceptions import (
+    InvalidQueryError,
+    JobConfigurationError,
+    ResultIntegrityError,
+)
 from repro.index.cache import IndexCache
 from repro.index.dataset_index import DatasetIndex
 from repro.index.delta import (
@@ -136,13 +138,10 @@ class EngineConfig:
     Attributes:
         grid_size: Default number of grid cells per axis (the paper's "grid
             size"); can be overridden per query.
-        backend: Execution backend name (``"serial"`` or ``"process"``).
-            ``None`` (the default) defers to the ``REPRO_BACKEND``
-            environment variable, then ``"serial"``.  Both backends return
-            bit-for-bit identical results; they differ only in wall-clock
-            time.
-        workers: Worker count of the process backend.  ``None`` picks the
-            backend default (``REPRO_WORKERS`` or a capped CPU count).
+        backend: ``"serial"``, the only execution backend.  A one-value
+            field kept because callers spell it out (``benchmarks/e2e``
+            among them); any other value raises
+            :class:`~repro.exceptions.JobConfigurationError`.
         pad_with_zero_scores: When True, the merged result is padded with
             arbitrary unreported data objects at score 0.0 so that exactly
             ``k`` entries are returned even when fewer than ``k`` data objects
@@ -152,9 +151,16 @@ class EngineConfig:
     """
 
     grid_size: int = 50
-    backend: Optional[str] = None
-    workers: Optional[int] = None
+    backend: str = "serial"
     pad_with_zero_scores: bool = False
+
+    def __post_init__(self) -> None:
+        if self.backend != "serial":
+            raise JobConfigurationError(
+                f"backend {self.backend!r} is not available: the process "
+                "backend was removed and every task runs serially; use "
+                "backend='serial' or leave it out"
+            )
 
 
 class SPQEngine:
@@ -208,16 +214,6 @@ class SPQEngine:
         #: list identity like the oid lookup.
         self._base_oids: Optional[Tuple[Set[str], Set[str]]] = None
         self._base_oids_source: Optional[List[DataObject]] = None
-        self._backend: Optional[ExecutionBackend] = None
-        self._backend_lock = threading.RLock()
-        #: In-flight query count per backend instance; a backend retired by
-        #: :meth:`close` while queries still run is torn down by the last
-        #: query to finish, never under a running one.
-        self._backend_refs: Dict[int, int] = {}
-        self._retired_backends: Dict[int, ExecutionBackend] = {}
-        #: Set by a :meth:`close` that found queries in flight: the last
-        #: check-in unpublishes the cached indexes' shared-memory planes.
-        self._planes_release_pending = False
         self._planner: Optional[QueryPlanner] = planner
         #: The paper's 16-node cluster at the default per-unit costs: the
         #: model behind ``simulated_seconds`` and the planner's estimates.
@@ -232,87 +228,19 @@ class SPQEngine:
             )
 
     # ------------------------------------------------------------------ #
-    # execution backend lifecycle
-
-    @property
-    def backend(self) -> ExecutionBackend:
-        """The execution backend (created lazily, reused across queries).
-
-        Reuse matters: the pooled backends amortise their worker start-up
-        over every query the engine runs.
-
-        Raises:
-            JobConfigurationError: if the configured backend/worker
-                combination is invalid.
-        """
-        with self._backend_lock:
-            if self._backend is None:
-                self._backend = create_backend(
-                    self.config.backend, self.config.workers
-                )
-            return self._backend
-
-    def _checkout_backend(self) -> ExecutionBackend:
-        """The backend, with this query registered as an in-flight user."""
-        with self._backend_lock:
-            backend = self.backend
-            key = id(backend)
-            self._backend_refs[key] = self._backend_refs.get(key, 0) + 1
-            return backend
-
-    def _checkin_backend(self, backend: ExecutionBackend) -> None:
-        """Unregister an in-flight user; the last one out finishes a close()."""
-        key = id(backend)
-        with self._backend_lock:
-            remaining = self._backend_refs.get(key, 1) - 1
-            if remaining > 0:
-                self._backend_refs[key] = remaining
-                return
-            self._backend_refs.pop(key, None)
-            retired = self._retired_backends.pop(key, None)
-            self._release_planes_if_idle()
-        if retired is not None:
-            retired.close()
-
-    def _release_planes_if_idle(self) -> None:
-        """Finish a pending plane release once no query is in flight.
-
-        Runs under ``_backend_lock``: a plane is only ever published or
-        attached between a check-out and its check-in, so with no check-out
-        registered (and none able to register while the lock is held)
-        nothing can be reading a segment this unlinks.
-        """
-        if self._planes_release_pending and not self._backend_refs:
-            self._planes_release_pending = False
-            self._index_cache.release_all()
+    # lifecycle
 
     def close(self) -> None:
-        """Release the backend's worker pool (idempotent and thread-safe).
+        """Release the engine's cached indexes (idempotent and thread-safe).
 
-        The engine remains usable; the next query lazily recreates the
-        backend.  Unclosed process pools are reclaimed at garbage
-        collection, but long-lived services should close explicitly.
-
-        Repeated calls are no-ops, and concurrent calls (an engine pooled by
-        the query service may be closed by both a dispatcher and the
-        service's shutdown path) release each backend exactly once.  A
-        close racing in-flight queries does not interrupt them: the backend
-        is detached immediately (new queries get a fresh one), and its pool
-        is torn down -- and the cached indexes' shared-memory planes are
-        unpublished -- by the last in-flight query when it finishes, never
-        under a worker that may still attach them.
+        An engine that owns its index cache releases every cached index
+        (:meth:`DatasetIndex.release`); the indexes stay cached, so the
+        engine remains usable and a query racing the close runs on
+        undisturbed.  A shared cache (the query service's engine pool) is
+        released by the service's shutdown, not by one pooled engine.
         """
-        with self._backend_lock:
-            backend, self._backend = self._backend, None
-            if backend is not None and self._backend_refs.get(id(backend), 0) > 0:
-                self._retired_backends[id(backend)] = backend
-                backend = None
-            # No /dev/shm segment outlives the engine; the indexes themselves
-            # stay cached and republish on demand if the engine is reused.
-            self._planes_release_pending = self._owns_index_cache
-            self._release_planes_if_idle()
-        if backend is not None:
-            backend.close()
+        if self._owns_index_cache:
+            self._index_cache.release_all()
 
     def __enter__(self) -> "SPQEngine":
         return self
@@ -353,30 +281,14 @@ class SPQEngine:
         """
         self.planner.restore_state(state)
 
-    @property
-    def active_backend_name(self) -> Optional[str]:
-        """Name of the live backend (None before first use / after close).
-
-        One-shot snapshot of the reference, so it never races
-        :meth:`close`; cheap enough for per-probe polling.
-        """
-        backend = self._backend
-        return backend.name if backend else None
-
     def service_stats(self) -> Dict[str, object]:
         """Aggregate serving statistics of this engine (for ``/stats``).
 
-        Covers the execution backend, dataset snapshot, index cache
-        counters, and -- once a planner exists -- the planner's
-        decision count and calibration summary.  Cheap to call; never
-        creates a backend or planner as a side effect.
+        Covers the dataset snapshot, index cache counters, and -- once a
+        planner exists -- the planner's decision count and calibration
+        summary.  Cheap to call; never creates a planner as a side effect.
         """
-        # One snapshot of the reference: close() may null it concurrently.
-        backend = self._backend
         stats: Dict[str, object] = {
-            "backend_configured": self.config.backend,
-            "backend_active": self.active_backend_name,
-            "workers": backend.workers if backend else None,
             "dataset_version": self._dataset_version,
             "num_data_objects": len(self.data_objects),
             "num_feature_objects": len(self.feature_objects),
@@ -807,14 +719,10 @@ class SPQEngine:
         planner_stats: Optional[Dict[str, object]] = None,
         delta_snapshot: Optional[DeltaSnapshot] = None,
     ) -> QueryResult:
-        backend = self._checkout_backend()
-        try:
-            runner = LocalJobRunner(num_reducers=grid.num_cells, backend=backend)
-            started = time.perf_counter()
-            job_result = runner.run(job, split, preloaded=preloaded)
-            elapsed = time.perf_counter() - started
-        finally:
-            self._checkin_backend(backend)
+        runner = LocalJobRunner(num_reducers=grid.num_cells)
+        started = time.perf_counter()
+        job_result = runner.run(job, split, preloaded=preloaded)
+        elapsed = time.perf_counter() - started
         if pruned_by_index:
             # Features the index pruned before the map phase ever saw them,
             # reported where a map phase over every record would count them.
@@ -830,8 +738,6 @@ class SPQEngine:
             "algorithm": job.name,
             "grid_size": grid.cells_x,
             "num_cells": grid.num_cells,
-            "backend": backend.name,
-            "workers": backend.workers,
             "wall_seconds": elapsed,
             "simulated_seconds": breakdown.total,
             "simulated_breakdown": breakdown.as_dict(),

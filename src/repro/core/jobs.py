@@ -169,8 +169,7 @@ class _SPQJobBase(MapReduceJob):
         # Which reduce loop runs: the columnar one, or the per-object oracle
         # of the same math (data reaches either as blocks).  Captured at
         # construction so one query runs one loop end to end even if the
-        # environment changes mid-flight; pickled to worker processes along
-        # with the rest of the job spec.
+        # environment changes mid-flight.
         self.dataplane = dataplane_mode()
         self._scorer: Optional[JaccardScorer] = None
         # oid -> serialized size; a feature's size is recomputed for every
@@ -179,7 +178,7 @@ class _SPQJobBase(MapReduceJob):
 
     @property
     def scorer(self) -> JaccardScorer:
-        """Per-query memoizing Jaccard scorer (lazily built, not pickled)."""
+        """Per-query memoizing Jaccard scorer (lazily built)."""
         scorer = self._scorer
         if scorer is None:
             scorer = self._scorer = JaccardScorer(self.query.keywords)
@@ -188,28 +187,6 @@ class _SPQJobBase(MapReduceJob):
     def share_feature_sizes(self, cache: Dict[str, int]) -> None:
         """Adopt a size memo that outlives this job (see DatasetIndex)."""
         self._feature_sizes = cache
-
-    # -------------------------------------------------------------- #
-    # process-boundary support: the job is a picklable spec
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # The size memo may be shared with a DatasetIndex (and can be large);
-        # it is an optimization only, so a worker-process copy of the job
-        # starts with an empty per-task cache and hands what it learned back
-        # through task_state() instead of dragging shared mutable state
-        # across the process boundary.
-        state = dict(self.__dict__)
-        state["_feature_sizes"] = {}
-        state["_scorer"] = None
-        return state
-
-    def task_state(self) -> Any:
-        """The sizes this task memoized, handed back to the orchestrator."""
-        return self._feature_sizes or None
-
-    def merge_task_state(self, state: Any) -> None:
-        if state and state is not self._feature_sizes:
-            self._feature_sizes.update(state)
 
     # -------------------------------------------------------------- #
     # map side

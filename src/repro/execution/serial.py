@@ -1,22 +1,25 @@
-"""Inline, single-threaded task execution (the deterministic reference)."""
+"""Inline, single-threaded task execution -- the one way a task runs."""
 
 from __future__ import annotations
 
 from typing import Any, List, Sequence, Tuple
 
-from repro.execution.base import ExecutionBackend, ReduceTask, run_task_in_process
-from repro.execution.tasks import MapTaskResult, ReduceTaskReport, run_map_task
+from repro.execution.tasks import (
+    MapTaskResult,
+    ReduceTask,
+    ReduceTaskReport,
+    run_map_task,
+    run_reduce_task,
+)
 
 
-class SerialBackend(ExecutionBackend):
-    """Runs every task inline, in task order.
+class SerialBackend:
+    """Runs every task inline and returns results in task-index order.
 
-    This is the reference implementation the parallel backends are tested
-    against: their results, counters and reports must match it bit for bit.
+    The runner (:class:`~repro.mapreduce.runtime.LocalJobRunner`) owns
+    every merge; this class only runs the tasks of one phase.  It holds no
+    state, so one instance serves any number of runs.
     """
-
-    name = "serial"
-    workers = 1
 
     def run_map_tasks(
         self,
@@ -34,4 +37,13 @@ class SerialBackend(ExecutionBackend):
         self, job: Any, tasks: Sequence[ReduceTask]
     ) -> List[Tuple[List[Any], ReduceTaskReport]]:
         """Run every reduce task inline, in task-index order."""
-        return [run_task_in_process(job, task) for task in tasks]
+        return [
+            run_reduce_task(
+                job,
+                task.task_index,
+                task.entries,
+                None if task.preloaded is None
+                else task.preloaded.reduce_block(task.task_index),
+            )
+            for task in tasks
+        ]

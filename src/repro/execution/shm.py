@@ -1,19 +1,10 @@
-"""Shared-memory segments for the columnar data plane.
+"""Shared-memory segments: the shard-node dataset hand-off.
 
-Shipping a preloaded reduce partition to a worker process as a pickle --
-per query, per task, through a pipe -- is what this module avoids.  The
-orchestrator *publishes* the index's columnar form once as a
-``multiprocessing.shared_memory`` segment and ships only ``(segment name,
-partition index)`` descriptors; workers attach the segment (an ``shm_open``
-+ ``mmap``, constant in dataset size), build each partition's reduce block
-from zero-copy column slices, and cache it for every later query over the
-same snapshot.  A data tombstone changes none of that: the partition's
-excluded oids ride beside the descriptor and the worker drops those rows
-from its cached block (:func:`~repro.execution.tasks.block_without`).  The
-same mechanism backs the shard-node dataset segment:
-``repro serve --cluster`` publishes the parsed dataset once and every
-locally spawned node attaches instead of re-reading and re-parsing the
-dataset file.
+``repro serve --cluster`` publishes the parsed dataset once as a
+``multiprocessing.shared_memory`` segment holding its columnar form
+(:class:`~repro.index.columns.ColumnStore`), and every locally spawned node
+attaches it -- an ``shm_open`` + ``mmap``, constant in dataset size --
+instead of re-reading and re-parsing the dataset file.
 
 Lifecycle rules (the part the VDBMS bug literature says to get right):
 
@@ -28,31 +19,25 @@ Lifecycle rules (the part the VDBMS bug literature says to get right):
   :func:`live_segment_names` exposes every wrapper this process still holds
   open so tests can assert nothing leaks;
 * when shared memory is unavailable (import failure or a failing probe),
-  :func:`shared_memory_available` returns False and the process backend
-  ships each partition's pickled block instead (pickled once per
-  snapshot) -- behaviour, results and counters are identical.
+  :func:`shared_memory_available` returns False and every node loads the
+  dataset file instead -- the dataset, and so every answer, is the same.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 import threading
 import weakref
 from typing import Dict, List, Optional, Tuple
 
-from repro.index.columns import ColumnStore, DataBlock
+from repro.index.columns import ColumnStore
 
 __all__ = [
-    "AttachedReducePlane",
-    "OwnedSegmentPlane",
     "SharedSegment",
     "attach_dataset",
-    "attach_reduce_plane",
     "attach_segment",
     "create_segment",
-    "ensure_resource_tracker",
     "live_segment_names",
     "publish_dataset_segment",
     "shared_memory_available",
@@ -83,8 +68,8 @@ def shared_memory_available() -> bool:
     """True when shared-memory segments can actually be created here.
 
     Probes once by creating and destroying a tiny segment; a read-only
-    ``/dev/shm`` or a missing implementation flips the whole data plane to
-    its pickle fallback rather than failing queries.
+    ``/dev/shm`` or a missing implementation makes the cluster spawner fall
+    back to file loading rather than failing the spawn.
     """
     global _availability
     if _availability is None:
@@ -177,12 +162,6 @@ def _finalize_segment(
             pass
 
 
-def ensure_resource_tracker() -> None:
-    """Start this process's shared-memory resource tracker, if it has one."""
-    if resource_tracker is not None and os.name == "posix":
-        resource_tracker.ensure_running()
-
-
 def live_segment_names() -> List[str]:
     """Names of every segment wrapper this process currently holds open."""
     with _LIVE_LOCK:
@@ -214,112 +193,18 @@ def attach_segment(name: str) -> SharedSegment:
         owned_here = any(
             live_name == name and owner for live_name, owner in _LIVE.values()
         )
-    if (
-        resource_tracker is not None
-        and os.name == "posix"
-        and not owned_here
-        and multiprocessing.parent_process() is None
-    ):
-        # A standalone attacher (e.g. a spawned shard-node process) has its
-        # own resource tracker, which believes it owns the segment and would
+    if resource_tracker is not None and os.name == "posix" and not owned_here:
+        # An attacher in another process (a spawned shard node) has its own
+        # resource tracker, which believes it owns the segment and would
         # unlink it at interpreter exit, racing the real owner (bpo-38119);
-        # only the creator's registration may stand.  Pool workers SHARE the
-        # parent's tracker, where register entries collapse by name -- there
-        # an unregister would delete the creator's own entry, so skip it --
-        # likewise when this very process owns the segment (attaching to
-        # your own plane collapses into the creator's register entry).
+        # only the creator's registration may stand.  A process attaching
+        # its own segment skips this: its register entries collapse by
+        # name, so an unregister would delete the creator's own entry.
         try:
             resource_tracker.unregister(segment._name, "shared_memory")
         except Exception:  # pragma: no cover - tracker internals moved
             pass
     return SharedSegment(segment, owner=False)
-
-
-# ---------------------------------------------------------------------- #
-# reduce-plane publication (orchestrator side) and attachment (worker side)
-
-
-class OwnedSegmentPlane:
-    """A published columnar plane: the owner-side segment plus descriptors.
-
-    Built once per dataset snapshot from a serialized
-    :class:`~repro.index.columns.ColumnStore`; hands ``(name, partition)``
-    descriptors to the process backend for as long as it is alive.
-    """
-
-    def __init__(self, payload: bytes) -> None:
-        self.segment = create_segment(payload)
-        self.size = len(payload)
-
-    @property
-    def name(self) -> str:
-        """The shared-memory segment name attachers look up."""
-        return self.segment.name
-
-    def partition_ref(self, partition: int) -> Optional[Tuple[str, int]]:
-        """Descriptor workers attach by, or None once released."""
-        if self.segment.closed:
-            return None
-        return (self.segment.name, partition)
-
-    def release(self) -> None:
-        """Drop the owner reference (unlinks the name on last release)."""
-        self.segment.release()
-
-
-class AttachedReducePlane:
-    """Worker-side view of a published reduce plane.
-
-    Attaches the segment once, then materializes and caches one
-    :class:`~repro.index.columns.DataBlock` per reduce partition from the
-    zero-copy column slices.  Blocks contain plain Python objects, so they
-    stay valid after :meth:`close` drops the buffer views.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.segment = attach_segment(name)
-        self.store = ColumnStore.attach(self.segment.buf)
-        if self.store.data is None or self.store.cells is None:
-            self.close()
-            raise ValueError(f"segment {name} does not hold a reduce plane")
-        self._blocks: Dict[int, Optional[Tuple[int, DataBlock]]] = {}
-
-    def block(self, partition: int) -> Optional[Tuple[int, DataBlock]]:
-        """``(group, block)`` of one partition (None when it has no data)."""
-        cached = self._blocks.get(partition, False)
-        if cached is not False:
-            return cached
-        cells = self.store.cells
-        data = self.store.data
-        rows = cells.partition_rows(partition)
-        if len(rows) == 0:
-            built: Optional[Tuple[int, DataBlock]] = None
-        else:
-            xs = data.xs
-            ys = data.ys
-            oids = data.oids
-            objs = [DataObject(oid=oids[row], x=xs[row], y=ys[row]) for row in rows]
-            block = DataBlock(
-                int(cells.cells[rows[0]]),
-                objs,
-                [xs[row] for row in rows],
-                [ys[row] for row in rows],
-            )
-            built = (block.group, block)
-        self._blocks[partition] = built
-        return built
-
-    def close(self) -> None:
-        """Release the attachment (cached blocks stay usable)."""
-        store, self.store = self.store, None
-        if store is not None:
-            store.detach()
-        self.segment.release()
-
-
-def attach_reduce_plane(name: str) -> AttachedReducePlane:
-    """Attach the reduce plane published under ``name``."""
-    return AttachedReducePlane(name)
 
 
 # ---------------------------------------------------------------------- #
@@ -370,6 +255,3 @@ def attach_dataset(name: str):
     finally:
         segment.release()
     return data_objects, feature_objects
-
-
-from repro.model.objects import DataObject  # noqa: E402  (leaf import, avoids cycle)

@@ -1,9 +1,8 @@
-"""Task-level execution primitives shared by every backend.
+"""Task-level execution primitives.
 
 A MapReduce job run decomposes into *map tasks* (one per input split) and
 *reduce tasks* (one per reduce partition).  Both are expressed here as plain
-functions over picklable arguments so that both backends -- inline and
-process pool -- execute the exact same code path:
+functions, which :class:`~repro.execution.serial.SerialBackend` runs inline:
 
 * :func:`run_map_task` maps one split into sparse reduce-partition buckets.
   A columnar :class:`~repro.index.records.MapSplit` (the index path) goes
@@ -23,11 +22,10 @@ process pool -- execute the exact same code path:
   sorted by ``(sort_key, sequence)`` and grouped by ``group_key`` here.
 * :func:`block_without` is the one place a data tombstone is applied: the
   copy of a block a reducer is handed when some of the cell's rows are
-  deleted -- in process and in a worker alike.
+  deleted.
 
 Each task gets its own :class:`~repro.mapreduce.counters.Counters`; the
-orchestrator merges them in task-index order, so the aggregate is
-deterministic regardless of how tasks were scheduled.
+orchestrator merges them in task-index order.
 """
 
 from __future__ import annotations
@@ -91,9 +89,6 @@ class MapTaskResult:
         num_emitted: Key-value pairs this task emitted (sequence span).
         counters: Counter deltas of this task, including the job's own
             map-side counters.
-        task_state: The job's per-task cache export (see
-            :meth:`~repro.mapreduce.job.MapReduceJob.task_state`), handed
-            back explicitly so no mutable cache crosses a process boundary.
     """
 
     task_index: int
@@ -101,7 +96,27 @@ class MapTaskResult:
     num_input_records: int
     num_emitted: int
     counters: Counters
-    task_state: Optional[Any] = None
+
+
+@dataclass
+class ReduceTask:
+    """One reduce partition, ready to be reduced.
+
+    Attributes:
+        task_index: The reduce partition index.
+        entries: Live map output of this run, owned by it: per-cell runs
+            over the map tasks' columns (the index path; nothing left to
+            sort), or shuffle entries already globally sequenced by the
+            orchestrator and safe to sort in place (the generic record
+            route).
+        preloaded: The run's
+            :class:`~repro.mapreduce.runtime.PreloadedShuffle`, if any: the
+            handle that hands this partition its preloaded block.
+    """
+
+    task_index: int
+    entries: Bucket
+    preloaded: Optional[Any] = None
 
 
 class _ConsumptionTrackingIterator:
@@ -155,7 +170,6 @@ def run_map_task(
         num_input_records=num_records,
         num_emitted=sequence,
         counters=counters,
-        task_state=job.task_state(),
     )
 
 

@@ -129,8 +129,7 @@ class IndexCache:
                 self.stats.evictions += 1
             self._building.pop(key, None)
         latch.set()
-        # Outside the lock: releasing unpublishes an index's shared-memory
-        # plane (see DatasetIndex.release), which no longer needs the map.
+        # Outside the lock: releasing does not touch the map.
         for old in evicted:
             _release(old)
         return index, False
@@ -138,9 +137,8 @@ class IndexCache:
     def invalidate(self, key: Optional[Hashable] = None) -> int:
         """Drop one entry (or all entries when ``key`` is None).
 
-        Dropped indexes are released -- their shared-memory planes are
-        unpublished so no ``/dev/shm`` segment outlives its cache entry.
-        Returns the number of entries removed.
+        Dropped indexes are released, so a retired generation dies with its
+        entry.  Returns the number of entries removed.
         """
         with self._lock:
             if key is None:
@@ -156,12 +154,11 @@ class IndexCache:
         return removed
 
     def release_all(self) -> None:
-        """Release shared resources of every cached index, keeping the entries.
+        """Release every cached index, keeping the entries.
 
         Engine/service shutdown calls this: the indexes stay cached (an
-        engine remains usable after ``close()``) but their shared-memory
-        planes are unpublished; an index that serves another query simply
-        republishes its plane on demand.
+        engine remains usable after ``close()``) and rebuild what
+        :meth:`DatasetIndex.release` dropped on their next query.
         """
         with self._lock:
             entries = list(self._entries.values())
@@ -170,7 +167,7 @@ class IndexCache:
 
 
 def _release(index: DatasetIndex) -> None:
-    """Release a dropped entry's shared resources (tolerates test doubles)."""
+    """Release a dropped entry (tolerates test doubles)."""
     release = getattr(index, "release", None)
     if release is not None:
         release()

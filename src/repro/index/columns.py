@@ -3,9 +3,8 @@
 The object model (:mod:`repro.model.objects`) is the API of the system, but
 walking per-object Python instances is also what the hot loops were paying
 for: every ``obj.within_distance(feature, r)`` is a method call plus four
-attribute lookups, and shipping a partition's objects to a worker process
-costs a pickle per task.  This module packs the same information into
-stdlib ``array`` columns:
+attribute lookups.  This module packs the same information into stdlib
+``array`` columns:
 
 * :class:`DataColumns`    -- data objects as parallel ``xs``/``ys`` double
   columns plus a packed UTF-8 oid blob with offsets;
@@ -431,11 +430,10 @@ class ColumnStore:
     """A (data, features, cells) column bundle with one serialized form.
 
     Any subset of the three groups may be present: the shard-node dataset
-    segment carries ``data + features``, the process-backend reduce segment
-    carries ``data + cells``.  :meth:`attach` is zero-copy -- the returned
-    store indexes the caller's buffer; call :meth:`detach` to drop every
-    view before the underlying buffer (e.g. a shared-memory segment) is
-    closed, otherwise the close raises ``BufferError``.
+    segment carries ``data + features``.  :meth:`attach` is zero-copy --
+    the returned store indexes the caller's buffer; call :meth:`detach` to
+    drop every view before the underlying buffer (e.g. a shared-memory
+    segment) is closed, otherwise the close raises ``BufferError``.
     """
 
     def __init__(
@@ -504,12 +502,11 @@ class DataBlock:
     """One grid cell's data objects, reduce-ready in columnar form.
 
     The one shape a cell's indexed data takes on its way to a reducer,
-    whatever the backend, job class or reduce loop: injected into the
-    cell's reduce group ahead of the live feature stream.  The columns are
-    extracted once per cell per dataset snapshot (or attached from shared
-    memory) instead of once per query, and the lazily built x-sorted
-    permutation narrows range predicates to the candidate window of each
-    feature.
+    whatever the job class or reduce loop: injected into the cell's reduce
+    group ahead of the live feature stream.  The columns are extracted once
+    per cell per dataset snapshot instead of once per query, and the lazily
+    built x-sorted permutation narrows range predicates to the candidate
+    window of each feature.
 
     ``objs``/``xs``/``ys`` are parallel, in storage order -- the exact order
     mapping the cell's data objects one by one would have streamed them.
@@ -528,18 +525,13 @@ class DataBlock:
 
     @classmethod
     def from_objects(cls, group: int, objs: List[DataObject]) -> "DataBlock":
-        """Build a block over already-materialized objects (thread/serial path)."""
+        """Build a block over already-materialized objects."""
         return cls(
             group, objs, [obj.x for obj in objs], [obj.y for obj in objs]
         )
 
     def __len__(self) -> int:
         return len(self.objs)
-
-    def __reduce__(self):
-        # The no-shared-memory process path ships pickled blocks: the
-        # objects alone rebuild the columns, and the lazy caches stay home.
-        return DataBlock.from_objects, (self.group, self.objs)
 
     @property
     def oids(self) -> List[str]:

@@ -37,7 +37,7 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.index.columns import ColumnStore, DataBlock
+from repro.index.columns import DataBlock
 from repro.index.records import MapSplit
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import PreloadedShuffle
@@ -151,13 +151,11 @@ class DatasetIndex:
         #: The data plane over this snapshot -- the one place "the data
         #: objects of reduce partition p" exist, shared by every job class (a
         #: reduce block's value stream is DataObject instances in all SPQ
-        #: jobs): the per-row cell assignment, the per-partition reduce
-        #: blocks (built on first use) and, for process backends, a lazily
-        #: published shared-memory segment of the same columns.
+        #: jobs): the per-row cell assignment and the per-partition reduce
+        #: blocks (built on first use).
         self._data_cells: List[int] = data_cells
         self._blocks: Optional[List[Optional[Tuple[int, DataBlock]]]] = None
-        self._plane: object = None  # None = not tried, False = unavailable/released
-        self._plane_lock = threading.Lock()
+        self._blocks_lock = threading.Lock()
         self._shuffle: Optional[PreloadedShuffle] = None
         #: oid -> estimated serialized size, shared by every job of a batch
         #: (a job's own memo dies with the query; this one lives with the
@@ -343,9 +341,9 @@ class DatasetIndex:
         ``tombstoned`` are the indexed data objects the delta layer holds a
         tombstone for (docs/ingest.md).  A delete is served *before* the
         reduce, never by post-filtering its top-k, and through the same
-        plane: the view returned here shares the cached blocks, segment and
-        blobs, names per partition the oids to withhold, and states the
-        counters of the surviving records.  Only those partitions hand out
+        plane: the view returned here shares the cached blocks, names per
+        partition the oids to withhold, and states the counters of the
+        surviving records.  Only those partitions hand out
         a filtered copy (:func:`~repro.execution.tasks.block_without`:
         O(|cell|), storage order kept, so the reduce stream is exactly a
         bulk swap's, score ties included); building the view costs
@@ -360,7 +358,6 @@ class DatasetIndex:
                 num_input_records=self.num_data,
                 counters=job.mapped_data_counters(self.num_data),
                 block=self.partition_block,
-                shared_ref=self.shared_plane_ref,
             )
         excluded: Dict[int, Set[str]] = {}
         for obj in tombstoned:
@@ -399,16 +396,14 @@ class DatasetIndex:
         """``(group, DataBlock)`` of one reduce partition (None when empty).
 
         All blocks are built in one pass over the data objects the first
-        time any is asked for (a few ms per 10k objects; never, when a
-        process backend's workers build theirs from shared memory instead)
-        and cached for the lifetime of the snapshot, so the per-query cost
-        of a reduce over a cell's data is a single list lookup -- no entry
-        copying, no re-sorting (a block also caches its x-sorted
-        permutation).
+        time any is asked for (a few ms per 10k objects) and cached for the
+        lifetime of the snapshot, so the per-query cost of a reduce over a
+        cell's data is a single list lookup -- no entry copying, no
+        re-sorting (a block also caches its x-sorted permutation).
         """
         blocks = self._blocks
         if blocks is None:
-            with self._plane_lock:
+            with self._blocks_lock:
                 blocks = self._blocks
                 if blocks is None:
                     blocks = self._blocks = self._build_blocks()
@@ -430,60 +425,16 @@ class DatasetIndex:
             )
         return blocks
 
-    def shared_plane_ref(self, partition: int) -> Optional[Tuple[str, int]]:
-        """Shared-memory descriptor of one partition, or None.
-
-        Publishing the plane (one segment holding the coordinate/oid columns
-        plus the cell CSR) happens on first use and is skipped -- returning
-        None, which makes process backends ship the pickled block -- when
-        shared memory is unavailable or the plane was already released.
-        """
-        plane = self._plane
-        if plane is None:
-            plane = self._ensure_plane()
-        if plane is False:
-            return None
-        return plane.partition_ref(partition)
-
-    def _ensure_plane(self) -> object:
-        from repro.execution.shm import OwnedSegmentPlane, shared_memory_available
-
-        with self._plane_lock:
-            plane = self._plane
-            if plane is None:
-                plane = False
-                if shared_memory_available():
-                    try:
-                        payload = ColumnStore.from_datasets(
-                            data_objects=self._data_objects,
-                            cell_ids=self._data_cells,
-                            num_partitions=self.grid.num_cells,
-                        ).to_bytes()
-                        plane = OwnedSegmentPlane(payload)
-                    except (OSError, ValueError):
-                        plane = False
-                self._plane = plane
-        return plane
-
     def release(self) -> None:
-        """Release the published shared-memory plane (idempotent).
+        """Drop the cached shuffle handle (idempotent).
 
         Called when the index leaves its cache (eviction, invalidation) or
-        its engine/service shuts down.  In-process blocks stay usable --
-        they are plain Python lists -- and the segment's name is unlinked
-        once the last attachment closes.  The plane slot resets to
-        "untried" and the cached shuffle handle is dropped, so an index that
-        keeps serving queries after a shutdown (engines stay usable after
-        ``close()``) simply republishes, and rebuilds the handle, on next
-        use.
+        its engine/service shuts down.  The handle holds bound methods of
+        this index: a cycle that would keep a retired generation (features,
+        cell lists, blocks) alive until the collector's next full pass
+        instead of dying here.  An index that keeps serving queries simply
+        rebuilds the handle on next use.
         """
-        with self._plane_lock:
-            plane, self._plane = self._plane, None
-        if plane is not None and plane is not False:
-            plane.release()
-        # The cached handle holds bound methods of this index: a cycle that
-        # keeps a retired generation (features, cell lists, blocks) alive
-        # until the collector's next full pass instead of dying here.
         self._shuffle = None
 
     # ------------------------------------------------------------------ #

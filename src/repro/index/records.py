@@ -30,8 +30,8 @@ class MapSplit:
     The logical record order -- what sequence numbers and ``slices`` follow
     -- is every ``data`` row, then every ``features`` row (the base
     candidates in storage order, then the delta's appended features).  The
-    columns hold references, never copies of objects, can be walked any
-    number of times and pickle as plain lists.
+    columns hold references, never copies of objects, and can be walked any
+    number of times.
 
     Attributes:
         features: Feature objects that survived keyword pruning.
@@ -94,14 +94,6 @@ class CellRun(NamedTuple):
     def read(self) -> Iterator[Any]:
         """The run's values in reduce order, materialised as they are pulled."""
         return map(self.values.__getitem__, self.rows)
-
-    def detached(self) -> "CellRun":
-        """The same run over a column of its own rows only.
-
-        This is what crosses a process boundary: the size of the run, not
-        of the split it is a view of.
-        """
-        return CellRun(range(len(self.rows)), list(self.read()), ())
 
     def followed_by(self, later: "CellRun") -> "CellRun":
         """This run and a later map task's run of the same cell, as one.

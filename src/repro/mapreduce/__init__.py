@@ -27,8 +27,8 @@ from repro.mapreduce.partitioner import (
 )
 from repro.mapreduce.cluster import ClusterNode, SimulatedCluster
 
-#: Names re-exported lazily (PEP 562): the runtime depends on the pluggable
-#: execution backends in :mod:`repro.execution`, whose task primitives in
+#: Names re-exported lazily (PEP 562): the runtime depends on the serial
+#: executor in :mod:`repro.execution`, whose task primitives in
 #: turn import this package -- importing runtime (and the cost model, which
 #: depends on it) on first attribute access keeps the package import acyclic
 #: regardless of which module is imported first.

@@ -99,25 +99,6 @@ class MapReduceJob:
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
-    # per-task state (process-backend support)
-
-    def task_state(self) -> Any:
-        """Serializable per-task state to hand back to the orchestrator.
-
-        Called once at the end of each map task.  When tasks execute in a
-        worker process, mutable caches a job builds up during mapping (e.g.
-        memoized record sizes) would otherwise be lost with the worker's
-        copy of the job; whatever this returns travels back in the
-        :class:`~repro.execution.tasks.MapTaskResult` and is replayed into
-        the orchestrator's job via :meth:`merge_task_state`.  Return ``None``
-        (the default) when the job keeps no such state.
-        """
-        return None
-
-    def merge_task_state(self, state: Any) -> None:
-        """Absorb a :meth:`task_state` payload from a (possibly remote) task."""
-
-    # ------------------------------------------------------------------ #
 
     def estimated_record_size(self, key: Any, value: Any) -> int:
         """Approximate serialized size in bytes of one shuffled record.

@@ -21,11 +21,9 @@ per record there and a reducer materialises only the values it reads.
 
 The runner is an *orchestrator*: it builds splits, rebases shuffle sequence
 numbers (or, for runs, merges the cells several map tasks fed), merges
-counters and reports -- always in task-index order -- and
-delegates the execution of individual map/reduce tasks to a pluggable
-:class:`~repro.execution.base.ExecutionBackend` (serial, or a true
-multiprocess pool).  Both backends produce bit-for-bit identical
-results, counters and reports; they differ only in wall-clock time.
+counters and reports -- always in task-index order -- and hands the tasks
+of each phase to a :class:`~repro.execution.serial.SerialBackend`, which
+runs them inline.
 
 The runner collects global counters and a per-reduce-task report that the
 cluster cost model converts into simulated job time.
@@ -34,13 +32,11 @@ cluster cost model converts into simulated job time.
 from __future__ import annotations
 
 import itertools
-import pickle
 from dataclasses import dataclass, field
 from typing import (
     AbstractSet,
     Any,
     Callable,
-    Dict,
     Iterable,
     List,
     Mapping,
@@ -51,9 +47,8 @@ from typing import (
 )
 
 from repro.exceptions import JobConfigurationError
-from repro.execution.base import ExecutionBackend, ReduceTask
 from repro.execution.serial import SerialBackend
-from repro.execution.tasks import Bucket, ReduceTaskReport, block_without
+from repro.execution.tasks import Bucket, ReduceTask, ReduceTaskReport, block_without
 from repro.index.records import MapSplit
 from repro.mapreduce import counters as counter_names
 from repro.mapreduce.counters import Counters
@@ -93,41 +88,21 @@ class PreloadedShuffle:
             merged into every run that injects the blocks.
         block: ``block(i)`` is partition ``i``'s cached ``(group, block)``,
             or None when it holds no preloaded record.
-        shared_ref: ``shared_ref(i)`` is the shared-memory descriptor
-            ``(segment name, i)`` a worker process rebuilds ``block(i)``
-            from, or None when no plane is published.
         excluded: Partition -> oids of the block rows a reducer must not
-            see (tombstones).  Applied where the block is handed out --
-            :meth:`reduce_block` here, the worker in a process backend --
-            so the cached block, segment and blob are never rebuilt for it.
+            see (tombstones).  Applied where the block is handed out,
+            :meth:`reduce_block`, so the cached block is never rebuilt for
+            it.
     """
 
     num_partitions: int
     num_input_records: int
     counters: Counters
     block: Callable[[int], Optional[Tuple[Any, Any]]]
-    shared_ref: Callable[[int], Optional[Tuple[str, int]]]
     excluded: Mapping[int, AbstractSet[str]] = field(default_factory=dict)
-    #: partition -> pickled ``block(i)``; a ``dataclasses.replace`` copy (a
-    #: tombstone view) shares the dict, so a block is pickled once per
-    #: snapshot, not once per query or per tombstone set.
-    _blobs: Dict[int, Optional[bytes]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def reduce_block(self, index: int) -> Optional[Tuple[Any, Any]]:
         """Partition ``index``'s block as its reducer sees it (None when empty)."""
         return block_without(self.block(index), self.excluded.get(index))
-
-    def blob(self, index: int) -> Optional[bytes]:
-        """``block(index)`` pickled: what a worker process is sent where there
-        is no shared memory (None when the partition is empty)."""
-        if index not in self._blobs:
-            block = self.block(index)
-            self._blobs[index] = (
-                None if block is None else pickle.dumps(block, pickle.HIGHEST_PROTOCOL)
-            )
-        return self._blobs[index]
 
 
 @dataclass
@@ -155,25 +130,23 @@ class JobResult:
 
 
 class LocalJobRunner:
-    """Runs MapReduce jobs through a pluggable execution backend.
+    """Runs MapReduce jobs, one phase at a time.
 
     Args:
         num_reducers: Number of reduce tasks (``R``). For the SPQ jobs this is
             set to the number of grid cells, as in the paper's experiments.
         split_size: Number of input records per map task; controls the number
             of map tasks only (the map logic is record-at-a-time).
-        backend: The :class:`~repro.execution.base.ExecutionBackend` that
-            executes map splits and reduce partitions.  Defaults to
-            :class:`~repro.execution.serial.SerialBackend`, which is fully
-            deterministic and is what the tests use.  Backends are reusable:
-            one instance (and its worker pool) can serve many runs.
+        backend: The :class:`~repro.execution.serial.SerialBackend` that
+            runs map splits and reduce partitions (a fresh one by default).
+            A test seam: tests inject a subclass through it.
     """
 
     def __init__(
         self,
         num_reducers: int,
         split_size: int = DEFAULT_SPLIT_SIZE,
-        backend: Optional[ExecutionBackend] = None,
+        backend: Optional[SerialBackend] = None,
     ) -> None:
         if num_reducers < 1:
             raise JobConfigurationError(f"num_reducers must be >= 1, got {num_reducers}")
@@ -252,7 +225,7 @@ class LocalJobRunner:
         counters: Counters,
         preloaded: Optional[PreloadedShuffle] = None,
     ) -> Tuple[List[Bucket], int, Set[int]]:
-        """Run the map tasks through the backend and merge their buckets.
+        """Run the map tasks and merge their buckets.
 
         Per-task buckets are concatenated in task-index order with their
         local sequence numbers rebased onto a global counter, reproducing
@@ -287,8 +260,6 @@ class LocalJobRunner:
         for result in map_results:
             num_records += result.num_input_records
             counters.merge(result.counters)
-            if result.task_state is not None:
-                job.merge_task_state(result.task_state)
             for index, entries in result.buckets.items():
                 bucket = live[index]
                 if isinstance(entries, dict):
@@ -334,9 +305,8 @@ class LocalJobRunner:
 
         task_results = self.backend.run_reduce_tasks(job, tasks)
 
-        # Backends return results in task-index order, so this merge -- and
-        # therefore the aggregated counters -- is deterministic regardless
-        # of how the tasks were actually scheduled.
+        # Results come back in task-index order, so this merge -- and
+        # therefore the aggregated counters -- is deterministic.
         outputs: List[Any] = []
         reports: List[ReduceTaskReport] = []
         for task_outputs, report in task_results:

@@ -65,11 +65,7 @@ class ExperimentSpec:
 
 @dataclass
 class SweepPoint:
-    """One measurement: a parameter value, an algorithm and its statistics.
-
-    ``backend``/``workers`` record the execution backend that produced the
-    point, so exported series stay comparable across machines and configs.
-    """
+    """One measurement: a parameter value, an algorithm and its statistics."""
 
     parameter_value: object
     algorithm: str
@@ -79,8 +75,6 @@ class SweepPoint:
     score_computations: int
     shuffled_records: int
     result_scores: List[float] = field(default_factory=list)
-    backend: str = "serial"
-    workers: int = 1
 
 
 @dataclass
@@ -172,8 +166,6 @@ def _run_single(
         score_computations=result.stats["score_computations"],
         shuffled_records=result.stats["shuffled_records"],
         result_scores=result.scores(),
-        backend=str(result.stats.get("backend", "serial")),
-        workers=int(result.stats.get("workers", 1)),
     )
 
 

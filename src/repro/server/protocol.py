@@ -64,8 +64,6 @@ from repro.model.result import QueryResult, ScoredObject
 STATS_KEYS = (
     "algorithm",
     "grid_size",
-    "backend",
-    "workers",
     "shuffled_records",
     "features_pruned",
     "features_examined",

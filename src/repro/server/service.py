@@ -179,7 +179,6 @@ class QueryService(FrontDoor):
 
         Raises:
             ValueError: for a non-positive engine pool.
-            JobConfigurationError: for invalid engine backend configuration.
             InvalidQueryError: for an explicit degenerate ``extent``.
         """
         self.config = config or ServiceConfig()
@@ -660,7 +659,6 @@ class QueryService(FrontDoor):
         """Aggregate serving statistics (the ``GET /stats`` payload)."""
         counters = self._snapshot_counters()
         batches = counters["batches"]
-        engine = self._engines[0]
         stats: Dict[str, object] = {
             **self._common_stats(counters),
             "batching": {
@@ -675,13 +673,7 @@ class QueryService(FrontDoor):
                 "queue_depth": self._batcher.queue_depth(),
             },
             "index_cache": self._index_cache.stats.as_dict(),
-            "engines": {
-                "count": len(self._engines),
-                "backend_configured": engine.config.backend,
-                "backends_active": [
-                    e.active_backend_name for e in self._engines
-                ],
-            },
+            "engines": {"count": len(self._engines)},
             "ingest": {
                 "delta": self._delta.snapshot().counts(),
                 "cumulative": dict(vars(self._delta.counters)),

@@ -468,9 +468,6 @@ class ScatterGatherRouter(FrontDoor):
             makespan = max(makespan, shard_stats.get("simulated_seconds", 0.0))
             if "planned_algorithm" in response:
                 planned[str(shard_id)] = response["planned_algorithm"]
-            if "backend" in shard_stats and "backend" not in stats:
-                stats["backend"] = shard_stats["backend"]
-                stats["workers"] = shard_stats.get("workers")
         stats.update(totals)
         stats["simulated_seconds"] = makespan
         stats[self._stats_key] = self._scatter_stats(len(answered), missing, planned)

@@ -54,8 +54,7 @@ class JaccardScorer:
     engine's work counters track the cost model's logical computations, not
     this cache, and are unaffected by it.
 
-    The memo lives for one query (one scorer per job instance) and is
-    dropped at the process boundary (see ``_SPQJobBase.__getstate__``).
+    The memo lives for one query (one scorer per job instance).
     """
 
     __slots__ = ("query_keywords", "_memo")

@@ -23,8 +23,8 @@ from repro.model.query import SpatialPreferenceQuery
 # the run, instead of sitting silent until the CI job's 20-minute timeout.
 
 #: Seconds one test (set-up, call and tear-down) may take.  The slowest test
-#: of the suite takes 2.3 s (``pytest --durations=10``) and the slowest under
-#: ``REPRO_BACKEND=process`` about 10 s, so a minute is only ever a hang.
+#: of the suite takes about 2 s (``pytest --durations=10``, which CI ``test``
+#: prints), so a minute is only ever a hang.
 TEST_WATCHDOG_SECONDS = 60
 
 _TERMINAL_STDERR = pytest.StashKey[int]()

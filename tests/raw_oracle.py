@@ -27,8 +27,6 @@ from typing import Dict, List, Optional
 
 from repro.core.engine import validate_algorithm_combination
 from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob
-from repro.execution import ExecutionBackend
-from repro.execution.serial import SerialBackend
 from repro.index.delta import materialize
 from repro.mapreduce.costmodel import CostModel
 from repro.mapreduce.runtime import LocalJobRunner
@@ -47,15 +45,12 @@ def raw_execute(
     algorithm: str = "espq-sco",
     grid_size: Optional[int] = None,
     score_mode: str = "range",
-    *,
-    backend: Optional[ExecutionBackend] = None,
 ) -> QueryResult:
     """``query`` over ``engine``'s datasets (base + live delta), no index.
 
     Returns a :class:`QueryResult` whose ``stats`` carry the keys
     ``SPQEngine`` reports (minus the ``index`` / planner subtrees), so
     counters and the simulated breakdown can be compared key for key.
-    ``backend`` defaults to a fresh :class:`SerialBackend`.
     """
     validate_algorithm_combination(algorithm, score_mode)
     data, features = materialize(
@@ -66,8 +61,7 @@ def raw_execute(
         job = PSPQJob(query, grid, score_mode=score_mode)
     else:
         job = {"espq-len": ESPQLenJob, "espq-sco": ESPQScoJob}[algorithm](query, grid)
-    backend = backend if backend is not None else SerialBackend()
-    runner = LocalJobRunner(num_reducers=grid.num_cells, backend=backend)
+    runner = LocalJobRunner(num_reducers=grid.num_cells)
     started = time.perf_counter()
     job_result = runner.run(job, chain(data, features))
     elapsed = time.perf_counter() - started
@@ -91,8 +85,6 @@ def raw_execute(
         "algorithm": job.name,
         "grid_size": grid.cells_x,
         "num_cells": grid.num_cells,
-        "backend": backend.name,
-        "workers": backend.workers,
         "wall_seconds": elapsed,
         "simulated_seconds": breakdown.total,
         "simulated_breakdown": breakdown.as_dict(),

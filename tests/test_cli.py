@@ -8,7 +8,8 @@ import pytest
 
 from raw_oracle import raw_execute
 from repro.cli import build_parser, main
-from repro.core.engine import SPQEngine
+from repro.core.engine import EngineConfig, SPQEngine
+from repro.exceptions import JobConfigurationError
 from repro.datagen.io import load_dataset
 from repro.model.query import SpatialPreferenceQuery
 
@@ -308,13 +309,48 @@ class TestAutoAlgorithmFlags:
         assert args.explain is False
 
 
+#: A minimal command line of every command that takes ``--backend``.
+BACKEND_COMMANDS = {
+    "query": ["query", "--input", "x.tsv", "--keywords", "a"],
+    "batch": ["batch", "--input", "x.tsv", "--queries", "q.jsonl"],
+    "serve": ["serve", "--input", "x.tsv"],
+    "shard-node": [
+        "shard-node", "--input", "x.tsv", "--shard-index", "0", "--shards", "2",
+    ],
+}
+
+
+def assert_exits_2(argv, capsys, flag):
+    """``main(argv)`` stops in argparse with status 2, naming ``flag``."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 class TestBackendFlags:
+    """Tasks run serially, always: the process backend and its ``--workers``
+    are gone, and ``--backend`` is kept as the one spelling ``serial``
+    (``benchmarks/e2e`` and existing command lines pass it)."""
+
     @pytest.fixture()
     def dataset_file(self, tmp_path):
         output = tmp_path / "un.tsv"
         main(["generate", "--dataset", "uniform", "--objects", "300",
               "--output", str(output)])
         return output
+
+    @pytest.mark.parametrize("surface", ["EngineConfig", *sorted(BACKEND_COMMANDS)])
+    def test_removed_backend_spellings_are_rejected_loudly(self, surface, capsys):
+        if surface == "EngineConfig":
+            with pytest.raises(JobConfigurationError, match="process backend was removed"):
+                EngineConfig(backend="process")
+            assert EngineConfig(backend="serial") == EngineConfig()
+            return
+        argv = BACKEND_COMMANDS[surface]
+        assert_exits_2(argv + ["--backend", "process"], capsys, "--backend")
+        assert_exits_2(argv + ["--workers", "2"], capsys, "--workers")
+        assert build_parser().parse_args(argv + ["--backend", "serial"]).backend == "serial"
 
     def test_unknown_backend_rejected_by_parser(self):
         with pytest.raises(SystemExit):
@@ -323,59 +359,44 @@ class TestBackendFlags:
             )
 
     def test_serial_backend_with_workers_rejected(self, dataset_file, capsys):
-        code = main([
+        assert_exits_2([
             "query", "--input", str(dataset_file), "--keywords", "w0001",
             "--radius", "3.0", "--grid-size", "6",
             "--backend", "serial", "--workers", "4",
-        ])
-        assert code == 2
-        assert "single-worker" in capsys.readouterr().err
+        ], capsys, "--workers")
 
     def test_nonpositive_workers_rejected(self, dataset_file, capsys):
-        code = main([
+        assert_exits_2([
             "query", "--input", str(dataset_file), "--keywords", "w0001",
-            "--radius", "3.0", "--grid-size", "6",
-            "--backend", "process", "--workers", "0",
-        ])
-        assert code == 2
-        assert "workers" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("backend", ["process"])
-    def test_query_backends_match_serial_output(self, dataset_file, backend, capsys):
-        base_args = [
-            "query", "--input", str(dataset_file), "--keywords", "w0001,w0002",
-            "--k", "3", "--radius", "4.0", "--grid-size", "6",
-        ]
-        assert main(base_args) == 0
-        serial_out = capsys.readouterr().out
-        assert main(base_args + ["--backend", backend, "--workers", "2"]) == 0
-        parallel_out = capsys.readouterr().out
-        assert f"backend={backend}" in parallel_out
-        # Everything but the backend tag in the header line is identical.
-        assert serial_out.splitlines()[1:] == parallel_out.splitlines()[1:]
+            "--radius", "3.0", "--grid-size", "6", "--workers", "0",
+        ], capsys, "--workers")
 
     def test_batch_backend_flag_and_stats(self, dataset_file, tmp_path, capsys):
         query_file = tmp_path / "q.jsonl"
         query_file.write_text('{"keywords": ["w0001"], "k": 3, "radius": 4.0}\n')
-        code = main([
+        argv = [
             "batch", "--input", str(dataset_file), "--queries", str(query_file),
             "--grid-size", "6", "--output", "-", "--stats",
-            "--backend", "process", "--workers", "2",
-        ])
-        assert code == 0
-        record = json.loads(capsys.readouterr().out.splitlines()[0])
-        assert record["stats"]["backend"] == "process"
-        assert record["stats"]["workers"] == 2
+        ]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--backend", "serial"]) == 0
+        spelled_out = capsys.readouterr().out
+        record = json.loads(spelled_out.splitlines()[0])
+        assert record["results"] and "shuffled_records" in record["stats"]
+        assert not {"backend", "workers"} & set(record["stats"])
+        # Stats carry wall-clock seconds; everything else is identical.
+        assert [
+            {**json.loads(line), "stats": None} for line in spelled_out.splitlines()
+        ] == [{**json.loads(line), "stats": None} for line in default.splitlines()]
 
     def test_batch_serial_workers_combination_rejected(self, dataset_file, tmp_path, capsys):
         query_file = tmp_path / "q.jsonl"
         query_file.write_text('{"keywords": ["w0001"], "radius": 4.0}\n')
-        code = main([
+        assert_exits_2([
             "batch", "--input", str(dataset_file), "--queries", str(query_file),
             "--backend", "serial", "--workers", "2",
-        ])
-        assert code == 2
-        assert "single-worker" in capsys.readouterr().err
+        ], capsys, "--workers")
 
 
 class TestAnalyzeCommand:
@@ -433,12 +454,10 @@ class TestServeCommand:
         assert "no data objects" in capsys.readouterr().err
 
     def test_rejects_bad_backend_combination(self, dataset_file, capsys):
-        code = main([
+        assert_exits_2([
             "serve", "--input", str(dataset_file), "--port", "0",
             "--backend", "serial", "--workers", "4",
-        ])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        ], capsys, "--workers")
 
     def test_rejects_nonpositive_engines(self, dataset_file, capsys):
         code = main([

@@ -1,13 +1,12 @@
 """One shape for a cell's data on its way to a reducer -- tombstones included.
 
-The index hands every backend, both reduce loops and all three job classes
-the same per-partition :class:`DataBlock`; a data tombstone is a filtered
-view of that block, applied where the block is handed out.  Three nets:
+The index hands both reduce loops and all three job classes the same
+per-partition :class:`DataBlock`; a data tombstone is a filtered view of
+that block, applied where the block is handed out.  Three nets:
 
-* a differential sweep over every way data can travel (serial, thread,
-  process over shared memory, process without it) x both reduce loops x all
-  three algorithms: an engine carrying live data tombstones answers -- entries
-  *and* counters -- like a fresh engine bulk-swapped to the same state;
+* a differential sweep over both reduce loops x all three algorithms: an
+  engine carrying live data tombstones answers -- entries *and* counters --
+  like a fresh engine bulk-swapped to the same state;
 * the closed-form preloaded counters equal what actually mapping the records
   counts, key for key, n = 0 and degenerate extents included;
 * structurally, a tombstoned read never maps a base data record again, its
@@ -39,13 +38,6 @@ EXTENT = BoundingBox(0.0, 0.0, GRID * CELL, GRID * CELL)
 ALGORITHMS = ("pspq", "espq-len", "espq-sco")
 JOB_CLASSES = (PSPQJob, ESPQLenJob, ESPQScoJob)
 VOCABULARY = ("cafe", "bar", "park", "museum")
-
-#: How a cell's data can reach its reducer: backend, workers, shared memory?
-TRANSPORTS = {
-    "serial": ("serial", 1, True),
-    "process-shm": ("process", 2, True),
-    "process-no-shm": ("process", 2, False),
-}
 
 #: (column, row) of the cells the scenario edits; the far corner (4, 4) is
 #: kept out of every feature's reach.
@@ -112,26 +104,17 @@ def fingerprint(result):
 class TestTombstonedReadsEveryWayDataCanTravel:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("dataplane", ("columnar", "object"))
-    @pytest.mark.parametrize("transport", sorted(TRANSPORTS))
     def test_delta_engine_equals_bulk_swapped_engine(
-        self, transport, dataplane, algorithm, monkeypatch
+        self, dataplane, algorithm, monkeypatch
     ):
-        backend, workers, shared_memory = TRANSPORTS[transport]
         monkeypatch.setenv("REPRO_DATAPLANE", dataplane)
-        if not shared_memory:
-            monkeypatch.setattr(
-                "repro.execution.shm.shared_memory_available", lambda: False
-            )
         data, features, deletes, appends = build_scenario()
-        config = EngineConfig(grid_size=GRID, backend=backend, workers=workers)
+        config = EngineConfig(grid_size=GRID)
         with SPQEngine(data, features, config=config, extent=EXTENT) as engine:
             engine.apply_updates(append_data=appends, delete_data_oids=deletes)
             assert engine.delta.snapshot().deleted_data_oids == frozenset(deletes)
             final_data, final_features = engine.materialize_datasets()
             got = engine.execute_many(QUERIES, algorithm=algorithm)
-            if backend == "process":
-                index = engine.get_index(GRID)
-                assert (index.shared_plane_ref(0) is not None) == shared_memory
         with SPQEngine(
             final_data, final_features, config=config, extent=EXTENT
         ) as oracle:
@@ -239,7 +222,6 @@ class TestTheFallbackIsGone:
     """Fails at the parent commit: tombstones left the block path there."""
 
     def test_tombstoned_reads_stay_on_the_block_path(self, monkeypatch):
-        import repro.execution.base as execution_base
         import repro.execution.serial as execution_serial
 
         data, features, deletes, appends = build_scenario()
@@ -263,15 +245,11 @@ class TestTheFallbackIsGone:
             reduced[task_index] = preloaded_block
             return run_reduce_task(job, task_index, bucket, preloaded_block)
 
-        # Wherever the serial backend's reduce call resolves the name.
-        for module in (execution_base, execution_serial):
-            if hasattr(module, "run_reduce_task"):
-                monkeypatch.setattr(module, "run_reduce_task", spying_reduce)
+        monkeypatch.setattr(execution_serial, "run_reduce_task", spying_reduce)
 
         some, every = oids_in(data, SOME_ROWS), oids_in(data, ALL_ROWS)
         tombstone_sets = ([some[0]], [some[3], some[7]], every)
-        # Serial whatever $REPRO_BACKEND says: the spies live in this process.
-        config = EngineConfig(grid_size=GRID, backend="serial")
+        config = EngineConfig(grid_size=GRID)
         with SPQEngine(data, features, config=config, extent=EXTENT) as engine:
             index = engine.get_index(GRID)
             engine.execute_many(QUERIES[:1], algorithm="pspq")  # warm, no delta
@@ -318,6 +296,5 @@ class TestTheFallbackIsGone:
             plane = index.data_shuffle(job)
             view = index.data_shuffle(job, [o for o in data if o.oid in gone])
             assert view is not plane and index.data_shuffle(job) is plane
-            assert (view.block, view.shared_ref) == (plane.block, plane.shared_ref)
-            assert view._blobs is plane._blobs  # pickled once per snapshot
+            assert view.block == plane.block
             assert sum(map(len, view.excluded.values())) == len(gone)

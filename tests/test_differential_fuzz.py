@@ -14,12 +14,10 @@ everywhere-matching ("stop-word-only") extremes -- asserting that
 * ``execute_many`` is bit-for-bit identical (ids *and* scores, ties
   included) to the raw record stream (``tests/raw_oracle.py`` -- per-query
   ``execute`` is the same index path since PR 23, so it is not the
-  reference any more) for every algorithm; and
-* the true multiprocess backend is bit-for-bit identical to serial for a
-  seeded subsample (kept small to bound runtime).
+  reference any more) for every algorithm.
 
 This is the regression net under every layer the engine grew (index-backed
-batches, pluggable backends, the cost-based planner): any divergence in
+batches, the cost-based planner): any divergence in
 shuffle ordering, early termination or result merging shows up here as a
 concrete (dataset seed, query) counterexample.
 """
@@ -156,7 +154,7 @@ def case_label(kind: str, seed: int, query: SpatialPreferenceQuery) -> str:
 
 @pytest.mark.parametrize("kind,seed", DATASETS, ids=[f"{k}-{s}" for k, s in DATASETS])
 class TestSerialDifferentialFuzz:
-    """All strategies vs the exhaustive oracle on the serial backend."""
+    """All strategies vs the exhaustive oracle."""
 
     @pytest.fixture()
     def setup(self, kind, seed):
@@ -208,33 +206,6 @@ class TestSerialDifferentialFuzz:
             assert fingerprint(result) == fingerprint(explicit)
             raw = raw_execute(engine, query, algorithm=chosen, grid_size=6)
             assert fingerprint(result) == fingerprint(raw)
-
-
-class TestProcessBackendDifferentialFuzz:
-    """A seeded subsample re-run on the true multiprocess backend."""
-
-    @pytest.mark.parametrize("kind,seed", (("uniform", 9001), ("clustered", 9101)))
-    def test_process_backend_matches_serial(self, kind, seed):
-        data, features = build_dataset(kind, seed)
-        queries = build_queries(seed + 1)[:3]
-        serial_engine = SPQEngine(data, features)
-        reference = {
-            algorithm: [
-                fingerprint(result)
-                for result in serial_engine.execute_many(
-                    queries, algorithm=algorithm, grid_size=5
-                )
-            ]
-            for algorithm in MR_ALGORITHMS
-        }
-        config = EngineConfig(backend="process", workers=2)
-        with SPQEngine(data, features, config=config) as engine:
-            for algorithm in MR_ALGORITHMS:
-                results = engine.execute_many(queries, algorithm=algorithm, grid_size=5)
-                assert [fingerprint(r) for r in results] == reference[algorithm], (
-                    f"{algorithm} differs between process and serial backends "
-                    f"({kind}/{seed})"
-                )
 
 
 class TestIngestParityFuzz:

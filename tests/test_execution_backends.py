@@ -1,9 +1,11 @@
-"""Equivalence and configuration tests for the pluggable execution backends.
+"""Serial execution against the raw record stream, and its configuration.
 
-The contract under test: the serial and process backends produce
-bit-for-bit identical job results -- outputs, counters, per-task reports and
-therefore the cost model's simulated seconds -- for all three SPQ algorithms,
-on both the per-query and the pre-partitioned batch path.
+Every task runs serially: ``execute`` and ``execute_many`` are the index
+path, and the raw record stream (``tests/raw_oracle.py``) is the
+independent reference they are held to -- ids, scores and every counter
+that does not count what was *read*.  ``EngineConfig.backend`` accepts the
+one spelling ``serial``; the process backend, its worker count and the
+``REPRO_BACKEND`` / ``REPRO_WORKERS`` variables are gone.
 """
 
 from __future__ import annotations
@@ -12,40 +14,11 @@ import pytest
 
 from raw_oracle import assert_same_work, raw_execute
 from repro.core.engine import EngineConfig, SPQEngine
-from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
 from repro.exceptions import JobConfigurationError
-from repro.execution import (
-    BACKEND_NAMES,
-    ProcessBackend,
-    SerialBackend,
-    create_backend,
-    execution_info,
-    resolve_backend_spec,
-    validate_backend_spec,
-)
-from repro.mapreduce.runtime import LocalJobRunner
 from repro.model.query import SpatialPreferenceQuery
-from repro.spatial.grid import UniformGrid
 
 ALGORITHMS = ("pspq", "espq-len", "espq-sco")
-JOB_CLASSES = {"pspq": PSPQJob, "espq-len": ESPQLenJob, "espq-sco": ESPQScoJob}
-
-#: Stats keys that must be identical across backends (wall time and backend
-#: identity legitimately differ).
-IDENTICAL_STATS = (
-    "simulated_seconds",
-    "simulated_breakdown",
-    "counters",
-    "num_map_tasks",
-    "num_reduce_tasks",
-    "shuffled_records",
-    "shuffled_bytes",
-    "features_examined",
-    "score_computations",
-    "feature_duplicates",
-    "features_pruned",
-)
 
 
 @pytest.fixture(scope="module")
@@ -65,85 +38,6 @@ def queries():
             frozenset({"w0042", "w0043"}),
         )
     ]
-
-
-def make_backend(name):
-    if name == "serial":
-        return SerialBackend()
-    return ProcessBackend(workers=2)
-
-
-def report_dicts(result):
-    return [
-        {
-            "task_index": report.task_index,
-            "num_groups": report.num_groups,
-            "input_records": report.input_records,
-            "consumed_records": report.consumed_records,
-            "output_records": report.output_records,
-            "counters": report.counters.as_dict(),
-        }
-        for report in result.reduce_reports
-    ]
-
-
-# --------------------------------------------------------------------- #
-# runner-level equivalence
-
-
-class TestRunnerEquivalence:
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("backend_name", ("process",))
-    def test_outputs_counters_reports_match_serial(
-        self, dataset, queries, algorithm, backend_name
-    ):
-        data, features = dataset
-        from repro.core.centralized import dataset_extent
-
-        grid = UniformGrid.square(dataset_extent(data, features), 6)
-        records = list(data) + list(features)
-        query = queries[0]
-        job_class = JOB_CLASSES[algorithm]
-
-        baseline = LocalJobRunner(num_reducers=grid.num_cells).run(
-            job_class(query, grid), records
-        )
-        backend = make_backend(backend_name)
-        try:
-            # A small split size forces several map tasks, exercising the
-            # cross-task sequence rebasing of the orchestrator.
-            runner = LocalJobRunner(
-                num_reducers=grid.num_cells, split_size=200, backend=backend
-            )
-            result = runner.run(job_class(query, grid), records)
-        finally:
-            backend.close()
-
-        assert result.outputs == baseline.outputs
-        assert result.counters.as_dict() == baseline.counters.as_dict()
-        assert report_dicts(result) == report_dicts(baseline)
-        assert result.num_reduce_tasks == baseline.num_reduce_tasks
-
-    def test_process_backend_propagates_task_errors(self, dataset, queries):
-        """Worker-side failures surface in the parent like serial failures do."""
-        data, features = dataset
-        from repro.core.centralized import dataset_extent
-
-        grid = UniformGrid.square(dataset_extent(data, features), 4)
-        bad_records = [object()] * 120  # unsupported record type
-        with pytest.raises(TypeError):
-            LocalJobRunner(num_reducers=grid.num_cells).run(
-                PSPQJob(queries[0], grid), bad_records
-            )
-        backend = ProcessBackend(workers=2)
-        try:
-            runner = LocalJobRunner(
-                num_reducers=grid.num_cells, split_size=50, backend=backend
-            )
-            with pytest.raises(TypeError):
-                runner.run(PSPQJob(queries[0], grid), bad_records)
-        finally:
-            backend.close()
 
 
 # --------------------------------------------------------------------- #
@@ -167,59 +61,28 @@ class TestEngineEquivalence:
         return results
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("backend_name", ("process",))
-    def test_query_results_match_serial(
-        self, dataset, queries, serial_results, algorithm, backend_name
-    ):
-        data, features = dataset
-        config = EngineConfig(backend=backend_name, workers=2)
-        with SPQEngine(data, features, config=config) as engine:
-            executed = [
-                engine.execute(query, algorithm=algorithm, grid_size=6)
-                for query in queries
-            ]
-            batched = engine.execute_many(queries, algorithm=algorithm, grid_size=6)
-
-        for mode, results in (("execute", executed), ("batch", batched)):
-            for mine, reference in zip(results, serial_results[algorithm][mode]):
-                assert mine.object_ids() == reference.object_ids()
-                assert mine.scores() == reference.scores()
-                for key in IDENTICAL_STATS:
-                    assert mine.stats[key] == reference.stats[key], (mode, key)
-                assert mine.stats["backend"] == backend_name
-                assert mine.stats["workers"] == 2
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_serial_reference_matches_the_raw_oracle(
         self, dataset, queries, serial_results, algorithm
     ):
-        """``execute`` and ``execute_many`` are one path now, so the serial
-        reference the process backend is held to is itself checked against
-        the record stream (run on a process backend: the generic record
-        route still crosses the process boundary there)."""
+        """``execute`` and ``execute_many`` are one path, so both are held
+        to the record stream, which never touches the index."""
         data, features = dataset
-        backend = ProcessBackend(workers=2)
-        try:
-            with SPQEngine(data, features) as engine:
-                raw = [
-                    raw_execute(
-                        engine, query, algorithm=algorithm, grid_size=6,
-                        backend=backend,
-                    )
-                    for query in queries
-                ]
-        finally:
-            backend.close()
+        with SPQEngine(data, features) as engine:
+            raw = [
+                raw_execute(engine, query, algorithm=algorithm, grid_size=6)
+                for query in queries
+            ]
         for mode in ("execute", "batch"):
             for mine, reference in zip(serial_results[algorithm][mode], raw):
                 assert mine.object_ids() == reference.object_ids()
                 assert mine.scores() == reference.scores()
                 assert_same_work(mine.stats, reference.stats)
+                assert not {"backend", "workers"} & set(mine.stats)
 
     def test_engine_close_is_reentrant_and_recreates_backend(self, dataset, queries):
+        """close() twice, then the engine still answers, identically."""
         data, features = dataset
-        config = EngineConfig(backend="process", workers=2)
-        engine = SPQEngine(data, features, config=config)
+        engine = SPQEngine(data, features, config=EngineConfig(backend="serial"))
         first = engine.execute(queries[0], grid_size=6)
         engine.close()
         engine.close()
@@ -229,77 +92,32 @@ class TestEngineEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# configuration and resolution
+# configuration
 
 
 class TestBackendConfiguration:
     def test_backend_names_are_stable(self):
-        assert BACKEND_NAMES == ("serial", "process")
+        # The one spelling left, kept for callers that write it out.
+        assert EngineConfig().backend == "serial"
+        assert EngineConfig(backend="serial") == EngineConfig()
 
     def test_serial_with_multiple_workers_rejected(self):
-        with pytest.raises(JobConfigurationError):
-            validate_backend_spec("serial", 4)
+        with pytest.raises(TypeError, match="workers"):
+            EngineConfig(backend="serial", workers=4)  # type: ignore[call-arg]
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(JobConfigurationError):
-            validate_backend_spec("celery", 1)
+        with pytest.raises(JobConfigurationError, match="celery"):
+            EngineConfig(backend="celery")
 
     def test_nonpositive_workers_rejected(self):
-        with pytest.raises(JobConfigurationError):
-            validate_backend_spec("process", 0)
+        with pytest.raises(TypeError, match="workers"):
+            EngineConfig(workers=0)  # type: ignore[call-arg]
 
-    def test_defaults_resolve_to_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_backend_spec() == ("serial", 1)
-
-    def test_env_var_seeds_the_default(self, monkeypatch):
+    def test_defaults_resolve_to_serial(self, dataset, queries, monkeypatch):
+        # The variables that used to pick a pool are read by nothing now.
         monkeypatch.setenv("REPRO_BACKEND", "process")
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_backend_spec() == ("process", 3)
-        assert execution_info() == {"backend": "process", "workers": 3}
-
-    def test_explicit_choice_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "serial")
-        assert resolve_backend_spec("process", 2) == ("process", 2)
-
-    def test_bad_env_workers_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "lots")
-        with pytest.raises(JobConfigurationError):
-            resolve_backend_spec("process")
-
-    def test_create_backend_instantiates_each_kind(self):
-        assert isinstance(create_backend("serial"), SerialBackend)
-        process = create_backend("process", 2)
-        assert isinstance(process, ProcessBackend) and process.workers == 2
-        process.close()
-
-
-# --------------------------------------------------------------------- #
-# preloaded-shuffle compact form
-
-
-class TestPreloadedShuffleBlobs:
-    def test_partition_blob_is_cached(self, dataset, queries):
-        """The pickled block is cached and round-trips to an equal block."""
-        import pickle
-
         data, features = dataset
-        engine = SPQEngine(data, features)
-        index = engine.get_index(grid_size=6)
-        job = PSPQJob(queries[0], index.grid)
-        shuffle = index.data_shuffle(job)
-        held = [p for p in range(shuffle.num_partitions) if shuffle.block(p)]
-        assert held
-        for partition in held:
-            blob = shuffle.blob(partition)
-            assert shuffle.blob(partition) is blob  # pickled once, then cached
-            group, block = shuffle.block(partition)
-            # Warm the block's lazy caches: they must not travel in the blob.
-            block.candidate_rows(float("-inf"), float("inf"))
-            assert shuffle.blob(partition) is blob
-            got_group, got = pickle.loads(blob)
-            assert got_group == group == got.group
-            assert (got.objs, got.xs, got.ys) == (block.objs, block.xs, block.ys)
-        empty = set(range(shuffle.num_partitions)) - set(held)
-        assert all(shuffle.blob(p) is None for p in empty)
+        assert EngineConfig().backend == "serial"
+        with SPQEngine(data, features) as engine:
+            assert engine.execute(queries[0], grid_size=6).entries

@@ -1,4 +1,4 @@
-"""Shared-memory segment lifecycle: refcounts, unlink-on-last-close, planes."""
+"""Shared-memory segment lifecycle: refcounts, unlink-on-last-close, datasets."""
 
 from __future__ import annotations
 
@@ -8,10 +8,7 @@ import random
 import pytest
 
 from repro.core.engine import EngineConfig, SPQEngine
-from repro.execution import shm
 from repro.execution.shm import (
-    AttachedReducePlane,
-    OwnedSegmentPlane,
     SEGMENT_PREFIX,
     attach_dataset,
     attach_segment,
@@ -135,77 +132,6 @@ class TestSegmentLifecycle:
 
 
 @requires_shm
-class TestReducePlane:
-    def test_blocks_match_partition_routing(self):
-        data, _ = make_dataset(80)
-        num_partitions = 5
-        cell_ids = [1 + (i % 11) for i in range(len(data))]
-        payload = ColumnStore.from_datasets(
-            data_objects=data, cell_ids=cell_ids, num_partitions=num_partitions
-        ).to_bytes()
-        plane = OwnedSegmentPlane(payload)
-        try:
-            attached = AttachedReducePlane(plane.name)
-            try:
-                seen = []
-                for partition in range(num_partitions):
-                    entry = attached.block(partition)
-                    if entry is None:
-                        continue
-                    _, block = entry
-                    seen.extend(obj.oid for obj in block.objs)
-                    rows = [
-                        i
-                        for i, cell in enumerate(cell_ids)
-                        if (cell - 1) % num_partitions == partition
-                    ]
-                    assert block.objs == [data[row] for row in rows]
-                    assert block.xs == [data[row].x for row in rows]
-                assert sorted(seen) == sorted(obj.oid for obj in data)
-            finally:
-                attached.close()
-        finally:
-            plane.release()
-        assert shm_strays() == []
-
-    def test_blocks_survive_close(self):
-        data, _ = make_dataset(30)
-        payload = ColumnStore.from_datasets(
-            data_objects=data,
-            cell_ids=[1] * len(data),
-            num_partitions=1,
-        ).to_bytes()
-        plane = OwnedSegmentPlane(payload)
-        attached = AttachedReducePlane(plane.name)
-        _, block = attached.block(0)
-        attached.close()
-        plane.release()
-        # Cached blocks hold plain objects, not views into the buffer.
-        assert block.objs == data
-
-    def test_partition_ref_none_after_release(self):
-        plane = OwnedSegmentPlane(
-            ColumnStore.from_datasets(
-                data_objects=[], cell_ids=[], num_partitions=1
-            ).to_bytes()
-        )
-        assert plane.partition_ref(0) == (plane.name, 0)
-        plane.release()
-        assert plane.partition_ref(0) is None
-
-    def test_non_reduce_segment_rejected(self):
-        segment = create_segment(
-            ColumnStore.from_datasets(data_objects=[]).to_bytes()
-        )
-        try:
-            with pytest.raises(ValueError, match="reduce plane"):
-                AttachedReducePlane(segment.name)
-        finally:
-            segment.release()
-        assert live_segment_names() == []
-
-
-@requires_shm
 class TestDatasetSegment:
     def test_publish_attach_round_trip(self):
         data, features = make_dataset(70)
@@ -239,24 +165,10 @@ class TestDatasetSegment:
 class TestEngineIntegration:
     QUERY = SpatialPreferenceQuery.create(k=5, radius=3.0, keywords={"a", "b"})
 
-    def run_engine(self, backend: str = "serial", workers=None):
+    def run_engine(self):
         data, features = make_dataset(200, seed=9)
-        config = EngineConfig(backend=backend, workers=workers, grid_size=3)
-        with SPQEngine(data, features, config=config) as engine:
-            result = engine.execute_many(
-                [self.QUERY], algorithm="pspq", grid_size=3
-            )[0]
-        return (
-            [(entry.obj.oid, entry.score) for entry in result.entries],
-            result.stats["counters"],
-        )
-
-    @requires_shm
-    def test_process_backend_leaves_no_segments(self):
-        before = shm_strays()
-        self.run_engine(backend="process", workers=2)
-        assert live_segment_names() == []
-        assert shm_strays() == before
+        with SPQEngine(data, features, config=EngineConfig(grid_size=3)) as engine:
+            engine.execute_many([self.QUERY], algorithm="pspq", grid_size=3)
 
     @requires_shm
     def test_serial_engine_leaves_no_segments(self):
@@ -264,12 +176,3 @@ class TestEngineIntegration:
         self.run_engine()
         assert live_segment_names() == []
         assert shm_strays() == before
-
-    def test_pickle_fallback_matches_shared_memory(self, monkeypatch):
-        baseline = self.run_engine(backend="process", workers=2)
-        # With shared memory gone the process backend must fall back to
-        # pickled partitions and produce identical entries and counters.
-        monkeypatch.setattr(shm, "shared_memory_available", lambda: False)
-        fallback = self.run_engine(backend="process", workers=2)
-        assert fallback == baseline
-        assert live_segment_names() == []

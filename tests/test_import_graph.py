@@ -4,9 +4,9 @@
 runs no query (``docs/paper-map.md``).  It may import the engine; the engine,
 the servers and the CLI may not import it back at import time, directly or
 through a package ``__init__`` -- that is how the r-tree, the HDFS simulator
-and the figure harness came to be loaded by every ``repro serve`` and every
-process-backend worker.  The only way in is a function-local import in the
-two CLI sub-commands that print paper tables.
+and the figure harness came to be loaded by every ``repro serve``.  The only
+way in is a function-local import in the two CLI sub-commands that print
+paper tables.
 """
 
 from __future__ import annotations

@@ -12,17 +12,15 @@ test-side helper) the runs must equal the oracle's buckets sorted by
 ``(sort_key, sequence)`` -- same partitions in the same creation order, same
 entries -- and agree counter for counter, values *and* key creation order,
 the empty split included: for every job class, with and without a live
-delta, at every split size, on every backend, under both reduce loops and
-from two threads at once.  The record-at-a-time loop is itself held to a
-verbatim copy of the loop it replaced (one ``increment`` per emission), so
-both routes answer to the same reference.  The last two classes
-pin what the view is *for*: a reducer materialises exactly the values it
-reads, and a worker process is sent exactly the rows of its partition.
+delta, at every split size, under both reduce loops, serially and from two
+threads at once.  The record-at-a-time loop is itself held to a verbatim
+copy of the loop it replaced (one ``increment`` per emission), so both
+routes answer to the same reference.  The last class pins what the view is
+*for*: a reducer materialises exactly the values it reads.
 """
 
 from __future__ import annotations
 
-import pickle
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -32,8 +30,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob
 from repro.exceptions import JobExecutionError
-from repro.execution import SerialBackend, create_backend
-from repro.execution.base import ReduceTask
+from repro.execution import SerialBackend
 from repro.execution.tasks import run_map_task, sort_bucket
 from repro.index.dataset_index import DatasetIndex
 from repro.index.delta import DeltaSnapshot, with_delta_appends
@@ -69,11 +66,7 @@ class TwoThreads(SerialBackend):
             ))
 
 
-BACKENDS = {
-    "serial": SerialBackend,
-    "thread": TwoThreads,
-    "process": lambda: create_backend("process", 2),
-}
+BACKENDS = {"serial": SerialBackend, "thread": TwoThreads}
 
 
 def build_base():
@@ -270,36 +263,26 @@ class TestKernelEqualsPerRecordMap:
         job_class = JOB_CLASSES[algorithm]
         records = raw_records(split)
         num_reducers = grid.num_cells
-        with BACKENDS[backend]() as pool:
-            got = pool.run_map_tasks(
-                job_class(QUERY, grid), split.slices(split_size), num_reducers
+        pool = BACKENDS[backend]()
+        got = pool.run_map_tasks(
+            job_class(QUERY, grid), split.slices(split_size), num_reducers
+        )
+        want = pool.run_map_tasks(
+            job_class(QUERY, grid), chunks(records, split_size), num_reducers
+        )
+        assert len(got) == len(want) == -(-len(records) // split_size)
+        for mine, theirs, part in zip(got, want, split.slices(split_size)):
+            assert mine.task_index == theirs.task_index
+            assert_same_task(
+                mine, theirs.buckets, theirs.num_emitted,
+                theirs.num_input_records, theirs.counters,
+                job=job_class(QUERY, grid), part=part,
             )
-            want = pool.run_map_tasks(
-                job_class(QUERY, grid), chunks(records, split_size), num_reducers
-            )
-            assert len(got) == len(want) == -(-len(records) // split_size)
-            learned = {}
-            for mine, theirs, part in zip(got, want, split.slices(split_size)):
-                assert mine.task_index == theirs.task_index
-                assert_same_task(
-                    mine, theirs.buckets, theirs.num_emitted,
-                    theirs.num_input_records, theirs.counters,
-                    job=job_class(QUERY, grid), part=part,
-                )
-                # The size memo is handed back: at least this task's features.
-                for feature in part.features:
-                    assert mine.task_state[feature.oid] == 24 + sum(
-                        len(word) + 1 for word in feature.keywords
-                    )
-                learned.update(mine.task_state or {})
-            assert learned == {
-                oid: size for r in want for oid, size in (r.task_state or {}).items()
-            }
-            runner = LocalJobRunner(num_reducers, split_size=split_size, backend=pool)
-            fused = runner.run(job_class(QUERY, grid), split, preloaded=preloaded)
-            # The split is columns, not a stream: a second run sees it all again.
-            again = runner.run(job_class(QUERY, grid), split, preloaded=preloaded)
-            plain = runner.run(job_class(QUERY, grid), records, preloaded=preloaded)
+        runner = LocalJobRunner(num_reducers, split_size=split_size, backend=pool)
+        fused = runner.run(job_class(QUERY, grid), split, preloaded=preloaded)
+        # The split is columns, not a stream: a second run sees it all again.
+        again = runner.run(job_class(QUERY, grid), split, preloaded=preloaded)
+        plain = runner.run(job_class(QUERY, grid), records, preloaded=preloaded)
         assert fused.outputs == again.outputs == plain.outputs and fused.outputs
         assert ordered(fused.counters) == ordered(again.counters) == ordered(plain.counters)
         assert fused.num_map_tasks == plain.num_map_tasks
@@ -562,26 +545,3 @@ class TestTheShuffleIsAView:
             # One value column and one sort column per task, shared by all.
             assert run.values is runs[0].values and run.sort_keys is runs[0].sort_keys
         assert len(runs[0].values) == len(runs[0].sort_keys) == len(split)
-
-    def test_a_reduce_payload_is_the_size_of_its_rows(self, algorithm):
-        rng = random.Random(11)
-        grid = UniformGrid.square(EXTENT, GRID)
-        features = [
-            FeatureObject(
-                f"f{i:04d}", rng.uniform(0.0, 60.0), rng.uniform(0.0, 60.0),
-                frozenset({"cafe", *rng.sample(VOCABULARY[1:], rng.randint(0, 3))}),
-            )
-            for i in range(2000)
-        ]
-        split = DatasetIndex([], features, grid).prepare(QUERY).split
-        assert len(split) == 2000
-        job = JOB_CLASSES[algorithm](QUERY, grid)
-        mapped = run_map_task(job, 0, split, grid.num_cells)
-        whole = len(pickle.dumps(mapped.buckets[0][1].values))
-        with create_backend("process", 2) as backend:
-            payloads = backend.reduce_payloads(
-                job, [ReduceTask(index, bucket) for index, bucket in mapped.buckets.items()]
-            )
-        for payload, bucket in zip(payloads, mapped.buckets.values()):
-            own = [value for run in bucket.values() for value in run.read()]
-            assert len(pickle.dumps(payload)) < 2 * len(pickle.dumps(own)) < whole / 2

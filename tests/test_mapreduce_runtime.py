@@ -8,10 +8,12 @@ purpose-built jobs, independently of the spatial code.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.exceptions import JobConfigurationError, JobExecutionError
-from repro.execution.process import ProcessBackend
+from repro.execution.serial import SerialBackend
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import LocalJobRunner
 
@@ -86,6 +88,15 @@ class BadPartitionJob(WordCountJob):
         return num_reducers + 5
 
 
+class ThreadedReduce(SerialBackend):
+    """Reduce tasks on two threads, through the runner's ``backend`` seam."""
+
+    def run_reduce_tasks(self, job, tasks):
+        reduce_one = super().run_reduce_tasks
+        with ThreadPoolExecutor(2) as pool:
+            return list(pool.map(lambda task: reduce_one(job, [task])[0], tasks))
+
+
 class TestRunnerConfiguration:
     def test_rejects_zero_reducers(self):
         with pytest.raises(JobConfigurationError):
@@ -94,11 +105,6 @@ class TestRunnerConfiguration:
     def test_rejects_zero_split_size(self):
         with pytest.raises(JobConfigurationError):
             LocalJobRunner(num_reducers=1, split_size=0)
-
-    def test_rejects_zero_workers(self):
-        # The worker count is the backend's; so is the check.
-        with pytest.raises(JobConfigurationError):
-            LocalJobRunner(num_reducers=1, backend=ProcessBackend(0))
 
 
 class TestWordCount:
@@ -143,14 +149,12 @@ class TestWordCount:
 
     def test_parallel_reduce_gives_same_result(self):
         records = ["a b c d", "a a b", "d d d d"]
-        serial = dict(LocalJobRunner(num_reducers=4).run(WordCountJob(), records).outputs)
-        with ProcessBackend(2) as backend:
-            parallel = dict(
-                LocalJobRunner(num_reducers=4, backend=backend)
-                .run(WordCountJob(), records)
-                .outputs
-            )
-        assert serial == parallel
+        serial = LocalJobRunner(num_reducers=4).run(WordCountJob(), records)
+        parallel = LocalJobRunner(num_reducers=4, backend=ThreadedReduce()).run(
+            WordCountJob(), records
+        )
+        assert parallel.outputs == serial.outputs
+        assert parallel.counters.as_dict() == serial.counters.as_dict()
 
 
 class TestSecondarySort:

@@ -96,7 +96,7 @@ class _Served:
         # What `repro serve` itself builds from these flags.
         self.service = cli._front_door(
             args, *load_dataset(dataset_file), cli._service_config(args),
-            cli._engine_config(args, grid_size=args.grid_size),
+            cli._engine_config(args),
         )
 
     def __enter__(self):
@@ -161,9 +161,7 @@ class TestReplayIsVerbatim:
         record = json.loads(capsys.readouterr().out)
         assert record["cached"] is False
         assert record["stats"]["algorithm"] == "eSPQlen"
-        assert {"grid_size", "backend", "shuffled_records", "index"} <= set(
-            record["stats"]
-        )
+        assert {"grid_size", "shuffled_records", "index"} <= set(record["stats"])
 
     def test_one_splitter_numbers_lines_as_in_the_file(self):
         numbered = split_batch_body('\n# c\n{"a": 1}\n\n{"b": 2}\n')
