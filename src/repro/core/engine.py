@@ -636,9 +636,10 @@ class SPQEngine:
                 for position in candidates
                 if position not in deleted_positions
             ]
-        prepared = index.prepare(item.query, candidates=candidates)
+        prepared = index.prepare(
+            item.query, candidates=candidates, hits=statistics.keyword_hits
+        )
         job = self._make_job(algorithm, item.query, index.grid, item.score_mode)
-        job.share_feature_sizes(index.feature_sizes)
         planner_stats = None
         if decision is not None:
             planner_stats = {

@@ -27,12 +27,18 @@ which the cluster cost model converts into simulated reduce time.
 
 from __future__ import annotations
 
-from itertools import chain
+from bisect import bisect_right
+from itertools import chain, repeat
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import JobExecutionError
 from repro.index.columns import DataBlock, dataplane_mode
-from repro.index.records import CellRun, MapSplit
+from repro.index.records import (
+    DATA_RECORD_BYTES,
+    CellRun,
+    MapSplit,
+    feature_record_size,
+)
 from repro.mapreduce import counters as counter_names
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import MapReduceJob
@@ -115,27 +121,20 @@ class _CellData:
         self.xs.append(obj.x)
         self.ys.append(obj.y)
 
-    def candidates(self, low: float, high: float) -> List[int]:
-        """Rows whose x lies in ``[low, high]`` (see DataBlock.candidate_rows).
+    def frozen(self) -> DataBlock:
+        """The data as one block, whose caches serve what a reducer asks.
 
-        Delegating to the adopted block caches the x-sorted permutation per
-        cell per dataset snapshot, across queries and job classes.  For live
-        streams the columns are frozen on first use: the composite-key sort
-        delivers every data record before the first feature, so the data set
-        is complete by the time a feature needs candidates (a later append
-        would copy-on-write and drop the frozen block).
+        An adopted block caches its x-sorted permutation and oid columns per
+        cell per dataset snapshot, across queries and job classes.  Live
+        streams are frozen on first use: the composite-key sort delivers
+        every data record before the first feature, so the data set is
+        complete by the time a feature needs it (a later append would
+        copy-on-write and drop the frozen block).
         """
         block = self._block
         if block is None:
             block = self._block = DataBlock(0, self.objs, self.xs, self.ys)
-        return block.candidate_rows(low, high)
-
-    def oids(self) -> List[str]:
-        """Parallel oid column (cached on the block once data is final)."""
-        block = self._block
-        if block is None:
-            block = self._block = DataBlock(0, self.objs, self.xs, self.ys)
-        return block.oids
+        return block
 
 
 class _SPQJobBase(MapReduceJob):
@@ -172,9 +171,6 @@ class _SPQJobBase(MapReduceJob):
         # environment changes mid-flight.
         self.dataplane = dataplane_mode()
         self._scorer: Optional[JaccardScorer] = None
-        # oid -> serialized size; a feature's size is recomputed for every
-        # duplicated copy otherwise, which shows up hot in profiles.
-        self._feature_sizes: Dict[str, int] = {}
 
     @property
     def scorer(self) -> JaccardScorer:
@@ -183,10 +179,6 @@ class _SPQJobBase(MapReduceJob):
         if scorer is None:
             scorer = self._scorer = JaccardScorer(self.query.keywords)
         return scorer
-
-    def share_feature_sizes(self, cache: Dict[str, int]) -> None:
-        """Adopt a size memo that outlives this job (see DatasetIndex)."""
-        self._feature_sizes = cache
 
     # -------------------------------------------------------------- #
     # map side
@@ -216,9 +208,10 @@ class _SPQJobBase(MapReduceJob):
     ) -> Tuple[Dict[int, Dict[int, CellRun]], int, int]:
         """Map a pre-assigned columnar split into per-cell runs of its rows.
 
-        Pruning, grid location and Lemma-1 duplication are already in the
-        split's columns, and nothing is built per emitted copy: the feature
-        rows are stable-sorted **once**, by the sort secondary of
+        Pruning, grid location, Lemma-1 duplication, scores and record
+        sizes are already in the split's columns, and nothing is built per
+        emitted copy: the feature rows are stable-sorted **once**, by the
+        sort secondary of
         :meth:`_feature_columns`, and scattered in that order, so each cell
         collects the row numbers of the records that reach it -- delta data
         rows first, in row order, then features -- already in ``(sort_key,
@@ -237,7 +230,7 @@ class _SPQJobBase(MapReduceJob):
         features = split.features
         cells = split.cells
         num_data = len(split.data)
-        sort_keys, values = self._feature_columns(features)
+        sort_keys, values = self._feature_columns(split)
         if num_data:
             # Delta data rows ride in front; their sort secondary is the same
             # for every cell and sorts ahead of any feature's.
@@ -266,11 +259,9 @@ class _SPQJobBase(MapReduceJob):
         # caller adds the emission totals, as it does for that loop.
         kept = len(features)
         copies = sum(map(len, cells))
-        sizes = self._feature_sizes
-        shuffle_bytes = 24 * num_data
-        for feature, reached in zip(features, cells):
-            size = sizes.get(feature.oid) or self.estimated_record_size(None, feature)
-            shuffle_bytes += size * len(reached)
+        shuffle_bytes = DATA_RECORD_BYTES * num_data + sum(
+            map(int.__mul__, split.sizes, map(len, cells))
+        )
         if num_data:
             counters.increment(SPQ_GROUP, DATA_OBJECTS, num_data)
             counters.increment(counter_names.GROUP_MAP, counter_names.MAP_OUTPUT_RECORDS, 0)
@@ -284,8 +275,8 @@ class _SPQJobBase(MapReduceJob):
     def mapped_data_counters(count: int) -> Counters:
         """What mapping ``count`` pre-assigned data records counts, in closed form.
 
-        :meth:`map` turns every data record into exactly one 24-byte shuffle
-        record (:meth:`estimated_record_size`), whatever the job class, so
+        :meth:`map` turns every data record into exactly one
+        ``DATA_RECORD_BYTES`` shuffle record, whatever the job class, so
         the preloaded side of a run (``DatasetIndex.data_shuffle``) states
         its counter deltas without mapping anything -- key for key what
         ``run_map_task`` over the records produces, including that only
@@ -296,7 +287,11 @@ class _SPQJobBase(MapReduceJob):
             counters.increment(SPQ_GROUP, DATA_OBJECTS, count)
             counters.increment(counter_names.GROUP_MAP, counter_names.MAP_OUTPUT_RECORDS, count)
             counters.increment(counter_names.GROUP_SHUFFLE, counter_names.SHUFFLE_RECORDS, count)
-            counters.increment(counter_names.GROUP_SHUFFLE, counter_names.SHUFFLE_BYTES, 24 * count)
+            counters.increment(
+                counter_names.GROUP_SHUFFLE,
+                counter_names.SHUFFLE_BYTES,
+                DATA_RECORD_BYTES * count,
+            )
         counters.increment(counter_names.GROUP_MAP, counter_names.MAP_INPUT_RECORDS, count)
         return counters
 
@@ -309,12 +304,10 @@ class _SPQJobBase(MapReduceJob):
     def _feature_value(self, feature: FeatureObject) -> Any:
         return feature
 
-    def _feature_columns(
-        self, features: Sequence[FeatureObject]
-    ) -> Tuple[List[Any], Sequence[Any]]:
-        """Per feature, what :meth:`map_split` needs beyond its cells.
+    def _feature_columns(self, split: MapSplit) -> Tuple[List[Any], Sequence[Any]]:
+        """Per feature of ``split``, what :meth:`map_split` needs beyond its cells.
 
-        Two columns parallel to ``features``: the sort key's secondary
+        Two columns parallel to ``split.features``: the sort key's secondary
         component (as :meth:`sort_key` of :meth:`_feature_key`) and the
         shuffled value (as :meth:`_feature_value`).
         """
@@ -347,12 +340,8 @@ class _SPQJobBase(MapReduceJob):
         if isinstance(value, tuple):
             value = value[0]
         if isinstance(value, FeatureObject):
-            size = self._feature_sizes.get(value.oid)
-            if size is None:
-                size = 24 + sum(len(word) + 1 for word in value.keywords)
-                self._feature_sizes[value.oid] = size
-            return size
-        return 24
+            return feature_record_size(value)
+        return DATA_RECORD_BYTES
 
 
 class PSPQJob(_SPQJobBase):
@@ -389,8 +378,8 @@ class PSPQJob(_SPQJobBase):
     def _feature_key(self, cell_id: int, feature: FeatureObject) -> Tuple:
         return (cell_id, TAG_FEATURE)
 
-    def _feature_columns(self, features):
-        return [TAG_FEATURE] * len(features), features
+    def _feature_columns(self, split):
+        return [TAG_FEATURE] * len(split.features), split.features
 
     def reduce(
         self, group: int, values: Iterator[Any], counters: Counters
@@ -446,7 +435,7 @@ class PSPQJob(_SPQJobBase):
                 objs = data.objs
                 matched = [
                     row
-                    for row in data.candidates(fx - window, fx + window)
+                    for row in data.frozen().candidate_rows(fx - window, fx + window)
                     if (dx := xs[row] - fx) * dx + (dy := ys[row] - fy) * dy
                     <= squared_radius
                 ]
@@ -527,7 +516,8 @@ class ESPQLenJob(_SPQJobBase):
     def _feature_key(self, cell_id: int, feature: FeatureObject) -> Tuple:
         return (cell_id, feature.keyword_count)
 
-    def _feature_columns(self, features):
+    def _feature_columns(self, split):
+        features = split.features
         return [len(feature.keywords) for feature in features], features
 
     def reduce(
@@ -583,7 +573,7 @@ class ESPQLenJob(_SPQJobBase):
             objs = data.objs
             matched = [
                 row
-                for row in data.candidates(fx - window, fx + window)
+                for row in data.frozen().candidate_rows(fx - window, fx + window)
                 if (dx := xs[row] - fx) * dx + (dy := ys[row] - fy) * dy
                 <= squared_radius
             ]
@@ -661,10 +651,11 @@ class ESPQScoJob(_SPQJobBase):
         # Carry the map-side score so the reducer does not recompute it.
         return (feature, self.scorer.score(feature.keywords))
 
-    def _feature_columns(self, features):
-        # Scored once per feature; every copy carries the identical float.
-        scores = self.scorer.score_many([feature.keywords for feature in features])
-        return [-value for value in scores], list(zip(features, scores))
+    def _feature_columns(self, split):
+        # Scored by the index from its postings (``split.scores``); every
+        # copy carries the identical float.
+        scores = split.scores
+        return [-value for value in scores], list(zip(split.features, scores))
 
     def _count_map_feature_work(self, copies: int, kept: int, counters: Counters) -> None:
         # Per feature, one score for the value plus one per emitted copy's
@@ -684,13 +675,24 @@ class ESPQScoJob(_SPQJobBase):
     ) -> Iterable[Tuple[int, str, float]]:
         """Report-as-you-go early-terminating reduce of eSPQsco (Algorithm 4).
 
-        Columnar path: a storage-order scan over the coordinate columns with
-        the squared-distance predicate inlined.  No candidate window here --
-        this reducer's ``score_computations`` counter charges each pair it
-        actually examines (unlike the cell-sized model counter of the other
-        two), so skipping pairs would change the counters the cost model
-        calibrates against.  ``REPRO_DATAPLANE=object`` selects the original
-        per-object loop below as the oracle.
+        Columnar path: a storage-order scan over the coordinate columns that
+        stops at the k-th report.  Distance comes first: ``dx * dx`` alone
+        past ``r²`` rules a row out exactly (adding ``dy * dy >= 0`` cannot
+        lower a float sum), and a row's oid is looked at only on a hit.  A
+        candidate window over the x-sorted rows would find the matches too,
+        but re-sorting them into storage order made batches slower
+        (docs/dataplane.md): the scan already stops after a few dozen rows.
+
+        ``score_computations`` is what the per-object loop charges -- one
+        per row it tests, skipping rows whose oid is already reported -- in
+        closed form.  Each feature is charged a full scan up front: the cell
+        size minus the rows of every oid reported before it.  A report at
+        row ``p`` takes back its oid's rows after ``p`` (skipped later in
+        the same scan), and the k-th report takes back the rows the scan
+        never reached, net of those already taken back.  A cell may hold one
+        oid on several rows; the block's cached ``oid_rows`` column says
+        which.  ``REPRO_DATAPLANE=object`` selects the original per-object
+        loop below as the oracle.
         """
         if self.dataplane != "columnar":
             return self._reduce_objects(group, values, counters)
@@ -702,7 +704,10 @@ class ESPQScoJob(_SPQJobBase):
         squared_radius = radius * radius
         examined = 0
         computations = 0
-        done = False
+        block: Optional[DataBlock] = None
+        # The rows of every reported oid, and how many rows that is.
+        held: List[Tuple[int, ...]] = []
+        skipped = 0
         for value in values:
             if value.__class__ is DataBlock:
                 data.adopt(value)
@@ -716,27 +721,35 @@ class ESPQScoJob(_SPQJobBase):
                 # Scores are sorted descending: nothing below can contribute.
                 counters.increment(SPQ_GROUP, EARLY_TERMINATIONS)
                 break
+            if block is None:
+                block = data.frozen()
+                xs, ys, oids, oid_rows = block.xs, block.ys, block.oids, block.oid_rows
+                size = len(xs)
             fx = feature.x
             fy = feature.y
-            xs = data.xs
-            ys = data.ys
-            for row, oid in enumerate(data.oids()):
-                if oid in reported_ids:
-                    continue
-                computations += 1
-                dx = xs[row] - fx
-                dy = ys[row] - fy
-                if dx * dx + dy * dy <= squared_radius:
+            computations += size - skipped
+            for row, x in enumerate(xs):
+                if (
+                    (squared := (dx := x - fx) * dx) <= squared_radius
+                    and squared + (dy := ys[row] - fy) * dy <= squared_radius
+                    and (oid := oids[row]) not in reported_ids
+                ):
                     # Lemma 3: the feature currently examined has the highest
                     # score among all unseen features, so tau(obj) == score.
                     reported.append((group, oid, score))
                     reported_ids.add(oid)
+                    rows = oid_rows[row]
+                    held.append(rows)
+                    skipped += len(rows)
+                    computations -= len(rows) - bisect_right(rows, row)
                     if len(reported) >= k:
-                        counters.increment(SPQ_GROUP, EARLY_TERMINATIONS)
-                        done = True
+                        beyond = skipped - sum(map(bisect_right, held, repeat(row)))
+                        computations -= size - row - 1 - beyond
                         break
-            if done:
-                break
+            else:
+                continue  # the scan ended below k reports: next feature
+            counters.increment(SPQ_GROUP, EARLY_TERMINATIONS)
+            break
         if examined:
             counters.increment(WORK_GROUP, FEATURES_EXAMINED, examined)
         if computations:

@@ -512,7 +512,9 @@ class DataBlock:
     mapping the cell's data objects one by one would have streamed them.
     """
 
-    __slots__ = ("group", "objs", "xs", "ys", "_sorted_xs", "_sorted_rows", "_oids")
+    __slots__ = (
+        "group", "objs", "xs", "ys", "_sorted_xs", "_sorted_rows", "_oids", "_oid_rows"
+    )
 
     def __init__(self, group: int, objs: List[DataObject], xs, ys) -> None:
         self.group = group
@@ -522,6 +524,7 @@ class DataBlock:
         self._sorted_xs: Optional[List[float]] = None
         self._sorted_rows: Optional[List[int]] = None
         self._oids: Optional[List[str]] = None
+        self._oid_rows: Optional[List[Tuple[int, ...]]] = None
 
     @classmethod
     def from_objects(cls, group: int, objs: List[DataObject]) -> "DataBlock":
@@ -539,6 +542,23 @@ class DataBlock:
         if self._oids is None:
             self._oids = [obj.oid for obj in self.objs]
         return self._oids
+
+    @property
+    def oid_rows(self) -> List[Tuple[int, ...]]:
+        """Per row, every row holding its oid, ascending (cached).
+
+        A cell may repeat an oid; when none does, each row holds only itself.
+        """
+        if self._oid_rows is None:
+            oids = self.oids
+            if len(set(oids)) == len(oids):
+                self._oid_rows = [(row,) for row in range(len(oids))]
+            else:
+                rows: Dict[str, Tuple[int, ...]] = {}
+                for row, oid in enumerate(oids):
+                    rows[oid] = rows.get(oid, ()) + (row,)
+                self._oid_rows = list(map(rows.__getitem__, oids))
+        return self._oid_rows
 
     def candidate_rows(self, low: float, high: float) -> List[int]:
         """Storage rows whose x lies in ``[low, high]``, in x-sorted order.

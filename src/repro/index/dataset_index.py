@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.index.columns import DataBlock
-from repro.index.records import MapSplit
+from repro.index.records import MapSplit, feature_record_size
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import PreloadedShuffle
 from repro.model.objects import DataObject, FeatureObject
@@ -128,12 +128,16 @@ class DatasetIndex:
                 [feature.y for feature in self._feature_objects],
             )
         )
-        #: total text-serialized size of all features, matching the jobs'
-        #: ``estimated_record_size`` formula (24 bytes + keyword lengths).
-        self._total_feature_bytes = sum(
-            24 + sum(len(word) + 1 for word in feature.keywords)
-            for feature in self._feature_objects
+        #: storage position -> shuffle record size and ``|f.W|`` of every
+        #: feature: ``prepare`` slices the first into a split's ``sizes``
+        #: and scores from the second, so no query re-derives either.
+        self._record_sizes: List[int] = list(
+            map(feature_record_size, self._feature_objects)
         )
+        self._keyword_counts: List[int] = [
+            len(feature.keywords) for feature in self._feature_objects
+        ]
+        self._total_feature_bytes = sum(self._record_sizes)
         self._inverted = PositionalInvertedIndex(self._feature_objects)
         #: radius -> {feature position -> duplication cell tuple}, filled
         #: lazily for the features queries actually touch; an LRU over at
@@ -157,10 +161,6 @@ class DatasetIndex:
         self._blocks: Optional[List[Optional[Tuple[int, DataBlock]]]] = None
         self._blocks_lock = threading.Lock()
         self._shuffle: Optional[PreloadedShuffle] = None
-        #: oid -> estimated serialized size, shared by every job of a batch
-        #: (a job's own memo dies with the query; this one lives with the
-        #: dataset snapshot, so sizes are computed once per feature ever).
-        self.feature_sizes: Dict[str, int] = {}
 
         self.stats = IndexBuildStats(
             build_seconds=time.perf_counter() - started,
@@ -440,6 +440,10 @@ class DatasetIndex:
     # ------------------------------------------------------------------ #
     # query preparation
 
+    def keyword_hits(self, keywords) -> "Counter[int]":
+        """Candidate position -> ``|f.W ∩ q.W|`` (one posting-list walk)."""
+        return self._inverted.keyword_hits(keywords)
+
     def candidate_positions(self, keywords) -> List[int]:
         """Storage positions of features relevant to the query keywords."""
         return self._inverted.candidate_positions(keywords)
@@ -448,19 +452,34 @@ class DatasetIndex:
         self,
         query: SpatialPreferenceQuery,
         candidates: Optional[List[int]] = None,
+        hits: Optional[Mapping[int, int]] = None,
     ) -> PreparedQuery:
         """Gather the pre-partitioned map input of one query, in one pass.
 
-        ``candidates`` lets a caller that already computed
-        :meth:`candidate_positions` for this query (the cost-based planner
-        does) pass the positions in instead of recomputing the union.
+        ``candidates`` and ``hits`` let a caller that already walked the
+        posting lists for this query (the cost-based planner does) pass
+        :meth:`keyword_hits` and the positions to map in instead of walking
+        them again.  Every candidate's score is ``jaccard``'s division over
+        its hit count and ``|f.W|`` -- the same integers, so the same float
+        -- and 0.0 for a candidate with no hit.
         """
+        if hits is None:
+            hits = self.keyword_hits(query.keywords)
         if candidates is None:
-            candidates = self.candidate_positions(query.keywords)
+            candidates = sorted(hits)
         cells, radius_cache_hit = self._gather_cells(query.radius, candidates)
         features = list(map(self._feature_objects.__getitem__, candidates))
+        keyword_counts = self._keyword_counts
+        query_size = len(frozenset(query.keywords))
+        scores = [
+            common / (keyword_counts[position] + query_size - common)
+            if (common := hits.get(position, 0))
+            else 0.0
+            for position in candidates
+        ]
+        sizes = list(map(self._record_sizes.__getitem__, candidates))
         return PreparedQuery(
-            split=MapSplit(features, cells),
+            split=MapSplit(features, cells, scores, sizes),
             num_candidates=len(candidates),
             num_pruned=self.num_features - len(candidates),
             radius_cache_hit=radius_cache_hit,

@@ -38,12 +38,13 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import DatasetUpdateError
-from repro.index.records import MapSplit
+from repro.index.records import MapSplit, feature_record_size
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
 from repro.spatial.geometry import BoundingBox
 from repro.spatial.grid import UniformGrid
 from repro.spatial.partitioning import GridPartitioner
+from repro.text.similarity import JaccardScorer
 
 
 @dataclass(frozen=True)
@@ -322,23 +323,30 @@ def with_delta_appends(
 
     Appended data objects are located on ``grid``; appended features get
     the same keyword pruning and Lemma-1 duplication the base index applied
-    at build/prepare time and follow the base candidates, so the columns
-    are exactly what :meth:`DatasetIndex.prepare` would have gathered had
-    the objects been part of the base.  Returns ``(split, num_pruned)``.
+    at build/prepare time, are scored and sized like its columns, and
+    follow the base candidates, so the columns are exactly what
+    :meth:`DatasetIndex.prepare` would have gathered had the objects been
+    part of the base.  Returns ``(split, num_pruned)``.
     """
     data = list(snapshot.data)
     data_cells = [grid.locate(obj.x, obj.y) for obj in data]
     features, cells = list(split.features), list(split.cells)
-    pruned = 0
-    if snapshot.features:
+    scores, sizes = list(split.scores), list(split.sizes)
+    kept = [
+        feature
+        for feature in snapshot.features
+        if feature.has_common_keyword(query.keywords)
+    ]
+    if kept:
         partitioner = GridPartitioner(grid, query.radius)
-        for feature in snapshot.features:
-            if feature.has_common_keyword(query.keywords):
-                features.append(feature)
-                cells.append(tuple(partitioner.assign_feature_object(feature)))
-            else:
-                pruned += 1
-    return MapSplit(features, cells, data, data_cells), pruned
+        features.extend(kept)
+        cells.extend(tuple(partitioner.assign_feature_object(f)) for f in kept)
+        scores.extend(
+            JaccardScorer(query.keywords).score_many(f.keywords for f in kept)
+        )
+        sizes.extend(map(feature_record_size, kept))
+    split = MapSplit(features, cells, scores, sizes, data, data_cells)
+    return split, len(snapshot.features) - len(kept)
 
 
 __all__ = [

@@ -23,6 +23,20 @@ from typing import Any, Iterator, List, NamedTuple, Sequence, Tuple
 from repro.model.objects import DataObject, FeatureObject
 
 
+#: Text-serialized size of one data-object shuffle record (two coordinates
+#: and an oid); a feature record adds its keywords (:func:`feature_record_size`).
+DATA_RECORD_BYTES = 24
+
+
+def feature_record_size(feature: FeatureObject) -> int:
+    """Text-serialized size of one feature shuffle record.
+
+    The one size formula: the jobs' ``estimated_record_size``, the index's
+    size column and the delta's appended rows all call it.
+    """
+    return DATA_RECORD_BYTES + sum(len(word) + 1 for word in feature.keywords)
+
+
 @dataclass(frozen=True)
 class MapSplit:
     """Pre-assigned map input as parallel columns.
@@ -31,12 +45,15 @@ class MapSplit:
     -- is every ``data`` row, then every ``features`` row (the base
     candidates in storage order, then the delta's appended features).  The
     columns hold references, never copies of objects, and can be walked any
-    number of times.
+    number of times.  Splits come from ``DatasetIndex.prepare`` and
+    ``with_delta_appends``, which fill every feature column.
 
     Attributes:
         features: Feature objects that survived keyword pruning.
         cells: Per feature, every cell it must reach (Lemma 1), enclosing
             cell first -- the order the map-side partitioner produces.
+        scores: Per feature, ``w(f, q)`` -- bit-identical to ``jaccard``.
+        sizes: Per feature, :func:`feature_record_size`.
         data: Data objects mapped live (delta appends; the indexed ones come
             preloaded, one block per cell, and never enter the map phase).
         data_cells: Per data object, its grid cell.
@@ -44,8 +61,16 @@ class MapSplit:
 
     features: Sequence[FeatureObject] = ()
     cells: Sequence[Tuple[int, ...]] = ()
+    scores: Sequence[float] = ()
+    sizes: Sequence[int] = ()
     data: Sequence[DataObject] = ()
     data_cells: Sequence[int] = ()
+
+    def __post_init__(self) -> None:
+        if not len(self.features) == len(self.cells) == len(self.scores) == len(self.sizes):
+            raise ValueError("MapSplit feature columns differ in length")
+        if len(self.data) != len(self.data_cells):
+            raise ValueError("MapSplit data columns differ in length")
 
     def __len__(self) -> int:
         return len(self.data) + len(self.features)
@@ -64,6 +89,8 @@ class MapSplit:
                 MapSplit(
                     self.features[low:high],
                     self.cells[low:high],
+                    self.scores[low:high],
+                    self.sizes[low:high],
                     self.data[start:stop],
                     self.data_cells[start:stop],
                 )

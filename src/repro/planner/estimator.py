@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.index.dataset_index import DatasetIndex
+from repro.index.records import DATA_RECORD_BYTES
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.costmodel import CostBreakdown, CostModel, CostParameters
 from repro.mapreduce.runtime import DEFAULT_SPLIT_SIZE
@@ -43,10 +44,6 @@ from repro.model.query import SpatialPreferenceQuery
 #: The algorithms the planner chooses between (the three MapReduce jobs;
 #: the centralized oracle is never planned -- it bypasses the cluster).
 PLANNED_ALGORITHMS = ("pspq", "espq-len", "espq-sco")
-
-#: Serialized size of one data-object shuffle record (see
-#: ``_SPQJobBase.estimated_record_size``).
-DATA_RECORD_BYTES = 24
 
 
 @dataclass(frozen=True)
@@ -82,8 +79,9 @@ class QueryStatistics:
     """Everything the estimator knows about one (query, index) pair.
 
     Collected once per planned query by :func:`collect_statistics`; the
-    candidate positions are reused for :meth:`DatasetIndex.prepare` so the
-    union of posting lists is computed exactly once.
+    posting-list hits and candidate positions are reused for
+    :meth:`DatasetIndex.prepare`, so the query's posting lists are walked
+    exactly once.
     """
 
     query: SpatialPreferenceQuery
@@ -92,6 +90,7 @@ class QueryStatistics:
     cell_side: float
     num_data: int
     num_features: int
+    keyword_hits: Mapping[int, int]
     candidate_positions: List[int]
     candidate_cells: Dict[int, int]
     data_cell_counts: Mapping[int, int]
@@ -108,7 +107,8 @@ def collect_statistics(
     index: DatasetIndex, query: SpatialPreferenceQuery, grid_size: int
 ) -> QueryStatistics:
     """Gather the planner's inputs from the index (O(candidates + keywords))."""
-    candidates = index.candidate_positions(query.keywords)
+    hits = index.keyword_hits(query.keywords)
+    candidates = sorted(hits)
     return QueryStatistics(
         query=query,
         grid_size=grid_size,
@@ -116,6 +116,7 @@ def collect_statistics(
         cell_side=(index.grid.cell_width + index.grid.cell_height) / 2.0,
         num_data=index.num_data,
         num_features=index.num_features,
+        keyword_hits=hits,
         candidate_positions=candidates,
         candidate_cells=index.candidate_cell_counts(candidates),
         data_cell_counts=index.data_cell_counts,

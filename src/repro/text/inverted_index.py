@@ -13,7 +13,8 @@ the indexed baseline needs:
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
+from itertools import chain
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.model.objects import FeatureObject
@@ -108,16 +109,25 @@ class PositionalInvertedIndex(InvertedIndex):
         """Insertion positions of the features containing ``keyword``."""
         return list(self._postings.get(keyword, ()))
 
+    def keyword_hits(self, keywords: Iterable[str]) -> "Counter[int]":
+        """Position -> ``|f.W ∩ q.W|`` for every feature sharing a keyword.
+
+        One walk over the query's posting lists: a feature is posted once
+        per keyword it holds, so its count over the distinct query keywords
+        is the size of the intersection -- the integer ``jaccard`` divides.
+        """
+        postings = self._postings
+        return Counter(
+            chain.from_iterable(postings.get(word, ()) for word in frozenset(keywords))
+        )
+
     def candidate_positions(self, keywords: Iterable[str]) -> List[int]:
         """Positions of features sharing a keyword with the query, ascending.
 
         Ascending position order *is* storage order, which makes the result
         directly usable as a filtered map-phase input stream.
         """
-        seen: Set[int] = set()
-        for keyword in keywords:
-            seen.update(self._postings.get(keyword, ()))
-        return sorted(seen)
+        return sorted(self.keyword_hits(keywords))
 
     def postings(self, keyword: str) -> List[FeatureObject]:
         """Posting list of one keyword (empty list if unknown)."""

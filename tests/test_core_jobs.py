@@ -4,8 +4,11 @@ reduce behaviour, early-termination counters)."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob, TAG_DATA, TAG_FEATURE
+from repro.execution.tasks import block_without
+from repro.index.columns import DataBlock
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.runtime import LocalJobRunner
 from repro.model.objects import DataObject, FeatureObject
@@ -183,3 +186,67 @@ class TestReduceBehaviour:
     def test_data_objects_counter(self, query, grid, paper_data_objects, paper_feature_objects):
         result = _run(PSPQJob, query, grid, paper_data_objects, paper_feature_objects)
         assert result.counters.get("spq", "data_objects") == len(paper_data_objects)
+
+
+# --------------------------------------------------------------------- #
+# eSPQsco: the columnar reduce against the per-object loop
+
+
+@st.composite
+def espqsco_cells(draw):
+    """One reduce group as the shuffle hands it over, plus the query.
+
+    Coordinates sit on a half-unit lattice so distances land exactly on the
+    radius; oids come from a pool that may be smaller than the cell (one oid
+    on several rows).  The indexed rows arrive as a block -- minus any data
+    tombstones, as the data plane filters them -- then the live delta rows,
+    then the features that survived feature tombstones, by score descending
+    (zero scores included).
+    """
+    coordinate = st.integers(0, 8).map(lambda half: half / 2.0)
+    pool = draw(st.integers(1, 30))
+    rows = draw(
+        st.lists(st.tuples(st.integers(0, pool - 1), coordinate, coordinate), max_size=30)
+    )
+    data = [DataObject(f"o{oid}", x, y) for oid, x, y in rows]
+    indexed = draw(st.integers(0, len(data)))
+    tombstoned = draw(st.sets(st.sampled_from([obj.oid for obj in data] or ["none"])))
+    values = []
+    entry = block_without((0, DataBlock.from_objects(0, data[:indexed])), tombstoned)
+    if entry is not None and len(entry[1]):
+        values.append(entry[1])
+    values.extend(data[indexed:])
+    score = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    scored = draw(
+        st.lists(st.tuples(coordinate, coordinate, score, st.booleans()), max_size=15)
+    )
+    features = [
+        (FeatureObject(f"f{i}", x, y, frozenset({"kw"})), score)
+        for i, (x, y, score, deleted) in enumerate(scored)
+        if not deleted
+    ]
+    features.sort(key=lambda value: -value[1])
+    values.extend(features)
+    query = SpatialPreferenceQuery.create(
+        k=draw(st.integers(1, 12)),
+        radius=draw(st.sampled_from([0.5, 1.0, 1.5, 2.5])),
+        keywords={"kw"},
+    )
+    return query, values
+
+
+def _counter_log(counters):
+    """Counter values in key creation order, groups and names both."""
+    return [(group, list(names.items())) for group, names in counters.as_dict().items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(espqsco_cells())
+def test_espqsco_columnar_reduce_matches_the_per_object_loop(cell):
+    query, values = cell
+    job = ESPQScoJob(query, UniformGrid.square(BoundingBox(0, 0, 10, 10), 4))
+    columnar, objects = Counters(), Counters()
+    got = list(job.reduce(3, iter(values), columnar))
+    want = list(job._reduce_objects(3, iter(values), objects))
+    assert got == want
+    assert _counter_log(columnar) == _counter_log(objects)

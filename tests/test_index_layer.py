@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.centralized import dataset_extent
 from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob
 from repro.index.cache import IndexCache
 from repro.index.dataset_index import DatasetIndex
+from repro.index.delta import DeltaSnapshot, with_delta_appends
 from repro.index.planner import BatchQuery, plan_batch
 from repro.index.records import MapSplit
 from repro.exceptions import InvalidQueryError
@@ -17,6 +19,7 @@ from repro.model.query import SpatialPreferenceQuery
 from repro.spatial.grid import UniformGrid
 from repro.spatial.partitioning import GridPartitioner
 from repro.text.inverted_index import PositionalInvertedIndex
+from repro.text.similarity import jaccard
 
 
 @pytest.fixture()
@@ -335,8 +338,20 @@ class TestPlanner:
 
 
 class TestMapSplit:
+    @staticmethod
+    def split_of(data, features):
+        """Every feature as a candidate, ``data`` riding as delta appends."""
+        from repro.spatial.geometry import BoundingBox
+
+        grid = UniformGrid.square(BoundingBox(0.0, 0.0, 10.0, 10.0), 3)
+        query = SpatialPreferenceQuery.create(
+            k=1, radius=1.0, keywords=set().union(*(f.keywords for f in features))
+        )
+        split = DatasetIndex([], features, grid).prepare(query).split
+        return with_delta_appends(split, DeltaSnapshot(data=tuple(data)), query, grid)[0]
+
     def test_split_is_frozen(self, paper_feature_objects):
-        split = MapSplit([paper_feature_objects[0]], [(3,)])
+        split = self.split_of([], paper_feature_objects[:1])
         with pytest.raises(AttributeError):
             split.cells = [(4,)]
 
@@ -344,19 +359,69 @@ class TestMapSplit:
         self, paper_data_objects, paper_feature_objects
     ):
         data, features = paper_data_objects[:3], paper_feature_objects[:5]
-        split = MapSplit(features, [(i,) for i in range(5)], data, [7, 8, 9])
+        split = self.split_of(data, features)
         assert len(split) == 8
         assert split.slices(8) == [split] and split.slices(100) == [split]
         assert MapSplit().slices(4) == []
+        with pytest.raises(ValueError, match="feature columns"):
+            MapSplit(features, split.cells[:5])
         for size in (1, 2, 3, 5, 7):
             parts = split.slices(size)
             assert [len(part) for part in parts] == [
                 min(size, 8 - start) for start in range(0, 8, size)
             ]
-            for column in ("features", "cells", "data", "data_cells"):
+            for column in ("features", "cells", "scores", "sizes", "data", "data_cells"):
                 joined = [row for part in parts for row in getattr(part, column)]
                 assert joined == list(getattr(split, column)), (size, column)
             # A task's slice keeps the logical order: no feature row before
             # a data row anywhere in the walk.
             kinds = "".join("d" * len(p.data) + "f" * len(p.features) for p in parts)
             assert kinds == "ddd" + "fffff"
+
+
+@st.composite
+def scored_splits(draw):
+    """Base features, a query, feature tombstones and delta appends."""
+    words = st.frozensets(st.sampled_from("abcdefgh"), max_size=6)
+    point = st.floats(0.0, 1.0)
+
+    def features(prefix):
+        return [
+            FeatureObject(f"{prefix}{i}", x, y, keywords)
+            for i, (x, y, keywords) in enumerate(
+                draw(st.lists(st.tuples(point, point, words), max_size=25))
+            )
+        ]
+
+    query = SpatialPreferenceQuery.create(
+        k=3,
+        radius=draw(st.sampled_from([0.05, 0.2])),
+        keywords=draw(st.frozensets(st.sampled_from("abcdefghij"), min_size=1, max_size=4)),
+    )
+    base = features("f")
+    deleted = draw(st.sets(st.integers(0, max(len(base) - 1, 0))))
+    return query, base, deleted, features("n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(scored_splits(), st.integers(1, 9))
+def test_posting_hit_scores_are_jaccards_floats(case, slice_size):
+    """Scores counted from the postings are ``jaccard``'s floats, bit for bit:
+    base candidates, candidates left by feature tombstones (as the engine
+    drops them), appended features and every task slice of the split."""
+    query, base, deleted, appended = case
+    grid = UniformGrid.unit(4)
+    index = DatasetIndex([], base, grid)
+    hits = index.keyword_hits(query.keywords)
+    candidates = [p for p in index.candidate_positions(query.keywords) if p not in deleted]
+    split = index.prepare(query, candidates=candidates, hits=hits).split
+    split, _ = with_delta_appends(split, DeltaSnapshot(features=tuple(appended)), query, grid)
+
+    expected = [
+        f for f in [base[p] for p in candidates] + appended if f.keywords & query.keywords
+    ]
+    assert list(split.features) == expected
+    want = [jaccard(f.keywords, query.keywords).hex() for f in expected]
+    assert [score.hex() for score in split.scores] == want
+    sliced = [score for part in split.slices(slice_size) for score in part.scores]
+    assert [score.hex() for score in sliced] == want

@@ -250,6 +250,37 @@ class TestEngineDeltaIdentity:
                             f"{algorithm} diverged from bulk swap"
                         )
 
+    def test_reappended_feature_shuffles_its_new_size(self, base):
+        """Delete a feature, re-append its oid with other keywords: the
+        delta path shuffles the bytes a bulk swap does, for every job class.
+
+        The base rows are sized by the index's column and appended rows by
+        the objects themselves; an oid-keyed memo filled while the old
+        object was served would size the new one by the old keywords.
+        """
+        data, features = base
+        query = QUERIES[1]
+        old = next(f for f in features if "bar" in f.keywords)
+        new = FeatureObject(old.oid, old.x, old.y, frozenset(old.keywords | {"pier"}))
+        assert len(new.keywords) > len(old.keywords)
+        with SPQEngine(data, features, EngineConfig(grid_size=GRID)) as engine:
+            extent = engine.extent
+            for algorithm in ALGORITHMS:
+                engine.execute(query, algorithm=algorithm, grid_size=GRID)
+            engine.apply_updates(delete_feature_oids=[old.oid], append_features=[new])
+            final_data, final_features = engine.materialize_datasets()
+            with self._oracle(final_data, final_features, extent) as oracle:
+                for algorithm in ALGORITHMS:
+                    got = engine.execute(query, algorithm=algorithm, grid_size=GRID)
+                    want = oracle.execute(query, algorithm=algorithm, grid_size=GRID)
+                    assert fingerprint(got) == fingerprint(want), algorithm
+                    assert got.stats["shuffled_bytes"] == want.stats["shuffled_bytes"], (
+                        algorithm
+                    )
+                    assert got.stats["counters"]["shuffle"] == (
+                        want.stats["counters"]["shuffle"]
+                    ), algorithm
+
     def test_centralized_path_sees_delta(self, base):
         data, features = base
         with SPQEngine(data, features, EngineConfig(grid_size=GRID)) as engine:

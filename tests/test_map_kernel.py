@@ -54,8 +54,8 @@ class TwoThreads(SerialBackend):
     """The serial map loop entered from two threads at once over one job.
 
     Not a backend the package ships: it is how a query service reaches the
-    kernel -- its dispatcher threads map concurrently and write one shared
-    feature-size memo (``DatasetIndex.feature_sizes``).
+    kernel -- its dispatcher threads map concurrently over one split, whose
+    score and size columns the index built and every task only reads.
     """
 
     def run_map_tasks(self, job, splits, num_reducers):
@@ -338,9 +338,10 @@ def test_out_of_range_partition_is_a_job_execution_error():
 
     grid = UniformGrid.square(EXTENT, GRID)
     feature = FeatureObject("f", 5.0, 5.0, frozenset({"cafe"}))
+    appended = DeltaSnapshot(data=(DataObject("d", 5.0, 5.0),))
     for split in (
-        MapSplit([feature], [(1,)]),
-        MapSplit(data=[DataObject("d", 5.0, 5.0)], data_cells=[1]),
+        DatasetIndex([], [feature], grid).prepare(QUERY).split,
+        with_delta_appends(MapSplit(), appended, QUERY, grid)[0],
     ):
         with pytest.raises(JobExecutionError, match=r"partition 36 outside \[0, 36\)"):
             run_map_task(Misrouted(QUERY, grid), 0, split, 36)
@@ -348,7 +349,8 @@ def test_out_of_range_partition_is_a_job_execution_error():
 
 def test_kernel_failures_are_wrapped_like_map_failures():
     grid = UniformGrid.square(EXTENT, GRID)
-    broken = MapSplit([object()], [(1,)])  # not a feature: no .keywords / .oid
+    # Not a feature: no .keywords / .oid.
+    broken = MapSplit([object()], [(1,)], scores=[0.5], sizes=[24])
     with pytest.raises(JobExecutionError, match="map failed on split 5"):
         run_map_task(ESPQLenJob(QUERY, grid), 5, broken, 36)
 
@@ -477,7 +479,8 @@ class TestSortBucket:
         ]
         data = [DataObject("d0", 4.0, 4.0), DataObject("d1", 12.0, 4.0)]
         split = DatasetIndex(data, features, grid).prepare(QUERY).split
-        split = MapSplit(split.features, split.cells, data, [1, 2])
+        split, _ = with_delta_appends(split, DeltaSnapshot(data=tuple(data)), QUERY, grid)
+        assert list(split.data_cells) == [1, 2]
         job = JOB_CLASSES[algorithm](QUERY, grid)
         runner = LocalJobRunner(grid.num_cells, split_size=7)
         assert len(split.slices(7)) >= 3 and all(1 in cells for cells in split.cells)
