@@ -5,7 +5,9 @@
 with the *same* deterministic :func:`~repro.sharding.partition.
 partition_datasets` call every other node (and the router) makes, and the
 node keeps only shard ``i``'s slice -- data objects disjoint, feature
-objects replicated by the Lemma-1 ``MINDIST <= max_radius`` rule.  The
+objects replicated by the Lemma-1 ``MINDIST <= max_radius`` rule and,
+per query, scoped to the shard box (a feature farther than the query's
+radius from it is never mapped).  The
 inner :class:`~repro.server.service.QueryService` grids over the *full*
 dataset extent, so this node's partial answers merge bit-for-bit with its
 peers' exactly like in-process shard services do (see
@@ -140,6 +142,7 @@ class ShardNodeService:
             engine_config=self._engine_config,
             config=self._service_config,
             extent=plan.extent,
+            scope=shard.box,
         )
         return plan, service
 
@@ -207,7 +210,7 @@ class ShardNodeService:
         )
         shard = plan.shards[self.node_config.shard_index]
         info = self._service.swap_datasets(
-            shard.data_objects, shard.feature_objects, extent=plan.extent
+            shard.data_objects, shard.feature_objects, extent=plan.extent, scope=shard.box
         )
         self._plan = plan
         if epoch is not None:

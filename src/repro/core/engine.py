@@ -175,6 +175,7 @@ class SPQEngine:
         index_cache: Optional[IndexCache] = None,
         planner: Optional[QueryPlanner] = None,
         delta: Optional[DatasetDelta] = None,
+        scope: Optional[BoundingBox] = None,
     ) -> None:
         """Wire an engine over in-memory datasets.
 
@@ -195,10 +196,15 @@ class SPQEngine:
                 service shares one across its pool so a write absorbed via
                 any engine is visible to all; a private one is created
                 otherwise.
+            scope: The box of the shard whose data this engine ranks (the
+                sharding layer passes it; None for an unsharded engine).
+                Every query drops the features that cannot reach it at the
+                query's radius (see :class:`DatasetIndex`).
         """
         self.data_objects = list(data_objects)
         self.feature_objects = list(feature_objects)
         self.config = config or EngineConfig()
+        self.scope = scope
         self._extent = extent
         self._explicit_extent = extent is not None
         self._dataset_version = 0
@@ -353,6 +359,7 @@ class SPQEngine:
         data_objects: Sequence[DataObject],
         feature_objects: Sequence[FeatureObject],
         extent: Optional[BoundingBox] = None,
+        scope: Optional[BoundingBox] = None,
     ) -> None:
         """Replace both datasets and invalidate every derived structure.
 
@@ -366,6 +373,9 @@ class SPQEngine:
                 identical).  ``None`` keeps the engine's current extent
                 policy: an explicit construction-time extent stays, a lazily
                 computed one is re-derived from the new datasets.
+            scope: The shard box of the new slice (see :meth:`__init__`).
+                Unlike ``extent`` it is not kept when omitted: a box belongs
+                to the slice it bounds, so every swap states it.
 
         Raises:
             InvalidQueryError: for an explicit degenerate ``extent``.
@@ -378,6 +388,7 @@ class SPQEngine:
             )
         self.data_objects = list(data_objects)
         self.feature_objects = list(feature_objects)
+        self.scope = scope
         if extent is not None:
             self._extent = extent
             self._explicit_extent = True
@@ -457,7 +468,7 @@ class SPQEngine:
         return self._index_cache.get_or_build(
             key,
             lambda: DatasetIndex(
-                self.data_objects, self.feature_objects, self.build_grid(grid_size)
+                self.data_objects, self.feature_objects, self.build_grid(grid_size), self.scope
             ),
         )
 
@@ -624,13 +635,11 @@ class SPQEngine:
             # Feature tombstones: drop the deleted candidates *before*
             # prepare, so the surviving records keep their relative
             # storage order -- the same stream a bulk swap of the
-            # shrunken feature set would produce.
+            # shrunken feature set would produce.  One out of reach was
+            # never a candidate, and is not counted below.
             positions = index.feature_positions_by_oid()
-            deleted_positions = {
-                positions[oid]
-                for oid in snapshot.deleted_feature_oids
-                if oid in positions
-            }
+            deleted = [positions[oid] for oid in snapshot.deleted_feature_oids if oid in positions]
+            deleted_positions = set(index.in_reach(deleted, item.query.radius))
             candidates = [
                 position
                 for position in candidates
@@ -657,7 +666,7 @@ class SPQEngine:
             # keys never collide, so the order between the two groups is
             # immaterial.
             split, extra_pruned = with_delta_appends(
-                split, snapshot, item.query, index.grid
+                split, snapshot, item.query, index.grid, index.scope
             )
             # Data tombstones: the base objects they name are withheld from
             # their cells' blocks -- before the reduce, like the features.
@@ -780,34 +789,45 @@ class SPQEngine:
     ) -> List[ScoredObject]:
         """Merge per-cell outputs ``(cell_id, object_id, score)`` into the global top-k.
 
-        Every output is checked -- a deleted or unknown oid raises however
-        low it scored -- and handed on as a plain ``(obj, score)`` pair;
-        :func:`merge_top_k` builds scored objects for the k winners only.
+        Every output is checked, as set operations over the distinct oids --
+        a deleted or unknown oid raises however low it scored.  Objects are
+        looked up for the k winners only: the outputs are ranked on
+        ``(-score, oid)``, the key :func:`merge_top_k` ranks by, and it
+        merges the winners' ``(obj, score)`` pairs.  The snapshot's append
+        dict is built once per snapshot, not per query.
         """
-        index = self._oid_lookup()
-        delta_index: Dict[str, DataObject] = (
-            {obj.oid: obj for obj in snapshot.data} if snapshot is not None else {}
-        )
-        deleted = snapshot.deleted_data_oids if snapshot is not None else frozenset()
-        checked: List[Tuple[DataObject, float]] = []
-        for cell_id, oid, score in job_result.outputs:
-            if oid in deleted:
-                # Tombstoned oids were filtered out of the reduce input;
-                # one reappearing means the filter was bypassed.
-                raise ResultIntegrityError(
-                    f"job {job_result.job_name!r} reported deleted data object "
-                    f"{oid!r} from cell {cell_id}; the delta tombstone filter "
-                    "was bypassed"
-                )
-            obj = delta_index.get(oid) or index.get(oid)
-            if obj is None:
-                raise ResultIntegrityError(
-                    f"job {job_result.job_name!r} reported unknown data object "
-                    f"{oid!r} from cell {cell_id}; the datasets may have been "
-                    "mutated without invalidate_indexes()"
-                )
-            checked.append((obj, score))
-        return merge_top_k([checked], query.k)
+        outputs = job_result.outputs
+        base = self._oid_lookup()
+        appended = snapshot.appended_data if snapshot is not None else {}
+        # "Deleted" is a tombstoned base oid the delta has not re-appended
+        # since: a delete + append of one oid is a replace.
+        dead = snapshot.deleted_data_oids.difference(appended) if snapshot is not None else ()
+        oids = {oid for _, oid, _ in outputs}
+        if not oids.isdisjoint(dead):
+            # Tombstoned oids were filtered out of the reduce input; one
+            # reappearing means the filter was bypassed.
+            cell_id, oid, _ = next(out for out in outputs if out[1] in dead)
+            raise ResultIntegrityError(
+                f"job {job_result.job_name!r} reported deleted data object "
+                f"{oid!r} from cell {cell_id}; the delta tombstone filter "
+                "was bypassed"
+            )
+        unknown = oids.difference(appended).difference(base)
+        if unknown:
+            cell_id, oid, _ = next(out for out in outputs if out[1] in unknown)
+            raise ResultIntegrityError(
+                f"job {job_result.job_name!r} reported unknown data object "
+                f"{oid!r} from cell {cell_id}; the datasets may have been "
+                "mutated without invalidate_indexes()"
+            )
+        # An oid reported twice keeps its best score: its first key.
+        winners: Dict[str, float] = {}
+        for key, oid in sorted((-score, oid) for _, oid, score in outputs):
+            if len(winners) == query.k:
+                break
+            winners.setdefault(oid, -key)
+        pairs = [(appended.get(oid) or base[oid], score) for oid, score in winners.items()]
+        return merge_top_k([pairs], query.k)
 
     def _pad(
         self,
@@ -819,11 +839,13 @@ class SPQEngine:
         padded = list(entries)
         deleted = snapshot.deleted_data_oids if snapshot is not None else frozenset()
         appended = snapshot.data if snapshot is not None else ()
-        # Pad in live storage order (base minus tombstones, then appends)
-        # so padding picks the same objects a bulk-swapped engine would.
-        for obj in chain(self.data_objects, appended):
+        # Pad in live storage order -- base minus tombstones, then every
+        # append, a re-appended oid included -- so padding picks the same
+        # objects a bulk-swapped engine would.
+        base = (obj for obj in self.data_objects if obj.oid not in deleted)
+        for obj in chain(base, appended):
             if len(padded) >= k:
                 break
-            if obj.oid not in present and obj.oid not in deleted:
+            if obj.oid not in present:
                 padded.append(ScoredObject(obj, 0.0))
         return padded

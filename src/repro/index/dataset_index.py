@@ -33,8 +33,10 @@ from __future__ import annotations
 import math
 import threading
 import time
+from bisect import bisect_right
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.index.columns import DataBlock
@@ -43,6 +45,7 @@ from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import PreloadedShuffle
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
+from repro.spatial.geometry import BoundingBox
 from repro.spatial.grid import UniformGrid
 from repro.spatial.partitioning import GridPartitioner
 from repro.text.inverted_index import PositionalInvertedIndex
@@ -99,6 +102,13 @@ class DatasetIndex:
         grid: The uniform grid this index is specialised for (one index per
             grid size; the engine's :class:`~repro.index.cache.IndexCache`
             keeps several around).
+        scope: The box of the data this index ranks when it serves one
+            shard (None: unscoped).  A feature with ``MINDIST(f, scope) > r``
+            cannot reach a data object in the box at radius ``r`` (Lemma 1
+            at shard granularity), so every query treats it as *absent* --
+            never planned, mapped or counted as pruned -- exactly as if the
+            shard had been partitioned with ``max_radius = r``, while the
+            index still holds it for any larger radius.
 
     The index holds references to the same object instances as the engine, so
     it must be discarded (see ``SPQEngine.invalidate_indexes``) whenever the
@@ -110,9 +120,11 @@ class DatasetIndex:
         data_objects: Sequence[DataObject],
         feature_objects: Sequence[FeatureObject],
         grid: UniformGrid,
+        scope: Optional[BoundingBox] = None,
     ) -> None:
         started = time.perf_counter()
         self.grid = grid
+        self.scope = scope
         self._data_objects = list(data_objects)
         self._feature_objects = list(feature_objects)
 
@@ -138,6 +150,16 @@ class DatasetIndex:
             len(feature.keywords) for feature in self._feature_objects
         ]
         self._total_feature_bytes = sum(self._record_sizes)
+        #: storage position -> ``MINDIST`` to the scope (the reach column;
+        #: None unscoped), and the reaches ascending beside the running
+        #: record-byte total of the features up to each, so the in-reach
+        #: count and bytes of any radius are one bisection.
+        self._reach: Optional[List[float]] = None
+        if scope is not None:
+            reach = self._reach = [scope.min_distance(f.x, f.y) for f in self._feature_objects]
+            order = sorted(range(len(reach)), key=reach.__getitem__)
+            self._sorted_reach = sorted(reach)
+            self._reach_bytes = list(accumulate((self._record_sizes[p] for p in order), initial=0))
         self._inverted = PositionalInvertedIndex(self._feature_objects)
         #: radius -> {feature position -> duplication cell tuple}, filled
         #: lazily for the features queries actually touch; an LRU over at
@@ -204,12 +226,24 @@ class DatasetIndex:
         """Cell id -> number of data objects homed there (do not mutate)."""
         return self._data_cell_counts
 
-    @property
-    def average_feature_bytes(self) -> float:
-        """Mean text-serialized size of one feature record."""
-        if not self._feature_objects:
-            return 24.0
-        return self._total_feature_bytes / len(self._feature_objects)
+    def features_within(self, radius: float) -> Tuple[int, int]:
+        """``(count, record bytes)`` of the features in reach at ``radius``
+        (every feature, unscoped)."""
+        if self._reach is None:
+            return self.num_features, self._total_feature_bytes
+        count = bisect_right(self._sorted_reach, radius)
+        return count, self._reach_bytes[count]
+
+    def average_feature_bytes(self, radius: float) -> float:
+        """Mean text-serialized size of one feature record in reach."""
+        count, total = self.features_within(radius)
+        return total / count if count else 24.0
+
+    def in_reach(self, positions: Iterable[int], radius: float) -> List[int]:
+        """The ``positions`` whose features reach the scope at ``radius``:
+        ``MINDIST <= radius``, ``ShardLayout.shards_within``'s test."""
+        reach = self._reach
+        return list(positions) if reach is None else [p for p in positions if reach[p] <= radius]
 
     def feature_home_of(self, position: int) -> int:
         """Precomputed home cell of the feature at ``position``."""
@@ -440,9 +474,12 @@ class DatasetIndex:
     # ------------------------------------------------------------------ #
     # query preparation
 
-    def keyword_hits(self, keywords) -> "Counter[int]":
-        """Candidate position -> ``|f.W ∩ q.W|`` (one posting-list walk)."""
-        return self._inverted.keyword_hits(keywords)
+    def keyword_hits(self, keywords, radius: float = math.inf) -> Mapping[int, int]:
+        """Candidate position -> ``|f.W ∩ q.W|`` (one posting-list walk)
+        of the features in reach at ``radius``."""
+        hits = self._inverted.keyword_hits(keywords)
+        reach = self._reach
+        return hits if reach is None else {p: n for p, n in hits.items() if reach[p] <= radius}
 
     def candidate_positions(self, keywords) -> List[int]:
         """Storage positions of features relevant to the query keywords."""
@@ -459,12 +496,13 @@ class DatasetIndex:
         ``candidates`` and ``hits`` let a caller that already walked the
         posting lists for this query (the cost-based planner does) pass
         :meth:`keyword_hits` and the positions to map in instead of walking
-        them again.  Every candidate's score is ``jaccard``'s division over
+        them again; only features in reach are candidates, and only they
+        count as pruned.  Every candidate's score is ``jaccard``'s division over
         its hit count and ``|f.W|`` -- the same integers, so the same float
         -- and 0.0 for a candidate with no hit.
         """
         if hits is None:
-            hits = self.keyword_hits(query.keywords)
+            hits = self.keyword_hits(query.keywords, query.radius)
         if candidates is None:
             candidates = sorted(hits)
         cells, radius_cache_hit = self._gather_cells(query.radius, candidates)
@@ -481,6 +519,6 @@ class DatasetIndex:
         return PreparedQuery(
             split=MapSplit(features, cells, scores, sizes),
             num_candidates=len(candidates),
-            num_pruned=self.num_features - len(candidates),
+            num_pruned=self.features_within(query.radius)[0] - len(candidates),
             radius_cache_hit=radius_cache_hit,
         )

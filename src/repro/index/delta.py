@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import DatasetUpdateError
@@ -79,6 +80,11 @@ class DeltaSnapshot:
             or self.deleted_data_oids
             or self.deleted_feature_oids
         )
+
+    @cached_property
+    def appended_data(self) -> Dict[str, DataObject]:
+        """Oid -> appended data object, built once per snapshot."""
+        return {obj.oid: obj for obj in self.data}
 
     @property
     def num_ops(self) -> int:
@@ -318,23 +324,28 @@ def with_delta_appends(
     snapshot: DeltaSnapshot,
     query: SpatialPreferenceQuery,
     grid: UniformGrid,
+    scope: Optional[BoundingBox] = None,
 ) -> Tuple[MapSplit, int]:
     """``split`` (the base index's candidates) plus the delta's appends.
 
     Appended data objects are located on ``grid``; appended features get
-    the same keyword pruning and Lemma-1 duplication the base index applied
-    at build/prepare time, are scored and sized like its columns, and
-    follow the base candidates, so the columns are exactly what
+    the same reach test, keyword pruning and Lemma-1 duplication the base
+    index applied at build/prepare time, are scored and sized like its
+    columns, and follow the base candidates, so the columns are exactly what
     :meth:`DatasetIndex.prepare` would have gathered had the objects been
-    part of the base.  Returns ``(split, num_pruned)``.
+    part of the base.  With a ``scope`` (the base index's), an appended
+    feature farther than ``query.radius`` from it is absent: neither mapped
+    nor counted as pruned.  Returns ``(split, num_pruned)``.
     """
     data = list(snapshot.data)
     data_cells = [grid.locate(obj.x, obj.y) for obj in data]
     features, cells = list(split.features), list(split.cells)
     scores, sizes = list(split.scores), list(split.sizes)
+    appended = [f for f in snapshot.features
+                if scope is None or scope.min_distance(f.x, f.y) <= query.radius]
     kept = [
         feature
-        for feature in snapshot.features
+        for feature in appended
         if feature.has_common_keyword(query.keywords)
     ]
     if kept:
@@ -346,7 +357,7 @@ def with_delta_appends(
         )
         sizes.extend(map(feature_record_size, kept))
     split = MapSplit(features, cells, scores, sizes, data, data_cells)
-    return split, len(snapshot.features) - len(kept)
+    return split, len(appended) - len(kept)
 
 
 __all__ = [

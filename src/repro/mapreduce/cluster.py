@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.exceptions import ClusterConfigurationError
 
@@ -60,6 +60,10 @@ class SimulatedCluster:
         if len(set(ids)) != len(ids):
             raise ClusterConfigurationError("node ids must be unique")
         self.nodes: List[ClusterNode] = list(nodes)
+        #: The speed every slot runs at (the paper cluster's case), or None
+        #: when nodes differ.
+        speeds = set(self.slot_speeds())
+        self._uniform_speed = speeds.pop() if len(speeds) == 1 else None
 
     # ------------------------------------------------------------------ #
 
@@ -78,34 +82,38 @@ class SimulatedCluster:
     # ------------------------------------------------------------------ #
     # scheduling
 
-    def schedule(self, task_costs: Sequence[float]) -> Tuple[float, Dict[int, int]]:
-        """Schedule tasks with the given costs onto the cluster's slots.
+    def schedule(self, task_costs: Sequence[float]) -> float:
+        """Makespan of tasks with the given costs on the cluster's slots.
 
         Uses the LPT heuristic: tasks are sorted by decreasing cost and each is
         assigned to the slot that will finish it earliest (accounting for slot
-        speed).  Returns the makespan (simulated completion time of the last
-        task) and a mapping from task index to slot index.
+        speed); the makespan is the simulated completion time of the last
+        task.  When every slot runs at one speed and there are no more tasks
+        than slots, each task starts at 0.0 on a slot of its own, so the
+        makespan is the largest cost over that speed -- the same float the
+        heap walk computes (division by one positive number is monotonic) --
+        and no heap is built.  That is the paper cluster's case whenever a
+        job runs at most 176 reduce tasks (a grid of at most 13 x 13).
 
         A cost of zero is allowed (an empty reduce partition); negative costs
         are rejected.
         """
         if any(cost < 0 for cost in task_costs):
             raise ClusterConfigurationError("task costs must be non-negative")
+        speed = self._uniform_speed
+        if speed is not None and len(task_costs) <= self.total_slots:
+            return max(task_costs, default=0.0) / speed
         speeds = self.slot_speeds()
         # heap of (finish_time_of_slot, slot_index)
         slots: List[Tuple[float, int]] = [(0.0, i) for i in range(len(speeds))]
         heapq.heapify(slots)
-        assignment: Dict[int, int] = {}
-        ordered = sorted(range(len(task_costs)), key=lambda i: -task_costs[i])
         makespan = 0.0
-        for task_index in ordered:
+        for cost in sorted(task_costs, reverse=True):
             finish, slot_index = heapq.heappop(slots)
-            duration = task_costs[task_index] / speeds[slot_index]
-            finish += duration
-            assignment[task_index] = slot_index
+            finish += cost / speeds[slot_index]
             makespan = max(makespan, finish)
             heapq.heappush(slots, (finish, slot_index))
-        return makespan, assignment
+        return makespan
 
     def waves(self, num_tasks: int) -> int:
         """Number of scheduling waves needed for ``num_tasks`` equal tasks."""

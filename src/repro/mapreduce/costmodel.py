@@ -138,12 +138,11 @@ class CostModel:
         )
         map_time = map_cost / self.cluster.total_slots * self._map_wave_penalty(num_map_tasks)
         shuffle_time = shuffle_bytes * params.shuffle_byte
-        reduce_time, _ = self.cluster.schedule(reduce_costs)
         return CostBreakdown(
             startup=params.job_startup,
             map=map_time,
             shuffle=shuffle_time,
-            reduce=reduce_time,
+            reduce=self.cluster.schedule(reduce_costs),
         )
 
     def estimate(self, result: JobResult) -> CostBreakdown:

@@ -106,8 +106,13 @@ class QueryStatistics:
 def collect_statistics(
     index: DatasetIndex, query: SpatialPreferenceQuery, grid_size: int
 ) -> QueryStatistics:
-    """Gather the planner's inputs from the index (O(candidates + keywords))."""
-    hits = index.keyword_hits(query.keywords)
+    """Gather the planner's inputs from the index (O(candidates + keywords)).
+
+    A scoped index (one shard's) reports only the features in reach at the
+    query's radius, so a shard plans on what a shard partitioned with
+    ``max_radius = radius`` would hold.
+    """
+    hits = index.keyword_hits(query.keywords, query.radius)
     candidates = sorted(hits)
     return QueryStatistics(
         query=query,
@@ -115,13 +120,13 @@ def collect_statistics(
         num_cells=index.grid.num_cells,
         cell_side=(index.grid.cell_width + index.grid.cell_height) / 2.0,
         num_data=index.num_data,
-        num_features=index.num_features,
+        num_features=index.features_within(query.radius)[0],
         keyword_hits=hits,
         candidate_positions=candidates,
         candidate_cells=index.candidate_cell_counts(candidates),
         data_cell_counts=index.data_cell_counts,
         duplication=index.duplication_estimate(query.radius),
-        avg_feature_bytes=index.average_feature_bytes,
+        avg_feature_bytes=index.average_feature_bytes(query.radius),
     )
 
 

@@ -163,6 +163,7 @@ class QueryService(FrontDoor):
         engine_config: Optional[EngineConfig] = None,
         config: Optional[ServiceConfig] = None,
         extent: Optional[BoundingBox] = None,
+        scope: Optional[BoundingBox] = None,
     ) -> None:
         """Build the engine pool and serving structures (does not start).
 
@@ -176,6 +177,9 @@ class QueryService(FrontDoor):
                 query grids align cell-for-cell with an unsharded engine's;
                 plain deployments leave it None (extent derived from the
                 datasets).
+            scope: The shard box every pooled engine's queries are scoped
+                to (:class:`~repro.core.engine.SPQEngine`); only the
+                sharding layer passes one.
 
         Raises:
             ValueError: for a non-positive engine pool.
@@ -204,6 +208,7 @@ class QueryService(FrontDoor):
                 index_cache=self._index_cache,
                 planner=self._planner,
                 delta=self._delta,
+                scope=scope,
             )
             for _ in range(self.config.engines)
         ]
@@ -376,6 +381,7 @@ class QueryService(FrontDoor):
         data_objects: Sequence[DataObject],
         feature_objects: Sequence[FeatureObject],
         extent: Optional[BoundingBox] = None,
+        scope: Optional[BoundingBox] = None,
     ) -> Dict[str, object]:
         """Hot-swap the dataset under live traffic; returns the new snapshot info.
 
@@ -399,6 +405,7 @@ class QueryService(FrontDoor):
             feature_objects: The new feature dataset ``F``.
             extent: Optional new explicit engine extent (sharded
                 deployments pass the new *full* extent).
+            scope: The new slice's shard box (sharded deployments only).
 
         Returns:
             ``{"version", "data_objects", "feature_objects"}`` of the new
@@ -411,7 +418,7 @@ class QueryService(FrontDoor):
             extent = dataset_extent(data_objects, feature_objects)
         with self._write_lock, self._swap_lock, self._gate.paused():
             for engine in self._engines:
-                engine.set_datasets(data_objects, feature_objects, extent=extent)
+                engine.set_datasets(data_objects, feature_objects, extent=extent, scope=scope)
             self._cache.invalidate()
             self._defaults = self._resolve_defaults()
             self._bump("swaps")
@@ -468,7 +475,8 @@ class QueryService(FrontDoor):
         in-flight request is lost and readers never block on the fold
         itself -- only on the brief engine swap.  The current served
         extent is pinned across the fold: deleting a hull object must not
-        shrink the grids queries are answered on.
+        shrink the grids queries are answered on.  So is a shard's scope:
+        the fold changes the slice's content, not its box.
 
         Returns:
             ``{"compacted": bool, "folded_ops": int, ...dataset_info}``.
@@ -484,7 +492,7 @@ class QueryService(FrontDoor):
             engine = self._engines[0]
             extent = engine.extent
             data, features = engine.materialize_datasets(snapshot)
-            self.swap_datasets(data, features, extent=extent)
+            self.swap_datasets(data, features, extent=extent, scope=engine.scope)
             with self._lock:
                 self._counters["compactions"] += 1
                 self._last_compaction_unix = time.time()

@@ -16,8 +16,14 @@ replication radius is a partitioning parameter (``max_radius``); queries
 with a larger radius cannot be answered exactly from the shards and are
 rejected by the router.  ``max_radius=None`` replicates every feature to
 every shard, which is exact for *any* radius at the cost of feature-side
-memory (data objects -- the ranked set -- still split N ways, and so does
-the per-cell reduce work that dominates query cost).
+memory (data objects -- the ranked set -- still split N ways).  Replication
+alone does not split the *work*: a shard holding every feature would plan,
+map and reduce every candidate of a query, copies sent to its data-less
+cells included.  What splits it is the shard engine's *scope*, the shard's
+``box``: per query, each shard drops the features with ``MINDIST(f, box) >
+r`` before planning (``DatasetIndex``), the same test as
+:meth:`ShardLayout.shards_within`, so it does exactly the work of a shard
+partitioned with ``max_radius = r`` for every radius ``r`` it serves.
 """
 
 from __future__ import annotations

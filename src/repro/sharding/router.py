@@ -13,9 +13,10 @@ parse, admit, cache probe, record), written against the small
 * a request is parsed and resolved once at the router, answered from the
   router's result cache when possible (before the gate, without taking an
   admission slot), and otherwise *scattered* -- in parallel -- to every
-  shard that owns data (the routing rule; feature
-  reach was already resolved at partition time by the ``MINDIST <=
-  max_radius`` replication rule);
+  shard that owns data (the routing rule; feature reach is Lemma 1 at
+  shard granularity, ``MINDIST(f, box) <= r``: resolved at partition time
+  up to ``max_radius`` and, per query, by each shard engine's scope -- its
+  box -- for the query's own radius);
 * the per-shard top-k partials are *gathered* through
   :func:`~repro.model.result.merge_top_k` -- the same merge, with the same
   ``(-score, oid)`` tie order, the engine uses for per-cell lists -- which
@@ -141,14 +142,19 @@ class ShardTarget(Protocol):
         """Absorb this shard's slice of one validated, routed write batch."""
 
 
-def _shard_slice(
-    plan: ShardingPlan, shard_id: int
-) -> Tuple[List[DataObject], List[FeatureObject]]:
-    """``shard_id``'s slice of ``plan`` (empty past the plan's end)."""
+def _shard_slice(plan: ShardingPlan, shard_id: int) -> Dict[str, object]:
+    """``shard_id``'s slice of ``plan`` as shard-service arguments: its data
+    and features, the full extent to grid over and its box as the scope
+    (empty and unscoped past the plan's end)."""
     if shard_id < len(plan.shards):
         shard = plan.shards[shard_id]
-        return shard.data_objects, shard.feature_objects
-    return [], []
+        return dict(
+            data_objects=shard.data_objects,
+            feature_objects=shard.feature_objects,
+            extent=plan.extent,
+            scope=shard.box,
+        )
+    return dict(data_objects=[], feature_objects=[], extent=plan.extent, scope=None)
 
 
 class LocalShardTarget:
@@ -164,8 +170,7 @@ class LocalShardTarget:
 
     def swap(self, plan: ShardingPlan, shard_id: int) -> None:
         """Swap the service onto its slice, gridding over the full extent."""
-        data, features = _shard_slice(plan, shard_id)
-        self.service.swap_datasets(data, features, extent=plan.extent)
+        self.service.swap_datasets(**_shard_slice(plan, shard_id))
 
     def apply(self, update: Mapping[str, Sequence]) -> None:
         """Apply the sub-update, unless the batch routed nothing here."""
@@ -709,10 +714,9 @@ class ShardRouter(ScatterGatherRouter):
         # (the scatter path only targets plan shards).
         self._services: List[QueryService] = [
             QueryService(
-                *_shard_slice(self._plan, shard_id),
+                **_shard_slice(self._plan, shard_id),
                 engine_config=self._engine_config,
                 config=self._shard_service_config(shard_id),
-                extent=self._plan.extent,
             )
             for shard_id in range(self.sharding.shards)
         ]

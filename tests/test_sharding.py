@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raw_oracle import reference_execute
 from repro.core.engine import EngineConfig, SPQEngine
@@ -221,6 +225,151 @@ class TestScatterGatherIdentity:
             unsharded = service.submit(spec)
         for field in ("results", "k", "radius", "keywords", "algorithm", "cached"):
             assert sharded[field] == unsharded[field]
+
+
+# --------------------------------------------------------------------- #
+# scope: Lemma 1 at shard granularity, applied per query
+
+
+SCOPE_WORDS = [f"s{i}" for i in range(8)]
+
+
+def scope_dataset(seed, clustered):
+    """~120 data and ~90 feature objects, uniform or around three centres."""
+    rng = random.Random(seed)
+
+    def point():
+        if not clustered:
+            return rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)
+        cx, cy = rng.choice(((20.0, 25.0), (65.0, 70.0), (80.0, 20.0)))
+        return (min(max(rng.gauss(cx, 9.0), 0.0), 100.0),
+                min(max(rng.gauss(cy, 9.0), 0.0), 100.0))
+
+    def keywords():
+        return frozenset(rng.sample(SCOPE_WORDS, rng.randint(1, 3)))
+
+    data = [DataObject(f"d{i}", *point()) for i in range(120)]
+    data += [DataObject("d-lo", 0.0, 0.0), DataObject("d-hi", 100.0, 100.0)]
+    features = [FeatureObject(f"f{i}", *point(), keywords()) for i in range(90)]
+    # One live write batch: appends, tombstones and a replace of each kind
+    # (the replaced oids are deleted and re-appended elsewhere).
+    batch = {
+        "append_data": [DataObject(f"n{i}", *point()) for i in range(4)]
+        + [DataObject("d7", *point())],
+        "append_features": [
+            FeatureObject(f"g{i}", *point(), keywords()) for i in range(6)
+        ] + [FeatureObject("f5", *point(), keywords())],
+        "delete_data_oids": ["d3", "d7", "d40"],
+        "delete_feature_oids": ["f5", "f11", "f60", "f61"],
+    }
+    return data, features, batch
+
+
+class TestScopeIdentity:
+    """A shard engine holding every feature, scoped to its box, does exactly
+    the work of one built from ``partition_datasets(max_radius=r)``: same
+    answers, every counter in value and key order, the same simulated time
+    and the same planner estimates."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        clustered=st.booleans(),
+        layout=st.sampled_from(["uniform", "skew"]),
+        shards=st.integers(2, 4),
+        radius_cells=st.floats(0.0, 2.0),
+    )
+    def test_scoped_engine_equals_a_max_radius_partition(
+        self, seed, clustered, layout, shards, radius_cells
+    ):
+        data, features, batch = scope_dataset(seed, clustered)
+        plan = partition_datasets(
+            data, features, shards, layout=layout, layout_resolution=GRID
+        )
+        radius = radius_cells * plan.extent.width / GRID
+        bounded = partition_datasets(
+            data, features, shards, max_radius=radius, extent=plan.extent,
+            layout=plan.layout,
+        )
+        queries = [
+            SpatialPreferenceQuery.create(k=k, radius=radius, keywords=words)
+            for k, words in ((5, {"s1"}), (12, {"s2", "s5"}), (3, {"s0", "s3", "s6"}))
+        ]
+        config = EngineConfig(grid_size=GRID)
+        for shard, reference_shard in zip(plan.shards, bounded.shards):
+            assert shard.box == reference_shard.box
+            scoped = SPQEngine(
+                shard.data_objects, shard.feature_objects, config,
+                extent=plan.extent, scope=shard.box,
+            )
+            reference = SPQEngine(
+                reference_shard.data_objects, reference_shard.feature_objects,
+                config, extent=plan.extent,
+            )
+            # Routed as the router routes: a data append to the shard that
+            # locates it, a feature append to every shard within the
+            # replication radius (all of them, unbounded), deletes to all.
+            mine = [obj for obj in batch["append_data"]
+                    if plan.layout.locate(obj.x, obj.y) == shard.shard_id]
+            deletes = dict(delete_data_oids=batch["delete_data_oids"],
+                           delete_feature_oids=batch["delete_feature_oids"])
+            scoped.apply_updates(
+                append_data=mine, append_features=batch["append_features"],
+                **deletes,
+            )
+            reference.apply_updates(
+                append_data=mine,
+                append_features=[
+                    f for f in batch["append_features"]
+                    if shard.shard_id
+                    in bounded.layout.shards_within(f.x, f.y, radius)
+                ],
+                **deletes,
+            )
+            for query in queries:
+                for algorithm in ("pspq", "espq-len", "espq-sco", "auto"):
+                    got = scoped.execute(query, algorithm=algorithm, grid_size=GRID)
+                    want = reference.execute(
+                        query, algorithm=algorithm, grid_size=GRID
+                    )
+                    where = f"shard {shard.shard_id} {algorithm} {query.keywords}"
+                    assert [(e.obj.oid, e.score) for e in got] == [
+                        (e.obj.oid, e.score) for e in want
+                    ], where
+                    assert json.dumps(got.stats["counters"]) == json.dumps(
+                        want.stats["counters"]
+                    ), where
+                    assert got.stats["simulated_seconds"] == (
+                        want.stats["simulated_seconds"]
+                    ), where
+                    assert got.stats.get("planner_estimates") == (
+                        want.stats.get("planner_estimates")
+                    ), where
+                    assert got.stats["index"]["candidate_features"] == (
+                        want.stats["index"]["candidate_features"]
+                    ), where
+
+    def test_out_of_reach_features_are_absent_not_pruned(self):
+        """One feature per side of a 2-shard split, radius below the gap:
+        each shard maps only its own and counts no pruning for the other."""
+        data = [DataObject("a", 1.0, 1.0), DataObject("b", 9.0, 1.0),
+                DataObject("c", 10.0, 2.0), DataObject("o", 0.0, 0.0)]
+        features = [FeatureObject("fa", 1.5, 1.0, frozenset({"w"})),
+                    FeatureObject("fb", 8.5, 1.0, frozenset({"w"})),
+                    FeatureObject("fz", 2.0, 1.5, frozenset({"z"}))]
+        plan = partition_datasets(data, features, 2)
+        query = SpatialPreferenceQuery.create(k=3, radius=1.0, keywords={"w"})
+        left, right = (
+            SPQEngine(s.data_objects, s.feature_objects, EngineConfig(grid_size=GRID),
+                      extent=plan.extent, scope=s.box)
+            for s in plan.shards
+        )
+        got = left.execute(query, algorithm="espq-sco", grid_size=GRID)
+        assert got.stats["index"]["candidate_features"] == 1
+        assert got.stats["features_pruned"] == 1  # fz: in reach, no keyword
+        got = right.execute(query, algorithm="espq-sco", grid_size=GRID)
+        assert got.stats["index"]["candidate_features"] == 1
+        assert got.stats["features_pruned"] == 0  # fz is out of reach
 
 
 class TestTieBoundaries:

@@ -135,22 +135,39 @@ SRC = pathlib.Path(repro.__file__).resolve().parent
 #: ``engine.py`` +1 (``prepare`` takes the planner's hits).  Outside the
 #: core, ``planner`` +3 (``QueryStatistics.keyword_hits``) and ``text`` +3
 #: (``PositionalInvertedIndex.keyword_hits``).
+#:
+#: A shard maps only the features that can reach its data: ``"."`` 10 789 ->
+#: 10 827, the outside-``paper`` ceiling with it (10 007 -> 10 045).
+#: ``index`` 1 053 -> 1 079: ``dataset_index.py`` +19 (the ``scope`` and its
+#: reach column -- per-feature ``MINDIST`` to the shard box, kept sorted beside
+#: running record bytes so a radius's in-reach count and bytes are one
+#: bisection -- ``features_within``, ``in_reach``, ``keyword_hits`` and
+#: ``average_feature_bytes`` taking the radius), ``delta.py`` +7 (appended
+#: features get the reach test; the snapshot's append dict is a cached
+#: property, built once per snapshot instead of once per query).  ``core``
+#: 1 201 -> 1 208: ``engine.py`` +7 (``scope`` at construction and swap, a
+#: tombstone counted only in reach, and ``_merge``'s set-operation checks and
+#: k-winner selection, which replace the per-output loop and fix the
+#: re-appended-oid bug).  ``server`` +3 and ``cluster`` +1 pass the scope (and
+#: keep it across compaction); ``sharding`` +1 (``_shard_slice`` returns the
+#: shard-service arguments, box included).  ``mapreduce`` is flat: the closed-
+#: form makespan (+4) paid for by the task -> slot map nobody read (-4).
 BUDGET = {
-    "server": 1659,
-    "sharding": 1008,
-    "cluster": 977,
+    "server": 1662,
+    "sharding": 1009,
+    "cluster": 978,
     "cli.py": 827,
-    "core": 1201,
+    "core": 1208,
     "execution": 375,
     "mapreduce": 478,
-    "index": 1053,
+    "index": 1079,
     "paper": 782,
-    ".": 10789,
+    ".": 10827,
 }
 
 #: What the serving path can reach (``src/repro`` minus ``repro.paper``) may
 #: not grow past this, whatever moves in or out of ``paper``.
-OUTSIDE_PAPER_CEILING = 10007
+OUTSIDE_PAPER_CEILING = 10045
 
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,

@@ -3,11 +3,18 @@
 
 Builds one ``BENCHMARK.json`` workload's dataset and read stream exactly as
 the benchmark does (``benchmarks/e2e/inputs.py``, read-only), replays the
-reads on an in-process ``SPQEngine`` and prints, per timed layer, its total
+reads on in-process ``SPQEngine`` s and prints, per timed layer, its total
 time divided by the number of queries answered::
 
     python tools/profile_layers.py engine_auto_batch
     python tools/profile_layers.py engine_fixed --queries 48 --seed 2713
+    python tools/profile_layers.py cluster_scatter_rw
+
+A workload with a ``cluster`` shard count in ``config.json`` is replayed the
+way its nodes serve it: the data partitioned as every shard node partitions
+it (``partition_datasets``, unbounded replication), one engine per
+data-bearing shard over the full extent and scoped to its shard box, every
+read run on each of them; each layer is summed over the shard engines.
 
 Batched reads run as one ``execute_many(auto)``, reads that name an
 algorithm run it, every other read runs ``execute(auto)``; write bursts are
@@ -92,13 +99,24 @@ def main(argv=None) -> int:
     from inputs import OpStream, make_dataset
     from targets import default_radius, engine_config, make_query
     from repro.core.engine import SPQEngine
+    from repro.sharding import partition_datasets
 
     sizes = workload_sizes(args.workload)
     dataset = make_dataset(
         str(sizes["dataset"]), int(sizes["objects"]), int(sizes["dataset_seed"])
     )
-    engine = SPQEngine(*dataset, engine_config(sizes))
-    radius = default_radius(engine, sizes)
+    shards = int(sizes.get("cluster", 0))
+    if shards:
+        plan = partition_datasets(*dataset, shards)
+        engines = [
+            SPQEngine(shard.data_objects, shard.feature_objects, engine_config(sizes),
+                      extent=plan.extent, scope=shard.box)
+            for shard in plan.shards
+            if not shard.is_empty
+        ]
+    else:
+        engines = [SPQEngine(*dataset, engine_config(sizes))]
+    radius = default_radius(engines[0], sizes)
     stream = OpStream(args.workload, sizes, args.seed, dataset)
 
     def reads():
@@ -110,9 +128,12 @@ def main(argv=None) -> int:
     def run(op) -> int:
         if isinstance(op, list):
             queries = [make_query(spec, radius) for spec in op]
-            return len(engine.execute_many(queries, algorithm="auto"))
-        algorithm = op.get("algorithm", "auto")
-        engine.execute(make_query(op, radius), algorithm=algorithm)
+            for engine in engines:
+                engine.execute_many(queries, algorithm="auto")
+            return len(queries)
+        query = make_query(op, radius)
+        for engine in engines:
+            engine.execute(query, algorithm=op.get("algorithm", "auto"))
         return 1
 
     ops = reads()
@@ -127,11 +148,13 @@ def main(argv=None) -> int:
         answered += run(next(ops))
     elapsed = time.perf_counter() - started
 
-    print(f"{args.workload}  seed {args.seed}  {answered} queries (reads only)")
+    sharded = f"  {len(engines)} shard engines" if shards else ""
+    print(f"{args.workload}  seed {args.seed}  {answered} queries (reads only){sharded}")
     print(f"  {'end to end':<20} {1000.0 * elapsed / answered:8.3f} ms/query")
     for label, _, _ in LAYERS:
         print(f"  {label:<20} {1000.0 * totals[label] / answered:8.3f} ms/query")
-    engine.close()
+    for engine in engines:
+        engine.close()
     return 0
 
 
