@@ -32,7 +32,7 @@ from itertools import chain, repeat
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import JobExecutionError
-from repro.index.columns import DataBlock, dataplane_mode
+from repro.index.columns import DataBlock
 from repro.index.records import (
     DATA_RECORD_BYTES,
     CellRun,
@@ -49,7 +49,7 @@ from repro.model.result import TopKList
 from repro.spatial.geometry import candidate_halfwidth
 from repro.spatial.grid import UniformGrid
 from repro.spatial.partitioning import GridPartitioner
-from repro.text.similarity import JaccardScorer, non_spatial_score, upper_bound_for_length
+from repro.text.similarity import JaccardScorer, upper_bound_for_length
 
 #: Tag values of the pSPQ composite key: data objects sort before features.
 TAG_DATA = 0
@@ -165,11 +165,6 @@ class _SPQJobBase(MapReduceJob):
         self.grid = grid
         self.prune_irrelevant = prune_irrelevant
         self.partitioner = GridPartitioner(grid, query.radius)
-        # Which reduce loop runs: the columnar one, or the per-object oracle
-        # of the same math (data reaches either as blocks).  Captured at
-        # construction so one query runs one loop end to end even if the
-        # environment changes mid-flight.
-        self.dataplane = dataplane_mode()
         self._scorer: Optional[JaccardScorer] = None
 
     @property
@@ -386,17 +381,15 @@ class PSPQJob(_SPQJobBase):
     ) -> Iterable[Tuple[int, str, float]]:
         """Per-cell nested-loop reduce of pSPQ (paper Algorithm 2).
 
-        The columnar path accumulates the cell's data as parallel columns
-        (adopting a preinjected :class:`DataBlock` when the runner provides
-        one) and, per surviving feature, applies the exact squared-distance
-        predicate only to the x-candidate window -- a strict superset of the
+        The cell's data is accumulated as parallel columns (adopting a
+        preinjected :class:`DataBlock` when the runner provides one) and,
+        per surviving feature, the exact squared-distance predicate is
+        applied only to the x-candidate window -- a strict superset of the
         matches (:func:`candidate_halfwidth`), offered in storage order, so
-        results, scores and counters are bit-for-bit those of the object
-        path (``REPRO_DATAPLANE=object``), which is kept verbatim below as
-        the oracle.
+        results, scores and counters are bit-for-bit those of the paper's
+        per-object loop (kept verbatim as the oracle in
+        ``tests/object_oracle.py``).
         """
-        if self.dataplane != "columnar":
-            return self._reduce_objects(group, values, counters)
         query = self.query
         data = _CellData()
         top = TopKList(query.k)
@@ -455,50 +448,6 @@ class PSPQJob(_SPQJobBase):
             counters.increment(WORK_GROUP, SCORE_COMPUTATIONS, computations)
         return [(group, oid, score) for oid, score in top.ranked()]
 
-    def _reduce_objects(
-        self, group: int, values: Iterator[Any], counters: Counters
-    ) -> Iterable[Tuple[int, str, float]]:
-        """The original per-object reduce: the columnar loop's oracle.
-
-        A preinjected :class:`DataBlock` is unpacked into the object list;
-        from there on nothing columnar is touched.
-        """
-        data_objects: List[DataObject] = []
-        top = TopKList(self.query.k)
-        examined = 0
-        computations = 0
-        range_mode = self.score_mode == "range"
-        radius = self.query.radius
-        for value in values:
-            if value.__class__ is DataBlock:
-                data_objects.extend(value.objs)
-                continue
-            if isinstance(value, DataObject):
-                data_objects.append(value)
-                continue
-            feature: FeatureObject = value
-            examined += 1
-            score = non_spatial_score(feature.keywords, self.query.keywords)
-            if score <= top.threshold:
-                continue
-            computations += len(data_objects)
-            if range_mode:
-                for obj in data_objects:
-                    if obj.within_distance(feature, radius):
-                        top.offer(obj, score)
-            else:
-                for obj in data_objects:
-                    contribution = feature_contribution(
-                        obj, feature, self.query, self.score_mode
-                    )
-                    if contribution > 0.0:
-                        top.offer(obj, contribution)
-        if examined:
-            counters.increment(WORK_GROUP, FEATURES_EXAMINED, examined)
-        if computations:
-            counters.increment(WORK_GROUP, SCORE_COMPUTATIONS, computations)
-        return [(group, oid, score) for oid, score in top.ranked()]
-
 
 class ESPQLenJob(_SPQJobBase):
     """eSPQlen (Section 5.1): features sorted by increasing keyword count.
@@ -525,13 +474,11 @@ class ESPQLenJob(_SPQJobBase):
     ) -> Iterable[Tuple[int, str, float]]:
         """Length-bound early-terminating reduce of eSPQlen (Algorithm 3).
 
-        Columnar path: same candidate-window range scan as pSPQ, with the
-        Lemma 2 bound/termination logic untouched (it only reads the feature
-        stream and the top-k threshold).  ``REPRO_DATAPLANE=object`` selects
-        the original per-object loop below as the oracle.
+        The same candidate-window range scan as pSPQ, with the Lemma 2
+        bound/termination logic untouched (it only reads the feature stream
+        and the top-k threshold).  ``tests/object_oracle.py`` keeps the
+        per-object loop as the oracle.
         """
-        if self.dataplane != "columnar":
-            return self._reduce_objects(group, values, counters)
         query = self.query
         data = _CellData()
         top = TopKList(query.k)
@@ -580,43 +527,6 @@ class ESPQLenJob(_SPQJobBase):
             matched.sort()
             for row in matched:
                 offer(objs[row], score)
-        if examined:
-            counters.increment(WORK_GROUP, FEATURES_EXAMINED, examined)
-        if computations:
-            counters.increment(WORK_GROUP, SCORE_COMPUTATIONS, computations)
-        return [(group, oid, score) for oid, score in top.ranked()]
-
-    def _reduce_objects(
-        self, group: int, values: Iterator[Any], counters: Counters
-    ) -> Iterable[Tuple[int, str, float]]:
-        """The original per-object reduce: the columnar path's oracle."""
-        data_objects: List[DataObject] = []
-        top = TopKList(self.query.k)
-        query_len = self.query.keyword_count
-        radius = self.query.radius
-        examined = 0
-        computations = 0
-        for value in values:
-            if value.__class__ is DataBlock:
-                data_objects.extend(value.objs)
-                continue
-            if isinstance(value, DataObject):
-                data_objects.append(value)
-                continue
-            feature: FeatureObject = value
-            examined += 1
-            bound = upper_bound_for_length(feature.keyword_count, query_len)
-            tau = top.threshold
-            if len(top) >= self.query.k and tau >= bound:
-                counters.increment(SPQ_GROUP, EARLY_TERMINATIONS)
-                break
-            score = non_spatial_score(feature.keywords, self.query.keywords)
-            if score <= tau:
-                continue
-            computations += len(data_objects)
-            for obj in data_objects:
-                if obj.within_distance(feature, radius):
-                    top.offer(obj, score)
         if examined:
             counters.increment(WORK_GROUP, FEATURES_EXAMINED, examined)
         if computations:
@@ -675,8 +585,8 @@ class ESPQScoJob(_SPQJobBase):
     ) -> Iterable[Tuple[int, str, float]]:
         """Report-as-you-go early-terminating reduce of eSPQsco (Algorithm 4).
 
-        Columnar path: a storage-order scan over the coordinate columns that
-        stops at the k-th report.  Distance comes first: ``dx * dx`` alone
+        A storage-order scan over the coordinate columns that stops at the
+        k-th report.  Distance comes first: ``dx * dx`` alone
         past ``r²`` rules a row out exactly (adding ``dy * dy >= 0`` cannot
         lower a float sum), and a row's oid is looked at only on a hit.  A
         candidate window over the x-sorted rows would find the matches too,
@@ -691,11 +601,9 @@ class ESPQScoJob(_SPQJobBase):
         the same scan), and the k-th report takes back the rows the scan
         never reached, net of those already taken back.  A cell may hold one
         oid on several rows; the block's cached ``oid_rows`` column says
-        which.  ``REPRO_DATAPLANE=object`` selects the original per-object
-        loop below as the oracle.
+        which.  ``tests/object_oracle.py`` keeps the per-object loop as the
+        oracle.
         """
-        if self.dataplane != "columnar":
-            return self._reduce_objects(group, values, counters)
         data = _CellData()
         reported: List[Tuple[int, str, float]] = []
         reported_ids: set = set()
@@ -750,49 +658,6 @@ class ESPQScoJob(_SPQJobBase):
                 continue  # the scan ended below k reports: next feature
             counters.increment(SPQ_GROUP, EARLY_TERMINATIONS)
             break
-        if examined:
-            counters.increment(WORK_GROUP, FEATURES_EXAMINED, examined)
-        if computations:
-            counters.increment(WORK_GROUP, SCORE_COMPUTATIONS, computations)
-        return reported
-
-    def _reduce_objects(
-        self, group: int, values: Iterator[Any], counters: Counters
-    ) -> Iterable[Tuple[int, str, float]]:
-        """The original per-object reduce: the columnar path's oracle."""
-        data_objects: List[DataObject] = []
-        reported: List[Tuple[int, str, float]] = []
-        reported_ids: set = set()
-        k = self.query.k
-        radius = self.query.radius
-        examined = 0
-        computations = 0
-        done = False
-        for value in values:
-            if value.__class__ is DataBlock:
-                data_objects.extend(value.objs)
-                continue
-            if isinstance(value, DataObject):
-                data_objects.append(value)
-                continue
-            feature, score = value
-            examined += 1
-            if score <= 0.0:
-                counters.increment(SPQ_GROUP, EARLY_TERMINATIONS)
-                break
-            for obj in data_objects:
-                if obj.oid in reported_ids:
-                    continue
-                computations += 1
-                if obj.within_distance(feature, radius):
-                    reported.append((group, obj.oid, score))
-                    reported_ids.add(obj.oid)
-                    if len(reported) >= k:
-                        counters.increment(SPQ_GROUP, EARLY_TERMINATIONS)
-                        done = True
-                        break
-            if done:
-                break
         if examined:
             counters.increment(WORK_GROUP, FEATURES_EXAMINED, examined)
         if computations:

@@ -10,8 +10,6 @@ attribute lookups.  This module packs the same information into stdlib
   columns plus a packed UTF-8 oid blob with offsets;
 * :class:`FeatureColumns` -- feature objects, additionally with a sorted
   vocabulary and per-feature token-id postings (CSR layout);
-* :class:`CellColumns`    -- the per-cell assignment plane of one grid: the
-  home cell of every data row plus a partition->rows CSR permutation;
 * :class:`ColumnStore`    -- a framed, 8-byte-aligned section container that
   serializes any combination of the above to one contiguous buffer and
   attaches back **zero-copy**: an attached store indexes ``memoryview``
@@ -33,47 +31,19 @@ predicate to every candidate.
 
 from __future__ import annotations
 
-import os
 import struct
 from array import array
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.exceptions import JobConfigurationError
 from repro.model.objects import DataObject, FeatureObject
 
 __all__ = [
-    "CellColumns",
     "ColumnStore",
     "DataBlock",
     "DataColumns",
     "FeatureColumns",
-    "dataplane_mode",
 ]
-
-#: Environment toggle for the reduce *math*: ``columnar`` (default) runs the
-#: packed-column reduce loops; ``object`` runs the original per-object
-#: loops, the oracle the differential fuzz suite and ``bench_dataplane.py``
-#: compare against.  Either way a cell's data reaches its reducer as one
-#: :class:`DataBlock`; the switch does not decide how data travels.
-DATAPLANE_ENV = "REPRO_DATAPLANE"
-DATAPLANE_MODES = ("columnar", "object")
-
-
-def dataplane_mode() -> str:
-    """The active data-plane mode (``columnar`` when unset or empty).
-
-    Raises:
-        JobConfigurationError: for any other value -- a typo must not turn
-            an oracle run into a silent columnar-vs-columnar comparison.
-    """
-    mode = os.environ.get(DATAPLANE_ENV, "").strip().lower() or "columnar"
-    if mode not in DATAPLANE_MODES:
-        raise JobConfigurationError(
-            f"{DATAPLANE_ENV} must be one of {DATAPLANE_MODES}, got {mode!r}"
-        )
-    return mode
-
 
 # ---------------------------------------------------------------------- #
 # framed section container
@@ -366,71 +336,11 @@ class FeatureColumns:
         )
 
 
-class CellColumns:
-    """Per-cell assignment plane of one grid over one data column set.
-
-    ``cells[row]`` is the home cell id of data row ``row``;
-    ``partition_rows(p)`` returns the storage-ordered rows routed to reduce
-    partition ``p`` (CSR: ``row_offsets``/``rows``).  Routing uses the SPQ
-    jobs' partition rule ``(cell_id - 1) % num_partitions``.
-    """
-
-    __slots__ = ("cells", "row_offsets", "rows", "num_partitions")
-
-    def __init__(self, cells, row_offsets, rows, num_partitions: int) -> None:
-        self.cells = cells
-        self.row_offsets = row_offsets
-        self.rows = rows
-        self.num_partitions = int(num_partitions)
-
-    @classmethod
-    def from_assignments(cls, cell_ids: Sequence[int], num_partitions: int) -> "CellColumns":
-        """Bucket per-row cell ids into partition row lists, storage order kept."""
-        cells = array("I", cell_ids)
-        buckets: List[List[int]] = [[] for _ in range(num_partitions)]
-        for row, cell_id in enumerate(cells):
-            buckets[(cell_id - 1) % num_partitions].append(row)
-        row_offsets = array("Q", [0])
-        rows = array("I")
-        for bucket in buckets:
-            rows.extend(bucket)
-            row_offsets.append(len(rows))
-        return cls(cells, row_offsets, rows, num_partitions)
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def partition_rows(self, partition: int) -> Sequence[int]:
-        """Storage-ordered data rows of one reduce partition (zero-copy slice)."""
-        start = self.row_offsets[partition]
-        end = self.row_offsets[partition + 1]
-        return self.rows[start:end]
-
-    def sections(self) -> List[Tuple[bytes, object]]:
-        """The (tag, column) pairs this group serializes as."""
-        return [
-            (b"CECL", self.cells),
-            (b"CERO", self.row_offsets),
-            (b"CERW", self.rows),
-            (b"CENP", array("Q", [self.num_partitions])),
-        ]
-
-    @classmethod
-    def from_sections(cls, sections: Dict[bytes, memoryview]) -> "CellColumns":
-        """Rebuild the group zero-copy from unpacked section views."""
-        return cls(
-            _uints(sections[b"CECL"]),
-            _offsets(sections[b"CERO"]),
-            _uints(sections[b"CERW"]),
-            _offsets(sections[b"CENP"])[0],
-        )
-
-
 class ColumnStore:
-    """A (data, features, cells) column bundle with one serialized form.
+    """A (data, features) column bundle with one serialized form.
 
-    Any subset of the three groups may be present: the shard-node dataset
-    segment carries ``data + features``.  :meth:`attach` is zero-copy --
+    Either group may be absent: the shard-node dataset segment carries
+    both.  :meth:`attach` is zero-copy --
     the returned store indexes the caller's buffer; call :meth:`detach` to
     drop every view before the underlying buffer (e.g. a shared-memory
     segment) is closed, otherwise the close raises ``BufferError``.
@@ -440,19 +350,15 @@ class ColumnStore:
         self,
         data: Optional[DataColumns] = None,
         features: Optional[FeatureColumns] = None,
-        cells: Optional[CellColumns] = None,
     ) -> None:
         self.data = data
         self.features = features
-        self.cells = cells
 
     @classmethod
     def from_datasets(
         cls,
         data_objects: Optional[Sequence[DataObject]] = None,
         feature_objects: Optional[Sequence[FeatureObject]] = None,
-        cell_ids: Optional[Sequence[int]] = None,
-        num_partitions: int = 0,
     ) -> "ColumnStore":
         """Pack whichever dataset pieces are given into a column bundle."""
         return cls(
@@ -462,17 +368,12 @@ class ColumnStore:
                 if feature_objects is not None
                 else None
             ),
-            cells=(
-                CellColumns.from_assignments(cell_ids, num_partitions)
-                if cell_ids is not None
-                else None
-            ),
         )
 
     def to_bytes(self) -> bytes:
         """Serialize every present group into one framed buffer."""
         sections: List[Tuple[bytes, object]] = []
-        for group in (self.data, self.features, self.cells):
+        for group in (self.data, self.features):
             if group is not None:
                 sections.extend(group.sections())
         return pack_sections(sections)
@@ -484,14 +385,12 @@ class ColumnStore:
         return cls(
             data=DataColumns.from_sections(sections) if b"DAXS" in sections else None,
             features=FeatureColumns.from_sections(sections) if b"FEXS" in sections else None,
-            cells=CellColumns.from_sections(sections) if b"CECL" in sections else None,
         )
 
     def detach(self) -> None:
         """Drop every buffer view so the backing segment can be closed."""
         self.data = None
         self.features = None
-        self.cells = None
 
 
 # ---------------------------------------------------------------------- #

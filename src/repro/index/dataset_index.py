@@ -245,10 +245,6 @@ class DatasetIndex:
         reach = self._reach
         return list(positions) if reach is None else [p for p in positions if reach[p] <= radius]
 
-    def feature_home_of(self, position: int) -> int:
-        """Precomputed home cell of the feature at ``position``."""
-        return self._feature_homes[position]
-
     def candidate_cell_counts(self, positions: Iterable[int]) -> Dict[int, int]:
         """Home-cell histogram of the given candidate feature positions."""
         return dict(Counter(map(self._feature_homes.__getitem__, positions)))

@@ -116,10 +116,6 @@ class JobResult:
     num_map_tasks: int
     num_reduce_tasks: int
 
-    def reduce_report(self, task_index: int) -> ReduceTaskReport:
-        """Report of a specific reduce task."""
-        return self.reduce_reports[task_index]
-
     def total_shuffle_records(self) -> int:
         """Total records emitted by the map phase across partitions."""
         return self.counters.get(counter_names.GROUP_SHUFFLE, counter_names.SHUFFLE_RECORDS)

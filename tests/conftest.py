@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from object_oracle import OBJECT_JOB_CLASSES, use_object_reducers
 from repro.datagen.realistic import RealisticDatasetConfig, generate_flickr_like
 from repro.datagen.synthetic import (
     SyntheticDatasetConfig,
@@ -84,6 +85,18 @@ def paper_feature_objects():
 def paper_query():
     """The example query: top-1 for keyword "italian" within r = 1.5."""
     return SpatialPreferenceQuery.create(k=1, radius=1.5, keywords={"italian"})
+
+
+# --------------------------------------------------------------------- #
+# The reference reduce loops (tests/object_oracle.py).
+
+
+@pytest.fixture()
+def object_reducers(monkeypatch):
+    """Every SPQ job the engine or ``raw_oracle`` builds in this test reduces
+    with the per-object loops; returns their classes by algorithm name."""
+    use_object_reducers(monkeypatch)
+    return OBJECT_JOB_CLASSES
 
 
 # --------------------------------------------------------------------- #

@@ -25,8 +25,7 @@ import time
 from itertools import chain
 from typing import Dict, List, Optional
 
-from repro.core.engine import validate_algorithm_combination
-from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob
+from repro.core.engine import _JOB_CLASSES, validate_algorithm_combination
 from repro.index.delta import materialize
 from repro.mapreduce.costmodel import CostModel
 from repro.mapreduce.runtime import LocalJobRunner
@@ -57,10 +56,13 @@ def raw_execute(
         engine.data_objects, engine.feature_objects, engine.delta.snapshot()
     )
     grid = engine.build_grid(grid_size)
+    # The engine's own table, read per call: the ``object_reducers`` fixture
+    # patches it, so both references run the same reduce loop.
+    job_class = _JOB_CLASSES[algorithm]
     if algorithm == "pspq":
-        job = PSPQJob(query, grid, score_mode=score_mode)
+        job = job_class(query, grid, score_mode=score_mode)
     else:
-        job = {"espq-len": ESPQLenJob, "espq-sco": ESPQScoJob}[algorithm](query, grid)
+        job = job_class(query, grid)
     runner = LocalJobRunner(num_reducers=grid.num_cells)
     started = time.perf_counter()
     job_result = runner.run(job, chain(data, features))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from object_oracle import ObjectESPQLenJob, ObjectESPQScoJob, ObjectPSPQJob
 from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob, TAG_DATA, TAG_FEATURE
 from repro.execution.tasks import block_without
 from repro.index.columns import DataBlock
@@ -189,24 +190,25 @@ class TestReduceBehaviour:
 
 
 # --------------------------------------------------------------------- #
-# eSPQsco: the columnar reduce against the per-object loop
+# The columnar reducers against the per-object loops (tests/object_oracle.py)
+
+#: Half-unit lattice coordinates: distances land exactly on the radius.
+LATTICE = st.integers(0, 8).map(lambda half: half / 2.0)
+VOCABULARY = ("kw", "cafe", "park", "bar", "pier")
+ORACLE_GRID = UniformGrid.square(BoundingBox(0, 0, 10, 10), 4)
 
 
 @st.composite
-def espqsco_cells(draw):
-    """One reduce group as the shuffle hands it over, plus the query.
+def cell_data(draw):
+    """A reduce group's data objects as the shuffle hands them over.
 
-    Coordinates sit on a half-unit lattice so distances land exactly on the
-    radius; oids come from a pool that may be smaller than the cell (one oid
-    on several rows).  The indexed rows arrive as a block -- minus any data
-    tombstones, as the data plane filters them -- then the live delta rows,
-    then the features that survived feature tombstones, by score descending
-    (zero scores included).
+    Oids come from a pool that may be smaller than the cell (one oid on
+    several rows).  The indexed rows arrive as a block -- minus any data
+    tombstones, as the data plane filters them -- then the live delta rows.
     """
-    coordinate = st.integers(0, 8).map(lambda half: half / 2.0)
     pool = draw(st.integers(1, 30))
     rows = draw(
-        st.lists(st.tuples(st.integers(0, pool - 1), coordinate, coordinate), max_size=30)
+        st.lists(st.tuples(st.integers(0, pool - 1), LATTICE, LATTICE), max_size=30)
     )
     data = [DataObject(f"o{oid}", x, y) for oid, x, y in rows]
     indexed = draw(st.integers(0, len(data)))
@@ -216,9 +218,26 @@ def espqsco_cells(draw):
     if entry is not None and len(entry[1]):
         values.append(entry[1])
     values.extend(data[indexed:])
+    return values
+
+
+def draw_query(draw, keywords):
+    return SpatialPreferenceQuery.create(
+        k=draw(st.integers(1, 12)),
+        radius=draw(st.sampled_from([0.5, 1.0, 1.5, 2.5])),
+        keywords=keywords,
+    )
+
+
+@st.composite
+def espqsco_cells(draw):
+    """One eSPQsco reduce group plus the query: the cell's data, then the
+    features that survived feature tombstones, by score descending (zero
+    scores included)."""
+    values = draw(cell_data())
     score = st.sampled_from([0.0, 0.25, 0.5, 1.0])
     scored = draw(
-        st.lists(st.tuples(coordinate, coordinate, score, st.booleans()), max_size=15)
+        st.lists(st.tuples(LATTICE, LATTICE, score, st.booleans()), max_size=15)
     )
     features = [
         (FeatureObject(f"f{i}", x, y, frozenset({"kw"})), score)
@@ -226,13 +245,32 @@ def espqsco_cells(draw):
         if not deleted
     ]
     features.sort(key=lambda value: -value[1])
-    values.extend(features)
-    query = SpatialPreferenceQuery.create(
-        k=draw(st.integers(1, 12)),
-        radius=draw(st.sampled_from([0.5, 1.0, 1.5, 2.5])),
-        keywords={"kw"},
+    return draw_query(draw, {"kw"}), values + features
+
+
+@st.composite
+def keyword_cells(draw, by_length):
+    """One pSPQ reduce group plus the query -- or, ``by_length``, eSPQlen's.
+
+    Features carry keyword sets over a five-word vocabulary, so Jaccard
+    scores vary, tie and can be zero.  The ones that survived feature
+    tombstones follow the cell's data: in any order for pSPQ, by increasing
+    keyword count (the composite key) for eSPQlen.
+    """
+    values = draw(cell_data())
+    words = st.frozensets(st.sampled_from(VOCABULARY), min_size=1, max_size=4)
+    drawn = draw(
+        st.lists(st.tuples(LATTICE, LATTICE, words, st.booleans()), max_size=15)
     )
-    return query, values
+    features = [
+        FeatureObject(f"f{i}", x, y, keywords)
+        for i, (x, y, keywords, deleted) in enumerate(drawn)
+        if not deleted
+    ]
+    if by_length:
+        features.sort(key=lambda feature: feature.keyword_count)
+    keywords = draw(st.frozensets(st.sampled_from(VOCABULARY), min_size=1, max_size=3))
+    return draw_query(draw, keywords), values + features
 
 
 def _counter_log(counters):
@@ -240,13 +278,40 @@ def _counter_log(counters):
     return [(group, list(names.items())) for group, names in counters.as_dict().items()]
 
 
+def assert_same_reduce(job, oracle, values):
+    """``job`` reduces ``values`` exactly as the per-object ``oracle`` does."""
+    columnar, objects = Counters(), Counters()
+    got = list(job.reduce(3, iter(values), columnar))
+    want = list(oracle.reduce(3, iter(values), objects))
+    assert got == want
+    assert _counter_log(columnar) == _counter_log(objects)
+
+
+@pytest.mark.parametrize("score_mode", ("range", "influence"))
+@settings(max_examples=300, deadline=None)
+@given(cell=keyword_cells(by_length=False))
+def test_pspq_columnar_reduce_matches_the_per_object_loop(score_mode, cell):
+    query, values = cell
+    assert_same_reduce(
+        PSPQJob(query, ORACLE_GRID, score_mode=score_mode),
+        ObjectPSPQJob(query, ORACLE_GRID, score_mode=score_mode),
+        values,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyword_cells(by_length=True))
+def test_espqlen_columnar_reduce_matches_the_per_object_loop(cell):
+    query, values = cell
+    assert_same_reduce(
+        ESPQLenJob(query, ORACLE_GRID), ObjectESPQLenJob(query, ORACLE_GRID), values
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(espqsco_cells())
 def test_espqsco_columnar_reduce_matches_the_per_object_loop(cell):
     query, values = cell
-    job = ESPQScoJob(query, UniformGrid.square(BoundingBox(0, 0, 10, 10), 4))
-    columnar, objects = Counters(), Counters()
-    got = list(job.reduce(3, iter(values), columnar))
-    want = list(job._reduce_objects(3, iter(values), objects))
-    assert got == want
-    assert _counter_log(columnar) == _counter_log(objects)
+    assert_same_reduce(
+        ESPQScoJob(query, ORACLE_GRID), ObjectESPQScoJob(query, ORACLE_GRID), values
+    )

@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from object_oracle import select_reduce_loop
 from repro.core.centralized import dataset_extent
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob, _SPQJobBase
@@ -107,7 +108,7 @@ class TestTombstonedReadsEveryWayDataCanTravel:
     def test_delta_engine_equals_bulk_swapped_engine(
         self, dataplane, algorithm, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_DATAPLANE", dataplane)
+        select_reduce_loop(monkeypatch, dataplane)
         data, features, deletes, appends = build_scenario()
         config = EngineConfig(grid_size=GRID)
         with SPQEngine(data, features, config=config, extent=EXTENT) as engine:

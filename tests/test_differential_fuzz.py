@@ -29,6 +29,7 @@ from typing import Dict, List, Tuple
 
 import pytest
 
+from object_oracle import select_reduce_loop
 from raw_oracle import raw_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.core.scoring import compute_score
@@ -232,7 +233,7 @@ class TestIngestParityFuzz:
     ):
         from repro.model.objects import DataObject, FeatureObject
 
-        monkeypatch.setenv("REPRO_DATAPLANE", dataplane)
+        select_reduce_loop(monkeypatch, dataplane)
         data, features = build_dataset(kind, seed)
         rng = random.Random(seed + 77)
         queries = build_queries(seed + 1)
@@ -452,34 +453,42 @@ class TestSkewLayoutParityFuzz:
 
 
 class TestDataplaneParity:
-    """Columnar reduce paths vs the per-object oracle, bit-for-bit.
+    """Columnar reduce loops vs the per-object oracle, bit-for-bit.
 
-    ``REPRO_DATAPLANE=object`` forces the original per-object loops the
-    columnar hot paths replaced; every algorithm must agree across the two
-    planes on ids, scores *and* counters -- the counters feed the planner's
-    calibration, so the columnar plane must also preserve the cost model's
-    accounting exactly.
+    The ``object`` run swaps in the per-object loops of
+    ``tests/object_oracle.py`` -- the paper's algorithms as written, which
+    the columnar hot paths replaced; every algorithm must agree across the
+    two on ids, scores *and* counters, values and key order -- the counters
+    feed the planner's calibration, so the columnar loops must also preserve
+    the cost model's accounting exactly.
     """
 
     @pytest.mark.parametrize("kind,seed", DATASETS)
-    def test_columnar_is_bit_for_bit_identical(self, kind, seed, monkeypatch):
+    def test_columnar_is_bit_for_bit_identical(self, kind, seed):
         data, features = build_dataset(kind, seed)
         queries = build_queries(seed + 31)
 
-        def run(mode: str):
-            monkeypatch.setenv("REPRO_DATAPLANE", mode)
+        def run(loop: str):
             snapshots = []
-            with SPQEngine(data, features, config=EngineConfig(grid_size=6)) as engine:
-                for algorithm in MR_ALGORITHMS:
-                    for result in engine.execute_many(
-                        queries, algorithm=algorithm, grid_size=6
-                    ):
-                        snapshots.append(
-                            (fingerprint(result), result.stats["counters"])
-                        )
+            with pytest.MonkeyPatch.context() as patch:
+                select_reduce_loop(patch, loop)
+                with SPQEngine(
+                    data, features, config=EngineConfig(grid_size=6)
+                ) as engine:
+                    for algorithm in MR_ALGORITHMS:
+                        for result in engine.execute_many(
+                            queries, algorithm=algorithm, grid_size=6
+                        ):
+                            counters = result.stats["counters"]
+                            snapshots.append((
+                                fingerprint(result),
+                                [(group, list(names.items()))
+                                 for group, names in counters.items()],
+                            ))
             return snapshots
 
         oracle = run("object")
         columnar = run("columnar")
+        assert oracle and len(oracle) == len(columnar)
         for index, (want, got) in enumerate(zip(oracle, columnar)):
             assert got == want, f"dataplane divergence at run {index}"

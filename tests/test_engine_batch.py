@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+from object_oracle import REDUCE_LOOPS, select_reduce_loop
 from raw_oracle import raw_execute
 from repro.core.engine import SPQEngine
 from repro.exceptions import InvalidQueryError, ResultIntegrityError
@@ -265,9 +266,9 @@ class TestMergeIntegrity:
         assert [entry.obj.oid for entry in entries] == ["p2"]  # k == 1
 
 
-@pytest.fixture(params=("columnar", "object"))
+@pytest.fixture(params=REDUCE_LOOPS)
 def dataplane(request, monkeypatch):
-    monkeypatch.setenv("REPRO_DATAPLANE", request.param)
+    select_reduce_loop(monkeypatch, request.param)
     return request.param
 
 

@@ -148,12 +148,10 @@ class TestDatasetSegment:
         assert shm_strays() == []
 
     def test_attach_rejects_reduce_plane(self):
+        # A segment holding data columns but no feature columns is not a
+        # dataset, whatever else it carries.
         data, _ = make_dataset(10)
-        segment = create_segment(
-            ColumnStore.from_datasets(
-                data_objects=data, cell_ids=[1] * len(data), num_partitions=1
-            ).to_bytes()
-        )
+        segment = create_segment(ColumnStore.from_datasets(data_objects=data).to_bytes())
         try:
             with pytest.raises(ValueError, match="dataset"):
                 attach_dataset(segment.name)

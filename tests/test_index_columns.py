@@ -1,4 +1,4 @@
-"""Columnar data plane: framed sections, column groups, cell CSR, blocks."""
+"""Columnar data plane: framed sections, column groups, blocks."""
 
 from __future__ import annotations
 
@@ -7,21 +7,15 @@ from array import array
 
 import pytest
 
-from repro.core.engine import SPQEngine
-from repro.exceptions import JobConfigurationError
 from repro.index.columns import (
-    DATAPLANE_ENV,
-    CellColumns,
     ColumnStore,
     DataBlock,
     DataColumns,
     FeatureColumns,
-    dataplane_mode,
     pack_sections,
     unpack_sections,
 )
 from repro.model.objects import DataObject, FeatureObject
-from repro.model.query import SpatialPreferenceQuery
 
 
 def make_data(count: int, seed: int = 7):
@@ -140,41 +134,6 @@ class TestFeatureColumns:
         assert columns.to_objects() == objects
 
 
-class TestCellColumns:
-    def test_partition_rule_matches_jobs(self):
-        cell_ids = [random.Random(3).randint(1, 36) for _ in range(200)]
-        columns = CellColumns.from_assignments(cell_ids, num_partitions=7)
-        for partition in range(7):
-            for row in columns.partition_rows(partition):
-                assert (cell_ids[row] - 1) % 7 == partition
-
-    def test_partitions_cover_every_row_once(self):
-        cell_ids = [1 + (i * 13) % 36 for i in range(150)]
-        columns = CellColumns.from_assignments(cell_ids, num_partitions=6)
-        seen = [row for p in range(6) for row in columns.partition_rows(p)]
-        assert sorted(seen) == list(range(150))
-
-    def test_rows_keep_storage_order_within_partition(self):
-        # Storage order within a partition is what makes the columnar reduce
-        # stream bit-for-bit identical to the per-record stream.
-        cell_ids = [1 + (i % 4) for i in range(40)]
-        columns = CellColumns.from_assignments(cell_ids, num_partitions=2)
-        for partition in range(2):
-            rows = list(columns.partition_rows(partition))
-            assert rows == sorted(rows)
-
-    def test_serialized_round_trip(self):
-        cell_ids = [1 + (i % 9) for i in range(60)]
-        columns = CellColumns.from_assignments(cell_ids, num_partitions=4)
-        attached = ColumnStore.attach(ColumnStore(cells=columns).to_bytes()).cells
-        assert attached.num_partitions == 4
-        assert list(attached.cells) == cell_ids
-        for partition in range(4):
-            assert list(attached.partition_rows(partition)) == list(
-                columns.partition_rows(partition)
-            )
-
-
 class TestColumnStore:
     def test_partial_stores(self):
         data = make_data(12)
@@ -183,7 +142,7 @@ class TestColumnStore:
             ColumnStore.from_datasets(data_objects=data).to_bytes()
         )
         assert only_data.data is not None
-        assert only_data.features is None and only_data.cells is None
+        assert only_data.features is None
         both = ColumnStore.attach(
             ColumnStore.from_datasets(
                 data_objects=data, feature_objects=features
@@ -197,7 +156,7 @@ class TestColumnStore:
             ColumnStore.from_datasets(data_objects=make_data(5)).to_bytes()
         )
         store.detach()
-        assert store.data is None and store.features is None and store.cells is None
+        assert store.data is None and store.features is None
 
 
 class TestDataBlock:
@@ -226,30 +185,3 @@ class TestDataBlock:
         assert block.xs == [o.x for o in objects]
         assert block.ys == [o.y for o in objects]
         assert block.oids == [o.oid for o in objects]
-
-
-class TestDataplaneMode:
-    def test_default_is_columnar(self, monkeypatch):
-        monkeypatch.delenv(DATAPLANE_ENV, raising=False)
-        assert dataplane_mode() == "columnar"
-
-    def test_object_override(self, monkeypatch):
-        monkeypatch.setenv(DATAPLANE_ENV, "object")
-        assert dataplane_mode() == "object"
-
-    def test_empty_means_columnar(self, monkeypatch):
-        monkeypatch.setenv(DATAPLANE_ENV, "  ")
-        assert dataplane_mode() == "columnar"
-
-    @pytest.mark.parametrize("value", ("vectorized", "objects"))
-    def test_garbage_raises(self, monkeypatch, value):
-        # "objects" is the typo that used to make the CI oracle sweep
-        # compare the columnar plane with itself.
-        monkeypatch.setenv(DATAPLANE_ENV, value)
-        with pytest.raises(JobConfigurationError, match="REPRO_DATAPLANE.*columnar.*object"):
-            dataplane_mode()
-        # ... and a query fails loudly instead of running some plane.
-        engine = SPQEngine(make_data(5), make_features(5))
-        query = SpatialPreferenceQuery.create(k=1, radius=1.0, keywords={"w1"})
-        with pytest.raises(JobConfigurationError):
-            engine.execute(query)

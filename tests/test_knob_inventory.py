@@ -25,7 +25,7 @@ from repro.core.engine import EngineConfig
 from repro.server import ServiceConfig
 from repro.sharding import ShardingConfig
 
-ENVIRONMENT = {"REPRO_DATAPLANE"}
+ENVIRONMENT = set()
 
 CONFIG_FIELDS = {
     EngineConfig: {"grid_size", "backend", "pad_with_zero_scores"},

@@ -27,8 +27,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.engine import EngineConfig, SPQEngine
-from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob
+from repro.core.engine import _JOB_CLASSES, EngineConfig, SPQEngine
+from repro.core.jobs import ESPQLenJob, PSPQJob
 from repro.exceptions import JobExecutionError
 from repro.execution import SerialBackend
 from repro.execution.tasks import run_map_task, sort_bucket
@@ -45,7 +45,8 @@ from repro.spatial.grid import UniformGrid
 
 GRID = 6
 EXTENT = BoundingBox(0.0, 0.0, 60.0, 60.0)
-JOB_CLASSES = {"pspq": PSPQJob, "espq-len": ESPQLenJob, "espq-sco": ESPQScoJob}
+#: The engine's own table, so the ``object_reducers`` fixture reaches it too.
+JOB_CLASSES = _JOB_CLASSES
 VOCABULARY = ("cafe", "bar", "park", "museum", "pier")
 QUERY = SpatialPreferenceQuery.create(k=4, radius=7.0, keywords={"cafe", "park"})
 
@@ -293,11 +294,9 @@ class TestKernelEqualsPerRecordMap:
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize("split_size", (1, 7, DEFAULT_SPLIT_SIZE))
     def test_whole_run_under_the_object_reduce_loop(
-        self, scenarios, algorithm, with_delta, split_size, backend, monkeypatch
+        self, scenarios, algorithm, with_delta, split_size, backend, object_reducers
     ):
-        # The per-object loops pull the same runs; jobs capture the switch
-        # at construction.
-        monkeypatch.setenv("REPRO_DATAPLANE", "object")
+        # The per-object loops pull the same runs.
         self.test_map_tasks_and_whole_run(
             scenarios, algorithm, with_delta, split_size, backend
         )

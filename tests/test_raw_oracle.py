@@ -20,9 +20,9 @@ import random
 
 import pytest
 
+from object_oracle import select_reduce_loop
 from raw_oracle import assert_same_work, raw_execute
 from repro.core.engine import EngineConfig, SPQEngine
-from repro.index.columns import DATAPLANE_ENV
 from repro.index.dataset_index import DatasetIndex
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
@@ -135,7 +135,7 @@ class TestOnePathParity:
     def test_execute_equals_execute_many_equals_raw(
         self, engine, algorithm, delta, dataplane, monkeypatch
     ):
-        monkeypatch.setenv(DATAPLANE_ENV, dataplane)
+        select_reduce_loop(monkeypatch, dataplane)
         apply_delta(engine, delta)
         # Warm the index and the radius cache so both calls below report the
         # same cache flags.

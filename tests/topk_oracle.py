@@ -1,7 +1,7 @@
 """The sort-everything ``Lk`` -- an independent oracle for ``TopKList``.
 
 The centralized oracle, ``tests/raw_oracle.py`` and both reduce loops
-(columnar and ``REPRO_DATAPLANE=object``) all share
+(columnar and ``tests/object_oracle.py``) all share
 :class:`repro.model.result.TopKList`, so no identity gate between them can
 catch a bug in it.  The class below is that ``TopKList`` verbatim as it
 stood before PR 25 made ``tau`` a cached value over native
