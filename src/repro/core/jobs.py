@@ -46,7 +46,6 @@ from repro.core.scoring import feature_contribution
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
 from repro.model.result import TopKList
-from repro.spatial.geometry import candidate_halfwidth
 from repro.spatial.grid import UniformGrid
 from repro.spatial.partitioning import GridPartitioner
 from repro.text.similarity import JaccardScorer, upper_bound_for_length
@@ -124,16 +123,17 @@ class _CellData:
     def frozen(self) -> DataBlock:
         """The data as one block, whose caches serve what a reducer asks.
 
-        An adopted block caches its x-sorted permutation and oid columns per
-        cell per dataset snapshot, across queries and job classes.  Live
-        streams are frozen on first use: the composite-key sort delivers
-        every data record before the first feature, so the data set is
-        complete by the time a feature needs it (a later append would
-        copy-on-write and drop the frozen block).
+        An adopted block caches its x-sorted permutation, oid columns and
+        in-range rows per cell per dataset snapshot, across queries and job
+        classes.  Live streams are frozen on first use, into a block that
+        lives for this reduce and so memoizes no in-range rows: the
+        composite-key sort delivers every data record before the first
+        feature, so the data set is complete by the time a feature needs it
+        (a later append would copy-on-write and drop the frozen block).
         """
         block = self._block
         if block is None:
-            block = self._block = DataBlock(0, self.objs, self.xs, self.ys)
+            block = self._block = DataBlock(0, self.objs, self.xs, self.ys, memo=False)
         return block
 
 
@@ -297,15 +297,22 @@ class _SPQJobBase(MapReduceJob):
         raise NotImplementedError
 
     def _feature_value(self, feature: FeatureObject) -> Any:
-        return feature
+        # Every job ships ``(feature, w(f, q))``: no reducer re-scores.
+        return (feature, self.scorer.score(feature.keywords))
 
     def _feature_columns(self, split: MapSplit) -> Tuple[List[Any], Sequence[Any]]:
         """Per feature of ``split``, what :meth:`map_split` needs beyond its cells.
 
         Two columns parallel to ``split.features``: the sort key's secondary
         component (as :meth:`sort_key` of :meth:`_feature_key`) and the
-        shuffled value (as :meth:`_feature_value`).
+        shuffled value (as :meth:`_feature_value`), whose score the index
+        computed from its postings (``split.scores``) -- every copy carries
+        the identical float.
         """
+        return self._feature_sort_keys(split), list(zip(split.features, split.scores))
+
+    def _feature_sort_keys(self, split: MapSplit) -> List[Any]:
+        """The sort secondary column of :meth:`_feature_columns`."""
         raise NotImplementedError
 
     def _count_map_feature_work(self, copies: int, kept: int, counters: Counters) -> None:
@@ -373,8 +380,8 @@ class PSPQJob(_SPQJobBase):
     def _feature_key(self, cell_id: int, feature: FeatureObject) -> Tuple:
         return (cell_id, TAG_FEATURE)
 
-    def _feature_columns(self, split):
-        return [TAG_FEATURE] * len(split.features), split.features
+    def _feature_sort_keys(self, split):
+        return [TAG_FEATURE] * len(split.features)
 
     def reduce(
         self, group: int, values: Iterator[Any], counters: Counters
@@ -382,13 +389,13 @@ class PSPQJob(_SPQJobBase):
         """Per-cell nested-loop reduce of pSPQ (paper Algorithm 2).
 
         The cell's data is accumulated as parallel columns (adopting a
-        preinjected :class:`DataBlock` when the runner provides one) and,
-        per surviving feature, the exact squared-distance predicate is
-        applied only to the x-candidate window -- a strict superset of the
-        matches (:func:`candidate_halfwidth`), offered in storage order, so
-        results, scores and counters are bit-for-bit those of the paper's
-        per-object loop (kept verbatim as the oracle in
-        ``tests/object_oracle.py``).
+        preinjected :class:`DataBlock` when the runner provides one).  Each
+        feature arrives with its score; one that passes the threshold
+        offers its in-range rows (:meth:`DataBlock.rows_within`, the exact
+        squared-distance predicate, memoized on the block per feature
+        position and radius) in storage order, so results, scores and
+        counters are bit-for-bit those of the paper's per-object loop (kept
+        verbatim as the oracle in ``tests/object_oracle.py``).
         """
         query = self.query
         data = _CellData()
@@ -397,8 +404,6 @@ class PSPQJob(_SPQJobBase):
         computations = 0
         range_mode = self.score_mode == "range"
         radius = query.radius
-        squared_radius = radius * radius
-        scorer = self.scorer
         offer = top.offer
         for value in values:
             if value.__class__ is DataBlock:
@@ -407,9 +412,8 @@ class PSPQJob(_SPQJobBase):
             if isinstance(value, DataObject):
                 data.append(value)
                 continue
-            feature: FeatureObject = value
+            feature, score = value
             examined += 1
-            score = scorer.score(feature.keywords)
             if score <= top.threshold:
                 # The feature cannot improve the current top-k; skip the
                 # nested loop (Algorithm 2, line 9) but keep reading input.
@@ -420,20 +424,9 @@ class PSPQJob(_SPQJobBase):
             if not data.objs:
                 continue
             if range_mode:
-                fx = feature.x
-                fy = feature.y
-                window = candidate_halfwidth(radius, abs(fx) + radius)
-                xs = data.xs
-                ys = data.ys
-                objs = data.objs
-                matched = [
-                    row
-                    for row in data.frozen().candidate_rows(fx - window, fx + window)
-                    if (dx := xs[row] - fx) * dx + (dy := ys[row] - fy) * dy
-                    <= squared_radius
-                ]
-                matched.sort()
-                for row in matched:
+                block = data.frozen()
+                objs = block.objs
+                for row in block.rows_within(feature.x, feature.y, radius):
                     offer(objs[row], score)
             else:
                 for obj in data.objs:
@@ -465,19 +458,18 @@ class ESPQLenJob(_SPQJobBase):
     def _feature_key(self, cell_id: int, feature: FeatureObject) -> Tuple:
         return (cell_id, feature.keyword_count)
 
-    def _feature_columns(self, split):
-        features = split.features
-        return [len(feature.keywords) for feature in features], features
+    def _feature_sort_keys(self, split):
+        return [len(feature.keywords) for feature in split.features]
 
     def reduce(
         self, group: int, values: Iterator[Any], counters: Counters
     ) -> Iterable[Tuple[int, str, float]]:
         """Length-bound early-terminating reduce of eSPQlen (Algorithm 3).
 
-        The same candidate-window range scan as pSPQ, with the Lemma 2
-        bound/termination logic untouched (it only reads the feature stream
-        and the top-k threshold).  ``tests/object_oracle.py`` keeps the
-        per-object loop as the oracle.
+        The same shipped scores and memoized in-range rows as pSPQ, with
+        the Lemma 2 bound/termination logic untouched (it only reads the
+        feature stream and the top-k threshold).
+        ``tests/object_oracle.py`` keeps the per-object loop as the oracle.
         """
         query = self.query
         data = _CellData()
@@ -485,8 +477,6 @@ class ESPQLenJob(_SPQJobBase):
         query_len = query.keyword_count
         k = query.k
         radius = query.radius
-        squared_radius = radius * radius
-        scorer = self.scorer
         offer = top.offer
         examined = 0
         computations = 0
@@ -497,7 +487,7 @@ class ESPQLenJob(_SPQJobBase):
             if isinstance(value, DataObject):
                 data.append(value)
                 continue
-            feature: FeatureObject = value
+            feature, score = value
             examined += 1
             bound = upper_bound_for_length(feature.keyword_count, query_len)
             tau = top.threshold
@@ -506,26 +496,14 @@ class ESPQLenJob(_SPQJobBase):
                 # improve the k-th best score.
                 counters.increment(SPQ_GROUP, EARLY_TERMINATIONS)
                 break
-            score = scorer.score(feature.keywords)
             if score <= tau:
                 continue
             computations += len(data)
             if not data.objs:
                 continue
-            fx = feature.x
-            fy = feature.y
-            window = candidate_halfwidth(radius, abs(fx) + radius)
-            xs = data.xs
-            ys = data.ys
-            objs = data.objs
-            matched = [
-                row
-                for row in data.frozen().candidate_rows(fx - window, fx + window)
-                if (dx := xs[row] - fx) * dx + (dy := ys[row] - fy) * dy
-                <= squared_radius
-            ]
-            matched.sort()
-            for row in matched:
+            block = data.frozen()
+            objs = block.objs
+            for row in block.rows_within(feature.x, feature.y, radius):
                 offer(objs[row], score)
         if examined:
             counters.increment(WORK_GROUP, FEATURES_EXAMINED, examined)
@@ -557,15 +535,8 @@ class ESPQScoJob(_SPQJobBase):
         # float; the map-side work counter below still charges every copy.
         return (cell_id, self.scorer.score(feature.keywords))
 
-    def _feature_value(self, feature: FeatureObject) -> Any:
-        # Carry the map-side score so the reducer does not recompute it.
-        return (feature, self.scorer.score(feature.keywords))
-
-    def _feature_columns(self, split):
-        # Scored by the index from its postings (``split.scores``); every
-        # copy carries the identical float.
-        scores = split.scores
-        return [-value for value in scores], list(zip(split.features, scores))
+    def _feature_sort_keys(self, split):
+        return [-value for value in split.scores]
 
     def _count_map_feature_work(self, copies: int, kept: int, counters: Counters) -> None:
         # Per feature, one score for the value plus one per emitted copy's

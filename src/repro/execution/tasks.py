@@ -286,7 +286,8 @@ def block_without(
 
     This is how a data tombstone reaches a reducer: the cell's cached block
     is never edited, the reader is handed an O(|cell|) copy without the
-    tombstoned rows, storage order kept.  Returns ``entry`` itself when
+    tombstoned rows, storage order kept, that memoizes no in-range rows
+    (it lives for one reduce).  Returns ``entry`` itself when
     there is nothing to drop, and None when no row survives (the cell then
     holds no data, exactly as after a bulk swap of the shrunken dataset).
     """
@@ -301,6 +302,7 @@ def block_without(
         [block.objs[row] for row in keep],
         [block.xs[row] for row in keep],
         [block.ys[row] for row in keep],
+        memo=False,
     )
 
 

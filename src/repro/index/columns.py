@@ -37,6 +37,7 @@ from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.model.objects import DataObject, FeatureObject
+from repro.spatial.geometry import candidate_halfwidth
 
 __all__ = [
     "ColumnStore",
@@ -396,6 +397,10 @@ class ColumnStore:
 # ---------------------------------------------------------------------- #
 # reduce-side cell blocks
 
+#: Row numbers :meth:`DataBlock.rows_within` keeps per row of its block: a
+#: bound on the memo of a long-lived block at large or many radii.
+MEMO_ROWS_PER_ROW = 64
+
 
 class DataBlock:
     """One grid cell's data objects, reduce-ready in columnar form.
@@ -403,19 +408,21 @@ class DataBlock:
     The one shape a cell's indexed data takes on its way to a reducer,
     whatever the job class or reduce loop: injected into the cell's reduce
     group ahead of the live feature stream.  The columns are extracted once
-    per cell per dataset snapshot instead of once per query, and the lazily
+    per cell per dataset snapshot instead of once per query, the lazily
     built x-sorted permutation narrows range predicates to the candidate
-    window of each feature.
+    window of each feature, and :meth:`rows_within` keeps each feature
+    position's in-range rows for the next query at the same radius.
 
     ``objs``/``xs``/``ys`` are parallel, in storage order -- the exact order
     mapping the cell's data objects one by one would have streamed them.
     """
 
     __slots__ = (
-        "group", "objs", "xs", "ys", "_sorted_xs", "_sorted_rows", "_oids", "_oid_rows"
+        "group", "objs", "xs", "ys", "_sorted_xs", "_sorted_rows", "_oids", "_oid_rows",
+        "_within", "_room",
     )
 
-    def __init__(self, group: int, objs: List[DataObject], xs, ys) -> None:
+    def __init__(self, group: int, objs: List[DataObject], xs, ys, memo: bool = True) -> None:
         self.group = group
         self.objs = objs
         self.xs = xs
@@ -424,6 +431,10 @@ class DataBlock:
         self._sorted_rows: Optional[List[int]] = None
         self._oids: Optional[List[str]] = None
         self._oid_rows: Optional[List[Tuple[int, ...]]] = None
+        self._within: Dict[Tuple[float, float, float], Tuple[int, ...]] = {}
+        # Row numbers rows_within may still keep.  A block built for one
+        # reduce (``memo=False``) gets -1: it keeps nothing, not even ().
+        self._room = MEMO_ROWS_PER_ROW * len(xs) if memo else -1
 
     @classmethod
     def from_objects(cls, group: int, objs: List[DataObject]) -> "DataBlock":
@@ -472,3 +483,37 @@ class DataBlock:
             self._sorted_xs = sorted_xs = [self.xs[row] for row in order]
         return self._sorted_rows[bisect_left(sorted_xs, low) : bisect_right(sorted_xs, high)]
 
+    def rows_within(self, fx: float, fy: float, radius: float) -> Tuple[int, ...]:
+        """Storage rows within ``radius`` of ``(fx, fy)``, ascending (memoized).
+
+        A row is in exactly when ``dx*dx + dy*dy <= radius*radius`` -- the
+        rounded predicate ``within_distance`` evaluates, on the same doubles
+        -- tested on the candidate window (:func:`candidate_halfwidth`), a
+        superset of the matches.  Features reach the same cells query after
+        query, so the rows are kept per ``(fx, fy, radius)``, up to
+        :data:`MEMO_ROWS_PER_ROW` row numbers per row of the block over all
+        radii; past that, or on a block built with ``memo=False``, a miss
+        is computed and not kept.  The radius is part of the key, so
+        engines sharing this block at different radii never read each
+        other's rows, and two threads racing on one key store equal tuples.
+        """
+        key = (fx, fy, radius)
+        rows = self._within.get(key)
+        if rows is None:
+            window = candidate_halfwidth(radius, abs(fx) + radius)
+            squared_radius = radius * radius
+            xs, ys = self.xs, self.ys
+            matched = [
+                row
+                for row in self.candidate_rows(fx - window, fx + window)
+                if (dx := xs[row] - fx) * dx + (dy := ys[row] - fy) * dy <= squared_radius
+            ]
+            matched.sort()
+            rows = tuple(matched)
+            room = self._room - len(rows)
+            if room >= 0:
+                # Unlocked: racing threads can overdraw the room a little;
+                # it bounds memory, never an answer.
+                self._room = room
+                self._within[key] = rows
+        return rows

@@ -1,10 +1,10 @@
 """The per-object reduce loops -- the oracle of the columnar reducers.
 
-``repro.core.jobs`` reduces a cell over packed columns: a candidate x-window
-for pSPQ and eSPQlen, a storage-order scan with a closed-form
-``score_computations`` for eSPQsco.  The loops those replaced walk the
-cell's data objects one by one, as the paper's Algorithms 2-4 read; they
-live on here, verbatim, each as the ``reduce`` of a subclass of its job.
+``repro.core.jobs`` reduces a cell over packed columns: the block's
+memoized in-range rows for pSPQ and eSPQlen, a storage-order scan with a
+closed-form ``score_computations`` for eSPQsco.  The loops those replaced
+walk the cell's data objects one by one, as the paper's Algorithms 2-4
+read; they live on here, each as the ``reduce`` of a subclass of its job.
 Everything else -- map side, composite keys, routing -- is the production
 job's, so the two differ in the reduce loop only, and the columnar loops are
 held to these bit for bit: outputs, and counters in value and key-creation
@@ -12,8 +12,10 @@ order.
 
 A preinjected :class:`DataBlock` is unpacked into the object list; from
 there on nothing columnar is touched (``tests/test_object_oracle.py`` runs
-these jobs with ``DataBlock.candidate_rows`` and ``oid_rows`` patched to
-raise).
+these jobs with ``DataBlock.candidate_rows``, ``rows_within`` and
+``oid_rows`` patched to raise).  Features arrive as ``(feature, score)``;
+each loop rescores the feature from its keywords and holds the shipped
+score to it (:func:`rescored`).
 
 :func:`use_object_reducers` (the ``object_reducers`` fixture of
 ``tests/conftest.py``) selects them by patching
@@ -48,6 +50,21 @@ from repro.text.similarity import non_spatial_score, upper_bound_for_length
 REDUCE_LOOPS = ("columnar", "object")
 
 
+def rescored(feature: FeatureObject, query, carried: float) -> float:
+    """``w(f, q)`` recomputed from the keywords, held equal to the shipped score.
+
+    Every job ships ``(feature, score)`` with a score the index computed
+    from its postings; the oracle scores the feature itself, so a wrong
+    score column cannot pass through both loops unseen.
+    """
+    score = non_spatial_score(feature.keywords, query.keywords)
+    if score != carried:
+        raise AssertionError(
+            f"feature {feature.oid} shipped score {carried!r}, its keywords score {score!r}"
+        )
+    return score
+
+
 class ObjectPSPQJob(PSPQJob):
     """pSPQ with the per-object nested loop of Algorithm 2."""
 
@@ -67,9 +84,9 @@ class ObjectPSPQJob(PSPQJob):
             if isinstance(value, DataObject):
                 data_objects.append(value)
                 continue
-            feature: FeatureObject = value
+            feature, carried = value
             examined += 1
-            score = non_spatial_score(feature.keywords, self.query.keywords)
+            score = rescored(feature, self.query, carried)
             if score <= top.threshold:
                 continue
             computations += len(data_objects)
@@ -110,14 +127,14 @@ class ObjectESPQLenJob(ESPQLenJob):
             if isinstance(value, DataObject):
                 data_objects.append(value)
                 continue
-            feature: FeatureObject = value
+            feature, carried = value
             examined += 1
             bound = upper_bound_for_length(feature.keyword_count, query_len)
             tau = top.threshold
             if len(top) >= self.query.k and tau >= bound:
                 counters.increment(SPQ_GROUP, EARLY_TERMINATIONS)
                 break
-            score = non_spatial_score(feature.keywords, self.query.keywords)
+            score = rescored(feature, self.query, carried)
             if score <= tau:
                 continue
             computations += len(data_objects)
@@ -152,8 +169,9 @@ class ObjectESPQScoJob(ESPQScoJob):
             if isinstance(value, DataObject):
                 data_objects.append(value)
                 continue
-            feature, score = value
+            feature, carried = value
             examined += 1
+            score = rescored(feature, self.query, carried)
             if score <= 0.0:
                 counters.increment(SPQ_GROUP, EARLY_TERMINATIONS)
                 break

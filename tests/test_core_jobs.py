@@ -16,6 +16,7 @@ from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
 from repro.spatial.geometry import BoundingBox
 from repro.spatial.grid import UniformGrid
+from repro.text.similarity import jaccard
 
 
 @pytest.fixture()
@@ -198,6 +199,15 @@ VOCABULARY = ("kw", "cafe", "park", "bar", "pier")
 ORACLE_GRID = UniformGrid.square(BoundingBox(0, 0, 10, 10), 4)
 
 
+#: Jaccard score against the query ``{"kw"}`` -> a keyword set scoring it.
+KEYWORDS_SCORING = {
+    0.0: frozenset({"cafe"}),
+    0.25: frozenset({"kw", "cafe", "park", "bar"}),
+    0.5: frozenset({"kw", "cafe"}),
+    1.0: frozenset({"kw"}),
+}
+
+
 @st.composite
 def cell_data(draw):
     """A reduce group's data objects as the shuffle hands them over.
@@ -233,14 +243,15 @@ def draw_query(draw, keywords):
 def espqsco_cells(draw):
     """One eSPQsco reduce group plus the query: the cell's data, then the
     features that survived feature tombstones, by score descending (zero
-    scores included)."""
+    scores included).  Each feature's keywords score exactly what it
+    carries against the query ``{"kw"}``, as the oracle checks."""
     values = draw(cell_data())
-    score = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    score = st.sampled_from(sorted(KEYWORDS_SCORING))
     scored = draw(
         st.lists(st.tuples(LATTICE, LATTICE, score, st.booleans()), max_size=15)
     )
     features = [
-        (FeatureObject(f"f{i}", x, y, frozenset({"kw"})), score)
+        (FeatureObject(f"f{i}", x, y, KEYWORDS_SCORING[score]), score)
         for i, (x, y, score, deleted) in enumerate(scored)
         if not deleted
     ]
@@ -253,9 +264,10 @@ def keyword_cells(draw, by_length):
     """One pSPQ reduce group plus the query -- or, ``by_length``, eSPQlen's.
 
     Features carry keyword sets over a five-word vocabulary, so Jaccard
-    scores vary, tie and can be zero.  The ones that survived feature
-    tombstones follow the cell's data: in any order for pSPQ, by increasing
-    keyword count (the composite key) for eSPQlen.
+    scores vary, tie and can be zero; each ships as ``(feature, score)``,
+    the shape the map side hands every reducer.  The ones that survived
+    feature tombstones follow the cell's data: in any order for pSPQ, by
+    increasing keyword count (the composite key) for eSPQlen.
     """
     values = draw(cell_data())
     words = st.frozensets(st.sampled_from(VOCABULARY), min_size=1, max_size=4)
@@ -270,7 +282,8 @@ def keyword_cells(draw, by_length):
     if by_length:
         features.sort(key=lambda feature: feature.keyword_count)
     keywords = draw(st.frozensets(st.sampled_from(VOCABULARY), min_size=1, max_size=3))
-    return draw_query(draw, keywords), values + features
+    shipped = [(feature, jaccard(feature.keywords, keywords)) for feature in features]
+    return draw_query(draw, keywords), values + shipped
 
 
 def _counter_log(counters):

@@ -5,9 +5,12 @@ reference the columnar reducers are held to (``tests/test_core_jobs.py``,
 ``TestDataplaneParity`` and the ``object`` case of every identity net).  Two
 things make that reference worth having, and both are pinned here:
 
-* it is independent of the columns: with ``DataBlock.candidate_rows`` and
-  ``DataBlock.oid_rows`` patched to raise, the oracle jobs answer exactly as
-  the production jobs did, while the production jobs cannot answer at all;
+* it is independent of the columns: with ``DataBlock.candidate_rows``,
+  ``DataBlock.rows_within`` and ``DataBlock.oid_rows`` patched to raise, the
+  oracle jobs answer exactly as the production jobs did, while the
+  production jobs cannot answer at all -- ``rows_within`` is forbidden on its
+  own because the test's first ``execute`` warms its memo, and a warm memo
+  answers without reaching ``candidate_rows``;
 * under the ``object_reducers`` fixture, ``engine.execute``,
   ``execute_many`` and ``raw_execute`` run the oracle's ``reduce`` and never
   the production one -- no ``object`` case compares the columnar loop with
@@ -68,6 +71,7 @@ def test_the_oracle_answers_where_the_product_cannot(engine, algorithm, monkeypa
         raise AssertionError("a reducer read a column of the block")
 
     monkeypatch.setattr(DataBlock, "candidate_rows", forbidden)
+    monkeypatch.setattr(DataBlock, "rows_within", forbidden)
     monkeypatch.setattr(DataBlock, "oid_rows", property(forbidden))
     with pytest.raises(JobExecutionError, match="read a column"):
         engine.execute(QUERY, algorithm=algorithm)

@@ -22,7 +22,9 @@ skipped (the serving workloads are replayed read-only).  Each layer is timed
 by wrapping the function with ``perf_counter`` for the whole run -- not
 cProfile, whose per-call hook inflates the many-small-calls reducers about
 twice over.  Layers nest: ``CostModel.estimate`` runs inside planner
-``decide`` and ``observe``, and every reduce inside the run.
+``decide`` and ``observe``, ``DataBlock.rows_within`` (the pSPQ / eSPQlen
+in-range rows: memo misses compute them, hits are a dict look-up) inside
+those two reduces, and every reduce inside the run.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ LAYERS: List[Tuple[str, str, str]] = [
     ("reduce pspq", "repro.core.jobs", "PSPQJob.reduce"),
     ("reduce espq-len", "repro.core.jobs", "ESPQLenJob.reduce"),
     ("reduce espq-sco", "repro.core.jobs", "ESPQScoJob.reduce"),
+    ("DataBlock.rows_within", "repro.index.columns", "DataBlock.rows_within"),
     ("engine _merge", "repro.core.engine", "SPQEngine._merge"),
     ("planner collect", "repro.planner.core", "QueryPlanner.collect"),
     ("planner decide", "repro.planner.core", "QueryPlanner.decide"),
@@ -150,9 +153,9 @@ def main(argv=None) -> int:
 
     sharded = f"  {len(engines)} shard engines" if shards else ""
     print(f"{args.workload}  seed {args.seed}  {answered} queries (reads only){sharded}")
-    print(f"  {'end to end':<20} {1000.0 * elapsed / answered:8.3f} ms/query")
+    print(f"  {'end to end':<22} {1000.0 * elapsed / answered:8.3f} ms/query")
     for label, _, _ in LAYERS:
-        print(f"  {label:<20} {1000.0 * totals[label] / answered:8.3f} ms/query")
+        print(f"  {label:<22} {1000.0 * totals[label] / answered:8.3f} ms/query")
     for engine in engines:
         engine.close()
     return 0
