@@ -10,15 +10,8 @@ a :class:`~repro.cluster.router.ClusterRouter`:
    MapReduce algorithms, ``auto`` and zero-match queries, on a
    shard-aligned grid (where the identity contract covers tie composition
    too -- see ``docs/sharding.md``).  ``auto`` responses are checked
-   against the oracle running the algorithm the fleet actually planned:
-   every node's cost model calibrates on its own shard slice, so its plan
-   can legitimately differ from the full-data oracle's, and exact score
-   ties at rank k may resolve to a different -- equally correct -- tied
-   subset under a different algorithm's traversal order.  When the nodes
-   themselves plan differently from each other, the response is instead
-   held to the tie-aware contract: scores bit-for-bit, entries strictly
-   above the rank-k score bit-for-bit, and every boundary entry a member
-   of the true tied group.
+   against the oracle running the algorithm the response names as
+   planned, which is eSPQsco on every node.
 2. **Failover** -- a 2-shard x 2-replica fleet serves a concurrent
    workload (default 3000 requests from 8 clients) while one node is
    SIGKILLed mid-run.  The gate requires **zero lost** requests (every
@@ -199,7 +192,7 @@ def oracle_entries(
     oracle: SPQEngine, spec: Dict[str, object], grid_size: int,
     algorithm: str, k: int = None,
 ) -> List[Entry]:
-    """One explicit-algorithm oracle run (unaffected by calibration)."""
+    """One explicit-algorithm oracle run."""
     query = SpatialPreferenceQuery.create(
         k=k if k is not None else spec["k"],
         radius=spec["radius"],
@@ -209,66 +202,20 @@ def oracle_entries(
     return [(entry.obj.oid, entry.score) for entry in result]
 
 
-def tied_group(
-    oracle: SPQEngine, spec: Dict[str, object], grid_size: int,
-    boundary: float,
-) -> set:
-    """Every oid whose exact score equals the rank-k boundary score.
-
-    Runs the oracle with a widened ``k`` until the result extends past
-    the boundary score (or runs out of candidates), at which point no
-    boundary-tied candidate can have been tau-pruned away.
-    """
-    k2 = max(spec["k"] * 2, spec["k"] + 32)
-    while True:
-        entries = oracle_entries(oracle, spec, grid_size, "espq-sco", k=k2)
-        if len(entries) < k2 or entries[-1][1] < boundary:
-            return {oid for oid, score in entries if score == boundary}
-        k2 *= 2
-
-
-def tie_aware_match(
-    oracle: SPQEngine, spec: Dict[str, object], grid_size: int,
-    got: List[Entry],
-) -> bool:
-    """The cross-algorithm identity contract for one response.
-
-    Scores must be bit-for-bit the oracle's; entries scoring strictly
-    above the rank-k boundary must match exactly (every exact algorithm
-    returns them); boundary-scored entries may be any members of the
-    true tied group.
-    """
-    want = oracle_entries(oracle, spec, grid_size, "espq-sco")
-    if [score for _, score in got] != [score for _, score in want]:
-        return False
-    if not want:
-        return True
-    boundary = want[-1][1]
-    if [e for e in got if e[1] > boundary] != [e for e in want if e[1] > boundary]:
-        return False
-    group = tied_group(oracle, spec, grid_size, boundary)
-    return all(oid in group for oid, score in got if score == boundary)
-
-
 def run_identity_phase(
     input_path, data, features, grid_size: int, shards: int, seed: int,
     node_deadline: float, log_dir,
 ) -> Dict[str, object]:
     """Healthy fleet responses vs the unsharded oracle, bit-for-bit.
 
-    Explicit-algorithm specs compare against the oracle running that
-    algorithm.  ``auto`` specs compare against the oracle running the
-    algorithm the fleet's nodes unanimously planned; when the nodes split
-    (each calibrates on its own slice), the response is checked with
-    :func:`tie_aware_match` instead.  One oracle engine serves the whole
-    sequence -- explicit-algorithm results do not depend on its
-    calibration state.
+    Every spec compares against the oracle running the algorithm that
+    answered it: the spec's own, or for ``auto`` the response's
+    ``planned_algorithm``.
     """
     specs = identity_specs(keyword_sets=6, seed=seed)
     started = time.perf_counter()
     mismatches = 0
     degraded = 0
-    split_plans = 0
     auto_planned: List[str] = []
     with SpawnedFleet(
         input_path, data, features, shards, replication=1,
@@ -286,17 +233,8 @@ def run_identity_phase(
                 got = response_entries(response)
                 algorithm = spec["algorithm"]
                 if algorithm == "auto":
-                    planned = response["stats"]["cluster"].get(
-                        "planned_algorithms"
-                    ) or {}
-                    choices = sorted(set(planned.values()))
-                    auto_planned.extend(choices)
-                    if len(choices) != 1:
-                        split_plans += 1
-                        if not tie_aware_match(oracle, spec, grid_size, got):
-                            mismatches += 1
-                        continue
-                    algorithm = choices[0]
+                    algorithm = response["planned_algorithm"]
+                    auto_planned.append(algorithm)
                 if got != oracle_entries(oracle, spec, grid_size, algorithm):
                     mismatches += 1
     return {
@@ -305,7 +243,6 @@ def run_identity_phase(
         "grid_size": grid_size,
         "grid_aligned": aligned,
         "mismatches": mismatches,
-        "split_auto_plans": split_plans,
         "auto_planned": sorted(set(auto_planned)),
         "degraded_responses": degraded,
         "identical_results": mismatches == 0 and degraded == 0,
@@ -524,7 +461,7 @@ def main(argv=None) -> int:
     print(f"identity phase: {identity['num_specs']} specs over "
           f"{identity['shards']} nodes, aligned={identity['grid_aligned']}, "
           f"identical={identity['identical_results']}, auto planned "
-          f"{identity['auto_planned']} ({identity['split_auto_plans']} split) "
+          f"{identity['auto_planned']} "
           f"({identity['seconds']:.1f}s)")
 
     failover, degraded_shape = run_failover_phase(

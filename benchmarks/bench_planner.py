@@ -1,267 +1,236 @@
-"""Adaptive-planner quality benchmark: ``auto`` vs. the per-query oracle.
+"""Which algorithm, where: the measured per-query oracle over the paper's axes.
 
-Builds a *mixed* workload -- uniform and clustered datasets, varied radius,
-keyword count/selectivity, ``k`` and grid size, i.e. exactly the regime where
-the paper shows no fixed algorithm wins everywhere -- and measures the total
-simulated job cost of four strategies:
+For every regime of the paper's Section 7 sweeps -- the four datasets
+(FL, TW, UN, CL) x the four axes (grid size, ``|q.W|``, radius, ``k``) x
+their four values, as :mod:`repro.paper.bench.experiments` defines them --
+this runs a few seeded queries with every fixed algorithm and with
+``algorithm="auto"``, and times each ``SPQEngine.execute`` in CPU seconds
+(one warm run, then the best of ``--repeat``).  The per-query *oracle* is
+the cheapest fixed algorithm of that query.  Per regime it reports:
 
-* ``auto``     -- the cost-based planner picks per query (after a short
-  calibration warmup on a disjoint workload from the same distribution);
-* ``pspq`` / ``espq-len`` / ``espq-sco`` -- always the same algorithm;
-* ``oracle``   -- the per-query minimum over the three fixed algorithms
-  (computable offline because every query is run with every algorithm).
+* the winner shares (which fixed algorithm the oracle picked, how often),
+* a constant eSPQsco's total CPU over the oracle's,
+* the CPU of the algorithm ``auto`` ran (as timed in its fixed run) over
+  the oracle's, and what it ran -- the quality of the choice alone,
+* ``auto``'s own timed CPU over the oracle's -- the choice plus whatever
+  choosing costs, and
+* the worst single query of a constant eSPQsco and of ``auto``'s pick.
 
-``--check`` exits non-zero unless
+``auto``'s own run is timed apart from the fixed runs, and the oracle is a
+minimum over them, so on noisy CPU clocks the last ratio reads a few
+percent above the pick's even where choosing costs nothing.
 
-1. every ``auto`` result is bit-for-bit identical to the fixed run of the
-   algorithm the planner chose (planning must never change answers),
-2. ``auto``'s total simulated cost is within ``--max-overhead`` (default
-   10%) of the oracle total, and
-3. ``auto`` is strictly cheaper than the *worst* fixed strategy.
+CL runs eSPQlen and eSPQsco only, as the paper's Figure 9 does: pSPQ's
+exhaustive per-cell loop is orders of magnitude slower on clustered data.
+The committed table in ``docs/paper-map.md`` is this script's
+``--markdown`` output.
+
+``--check`` exits 1 unless every ``auto`` query returns exactly what
+``espq-sco`` returns: ids, scores, the counter tree in key order and
+``simulated_seconds``.  CPU ratios are reported, never gated: on a shared
+2-vCPU box they flap by more than the differences they would gate.
 
 Run it as::
 
-    PYTHONPATH=src python benchmarks/bench_planner.py
+    PYTHONPATH=src python benchmarks/bench_planner.py --objects 20000 --markdown
     python benchmarks/bench_planner.py --check          # CI gate
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import random
 import sys
-from typing import Dict, List, Sequence, Tuple
+import time
+from typing import Dict, List, Sequence
 
-from repro.core.engine import EngineConfig, SPQEngine
-from repro.datagen.synthetic import (
-    SyntheticDatasetConfig,
-    generate_clustered,
-    generate_uniform,
+from repro.core.engine import SPQEngine
+from repro.paper.bench.experiments import (
+    QUERY_KEYWORDS,
+    RADIUS_FRACTIONS,
+    REAL_GRID_SIZES,
+    SYNTHETIC_GRID_SIZES,
+    TOP_K_VALUES,
+    _clustered_spec,
+    _flickr_spec,
+    _twitter_spec,
+    _uniform_spec,
 )
-from repro.index.planner import BatchQuery
-from repro.model.query import SpatialPreferenceQuery
-from repro.planner import PLANNED_ALGORITHMS
 
-#: The workload mixes these parameter axes (cycled, not crossed, so the
-#: workload size stays linear while every axis still varies).  The mix
-#: deliberately includes the k=1 / large-radius / fine-grid regime where
-#: eSPQlen genuinely beats eSPQsco (whose map phase pays per-copy score
-#: computations) next to the regimes eSPQsco dominates -- the flip the
-#: paper reports and the planner exists to catch.
-RADII = (1.0, 2.5, 6.0, 12.0, 25.0)
-KEYWORD_COUNTS = (1, 2, 4, 8)
-KS = (1, 10, 1, 50)
-GRID_SIZES = (10, 30)
+#: Dataset label -> (spec factory, grid sizes of its sweep).
+DATASETS = {
+    "FL": (_flickr_spec, REAL_GRID_SIZES),
+    "TW": (_twitter_spec, REAL_GRID_SIZES),
+    "UN": (_uniform_spec, SYNTHETIC_GRID_SIZES),
+    "CL": (_clustered_spec, SYNTHETIC_GRID_SIZES),
+}
 
 
-def build_workload(
-    num_queries: int, vocabulary_size: int, seed: int
-) -> List[BatchQuery]:
-    """A seeded mixed workload over the synthetic vocabulary.
-
-    Keyword choice mixes selectivities: low ids are as frequent as any
-    (keywords are sampled uniformly by the generators), but drawing from a
-    narrow id band concentrates the candidate set while the full band
-    spreads it; a couple of queries use out-of-vocabulary keywords so the
-    zero-candidate path is part of the measured mix.
-    """
-    rng = random.Random(seed)
-    axes = zip(
-        itertools.cycle(RADII),
-        itertools.cycle(KEYWORD_COUNTS),
-        itertools.cycle(KS),
-        itertools.cycle(GRID_SIZES),
-    )
-    items: List[BatchQuery] = []
-    for index, (radius, num_keywords, k, grid_size) in enumerate(
-        itertools.islice(axes, num_queries)
-    ):
-        if index % 9 == 8:
-            keywords = {f"zz-missing-{index}"}
-        else:
-            band = vocabulary_size if index % 2 else max(50, vocabulary_size // 10)
-            keywords = {
-                f"w{rng.randrange(band):04d}" for _ in range(num_keywords)
-            }
-        query = SpatialPreferenceQuery.create(k=k, radius=radius, keywords=keywords)
-        items.append(BatchQuery(query=query, grid_size=grid_size))
-    return items
-
-
-def run_strategy(
-    engine: SPQEngine, items: Sequence[BatchQuery], algorithm: str
-) -> List[Dict[str, object]]:
-    """Execute the workload under one strategy; per-query cost + identity."""
-    results = engine.execute_many(items, algorithm=algorithm)
-    return [
-        {
-            "oids": result.object_ids(),
-            "scores": result.scores(),
-            "cost": result.stats["simulated_seconds"],
-            "planned": result.stats.get("planned_algorithm"),
-        }
-        for result in results
-    ]
-
-
-def evaluate_dataset(
-    name: str,
-    dataset: Tuple[list, list],
-    num_queries: int,
-    warmup_queries: int,
-    vocabulary_size: int,
-    seed: int,
-) -> Dict[str, object]:
-    data, features = dataset
-    engine = SPQEngine(data, features, config=EngineConfig())
-    eval_items = build_workload(num_queries, vocabulary_size, seed)
-
-    # Calibration warmup: a disjoint workload from the same distribution,
-    # executed once per fixed algorithm.  Every executed query feeds the
-    # engine's calibrator, mirroring a deployment that has served traffic
-    # before trusting the planner.
-    warmup_items = build_workload(warmup_queries, vocabulary_size, seed + 1)
-    for algorithm in PLANNED_ALGORITHMS:
-        run_strategy(engine, warmup_items, algorithm)
-
-    # Auto runs first so its decisions cannot profit from eval-set fixed
-    # runs; the fixed sweeps afterwards provide the oracle reference.
-    auto_runs = run_strategy(engine, eval_items, "auto")
-    fixed_runs = {
-        algorithm: run_strategy(engine, eval_items, algorithm)
-        for algorithm in PLANNED_ALGORITHMS
-    }
-
-    mismatches = []
-    for position, auto_run in enumerate(auto_runs):
-        chosen = auto_run["planned"]
-        reference = fixed_runs[chosen][position]
-        if (
-            auto_run["oids"] != reference["oids"]
-            or auto_run["scores"] != reference["scores"]
-            or auto_run["cost"] != reference["cost"]
-        ):
-            mismatches.append((position, chosen))
-
-    totals = {
-        algorithm: sum(run["cost"] for run in runs)
-        for algorithm, runs in fixed_runs.items()
-    }
-    oracle_total = sum(
-        min(fixed_runs[algorithm][position]["cost"] for algorithm in PLANNED_ALGORITHMS)
-        for position in range(len(eval_items))
-    )
-    optimal_picks = sum(
-        1
-        for position, auto_run in enumerate(auto_runs)
-        if auto_run["cost"]
-        <= min(fixed_runs[a][position]["cost"] for a in PLANNED_ALGORITHMS)
-    )
+def axes(grid_sizes: Sequence[int]) -> Dict[str, Sequence[object]]:
+    """The four swept parameters of one dataset (Figures 5-7 and 9)."""
     return {
-        "dataset": name,
-        "queries": len(eval_items),
-        "auto_total": sum(run["cost"] for run in auto_runs),
-        "oracle_total": oracle_total,
-        "fixed_totals": totals,
-        "optimal_picks": optimal_picks,
-        "chosen": {
-            algorithm: sum(1 for run in auto_runs if run["planned"] == algorithm)
-            for algorithm in PLANNED_ALGORITHMS
-        },
-        "mismatches": mismatches,
-        "calibration": engine.planner.calibrator.snapshot(),
+        "grid_size": grid_sizes,
+        "num_keywords": QUERY_KEYWORDS,
+        "radius_fraction": RADIUS_FRACTIONS,
+        "k": TOP_K_VALUES,
     }
+
+
+def timed_run(engine: SPQEngine, query, algorithm: str, grid_size: int, repeat: int):
+    """``(result, best CPU seconds)`` of ``execute`` after one warm run."""
+    result = engine.execute(query, algorithm=algorithm, grid_size=grid_size)
+    best = float("inf")
+    for _ in range(repeat):
+        started = time.process_time()
+        engine.execute(query, algorithm=algorithm, grid_size=grid_size)
+        best = min(best, time.process_time() - started)
+    return result, best
+
+
+def fingerprint(result) -> tuple:
+    """What ``auto`` must share with ``espq-sco``: ids, scores, counters
+    (key order included) and the simulated job time."""
+    counters = result.stats["counters"]
+    return (
+        result.object_ids(),
+        result.scores(),
+        [(group, list(names.items())) for group, names in counters.items()],
+        result.stats["simulated_seconds"],
+    )
+
+
+def measure_regime(engine, spec, parameter, value, queries: int, repeat: int):
+    """Every query of one regime under every strategy."""
+    varied = spec.with_overrides(**{parameter: value})
+    rows = []
+    for offset in range(queries):
+        query = varied.with_overrides(seed=spec.seed + offset).build_query()
+        auto, auto_cpu = timed_run(engine, query, "auto", varied.grid_size, repeat)
+        cpu = {}
+        sco = None
+        for algorithm in varied.algorithms:
+            result, cpu[algorithm] = timed_run(
+                engine, query, algorithm, varied.grid_size, repeat
+            )
+            if algorithm == "espq-sco":
+                sco = result
+        rows.append({
+            "cpu": cpu,
+            "auto_cpu": auto_cpu,
+            "auto_ran": auto.stats.get("planned_algorithm"),
+            "identical": fingerprint(auto) == fingerprint(sco),
+        })
+    return summarize(rows)
+
+
+def summarize(rows: List[Dict[str, object]]) -> Dict[str, object]:
+    """Per-regime winner shares and ratios over the per-query oracle."""
+    oracle = [min(row["cpu"].values()) for row in rows]
+    winners = [min(row["cpu"], key=row["cpu"].get) for row in rows]
+    sco = [row["cpu"]["espq-sco"] for row in rows]
+    pick = [row["cpu"].get(row["auto_ran"], row["auto_cpu"]) for row in rows]
+    auto = [row["auto_cpu"] for row in rows]
+    ran: Dict[str, int] = {}
+    for row in rows:
+        ran[row["auto_ran"]] = ran.get(row["auto_ran"], 0) + 1
+    return {
+        "queries": len(rows),
+        "winners": {name: winners.count(name) / len(rows) for name in sorted(set(winners))},
+        "sco_over_oracle": sum(sco) / sum(oracle),
+        "pick_over_oracle": sum(pick) / sum(oracle),
+        "auto_over_oracle": sum(auto) / sum(oracle),
+        "worst_sco": max(s / o for s, o in zip(sco, oracle)),
+        "worst_pick": max(p / o for p, o in zip(pick, oracle)),
+        "auto_ran": ran,
+        "mismatches": sum(1 for row in rows if not row["identical"]),
+        "oracle_ms": 1000.0 * sum(oracle),
+    }
+
+
+def markdown(report: Dict[str, object]) -> str:
+    """The per-regime table of ``docs/paper-map.md``."""
+    lines = [
+        "| dataset | axis | value | oracle winners | eSPQsco / oracle | "
+        "`auto`'s pick / oracle | worst query eSPQsco / pick | `auto` ran | "
+        "`auto` timed / oracle |",
+        "|---|---|---|---|---|---|---|---|---|",
+    ]
+    for row in report["regimes"]:
+        winners = ", ".join(
+            f"{name} {share:.0%}" for name, share in row["winners"].items()
+        )
+        ran = ", ".join(f"{name} {count}" for name, count in row["auto_ran"].items())
+        lines.append(
+            f"| {row['dataset']} | {row['axis']} | {row['value']} | {winners} | "
+            f"{row['sco_over_oracle']:.2f}x | {row['pick_over_oracle']:.2f}x | "
+            f"{row['worst_sco']:.2f}x / {row['worst_pick']:.2f}x | {ran} | "
+            f"{row['auto_over_oracle']:.2f}x |"
+        )
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--objects", type=int, default=3000)
-    parser.add_argument("--queries", type=int, default=40, help="eval queries per dataset")
-    parser.add_argument("--warmup-queries", type=int, default=24,
-                        help="calibration queries per dataset (disjoint seed)")
-    parser.add_argument("--seed", type=int, default=17)
-    parser.add_argument("--json", default=None, help="write the summary JSON here")
+    parser.add_argument("--objects", type=int, default=3000,
+                        help="objects per dataset (data + features)")
+    parser.add_argument("--queries", type=int, default=2,
+                        help="seeded queries per regime")
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="timed runs per (query, strategy) after the warm run")
+    parser.add_argument("--datasets", default=",".join(DATASETS),
+                        help="comma-separated subset of FL,TW,UN,CL")
+    parser.add_argument("--json", default=None, help="write the report JSON here")
+    parser.add_argument("--markdown", action="store_true",
+                        help="print the per-regime markdown table")
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 unless auto matches the chosen algorithm "
-                             "bit-for-bit, lands within --max-overhead of the "
-                             "oracle and strictly beats the worst fixed strategy")
-    parser.add_argument("--max-overhead", type=float, default=0.10,
-                        help="allowed fraction above the oracle total (default 0.10)")
+                        help="exit 1 unless every auto query equals espq-sco's "
+                             "(ids, scores, counters, simulated seconds)")
     args = parser.parse_args(argv)
 
-    config = SyntheticDatasetConfig(num_objects=args.objects, seed=args.seed)
-    datasets = {
-        "uniform": generate_uniform(config),
-        "clustered": generate_clustered(config),
-    }
-    vocabulary_size = config.vocabulary_size
+    regimes = []
+    for name in args.datasets.split(","):
+        factory, grid_sizes = DATASETS[name]
+        spec = factory(args.objects)
+        engine = SPQEngine(list(spec.data_objects), list(spec.feature_objects))
+        for parameter, values in axes(grid_sizes).items():
+            for value in values:
+                row = measure_regime(
+                    engine, spec, parameter, value, args.queries, args.repeat
+                )
+                regimes.append({"dataset": name, "axis": parameter, "value": value, **row})
+                print(
+                    f"[{name}] {parameter}={value}: oracle {row['oracle_ms']:.1f} ms, "
+                    f"eSPQsco {row['sco_over_oracle']:.2f}x, "
+                    f"auto's pick {row['pick_over_oracle']:.2f}x, "
+                    f"auto timed {row['auto_over_oracle']:.2f}x, winners {row['winners']}, "
+                    f"auto ran {row['auto_ran']}"
+                )
+                sys.stdout.flush()
+        engine.close()
 
-    reports = []
-    for name, dataset in datasets.items():
-        report = evaluate_dataset(
-            name, dataset, args.queries, args.warmup_queries, vocabulary_size,
-            args.seed,
-        )
-        reports.append(report)
-        worst = max(report["fixed_totals"].values())
-        best_fixed = min(report["fixed_totals"].values())
-        print(f"[{name}] {report['queries']} queries")
-        print(f"  oracle     {report['oracle_total']:>10.1f}s")
-        print(f"  auto       {report['auto_total']:>10.1f}s "
-              f"({report['auto_total'] / report['oracle_total']:.3f}x oracle, "
-              f"{report['optimal_picks']}/{report['queries']} optimal picks)")
-        for algorithm, total in sorted(report["fixed_totals"].items(), key=lambda kv: kv[1]):
-            print(f"  {algorithm:<10} {total:>10.1f}s")
-        print(f"  chosen mix {report['chosen']}  "
-              f"(best fixed {best_fixed:.1f}s, worst fixed {worst:.1f}s)")
-
-    summary = {
+    report = {
         "workload": {
             "objects": args.objects,
             "queries": args.queries,
-            "warmup_queries": args.warmup_queries,
-            "seed": args.seed,
-            "radii": RADII,
-            "keyword_counts": KEYWORD_COUNTS,
-            "ks": KS,
-            "grid_sizes": GRID_SIZES,
+            "repeat": args.repeat,
+            "datasets": args.datasets,
         },
-        "datasets": reports,
+        "regimes": regimes,
     }
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2)
+            json.dump(report, handle, indent=2)
         print(f"wrote {args.json}")
+    if args.markdown:
+        print(markdown(report))
 
     if args.check:
-        failures = []
-        for report in reports:
-            name = report["dataset"]
-            if report["mismatches"]:
-                failures.append(
-                    f"{name}: auto differs from its chosen algorithm at "
-                    f"positions {report['mismatches']}"
-                )
-            bound = (1.0 + args.max_overhead) * report["oracle_total"]
-            if report["auto_total"] > bound:
-                failures.append(
-                    f"{name}: auto total {report['auto_total']:.1f}s exceeds "
-                    f"{bound:.1f}s ({1 + args.max_overhead:.2f}x oracle)"
-                )
-            worst = max(report["fixed_totals"].values())
-            if not report["auto_total"] < worst:
-                failures.append(
-                    f"{name}: auto total {report['auto_total']:.1f}s does not "
-                    f"beat the worst fixed strategy ({worst:.1f}s)"
-                )
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
+        mismatches = sum(row["mismatches"] for row in regimes)
+        if mismatches:
+            print(f"FAIL: {mismatches} auto queries differ from espq-sco", file=sys.stderr)
             return 1
-        print(f"OK: auto within {1 + args.max_overhead:.2f}x of the oracle and "
-              "below the worst fixed strategy on every dataset")
+        total = sum(row["queries"] for row in regimes)
+        print(f"OK: all {total} auto queries equal espq-sco")
     return 0
 
 

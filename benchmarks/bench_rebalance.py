@@ -154,11 +154,8 @@ def run_identity_phase(
 ) -> Dict[str, object]:
     """Skew-layout router responses vs the unsharded oracle, bit-for-bit.
 
-    ``auto`` specs are compared through the router's agreed planned
-    algorithm (shards plan on shard-local statistics, so the *decision*
-    may differ from the oracle planner's; the chosen plan's answer must
-    not).  When the shards disagree on a plan, the score sequence -- which
-    is algorithm-independent -- must still match the oracle exactly.
+    ``auto`` specs are compared through the response's
+    ``planned_algorithm``: the oracle runs the algorithm that answered.
     """
     specs = identity_specs(seed)
     mismatches = 0
@@ -178,18 +175,9 @@ def run_identity_phase(
         for spec in specs:
             response = router.submit(spec)
             got = response_entries(response)
-            if spec["algorithm"] != "auto":
-                if got != oracle(spec, spec["algorithm"]):
-                    mismatches += 1
-                continue
-            chosen = response.get("planned_algorithm")
-            if chosen:
-                if got != oracle(spec, chosen):
-                    mismatches += 1
-            else:  # shards split their plans: scores are still unique
-                want = oracle(spec, "auto")
-                if [score for _, score in got] != [s for _, s in want]:
-                    mismatches += 1
+            algorithm = response.get("planned_algorithm", spec["algorithm"])
+            if got != oracle(spec, algorithm):
+                mismatches += 1
     return {
         "num_specs": len(specs),
         "shards": shards,

@@ -1,6 +1,6 @@
-"""Online service gates: identity, warm throughput, durable calibration.
+"""Online service gates: identity and warm throughput.
 
-Three checks over the ``repro serve`` layer (``src/repro/server/``):
+Two checks over the ``repro serve`` layer (``src/repro/server/``):
 
 1. **Identity** -- every response of the live HTTP server is bit-for-bit
    identical (oids and scores) to offline ``SPQEngine.execute`` on a fresh
@@ -9,11 +9,6 @@ Three checks over the ``repro serve`` layer (``src/repro/server/``):
    result cache) must clear ``--min-speedup`` (default 2x) over the cold
    baseline that today's CLI implies: one fresh engine per request, each
    rebuilding grid/keyword/duplication state from scratch.
-3. **Calibration durability** -- with ``calibration_path`` set, a restarted
-   service must make the same ``algorithm="auto"`` decisions as the warm
-   pre-restart service on the same workload, and its estimate-error trace
-   must show no re-warm-up regression: the restored service's mean relative
-   estimate error stays at (or below) the cold first pass's.
 
 Run it as::
 
@@ -26,9 +21,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
-import os
 import sys
-import tempfile
 import threading
 import time
 import urllib.request
@@ -139,81 +132,6 @@ def run_http_phase(
 
 
 # --------------------------------------------------------------------- #
-# phase 3: calibration durability across a restart
-
-
-def run_auto_pass(
-    service: QueryService, specs: List[Dict[str, object]]
-) -> Tuple[List[str], List[float]]:
-    """Run the workload with algorithm=auto; return (decisions, errors).
-
-    The error of one query is the relative gap between the planner's
-    estimate for the algorithm it chose and the simulated seconds the run
-    actually reported -- the planner's own quality metric.
-    """
-    decisions: List[str] = []
-    errors: List[float] = []
-    for spec in specs:
-        response = service.submit({**spec, "algorithm": "auto", "stats": True})
-        stats = response["stats"]
-        chosen = response["planned_algorithm"]
-        decisions.append(chosen)
-        estimate = stats["planner_estimates"][chosen]
-        actual = stats["simulated_seconds"]
-        errors.append(abs(estimate - actual) / actual if actual else 0.0)
-    return decisions, errors
-
-
-def run_calibration_phase(
-    data, features, specs: List[Dict[str, object]], grid_size: int
-) -> Dict[str, object]:
-    """Cold pass, warm pass, save; restart; compare decisions and errors.
-
-    Deterministic on purpose: one engine, no result cache (every request
-    must execute and observe), sequential submission.
-    """
-    def make_service(path: str) -> QueryService:
-        return QueryService(
-            data,
-            features,
-            engine_config=EngineConfig(grid_size=grid_size),
-            config=ServiceConfig(
-                engines=1,
-                result_cache_capacity=0,
-                calibration_path=path,
-                default_grid_size=grid_size,
-            ),
-        )
-
-    with tempfile.TemporaryDirectory(prefix="bench-service-") as tempdir:
-        path = os.path.join(tempdir, "calibration.json")
-        first = make_service(path)
-        with first:
-            cold_decisions, cold_errors = run_auto_pass(first, specs)
-            warm_decisions, warm_errors = run_auto_pass(first, specs)
-        # shutdown saved the calibration snapshot; restart from it.
-        second = make_service(path)
-        with second:
-            restored = second.stats()["planner"]["persistence"]["restored"]
-            restored_decisions, restored_errors = run_auto_pass(second, specs)
-
-    def mean(values: List[float]) -> float:
-        return sum(values) / len(values) if values else 0.0
-
-    return {
-        "num_requests": len(specs),
-        "snapshot_restored": restored,
-        "decisions_match_warm": restored_decisions == warm_decisions,
-        "cold_decisions": cold_decisions,
-        "warm_decisions": warm_decisions,
-        "restored_decisions": restored_decisions,
-        "mean_error_cold_pass": mean(cold_errors),
-        "mean_error_warm_pass": mean(warm_errors),
-        "mean_error_restored": mean(restored_errors),
-    }
-
-
-# --------------------------------------------------------------------- #
 
 
 def main(argv=None) -> int:
@@ -231,9 +149,6 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="exit 1 unless every gate passes")
     parser.add_argument("--min-speedup", type=float, default=2.0)
-    parser.add_argument("--error-slack", type=float, default=1.05,
-                        help="restored mean estimate error may be at most this "
-                             "multiple of the cold first pass's")
     args = parser.parse_args(argv)
 
     config = SyntheticDatasetConfig(num_objects=args.objects, seed=args.seed)
@@ -255,15 +170,6 @@ def main(argv=None) -> int:
           f"{http_phase['identical_results']}, "
           f"mean batch {http_phase['batching']['mean_batch']:.2f}")
 
-    calibration_phase = run_calibration_phase(
-        data, features, specs[: min(len(specs), 24)], args.grid_size
-    )
-    print(f"calibration phase: restored={calibration_phase['snapshot_restored']}, "
-          f"decisions match warm={calibration_phase['decisions_match_warm']}, "
-          f"mean error cold {calibration_phase['mean_error_cold_pass']:.3f} / "
-          f"warm {calibration_phase['mean_error_warm_pass']:.3f} / "
-          f"restored {calibration_phase['mean_error_restored']:.3f}")
-
     summary = {
         "workload": {
             "objects": args.objects,
@@ -277,7 +183,6 @@ def main(argv=None) -> int:
             "seed": args.seed,
         },
         "http": http_phase,
-        "calibration": calibration_phase,
     }
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -293,27 +198,12 @@ def main(argv=None) -> int:
                 f"warm speedup {http_phase['speedup']:.2f}x below required "
                 f"{args.min_speedup}x"
             )
-        if not calibration_phase["snapshot_restored"]:
-            failures.append("calibration snapshot was not restored on restart")
-        if not calibration_phase["decisions_match_warm"]:
-            failures.append(
-                "post-restart auto decisions differ from pre-restart decisions"
-            )
-        error_budget = (
-            calibration_phase["mean_error_cold_pass"] * args.error_slack + 1e-9
-        )
-        if calibration_phase["mean_error_restored"] > error_budget:
-            failures.append(
-                f"restored estimate error "
-                f"{calibration_phase['mean_error_restored']:.3f} regressed past "
-                f"the cold pass ({error_budget:.3f} allowed): re-warm-up"
-            )
         if failures:
             for failure in failures:
                 print(f"FAIL: {failure}", file=sys.stderr)
             return 1
         print(f"OK: identical results, {http_phase['speedup']:.2f}x >= "
-              f"{args.min_speedup}x, calibration survives restart")
+              f"{args.min_speedup}x")
     return 0
 
 

@@ -18,7 +18,7 @@ paper-versus-measured record of every figure.
 
 from repro.core.engine import ALGORITHM_CHOICES, ALGORITHMS, EngineConfig, SPQEngine
 from repro.index import BatchQuery, DatasetIndex, IndexCache
-from repro.planner import AUTO_ALGORITHM, PlannerDecision, QueryPlanner
+from repro.planner import AUTO_ALGORITHM, QueryPlanner
 from repro.model import (
     DataObject,
     FeatureObject,
@@ -27,7 +27,7 @@ from repro.model import (
     SpatialPreferenceQuery,
     TopKList,
 )
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 #: Lazily exported names (PEP 562): the query service and shard router pull
 #: in the whole HTTP server stack, which `repro generate` and plain engine
@@ -56,7 +56,6 @@ __all__ = [
     "ALGORITHM_CHOICES",
     "AUTO_ALGORITHM",
     "QueryPlanner",
-    "PlannerDecision",
     "BatchQuery",
     "DatasetIndex",
     "IndexCache",

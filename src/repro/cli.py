@@ -8,7 +8,7 @@ The subcommands cover the full workflow a downstream user needs:
 * ``batch``       -- run many queries from a JSONL file through the batch
   engine (shared index builds) and emit one JSON result line per query.
 * ``serve``       -- run the persistent HTTP query service: warm engine
-  pool, micro-batching, result cache, durable planner calibration.
+  pool, micro-batching, result cache.
 * ``loadgen``     -- fire a seeded open-loop workload (Poisson/diurnal
   arrivals, Zipf keywords, hotspots, bursts) at a running server or an
   in-process service and print the reconciled results ledger.
@@ -23,8 +23,7 @@ Examples::
     python -m repro query --input un.tsv --keywords w0001,w0002 --k 10 \
         --radius-fraction 0.1 --grid-size 20 --algorithm espq-sco
     python -m repro batch --input un.tsv --queries queries.jsonl --output -
-    python -m repro serve --input un.tsv --port 8787 \
-        --calibration-path calibration.json
+    python -m repro serve --input un.tsv --port 8787
     python -m repro analyze duplication --cell-side 10 --radius 2
     python -m repro experiments --figure 7 --objects 4000
 """
@@ -42,7 +41,6 @@ from typing import List, Optional, Sequence
 from repro import __version__
 from repro.core.centralized import dataset_extent
 from repro.core.engine import ALGORITHM_CHOICES, EngineConfig, SPQEngine
-from repro.planner import AUTO_ALGORITHM, PLANNED_ALGORITHMS
 from repro.exceptions import JobConfigurationError
 from repro.datagen.io import load_dataset, save_dataset
 from repro.datagen.realistic import (
@@ -124,8 +122,7 @@ def _default_help(what: str) -> dict:
         "k": f"default k for {what}",
         "radius": "default absolute radius (overrides --radius-fraction)",
         "radius_fraction": "default radius as a fraction of the grid-cell side",
-        "algorithm": f"default algorithm for {what} ('auto' engages the "
-                     "cost-based planner per query)",
+        "algorithm": f"default algorithm for {what} ('auto' runs espq-sco)",
     }
 
 
@@ -158,13 +155,6 @@ def _add_serving_arguments(
     parser.add_argument("--grid-size", type=int, default=50)
     parser.add_argument("--max-radius", type=float, default=None,
                         help=help["max_radius"])
-    parser.add_argument("--calibration-path", default=None,
-                        help=help["calibration_path"])
-    parser.add_argument("--calibration-seed", default=None,
-                        help=help["calibration_seed"])
-    parser.add_argument("--checkpoint-interval", type=float, default=60.0,
-                        help="calibration checkpoint cadence in seconds "
-                             "(0 = save only on shutdown)")
     parser.add_argument("--access-log", action="store_true",
                         help="log one line per HTTP request to stderr")
 
@@ -176,9 +166,6 @@ _SERVICE_CONFIG_FLAGS = {
     "max_batch": "max_batch",
     "result_cache_capacity": "result_cache",
     "compact_threshold": "compact_threshold",
-    "calibration_path": "calibration_path",
-    "calibration_seed_path": "calibration_seed",
-    "checkpoint_interval_seconds": "checkpoint_interval",
     "default_k": "k",
     "default_radius": "radius",
     "default_radius_fraction": "radius_fraction",
@@ -267,11 +254,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    if args.explain and args.algorithm != AUTO_ALGORITHM:
-        raise _CliError(
-            "--explain prints the planner's per-algorithm cost estimates "
-            "and requires --algorithm auto"
-        )
     data, features = _load_nonempty_dataset(args.input)
     keywords = {word for word in args.keywords.split(",") if word}
     if not keywords:
@@ -285,8 +267,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     finally:
         engine.close()
     print(f"Query: {query.describe()}  [algorithm={args.algorithm}, grid={args.grid_size}]")
-    if args.explain:
-        _print_plan(result.stats)
     if not result.entries:
         print("No data object has a positive score for this query.")
     for rank, entry in enumerate(result, start=1):
@@ -304,19 +284,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(f"  score computations:  {stats['score_computations']}")
         print(f"  simulated job time:  {stats['simulated_seconds']:.1f}s")
     return 0
-
-
-def _print_plan(stats: dict) -> None:
-    """The ``--explain`` block: per-algorithm estimates plus the winner."""
-    estimates = stats.get("planner_estimates", {})
-    chosen = stats.get("planned_algorithm", "?")
-    calibrated = "calibrated" if stats.get("planner_calibrated") else "cold start"
-    print(f"Planner decision ({calibrated}):")
-    for algorithm in PLANNED_ALGORITHMS:
-        if algorithm not in estimates:
-            continue
-        marker = "  <== chosen" if algorithm == chosen else ""
-        print(f"  {algorithm:<10} estimated {estimates[algorithm]:>10.2f}s{marker}")
 
 
 # --------------------------------------------------------------------- #
@@ -506,29 +473,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     server = _bind_server(args, service)
 
-    if sharded and args.calibration_path:
-        print(
-            f"calibration snapshots are per shard: "
-            f"{args.calibration_path}.shard0 .. "
-            f".shard{args.shards - 1}"
-        )
     service.start()
-    stats = service.stats()
-    persistence = (
-        stats["planner"].get("persistence")
-        if args.calibration_path and not sharded
-        else None
-    )
-    if persistence and persistence["rejected"]:
-        _warn(
-            f"calibration snapshot rejected, starting cold: "
-            f"{persistence['rejected']}"
-        )
-    elif persistence and persistence["restored"]:
-        print(
-            f"calibration restored from {args.calibration_path} "
-            f"({stats['planner']['calibration']['observations']} observations)"
-        )
     shard_note = (
         f", {args.shards} shards ({args.layout} layout)" if sharded else ""
     )
@@ -539,14 +484,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         extra_post="  POST /rebalance" if sharded else "",
     )
 
-    # The service's shutdown drains, saves calibration and closes engines.
+    # The service's shutdown drains and closes engines.
     _run_server_loop(server, [service.shutdown])
-    if args.calibration_path and not sharded:
-        save_error = service.stats()["planner"]["persistence"]["last_error"]
-        if save_error:
-            _warn(f"calibration could not be saved: {save_error}")
-        else:
-            print(f"calibration saved to {args.calibration_path}")
     return 0
 
 
@@ -577,7 +516,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     data, features = _load_nonempty_dataset(args.input)
     engine_config = _engine_config(args)
     # The router reads only the request defaults and admission knobs; the
-    # pool, cache and calibration flags configure the nodes.
+    # pool and cache flags configure the nodes.
     service_config = _service_config(args)
     cluster_config = ClusterConfig(
         shards=args.cluster,
@@ -606,8 +545,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             grid_size=args.grid_size,
             engines=args.engines,
             max_radius=args.max_radius,
-            calibration_path=args.calibration_path,
-            calibration_seed=args.calibration_seed,
             dataset=(data, features),
             log_dir=args.node_log_dir,
             extra_args=extra_args,
@@ -627,12 +564,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     except (_CliError, ValueError, InvalidQueryError) as exc:
         terminate_nodes(nodes)
         raise _CliError(f"cannot start the cluster router: {exc}") from exc
-    if args.calibration_path:
-        print(
-            f"calibration snapshots are per node: "
-            f"{args.calibration_path}.node0-0 .. "
-            f".node{args.cluster - 1}-{args.replication - 1}"
-        )
     router.start()
     for node in nodes:
         print(
@@ -850,12 +781,8 @@ def build_parser() -> argparse.ArgumentParser:
         "radius": "absolute query radius (overrides --radius-fraction)",
         "radius_fraction": "radius as a fraction of the grid-cell side "
                            "(default 0.10)",
-        "algorithm": "algorithm to run, or 'auto' to let the cost-based "
-                     "planner choose per query",
+        "algorithm": "algorithm to run ('auto' runs espq-sco)",
     })
-    query.add_argument("--explain", action="store_true",
-                       help="with --algorithm auto: print the planner's "
-                            "per-algorithm cost estimates and the chosen algorithm")
     query.add_argument("--stats", action="store_true", help="print execution statistics")
     _add_backend_argument(query)
     query.set_defaults(func=_cmd_query)
@@ -888,11 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "(bounds cross-shard feature replication; queries above "
                       "it are rejected; default: unbounded, features "
                       "replicated to every shard)",
-        "calibration_path": "durable planner-calibration snapshot: restored on "
-                            "start, checkpointed while serving, saved on shutdown",
-        "calibration_seed": "global calibration snapshot that seeds cold shards/"
-                            "nodes (no scoped snapshot yet); never written to "
-                            "(default: the --calibration-path base itself)",
     })
     serve.add_argument("--shards", type=int, default=1,
                        help="spatial shards: partition the dataset into N disjoint "
@@ -964,11 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_serving_arguments(shard_node, port=0, engines=1, result_cache=0, help={
         "max_radius": "feature replication radius of the partitioning "
                       "(must match the router's; default: unbounded)",
-        "calibration_path": "this node's own durable calibration snapshot "
-                            "(the spawner derives <base>.node<i>-<r>)",
-        "calibration_seed": "snapshot that seeds this node's calibrator on a "
-                            "cold start (no file at --calibration-path yet); "
-                            "never written to",
     })
     _add_backend_argument(shard_node)
     shard_node.set_defaults(func=_cmd_shard_node)

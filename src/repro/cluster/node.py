@@ -284,8 +284,8 @@ class ShardNodeService:
     def heartbeat(self) -> Dict[str, object]:
         """The ``GET /heartbeat`` payload: identity, epoch, liveness.
 
-        Deliberately cheap (no counter-tree walk, no calibrator locks):
-        the router polls this every couple of seconds for the whole fleet.
+        Deliberately cheap (no counter-tree walk): the router polls this
+        every couple of seconds for the whole fleet.
         """
         return {
             "status": "ok",

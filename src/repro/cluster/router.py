@@ -391,11 +391,9 @@ class ClusterRouter(ScatterGatherRouter):
         """
         return self._serve(self._parse(spec))
 
-    def _scatter_stats(
-        self, queried: int, missing: List[int], planned: Dict[str, str]
-    ) -> Dict[str, object]:
+    def _scatter_stats(self, queried: int, missing: List[int]) -> Dict[str, object]:
         return {
-            **super()._scatter_stats(queried, missing, planned),
+            **super()._scatter_stats(queried, missing),
             "shards_missing": sorted(missing),
             "degraded": bool(missing),
             "dataset_epoch": self._epoch,

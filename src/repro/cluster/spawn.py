@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro.execution.shm import publish_dataset_segment, shared_memory_available
-from repro.planner.persistence import scoped_calibration_path
 
 #: The shard-node CLI's ready line; the URL carries the OS-assigned port.
 _READY_PATTERN = re.compile(r"listening on (http://\S+)")
@@ -64,7 +63,7 @@ class NodeProcess:
         self.process.kill()
 
     def terminate(self) -> None:
-        """SIGTERM the node (graceful: it drains and checkpoints)."""
+        """SIGTERM the node (graceful: it drains, then exits)."""
         self.process.terminate()
 
     def wait(self, timeout: Optional[float] = None) -> int:
@@ -80,8 +79,6 @@ def spawn_local_nodes(
     grid_size: Optional[int] = None,
     engines: Optional[int] = None,
     max_radius: Optional[float] = None,
-    calibration_path: Optional[str] = None,
-    calibration_seed: Optional[str] = None,
     dataset: Optional[Tuple[Sequence, Sequence]] = None,
     log_dir: Optional[os.PathLike] = None,
     extra_args: Sequence[str] = (),
@@ -90,9 +87,9 @@ def spawn_local_nodes(
     """Launch ``shards * replication`` local shard-node processes.
 
     Every replica of shard ``i`` runs the identical command line (same
-    dataset, same ``--shard-index i --shards N``), differing only in its
-    per-node calibration path -- the deterministic partitioner makes their
-    slices, and therefore their answers, bit-for-bit identical.
+    dataset, same ``--shard-index i --shards N``) -- the deterministic
+    partitioner makes their slices, and therefore their answers,
+    bit-for-bit identical.
 
     Args:
         input_path: The full dataset file every node loads and slices.
@@ -102,12 +99,6 @@ def spawn_local_nodes(
         grid_size: ``--grid-size`` for the nodes (None = node default).
         engines: ``--engines`` per node (None = node default).
         max_radius: ``--max-radius`` partitioning radius (None = unbounded).
-        calibration_path: Base calibration path; each node persists at
-            ``<base>.node<i>-<r>`` (None disables persistence).
-        calibration_seed: Snapshot that seeds every node's calibrator on a
-            cold start (``--calibration-seed``).  Defaults to the base
-            ``calibration_path`` itself, so an operator can warm a whole
-            fresh fleet by dropping one global snapshot at the base path.
         dataset: The already-parsed ``(data_objects, feature_objects)``.
             When given and shared memory works here, the spawner publishes
             the dataset once as a ``repro_dp_*`` segment and passes
@@ -146,8 +137,6 @@ def spawn_local_nodes(
     package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src_dir = os.path.dirname(package_dir)
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    if calibration_seed is None:
-        calibration_seed = calibration_path
     segment = None
     if dataset is not None and shared_memory_available():
         try:
@@ -175,15 +164,6 @@ def spawn_local_nodes(
                     command += ["--engines", str(engines)]
                 if max_radius is not None:
                     command += ["--max-radius", str(max_radius)]
-                if calibration_path is not None:
-                    command += [
-                        "--calibration-path",
-                        scoped_calibration_path(
-                            calibration_path, f"node{shard_index}-{replica}"
-                        ),
-                    ]
-                if calibration_seed is not None:
-                    command += ["--calibration-seed", calibration_seed]
                 command += list(extra_args)
                 with open(log_path, "wb") as log_file:
                     process = subprocess.Popen(

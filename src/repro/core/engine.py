@@ -40,7 +40,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.centralized import CentralizedSPQ, dataset_extent
 from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob, _SPQJobBase
@@ -64,7 +64,7 @@ from repro.mapreduce.runtime import JobResult, LocalJobRunner, PreloadedShuffle
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
 from repro.model.result import QueryResult, ScoredObject, merge_top_k
-from repro.planner.core import AUTO_ALGORITHM, PlannerDecision, QueryPlanner
+from repro.planner.core import AUTO_ALGORITHM, QueryPlanner
 from repro.spatial.geometry import BoundingBox
 from repro.spatial.grid import UniformGrid
 
@@ -72,7 +72,7 @@ from repro.spatial.grid import UniformGrid
 ALGORITHMS = ("pspq", "espq-len", "espq-sco", "centralized")
 
 #: Everything ``algorithm=`` accepts: the concrete algorithms plus
-#: ``"auto"``, which lets the cost-based planner choose per query.
+#: ``"auto"``, which runs eSPQsco (:data:`~repro.planner.core.AUTO_CHOICE`).
 ALGORITHM_CHOICES = ALGORITHMS + (AUTO_ALGORITHM,)
 
 _JOB_CLASSES = {
@@ -105,9 +105,9 @@ def validate_algorithm_combination(algorithm: str, score_mode: str) -> None:
     if algorithm == AUTO_ALGORITHM:
         if score_mode != "range":
             raise InvalidQueryError(
-                "algorithm='auto' plans only the 'range' score mode (the "
-                "early-termination algorithms it chooses between are "
-                "defined for 'range' only); pick an algorithm explicitly"
+                "algorithm='auto' runs only the 'range' score mode (the "
+                "early-termination algorithm it runs is defined for "
+                "'range' only); pick an algorithm explicitly"
             )
         return
     if algorithm == "centralized":
@@ -173,7 +173,6 @@ class SPQEngine:
         config: Optional[EngineConfig] = None,
         extent: Optional[BoundingBox] = None,
         index_cache: Optional[IndexCache] = None,
-        planner: Optional[QueryPlanner] = None,
         delta: Optional[DatasetDelta] = None,
         scope: Optional[BoundingBox] = None,
     ) -> None:
@@ -188,9 +187,6 @@ class SPQEngine:
                 service passes one cache to every engine of its pool so an
                 index built for any of them serves all of them; engines
                 sharing a cache must hold the same dataset snapshot.
-            planner: A (possibly shared) :class:`QueryPlanner`.  Shared the
-                same way, so every pooled engine's executed queries feed one
-                calibration state.
             delta: A (possibly shared) :class:`DatasetDelta` -- the
                 append/delete overlay of :meth:`apply_updates`.  The query
                 service shares one across its pool so a write absorbed via
@@ -220,9 +216,10 @@ class SPQEngine:
         #: list identity like the oid lookup.
         self._base_oids: Optional[Tuple[Set[str], Set[str]]] = None
         self._base_oids_source: Optional[List[DataObject]] = None
-        self._planner: Optional[QueryPlanner] = planner
+        #: Resolves ``auto`` and walks each query's posting lists.
+        self.planner = QueryPlanner()
         #: The paper's 16-node cluster at the default per-unit costs: the
-        #: model behind ``simulated_seconds`` and the planner's estimates.
+        #: model behind ``simulated_seconds``.
         self._cost_model = CostModel()
         if extent is not None and (extent.width <= 0 or extent.height <= 0):
             raise InvalidQueryError(
@@ -255,57 +252,20 @@ class SPQEngine:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # adaptive planner
-
-    @property
-    def planner(self) -> QueryPlanner:
-        """This engine's adaptive query planner (created lazily, persistent).
-
-        The planner's calibration state survives dataset changes; stale
-        observations decay through the EWMA as new queries run.
-        """
-        if self._planner is None:
-            self._planner = QueryPlanner()
-        return self._planner
-
-    def planner_snapshot(self) -> Dict[str, object]:
-        """Durable calibration state of this engine's planner.
-
-        Plain JSON-serializable data; persist it with
-        :func:`repro.planner.persistence.save_calibration` (the query
-        service does so on shutdown and at every checkpoint) and feed it
-        back through :meth:`restore_planner` after a restart.
-        """
-        return self.planner.snapshot_state()
-
-    def restore_planner(self, state: Mapping[str, object]) -> None:
-        """Restore a :meth:`planner_snapshot` into this engine's planner.
-
-        Raises:
-            CalibrationStateError: if the state fails validation; the
-                planner is left unchanged.
-        """
-        self.planner.restore_state(state)
 
     def service_stats(self) -> Dict[str, object]:
         """Aggregate serving statistics of this engine (for ``/stats``).
 
-        Covers the dataset snapshot, index cache counters, and -- once a
-        planner exists -- the planner's decision count and calibration
-        summary.  Cheap to call; never creates a planner as a side effect.
+        Covers the dataset snapshot, the index cache counters and the
+        number of ``auto`` queries resolved.
         """
-        stats: Dict[str, object] = {
+        return {
             "dataset_version": self._dataset_version,
             "num_data_objects": len(self.data_objects),
             "num_feature_objects": len(self.feature_objects),
             "index_cache": self.index_cache_stats,
+            "planner": {"decisions": self.planner.decisions},
         }
-        if self._planner is not None:
-            stats["planner"] = {
-                "decisions": self._planner.decisions,
-                "calibration": self._planner.calibrator.snapshot(),
-            }
-        return stats
 
     # ------------------------------------------------------------------ #
 
@@ -486,16 +446,13 @@ class SPQEngine:
 
         The same path as a one-query :meth:`execute_many`: the result, its
         counters and its ``stats`` tree (``stats["index"]`` included) are
-        equal key for key, and the run feeds the planner's calibration
-        whether the algorithm was named or planned.
+        equal key for key.
 
         Args:
             query: The query ``q(k, r, W)``.
             algorithm: One of ``"pspq"``, ``"espq-len"``, ``"espq-sco"``,
-                ``"centralized"``, or ``"auto"`` to let the cost-based
-                planner pick the cheapest MapReduce algorithm for this query
-                (recorded in ``result.stats["planned_algorithm"]`` together
-                with the per-algorithm estimate vector).
+                ``"centralized"``, or ``"auto"``, which runs ``"espq-sco"``
+                and records it in ``result.stats["planned_algorithm"]``.
             grid_size: Cells per axis for this query (defaults to the engine
                 configuration); ignored by the centralized algorithm.
             score_mode: ``"range"`` (the paper's score, default) or
@@ -541,11 +498,6 @@ class SPQEngine:
         reused by every later query with the same radius.  Results are
         returned in input order and are identical to what per-query
         :meth:`execute` calls would produce.
-
-        ``algorithm="auto"`` (as the batch default or per-item override)
-        engages the cost-based planner: queries of an auto group share the
-        group's index build while each query gets its own per-algorithm cost
-        estimates and, potentially, a different chosen algorithm.
 
         Raises:
             InvalidQueryError: if any item is invalid; validation happens
@@ -621,14 +573,11 @@ class SPQEngine:
                 item.query, item.score_mode, snapshot=snapshot
             )
         index, cache_hit = self._get_index(item.grid_size)
-        planner = self.planner
-        statistics = planner.collect(index, item.query, item.grid_size)
-        decision: Optional[PlannerDecision] = None
+        statistics = self.planner.collect(index, item.query, item.grid_size)
+        hits, candidates = statistics
         algorithm = item.algorithm
         if algorithm == AUTO_ALGORITHM:
-            decision = planner.decide(statistics)
-            algorithm = decision.algorithm
-        candidates = statistics.candidate_positions
+            algorithm = self.planner.decide(statistics)
         extra_pruned = 0
         deleted_positions: Set[int] = set()
         if snapshot is not None and snapshot.deleted_feature_oids:
@@ -645,17 +594,8 @@ class SPQEngine:
                 for position in candidates
                 if position not in deleted_positions
             ]
-        prepared = index.prepare(
-            item.query, candidates=candidates, hits=statistics.keyword_hits
-        )
+        prepared = index.prepare(item.query, candidates=candidates, hits=hits)
         job = self._make_job(algorithm, item.query, index.grid, item.score_mode)
-        planner_stats = None
-        if decision is not None:
-            planner_stats = {
-                "planned_algorithm": decision.algorithm,
-                "planner_estimates": dict(decision.estimates),
-                "planner_calibrated": decision.calibrated,
-            }
         split = prepared.split
         tombstoned: List[DataObject] = []
         if snapshot is not None:
@@ -674,7 +614,7 @@ class SPQEngine:
             tombstoned = [
                 base[oid] for oid in snapshot.deleted_data_oids if oid in base
             ]
-        result = self._run_job(
+        return self._run_job(
             job,
             index.grid,
             item.query,
@@ -691,19 +631,9 @@ class SPQEngine:
                 "candidate_features": prepared.num_candidates,
                 "index_build_seconds": index.stats.build_seconds,
             },
-            planner_stats=planner_stats,
+            planned_algorithm=algorithm if item.algorithm == AUTO_ALGORITHM else None,
             delta_snapshot=snapshot,
         )
-        # Calibration: every executed distributed query refines the
-        # estimates for the algorithm that ran, whether the planner chose it
-        # or the caller fixed it.
-        planner.observe(
-            statistics,
-            algorithm,
-            result.stats["counters"],
-            result.stats["simulated_breakdown"],
-        )
-        return result
 
     def _make_job(
         self,
@@ -726,7 +656,7 @@ class SPQEngine:
         preloaded: PreloadedShuffle,
         pruned_by_index: int,
         index_stats: Dict[str, object],
-        planner_stats: Optional[Dict[str, object]] = None,
+        planned_algorithm: Optional[str] = None,
         delta_snapshot: Optional[DeltaSnapshot] = None,
     ) -> QueryResult:
         runner = LocalJobRunner(num_reducers=grid.num_cells)
@@ -762,8 +692,8 @@ class SPQEngine:
             "features_pruned": job_result.counters.get("spq", "features_pruned"),
         }
         stats["index"] = index_stats
-        if planner_stats:
-            stats.update(planner_stats)
+        if planned_algorithm is not None:
+            stats["planned_algorithm"] = planned_algorithm
         return QueryResult(entries, stats=stats)
 
     def _oid_lookup(self) -> Dict[str, DataObject]:

@@ -69,16 +69,6 @@ class AnalysisError(ReproError):
     """A theoretical-analysis helper received parameters outside its domain."""
 
 
-class CalibrationStateError(ReproError):
-    """A persisted planner-calibration snapshot could not be used.
-
-    Raised when loading a calibration file that is missing, truncated,
-    not valid JSON, carries an unknown format name or version, or whose
-    payload fails structural validation.  Callers that can start cold
-    (the query service does) should catch this and continue without the
-    snapshot rather than refusing to start."""
-
-
 class DatasetUpdateError(ReproError):
     """An incremental dataset update (append/delete) is invalid.
 

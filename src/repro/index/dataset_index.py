@@ -36,7 +36,6 @@ import time
 from bisect import bisect_right
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.index.columns import DataBlock
@@ -130,16 +129,8 @@ class DatasetIndex:
 
         partitioner = GridPartitioner(grid, radius=0.0)
         data_cells = partitioner.assign_data_objects(self._data_objects)
-        #: cell id -> number of data objects homed there (planner statistic).
+        #: cell id -> number of data objects homed there.
         self._data_cell_counts: Dict[int, int] = dict(Counter(data_cells))
-        #: storage position -> home cell of every feature (radius-independent;
-        #: the planner distributes estimated feature copies over these cells).
-        self._feature_homes: List[int] = list(
-            grid.locate_many(
-                [feature.x for feature in self._feature_objects],
-                [feature.y for feature in self._feature_objects],
-            )
-        )
         #: storage position -> shuffle record size and ``|f.W|`` of every
         #: feature: ``prepare`` slices the first into a split's ``sizes``
         #: and scores from the second, so no query re-derives either.
@@ -149,17 +140,13 @@ class DatasetIndex:
         self._keyword_counts: List[int] = [
             len(feature.keywords) for feature in self._feature_objects
         ]
-        self._total_feature_bytes = sum(self._record_sizes)
         #: storage position -> ``MINDIST`` to the scope (the reach column;
-        #: None unscoped), and the reaches ascending beside the running
-        #: record-byte total of the features up to each, so the in-reach
-        #: count and bytes of any radius are one bisection.
+        #: None unscoped), and the reaches ascending, so the in-reach count
+        #: of any radius is one bisection.
         self._reach: Optional[List[float]] = None
         if scope is not None:
-            reach = self._reach = [scope.min_distance(f.x, f.y) for f in self._feature_objects]
-            order = sorted(range(len(reach)), key=reach.__getitem__)
-            self._sorted_reach = sorted(reach)
-            self._reach_bytes = list(accumulate((self._record_sizes[p] for p in order), initial=0))
+            self._reach = [scope.min_distance(f.x, f.y) for f in self._feature_objects]
+            self._sorted_reach = sorted(self._reach)
         self._inverted = PositionalInvertedIndex(self._feature_objects)
         #: radius -> {feature position -> duplication cell tuple}, filled
         #: lazily for the features queries actually touch; an LRU over at
@@ -167,10 +154,6 @@ class DatasetIndex:
         self._feature_cells: "OrderedDict[float, Dict[int, Tuple[int, ...]]]" = (
             OrderedDict()
         )
-        #: radius -> (entries, total cells) of that cache, kept in step with
-        #: every insert (under the lock) so the observed duplication mean
-        #: costs O(1) per query, not a sum over the whole cache.
-        self._cell_totals: Dict[float, Tuple[int, int]] = {}
         self._cells_lock = threading.Lock()
         #: feature oid -> storage position, built lazily (delta tombstones).
         self._feature_positions: Optional[Dict[str, int]] = None
@@ -218,61 +201,23 @@ class DatasetIndex:
         """Precomputed cell id of the data object at ``position``."""
         return self._data_cells[position]
 
-    # ------------------------------------------------------------------ #
-    # planner statistics (all cheap: precomputed at build or O(candidates))
-
     @property
     def data_cell_counts(self) -> Mapping[int, int]:
         """Cell id -> number of data objects homed there (do not mutate)."""
         return self._data_cell_counts
 
-    def features_within(self, radius: float) -> Tuple[int, int]:
-        """``(count, record bytes)`` of the features in reach at ``radius``
-        (every feature, unscoped)."""
+    def features_within(self, radius: float) -> int:
+        """How many features are in reach at ``radius`` (every feature,
+        unscoped)."""
         if self._reach is None:
-            return self.num_features, self._total_feature_bytes
-        count = bisect_right(self._sorted_reach, radius)
-        return count, self._reach_bytes[count]
-
-    def average_feature_bytes(self, radius: float) -> float:
-        """Mean text-serialized size of one feature record in reach."""
-        count, total = self.features_within(radius)
-        return total / count if count else 24.0
+            return self.num_features
+        return bisect_right(self._sorted_reach, radius)
 
     def in_reach(self, positions: Iterable[int], radius: float) -> List[int]:
         """The ``positions`` whose features reach the scope at ``radius``:
         ``MINDIST <= radius``, ``ShardLayout.shards_within``'s test."""
         reach = self._reach
         return list(positions) if reach is None else [p for p in positions if reach[p] <= radius]
-
-    def candidate_cell_counts(self, positions: Iterable[int]) -> Dict[int, int]:
-        """Home-cell histogram of the given candidate feature positions."""
-        return dict(Counter(map(self._feature_homes.__getitem__, positions)))
-
-    def keyword_document_frequency(self, keyword: str) -> int:
-        """Number of features containing ``keyword`` (inverted-index lookup)."""
-        return self._inverted.document_frequency(keyword)
-
-    def duplication_estimate(self, radius: float) -> float:
-        """Expected grid cells (home included) one feature reaches at ``radius``.
-
-        When Lemma-1 lists for this radius are already cached (even
-        partially, from earlier queries), their observed mean is returned --
-        the best available evidence.  Otherwise the geometric expectation is
-        used: the cells with ``MINDIST <= r`` of a point are exactly the
-        cells intersecting its closed ``r``-disk, and for a uniformly placed
-        point their expected number is the Minkowski sum area of one cell and
-        the disk divided by the cell area, clamped to the grid size.
-        """
-        # One atomic read of a pair written whole: another engine sharing
-        # this index may be filling the radius cache concurrently.
-        entries, total = self._cell_totals.get(radius, (0, 0))
-        if entries:
-            return total / entries
-        width, height = self.grid.cell_width, self.grid.cell_height
-        area = width * height
-        expanded = area + 2.0 * radius * (width + height) + math.pi * radius * radius
-        return min(float(self.grid.num_cells), expanded / area)
 
     # ------------------------------------------------------------------ #
     # per-radius duplication cache
@@ -310,8 +255,7 @@ class DatasetIndex:
             else:
                 cache = self._feature_cells[radius] = {}
                 if len(self._feature_cells) > MAX_CACHED_RADII:
-                    evicted, _ = self._feature_cells.popitem(last=False)
-                    self._cell_totals.pop(evicted, None)
+                    self._feature_cells.popitem(last=False)
                 self.stats.radii_cached = self.cached_radii
         return cache, known
 
@@ -335,19 +279,8 @@ class DatasetIndex:
                 cells[slot] = fresh[position] = tuple(
                     partitioner.assign_feature_object(features[position])
                 )
-        # Insert and count under one lock, re-checking membership: when two
-        # engines assigned the same position, it is counted once.  A radius
-        # evicted meanwhile keeps no totals (this query's lists stay valid).
         with self._cells_lock:
-            if self._feature_cells.get(radius) is not cache:
-                return cells, False
-            entries, total = self._cell_totals.get(radius, (0, 0))
-            for position, assigned in fresh.items():
-                if position not in cache:
-                    cache[position] = assigned
-                    entries += 1
-                    total += len(assigned)
-            self._cell_totals[radius] = (entries, total)
+            cache.update(fresh)
         return cells, False
 
     # ------------------------------------------------------------------ #
@@ -490,7 +423,7 @@ class DatasetIndex:
         """Gather the pre-partitioned map input of one query, in one pass.
 
         ``candidates`` and ``hits`` let a caller that already walked the
-        posting lists for this query (the cost-based planner does) pass
+        posting lists for this query (the engine's planner does) pass
         :meth:`keyword_hits` and the positions to map in instead of walking
         them again; only features in reach are candidates, and only they
         count as pruned.  Every candidate's score is ``jaccard``'s division over
@@ -515,6 +448,6 @@ class DatasetIndex:
         return PreparedQuery(
             split=MapSplit(features, cells, scores, sizes),
             num_candidates=len(candidates),
-            num_pruned=self.features_within(query.radius)[0] - len(candidates),
+            num_pruned=self.features_within(query.radius) - len(candidates),
             radius_cache_hit=radius_cache_hit,
         )

@@ -9,11 +9,8 @@ and score mode run back to back, maximising index and radius-cache reuse even
 with a small index cache.
 
 ``algorithm`` may be any :data:`~repro.core.engine.ALGORITHM_CHOICES` value,
-including ``"auto"``: auto items form their own planned group per
-(grid size, score mode), so cost-based planning happens against the group's
-shared index and batches stay amortised -- the adaptive planner
-(:mod:`repro.planner`) then picks a concrete algorithm per query inside the
-group.
+including ``"auto"``, which the engine resolves per query
+(:mod:`repro.planner`).
 """
 
 from __future__ import annotations

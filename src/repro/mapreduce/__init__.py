@@ -13,8 +13,7 @@ on three framework hooks (Section 2.1):
 This package reproduces those hooks faithfully so the three SPQ algorithms can
 be expressed exactly as in the paper, and adds a simulated cluster and cost
 model so every run reports a *simulated job execution time* with the same
-shape as the paper's wall-clock measurements -- the number the adaptive
-planner estimates and calibrates against.  (The HDFS storage simulator, which
+shape as the paper's wall-clock measurements.  (The HDFS storage simulator, which
 no query path reads, lives in :mod:`repro.paper.hdfs`.)
 """
 

@@ -26,7 +26,7 @@ class ClusterNode:
         node_id: Name (``d1`` ... ``d16``).
         cores: Number of concurrently usable task slots.
         speed: Relative execution speed (work units per simulated second,
-            before the cost model's global calibration).
+            before the cost model's global scaling).
     """
 
     node_id: str

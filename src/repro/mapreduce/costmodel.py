@@ -16,7 +16,7 @@ actually performed:
   algorithm) plus the records it had to ingest.
 
 All constants are per-record/per-unit costs in seconds; the defaults are
-calibrated so that the default experimental setup lands in the same order of
+chosen so that the default experimental setup lands in the same order of
 magnitude as the paper's charts (hundreds of seconds for pSPQ on the real
 datasets).  Absolute values are irrelevant for the reproduction -- the shapes
 come from the measured counters.
@@ -36,7 +36,7 @@ from repro.mapreduce.runtime import JobResult
 class CostParameters:
     """Per-unit costs (in simulated seconds) of the cluster cost model.
 
-    The defaults are calibrated for the *scaled-down* datasets used by the
+    The defaults are tuned for the *scaled-down* datasets used by the
     benchmark harness (thousands of objects instead of the paper's tens of
     millions): one work unit of a scaled run stands for the proportionally
     larger amount of work a reducer would perform at full scale, so the
@@ -96,9 +96,8 @@ class CostModel:
     """Computes simulated job execution time for a :class:`JobResult`.
 
     The phase formulas are factored into :meth:`compose` /
-    :meth:`reduce_task_cost` so that callers holding *predicted* quantities
-    (the a-priori query planner) price them through exactly the same model
-    as a finished job's measured counters.
+    :meth:`reduce_task_cost`, which price any phase quantities through
+    the same model as a finished job's measured counters.
     """
 
     def __init__(

@@ -62,8 +62,7 @@ __all__ = [
     "ReduceTaskReport",
 ]
 
-#: Input records per map task when the caller does not configure one; also
-#: what the query planner's estimator assumes when predicting map waves.
+#: Input records per map task when the caller does not configure one.
 DEFAULT_SPLIT_SIZE = 10_000
 
 

@@ -1,226 +1,58 @@
-"""The cost-based adaptive query planner (``algorithm="auto"``).
+"""What ``algorithm="auto"`` runs: eSPQsco, as a constant.
 
-The paper's central empirical finding is that none of pSPQ / eSPQlen /
-eSPQsco dominates: the winner flips with radius, keyword selectivity, grid
-size and data distribution.  :class:`QueryPlanner` is the classic DBMS
-answer -- estimate each algorithm's cost *before* running anything and pick
-the cheapest:
+The paper compares pSPQ, eSPQlen and eSPQsco on a simulated Hadoop
+cluster and finds the winner moving with the grid, ``|q.W|``, the radius
+and ``k``.  Measured per query on this engine's CPU over the same
+Section 7 axes, eSPQsco wins or ties nearly everywhere; where it does not
+(a few regimes of the uniform dataset), a cost-based planner that
+estimated the choice from index statistics did not pick the winner
+either -- it picked eSPQsco on every query measured.  ``docs/paper-map.md``
+has the table and ``benchmarks/bench_planner.py`` re-measures it.
 
-1. :func:`~repro.planner.estimator.collect_statistics` gathers cheap
-   per-query statistics from the :class:`~repro.index.dataset_index.DatasetIndex`;
-2. the :class:`~repro.planner.estimator.CostEstimator` prices them through
-   the simulated cluster cost model into one
-   :class:`~repro.mapreduce.costmodel.CostBreakdown` per algorithm, using
-   work factors supplied by the bounded-memory
-   :class:`~repro.planner.calibration.Calibrator`;
-3. after the chosen (or any explicitly requested) algorithm runs, the
-   engine feeds the measured counters back through :meth:`QueryPlanner.observe`
-   so later estimates improve.
-
-The planner is engine-owned: one planner per :class:`~repro.core.engine.SPQEngine`
-(one per pool in a query service), and always on -- every index-path query
-is observed, whether ``"auto"`` chose its algorithm or the caller did.
+:class:`QueryPlanner` is the seam every query runs through:
+:meth:`~QueryPlanner.collect` walks the query's posting lists once for
+:meth:`~repro.index.dataset_index.DatasetIndex.prepare`, and
+:meth:`~QueryPlanner.decide` resolves ``auto``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import List, Mapping, Tuple
 
 from repro.index.dataset_index import DatasetIndex
-from repro.mapreduce.cluster import SimulatedCluster
-from repro.mapreduce.costmodel import CostBreakdown, CostParameters
 from repro.model.query import SpatialPreferenceQuery
-from repro.planner.calibration import Calibrator, Signature, signature_of
-from repro.planner.estimator import (
-    DEFAULT_WORK_FACTORS,
-    PLANNED_ALGORITHMS,
-    CostEstimator,
-    QueryStatistics,
-    collect_statistics,
-)
 
-#: The algorithm name that triggers planning.
+#: The algorithm name that asks the engine to choose.
 AUTO_ALGORITHM = "auto"
 
-
-@dataclass
-class PlannerConfig:
-    """Calibration constants of one planner: the calibrator's LRU ``memory``
-    (query-class entries kept) and the EWMA ``smoothing`` weight of each new
-    observation.  Engines and services always run the defaults."""
-
-    memory: int = 64
-    smoothing: float = 0.3
-
-
-@dataclass
-class PlannerDecision:
-    """Outcome of planning one query.
-
-    Attributes:
-        algorithm: The chosen algorithm (cheapest estimate; deterministic
-            tie-break in :data:`PLANNED_ALGORITHMS` order).
-        estimates: Algorithm -> predicted total simulated seconds (the
-            estimate vector recorded in ``result.stats["planner_estimates"]``).
-        breakdowns: Full per-phase breakdown behind each estimate.
-        statistics: The inputs the decision was made from.
-        calibrated: True when any calibration data informed the estimates.
-    """
-
-    algorithm: str
-    estimates: Dict[str, float]
-    breakdowns: Dict[str, CostBreakdown]
-    statistics: QueryStatistics
-    calibrated: bool = False
+#: The algorithm ``auto`` runs.
+AUTO_CHOICE = "espq-sco"
 
 
 class QueryPlanner:
-    """Per-engine adaptive planner: estimate, choose, then learn."""
+    """Per-engine ``auto`` resolution plus the shared posting-list walk."""
 
-    def __init__(
-        self,
-        cluster: Optional[SimulatedCluster] = None,
-        parameters: Optional[CostParameters] = None,
-        config: Optional[PlannerConfig] = None,
-        defaults: Optional[Mapping[str, object]] = None,
-    ) -> None:
-        self.config = config or PlannerConfig()
-        self.estimator = CostEstimator(cluster, parameters)
-        self.calibrator = Calibrator(
-            memory=self.config.memory, smoothing=self.config.smoothing
-        )
-        self.defaults = dict(defaults or DEFAULT_WORK_FACTORS)
-        #: Decisions taken / observations folded (engine stats surface).
+    def __init__(self) -> None:
+        #: ``auto`` queries resolved (the ``/stats`` planner surface).
         self.decisions = 0
-
-    # ------------------------------------------------------------------ #
 
     def collect(
         self, index: DatasetIndex, query: SpatialPreferenceQuery, grid_size: int
-    ) -> QueryStatistics:
-        """Gather the planning statistics of one query (reusable by prepare)."""
-        return collect_statistics(index, query, grid_size)
+    ) -> Tuple[Mapping[int, int], List[int]]:
+        """The query's keyword hits and sorted candidate positions (one
+        posting-list walk, handed on to ``prepare``)."""
+        hits = index.keyword_hits(query.keywords, query.radius)
+        return hits, sorted(hits)
 
-    def snapshot_state(self) -> Dict[str, object]:
-        """Durable calibration state (see :meth:`Calibrator.state_dict`)."""
-        return self.calibrator.state_dict()
-
-    def restore_state(self, state: Mapping[str, object]) -> None:
-        """Replace the calibration state with a prior :meth:`snapshot_state`.
-
-        Raises:
-            CalibrationStateError: if the state fails validation; the
-                calibrator is left unchanged.
-        """
-        self.calibrator.restore_state(state)
-
-    def decide(self, stats: QueryStatistics) -> PlannerDecision:
-        """Pick the algorithm with the lowest predicted simulated cost."""
-        signature = self._signature(stats)
-        factors = {
-            algorithm: self.calibrator.factors_for(
-                algorithm, signature, self.defaults[algorithm]
-            )
-            for algorithm in PLANNED_ALGORITHMS
-        }
-        duplication_scale = self.calibrator.duplication_scale(
-            stats.grid_size, signature[1]
-        )
-        breakdowns = {
-            algorithm: self._apply_reduce_scale(
-                breakdown,
-                self.calibrator.reduce_scale_for(algorithm, signature),
-            )
-            for algorithm, breakdown in self.estimator.estimate(
-                stats, factors, duplication_scale
-            ).items()
-        }
-        estimates = {name: round(b.total, 6) for name, b in breakdowns.items()}
-        chosen = min(
-            PLANNED_ALGORITHMS,
-            key=lambda name: (estimates[name], PLANNED_ALGORITHMS.index(name)),
-        )
+    def decide(self, stats: Tuple[Mapping[int, int], List[int]]) -> str:
+        """The algorithm an ``auto`` query runs: always :data:`AUTO_CHOICE`."""
         self.decisions += 1
-        return PlannerDecision(
-            algorithm=chosen,
-            estimates=estimates,
-            breakdowns=breakdowns,
-            statistics=stats,
-            calibrated=self.calibrator.observations > 0,
-        )
+        return AUTO_CHOICE
 
-    def observe(
-        self,
-        stats: QueryStatistics,
-        algorithm: str,
-        counters: Mapping[str, Mapping[str, int]],
-        breakdown: Optional[Mapping[str, float]] = None,
-    ) -> None:
-        """Fold one executed query's counters into the calibration state.
+    def observe(self, *args: object) -> None:
+        """Nothing to learn; the engine does not call this.
 
-        ``counters`` is the engine's ``result.stats["counters"]`` mapping and
-        ``breakdown`` its ``result.stats["simulated_breakdown"]``; only
-        queries run through a planned (index-backed) path report the exact
-        shuffled-copy counts this needs.  Unknown algorithms (the
-        centralized oracle) are ignored.
+        Kept because ``benchmarks/e2e/trace.py`` resolves its three
+        ``planner.*`` patch points -- ``collect``, ``decide`` and this --
+        from the class ``__dict__``; its ``planner.observe_ms`` reads 0.
         """
-        if algorithm not in PLANNED_ALGORITHMS:
-            return
-        spq = counters.get("spq", {})
-        work = counters.get("work", {})
-        actual_copies = spq.get("features_kept", 0) + spq.get("feature_duplicates", 0)
-        raw_copies, raw_pairs = self.estimator.raw_work(stats)
-        signature = self._signature(stats)
-        self.calibrator.observe_duplication(
-            stats.grid_size, signature[1], raw_copies, actual_copies
-        )
-        self.calibrator.observe_work(
-            algorithm,
-            signature,
-            raw_copies,
-            raw_pairs,
-            actual_copies,
-            work.get("features_examined", 0),
-            work.get("score_computations", 0),
-        )
-        if breakdown is not None:
-            # Re-predict the reduce makespan with the *just-updated* factors
-            # (unscaled) and record actual-over-predicted, so the estimate's
-            # residual per-cell distribution error is corrected too.
-            predicted = self.estimator.estimate_one(
-                stats,
-                algorithm,
-                self.calibrator.factors_for(
-                    algorithm, signature, self.defaults[algorithm]
-                ),
-                self.calibrator.duplication_scale(stats.grid_size, signature[1]),
-            )
-            self.calibrator.observe_reduce(
-                algorithm, signature, predicted.reduce, breakdown.get("reduce", 0.0)
-            )
-
-    @staticmethod
-    def _apply_reduce_scale(
-        breakdown: CostBreakdown, scale: float
-    ) -> CostBreakdown:
-        if scale == 1.0:
-            return breakdown
-        return CostBreakdown(
-            startup=breakdown.startup,
-            map=breakdown.map,
-            shuffle=breakdown.shuffle,
-            reduce=breakdown.reduce * scale,
-        )
-
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _signature(stats: QueryStatistics) -> Signature:
-        return signature_of(
-            stats.grid_size,
-            stats.cell_side,
-            stats.query.radius,
-            stats.query.keyword_count,
-            stats.query.k,
-        )

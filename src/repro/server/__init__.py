@@ -2,10 +2,10 @@
 
 The online front-end over the batch-oriented SPQ engine stack: a
 :class:`~repro.server.service.QueryService` holds a warm pool of engines
-sharing one index cache and one planner, micro-batches concurrent requests
-into ``execute_many``, memoises responses in an LRU keyed by
-``(dataset_version, canonical query)``, and persists planner calibration
-across restarts.  :mod:`repro.server.http` exposes it over stdlib HTTP.
+sharing one index cache, micro-batches concurrent requests into
+``execute_many`` and memoises responses in an LRU keyed by
+``(dataset_version, canonical query)``.  :mod:`repro.server.http` exposes
+it over stdlib HTTP.
 
 See ``docs/service.md`` for the quickstart and protocol reference.
 """

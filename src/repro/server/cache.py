@@ -32,8 +32,8 @@ class ResultCache:
     Args:
         capacity: Maximum entries kept (LRU eviction).  ``0`` disables the
             cache entirely: every lookup misses, nothing is stored -- used
-            by workloads that must observe every execution (calibration
-            benchmarks) and by ``repro serve --result-cache 0``.
+            by workloads that must observe every execution and by
+            ``repro serve --result-cache 0``.
     """
 
     def __init__(self, capacity: int = 256) -> None:

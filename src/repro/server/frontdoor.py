@@ -133,8 +133,7 @@ class FrontDoor:
         """Seconds since :meth:`start` (0.0 before it); lock-free.
 
         Liveness probes poll this every few seconds -- it must not contend
-        on the counter or calibrator locks the way the full ``stats()``
-        tree does.
+        on the counter lock the way the full ``stats()`` tree does.
         """
         started = self._started_monotonic
         return time.monotonic() - started if started is not None else 0.0

@@ -18,7 +18,7 @@ Endpoints (see ``docs/service.md`` for the full protocol reference):
   deletes are applied before appends.
 * ``GET /healthz``   -- liveness: ``{"status": "ok"}`` plus uptime.
 * ``GET /stats``     -- the service's full counter tree (requests, latency
-  histograms, batching, result/index caches, planner persistence and --
+  histograms, batching, result/index caches, planner decisions and --
   when sharded -- the router + per-shard subtrees).
 * ``GET /heartbeat`` -- cluster-node identity probe (node id, shard index,
   dataset epoch/version); only served when the bound service exposes a

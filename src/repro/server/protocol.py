@@ -12,7 +12,7 @@ offline query files replay against a live server verbatim::
     {"keywords": ["w0001", "w0002"],   # or a "w0001,w0002" string
      "k": 10,                          # optional, service default otherwise
      "radius": 2.0,                    # optional
-     "algorithm": "espq-sco",          # optional; "auto" plans per query
+     "algorithm": "espq-sco",          # optional; "auto" runs espq-sco
      "grid_size": 20,                  # optional
      "score_mode": "range",            # optional
      "deadline_ms": 250,               # optional latency budget (admission)
@@ -22,7 +22,7 @@ One response is one JSON object::
 
     {"results": [{"oid": ..., "score": ..., "x": ..., "y": ...}, ...],
      "algorithm": "espq-sco",          # as requested (may be "auto")
-     "planned_algorithm": "espq-len",  # when the planner decided
+     "planned_algorithm": "espq-sco",  # what "auto" ran
      "cached": false,                  # served from the result cache?
      "stats": {...}}                   # only when requested
 
@@ -69,8 +69,6 @@ STATS_KEYS = (
     "features_examined",
     "score_computations",
     "simulated_seconds",
-    "planner_estimates",
-    "planner_calibrated",
     "index",
     "sharding",
     "cluster",
@@ -305,7 +303,7 @@ def copy_payload(payload: Mapping[str, object]) -> Dict[str, object]:
     """Recursive copy of a response payload (containers only).
 
     Payloads are plain JSON trees -- and stats-bearing ones nest three
-    levels deep (``stats.planner_estimates``, ``stats.index``) -- so every
+    levels deep (``stats.index``, ``stats.sharding``) -- so every
     dict and list is copied: a cache entry never shares mutable state with
     a delivered response, however deep a caller mutates it.
     """

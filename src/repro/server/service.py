@@ -6,9 +6,7 @@ system:
 * a **warm engine pool** -- ``engines`` :class:`~repro.core.engine.SPQEngine`
   instances over one dataset snapshot, all sharing a single
   :class:`~repro.index.cache.IndexCache` (an index built for any request
-  serves every later request, whichever engine runs it) and a single
-  :class:`~repro.planner.core.QueryPlanner` (every executed query feeds one
-  calibration state);
+  serves every later request, whichever engine runs it);
 * **micro-batching** -- concurrent requests are grouped by the
   :class:`~repro.server.batching.MicroBatcher` into ``execute_many`` calls,
   so the batch-reuse machinery built for offline workloads applies to
@@ -16,11 +14,7 @@ system:
 * a **result cache** -- an LRU of response payloads keyed by
   ``(dataset_version, canonical query)``
   (:class:`~repro.server.cache.ResultCache`), answering repeated queries
-  without touching an engine; and
-* **durable calibration** -- with a ``calibration_path`` the planner's
-  state is restored on start, checkpointed periodically while serving and
-  saved atomically on shutdown, so ``algorithm="auto"`` starts sharp after
-  a restart instead of re-warming from priors.
+  without touching an engine.
 
 The service is transport-agnostic: :mod:`repro.server.http` exposes it over
 stdlib HTTP, tests and benchmarks drive :meth:`QueryService.submit`
@@ -29,7 +23,6 @@ directly.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -41,8 +34,6 @@ from repro.datagen.queries import radius_from_cell_fraction
 from repro.model.objects import DataObject, FeatureObject
 from repro.index.cache import IndexCache
 from repro.index.delta import DatasetDelta
-from repro.planner.core import QueryPlanner
-from repro.planner.persistence import save_calibration, try_restore_calibration
 from repro.server.batching import MicroBatcher, PendingRequest
 from repro.server.frontdoor import FrontDoor
 from repro.server.gate import QuiesceGate
@@ -99,14 +90,6 @@ class ServiceConfig:
         batch_window_seconds: How long a dispatcher lingers for batchmates
             (0 = natural batching: group what is queued, never wait).
         result_cache_capacity: Entries of the response LRU (0 disables it).
-        calibration_path: Durable planner-calibration snapshot location;
-            None disables persistence.
-        calibration_seed_path: Snapshot read *only on a cold start* (no file
-            at ``calibration_path`` yet) to seed the calibrator; checkpoints
-            never write here.  Sharded deployments point every shard at one
-            shared global snapshot.
-        checkpoint_interval_seconds: Periodic calibration checkpoint cadence
-            while serving (0 = save only on shutdown).
         compact_threshold: Once the delta overlay holds this many live
             operations (appends + tombstones), a background compaction
             folds it into a fresh base snapshot.  0 (the default) disables
@@ -133,9 +116,6 @@ class ServiceConfig:
     max_batch: int = 8
     batch_window_seconds: float = 0.0
     result_cache_capacity: int = 256
-    calibration_path: Optional[str] = None
-    calibration_seed_path: Optional[str] = None
-    checkpoint_interval_seconds: float = 0.0
     compact_threshold: int = 0
     admission_queue_depth: int = 0
     default_deadline_ms: Optional[float] = None
@@ -194,7 +174,6 @@ class QueryService(FrontDoor):
             self.config.result_cache_capacity,
         )
         engine_config = engine_config or EngineConfig()
-        self._planner = QueryPlanner()
         self._index_cache = IndexCache()
         #: One delta overlay shared by the whole pool: a write absorbed via
         #: any engine is visible to every dispatcher's next batch.
@@ -206,7 +185,6 @@ class QueryService(FrontDoor):
                 config=engine_config,
                 extent=extent,
                 index_cache=self._index_cache,
-                planner=self._planner,
                 delta=self._delta,
                 scope=scope,
             )
@@ -219,13 +197,8 @@ class QueryService(FrontDoor):
             window_seconds=self.config.batch_window_seconds,
         )
         self._defaults = self._resolve_defaults()
-        #: Calibration persistence and compaction outcomes for ``stats()``
-        #: (written under the front-door lock, next to their counters).
-        self._calibration_restored = False
-        self._calibration_seeded = False
-        self._calibration_rejected: Optional[str] = None
-        self._last_checkpoint_unix: Optional[float] = None
-        self._checkpoint_error: Optional[str] = None
+        #: Compaction outcomes for ``stats()`` (written under the
+        #: front-door lock, next to their counters).
         self._last_compaction_unix: Optional[float] = None
         self._compaction_error: Optional[str] = None
         #: Serializes dataset swaps against each other.
@@ -258,40 +231,11 @@ class QueryService(FrontDoor):
     # lifecycle
 
     def _on_start(self) -> None:
-        """Restore calibration, spawn dispatchers and checkpoints.
-
-        A calibration snapshot that fails validation is *rejected, not
-        fatal*: the reason is recorded in :meth:`stats` under
-        ``planner.persistence.rejected`` and the service starts cold.
-        """
-        if self.config.calibration_path or self.config.calibration_seed_path:
-            primary = self.config.calibration_path
-            primary_exists = bool(primary) and os.path.exists(primary)
-            rejected = try_restore_calibration(
-                primary,
-                self._planner.calibrator,
-                seed_path=self.config.calibration_seed_path,
-            )
-            with self._lock:
-                self._calibration_rejected = rejected
-                self._calibration_restored = (
-                    rejected is None
-                    and self._planner.calibrator.observations > 0
-                )
-                self._calibration_seeded = (
-                    self._calibration_restored and not primary_exists
-                )
+        """Spawn the micro-batch dispatchers."""
         self._batcher.start()
-        if (
-            self.config.calibration_path
-            and self.config.checkpoint_interval_seconds > 0
-        ):
-            self._start_background(
-                self._run_checkpoints, "repro-calibration-checkpoint"
-            )
 
     def _on_shutdown(self) -> None:
-        """Stop serving, save calibration, close every engine.
+        """Stop serving, close every engine.
 
         Queued requests are drained before the dispatchers exit; engines
         are closed afterwards, and closing an already-closed engine is a
@@ -301,77 +245,12 @@ class QueryService(FrontDoor):
         compaction = self._compaction_thread
         if compaction is not None and compaction.is_alive():
             compaction.join()
-        if self._started:
-            self.checkpoint()
         for engine in self._engines:
             engine.close()
         # The engine pool shares one index cache (each pooled engine's
         # close() leaves shared caches alone), so the service unpublishes
         # the cached indexes' shared-memory planes exactly once here.
         self._index_cache.release_all()
-
-    def _run_checkpoints(self) -> None:
-        interval = self.config.checkpoint_interval_seconds
-        while not self._background_stop.wait(interval):
-            self.checkpoint()
-
-    def checkpoint(self) -> Optional[str]:
-        """Persist the calibration state now; returns the path written.
-
-        No-op (returns None) without a ``calibration_path``.  A failed write
-        (directory gone, disk full, ...) never raises -- shutdown must still
-        close the engines and the periodic checkpoint thread must survive
-        transient failures -- it
-        returns None and records the error under
-        ``planner.persistence.last_error`` in :meth:`stats`.
-        """
-        if not self.config.calibration_path:
-            return None
-        try:
-            save_calibration(
-                self.config.calibration_path, self._planner.calibrator
-            )
-        except OSError as exc:
-            with self._lock:
-                self._checkpoint_error = str(exc)
-            return None
-        with self._lock:
-            self._counters["checkpoints"] += 1
-            self._last_checkpoint_unix = time.time()
-            self._checkpoint_error = None
-        return self.config.calibration_path
-
-    def seed_calibration_if_cold(self) -> bool:
-        """(Re)seed a still-cold calibrator from its snapshot or seed path.
-
-        The shard router calls this after a rebalance: a shard that served
-        no traffic before the layout change still has zero observations,
-        and re-running the restore-or-seed rule of :meth:`start` hands it
-        the fleet-wide estimates of the shared seed snapshot instead of a
-        cold start.  A calibrator that has learned anything -- or a
-        service without persistence configured -- is left untouched.
-
-        Returns:
-            True when a snapshot or seed was applied.
-        """
-        planner = self._planner
-        if planner.calibrator.observations > 0:
-            return False
-        if not (
-            self.config.calibration_path or self.config.calibration_seed_path
-        ):
-            return False
-        rejected = try_restore_calibration(
-            self.config.calibration_path,
-            planner.calibrator,
-            seed_path=self.config.calibration_seed_path,
-        )
-        seeded = rejected is None and planner.calibrator.observations > 0
-        if seeded:
-            with self._lock:
-                self._calibration_restored = True
-                self._calibration_seeded = True
-        return seeded
 
     # ------------------------------------------------------------------ #
     # datasets
@@ -621,8 +500,7 @@ class QueryService(FrontDoor):
             # *before* the engine runs -- its answer could no longer be
             # useful, and executing it would steal capacity from requests
             # that can still meet their deadlines.  Expired requests never
-            # reach the engine, so they feed neither the result cache nor
-            # the planner's calibration.
+            # reach the engine, so they never feed the result cache.
             live: List[PendingRequest] = []
             for pending in batch:
                 _, deadline = pending.payload  # type: ignore[misc]
@@ -693,31 +571,12 @@ class QueryService(FrontDoor):
             },
         }
         stats["planner"] = {
-            "mode": "on",  # the planner has no off switch; the key is wire format
-            "decisions": self._planner.decisions,
-            "calibration": self._planner.calibrator.snapshot(),
-            "persistence": {
-                "path": self.config.calibration_path,
-                "seed_path": self.config.calibration_seed_path,
-                "restored": self._calibration_restored,
-                "seeded": self._calibration_seeded,
-                "rejected": self._calibration_rejected,
-                "checkpoints": counters["checkpoints"],
-                "last_checkpoint_unix": self._last_checkpoint_unix,
-                "last_error": self._checkpoint_error,
-                "checkpoint_interval_seconds": (
-                    self.config.checkpoint_interval_seconds
-                ),
-            },
+            "mode": "on",  # the key is wire format: `auto` always runs eSPQsco
+            "decisions": sum(engine.planner.decisions for engine in self._engines),
         }
         return stats
 
     @property
-    def planner(self) -> QueryPlanner:
-        """The planner every pooled engine shares."""
-        return self._planner
-
-    @property
     def engines(self) -> List[SPQEngine]:
-        """The warm engine pool (shared index cache and planner)."""
+        """The warm engine pool (shared index cache and delta)."""
         return self._engines

@@ -13,7 +13,7 @@ build **skew-aware** layouts:
   :class:`~repro.spatial.grid.UniformGrid`, one cell per shard.
 * :meth:`ShardLayout.skew` -- kd-style recursive extent splits balancing
   *object count* instead of area, driven by the same per-cell data
-  histogram :class:`~repro.planner.estimator.QueryStatistics` collects
+  histogram :class:`~repro.index.dataset_index.DatasetIndex` holds
   (``data_cell_counts``).  Every split is snapped to a layout-grid cell
   boundary, so shard extents stay axis-aligned rectangles whose edges lie
   on grid lines -- the property :meth:`grid_aligned` (and with it the
@@ -75,8 +75,7 @@ def data_cell_histogram(
     """Per-cell data-object counts over ``grid`` (the skew layout's input).
 
     The same histogram :class:`~repro.index.dataset_index.DatasetIndex`
-    builds and :class:`~repro.planner.estimator.QueryStatistics` reports as
-    ``data_cell_counts``, computed directly from the objects so layouts can
+    builds as ``data_cell_counts``, computed directly from the objects so layouts can
     be derived before any index exists.
     """
     counts: Dict[int, int] = {}
@@ -195,8 +194,7 @@ class ShardLayout:
                 produce fewer on degenerate histograms, never more.
             cell_counts: Per-cell data-object counts over the layout grid
                 (:func:`data_cell_histogram`, or
-                ``QueryStatistics.data_cell_counts`` at the same grid
-                size).
+                ``DatasetIndex.data_cell_counts`` at the same grid size).
             resolution: Layout-grid cells per axis
                 (default :data:`DEFAULT_SKEW_RESOLUTION`).
 

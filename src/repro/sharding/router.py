@@ -34,8 +34,8 @@ in-process :class:`QueryService` per shard (:class:`LocalShardTarget`) plus
 what is sharding-only: skew layouts, **rebalancing** (``POST /rebalance``
 or the ``--rebalance-threshold`` controller: a fresh layout is derived from
 the live data histogram and applied through the swap path, content
-unchanged, so answers stay bit-for-bit identical), per-shard compaction and
-per-shard calibration.  :class:`~repro.cluster.router.ClusterRouter` is the
+unchanged, so answers stay bit-for-bit identical) and per-shard
+compaction.  :class:`~repro.cluster.router.ClusterRouter` is the
 same core over remote targets.
 
 ``benchmarks/bench_sharding.py --check`` gates result identity, 4-shard
@@ -63,7 +63,7 @@ from repro.exceptions import InvalidQueryError
 from repro.index.delta import DatasetDelta, materialize
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.result import QueryResult, merge_top_k
-from repro.planner.persistence import scoped_calibration_path
+from repro.planner.core import AUTO_ALGORITHM, AUTO_CHOICE
 from repro.server.frontdoor import FrontDoor
 from repro.server.gate import QuiesceGate
 from repro.server.protocol import (
@@ -447,10 +447,8 @@ class ScatterGatherRouter(FrontDoor):
 
         ``simulated_seconds`` is the *maximum* over shards -- they execute
         in parallel, so the simulated sharded job time is the slowest
-        shard's -- while the work counters are sums.  Per-shard planner
-        decisions are surfaced under ``planned_algorithms`` of the mode's
-        subtree; the top-level ``planned_algorithm`` is set only when
-        every queried shard chose the same one.
+        shard's -- while the work counters are sums.  An ``auto`` request
+        reports the ``planned_algorithm`` every shard runs for it.
         """
         stats: Dict[str, object] = {
             "algorithm": parsed.item.algorithm,
@@ -464,30 +462,24 @@ class ScatterGatherRouter(FrontDoor):
         )
         totals: Dict[str, float] = dict.fromkeys(summed, 0)
         makespan = 0.0
-        planned: Dict[str, str] = {}
-        for shard_id, response in answered:
+        for _, response in answered:
             shard_stats = response.get("stats", {})
             for name in summed:
                 if name in shard_stats:
                     totals[name] += shard_stats[name]
             makespan = max(makespan, shard_stats.get("simulated_seconds", 0.0))
-            if "planned_algorithm" in response:
-                planned[str(shard_id)] = response["planned_algorithm"]
         stats.update(totals)
         stats["simulated_seconds"] = makespan
-        stats[self._stats_key] = self._scatter_stats(len(answered), missing, planned)
-        if planned and len(set(planned.values())) == 1:
-            stats["planned_algorithm"] = next(iter(planned.values()))
+        stats[self._stats_key] = self._scatter_stats(len(answered), missing)
+        if parsed.item.algorithm == AUTO_ALGORITHM:
+            stats["planned_algorithm"] = AUTO_CHOICE
         return stats
 
-    def _scatter_stats(
-        self, queried: int, missing: List[int], planned: Dict[str, str]
-    ) -> Dict[str, object]:
+    def _scatter_stats(self, queried: int, missing: List[int]) -> Dict[str, object]:
         """The mode's per-request stats subtree."""
         return {
             "shards_queried": queried,
             "dataset_version": self._version.dataset,
-            "planned_algorithms": planned or None,
         }
 
     # ------------------------------------------------------------------ #
@@ -676,14 +668,8 @@ class ShardRouter(ScatterGatherRouter):
 
         Per-shard :class:`ServiceConfig` adjustments: the shard services run
         with their result caches disabled (responses are cached once, at the
-        router, keyed by the router dataset version) and, when a
-        ``calibration_path`` is configured, each shard persists its own
-        calibration under ``<path>.shard<i>`` (shards see different data, so
-        their calibration states legitimately differ).  A shard whose scoped
-        snapshot does not exist yet is *seeded* from the global snapshot at
-        the base path (or an explicit ``calibration_seed_path``), so a
-        re-sharded or freshly added shard plans from fleet-wide estimates
-        instead of paying the cold-start warm-up again.
+        router, keyed by the router dataset version) and without admission
+        control (the router admits once, at the front).
 
         Raises:
             ValueError: for a non-positive shard count or engine pool.
@@ -716,7 +702,7 @@ class ShardRouter(ScatterGatherRouter):
             QueryService(
                 **_shard_slice(self._plan, shard_id),
                 engine_config=self._engine_config,
-                config=self._shard_service_config(shard_id),
+                config=self._shard_service_config(),
             )
             for shard_id in range(self.sharding.shards)
         ]
@@ -726,28 +712,17 @@ class ShardRouter(ScatterGatherRouter):
         self._last_rebalance_unix: Optional[float] = None
         self._last_observed_imbalance: Optional[float] = None
 
-    def _shard_service_config(self, shard_id: int) -> ServiceConfig:
+    def _shard_service_config(self) -> ServiceConfig:
         # Shards disable their result caches (the router caches merged
         # responses) and their admission control (the router admission-
         # gates the front; a shard shedding one leg of a scatter would
         # tear the merged answer).
-        config = dataclasses.replace(
+        return dataclasses.replace(
             self._service_config,
             result_cache_capacity=0,
             admission_queue_depth=0,
             default_deadline_ms=None,
         )
-        if config.calibration_path:
-            config = dataclasses.replace(
-                config,
-                calibration_path=scoped_calibration_path(
-                    config.calibration_path, f"shard{shard_id}"
-                ),
-                calibration_seed_path=(
-                    config.calibration_seed_path or config.calibration_path
-                ),
-            )
-        return config
 
     def _on_start(self) -> None:
         for service in self._services:
@@ -839,13 +814,11 @@ class ShardRouter(ScatterGatherRouter):
         quiesce path as a hot swap, with the extent pinned so the query
         grids never drift.  The dataset *content* is unchanged, so every
         answer after the rebalance is bit-for-bit the answer before it;
-        only the per-shard work distribution moves.  Shards whose planner
-        calibrator is still cold afterwards are re-seeded from the
-        configured calibration seed snapshot.
+        only the per-shard work distribution moves.
 
         Returns:
             A summary of the new layout: kind, shard count, per-shard data
-            share, imbalance ratio and which shards were re-seeded.
+            share and imbalance ratio.
 
         Raises:
             ValueError: for an unknown layout kind.
@@ -863,11 +836,6 @@ class ShardRouter(ScatterGatherRouter):
             plan = self._install_plan_locked(
                 data_objects, feature_objects, layout, extent=self._plan.extent
             )
-            seeded = [
-                shard_id
-                for shard_id, service in enumerate(self._services)
-                if service.seed_calibration_if_cold()
-            ]
             self._bump("rebalances")
             self._last_rebalance_unix = time.time()
         counts = [len(shard.data_objects) for shard in plan.shards]
@@ -877,7 +845,6 @@ class ShardRouter(ScatterGatherRouter):
             "empty_shards": plan.stats.empty_shards,
             "data_share": self._data_share(counts),
             "imbalance": self._imbalance(counts),
-            "seeded_shards": seeded,
             "dataset": self.dataset_info(),
         }
 

@@ -233,34 +233,33 @@ class TestServiceAdmission:
         calls_before = []
         blocker = _submit_async(service, _spec(features, 0))
         assert started.wait(10)
-        doomed_spec = _spec(features, 1, deadline_ms=30.0)
+        doomed_spec = _spec(features, 1, deadline_ms=30.0, algorithm="auto")
         doomed = _submit_async(service, doomed_spec)
         time.sleep(0.15)  # let its budget expire while queued
-        planner_obs_before = self._planner_observations(service)
+        decisions_before = self._planner_decisions(service)
         release.set()
         blocker["thread"].join(10)
         doomed["thread"].join(10)
         assert isinstance(doomed.get("error"), OverloadError)
         assert doomed["error"].reason == "deadline"
         assert "never executed" in str(doomed["error"])
-        # The expired request fed neither the result cache nor the
-        # planner: re-submitting the same query is a cache miss and the
-        # calibrator saw nothing new from it.
+        # The expired ``auto`` request reached neither the result cache nor
+        # the planner: no decision was counted for it, and re-submitting
+        # the same query is a cache miss that the planner does count.
+        assert self._planner_decisions(service) == decisions_before
         fresh_spec = dict(doomed_spec)
         fresh_spec.pop("deadline_ms")
         response = service.submit(fresh_spec)
         assert response.get("cached", False) is False
-        assert self._planner_observations(service) >= planner_obs_before
+        assert self._planner_decisions(service) == decisions_before + 1
         snapshot = service.stats()["admission"]
         assert snapshot["deadline_miss"] == 1
         _reconciled(snapshot)
         del calls_before
 
     @staticmethod
-    def _planner_observations(service):
-        planner = service.stats().get("planner") or {}
-        calibration = planner.get("calibration") or {}
-        return calibration.get("observations", 0)
+    def _planner_decisions(service):
+        return service.stats()["planner"]["decisions"]
 
     def test_cache_hits_bypass_the_queue(self, service):
         service, features = service

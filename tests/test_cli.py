@@ -12,6 +12,7 @@ from repro.core.engine import EngineConfig, SPQEngine
 from repro.exceptions import JobConfigurationError
 from repro.datagen.io import load_dataset
 from repro.model.query import SpatialPreferenceQuery
+from repro.server import ServiceConfig
 
 
 class TestParser:
@@ -194,7 +195,7 @@ class TestBatchCommand:
 
 
 class TestAutoAlgorithmFlags:
-    """The planner surface: --algorithm auto, --explain, batch overrides."""
+    """The ``auto`` surface: --algorithm auto and batch overrides."""
 
     @pytest.fixture()
     def dataset_file(self, tmp_path):
@@ -212,26 +213,6 @@ class TestAutoAlgorithmFlags:
         out = capsys.readouterr().out
         assert "algorithm=auto" in out
         assert "planned algorithm:" in out
-
-    def test_query_explain_output_shape(self, dataset_file, capsys):
-        code = main([
-            "query", "--input", str(dataset_file), "--keywords", "w0001,w0002",
-            "--k", "3", "--grid-size", "6", "--algorithm", "auto", "--explain",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Planner decision (cold start):" in out
-        for algorithm in ("pspq", "espq-len", "espq-sco"):
-            assert f"{algorithm:<10} estimated" in out
-        assert out.count("<== chosen") == 1
-
-    def test_explain_rejected_with_fixed_algorithm(self, dataset_file, capsys):
-        code = main([
-            "query", "--input", str(dataset_file), "--keywords", "w0001",
-            "--algorithm", "espq-sco", "--explain",
-        ])
-        assert code == 2
-        assert "--algorithm auto" in capsys.readouterr().err
 
     def test_auto_result_matches_chosen_fixed_algorithm(self, dataset_file, capsys):
         code = main([
@@ -272,10 +253,8 @@ class TestAutoAlgorithmFlags:
             if line.strip()
         ]
         assert lines[0]["algorithm"] == "auto"
-        assert lines[0]["planned_algorithm"] in ("pspq", "espq-len", "espq-sco")
-        assert set(lines[0]["stats"]["planner_estimates"]) == {
-            "pspq", "espq-len", "espq-sco",
-        }
+        assert lines[0]["planned_algorithm"] == "espq-sco"
+        assert lines[0]["stats"]["algorithm"] == "eSPQsco"
         # The fixed-algorithm line is not planned.
         assert lines[1]["algorithm"] == "pspq"
         assert "planned_algorithm" not in lines[1]
@@ -297,7 +276,7 @@ class TestAutoAlgorithmFlags:
             if line.strip()
         ]
         assert lines[0]["algorithm"] == "auto"
-        assert lines[0]["planned_algorithm"] in ("pspq", "espq-len", "espq-sco")
+        assert lines[0]["planned_algorithm"] == "espq-sco"
         assert lines[1]["algorithm"] == "espq-sco"
         assert "planned_algorithm" not in lines[1]
 
@@ -306,7 +285,6 @@ class TestAutoAlgorithmFlags:
             ["query", "--input", "x", "--keywords", "a", "--algorithm", "auto"]
         )
         assert args.algorithm == "auto"
-        assert args.explain is False
 
 
 #: A minimal command line of every command that takes ``--backend``.
@@ -399,6 +377,42 @@ class TestBackendFlags:
         ], capsys, "--workers")
 
 
+#: The planner flags removed with the cost estimator and its calibration.
+REMOVED_PLANNER_FLAGS = {
+    "serve": [
+        ["--calibration-path", "c.json"],
+        ["--calibration-seed", "c.json"],
+        ["--checkpoint-interval", "5"],
+    ],
+    "shard-node": [
+        ["--calibration-path", "c.json"],
+        ["--calibration-seed", "c.json"],
+        ["--checkpoint-interval", "5"],
+    ],
+    "query": [["--explain"]],
+}
+
+
+class TestRemovedPlannerFlags:
+    """``auto`` is eSPQsco: nothing is estimated, calibrated or persisted,
+    so the flags and fields that configured it are gone, loudly."""
+
+    @pytest.mark.parametrize("surface", ["ServiceConfig", *sorted(REMOVED_PLANNER_FLAGS)])
+    def test_removed_planner_spellings_are_rejected_loudly(self, surface, capsys):
+        if surface == "ServiceConfig":
+            for field in (
+                "calibration_path", "calibration_seed_path",
+                "checkpoint_interval_seconds",
+            ):
+                with pytest.raises(TypeError, match=field):
+                    ServiceConfig(**{field: "c.json"})
+            return
+        argv = BACKEND_COMMANDS[surface]
+        for flag in REMOVED_PLANNER_FLAGS[surface]:
+            assert_exits_2(argv + flag, capsys, flag[0])
+        build_parser().parse_args(argv)
+
+
 class TestAnalyzeCommand:
     def test_duplication_table(self, capsys):
         code = main(["analyze", "duplication", "--cell-side", "10", "--radius", "2"])
@@ -437,8 +451,6 @@ class TestServeCommand:
         args = build_parser().parse_args(["serve", "--input", "x.tsv"])
         assert args.port == 8787
         assert args.engines == 2
-        assert args.calibration_path is None
-        assert args.checkpoint_interval == 60.0
 
     def test_parser_rejects_unknown_algorithm(self):
         with pytest.raises(SystemExit):
@@ -470,56 +482,21 @@ class TestServeCommand:
     def test_serve_startup_and_shutdown_in_process(
         self, dataset_file, tmp_path, capsys, monkeypatch
     ):
-        """The serve command's own path (bind, print, shut down, save)."""
+        """The serve command's own path (bind, print, shut down)."""
         from repro.server.http import QueryHTTPServer
 
         monkeypatch.setattr(
             QueryHTTPServer, "serve_forever", lambda self, poll_interval=0.1: None
         )
-        calibration = tmp_path / "calibration.json"
         argv = [
             "serve", "--input", str(dataset_file), "--port", "0",
             "--grid-size", "8", "--engines", "1",
-            "--calibration-path", str(calibration),
-            "--checkpoint-interval", "0",
         ]
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert "listening on http://127.0.0.1:" in captured.out
-        assert "calibration saved" in captured.out
         assert "shutting down" in captured.err
-        assert calibration.exists()
-
-        # Seed a snapshot with observations: the next run reports a restore.
-        from repro.planner import Calibrator, save_calibration
-
-        calibrator = Calibrator()
-        calibrator.observe_work(
-            "pspq", (8, 0, 0, 1), raw_copies=10.0, raw_pairs=40.0,
-            actual_copies=8, actual_examined=8, actual_pairs=20,
-        )
-        save_calibration(str(calibration), calibrator)
-        assert main(argv) == 0
-        assert "calibration restored" in capsys.readouterr().out
-
-    def test_serve_warns_and_starts_cold_on_rejected_snapshot(
-        self, dataset_file, tmp_path, capsys, monkeypatch
-    ):
-        from repro.server.http import QueryHTTPServer
-
-        monkeypatch.setattr(
-            QueryHTTPServer, "serve_forever", lambda self, poll_interval=0.1: None
-        )
-        calibration = tmp_path / "calibration.json"
-        calibration.write_text("{truncated")
-        code = main([
-            "serve", "--input", str(dataset_file), "--port", "0",
-            "--grid-size", "8", "--engines", "1",
-            "--calibration-path", str(calibration),
-            "--checkpoint-interval", "0",
-        ])
-        assert code == 0
-        assert "starting cold" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [dataset_file]
 
     def test_parser_shard_defaults(self):
         args = build_parser().parse_args(["serve", "--input", "x.tsv"])
@@ -558,26 +535,19 @@ class TestServeCommand:
         monkeypatch.setattr(
             QueryHTTPServer, "serve_forever", lambda self, poll_interval=0.1: None
         )
-        calibration = tmp_path / "calibration.json"
         argv = [
             "serve", "--input", str(dataset_file), "--port", "0",
             "--grid-size", "8", "--engines", "1", "--shards", "2",
             "--max-radius", "3.0",
-            "--calibration-path", str(calibration),
-            "--checkpoint-interval", "0",
         ]
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert "2 shards" in captured.out
         assert "POST /datasets" in captured.out
-        assert "per shard" in captured.out
-        # Each shard persisted its own calibration snapshot on shutdown.
-        assert (tmp_path / "calibration.json.shard0").exists()
-        assert (tmp_path / "calibration.json.shard1").exists()
 
-    def test_serve_lifecycle_and_calibration_restart(self, dataset_file, tmp_path):
-        """Full restart path via real processes: serve, query, SIGTERM,
-        serve again, verify the calibration snapshot was restored."""
+    def test_serve_lifecycle_in_a_real_process(self, dataset_file):
+        """A real ``repro serve`` process: listen, answer an ``auto`` query
+        as eSPQsco, exit 0 on SIGTERM."""
         import os
         import re
         import signal
@@ -590,28 +560,20 @@ class TestServeCommand:
         src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-        calibration = tmp_path / "calibration.json"
-
         def run_server():
             # --port 0: the OS assigns a free port, read back from the
             # startup banner -- no bind-close-reuse race on shared runners.
             return subprocess.Popen(
                 [_sys.executable, "-m", "repro", "serve",
                  "--input", str(dataset_file), "--port", "0",
-                 "--grid-size", "8", "--engines", "1",
-                 "--calibration-path", str(calibration),
-                 "--checkpoint-interval", "0"],
+                 "--grid-size", "8", "--engines", "1"],
                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             )
 
-        startup_lines: list = []
-
         def wait_listening(process) -> int:
             """Parse the OS-assigned port from the startup banner."""
-            startup_lines.clear()
             for raw in process.stdout:
                 line = raw.decode()
-                startup_lines.append(line)
                 match = re.search(
                     r"listening on http://127\.0\.0\.1:(\d+)", line
                 )
@@ -633,28 +595,11 @@ class TestServeCommand:
             )
             with urllib.request.urlopen(request, timeout=10) as reply:
                 payload = json.loads(reply.read())
-            assert payload["planned_algorithm"]
+            assert payload["planned_algorithm"] == "espq-sco"
         finally:
             process.send_signal(signal.SIGTERM)
-            out, err = process.communicate(timeout=20)
+            _, err = process.communicate(timeout=20)
         assert process.returncode == 0, err.decode()
-        assert "calibration saved" in out.decode()
-        assert calibration.exists()
-
-        process = run_server()
-        try:
-            port = wait_listening(process)
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/stats", timeout=5
-            ) as reply:
-                stats = json.loads(reply.read())
-            assert stats["planner"]["persistence"]["restored"] is True
-            assert stats["planner"]["calibration"]["observations"] > 0
-        finally:
-            process.send_signal(signal.SIGTERM)
-            out, err = process.communicate(timeout=20)
-        assert process.returncode == 0, err.decode()
-        assert "calibration restored" in "".join(startup_lines) + out.decode()
 
 
 class TestClusterCommands:

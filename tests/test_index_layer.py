@@ -160,11 +160,9 @@ class TestDatasetIndex:
                 assert index.prepare(hot).radius_cache_hit is True
             assert len(index._feature_cells) <= MAX_CACHED_RADII
         assert len(index.cached_radii) == MAX_CACHED_RADII
-        assert sorted(index._cell_totals) == index.cached_radii
         assert index.stats.radii_cached == index.cached_radii
         assert 0.5 in index.cached_radii and 1.0 not in index.cached_radii
-        # An evicted radius is simply recomputed; the estimate falls back to
-        # the geometric expectation until then.
+        # An evicted radius is simply recomputed.
         assert index.prepare(query(1.0)).radius_cache_hit is False
         assert index.prepare(query(1.0)).radius_cache_hit is True
 

@@ -1027,10 +1027,8 @@ class TestFeatureCellsRadiusCacheRace:
                 )
 
     def test_two_engines_filling_one_radius_count_each_position_once(self):
-        """``duplication_estimate`` reads a running (entries, total cells)
-        pair: two threads assigning the *same* positions must not
-        double-count any, and the mean must stay bit-equal to the mean over
-        the cache's entries."""
+        """Two threads assigning the *same* positions of one radius converge
+        on one cache holding each position once, with the right cells."""
         import sys
 
         data, features = make_dataset(20, 200)
@@ -1054,7 +1052,6 @@ class TestFeatureCellsRadiusCacheRace:
                             query, candidates=order[start:start + 25]
                         )
                         hits.append(prepared.radius_cache_hit)
-                        index.duplication_estimate(radius)
 
                 everything = list(range(len(features)))
                 threads = [
@@ -1066,18 +1063,16 @@ class TestFeatureCellsRadiusCacheRace:
                 for thread in threads:
                     thread.join(timeout=30)
                 assert not any(thread.is_alive() for thread in threads)
-                lists = list(index._feature_cells[radius].values())
-                assert len(lists) == len(features)
-                assert index._cell_totals[radius] == (
-                    len(lists), sum(len(cells) for cells in lists)
-                )
-                assert index.duplication_estimate(radius) == (
-                    sum(len(cells) for cells in lists) / len(lists)
+                cache = index._feature_cells[radius]
+                assert len(cache) == len(features)
+                partitioner = GridPartitioner(grid, radius)
+                assert all(
+                    cells == tuple(partitioner.assign_feature_object(features[p]))
+                    for p, cells in cache.items()
                 )
                 assert not all(hits)
-                # Everything is cached now: a pure hit, and nothing moves.
+                # Everything is cached now: a pure hit.
                 assert index.prepare(query, candidates=everything).radius_cache_hit
-                assert index._cell_totals[radius][0] == len(features)
         finally:
             sys.setswitchinterval(interval)
 

@@ -31,9 +31,7 @@ CONFIG_FIELDS = {
     EngineConfig: {"grid_size", "backend", "pad_with_zero_scores"},
     ServiceConfig: {
         "engines", "max_batch", "batch_window_seconds", "result_cache_capacity",
-        "calibration_path", "calibration_seed_path",
-        "checkpoint_interval_seconds", "compact_threshold",
-        "admission_queue_depth", "default_deadline_ms", "default_k",
+        "compact_threshold", "admission_queue_depth", "default_deadline_ms", "default_k",
         "default_radius", "default_radius_fraction", "default_algorithm",
         "default_grid_size",
     },
@@ -54,8 +52,6 @@ CONFIG_FIELDS = {
 CLI_SPELLING = {
     (ServiceConfig, "batch_window_seconds"): "--batch-window-ms",
     (ServiceConfig, "result_cache_capacity"): "--result-cache",
-    (ServiceConfig, "calibration_seed_path"): "--calibration-seed",
-    (ServiceConfig, "checkpoint_interval_seconds"): "--checkpoint-interval",
     (ServiceConfig, "admission_queue_depth"): "--admission-depth",
     (ServiceConfig, "default_k"): "--k",
     (ServiceConfig, "default_radius"): "--radius",
@@ -96,13 +92,12 @@ _BACKEND = {"--backend"}
 _QUERY_DEFAULTS = {"--k", "--radius", "--radius-fraction", "--grid-size", "--algorithm"}
 _NODE_SERVING = {
     "--host", "--port", "--engines", "--max-batch", "--compact-threshold",
-    "--result-cache", "--grid-size", "--max-radius", "--calibration-path",
-    "--calibration-seed", "--checkpoint-interval", "--access-log",
+    "--result-cache", "--grid-size", "--max-radius", "--access-log",
 }
 
 CLI_OPTIONS = {
     "generate": {"--dataset", "--objects", "--vocabulary-size", "--seed", "--output"},
-    "query": {"--input", "--keywords", "--explain", "--stats"}
+    "query": {"--input", "--keywords", "--stats"}
     | _QUERY_DEFAULTS | _BACKEND,
     "batch": {"--input", "--queries", "--output", "--stats"}
     | _QUERY_DEFAULTS | _BACKEND,

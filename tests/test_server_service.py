@@ -1,4 +1,4 @@
-"""Tests for the query service: identity, batching, caching, durability."""
+"""Tests for the query service: identity, batching, caching, stats."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from raw_oracle import raw_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.exceptions import InvalidQueryError
 from repro.model.query import SpatialPreferenceQuery
-from repro.planner import load_calibration
 from repro.server import QueryService, ServiceConfig
 from repro.server.cache import ResultCache
 
@@ -65,7 +64,7 @@ class TestSubmitIdentity:
         response = service.submit(
             {"keywords": ["w0002"], "k": 3, "radius": 2.0, "algorithm": "auto"}
         )
-        assert response["planned_algorithm"] in ("pspq", "espq-len", "espq-sco")
+        assert response["planned_algorithm"] == "espq-sco"
 
     def test_stats_flag_attaches_stats(self, service):
         response = service.submit(
@@ -118,13 +117,13 @@ class TestResultCache:
     def test_cached_entries_are_isolated_from_caller_mutation(self, service):
         spec = {"keywords": ["w0008"], "k": 3, "radius": 2.0, "stats": True}
         first = service.submit(spec)
-        first["stats"]["planner_estimates"] = "clobbered"
+        first["stats"]["index"]["candidate_features"] = "clobbered"
         first["results"].clear()
         second = service.submit(spec)
         assert second["cached"] is True
         assert second["results"] != []
         # The clobbered key never reached the cached copy.
-        assert second["stats"].get("planner_estimates") != "clobbered"
+        assert second["stats"]["index"]["candidate_features"] != "clobbered"
 
     def test_dataset_swap_invalidates(self, small_uniform_dataset):
         data, features = small_uniform_dataset
@@ -308,110 +307,6 @@ class TestLifecycle:
             make_service(small_uniform_dataset, engines=0)
 
 
-class TestCalibrationDurability:
-    def test_saved_on_shutdown_and_restored_on_start(
-        self, small_uniform_dataset, tmp_path
-    ):
-        path = tmp_path / "calibration.json"
-        spec = {"keywords": ["w0001"], "k": 3, "radius": 2.0, "algorithm": "auto"}
-        with make_service(
-            small_uniform_dataset, calibration_path=str(path),
-            result_cache_capacity=0,
-        ) as first:
-            first.submit(spec)
-            first.submit(spec)
-            observations = first.planner.calibrator.observations
-        assert path.exists()
-        assert load_calibration(str(path))["observations"] == observations
-
-        with make_service(
-            small_uniform_dataset, calibration_path=str(path)
-        ) as second:
-            persistence = second.stats()["planner"]["persistence"]
-            assert persistence["restored"] is True
-            assert persistence["rejected"] is None
-            assert second.planner.calibrator.observations == observations
-            assert second.submit(spec)["planned_algorithm"]
-
-    def test_corrupt_snapshot_starts_cold_and_still_serves(
-        self, small_uniform_dataset, tmp_path
-    ):
-        path = tmp_path / "calibration.json"
-        path.write_text('{"format": "repro-calibration", "version": 1, "cal')
-        with make_service(
-            small_uniform_dataset, calibration_path=str(path)
-        ) as service:
-            persistence = service.stats()["planner"]["persistence"]
-            assert persistence["restored"] is False
-            assert "JSON" in persistence["rejected"]
-            response = service.submit(
-                {"keywords": ["w0001"], "k": 3, "radius": 2.0}
-            )
-            assert response["results"] is not None
-        # The shutdown checkpoint replaced the corrupt file with a valid one.
-        assert load_calibration(str(path)) is not None
-
-    def test_version_mismatch_starts_cold(
-        self, small_uniform_dataset, tmp_path
-    ):
-        path = tmp_path / "calibration.json"
-        path.write_text(json.dumps({
-            "format": "repro-calibration", "version": 999, "calibration": {},
-        }))
-        with make_service(
-            small_uniform_dataset, calibration_path=str(path)
-        ) as service:
-            persistence = service.stats()["planner"]["persistence"]
-            assert persistence["restored"] is False
-            assert "version" in persistence["rejected"]
-
-    def test_manual_checkpoint_counts(self, small_uniform_dataset, tmp_path):
-        path = tmp_path / "calibration.json"
-        with make_service(
-            small_uniform_dataset, calibration_path=str(path)
-        ) as service:
-            assert service.checkpoint() == str(path)
-            persistence = service.stats()["planner"]["persistence"]
-            assert persistence["checkpoints"] == 1
-            assert persistence["last_checkpoint_unix"] is not None
-
-    def test_periodic_checkpoints_write(self, small_uniform_dataset, tmp_path):
-        path = tmp_path / "calibration.json"
-        with make_service(
-            small_uniform_dataset,
-            calibration_path=str(path),
-            checkpoint_interval_seconds=0.05,
-        ) as service:
-            service.submit({"keywords": ["w0001"], "k": 2, "radius": 2.0})
-            deadline = threading.Event()
-            for _ in range(100):
-                if path.exists():
-                    break
-                deadline.wait(0.05)
-            assert path.exists()
-
-    def test_no_calibration_path_never_writes(self, small_uniform_dataset):
-        with make_service(small_uniform_dataset) as service:
-            assert service.checkpoint() is None
-
-    def test_unwritable_path_does_not_abort_shutdown(
-        self, small_uniform_dataset, tmp_path
-    ):
-        """A failed final checkpoint must still close every engine."""
-        path = tmp_path / "gone" / "calibration.json"  # directory missing
-        service = make_service(
-            small_uniform_dataset, calibration_path=str(path)
-        )
-        service.start()
-        service.submit({"keywords": ["w0001"], "k": 2, "radius": 2.0})
-        assert service.checkpoint() is None
-        error = service.stats()["planner"]["persistence"]["last_error"]
-        assert error is not None
-        service.shutdown()  # must not raise
-        assert service.closed
-        assert not path.exists()
-
-
 class TestServiceStats:
     def test_stats_shape(self, service):
         service.submit({"keywords": ["w0001"], "k": 2, "radius": 2.0})
@@ -419,72 +314,7 @@ class TestServiceStats:
         assert stats["requests"]["submitted"] == 1
         assert stats["requests"]["completed"] == 1
         assert stats["dataset"]["data_objects"] == 500
-        assert stats["planner"]["mode"] == "on"
-        assert "calibration" in stats["planner"]
+        assert stats["planner"] == {"mode": "on", "decisions": 0}
         assert stats["batching"]["batches"] == 1
         assert stats["engines"]["count"] == 1
         assert json.dumps(stats)
-
-
-class TestCalibrationSeeding:
-    SPEC = {"keywords": ["w0001"], "k": 3, "radius": 2.0, "algorithm": "auto"}
-
-    def trained_snapshot(self, dataset, path):
-        """A global snapshot written by a donor service; its observations."""
-        with make_service(
-            dataset, calibration_path=str(path), result_cache_capacity=0
-        ) as donor:
-            donor.submit(self.SPEC)
-            donor.submit(self.SPEC)
-            return donor.planner.calibrator.observations
-
-    def test_cold_scope_seeds_from_global_snapshot(
-        self, small_uniform_dataset, tmp_path
-    ):
-        global_path = tmp_path / "global.json"
-        observations = self.trained_snapshot(small_uniform_dataset, global_path)
-        before = global_path.read_bytes()
-        shard_path = tmp_path / "shard.json"
-        with make_service(
-            small_uniform_dataset,
-            calibration_path=str(shard_path),
-            calibration_seed_path=str(global_path),
-        ) as seeded:
-            persistence = seeded.stats()["planner"]["persistence"]
-            assert persistence["seeded"] is True
-            assert persistence["restored"] is True
-            assert persistence["seed_path"] == str(global_path)
-            assert seeded.planner.calibrator.observations == observations
-        # Checkpoints go to the scope's own path; the seed is read-only.
-        assert shard_path.exists()
-        assert global_path.read_bytes() == before
-
-    def test_existing_scope_ignores_seed(self, small_uniform_dataset, tmp_path):
-        global_path = tmp_path / "global.json"
-        self.trained_snapshot(small_uniform_dataset, global_path)
-        shard_path = tmp_path / "shard.json"
-        with make_service(
-            small_uniform_dataset,
-            calibration_path=str(shard_path),
-            calibration_seed_path=str(global_path),
-        ):
-            pass  # first start seeds, shutdown checkpoints shard_path
-        with make_service(
-            small_uniform_dataset,
-            calibration_path=str(shard_path),
-            calibration_seed_path=str(global_path),
-        ) as second:
-            persistence = second.stats()["planner"]["persistence"]
-            assert persistence["restored"] is True
-            assert persistence["seeded"] is False
-
-    def test_seed_without_primary_path_still_warms(
-        self, small_uniform_dataset, tmp_path
-    ):
-        global_path = tmp_path / "global.json"
-        observations = self.trained_snapshot(small_uniform_dataset, global_path)
-        with make_service(
-            small_uniform_dataset, calibration_seed_path=str(global_path)
-        ) as seeded:
-            assert seeded.planner.calibrator.observations == observations
-            assert seeded.stats()["planner"]["persistence"]["seeded"] is True

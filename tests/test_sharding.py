@@ -268,8 +268,8 @@ def scope_dataset(seed, clustered):
 class TestScopeIdentity:
     """A shard engine holding every feature, scoped to its box, does exactly
     the work of one built from ``partition_datasets(max_radius=r)``: same
-    answers, every counter in value and key order, the same simulated time
-    and the same planner estimates."""
+    answers, every counter in value and key order and the same simulated
+    time."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -341,9 +341,6 @@ class TestScopeIdentity:
                     ), where
                     assert got.stats["simulated_seconds"] == (
                         want.stats["simulated_seconds"]
-                    ), where
-                    assert got.stats.get("planner_estimates") == (
-                        want.stats.get("planner_estimates")
                     ), where
                     assert got.stats["index"]["candidate_features"] == (
                         want.stats["index"]["candidate_features"]
@@ -830,37 +827,6 @@ class TestRebalance:
         assert stats["requests"]["failed"] == 0
         assert stats["sharding"]["balance"]["rebalances"] == 3
 
-    def test_rebalance_seeds_late_calibration_snapshots(
-        self, small_uniform_dataset, tmp_path
-    ):
-        """A fleet snapshot that appears *after* router start is picked up
-        at the next rebalance: cold shard calibrators seed from it."""
-        base = tmp_path / "calibration.json"
-        spec = {"keywords": ["w0001"], "k": 3, "radius": 2.0,
-                "algorithm": "auto"}
-        with make_router(
-            small_uniform_dataset, shards=2, calibration_path=str(base)
-        ) as router:
-            for service in router.services:
-                assert service.planner.calibrator.observations == 0
-            # The fleet-wide snapshot lands only now.
-            with QueryService(
-                *small_uniform_dataset,
-                engine_config=EngineConfig(grid_size=GRID),
-                config=ServiceConfig(
-                    engines=1, default_grid_size=GRID,
-                    calibration_path=str(base), result_cache_capacity=0,
-                ),
-            ) as donor:
-                donor.submit(spec)
-                observations = donor.planner.calibrator.observations
-            info = router.rebalance()
-            assert info["seeded_shards"] == [0, 1]
-            for service in router.services:
-                assert service.planner.calibrator.observations == observations
-            # A second rebalance must not clobber warm calibrators.
-            assert router.rebalance()["seeded_shards"] == []
-
 
 class TestRebalanceController:
     """The background imbalance watcher (windowed p99 math + the loop)."""
@@ -942,39 +908,3 @@ class TestRebalanceController:
             assert router._rebalance_thread is None
             controller = router.stats()["sharding"]["balance"]["controller"]
             assert controller["enabled"] is False
-
-
-class TestShardCalibrationSeeding:
-    def test_shards_seed_from_the_global_snapshot(
-        self, small_uniform_dataset, tmp_path
-    ):
-        base = tmp_path / "calibration.json"
-        spec = {"keywords": ["w0001"], "k": 3, "radius": 2.0, "algorithm": "auto"}
-        with QueryService(
-            *small_uniform_dataset,
-            engine_config=EngineConfig(grid_size=GRID),
-            config=ServiceConfig(
-                engines=1,
-                default_grid_size=GRID,
-                calibration_path=str(base),
-                result_cache_capacity=0,
-            ),
-        ) as donor:
-            donor.submit(spec)
-            donor.submit(spec)
-            observations = donor.planner.calibrator.observations
-        before = base.read_bytes()
-        with make_router(
-            small_uniform_dataset, shards=2, calibration_path=str(base)
-        ) as router:
-            for shard_id, service in enumerate(router.services):
-                persistence = service.stats()["planner"]["persistence"]
-                assert persistence["path"].endswith(f".shard{shard_id}")
-                assert persistence["seed_path"] == str(base)
-                assert persistence["seeded"] is True
-                assert service.planner.calibrator.observations == observations
-        # Every shard checkpointed under its own scope; the global snapshot
-        # the shards were seeded from is untouched.
-        assert base.read_bytes() == before
-        for shard_id in range(2):
-            assert (tmp_path / f"calibration.json.shard{shard_id}").exists()

@@ -21,10 +21,9 @@ algorithm run it, every other read runs ``execute(auto)``; write bursts are
 skipped (the serving workloads are replayed read-only).  Each layer is timed
 by wrapping the function with ``perf_counter`` for the whole run -- not
 cProfile, whose per-call hook inflates the many-small-calls reducers about
-twice over.  Layers nest: ``CostModel.estimate`` runs inside planner
-``decide`` and ``observe``, ``DataBlock.rows_within`` (the pSPQ / eSPQlen
-in-range rows: memo misses compute them, hits are a dict look-up) inside
-those two reduces, and every reduce inside the run.
+twice over.  Layers nest: ``DataBlock.rows_within`` (the pSPQ / eSPQlen
+in-range rows: memo misses compute them, hits are a dict look-up) runs
+inside those two reduces, and every reduce inside the run.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ LAYERS: List[Tuple[str, str, str]] = [
     ("engine _merge", "repro.core.engine", "SPQEngine._merge"),
     ("planner collect", "repro.planner.core", "QueryPlanner.collect"),
     ("planner decide", "repro.planner.core", "QueryPlanner.decide"),
-    ("planner observe", "repro.planner.core", "QueryPlanner.observe"),
     ("CostModel.estimate", "repro.mapreduce.costmodel", "CostModel.estimate"),
 ]
 
