@@ -54,10 +54,12 @@ def feature_contribution(
     """
     if mode not in SCORE_MODES:
         raise ValueError(f"unknown score mode {mode!r}; expected one of {SCORE_MODES}")
+    # Distance before text: the range test is a few float operations, the
+    # Jaccard score bisects the keyword tuple, and most pairs are out of range.
+    if not obj.within_distance(feature, query.radius):
+        return 0.0
     textual = non_spatial_score(feature.keywords, query.keywords)
     if textual == 0.0:
-        return 0.0
-    if not obj.within_distance(feature, query.radius):
         return 0.0
     if mode == "influence":
         if query.radius <= 0:
@@ -104,10 +106,10 @@ def rank_objects(
     for the distributed algorithms and as the per-cell computation of pSPQ.
 
     The "range" and "influence" variants take a columnar fast path: textual
-    scores are computed once per distinct feature keyword set (not once per
-    pair), zero-relevance features are dropped, and the survivors are
-    x-sorted so each data object only runs the exact squared-distance test
-    against features inside a provably-superset x-window
+    scores are computed once per feature (not once per pair), zero-relevance
+    features are dropped, and the survivors are x-sorted so each data object
+    only runs the exact squared-distance test against features inside a
+    provably-superset x-window
     (:func:`~repro.spatial.geometry.candidate_halfwidth`).  Both variants
     take a *maximum* over per-feature contributions, which is independent of
     visit order, so results are bit-for-bit those of the nested loop.  The

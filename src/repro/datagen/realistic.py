@@ -95,7 +95,7 @@ class _ZipfSampler:
                 high = mid
         return self._vocabulary[low]
 
-    def sample_set(self, count: int) -> frozenset:
+    def sample_set(self, count: int) -> Tuple[str, ...]:
         words = set()
         attempts = 0
         # Cap attempts so pathological configurations (count close to the
@@ -103,7 +103,7 @@ class _ZipfSampler:
         while len(words) < count and attempts < 20 * count + 20:
             words.add(self.sample())
             attempts += 1
-        return frozenset(words)
+        return tuple(sorted(words))
 
 
 def _poisson_like(rng: random.Random, mean: float) -> int:

@@ -52,9 +52,11 @@ class SyntheticDatasetConfig:
 
 
 def _random_keywords(rng: random.Random, config: SyntheticDatasetConfig,
-                     vocabulary: Sequence[str]) -> frozenset:
+                     vocabulary: Sequence[str]) -> Tuple[str, ...]:
+    # Distinct words of one shared vocabulary list, sorted: the canonical
+    # tuple FeatureObject keeps as is.
     count = rng.randint(config.min_keywords, min(config.max_keywords, len(vocabulary)))
-    return frozenset(rng.sample(list(vocabulary), count))
+    return tuple(sorted(rng.sample(vocabulary, count)))
 
 
 def split_objects(

@@ -17,9 +17,9 @@ attribute lookups.  This module packs the same information into stdlib
   segment) instead of copying arrays out.
 
 Round-trips are exact: ``array('d')`` stores IEEE-754 doubles bit-for-bit,
-oids/keywords round-trip through UTF-8, and keyword sets are rebuilt as
-equal ``frozenset`` instances -- so results computed from attached columns
-are bit-for-bit identical to results computed from the original objects.
+oids/keywords round-trip through UTF-8, and keyword tuples are rebuilt
+equal (and canonical) -- so results computed from attached columns are
+bit-for-bit identical to results computed from the original objects.
 
 :class:`DataBlock` is the reduce-side view of one cell's data objects: the
 coordinate columns sliced for that cell, plus a lazily built x-sorted
@@ -34,6 +34,7 @@ from __future__ import annotations
 import struct
 from array import array
 from bisect import bisect_left, bisect_right
+from sys import intern
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.model.objects import DataObject, FeatureObject
@@ -208,9 +209,8 @@ class FeatureColumns:
 
     Keywords are dictionary-encoded: the sorted vocabulary maps token id ->
     word, and each feature's keyword set is a slice of the ``tokens`` column
-    (CSR via ``token_offsets``).  ``keywords(i)`` rebuilds a ``frozenset``
-    equal to the source object's -- per-row sets are cached after first use
-    so repeated materialization is an O(1) lookup.
+    (CSR via ``token_offsets``), ascending, so ``object_at(i)`` rebuilds the
+    source object's canonical keyword tuple over the interned vocabulary.
     """
 
     __slots__ = (
@@ -224,7 +224,6 @@ class FeatureColumns:
         "token_offsets",
         "_oids",
         "_words",
-        "_keyword_sets",
     )
 
     def __init__(
@@ -240,7 +239,6 @@ class FeatureColumns:
         self.token_offsets = token_offsets
         self._oids: Optional[List[str]] = None
         self._words: Optional[List[str]] = None
-        self._keyword_sets: Optional[List[Optional[frozenset]]] = None
 
     @classmethod
     def from_objects(cls, objects: Sequence[FeatureObject]) -> "FeatureColumns":
@@ -254,9 +252,8 @@ class FeatureColumns:
         tokens = array("I")
         token_offsets = array("Q", [0])
         for obj in objects:
-            # Sorted token ids give a deterministic serialization; the
-            # rebuilt frozenset is order-independent anyway.
-            tokens.extend(sorted(token_ids[word] for word in obj.keywords))
+            # A sorted keyword tuple over a sorted vocabulary: ascending ids.
+            tokens.extend(token_ids[word] for word in obj.keywords)
             token_offsets.append(len(tokens))
         return cls(
             xs, ys, oid_blob, oid_offsets, vocab_blob, vocab_offsets, tokens, token_offsets
@@ -274,35 +271,25 @@ class FeatureColumns:
 
     @property
     def vocabulary(self) -> List[str]:
-        """Token id -> word (materialized once, then cached)."""
+        """Token id -> interned word (materialized once, then cached)."""
         if self._words is None:
-            self._words = _unpack_strings(self._vocab_blob, self._vocab_offsets)
+            words = _unpack_strings(self._vocab_blob, self._vocab_offsets)
+            self._words = list(map(intern, words))
         return self._words
 
     def keyword_count(self, index: int) -> int:
         """``|f.W|`` of the feature at ``index`` without materializing it."""
         return self.token_offsets[index + 1] - self.token_offsets[index]
 
-    def keywords(self, index: int) -> frozenset:
-        """The keyword set of one row (cached; equal to the source set)."""
-        if self._keyword_sets is None:
-            self._keyword_sets = [None] * len(self)
-        cached = self._keyword_sets[index]
-        if cached is None:
-            words = self.vocabulary
-            start = self.token_offsets[index]
-            end = self.token_offsets[index + 1]
-            cached = frozenset(words[token] for token in self.tokens[start:end])
-            self._keyword_sets[index] = cached
-        return cached
-
     def object_at(self, index: int) -> FeatureObject:
         """Materialize one row as a :class:`FeatureObject` (equal to the source)."""
+        words = self.vocabulary
+        tokens = self.tokens[self.token_offsets[index] : self.token_offsets[index + 1]]
         return FeatureObject(
             oid=self.oids[index],
             x=self.xs[index],
             y=self.ys[index],
-            keywords=self.keywords(index),
+            keywords=tuple([words[token] for token in tokens]),
         )
 
     def to_objects(self) -> List[FeatureObject]:

@@ -352,9 +352,8 @@ def with_delta_appends(
         partitioner = GridPartitioner(grid, query.radius)
         features.extend(kept)
         cells.extend(tuple(partitioner.assign_feature_object(f)) for f in kept)
-        scores.extend(
-            JaccardScorer(query.keywords).score_many(f.keywords for f in kept)
-        )
+        score = JaccardScorer(query.keywords).score
+        scores.extend(score(f.keywords) for f in kept)
         sizes.extend(map(feature_record_size, kept))
     split = MapSplit(features, cells, scores, sizes, data, data_cells)
     return split, len(appended) - len(kept)

@@ -11,8 +11,43 @@ The paper distinguishes two horizontally partitioned datasets (Section 3.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Tuple
+from bisect import bisect_left
+from dataclasses import dataclass
+from operator import lt
+from sys import intern
+from typing import Iterable, Tuple
+
+
+def keyword_tuple(words: Iterable[str]) -> Tuple[str, ...]:
+    """``f.W`` in canonical form: the distinct words, sorted and interned.
+
+    Interning makes every feature that mentions a word share one ``str``,
+    so a feature costs a pointer per keyword rather than a string.  Input
+    that is already sorted (a record written by :meth:`FeatureObject.to_record`)
+    sorts in one linear pass.
+
+    Raises:
+        TypeError: for a bare ``str`` (whose characters are not keywords) or
+            a word that is not a ``str``.
+    """
+    if isinstance(words, str):
+        raise TypeError(f"keywords must be a collection of words, not the string {words!r}")
+    return tuple(sorted(dict.fromkeys(map(intern, words))))
+
+
+def shared_words(words: Tuple[str, ...], query: Iterable[str]) -> int:
+    """``|f.W ∩ q.W|`` for a canonical keyword tuple and distinct query words.
+
+    One bisection per query word, ``O(|q.W| log |f.W|)``: no set is built
+    from the tuple, and the query side is the small one.
+    """
+    size = len(words)
+    count = 0
+    for word in query:
+        at = bisect_left(words, word)
+        if at < size and words[at] == word:
+            count += 1
+    return count
 
 
 @dataclass(frozen=True)
@@ -83,17 +118,20 @@ class FeatureObject(SpatialObject):
     """A feature object ``f`` in the feature dataset ``F``.
 
     Attributes:
-        keywords: The keyword set ``f.W`` (stored as a frozenset so feature
-            objects are hashable and can be safely deduplicated).
+        keywords: The keyword set ``f.W`` as a sorted tuple of distinct words
+            (:func:`keyword_tuple`): hashable, equal exactly when the sets
+            are equal, and a pointer per word where a frozenset costs ~70
+            bytes per word.  Any iterable of words is normalised to it.
     """
 
-    keywords: FrozenSet[str] = field(default_factory=frozenset)
+    keywords: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        # Normalise whatever iterable the caller passed into a frozenset so
-        # equality and hashing behave consistently.
-        if not isinstance(self.keywords, frozenset):
-            object.__setattr__(self, "keywords", frozenset(self.keywords))
+        # Producers hand over canonical tuples; checking one is a linear
+        # pass, where normalising would build a dict and sort.
+        words = self.keywords
+        if type(words) is not tuple or not all(map(lt, words, words[1:])):
+            object.__setattr__(self, "keywords", keyword_tuple(words))
 
     @property
     def keyword_count(self) -> int:
@@ -105,10 +143,11 @@ class FeatureObject(SpatialObject):
 
         This is the map-side pruning rule of Algorithm 1 (line 9): feature
         objects with no common keyword with the query cannot contribute to
-        any data object's score and are dropped before the shuffle.
+        any data object's score and are dropped before the shuffle.  One
+        bisection per query word (:func:`shared_words`), never a scan of
+        ``f.W``: the delta read path asks this of every appended feature.
         """
-        keywords = self.keywords
-        return any(word in keywords for word in query_keywords)
+        return shared_words(self.keywords, query_keywords) > 0
 
     def to_record(self) -> str:
         """Serialize to the on-disk text format.
@@ -116,7 +155,7 @@ class FeatureObject(SpatialObject):
         Format: ``id<TAB>x<TAB>y<TAB>kw1,kw2,...`` (keywords sorted for
         deterministic output).
         """
-        kw = ",".join(sorted(self.keywords))
+        kw = ",".join(self.keywords)
         return f"{self.oid}\t{self.x!r}\t{self.y!r}\t{kw}"
 
     @classmethod
@@ -130,5 +169,7 @@ class FeatureObject(SpatialObject):
         parts = record.rstrip("\n").split("\t")
         if len(parts) != 4:
             raise ValueError(f"malformed feature-object record: {record!r}")
-        keywords = frozenset(k for k in parts[3].split(",") if k)
+        keywords = keyword_tuple(parts[3].split(","))
+        if keywords and not keywords[0]:
+            keywords = keywords[1:]  # the empty word sorts first
         return cls(oid=parts[0], x=float(parts[1]), y=float(parts[2]), keywords=keywords)

@@ -29,6 +29,8 @@ class SpatialPreferenceQuery:
 
     def __post_init__(self) -> None:
         if not isinstance(self.keywords, frozenset):
+            if isinstance(self.keywords, str):
+                raise TypeError(f"keywords must be a collection of words, not {self.keywords!r}")
             object.__setattr__(self, "keywords", frozenset(self.keywords))
         if self.k < 1:
             raise InvalidQueryError(f"k must be >= 1, got {self.k}")
@@ -44,8 +46,12 @@ class SpatialPreferenceQuery:
 
     @classmethod
     def create(cls, k: int, radius: float, keywords: Iterable[str]) -> "SpatialPreferenceQuery":
-        """Convenience constructor accepting any keyword iterable."""
-        return cls(k=k, radius=radius, keywords=frozenset(keywords))
+        """Convenience constructor accepting any keyword iterable.
+
+        Raises:
+            TypeError: for a bare ``str`` (its characters are not keywords).
+        """
+        return cls(k=k, radius=radius, keywords=keywords)
 
     def describe(self) -> str:
         """Human-readable one-line description of the query."""

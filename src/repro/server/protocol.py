@@ -412,7 +412,7 @@ def encode_objects(objects: Iterable[SpatialObject]) -> List[Dict[str, object]]:
     for obj in objects:
         row: Dict[str, object] = {"oid": obj.oid, "x": obj.x, "y": obj.y}
         if isinstance(obj, FeatureObject):
-            row["keywords"] = sorted(obj.keywords)
+            row["keywords"] = list(obj.keywords)
         encoded.append(row)
     return encoded
 
@@ -424,8 +424,8 @@ def decode_objects(rows: Iterable[Mapping[str, object]], features: bool) -> List
     ``"keywords"`` has none.
 
     Raises:
-        ValueError: ``malformed inline object: ...`` for a missing field or
-            a value that is not a number.
+        ValueError: ``malformed inline object: ...`` for a missing field, a
+            value that is not a number, or ``"keywords"`` given as one string.
     """
     try:
         if features:
@@ -434,7 +434,7 @@ def decode_objects(rows: Iterable[Mapping[str, object]], features: bool) -> List
                     oid=str(row["oid"]),
                     x=float(row["x"]),
                     y=float(row["y"]),
-                    keywords=frozenset(str(word) for word in row.get("keywords", [])),
+                    keywords=_words(row.get("keywords", [])),
                 )
                 for row in rows
             ]
@@ -444,6 +444,13 @@ def decode_objects(rows: Iterable[Mapping[str, object]], features: bool) -> List
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed inline object: {exc}") from exc
+
+
+def _words(keywords: object) -> List[str]:
+    # A string would iterate as its characters: "cafe,bar" is no word list.
+    if isinstance(keywords, str):
+        raise TypeError(f"'keywords' must be a list of words, not {keywords!r}")
+    return [str(word) for word in keywords]
 
 
 def split_epoch(spec: object, accepted: bool = True) -> Tuple[object, Dict[str, str]]:

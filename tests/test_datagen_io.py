@@ -80,4 +80,4 @@ class TestParsing:
         path = tmp_path / "unicode.tsv"
         save_dataset(path, [], features)
         _, loaded = load_dataset(path)
-        assert loaded[0].keywords == frozenset({"café", "ristorante"})
+        assert loaded[0].keywords == ("café", "ristorante")

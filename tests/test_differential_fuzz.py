@@ -70,7 +70,7 @@ def build_dataset(kind: str, seed: int):
             oid=feature.oid,
             x=feature.x,
             y=feature.y,
-            keywords=frozenset(feature.keywords | {"stop"}),
+            keywords=(*feature.keywords, "stop"),
         )
         for feature in features
     ]

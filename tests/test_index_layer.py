@@ -416,7 +416,8 @@ def test_posting_hit_scores_are_jaccards_floats(case, slice_size):
     split, _ = with_delta_appends(split, DeltaSnapshot(features=tuple(appended)), query, grid)
 
     expected = [
-        f for f in [base[p] for p in candidates] + appended if f.keywords & query.keywords
+        f for f in [base[p] for p in candidates] + appended
+        if not query.keywords.isdisjoint(f.keywords)
     ]
     assert list(split.features) == expected
     want = [jaccard(f.keywords, query.keywords).hex() for f in expected]

@@ -261,7 +261,7 @@ class TestEngineDeltaIdentity:
         data, features = base
         query = QUERIES[1]
         old = next(f for f in features if "bar" in f.keywords)
-        new = FeatureObject(old.oid, old.x, old.y, frozenset(old.keywords | {"pier"}))
+        new = FeatureObject(old.oid, old.x, old.y, (*old.keywords, "pier"))
         assert len(new.keywords) > len(old.keywords)
         with SPQEngine(data, features, EngineConfig(grid_size=GRID)) as engine:
             extent = engine.extent

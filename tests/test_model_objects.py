@@ -52,10 +52,10 @@ class TestDataObject:
 
 
 class TestFeatureObject:
-    def test_keywords_are_normalised_to_frozenset(self):
-        feature = FeatureObject("f1", 0.0, 0.0, keywords=["a", "b", "a"])
-        assert feature.keywords == frozenset({"a", "b"})
-        assert isinstance(feature.keywords, frozenset)
+    def test_keywords_are_normalised_to_sorted_tuple(self):
+        feature = FeatureObject("f1", 0.0, 0.0, keywords=["b", "a", "b"])
+        assert feature.keywords == ("a", "b")
+        assert type(feature.keywords) is tuple
 
     def test_keyword_count(self):
         feature = FeatureObject("f1", 0.0, 0.0, keywords={"x", "y", "z"})
@@ -87,7 +87,7 @@ class TestFeatureObject:
 
     def test_from_record_with_empty_keyword_field(self):
         feature = FeatureObject.from_record("f1\t1.0\t2.0\t")
-        assert feature.keywords == frozenset()
+        assert feature.keywords == ()
 
     def test_feature_is_hashable(self):
         feature = FeatureObject("f1", 0.0, 0.0, keywords={"a"})

@@ -172,5 +172,5 @@ class TestOnePathParity:
     def _appended_candidates(engine):
         return sum(
             1 for feature in engine.delta.snapshot().features
-            if feature.keywords & QUERY.keywords
+            if not QUERY.keywords.isdisjoint(feature.keywords)
         )

@@ -24,6 +24,16 @@ cProfile, whose per-call hook inflates the many-small-calls reducers about
 twice over.  Layers nest: ``DataBlock.rows_within`` (the pSPQ / eSPQlen
 in-range rows: memo misses compute them, hits are a dict look-up) runs
 inside those two reduces, and every reduce inside the run.
+
+``--memory`` traces allocations from before the dataset is built and,
+after the replay, prints the Python heap's ``TOP_SITES`` largest
+allocation sites (file and line) and the process's peak resident set
+(``VmHWM``)::
+
+    python tools/profile_layers.py cluster_scatter_rw --memory
+
+The timings of a ``--memory`` run are taken under ``tracemalloc``, which
+slows every allocation: read them from a run without it.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ import importlib
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -54,6 +65,10 @@ LAYERS: List[Tuple[str, str, str]] = [
     ("planner decide", "repro.planner.core", "QueryPlanner.decide"),
     ("CostModel.estimate", "repro.mapreduce.costmodel", "CostModel.estimate"),
 ]
+
+
+#: Allocation sites ``--memory`` prints, largest first.
+TOP_SITES = 15
 
 
 def workload_sizes(workload: str) -> Dict[str, object]:
@@ -87,6 +102,36 @@ def install_timers(totals: Dict[str, float]) -> None:
         setattr(cls, attribute, functools.wraps(original)(timed))
 
 
+def peak_rss_mib() -> str:
+    """``VmHWM`` of this process in MiB (Linux ``/proc``; else ``n/a``)."""
+    try:
+        with open("/proc/self/status", "r", encoding="ascii") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return f"{int(line.split()[1]) / 1024.0:.1f}"
+    except OSError:
+        pass
+    return "n/a"
+
+
+def print_memory(top: int) -> None:
+    """The traced heap's ``top`` largest allocation sites and the peak RSS."""
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(False, tracemalloc.__file__)]
+    )
+    stats = snapshot.statistics("lineno")
+    live = sum(stat.size for stat in stats)
+    peak = tracemalloc.get_traced_memory()[1]
+    print(f"  python heap {live / 2**20:.1f} MiB live, {peak / 2**20:.1f} MiB peak"
+          f"  (tracemalloc); VmHWM {peak_rss_mib()} MiB")
+    for stat in stats[:top]:
+        frame = stat.traceback[0]
+        where = Path(frame.filename)
+        if where.is_relative_to(ROOT):
+            where = where.relative_to(ROOT)
+        print(f"  {stat.size / 2**20:8.2f} MiB {stat.count:9d} blocks  {where}:{frame.lineno}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", help="a workload name from BENCHMARK.json")
@@ -95,7 +140,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--warmup", type=int, default=8, help="untimed queries first (index builds)"
     )
+    parser.add_argument(
+        "--memory", action="store_true",
+        help="trace allocations; print the top sites and VmHWM after the replay",
+    )
     args = parser.parse_args(argv)
+    if args.memory:
+        tracemalloc.start()
 
     from inputs import OpStream, make_dataset
     from targets import default_radius, engine_config, make_query
@@ -154,6 +205,8 @@ def main(argv=None) -> int:
     print(f"  {'end to end':<22} {1000.0 * elapsed / answered:8.3f} ms/query")
     for label, _, _ in LAYERS:
         print(f"  {label:<22} {1000.0 * totals[label] / answered:8.3f} ms/query")
+    if args.memory:
+        print_memory(TOP_SITES)
     for engine in engines:
         engine.close()
     return 0
