@@ -34,6 +34,17 @@ Four checks over the delta-index write path (``POST /objects``,
    1.5x the steady tombstoned read -- a delete must reach the reducers as
    a filtered view of the cell's block, not by re-deriving the base.
 
+5. **Compaction fold** -- two services over the same 10k clustered
+   dataset take the same write burst (2 data and 64 feature appends, one
+   delete of each kind); one then compacts, folding the delta into its
+   retired index (``DatasetIndex.fold``), the other is swapped to the
+   identical final state with ``swap_datasets`` (a fresh build).  The
+   first read of a warmed query after each is timed, sides alternating,
+   over ``FOLD_ROUNDS`` rounds: the median folded first read may be at
+   most ``MAX_FOLD_RATIO`` of the swapped one, both must answer alike,
+   and the warmed query must find its Lemma-1 lists carried over the
+   fold (``radius_cache_hit``).
+
 Run it as::
 
     python benchmarks/bench_ingest.py                  # report only
@@ -573,6 +584,99 @@ def run_tombstone_phase(
     }
 
 
+# --------------------------------------------------------------------- #
+# phase 5: the first read after a compaction vs after a full swap
+
+#: Phase-5 gate: median folded first read / median swapped first read.
+MAX_FOLD_RATIO = 0.5
+FOLD_ROUNDS = 7
+
+
+def run_fold_phase(
+    grid_size: int, seed: int, rounds: int = FOLD_ROUNDS
+) -> Dict[str, object]:
+    """Phase 5: what the first read after ``compact()`` costs."""
+    data, features = generate_clustered(
+        SyntheticDatasetConfig(num_objects=10_000, seed=7)
+    )
+    rng = random.Random(seed + 5)
+    vocabulary = [f"w{number:04d}" for number in range(1000)]
+    # The appended features never hold the query's words, so every
+    # candidate of the first folded read is a carried one.
+    spec = {"keywords": vocabulary[:3], "k": 10, "radius": 0.25 * 100.0 / grid_size,
+            "stats": True}
+
+    def build():
+        return QueryService(
+            data, features,
+            engine_config=EngineConfig(grid_size=grid_size),
+            config=ServiceConfig(
+                engines=1, result_cache_capacity=0, default_grid_size=grid_size,
+            ),
+        )
+
+    def first_read(service, action) -> Tuple[float, Dict[str, object]]:
+        gc.collect()
+        action()
+        started = time.perf_counter()
+        response = service.submit(spec)
+        return (time.perf_counter() - started) * 1000.0, response
+
+    folded_ms: List[float] = []
+    swapped_ms: List[float] = []
+    mismatches = 0
+    cold_radius = 0
+    with build() as folding, build() as swapping:
+        extent = folding.engines[0].extent
+        live_data = [obj.oid for obj in data]
+        live_features = [obj.oid for obj in features]
+        rng.shuffle(live_data)
+        rng.shuffle(live_features)
+        for number in range(rounds):
+            folding.submit(spec)  # warm both: index, radius lists, blocks
+            swapping.submit(spec)
+            appended_data = [
+                DataObject(oid=f"fold-d{number}-{i}", x=rng.uniform(10, 90),
+                           y=rng.uniform(10, 90))
+                for i in range(2)
+            ]
+            appended_features = [
+                FeatureObject(
+                    oid=f"fold-f{number}-{i}", x=rng.uniform(10, 90),
+                    y=rng.uniform(10, 90),
+                    keywords=rng.sample(vocabulary[3:], rng.randint(10, 100)),
+                )
+                for i in range(64)
+            ]
+            folding.apply_objects(
+                append_data=appended_data, append_features=appended_features,
+                delete_data_oids=[live_data.pop()],
+                delete_feature_oids=[live_features.pop()],
+            )
+            final = folding.engines[0].materialize_datasets()
+            sides = [
+                ("fold", folding, folding.compact),
+                ("swap", swapping,
+                 lambda: swapping.swap_datasets(*final, extent=extent)),
+            ]
+            answers = {}
+            for name, service, action in sides[::-1] if number % 2 else sides:
+                elapsed, answers[name] = first_read(service, action)
+                (folded_ms if name == "fold" else swapped_ms).append(elapsed)
+            mismatches += answers["fold"]["results"] != answers["swap"]["results"]
+            cold_radius += not answers["fold"]["stats"]["index"]["radius_cache_hit"]
+    folded, swapped = statistics.median(folded_ms), statistics.median(swapped_ms)
+    return {
+        "objects": len(data) + len(features),
+        "rounds": rounds,
+        "folded_first_read_ms": folded,
+        "swapped_first_read_ms": swapped,
+        "ratio": folded / swapped,
+        "mismatches": mismatches,
+        "cold_radius_reads": cold_radius,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--objects", type=int, default=20_000)
@@ -633,6 +737,13 @@ def main(argv=None) -> int:
               f"{entry['steady_read_ms']:.1f}ms steady -> "
               f"x{entry['first_read_ratio']:.2f}")
 
+    fold = run_fold_phase(args.grid_size, args.seed)
+    print(f"fold phase: first read after compact() {fold['folded_first_read_ms']:.1f}ms "
+          f"vs after a swap {fold['swapped_first_read_ms']:.1f}ms -> "
+          f"x{fold['ratio']:.2f} over {fold['rounds']} rounds; "
+          f"{fold['mismatches']} mismatches, "
+          f"{fold['cold_radius_reads']} reads without the carried radius")
+
     summary = {
         "workload": {
             "objects": args.objects,
@@ -647,6 +758,7 @@ def main(argv=None) -> int:
         "load": loads["service"],
         "load_sharded": loads["router"],
         "tombstone": tombstone,
+        "fold": fold,
     }
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -695,6 +807,18 @@ def main(argv=None) -> int:
                     f"tombstone x{entry['first_read_ratio']:.2f} the steady "
                     f"read, above x{MAX_FIRST_READ_RATIO}"
                 )
+        if fold["ratio"] > MAX_FOLD_RATIO:
+            failures.append(
+                f"compaction fold: the first read after compact() is "
+                f"x{fold['ratio']:.2f} the first read after a swap, above "
+                f"x{MAX_FOLD_RATIO}"
+            )
+        if fold["mismatches"] or fold["cold_radius_reads"]:
+            failures.append(
+                f"compaction fold: {fold['mismatches']} answers differ from "
+                f"the swap's, {fold['cold_radius_reads']} warmed reads missed "
+                "their carried radius"
+            )
         if failures:
             for failure in failures:
                 print(f"FAIL: {failure}", file=sys.stderr)
@@ -706,7 +830,9 @@ def main(argv=None) -> int:
               f"tombstone costs x{tombstone['worst_ratio']:.2f} <= "
               f"x{MAX_TOMBSTONE_RATIO} (first read "
               f"x{tombstone['worst_first_read_ratio']:.2f} <= "
-              f"x{MAX_FIRST_READ_RATIO})")
+              f"x{MAX_FIRST_READ_RATIO}), the first read after a compaction "
+              f"x{fold['ratio']:.2f} <= x{MAX_FOLD_RATIO} the first read "
+              "after a swap")
     return 0
 
 

@@ -211,7 +211,13 @@ class SPQEngine:
         self._index_cache = index_cache if index_cache is not None else IndexCache()
         self._oid_index: Optional[Dict[str, DataObject]] = None
         self._oid_index_source: Optional[List[DataObject]] = None
+        #: Likewise the delta: a shared one is reset by its owner, once per
+        #: swap or compaction, not once per pooled engine.
+        self._owns_delta = delta is None
         self._delta = delta if delta is not None else DatasetDelta()
+        #: The delta snapshot the last compaction folded into the base (None
+        #: after a full swap): what the cached indexes' successors fold in.
+        self._folded: Optional[DeltaSnapshot] = None
         #: Lazily built base oid sets for append validation, guarded by
         #: list identity like the oid lookup.
         self._base_oids: Optional[Tuple[Set[str], Set[str]]] = None
@@ -299,19 +305,32 @@ class SPQEngine:
 
         Must be called after mutating :attr:`data_objects` /
         :attr:`feature_objects` in place; :meth:`set_datasets` does it
-        automatically.
+        automatically.  A shared index cache and delta are their owner's
+        (the query service's) to invalidate and reset.
         """
+        self._next_generation(folded=None)
+
+    def _next_generation(self, folded: Optional[DeltaSnapshot]) -> None:
+        """Bump the dataset version and drop what was derived from the old
+        base; with ``folded`` (a compaction), the cached indexes are retired
+        for their successors to fold instead of dropped."""
         self._dataset_version += 1
-        self._index_cache.invalidate()
+        self._folded = folded
         self._oid_index = None
         self._oid_index_source = None
         self._base_oids = None
         self._base_oids_source = None
-        # A full snapshot replacement supersedes any pending delta: its
-        # appends/tombstones were relative to the old base.  The reset
-        # still bumps the delta version, keeping cache keys fresh.
-        self._delta.reset()
-        if not self._explicit_extent:
+        if self._owns_index_cache:
+            if folded is None:
+                self._index_cache.invalidate()
+            else:
+                self._index_cache.retire()
+        if self._owns_delta:
+            # A new base supersedes the pending delta: its appends and
+            # tombstones were relative to the old one.  The reset still
+            # bumps the delta version, keeping cache keys fresh.
+            self._delta.reset()
+        if folded is None and not self._explicit_extent:
             self._extent = None
 
     def set_datasets(
@@ -409,6 +428,24 @@ class SPQEngine:
         snap = snapshot if snapshot is not None else self._delta.snapshot()
         return materialize(self.data_objects, self.feature_objects, snap)
 
+    def compact(self, snapshot: Optional[DeltaSnapshot] = None) -> DeltaSnapshot:
+        """Fold ``snapshot`` (default: the live delta) into the base now.
+
+        The base becomes :meth:`materialize_datasets`; the extent and the
+        scope stay pinned (deleting a hull object must not move the grids,
+        and the fold changes a shard's content, not its box).  No cached
+        index is thrown away: each is handed to its successor, which folds
+        the snapshot into it on first use (``DatasetIndex.fold``) -- the
+        answers are those of a :meth:`set_datasets` of the same state.
+        Returns the folded snapshot.
+        """
+        snapshot = snapshot if snapshot is not None else self._delta.snapshot()
+        extent = self.extent
+        self.data_objects, self.feature_objects = self.materialize_datasets(snapshot)
+        self._extent = extent
+        self._next_generation(folded=snapshot)
+        return snapshot
+
     def _base_oid_sets(self) -> "Tuple[Set[str], Set[str]]":
         if self._base_oids is None or self._base_oids_source is not self.data_objects:
             self._base_oids = (
@@ -424,11 +461,16 @@ class SPQEngine:
         return index
 
     def _get_index(self, grid_size: int) -> "tuple[DatasetIndex, bool]":
-        key = (grid_size, self._dataset_version)
+        version = self._dataset_version
+        folded = self._folded
         return self._index_cache.get_or_build(
-            key,
+            (grid_size, version),
             lambda: DatasetIndex(
                 self.data_objects, self.feature_objects, self.build_grid(grid_size), self.scope
+            ),
+            predecessor=(grid_size, version - 1),
+            fold=None if folded is None else (
+                lambda retired: retired.fold(folded, self.build_grid(grid_size))
             ),
         )
 

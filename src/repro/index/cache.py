@@ -5,7 +5,10 @@ because every index is specialised for one grid, the dataset version because
 an index built over a stale dataset snapshot must never serve a query after
 the datasets changed.  Bumping the version (``SPQEngine.invalidate_indexes``)
 makes every existing key unreachable, and :meth:`IndexCache.invalidate`
-drops the entries themselves.
+drops the entries themselves.  A compaction instead *retires* them
+(:meth:`IndexCache.retire`): each waits, out of reach, for the first
+lookup of its successor key, which folds the delta into it
+(``DatasetIndex.fold``) instead of building from the objects.
 
 One cache may be *shared* by several engines over the same datasets (the
 query service hands one cache to its whole engine pool, so an index built
@@ -19,7 +22,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional
+from typing import Callable, Dict, Hashable, List, Optional
 
 from repro.index.dataset_index import DatasetIndex
 
@@ -78,6 +81,9 @@ class IndexCache:
         #: instead of the map lock, so hits on other keys never stall.
         self._building: Dict[Hashable, threading.Event] = {}
         self._entries: "OrderedDict[Hashable, DatasetIndex]" = OrderedDict()
+        #: key -> index retired by the last compaction, until its successor
+        #: takes it over (:meth:`retire`).
+        self._retired: Dict[Hashable, DatasetIndex] = {}
         self.stats = IndexCacheStats()
 
     def __len__(self) -> int:
@@ -89,7 +95,11 @@ class IndexCache:
             return key in self._entries
 
     def get_or_build(
-        self, key: Hashable, builder: Callable[[], DatasetIndex]
+        self,
+        key: Hashable,
+        builder: Callable[[], DatasetIndex],
+        predecessor: Optional[Hashable] = None,
+        fold: Optional[Callable[[DatasetIndex], DatasetIndex]] = None,
     ) -> "tuple[DatasetIndex, bool]":
         """Return ``(index, was_hit)``, building and inserting on a miss.
 
@@ -97,7 +107,9 @@ class IndexCache:
         of several sharing engines missing on the same key concurrently,
         exactly one pays the build while the rest wait on that key's latch
         and then hit -- lookups and builds of other keys proceed
-        unblocked throughout.
+        unblocked throughout.  When the index retired under
+        ``predecessor`` is still held, a miss hands it to ``fold`` instead
+        of calling ``builder``: the successor takes it over, once.
         """
         while True:
             with self._lock:
@@ -113,8 +125,10 @@ class IndexCache:
             # Another caller is building this key: wait, then re-check (the
             # loop handles build failure or an immediate eviction).
             latch.wait()
+        with self._lock:
+            retired = self._retired.pop(predecessor, None) if fold else None
         try:
-            index = builder()
+            index = builder() if retired is None else fold(retired)  # type: ignore[misc]
         except BaseException:
             with self._lock:
                 self._building.pop(key, None)
@@ -140,18 +154,39 @@ class IndexCache:
         Dropped indexes are released, so a retired generation dies with its
         entry.  Returns the number of entries removed.
         """
+        retired: List[DatasetIndex] = []
         with self._lock:
             if key is None:
                 dropped = list(self._entries.values())
                 self._entries.clear()
+                retired = list(self._retired.values())
+                self._retired.clear()
             else:
                 entry = self._entries.pop(key, None)
                 dropped = [entry] if entry is not None else []
             removed = len(dropped)
             self.stats.invalidations += removed
-        for entry in dropped:
+        for entry in dropped + retired:
             _release(entry)
         return removed
+
+    def retire(self) -> None:
+        """Retire every entry for its successor to fold (a compaction).
+
+        The entries leave the map -- their keys name the superseded
+        snapshot -- but stay held under their keys for
+        :meth:`get_or_build`'s ``predecessor``.  What the previous
+        compaction retired and no lookup took over is dropped: it is two
+        generations old now.
+        """
+        with self._lock:
+            dropped = list(self._retired.values())
+            self._retired = dict(self._entries)
+            self._entries.clear()
+            retired = list(self._retired.values())
+            self.stats.invalidations += len(retired)
+        for entry in dropped + retired:
+            _release(entry)
 
     def release_all(self) -> None:
         """Release every cached index, keeping the entries.

@@ -21,6 +21,10 @@ dataset snapshot):
   lazily the first time a radius is seen and cached for every later query
   with the same radius.
 
+A compaction does not throw this work away: :meth:`DatasetIndex.fold`
+derives the compacted snapshot's index from the retired one and the delta,
+carrying every surviving row, posting and Lemma-1 list.
+
 :meth:`DatasetIndex.prepare` turns a query into a columnar
 :class:`~repro.index.records.MapSplit` that the SPQ jobs map with one fused
 kernel, short-circuiting the map phase while producing bit-identical shuffle
@@ -39,6 +43,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.index.columns import DataBlock
+from repro.index.delta import DeltaSnapshot, surviving
 from repro.index.records import MapSplit, feature_record_size
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import PreloadedShuffle
@@ -55,6 +60,25 @@ from repro.text.inverted_index import PositionalInvertedIndex
 #: sweeps five or six; without a bound, ad-hoc radii accumulate one
 #: ``{position -> cells}`` dict each for the life of the index.
 MAX_CACHED_RADII = 8
+
+
+#: Per feature: shuffle record size, ``|f.W|`` and reach (None unscoped).
+FeatureRows = Tuple[List[int], List[int], Optional[List[float]]]
+#: radius -> {feature position -> Lemma-1 cell tuple}, least recently used
+#: radius first.
+RadiusCells = OrderedDict[float, Dict[int, Tuple[int, ...]]]
+
+
+def _feature_rows(
+    features: Sequence[FeatureObject], scope: Optional[BoundingBox]
+) -> FeatureRows:
+    """Per feature: its shuffle record size, ``|f.W|`` and ``MINDIST`` to
+    ``scope`` (None unscoped) -- the index's feature columns."""
+    return (
+        list(map(feature_record_size, features)),
+        [len(feature.keywords) for feature in features],
+        None if scope is None else [scope.min_distance(f.x, f.y) for f in features],
+    )
 
 
 @dataclass
@@ -111,7 +135,8 @@ class DatasetIndex:
 
     The index holds references to the same object instances as the engine, so
     it must be discarded (see ``SPQEngine.invalidate_indexes``) whenever the
-    underlying datasets change.
+    underlying datasets change -- or, when a compaction changed them, folded
+    into its successor (:meth:`fold`).
     """
 
     def __init__(
@@ -122,57 +147,111 @@ class DatasetIndex:
         scope: Optional[BoundingBox] = None,
     ) -> None:
         started = time.perf_counter()
+        data, features = list(data_objects), list(feature_objects)
+        data_cells = GridPartitioner(grid, radius=0.0).assign_data_objects(data)
+        self._adopt(grid, scope, data, data_cells, features, _feature_rows(features, scope),
+                    PositionalInvertedIndex(features), OrderedDict(), started)
+
+    def _adopt(
+        self, grid: UniformGrid, scope: Optional[BoundingBox], data: List[DataObject],
+        data_cells: List[int], features: List[FeatureObject], rows: FeatureRows,
+        inverted: PositionalInvertedIndex, feature_cells: RadiusCells, started: float,
+    ) -> None:
+        """Install a snapshot's structures: the one place a build and a
+        :meth:`fold` set them, so the two cannot hold different fields."""
         self.grid = grid
         self.scope = scope
-        self._data_objects = list(data_objects)
-        self._feature_objects = list(feature_objects)
-
-        partitioner = GridPartitioner(grid, radius=0.0)
-        data_cells = partitioner.assign_data_objects(self._data_objects)
-        #: cell id -> number of data objects homed there.
-        self._data_cell_counts: Dict[int, int] = dict(Counter(data_cells))
-        #: storage position -> shuffle record size and ``|f.W|`` of every
-        #: feature: ``prepare`` slices the first into a split's ``sizes``
-        #: and scores from the second, so no query re-derives either.
-        self._record_sizes: List[int] = list(
-            map(feature_record_size, self._feature_objects)
-        )
-        self._keyword_counts: List[int] = [
-            len(feature.keywords) for feature in self._feature_objects
-        ]
-        #: storage position -> ``MINDIST`` to the scope (the reach column;
-        #: None unscoped), and the reaches ascending, so the in-reach count
-        #: of any radius is one bisection.
-        self._reach: Optional[List[float]] = None
-        if scope is not None:
-            self._reach = [scope.min_distance(f.x, f.y) for f in self._feature_objects]
-            self._sorted_reach = sorted(self._reach)
-        self._inverted = PositionalInvertedIndex(self._feature_objects)
-        #: radius -> {feature position -> duplication cell tuple}, filled
-        #: lazily for the features queries actually touch; an LRU over at
-        #: most MAX_CACHED_RADII radii.
-        self._feature_cells: "OrderedDict[float, Dict[int, Tuple[int, ...]]]" = (
-            OrderedDict()
-        )
-        self._cells_lock = threading.Lock()
-        #: feature oid -> storage position, built lazily (delta tombstones).
-        self._feature_positions: Optional[Dict[str, int]] = None
+        self._data_objects = data
+        self._feature_objects = features
         #: The data plane over this snapshot -- the one place "the data
         #: objects of reduce partition p" exist, shared by every job class (a
         #: reduce block's value stream is DataObject instances in all SPQ
         #: jobs): the per-row cell assignment and the per-partition reduce
         #: blocks (built on first use).
         self._data_cells: List[int] = data_cells
+        #: cell id -> number of data objects homed there.
+        self._data_cell_counts: Dict[int, int] = dict(Counter(data_cells))
+        #: storage position -> shuffle record size and ``|f.W|`` of every
+        #: feature (``prepare`` slices the first into a split's ``sizes``
+        #: and scores from the second, so no query re-derives either), and
+        #: its ``MINDIST`` to the scope (the reach column; None unscoped).
+        self._record_sizes, self._keyword_counts, self._reach = rows
+        if self._reach is not None:
+            #: The reaches ascending: the in-reach count of any radius is
+            #: one bisection.
+            self._sorted_reach = sorted(self._reach)
+        self._inverted = inverted
+        #: radius -> {feature position -> duplication cell tuple}, filled
+        #: lazily for the features queries actually touch; an LRU over at
+        #: most MAX_CACHED_RADII radii.
+        self._feature_cells = feature_cells
+        self._cells_lock = threading.Lock()
+        #: feature oid -> storage position, built lazily (delta tombstones).
+        self._feature_positions: Optional[Dict[str, int]] = None
         self._blocks: Optional[List[Optional[Tuple[int, DataBlock]]]] = None
         self._blocks_lock = threading.Lock()
         self._shuffle: Optional[PreloadedShuffle] = None
-
         self.stats = IndexBuildStats(
             build_seconds=time.perf_counter() - started,
-            num_data=len(self._data_objects),
-            num_features=len(self._feature_objects),
-            vocabulary_size=self._inverted.vocabulary_size,
+            num_data=len(data),
+            num_features=len(features),
+            vocabulary_size=inverted.vocabulary_size,
+            radii_cached=self.cached_radii,
         )
+
+    def fold(self, snapshot: DeltaSnapshot, grid: UniformGrid) -> "DatasetIndex":
+        """The index of the compacted snapshot: this one with ``snapshot`` in.
+
+        Equal, field for field, to ``DatasetIndex(*materialize(base,
+        snapshot), grid, scope)`` over this index's base, without deriving
+        again what survives (:func:`~repro.index.delta.surviving` names it):
+        the surviving rows of every column are carried and only the
+        appended objects are computed -- their cells, record sizes, keyword
+        counts and reach, and their posting-list entries.  Every cached
+        radius keeps its Lemma-1 lists, in LRU order, re-keyed to the new
+        positions: a feature's cells depend only on its point, the radius
+        and the grid, and compaction pins the grid (a different ``grid`` is
+        an error, never a rebuild).  Data blocks are rebuilt on first use:
+        their rows change, and so would every ``rows_within`` memo.
+
+        Consumes this index -- its posting lists and Lemma-1 dicts move
+        into the successor one at a time -- so a retired index must not
+        serve again (compaction retires it behind the quiesce gate).
+        """
+        started = time.perf_counter()
+        old = self.grid
+        if (grid.extent, grid.cells_x, grid.cells_y) != (old.extent, old.cells_x, old.cells_y):
+            raise ValueError("a fold needs its predecessor's grid: compaction pins the extent")
+        data = surviving(self._data_objects, snapshot.deleted_data_oids)
+        kept = surviving(self._feature_objects, snapshot.deleted_feature_oids)
+        renumber: Optional[List[int]] = None
+        if len(kept) < self.num_features:
+            renumber = [-1] * self.num_features
+            for new, position in enumerate(kept):
+                renumber[position] = new
+        appended = list(snapshot.features)
+        carried = (self._record_sizes, self._keyword_counts, self._reach)
+        rows = tuple(
+            None if column is None else [*map(column.__getitem__, kept), *extra]
+            for column, extra in zip(carried, _feature_rows(appended, self.scope))
+        )
+        feature_cells: RadiusCells = OrderedDict()
+        with self._cells_lock:
+            while self._feature_cells:
+                radius, cells = self._feature_cells.popitem(last=False)
+                feature_cells[radius] = cells if renumber is None else {
+                    new: cell for position, cell in cells.items()
+                    if (new := renumber[position]) >= 0
+                }
+        located = GridPartitioner(old, radius=0.0).assign_data_objects(snapshot.data)
+        successor = DatasetIndex.__new__(DatasetIndex)
+        successor._adopt(
+            old, self.scope, [*map(self._data_objects.__getitem__, data), *snapshot.data],
+            [*map(self._data_cells.__getitem__, data), *located],
+            [*map(self._feature_objects.__getitem__, kept), *appended], rows,  # type: ignore
+            self._inverted.fold(renumber, appended), feature_cells, started,
+        )
+        return successor
 
     # ------------------------------------------------------------------ #
     # introspection

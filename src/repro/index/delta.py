@@ -26,7 +26,9 @@ readers pin a :class:`DeltaSnapshot` per batch with a single attribute
 read (no lock, no copy) and writers install a fresh snapshot.  A
 *compaction* (see :meth:`repro.server.service.QueryService.compact`)
 materializes base+delta into a new base dataset, swaps it in under the
-existing quiesce machinery, and calls :meth:`DatasetDelta.reset`.
+existing quiesce machinery, and calls :meth:`DatasetDelta.reset`; the
+cached indexes fold the same snapshot in (``DatasetIndex.fold``), keeping
+the rows :func:`surviving` names.
 
 See ``docs/ingest.md`` for the full lifecycle and identity contract.
 """
@@ -297,6 +299,18 @@ class DatasetDelta:
 # materialization + record building (module helpers used by the engine)
 
 
+def surviving(base: Sequence, deleted_oids: frozenset) -> List[int]:
+    """Storage positions of the ``base`` objects a compaction keeps, ascending.
+
+    The one survival rule: :func:`materialize` builds the compacted
+    datasets from it and ``DatasetIndex.fold`` carries the index columns
+    of exactly these positions, so the two cannot disagree.
+    """
+    return [
+        position for position, obj in enumerate(base) if obj.oid not in deleted_oids
+    ]
+
+
 def materialize(
     base_data: Sequence[DataObject],
     base_features: Sequence[FeatureObject],
@@ -308,13 +322,11 @@ def materialize(
     objects keep their relative order, appended objects follow in arrival
     order -- the order a bulk swap of the final state would serve.
     """
-    deleted_data = snapshot.deleted_data_oids
-    deleted_features = snapshot.deleted_feature_oids
-    data = [obj for obj in base_data if obj.oid not in deleted_data]
+    data = list(map(base_data.__getitem__, surviving(base_data, snapshot.deleted_data_oids)))
     data.extend(snapshot.data)
-    features = [
-        obj for obj in base_features if obj.oid not in deleted_features
-    ]
+    features = list(
+        map(base_features.__getitem__, surviving(base_features, snapshot.deleted_feature_oids))
+    )
     features.extend(snapshot.features)
     return data, features
 
@@ -364,5 +376,6 @@ __all__ = [
     "DeltaCounters",
     "DeltaSnapshot",
     "materialize",
+    "surviving",
     "with_delta_appends",
 ]

@@ -32,9 +32,11 @@ def feature_record_size(feature: FeatureObject) -> int:
     """Text-serialized size of one feature shuffle record.
 
     The one size formula: the jobs' ``estimated_record_size``, the index's
-    size column and the delta's appended rows all call it.
+    size column and the delta's appended rows all call it: the record's
+    fixed part plus, per keyword, its characters and one separator.
     """
-    return DATA_RECORD_BYTES + sum(len(word) + 1 for word in feature.keywords)
+    keywords = feature.keywords
+    return DATA_RECORD_BYTES + len(keywords) + sum(map(len, keywords))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from repro.core.centralized import dataset_extent
 from repro.core.engine import ALGORITHM_CHOICES, EngineConfig, SPQEngine
@@ -295,13 +295,31 @@ class QueryService(FrontDoor):
             # this, a compaction's explicit extent pin would survive into
             # later full swaps and keep serving the *old* extent.
             extent = dataset_extent(data_objects, feature_objects)
+        self._swap_engines(
+            lambda engine: engine.set_datasets(
+                data_objects, feature_objects, extent=extent, scope=scope
+            )
+        )
+        return self.dataset_info()
+
+    def _swap_engines(
+        self, swap: Callable[[SPQEngine], object], folded: bool = False
+    ) -> None:
+        """Run ``swap`` on every pooled engine behind the quiesce gate, then
+        do what the pool shares once: the index cache is invalidated (or,
+        ``folded``, retired for its successors to fold) and the delta reset
+        -- one swap or compaction is one reset, whatever the pool size."""
         with self._write_lock, self._swap_lock, self._gate.paused():
             for engine in self._engines:
-                engine.set_datasets(data_objects, feature_objects, extent=extent, scope=scope)
+                swap(engine)
+            if folded:
+                self._index_cache.retire()
+            else:
+                self._index_cache.invalidate()
+            self._delta.reset()
             self._cache.invalidate()
             self._defaults = self._resolve_defaults()
             self._bump("swaps")
-        return self.dataset_info()
 
     # ------------------------------------------------------------------ #
     # incremental ingest (delta overlay; see docs/ingest.md)
@@ -352,10 +370,12 @@ class QueryService(FrontDoor):
         Runs under the write lock (no write can land between materialize
         and swap) and swaps through the standard quiesce protocol, so no
         in-flight request is lost and readers never block on the fold
-        itself -- only on the brief engine swap.  The current served
-        extent is pinned across the fold: deleting a hull object must not
-        shrink the grids queries are answered on.  So is a shard's scope:
-        the fold changes the slice's content, not its box.
+        itself -- only on the brief engine swap.  Every pooled engine
+        compacts onto the same snapshot (:meth:`SPQEngine.compact`: the
+        served extent and a shard's scope stay pinned), and the shared
+        index cache retires its indexes instead of dropping them: the
+        first read of each grid folds the delta into the retired index
+        (``DatasetIndex.fold``) rather than building from the objects.
 
         Returns:
             ``{"compacted": bool, "folded_ops": int, ...dataset_info}``.
@@ -368,10 +388,7 @@ class QueryService(FrontDoor):
                     "folded_ops": 0,
                     **self.dataset_info(),
                 }
-            engine = self._engines[0]
-            extent = engine.extent
-            data, features = engine.materialize_datasets(snapshot)
-            self.swap_datasets(data, features, extent=extent, scope=engine.scope)
+            self._swap_engines(lambda engine: engine.compact(snapshot), folded=True)
             with self._lock:
                 self._counters["compactions"] += 1
                 self._last_compaction_unix = time.time()

@@ -13,9 +13,11 @@ the indexed baseline needs:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from itertools import chain
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.model.objects import FeatureObject
 from repro.text.similarity import non_spatial_score
@@ -104,6 +106,52 @@ class PositionalInvertedIndex(InvertedIndex):
         self._num_features += 1
         for keyword in feature.keywords:
             self._postings[keyword].append(position)
+
+    def fold(
+        self, renumber: Optional[Sequence[int]], appended: Iterable[FeatureObject]
+    ) -> "PositionalInvertedIndex":
+        """The index of this one's surviving features, then ``appended``.
+
+        ``renumber`` maps each position to its successor position, or to
+        -1 for a dropped feature (None: every feature survives, positions
+        unchanged).  The result equals indexing the survivors and then
+        ``appended`` from scratch, vocabulary included: posting lists keep
+        ascending order, and a word left without postings is gone.  This
+        index is consumed -- each posting list moves into the result, and
+        is shifted (then released) one at a time -- and serves no more.
+        """
+        folded = PositionalInvertedIndex()
+        postings, self._postings = self._postings, defaultdict(list)
+        features, self._features = self._features, []
+        if renumber is None:
+            folded._postings, folded._features = postings, features
+        else:
+            # Positions before the first dropped one keep their number, and
+            # only the dropped features' words have a position to remove.
+            first = renumber.index(-1)
+            dropped = {
+                word
+                for feature, new in zip(features, renumber) if new < 0
+                for word in feature.keywords
+            }
+            for word in list(postings):
+                positions = postings.pop(word)
+                cut = bisect_left(positions, first)
+                shifted = positions[cut:]
+                del positions[cut:]
+                if word in dropped:
+                    positions += [new for old in shifted if (new := renumber[old]) >= 0]
+                elif len(shifted) > 1:
+                    positions += itemgetter(*shifted)(renumber)  # one C-level pass
+                elif shifted:
+                    positions.append(renumber[shifted[0]])
+                if positions:
+                    folded._postings[word] = positions
+            folded._features = [f for f, new in zip(features, renumber) if new >= 0]
+        folded._num_features = len(folded._features)
+        for feature in appended:
+            folded.add(feature)
+        return folded
 
     def positions(self, keyword: str) -> List[int]:
         """Insertion positions of the features containing ``keyword``."""

@@ -11,7 +11,7 @@ from repro.index.cache import IndexCache
 from repro.index.dataset_index import DatasetIndex
 from repro.index.delta import DeltaSnapshot, with_delta_appends
 from repro.index.planner import BatchQuery, plan_batch
-from repro.index.records import MapSplit
+from repro.index.records import DATA_RECORD_BYTES, MapSplit, feature_record_size
 from repro.exceptions import InvalidQueryError
 from repro.mapreduce.runtime import LocalJobRunner
 from repro.model.objects import FeatureObject
@@ -424,3 +424,14 @@ def test_posting_hit_scores_are_jaccards_floats(case, slice_size):
     assert [score.hex() for score in split.scores] == want
     sliced = [score for part in split.slices(slice_size) for score in part.scores]
     assert [score.hex() for score in sliced] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.text(min_size=1, max_size=12), max_size=40))
+def test_feature_record_size_is_the_per_keyword_sum(words):
+    """The closed form ``len(W) + sum(map(len, W))`` is the old per-keyword
+    ``sum(len(word) + 1)``: one separator per word, any alphabet."""
+    feature = FeatureObject("f", 0.5, 0.5, frozenset(words))
+    assert feature_record_size(feature) == DATA_RECORD_BYTES + sum(
+        len(word) + 1 for word in feature.keywords
+    )

@@ -560,11 +560,15 @@ class TestServiceIngest:
 
     def test_queries_race_compaction(self, dataset):
         """Concurrent reads during writes + compactions: never an error,
-        every answer matches some staged oracle state."""
+        every answer matches some staged oracle state.  eSPQsco and pSPQ
+        both race the fold on a two-engine pool: pSPQ reads the data
+        blocks' in-range rows, which the folded index must rebuild rather
+        than carry, and a feature delete per write shifts the positions
+        the fold re-keys."""
         data, features = dataset
-        with make_service(dataset, result_cache_capacity=0) as service:
+        with make_service(dataset, result_cache_capacity=0, engines=2) as service:
             extent = service.engines[0].extent
-            spec = spec_for(QUERIES[0])
+            specs = [spec_for(QUERIES[0]), spec_for(QUERIES[0], "pspq")]
             stages = []  # staged oracle answers, appended as ops land
             with QueryService(
                 data, features,
@@ -572,12 +576,12 @@ class TestServiceIngest:
                 config=ServiceConfig(engines=1, default_grid_size=GRID),
                 extent=extent,
             ) as oracle:
-                stages.append(payload_fingerprint(oracle.submit(spec)))
+                stages.extend(payload_fingerprint(oracle.submit(s)) for s in specs)
             answers = []
             errors = []
             stop = threading.Event()
 
-            def reader():
+            def reader(spec):
                 while not stop.is_set():
                     try:
                         answers.append(
@@ -586,21 +590,24 @@ class TestServiceIngest:
                     except Exception as exc:  # noqa: BLE001
                         errors.append(exc)
 
-            threads = [threading.Thread(target=reader) for _ in range(4)]
+            threads = [
+                threading.Thread(target=reader, args=(specs[n % 2],)) for n in range(4)
+            ]
             for thread in threads:
                 thread.start()
-            current_data = list(data)
+            current_data, current_features = list(data), list(features)
             new_data, _ = make_appends(12, "r")
             for index, obj in enumerate(new_data):
-                service.apply_objects(append_data=[obj])
+                gone = current_features.pop(index)
+                service.apply_objects(append_data=[obj], delete_feature_oids=[gone.oid])
                 current_data.append(obj)
                 with QueryService(
-                    current_data, features,
+                    current_data, current_features,
                     engine_config=EngineConfig(grid_size=GRID),
                     config=ServiceConfig(engines=1, default_grid_size=GRID),
                     extent=extent,
                 ) as oracle:
-                    stages.append(payload_fingerprint(oracle.submit(spec)))
+                    stages.extend(payload_fingerprint(oracle.submit(s)) for s in specs)
                 if index == 6:
                     service.compact()
             stop.set()

@@ -18,7 +18,19 @@ read run on each of them; each layer is summed over the shard engines.
 
 Batched reads run as one ``execute_many(auto)``, reads that name an
 algorithm run it, every other read runs ``execute(auto)``; write bursts are
-skipped (the serving workloads are replayed read-only).  Each layer is timed
+skipped (the serving workloads are replayed read-only) unless ``--writes``
+asks for them::
+
+    python tools/profile_layers.py cluster_scatter_rw --writes
+
+With ``--writes`` each block's write burst follows its reads: every batch
+is applied to the engines as the service applies it (sharded: a data
+append to the shard whose box holds it, feature appends and deletes to
+every shard), and after the burst's compaction batch every engine compacts
+through ``SPQEngine.compact``, the code the service runs, so the next read
+of each grid folds the delta into the retired index.  The
+``DatasetIndex`` build and fold layers then show what the compaction cycle
+costs; the end-to-end figure includes the writes.  Each layer is timed
 by wrapping the function with ``perf_counter`` for the whole run -- not
 cProfile, whose per-call hook inflates the many-small-calls reducers about
 twice over.  Layers nest: ``DataBlock.rows_within`` (the pSPQ / eSPQlen
@@ -54,6 +66,8 @@ sys.path[:0] = [str(ROOT / "src"), str(E2E)]
 
 #: label -> (module, attribute path) of every timed function.
 LAYERS: List[Tuple[str, str, str]] = [
+    ("DatasetIndex build", "repro.index.dataset_index", "DatasetIndex.__init__"),
+    ("DatasetIndex.fold", "repro.index.dataset_index", "DatasetIndex.fold"),
     ("index.prepare", "repro.index.dataset_index", "DatasetIndex.prepare"),
     ("map_split", "repro.core.jobs", "_SPQJobBase.map_split"),
     ("reduce pspq", "repro.core.jobs", "PSPQJob.reduce"),
@@ -141,6 +155,10 @@ def main(argv=None) -> int:
         "--warmup", type=int, default=8, help="untimed queries first (index builds)"
     )
     parser.add_argument(
+        "--writes", action="store_true",
+        help="replay each block's write burst and its compaction too",
+    )
+    parser.add_argument(
         "--memory", action="store_true",
         help="trace allocations; print the top sites and VmHWM after the replay",
     )
@@ -148,7 +166,7 @@ def main(argv=None) -> int:
     if args.memory:
         tracemalloc.start()
 
-    from inputs import OpStream, make_dataset
+    from inputs import OpStream, make_dataset, objects_from_write
     from targets import default_radius, engine_config, make_query
     from repro.core.engine import SPQEngine
     from repro.sharding import partition_datasets
@@ -160,24 +178,48 @@ def main(argv=None) -> int:
     shards = int(sizes.get("cluster", 0))
     if shards:
         plan = partition_datasets(*dataset, shards)
-        engines = [
-            SPQEngine(shard.data_objects, shard.feature_objects, engine_config(sizes),
-                      extent=plan.extent, scope=shard.box)
-            for shard in plan.shards
+        by_shard = {
+            number: SPQEngine(shard.data_objects, shard.feature_objects,
+                              engine_config(sizes), extent=plan.extent, scope=shard.box)
+            for number, shard in enumerate(plan.shards)
             if not shard.is_empty
-        ]
+        }
+        engines = list(by_shard.values())
     else:
         engines = [SPQEngine(*dataset, engine_config(sizes))]
     radius = default_radius(engines[0], sizes)
     stream = OpStream(args.workload, sizes, args.seed, dataset)
+    #: The write batch of a burst after which the service compacts
+    #: (``inputs.OpStream``: the next-to-last one crosses the threshold).
+    compaction_batch = int(sizes.get("write_batches_per_block", 0)) - 2
 
-    def reads():
+    def ops():
         block = 0
         while True:
-            yield from stream.block(block).reads
+            current = stream.block(block)
+            yield from current.reads
+            if args.writes:
+                for number, batch in enumerate(current.writes):
+                    yield ("write", batch, number == compaction_batch)
             block += 1
 
+    def write(batch, compact: bool) -> None:
+        data, features, delete_data, delete_features = objects_from_write(batch)
+        for engine in engines:
+            engine.apply_updates(append_features=features, delete_data_oids=delete_data,
+                                 delete_feature_oids=delete_features)
+        for obj in data:
+            owner = by_shard.get(plan.layout.locate(obj.x, obj.y)) if shards else engines[0]
+            if owner is not None:
+                owner.apply_updates(append_data=[obj])
+        if compact:
+            for engine in engines:
+                engine.compact()
+
     def run(op) -> int:
+        if isinstance(op, tuple):
+            write(*op[1:])
+            return 0
         if isinstance(op, list):
             queries = [make_query(spec, radius) for spec in op]
             for engine in engines:
@@ -188,20 +230,21 @@ def main(argv=None) -> int:
             engine.execute(query, algorithm=op.get("algorithm", "auto"))
         return 1
 
-    ops = reads()
+    stream_ops = ops()
     warm = 0
     while warm < args.warmup:
-        warm += run(next(ops))
+        warm += run(next(stream_ops))
     totals: Dict[str, float] = {}
     install_timers(totals)
     answered = 0
     started = time.perf_counter()
     while answered < args.queries:
-        answered += run(next(ops))
+        answered += run(next(stream_ops))
     elapsed = time.perf_counter() - started
 
     sharded = f"  {len(engines)} shard engines" if shards else ""
-    print(f"{args.workload}  seed {args.seed}  {answered} queries (reads only){sharded}")
+    replayed = "reads + write bursts" if args.writes else "reads only"
+    print(f"{args.workload}  seed {args.seed}  {answered} queries ({replayed}){sharded}")
     print(f"  {'end to end':<22} {1000.0 * elapsed / answered:8.3f} ms/query")
     for label, _, _ in LAYERS:
         print(f"  {label:<22} {1000.0 * totals[label] / answered:8.3f} ms/query")
