@@ -1,17 +1,18 @@
-"""Columnar data-plane gate: the cluster's dataset segment attaches cheaply and leaks nothing.
+"""Columnar data-plane gate: the cluster's dataset hand-off maps cheaply and leaks nothing.
 
-Two checks over ``src/repro/index/columns.py`` and
-``src/repro/execution/shm.py``:
+Two checks over ``src/repro/index/columns.py`` and the hand-off in
+``src/repro/cluster/spawn.py``:
 
-1. **Attach cost** -- attaching the dataset segment ``repro serve
-   --cluster`` publishes for its shard nodes (``publish_dataset_segment``,
-   then ``attach_segment`` + ``ColumnStore.attach``) is an ``shm_open`` +
-   ``mmap`` + header parse: its cost must stay roughly constant while the
-   dataset grows 4x, and must beat unpickling the same datasets by a wide
-   margin.  Skipped (and not gated) where shared memory is unavailable --
+1. **Attach cost** -- mapping the dataset memory file ``repro serve
+   --cluster`` writes for its shard nodes (``publish_dataset``, then
+   ``mmap`` of the descriptor + ``ColumnStore.attach``) is constant in
+   dataset size: its cost must stay roughly flat while the dataset grows
+   4x, and must beat unpickling the same datasets by a wide margin.
+   Skipped (and not gated) where ``os.memfd_create`` does not exist --
    nodes load the dataset file there by design.
-2. **No leaks** -- no shared-memory segment this process opened is still
-   open after the run (CI's ``dataplane-gate`` also checks ``/dev/shm``).
+2. **No leaks** -- no dataset memory file is still open in this process
+   after the run (``/proc/self/fd``; CI's ``dataplane-gate`` also checks
+   ``/dev/shm`` for named segments, which nothing creates any more).
 
 Two earlier phases are retired.  The identity sweep (the columnar reduce
 loops against the per-object loops, entries and counters) is a tier-1 test,
@@ -32,18 +33,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import mmap
+import os
 import pickle
 import sys
 import time
-from typing import Dict
+from typing import Dict, List
 
+from repro.cluster.spawn import DATASET_MEMFD, publish_dataset
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
-from repro.execution.shm import (
-    attach_segment,
-    live_segment_names,
-    publish_dataset_segment,
-    shared_memory_available,
-)
 from repro.index.columns import ColumnStore
 
 
@@ -56,43 +54,53 @@ def _time_best(callable_, repeats: int) -> float:
     return best
 
 
-def _attach_and_detach(name: str) -> None:
-    """What a shard node does before it reads a row: map and index the
-    segment's columns zero-copy, then drop every view."""
-    segment = attach_segment(name)
-    try:
-        ColumnStore.attach(segment.buf).detach()
-    finally:
-        segment.release()
+def _attach_and_detach(fd: int) -> None:
+    """What a shard node does before it reads a row: map the file, index
+    its columns zero-copy, then drop every view and unmap."""
+    with mmap.mmap(fd, 0, access=mmap.ACCESS_READ) as mapping:
+        ColumnStore.attach(mapping).detach()
+
+
+def open_dataset_memfds() -> List[str]:
+    """The dataset memory files this process still holds a descriptor to."""
+    held = []
+    for entry in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{entry}")
+        except OSError:  # the listing's own descriptor, already closed
+            continue
+        if target.startswith(f"/memfd:{DATASET_MEMFD}"):
+            held.append(target)
+    return held
 
 
 def run_attach_phase(
     small: int, large: int, seed: int, repeats: int = 30
 ) -> Dict[str, object]:
-    """Dataset-segment attach vs dataset size, vs unpickling the datasets."""
-    if not shared_memory_available():
-        return {"skipped": "shared memory unavailable here"}
+    """Dataset-file attach vs dataset size, vs unpickling the datasets."""
+    if not hasattr(os, "memfd_create"):
+        return {"skipped": "os.memfd_create unavailable here"}
     sizes = {}
-    segments = []
+    fds = []
     try:
         for label, objects in (("small", small), ("large", large)):
             data, features = generate_uniform(
                 SyntheticDatasetConfig(num_objects=objects, seed=seed)
             )
-            segment = publish_dataset_segment(data, features)
-            segments.append(segment)
+            fd = publish_dataset(data, features)
+            fds.append(fd)
             blob = pickle.dumps((data, features), protocol=pickle.HIGHEST_PROTOCOL)
             sizes[label] = {
                 "objects": objects,
-                "segment_bytes": len(segment.buf),
+                "file_bytes": os.fstat(fd).st_size,
                 "attach_seconds": _time_best(
-                    lambda name=segment.name: _attach_and_detach(name), repeats
+                    lambda fd=fd: _attach_and_detach(fd), repeats
                 ),
                 "unpickle_seconds": _time_best(lambda: pickle.loads(blob), repeats),
             }
     finally:
-        for segment in segments:
-            segment.release()
+        for fd in fds:
+            os.close(fd)
     ratio = sizes["large"]["attach_seconds"] / max(
         sizes["small"]["attach_seconds"], 1e-9
     )
@@ -136,10 +144,10 @@ def main(argv=None) -> int:
               f"constant={attach['attach_constant']}, "
               f"beats_unpickle={attach['attach_beats_unpickle']}")
 
-    leaked = live_segment_names()
-    print(f"leaked segments: {leaked or 'none'}")
+    leaked = open_dataset_memfds()
+    print(f"leaked dataset memory files: {leaked or 'none'}")
 
-    summary = {"attach": attach, "leaked_segments": leaked}
+    summary = {"attach": attach, "leaked_memfds": leaked}
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(summary, handle, indent=2)
@@ -155,15 +163,15 @@ def main(argv=None) -> int:
                 )
             if not attach["attach_beats_unpickle"]:
                 failures.append(
-                    "attaching the dataset segment is slower than unpickling"
+                    "attaching the dataset file is slower than unpickling"
                 )
         if leaked:
-            failures.append(f"leaked shared-memory segments: {leaked}")
+            failures.append(f"leaked dataset memory files: {leaked}")
         if failures:
             for failure in failures:
                 print(f"FAIL: {failure}", file=sys.stderr)
             return 1
-        print("OK: attach is ~constant and beats pickle, no leaked segments")
+        print("OK: attach is ~constant and beats pickle, no leaked memory files")
     return 0
 
 

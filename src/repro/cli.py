@@ -8,7 +8,12 @@ The subcommands cover the full workflow a downstream user needs:
 * ``batch``       -- run many queries from a JSONL file through the batch
   engine (shared index builds) and emit one JSON result line per query.
 * ``serve``       -- run the persistent HTTP query service: warm engine
-  pool, micro-batching, result cache.
+  pool, micro-batching, result cache.  ``--cluster N`` spawns N
+  ``shard-node`` processes side by side and hands them the parsed dataset
+  through one inherited, anonymous memory file.
+* ``shard-node``  -- one cluster shard node: reads the dataset from the
+  spawner's descriptor (``--dataset-fd``) or, failing that, parses
+  ``--input``, keeps its shard's slice and serves it over HTTP.
 * ``loadgen``     -- fire a seeded open-loop workload (Poisson/diurnal
   arrivals, Zipf keywords, hotspots, bursts) at a running server or an
   in-process service and print the reconciled results ledger.
@@ -587,15 +592,15 @@ def _cmd_shard_node(args: argparse.Namespace) -> int:
 
     dataset = None
     dataset_source = f"file {args.input}"
-    if args.dataset_shm:
-        from repro.execution.shm import attach_dataset
+    if args.dataset_fd is not None:
+        from repro.cluster.spawn import attach_dataset
 
         try:
-            dataset = attach_dataset(args.dataset_shm)
-            dataset_source = f"shared-memory segment {args.dataset_shm}"
+            dataset = attach_dataset(args.dataset_fd)
+            dataset_source = f"inherited fd {args.dataset_fd}"
         except (OSError, ValueError) as exc:
             _warn(
-                f"cannot attach dataset segment {args.dataset_shm!r} ({exc}); "
+                f"cannot read the dataset from fd {args.dataset_fd} ({exc}); "
                 f"loading {args.input}"
             )
     if dataset is None:
@@ -875,11 +880,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="which shard slice this node serves (0-based)")
     shard_node.add_argument("--shards", type=int, required=True,
                             help="total shard count of the cluster partitioning")
-    shard_node.add_argument("--dataset-shm", default=None,
-                            help="name of a shared-memory dataset segment "
-                                 "published by the spawner; attached instead "
-                                 "of parsing --input (which stays the "
-                                 "fallback when the attach fails)")
+    shard_node.add_argument("--dataset-fd", type=int, default=None,
+                            help="inherited descriptor of the dataset memory "
+                                 "file the spawner wrote; read instead of "
+                                 "parsing --input (which stays the fallback "
+                                 "when the read fails)")
     shard_node.add_argument("--dataset-epoch", default="boot",
                             help="epoch tag of the boot dataset (the router "
                                  "re-tags it on every hot swap)")

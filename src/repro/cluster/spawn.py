@@ -6,12 +6,21 @@ shard-node --shard-index i`` against the same dataset, each binding
 **port 0** and reporting the OS-assigned port on its stdout "listening on"
 line -- the spawner tails each node's log file until that line appears, so
 no port is ever guessed and two fleets on one CI runner cannot collide.
+Every node is launched before the spawner waits for any ready line, so the
+nodes start up side by side.
 
-When the caller already holds the parsed dataset, the spawner publishes it
-once as a shared-memory column segment (``--dataset-shm``) so every node
-attaches and materializes it instead of re-reading and re-parsing the
-dataset file -- node startup cost stops scaling with fleet size, and the
-``--input`` path stays on each command line as the fallback.
+When the caller already holds the parsed dataset, the spawner writes its
+columnar form (:class:`~repro.index.columns.ColumnStore`) once into an
+anonymous memory file (``os.memfd_create``) and every node inherits a
+descriptor to it (``--dataset-fd``): the node maps the file, materializes
+the objects and closes the descriptor, instead of re-reading and
+re-parsing the dataset file.  The file has no name.  The spawner closes
+its own descriptor right after the last launch, and the kernel frees the
+memory once every node has closed its copy -- nothing to unlink, nothing
+for a tracker process to watch.  ``--input`` stays on each command line as
+the fallback: where ``os.memfd_create`` does not exist, and for a node
+that cannot read its descriptor.  This module owns both ends of that
+hand-off (:func:`publish_dataset`, :func:`attach_dataset`).
 
 Node stdout/stderr go to per-node log files rather than pipes: a pipe
 nobody drains would eventually block the child, and a crashed node's log
@@ -20,6 +29,7 @@ tail is the first thing an operator (or the spawn error message) wants.
 
 from __future__ import annotations
 
+import mmap
 import os
 import re
 import subprocess
@@ -30,10 +40,62 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from repro.execution.shm import publish_dataset_segment, shared_memory_available
+from repro.index.columns import ColumnStore
 
 #: The shard-node CLI's ready line; the URL carries the OS-assigned port.
 _READY_PATTERN = re.compile(r"listening on (http://\S+)")
+
+#: Label of the dataset memory file: a holder's ``/proc/<pid>/fd`` entry
+#: reads ``/memfd:repro-dataset (deleted)``.  Nothing can open it by name.
+DATASET_MEMFD = "repro-dataset"
+
+
+def publish_dataset(data_objects, feature_objects) -> int:
+    """Write the datasets' column bytes into a fresh memory file.
+
+    Returns the descriptor, which the caller closes.  It is close-on-exec:
+    only a launch that lists it in ``pass_fds`` hands it on.
+
+    Raises:
+        OSError: when the memory file cannot be created or written
+            (callers fall back to file loading on every node).
+    """
+    payload = memoryview(ColumnStore.from_datasets(
+        data_objects=data_objects, feature_objects=feature_objects
+    ).to_bytes())
+    fd = os.memfd_create(DATASET_MEMFD)
+    try:
+        while payload:
+            payload = payload[os.write(fd, payload):]
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
+
+
+def attach_dataset(fd: int):
+    """Materialize ``(data_objects, feature_objects)`` from a dataset fd.
+
+    Maps the file read-only, copies the rows out as model objects (equal
+    to the objects the publisher packed), then unmaps it.  ``fd`` is closed
+    whatever happens.
+
+    Raises:
+        OSError: when ``fd`` is not an open, mappable file.
+        ValueError: when the file is empty, truncated or holds no dataset.
+    """
+    try:
+        mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+    finally:
+        os.close(fd)
+    with mapping:
+        store = ColumnStore.attach(mapping)
+        try:
+            if store.data is None or store.features is None:
+                raise ValueError(f"fd {fd} does not hold a dataset")
+            return store.data.to_objects(), store.features.to_objects()
+        finally:
+            store.detach()
 
 
 @dataclass
@@ -42,7 +104,8 @@ class NodeProcess:
 
     Attributes:
         process: The live :class:`subprocess.Popen` handle.
-        url: Base URL (``http://host:port``) parsed from the ready line.
+        url: Base URL (``http://host:port``) parsed from the ready line
+            (empty until the spawner has read it).
         shard_index: The shard slice this node serves.
         replica_rank: Which replica of that shard this process is (0-based).
         log_path: The node's combined stdout/stderr log file.
@@ -100,18 +163,19 @@ def spawn_local_nodes(
         engines: ``--engines`` per node (None = node default).
         max_radius: ``--max-radius`` partitioning radius (None = unbounded).
         dataset: The already-parsed ``(data_objects, feature_objects)``.
-            When given and shared memory works here, the spawner publishes
-            the dataset once as a ``repro_dp_*`` segment and passes
-            ``--dataset-shm`` so every node attaches it (an ``shm_open`` +
-            ``mmap``, constant in dataset size) instead of re-reading and
-            re-parsing ``input_path``; the file stays on each command line
-            as the fallback.  The segment is released once every node is up
-            -- nodes attach before printing their ready line.
+            When given and ``os.memfd_create`` exists, the spawner writes
+            the dataset once into a memory file and passes its inherited
+            descriptor as ``--dataset-fd`` so every node maps it (an
+            ``mmap`` and a header parse, constant in dataset size) instead
+            of re-reading and re-parsing ``input_path``; the file stays on
+            each command line as the fallback.  The spawner's descriptor is
+            closed right after the last launch.
         log_dir: Directory for per-node log files (a fresh temporary
             directory when None).
         extra_args: Extra ``repro shard-node`` arguments appended verbatim
             (``--compact-threshold``, ``--result-cache`` overrides, ...).
-        startup_timeout: Seconds to wait for each node's ready line.
+        startup_timeout: Seconds, from the last launch, within which every
+            node must print its ready line.
 
     Returns:
         One :class:`NodeProcess` per node, shard-major order (all replicas
@@ -120,7 +184,7 @@ def spawn_local_nodes(
     Raises:
         ValueError: for a non-positive shard or replication count.
         RuntimeError: when any node dies or stays silent during startup;
-            every already-spawned node is killed first.
+            every launched node is killed and reaped first.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -137,85 +201,88 @@ def spawn_local_nodes(
     package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src_dir = os.path.dirname(package_dir)
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    segment = None
-    if dataset is not None and shared_memory_available():
+    fd = None
+    if dataset is not None and hasattr(os, "memfd_create"):
         try:
-            segment = publish_dataset_segment(dataset[0], dataset[1])
-        except (OSError, ValueError):
-            segment = None  # nodes fall back to loading the file
+            fd = publish_dataset(dataset[0], dataset[1])
+        except OSError:
+            pass  # nodes fall back to loading the file
     nodes: List[NodeProcess] = []
     try:
-        for shard_index in range(shards):
-            for replica in range(replication):
-                log_path = logs / f"node-{shard_index}-{replica}.log"
-                command = [
-                    sys.executable, "-m", "repro", "shard-node",
-                    "--input", str(input_path),
-                    "--shard-index", str(shard_index),
-                    "--shards", str(shards),
-                    "--host", host,
-                    "--port", "0",
-                ]
-                if segment is not None:
-                    command += ["--dataset-shm", segment.name]
-                if grid_size is not None:
-                    command += ["--grid-size", str(grid_size)]
-                if engines is not None:
-                    command += ["--engines", str(engines)]
-                if max_radius is not None:
-                    command += ["--max-radius", str(max_radius)]
-                command += list(extra_args)
-                with open(log_path, "wb") as log_file:
-                    process = subprocess.Popen(
-                        command,
-                        env=env,
-                        stdout=log_file,
-                        stderr=subprocess.STDOUT,
+        try:
+            for shard_index in range(shards):
+                for replica in range(replication):
+                    log_path = logs / f"node-{shard_index}-{replica}.log"
+                    command = [
+                        sys.executable, "-m", "repro", "shard-node",
+                        "--input", str(input_path),
+                        "--shard-index", str(shard_index),
+                        "--shards", str(shards),
+                        "--host", host,
+                        "--port", "0",
+                    ]
+                    if fd is not None:
+                        command += ["--dataset-fd", str(fd)]
+                    if grid_size is not None:
+                        command += ["--grid-size", str(grid_size)]
+                    if engines is not None:
+                        command += ["--engines", str(engines)]
+                    if max_radius is not None:
+                        command += ["--max-radius", str(max_radius)]
+                    command += list(extra_args)
+                    with open(log_path, "wb") as log_file:
+                        process = subprocess.Popen(
+                            command,
+                            env=env,
+                            stdout=log_file,
+                            stderr=subprocess.STDOUT,
+                            pass_fds=() if fd is None else (fd,),
+                        )
+                    nodes.append(
+                        NodeProcess(process, "", shard_index, replica, log_path)
                     )
-                url = _wait_for_ready(process, log_path, startup_timeout)
-                nodes.append(
-                    NodeProcess(
-                        process=process,
-                        url=url,
-                        shard_index=shard_index,
-                        replica_rank=replica,
-                        log_path=log_path,
-                    )
-                )
+        finally:
+            # Every node holds its own copy now; the kernel frees the file
+            # once the last of them has mapped and closed it.
+            if fd is not None:
+                os.close(fd)
+        _wait_for_ready(nodes, startup_timeout)
     except BaseException:
         terminate_nodes(nodes, grace_seconds=0.0)
         raise
-    finally:
-        # Every node's ready line implies it already attached (or fell back
-        # to the file), so the publication can end here either way; the
-        # release unlinks the /dev/shm name.
-        if segment is not None:
-            segment.release()
     return nodes
 
 
-def _wait_for_ready(
-    process: "subprocess.Popen[bytes]", log_path: Path, timeout: float
-) -> str:
-    """Tail the node's log until its "listening on" line; returns the URL."""
+def _wait_for_ready(nodes: Sequence[NodeProcess], timeout: float) -> None:
+    """Tail every node's log until each prints its "listening on" line.
+
+    Sets each node's ``url``; raises ``RuntimeError`` with the log tail of
+    the first node found dead or, at the deadline, of one still silent.
+    """
     deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        text = log_path.read_text(errors="replace")
-        match = _READY_PATTERN.search(text)
-        if match:
-            return match.group(1)
-        if process.poll() is not None:
-            process.kill()
+    pending = list(nodes)
+    while pending:
+        for node in list(pending):
+            text = node.log_path.read_text(errors="replace")
+            match = _READY_PATTERN.search(text)
+            if match:
+                node.url = match.group(1)
+                pending.remove(node)
+            elif node.poll() is not None:
+                raise RuntimeError(
+                    f"shard node {node.shard_index} replica {node.replica_rank} "
+                    f"exited with code {node.process.returncode} during "
+                    f"startup; log tail:\n{text[-2000:]}"
+                )
+        if pending and time.monotonic() > deadline:
             raise RuntimeError(
-                f"shard node exited with code {process.returncode} during "
-                f"startup; log tail:\n{text[-2000:]}"
+                f"shard node {pending[0].shard_index} replica "
+                f"{pending[0].replica_rank} did not report a listening address "
+                f"within {timeout}s; log tail:\n"
+                f"{pending[0].log_path.read_text(errors='replace')[-2000:]}"
             )
-        time.sleep(0.05)
-    process.kill()
-    raise RuntimeError(
-        f"shard node did not report a listening address within {timeout}s; "
-        f"log tail:\n{log_path.read_text(errors='replace')[-2000:]}"
-    )
+        if pending:
+            time.sleep(0.05)
 
 
 def terminate_nodes(
@@ -245,4 +312,10 @@ def terminate_nodes(
                 pass
 
 
-__all__ = ["NodeProcess", "spawn_local_nodes", "terminate_nodes"]
+__all__ = [
+    "NodeProcess",
+    "attach_dataset",
+    "publish_dataset",
+    "spawn_local_nodes",
+    "terminate_nodes",
+]

@@ -1,4 +1,4 @@
-"""Columnar dataset representation: packed `array` columns + framed segments.
+"""Columnar dataset representation: packed `array` columns + framed sections.
 
 The object model (:mod:`repro.model.objects`) is the API of the system, but
 walking per-object Python instances is also what the hot loops were paying
@@ -13,8 +13,8 @@ attribute lookups.  This module packs the same information into stdlib
 * :class:`ColumnStore`    -- a framed, 8-byte-aligned section container that
   serializes any combination of the above to one contiguous buffer and
   attaches back **zero-copy**: an attached store indexes ``memoryview``
-  casts of the original buffer (e.g. a ``multiprocessing.shared_memory``
-  segment) instead of copying arrays out.
+  casts of the original buffer (e.g. the ``mmap`` of the cluster's dataset
+  memory file) instead of copying arrays out.
 
 Round-trips are exact: ``array('d')`` stores IEEE-754 doubles bit-for-bit,
 oids/keywords round-trip through UTF-8, and keyword tuples are rebuilt
@@ -85,22 +85,30 @@ def pack_sections(sections: Sequence[Tuple[bytes, "bytes | memoryview | array"]]
 
 
 def unpack_sections(buffer: "bytes | memoryview") -> Dict[bytes, memoryview]:
-    """Zero-copy view of every section of a :func:`pack_sections` buffer."""
-    view = memoryview(buffer)
-    if len(view) < _HEADER.size:
+    """Zero-copy view of every section of a :func:`pack_sections` buffer.
+
+    The whole frame is checked before the first view is taken, so a
+    malformed buffer raises ``ValueError`` without leaving an export on it
+    (an ``mmap`` with a live export cannot be closed).
+    """
+    size = len(buffer)
+    if size < _HEADER.size:
         raise ValueError("buffer too small for a column-store header")
-    magic, count = _HEADER.unpack_from(view, 0)
+    magic, count = _HEADER.unpack_from(buffer, 0)
     if magic != _MAGIC:
         raise ValueError(f"bad column-store magic {magic!r}")
-    sections: Dict[bytes, memoryview] = {}
-    position = _HEADER.size
-    for _ in range(count):
-        tag, _, offset, length = _ENTRY.unpack_from(view, position)
-        position += _ENTRY.size
-        if offset + length > len(view):
+    if _HEADER.size + _ENTRY.size * count > size:
+        raise ValueError("buffer too small for its section table")
+    entries = []
+    for index in range(count):
+        tag, _, offset, length = _ENTRY.unpack_from(
+            buffer, _HEADER.size + _ENTRY.size * index
+        )
+        if offset + length > size:
             raise ValueError(f"section {tag!r} overruns the buffer")
-        sections[tag] = view[offset : offset + length]
-    return sections
+        entries.append((tag, offset, length))
+    view = memoryview(buffer)
+    return {tag: view[offset : offset + length] for tag, offset, length in entries}
 
 
 def _doubles(view: memoryview) -> memoryview:
@@ -327,11 +335,11 @@ class FeatureColumns:
 class ColumnStore:
     """A (data, features) column bundle with one serialized form.
 
-    Either group may be absent: the shard-node dataset segment carries
+    Either group may be absent: the shard-node dataset file carries
     both.  :meth:`attach` is zero-copy --
     the returned store indexes the caller's buffer; call :meth:`detach` to
-    drop every view before the underlying buffer (e.g. a shared-memory
-    segment) is closed, otherwise the close raises ``BufferError``.
+    drop every view before the underlying buffer (e.g. an ``mmap``) is
+    closed, otherwise the close raises ``BufferError``.
     """
 
     def __init__(
@@ -376,7 +384,7 @@ class ColumnStore:
         )
 
     def detach(self) -> None:
-        """Drop every buffer view so the backing segment can be closed."""
+        """Drop every buffer view so the backing buffer can be closed."""
         self.data = None
         self.features = None
 

@@ -11,12 +11,17 @@ startup cost.  The subprocess path (``repro shard-node``) is covered by
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
 
 import pytest
 
+import repro
+from invariants import child_pids, dataset_memfds
 from raw_oracle import reference_execute
 from repro.cluster import (
     BOOT_EPOCH,
@@ -30,7 +35,12 @@ from repro.cluster import (
     spawn_local_nodes,
     terminate_nodes,
 )
-from repro.cluster.transport import NodeTransportError, get_json, post_json
+from repro.cluster.transport import (
+    NodeTransportError,
+    close_pooled_connections,
+    get_json,
+    post_json,
+)
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
 from repro.exceptions import InvalidQueryError
@@ -754,9 +764,93 @@ class TestShardNodeProcess:
 
     def test_spawn_failure_reports_log_tail(self, tmp_path):
         missing = tmp_path / "no-such-dataset.tsv"
+        children = child_pids(os.getpid())
         with pytest.raises(RuntimeError, match="exited with code"):
             spawn_local_nodes(missing, shards=1, log_dir=tmp_path,
                               startup_timeout=30.0)
+        assert child_pids(os.getpid()) == children
+
+    def test_one_dead_node_takes_the_whole_launch_down(
+        self, dataset_file, tmp_path, monkeypatch
+    ):
+        """The nodes start side by side: when one dies at startup, every
+        launched node is killed and reaped, the dataset memory file is
+        closed, and the error carries the dead node's log tail."""
+        from repro.cluster import spawn
+        from repro.datagen.io import load_dataset
+
+        launched = []
+        real_popen = subprocess.Popen
+
+        def popen(command, **kwargs):
+            if command[command.index("--shard-index") + 1] == "1":
+                command = [sys.executable, "-c",
+                           "print('node 1 gives up'); raise SystemExit(3)"]
+            launched.append(real_popen(command, **kwargs))
+            return launched[-1]
+
+        monkeypatch.setattr(spawn.subprocess, "Popen", popen)
+        children = child_pids(os.getpid())
+        with pytest.raises(RuntimeError) as raised:
+            spawn_local_nodes(
+                dataset_file, shards=3, grid_size=GRID, engines=1,
+                dataset=load_dataset(dataset_file), log_dir=tmp_path,
+            )
+        assert "shard node 1 replica 0 exited with code 3" in str(raised.value)
+        assert "node 1 gives up" in str(raised.value)
+        assert len(launched) == 3
+        assert all(process.returncode is not None for process in launched)
+        assert child_pids(os.getpid()) == children
+        assert dataset_memfds() == []
+
+    @pytest.mark.skipif(not hasattr(os, "memfd_create"), reason="no memfd")
+    def test_unreadable_dataset_fd_falls_back_to_the_file(
+        self, dataset_file, tmp_path
+    ):
+        """A node handed a truncated, empty or already-closed dataset fd
+        warns, loads ``--input`` and answers exactly as the fd path does."""
+        from repro.cluster.spawn import NodeProcess, _wait_for_ready
+        from repro.datagen.io import load_dataset
+        from repro.index.columns import ColumnStore
+
+        data, features = load_dataset(dataset_file)
+        payload = ColumnStore.from_datasets(data, features).to_bytes()
+        cases = {"fd": payload, "truncated": payload[: len(payload) // 2],
+                 "empty": b"", "closed": None}
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        nodes = []
+        try:
+            for name, content in cases.items():
+                fd = os.memfd_create("repro-dataset")
+                os.write(fd, content or b"")
+                log_path = tmp_path / f"{name}.log"
+                with open(log_path, "wb") as log:
+                    process = subprocess.Popen(
+                        [sys.executable, "-m", "repro", "shard-node",
+                         "--input", str(dataset_file), "--shard-index", "0",
+                         "--shards", "2", "--port", "0", "--grid-size",
+                         str(GRID), "--engines", "1", "--dataset-fd", str(fd)],
+                        stdout=log, stderr=subprocess.STDOUT, env=env,
+                        pass_fds=() if content is None else (fd,),
+                    )
+                os.close(fd)
+                nodes.append(NodeProcess(process, "", 0, len(nodes), log_path))
+            _wait_for_ready(nodes, timeout=30.0)
+            spec = {"keywords": ["w0001", "w0042"], "k": 5, "radius": 5.0,
+                    "grid_size": GRID}
+            answers = [post_json(f"{node.url}/query", spec, timeout=10)["results"]
+                       for node in nodes]
+        finally:
+            close_pooled_connections()
+            terminate_nodes(nodes)
+        assert answers[0] and all(answer == answers[0] for answer in answers)
+        logs = {name: node.log_path.read_text()
+                for name, node in zip(cases, nodes)}
+        assert "dataset from inherited fd" in logs["fd"]
+        for name in ("truncated", "empty", "closed"):
+            assert "cannot read the dataset from fd" in logs[name], logs[name]
+            assert f"dataset from file {dataset_file}" in logs[name]
 
     def test_sigkill_then_router_degrades(self, dataset_file, tmp_path):
         """SIGKILL (not graceful stop) of a real process degrades the shard."""

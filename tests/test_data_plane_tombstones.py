@@ -20,11 +20,11 @@ import random
 
 import pytest
 
+from invariants import dataset_memfds
 from object_oracle import select_reduce_loop
 from repro.core.centralized import dataset_extent
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob, _SPQJobBase
-from repro.execution.shm import live_segment_names
 from repro.execution.tasks import block_without, run_map_task, run_reduce_task
 from repro.index.columns import DataBlock
 from repro.index.dataset_index import DatasetIndex
@@ -124,7 +124,7 @@ class TestTombstonedReadsEveryWayDataCanTravel:
         assert any(fingerprint(r) for r in got)
         for mine, theirs in zip(got, want):
             assert mine.stats["counters"] == theirs.stats["counters"]
-        assert live_segment_names() == []
+        assert dataset_memfds() == []
 
 
 class TestBlockWithout:

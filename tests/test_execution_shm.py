@@ -1,36 +1,31 @@
-"""Shared-memory segment lifecycle: refcounts, unlink-on-last-close, datasets."""
+"""The cluster dataset hand-off: one anonymous memory file, inherited by fd.
+
+``repro.cluster.spawn.publish_dataset`` writes the datasets' column bytes
+into a ``memfd``; ``attach_dataset`` maps it read-only, materializes the
+objects and closes the descriptor.  The file has no name, so the only
+lifecycle left is the kernel's: the memory lives while some descriptor or
+mapping does.  ("Segment" in the class names is the hand-off's old name.)
+"""
 
 from __future__ import annotations
 
-import glob
+import mmap
+import os
 import random
+import tempfile
 
 import pytest
 
+from invariants import dataset_memfds, shm_strays
+from repro.cluster.spawn import attach_dataset, publish_dataset
 from repro.core.engine import EngineConfig, SPQEngine
-from repro.execution.shm import (
-    SEGMENT_PREFIX,
-    attach_dataset,
-    attach_segment,
-    create_segment,
-    live_segment_names,
-    publish_dataset_segment,
-    shared_memory_available,
-)
 from repro.index.columns import ColumnStore
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
 
-requires_shm = pytest.mark.skipif(
-    not shared_memory_available(), reason="shared memory unavailable here"
+requires_memfd = pytest.mark.skipif(
+    not hasattr(os, "memfd_create"), reason="os.memfd_create unavailable here"
 )
-
-
-def shm_strays():
-    """Names of ``repro_dp_*`` files currently visible under /dev/shm."""
-    return sorted(
-        path.rsplit("/", 1)[1] for path in glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")
-    )
 
 
 def make_dataset(count: int = 60, seed: int = 5):
@@ -51,113 +46,154 @@ def make_dataset(count: int = 60, seed: int = 5):
     return data, features
 
 
-@requires_shm
+def read_all(fd: int) -> bytes:
+    with mmap.mmap(fd, 0, access=mmap.ACCESS_READ) as mapping:
+        return bytes(mapping)
+
+
+def memfd_holding(payload: bytes) -> int:
+    fd = os.memfd_create("repro-dataset")
+    os.write(fd, payload)
+    return fd
+
+
+def is_open(fd: int) -> bool:
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+
+
+@requires_memfd
 class TestSegmentLifecycle:
     def test_create_attach_round_trip(self):
-        owner = create_segment(b"payload-bytes")
+        data, features = make_dataset(20)
+        fd = publish_dataset(data, features)
         try:
-            attached = attach_segment(owner.name)
-            try:
-                assert bytes(attached.buf[:13]) == b"payload-bytes"
-            finally:
-                attached.release()
+            assert read_all(fd) == ColumnStore.from_datasets(
+                data_objects=data, feature_objects=features
+            ).to_bytes()
         finally:
-            owner.release()
-        assert shm_strays() == []
+            os.close(fd)
+        assert dataset_memfds() == []
 
     def test_refcount_keeps_segment_open(self):
-        segment = create_segment(b"x")
-        segment.acquire()
-        segment.release()
-        assert not segment.closed
-        assert segment.buf[0] == ord("x")
-        segment.release()
-        assert segment.closed
-
-    def test_release_is_idempotent(self):
-        segment = create_segment(b"x")
-        segment.release()
-        segment.release()
-        assert segment.closed
-
-    def test_acquire_after_close_raises(self):
-        segment = create_segment(b"x")
-        segment.release()
-        with pytest.raises(ValueError, match="closed"):
-            segment.acquire()
+        # The kernel counts mappings as well as descriptors: a node may
+        # close its fd right after mapping and still read every byte.
+        fd = memfd_holding(b"mapped")
+        mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        os.close(fd)
+        try:
+            assert mapping[:6] == b"mapped"
+        finally:
+            mapping.close()
+        assert dataset_memfds() == []
 
     def test_owner_release_unlinks_name(self):
-        segment = create_segment(b"x")
-        name = segment.name
-        segment.release()
-        with pytest.raises(FileNotFoundError):
-            attach_segment(name)
+        # Nothing is left to unlink: once the last descriptor closes, no
+        # name exists anywhere -- not in /dev/shm, not in the fd table.
+        fd = publish_dataset(*make_dataset(5))
+        assert len(dataset_memfds()) == 1
+        os.close(fd)
+        assert dataset_memfds() == []
         assert shm_strays() == []
 
     def test_attacher_release_does_not_unlink(self):
-        owner = create_segment(b"still-here")
-        attached = attach_segment(owner.name)
-        attached.release()
-        # The non-owner dropped out; the name and payload must survive.
-        again = attach_segment(owner.name)
-        assert bytes(again.buf[:10]) == b"still-here"
-        again.release()
-        owner.release()
-        assert shm_strays() == []
+        # One node attaching (and closing its copy) leaves the data for
+        # every other holder.
+        data, features = make_dataset(30)
+        fd = publish_dataset(data, features)
+        try:
+            assert attach_dataset(os.dup(fd)) == (data, features)
+            assert attach_dataset(os.dup(fd)) == (data, features)
+        finally:
+            os.close(fd)
 
     def test_memory_outlives_owner_until_last_attacher(self):
-        # POSIX keeps the pages alive until the last close; only the name
-        # dies with the owner -- the cluster dataset hand-off relies on it.
-        owner = create_segment(b"hand-off")
-        attached = attach_segment(owner.name)
-        owner.release()
-        assert bytes(attached.buf[:8]) == b"hand-off"
-        attached.release()
-        assert shm_strays() == []
+        # The spawner closes its descriptor right after the last launch;
+        # the nodes' inherited copies keep the memory alive until they
+        # have read it.
+        data, features = make_dataset(30)
+        owner = publish_dataset(data, features)
+        inherited = os.dup(owner)
+        os.close(owner)
+        assert attach_dataset(inherited) == (data, features)
+        assert dataset_memfds() == []
 
     def test_live_segment_names_tracks_wrappers(self):
-        assert live_segment_names() == []
-        owner = create_segment(b"x")
-        attached = attach_segment(owner.name)
-        assert live_segment_names() == [owner.name]
-        # The attacher leaving must not evict the owner from the registry.
-        attached.release()
-        assert live_segment_names() == [owner.name]
-        owner.release()
-        assert live_segment_names() == []
+        # The leak probe (tests/invariants.py) sees every open publication.
+        assert dataset_memfds() == []
+        first = publish_dataset(*make_dataset(5))
+        second = publish_dataset(*make_dataset(5))
+        assert len(dataset_memfds()) == 2
+        os.close(first)
+        assert len(dataset_memfds()) == 1
+        os.close(second)
+        assert dataset_memfds() == []
 
     def test_attach_unknown_name_raises(self):
+        # A descriptor that is open but is no dataset file.
+        with tempfile.TemporaryFile() as handle:
+            handle.write(b"not a column store, just bytes" * 4)
+            handle.flush()
+            with pytest.raises(ValueError, match="magic"):
+                attach_dataset(os.dup(handle.fileno()))
+        reader, writer = os.pipe()
+        os.close(writer)
         with pytest.raises(OSError):
-            attach_segment(f"{SEGMENT_PREFIX}does_not_exist")
+            attach_dataset(reader)
+        assert not is_open(reader)
+
+    def test_acquire_after_close_raises(self):
+        fd = publish_dataset(*make_dataset(5))
+        os.close(fd)
+        with pytest.raises(OSError):
+            attach_dataset(fd)
+
+    def test_attach_closes_the_fd_on_every_path(self):
+        data, features = make_dataset(10)
+        good = publish_dataset(data, features)
+        attach_dataset(good)
+        assert not is_open(good)
+        empty = memfd_holding(b"")
+        with pytest.raises(ValueError):
+            attach_dataset(empty)
+        assert not is_open(empty)
+        assert dataset_memfds() == []
 
 
-@requires_shm
+@requires_memfd
 class TestDatasetSegment:
     def test_publish_attach_round_trip(self):
         data, features = make_dataset(70)
-        segment = publish_dataset_segment(data, features)
-        try:
-            rebuilt_data, rebuilt_features = attach_dataset(segment.name)
-        finally:
-            segment.release()
+        rebuilt_data, rebuilt_features = attach_dataset(
+            publish_dataset(data, features)
+        )
         assert rebuilt_data == data
         assert rebuilt_features == features
         assert [f.keywords for f in rebuilt_features] == [
             f.keywords for f in features
         ]
-        assert shm_strays() == []
+        assert dataset_memfds() == []
 
     def test_attach_rejects_reduce_plane(self):
-        # A segment holding data columns but no feature columns is not a
+        # A file holding data columns but no feature columns is not a
         # dataset, whatever else it carries.
         data, _ = make_dataset(10)
-        segment = create_segment(ColumnStore.from_datasets(data_objects=data).to_bytes())
-        try:
-            with pytest.raises(ValueError, match="dataset"):
-                attach_dataset(segment.name)
-        finally:
-            segment.release()
-        assert live_segment_names() == []
+        fd = memfd_holding(ColumnStore.from_datasets(data_objects=data).to_bytes())
+        with pytest.raises(ValueError, match="dataset"):
+            attach_dataset(fd)
+        assert dataset_memfds() == []
+
+    @pytest.mark.parametrize("keep", [0.0, 0.01, 0.05, 0.5, 0.99])
+    def test_truncated_payload_raises(self, keep):
+        payload = ColumnStore.from_datasets(*make_dataset(40)).to_bytes()
+        fd = memfd_holding(payload[: int(len(payload) * keep)])
+        with pytest.raises(ValueError):
+            attach_dataset(fd)
+        assert not is_open(fd)
+        assert dataset_memfds() == []
 
 
 class TestEngineIntegration:
@@ -168,9 +204,8 @@ class TestEngineIntegration:
         with SPQEngine(data, features, config=EngineConfig(grid_size=3)) as engine:
             engine.execute_many([self.QUERY], algorithm="pspq", grid_size=3)
 
-    @requires_shm
     def test_serial_engine_leaves_no_segments(self):
         before = shm_strays()
         self.run_engine()
-        assert live_segment_names() == []
+        assert dataset_memfds() == []
         assert shm_strays() == before

@@ -108,7 +108,7 @@ CLI_OPTIONS = {
         "--admission-depth", "--default-deadline-ms",
     } | _NODE_SERVING | _QUERY_DEFAULTS | _BACKEND,
     "shard-node": {
-        "--input", "--shard-index", "--shards", "--dataset-shm", "--dataset-epoch",
+        "--input", "--shard-index", "--shards", "--dataset-fd", "--dataset-epoch",
     } | _NODE_SERVING | _BACKEND,
     "loadgen": {
         "--input", "--url", "--shards", "--admission-depth",
