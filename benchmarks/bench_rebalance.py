@@ -115,9 +115,7 @@ def make_router(
             result_cache_capacity=0,
             default_grid_size=grid_size,
         ),
-        sharding=ShardingConfig(
-            shards=shards, layout=layout, layout_resolution=grid_size
-        ),
+        sharding=ShardingConfig(shards=shards, layout=layout),
     )
 
 

@@ -49,7 +49,7 @@ from repro.core.centralized import dataset_extent
 from repro.datagen.io import save_dataset
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
 from repro.server import QueryService, ServiceConfig, make_server
-from repro.traffic import HttpTarget, LoadGenerator, TrafficModel, WorkloadConfig
+from traffic_lab import HttpTarget, LoadGenerator, TrafficModel, WorkloadConfig
 
 GRID = 12
 

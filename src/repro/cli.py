@@ -14,9 +14,6 @@ The subcommands cover the full workflow a downstream user needs:
 * ``shard-node``  -- one cluster shard node: reads the dataset from the
   spawner's descriptor (``--dataset-fd``) or, failing that, parses
   ``--input``, keeps its shard's slice and serves it over HTTP.
-* ``loadgen``     -- fire a seeded open-loop workload (Poisson/diurnal
-  arrivals, Zipf keywords, hotspots, bursts) at a running server or an
-  in-process service and print the reconciled results ledger.
 * ``analyze``     -- print the Section 6 analytical tables (duplication factor
   and cell-size cost) for given parameters.
 * ``experiments`` -- regenerate the figure series (same engine as
@@ -37,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import signal
 import sys
 import threading
@@ -178,18 +174,6 @@ _SERVICE_CONFIG_FLAGS = {
     "default_grid_size": "grid_size",
     "admission_queue_depth": "admission_depth",
     "default_deadline_ms": "default_deadline_ms",
-}
-
-
-#: ``WorkloadConfig`` field -> the ``loadgen`` dest that sets it.
-_WORKLOAD_CONFIG_FLAGS = {
-    **{name: name for name in (
-        "seed", "rate", "arrival", "diurnal_amplitude", "zipf_exponent",
-        "keywords_per_query", "k", "radius", "deadline_ms", "hotspot_fraction",
-        "burst_size", "slow_client_fraction", "clients",
-    )},
-    "duration_seconds": "duration",
-    "burst_every_seconds": "burst_every",
 }
 
 
@@ -403,8 +387,8 @@ def _front_door(
     args: argparse.Namespace, data, features, service_config,
     engine_config=None, **sharding,
 ):
-    """The in-process service of ``serve`` and ``loadgen``: a query service,
-    or with ``--shards > 1`` a shard router (``sharding`` = its other knobs)."""
+    """The in-process service of ``serve``: a query service, or with
+    ``--shards > 1`` a shard router (``sharding`` = its other knobs)."""
     from repro.server import QueryService
 
     if args.shards <= 1:
@@ -638,78 +622,6 @@ def _cmd_shard_node(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------- #
-# loadgen
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    """``repro loadgen``: fire a seeded open-loop workload at a service.
-
-    Two targets: ``--url`` drives a running ``repro serve`` over HTTP
-    (keep-alive client fleet); without it an in-process service (or shard
-    router with ``--shards``) is built from the same dataset, which is
-    the zero-setup way to experiment with admission control.
-    """
-    from repro.traffic import (
-        HttpTarget,
-        LoadGenerator,
-        ServiceTarget,
-        TrafficModel,
-        WorkloadConfig,
-    )
-
-    data, features = load_dataset(args.input)
-    if not features:
-        raise _CliError("dataset contains no feature objects")
-    try:
-        workload = _config_from_flags(
-            WorkloadConfig, _WORKLOAD_CONFIG_FLAGS, args
-        )
-        model = TrafficModel(features, dataset_extent(data, features), workload)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
-    schedule = model.schedule()
-    service = None
-    if args.url:
-        target = HttpTarget(args.url)
-    else:
-        from repro.server import ServiceConfig
-
-        service = _front_door(args, data, features, ServiceConfig(
-            admission_queue_depth=args.admission_depth,
-            default_deadline_ms=args.default_deadline_ms,
-        ))
-        service.start()
-        target = ServiceTarget(service)
-    print(
-        f"loadgen: firing {len(schedule)} requests over "
-        f"{workload.duration_seconds:.1f}s ({workload.arrival} arrivals, "
-        f"mean {workload.rate:.0f} rps, {workload.clients} clients) at "
-        f"{args.url or 'in-process service'}",
-        file=sys.stderr,
-    )
-    try:
-        generator = LoadGenerator(schedule, target)
-        ledger = generator.run()
-    finally:
-        if service is not None:
-            service.shutdown()
-        if args.url:
-            target.close()
-    summary = ledger.summary()
-    summary["lost"] = generator.lost
-    if args.url:
-        summary["keepalive"] = target.reuse_stats()
-    if args.ledger:
-        ledger.write_jsonl(args.ledger)
-        print(f"loadgen: per-request ledger written to {args.ledger}",
-              file=sys.stderr)
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    counts = summary["counts"]
-    ok = not generator.lost and not counts["error"] and not counts["timeout"]
-    return 0 if ok and summary["reconciled"] else 1
-
-
-# --------------------------------------------------------------------- #
 # analyze
 
 
@@ -894,60 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
     })
     _add_backend_argument(shard_node)
     shard_node.set_defaults(func=_cmd_shard_node)
-
-    loadgen = subparsers.add_parser(
-        "loadgen",
-        help="fire a seeded open-loop workload at a service "
-             "(see docs/traffic.md)",
-    )
-    loadgen.add_argument("--input", required=True,
-                         help="dataset file (TSV); defines the vocabulary and "
-                              "extent the workload draws from")
-    loadgen.add_argument("--url", default=None,
-                         help="target a running 'repro serve' "
-                              "(default: build an in-process service)")
-    loadgen.add_argument("--shards", type=int, default=1,
-                         help="in-process mode: front the dataset with a "
-                              "shard router of this many shards")
-    loadgen.add_argument("--admission-depth", type=int, default=0,
-                         help="in-process mode: admission queue depth "
-                              "(0 disables admission control)")
-    loadgen.add_argument("--default-deadline-ms", type=float, default=None,
-                         help="in-process mode: deadline for requests without "
-                              "a 'deadline_ms' field")
-    loadgen.add_argument("--seed", type=int, default=7,
-                         help="workload seed (same seed = identical schedule)")
-    loadgen.add_argument("--duration", type=float, default=5.0,
-                         help="schedule length in seconds")
-    loadgen.add_argument("--rate", type=float, default=50.0,
-                         help="mean arrival rate in requests/second")
-    loadgen.add_argument("--arrival", choices=("poisson", "diurnal"),
-                         default="poisson")
-    loadgen.add_argument("--diurnal-amplitude", type=float, default=0.8,
-                         help="relative swing of the diurnal rate in [0, 1)")
-    loadgen.add_argument("--zipf-exponent", type=float, default=1.1,
-                         help="keyword popularity skew (0 = uniform)")
-    loadgen.add_argument("--keywords-per-query", type=int, default=2)
-    loadgen.add_argument("--k", type=int, default=10)
-    loadgen.add_argument("--radius", type=float, default=None,
-                         help="query radius forwarded into every request")
-    loadgen.add_argument("--deadline-ms", type=float, default=None,
-                         help="per-request deadline forwarded on the wire")
-    loadgen.add_argument("--hotspot-fraction", type=float, default=0.0,
-                         help="share of queries drawn from a seeded hotspot "
-                              "sub-region")
-    loadgen.add_argument("--burst-every", type=float, default=0.0,
-                         help="inject a same-instant burst every N seconds "
-                              "(0 disables)")
-    loadgen.add_argument("--burst-size", type=int, default=0,
-                         help="requests per burst instant")
-    loadgen.add_argument("--slow-client-fraction", type=float, default=0.0,
-                         help="share of clients that trickle request bytes")
-    loadgen.add_argument("--clients", type=int, default=8,
-                         help="simulated client fleet size")
-    loadgen.add_argument("--ledger", default=None,
-                         help="write the per-request JSONL ledger here")
-    loadgen.set_defaults(func=_cmd_loadgen)
 
     analyze = subparsers.add_parser("analyze", help="Section 6 analytical tables")
     analyze.add_argument("what", choices=("duplication", "cell-size"))

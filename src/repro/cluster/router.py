@@ -51,6 +51,7 @@ from repro.cluster.membership import (
 from repro.cluster.node import BOOT_EPOCH
 from repro.cluster.transport import (
     NodeTransportError,
+    close_connections,
     get_json,
     post_json,
 )
@@ -70,6 +71,8 @@ from repro.sharding.router import ScatterGatherRouter
 #: Extra attempts per shard after the primary fails (the "one retry"
 #: contract; each attempt goes to the next live replica).
 FAILOVER_RETRIES = 1
+#: Consecutive failures (heartbeats or requests) after which a node is dead.
+MAX_MISSES = 3
 
 
 @dataclass(frozen=True)
@@ -98,8 +101,8 @@ class ClusterConfig:
         heartbeat_interval: Seconds between fleet heartbeat rounds
             (0 disables the background thread; probes can still be driven
             explicitly via :meth:`ClusterRouter.probe_now`).
-        liveness_timeout: Silence (seconds) after which a node is dead.
-        max_misses: Consecutive failures after which a node is dead.
+        liveness_timeout: Silence (seconds) after which a node is dead
+            (:data:`MAX_MISSES` consecutive failures also kill it).
         node_deadline: Per-sub-request socket deadline (seconds).
         result_cache_capacity: Router response LRU entries (0 disables).
     """
@@ -108,7 +111,6 @@ class ClusterConfig:
     max_radius: Optional[float] = None
     heartbeat_interval: float = 2.0
     liveness_timeout: float = 6.0
-    max_misses: int = 3
     node_deadline: float = 10.0
     result_cache_capacity: int = 256
 
@@ -237,7 +239,7 @@ class ClusterRouter(ScatterGatherRouter):
         )
         self._membership = ClusterMembership(
             MembershipConfig(
-                max_misses=self.cluster.max_misses,
+                max_misses=MAX_MISSES,
                 liveness_timeout=self.cluster.liveness_timeout,
             )
         )
@@ -266,6 +268,11 @@ class ClusterRouter(ScatterGatherRouter):
             self._start_background(
                 self._run_heartbeats, "repro-cluster-heartbeat"
             )
+
+    def _stop_targets(self) -> None:
+        # The scatter pool and the heartbeat thread are stopped by now: close
+        # their keep-alive connections, and every other thread's to these nodes.
+        close_connections(self._membership.urls())
 
     def _run_heartbeats(self) -> None:
         interval = self.cluster.heartbeat_interval
@@ -496,7 +503,7 @@ class ClusterRouter(ScatterGatherRouter):
             "dataset_epoch": self._epoch,
             "heartbeat_interval_seconds": self.cluster.heartbeat_interval,
             "liveness_timeout_seconds": self.cluster.liveness_timeout,
-            "max_misses": self.cluster.max_misses,
+            "max_misses": self._membership.config.max_misses,
             "node_deadline_seconds": self.cluster.node_deadline,
             "retries": FAILOVER_RETRIES,
             "resyncs": counters["resyncs"],

@@ -8,12 +8,16 @@ of paying a TCP handshake per router->node round-trip, the client keeps one
 persistent HTTP/1.1 connection per ``(thread, host:port)`` pair and reuses
 it across requests -- the router's scatter pool has stable threads, so the
 pool needs no cross-thread locking, and heartbeats, queries and swaps all
-ride warm connections.  A reused connection can always have gone stale (the
-node restarted, an idle timeout fired); the first failure on a *previously
-used* connection is retried exactly once on a fresh connection before it is
-reported, while a failure on a brand-new connection is reported immediately
--- that one was a real connect/request failure, and retrying it would double
-the router's failover latency for nothing.
+ride warm connections.  A thread registers its pool once, so a router can
+close every idle connection to its nodes on shutdown
+(:func:`close_connections`), and a thread's connections are closed, not
+left to the collector, once it has exited.  A reused connection can always
+have gone stale (the node restarted, an idle timeout fired); the first
+failure on a *previously used* connection is retried exactly once on a
+fresh connection before it is reported, while a failure on a brand-new
+connection is reported immediately -- that one was a real connect/request
+failure, and retrying it would double the router's failover latency for
+nothing.
 :func:`pool_stats` exposes reuse counters for benchmarks and tests.
 
 The second is the error taxonomy -- every failure a node request can
@@ -38,7 +42,7 @@ import http.client
 import json
 import socket
 import threading
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.exceptions import InvalidQueryError, OverloadError
@@ -53,6 +57,13 @@ class NodeTransportError(Exception):
 
 #: Thread-local ``netloc -> (connection, completed_requests)`` pool.
 _local = threading.local()
+
+#: Every thread's pool, by thread, registered when the thread first needs
+#: one (the per-request checkout takes no lock).  A pool outlives its
+#: thread here until the next registration or :func:`close_connections`
+#: closes it.
+_pools_lock = threading.Lock()
+_pools: Dict[threading.Thread, Dict[str, Tuple[http.client.HTTPConnection, int]]] = {}
 
 _stats_lock = threading.Lock()
 _stats = {
@@ -85,7 +96,17 @@ def _pool() -> Dict[str, Tuple[http.client.HTTPConnection, int]]:
     pool = getattr(_local, "pool", None)
     if pool is None:
         pool = _local.pool = {}
+        with _pools_lock:
+            _close_exited_pools()
+            _pools[threading.current_thread()] = pool
     return pool
+
+
+def _close_exited_pools() -> None:
+    """Close and drop the pools of threads that have exited (lock held)."""
+    for thread in [thread for thread in _pools if not thread.is_alive()]:
+        for connection, _ in _pools.pop(thread).values():
+            connection.close()
 
 
 def _checkout(netloc: str, timeout: float) -> Tuple[http.client.HTTPConnection, bool]:
@@ -126,6 +147,25 @@ def close_pooled_connections() -> None:
         for connection, _ in pool.values():
             connection.close()
         pool.clear()
+
+
+def close_connections(urls: Iterable[str]) -> None:
+    """Close every idle pooled connection to the hosts of ``urls``, on every
+    thread, and the pools of exited threads.
+
+    Only idle connections sit in a pool (a request checks its connection
+    out), so none is closed under a request; a thread that asks for a
+    closed host again opens a fresh connection.
+    """
+    netlocs = {urlsplit(url).netloc for url in urls}
+    with _pools_lock:
+        _close_exited_pools()
+        pools = list(_pools.values())
+    for pool in pools:
+        for netloc in netlocs:
+            entry = pool.pop(netloc, None)
+            if entry is not None:
+                entry[0].close()
 
 
 # --------------------------------------------------------------------- #
@@ -269,6 +309,7 @@ def _error_message(body: bytes, code: int) -> str:
 
 __all__ = [
     "NodeTransportError",
+    "close_connections",
     "close_pooled_connections",
     "get_json",
     "pool_stats",

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.centralized import CentralizedSPQ, dataset_extent
@@ -142,17 +141,10 @@ class EngineConfig:
             field kept because callers spell it out (``benchmarks/e2e``
             among them); any other value raises
             :class:`~repro.exceptions.JobConfigurationError`.
-        pad_with_zero_scores: When True, the merged result is padded with
-            arbitrary unreported data objects at score 0.0 so that exactly
-            ``k`` entries are returned even when fewer than ``k`` data objects
-            have a positive score (the centralized oracle naturally does
-            this; the distributed algorithms, like the paper's, only report
-            positively scored objects).
     """
 
     grid_size: int = 50
     backend: str = "serial"
-    pad_with_zero_scores: bool = False
 
     def __post_init__(self) -> None:
         if self.backend != "serial":
@@ -711,8 +703,6 @@ class SPQEngine:
             job_result.counters.increment(_SPQ_GROUP, _FEATURES_PRUNED, pruned_by_index)
 
         entries = self._merge(job_result, query, snapshot=delta_snapshot)
-        if self.config.pad_with_zero_scores and len(entries) < query.k:
-            entries = self._pad(entries, query.k, snapshot=delta_snapshot)
 
         breakdown = self._cost_model.estimate(job_result)
 
@@ -800,24 +790,3 @@ class SPQEngine:
             winners.setdefault(oid, -key)
         pairs = [(appended.get(oid) or base[oid], score) for oid, score in winners.items()]
         return merge_top_k([pairs], query.k)
-
-    def _pad(
-        self,
-        entries: List[ScoredObject],
-        k: int,
-        snapshot: Optional[DeltaSnapshot] = None,
-    ) -> List[ScoredObject]:
-        present = {entry.obj.oid for entry in entries}
-        padded = list(entries)
-        deleted = snapshot.deleted_data_oids if snapshot is not None else frozenset()
-        appended = snapshot.data if snapshot is not None else ()
-        # Pad in live storage order -- base minus tombstones, then every
-        # append, a re-appended oid included -- so padding picks the same
-        # objects a bulk-swapped engine would.
-        base = (obj for obj in self.data_objects if obj.oid not in deleted)
-        for obj in chain(base, appended):
-            if len(padded) >= k:
-                break
-            if obj.oid not in present:
-                padded.append(ScoredObject(obj, 0.0))
-        return padded

@@ -19,11 +19,6 @@ no query path reads, lives in :mod:`repro.paper.hdfs`.)
 
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.partitioner import (
-    FieldPartitioner,
-    HashPartitioner,
-    Partitioner,
-)
 from repro.mapreduce.cluster import ClusterNode, SimulatedCluster
 
 #: Names re-exported lazily (PEP 562): the runtime depends on the serial
@@ -54,9 +49,6 @@ def __getattr__(name: str):
 __all__ = [
     "MapReduceJob",
     "Counters",
-    "Partitioner",
-    "HashPartitioner",
-    "FieldPartitioner",
     "LocalJobRunner",
     "JobResult",
     "ReduceTaskReport",

@@ -62,7 +62,7 @@ class MapReduceJob:
         """Route ``key`` to a reduce task in ``[0, num_reducers)``.
 
         The default is hash partitioning on the whole key, like Hadoop's
-        ``HashPartitioner``.
+        default partitioner.
         """
         return hash(key) % num_reducers
 

@@ -216,7 +216,9 @@ class FrontDoor:
                 self._completed(started[index])
                 responses[index] = response
         except BaseException:
-            self._bump("failed")
+            # One failure per request the batch left unanswered (cache hits
+            # and misses answered before the failure completed).
+            self._bump("failed", sum(responses[index] is None for index in misses))
             raise
         return responses  # type: ignore[return-value]
 
@@ -268,9 +270,9 @@ class FrontDoor:
         self._bump("completed")
         return latency
 
-    def _bump(self, counter: str) -> None:
+    def _bump(self, counter: str, count: int = 1) -> None:
         with self._lock:
-            self._counters[counter] += 1
+            self._counters[counter] += count
 
     # ------------------------------------------------------------------ #
     # introspection

@@ -82,6 +82,13 @@ from repro.sharding.layout import LAYOUT_CHOICES
 from repro.sharding.partition import ShardingPlan, partition_datasets
 from repro.spatial.geometry import BoundingBox
 
+#: Seconds between two samples of the rebalance controller.
+REBALANCE_INTERVAL_SECONDS = 2.0
+#: Fewest scatter requests a controller window must see before its
+#: imbalance verdict is trusted (a handful of requests make a meaningless
+#: p99).
+REBALANCE_MIN_REQUESTS = 50
+
 
 @dataclass
 class ShardingConfig:
@@ -95,28 +102,22 @@ class ShardingConfig:
         layout: Initial shard layout kind: ``"uniform"`` (the historical
             most-square extent split) or ``"skew"`` (count-balancing kd
             split over the data histogram; see
-            :mod:`repro.sharding.layout`).
-        layout_resolution: Skew layout-grid cells per axis.  ``None``
-            follows the served default query grid size, which keeps the
-            default grid layout-aligned (the score-tie contract).
+            :mod:`repro.sharding.layout`).  A skew layout snaps to the
+            served default query grid, which keeps that grid
+            layout-aligned (the score-tie contract).
         rebalance_threshold: Per-shard p99 imbalance ratio (slowest shard
             p99 over the median shard p99, measured over the controller's
             observation window) above which the background controller
             triggers a skew rebalance.  ``None`` disables the controller;
             :meth:`ShardRouter.rebalance` stays available either way.
-        rebalance_interval_seconds: Controller sampling period.
-        rebalance_min_requests: Minimum scatter requests observed across
-            the window before an imbalance verdict is trusted (a handful
-            of requests make a meaningless p99).
+            The controller samples every :data:`REBALANCE_INTERVAL_SECONDS`
+            and trusts a window of :data:`REBALANCE_MIN_REQUESTS` requests.
     """
 
     shards: int = 2
     max_radius: Optional[float] = None
     layout: str = "uniform"
-    layout_resolution: Optional[int] = None
     rebalance_threshold: Optional[float] = None
-    rebalance_interval_seconds: float = 2.0
-    rebalance_min_requests: int = 50
 
 
 class CacheVersion(NamedTuple):
@@ -205,7 +206,6 @@ class ScatterGatherRouter(FrontDoor):
         engine_config: Optional[EngineConfig],
         service_config: Optional[ServiceConfig],
         layout: str = "uniform",
-        layout_resolution: Optional[int] = None,
     ) -> None:
         """Partition the dataset and build the serving structures.
 
@@ -227,9 +227,7 @@ class ScatterGatherRouter(FrontDoor):
         #: Skew layouts snap to this grid; following the served default
         #: query grid keeps the default grid layout-aligned.
         self._layout_resolution = (
-            layout_resolution
-            or self._service_config.default_grid_size
-            or self._engine_config.grid_size
+            self._service_config.default_grid_size or self._engine_config.grid_size
         )
         #: One per shard, in shard-id order; filled by the subclass.
         self._targets: List[ShardTarget] = []
@@ -692,7 +690,6 @@ class ShardRouter(ScatterGatherRouter):
             engine_config=engine_config,
             service_config=service_config,
             layout=self.sharding.layout,
-            layout_resolution=self.sharding.layout_resolution,
         )
         # One service per *configured* shard, even when a degenerate
         # layout produced fewer: a later swap or rebalance may grow the
@@ -877,7 +874,7 @@ class ShardRouter(ScatterGatherRouter):
         mean anything), it triggers :meth:`rebalance` and restarts its
         observation window.
         """
-        interval = self.sharding.rebalance_interval_seconds
+        interval = REBALANCE_INTERVAL_SECONDS
         previous: Optional[List[Dict[object, int]]] = None
         while not self._background_stop.wait(interval):
             try:
@@ -918,7 +915,7 @@ class ShardRouter(ScatterGatherRouter):
         ]
         total = sum(count for count, _ in windows)
         p99s = sorted(p99 for count, p99 in windows if count and p99 is not None)
-        if total < self.sharding.rebalance_min_requests or len(p99s) < 2:
+        if total < REBALANCE_MIN_REQUESTS or len(p99s) < 2:
             self._last_observed_imbalance = None
             return False
         # Lower median: for an even shard count the upper-middle element
@@ -1024,8 +1021,8 @@ class ShardRouter(ScatterGatherRouter):
                     "controller": {
                         "enabled": sharding.rebalance_threshold is not None,
                         "threshold": sharding.rebalance_threshold,
-                        "interval_seconds": sharding.rebalance_interval_seconds,
-                        "min_requests": sharding.rebalance_min_requests,
+                        "interval_seconds": REBALANCE_INTERVAL_SECONDS,
+                        "min_requests": REBALANCE_MIN_REQUESTS,
                         "last_observed_imbalance": self._last_observed_imbalance,
                     },
                 },

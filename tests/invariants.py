@@ -131,9 +131,8 @@ def assert_counters_reconcile(stats: Mapping[str, object]) -> None:
 
     Every submitted request was answered, failed, or shed at admission;
     every admitted one completed, failed or missed its deadline, and none
-    is still in flight.  (A failed ``submit_many`` batch counts one failure
-    for all its requests, and an HTTP fast shed is offered but never
-    submitted, so callers check this after traffic with neither.)
+    is still in flight.  (An HTTP fast shed is offered but never submitted,
+    so callers check this after traffic without one.)
     """
     requests = stats["requests"]
     admission = stats["admission"]

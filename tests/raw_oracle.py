@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import time
 from itertools import chain
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.engine import _JOB_CLASSES, validate_algorithm_combination
 from repro.index.delta import materialize
 from repro.mapreduce.costmodel import CostModel
 from repro.mapreduce.runtime import LocalJobRunner
+from repro.model.objects import DataObject
 from repro.model.result import QueryResult, ScoredObject, merge_top_k
 
 #: Reduce-side ingest counters.  The index path *skips* a reduce task no
@@ -73,13 +74,6 @@ def raw_execute(
     for cell_id, oid, score in job_result.outputs:
         by_cell.setdefault(cell_id, []).append(ScoredObject(by_oid[oid], score))
     entries = merge_top_k(by_cell.values(), query.k)
-    if engine.config.pad_with_zero_scores and len(entries) < query.k:
-        present = {entry.obj.oid for entry in entries}
-        for obj in data:
-            if len(entries) >= query.k:
-                break
-            if obj.oid not in present:
-                entries.append(ScoredObject(obj, 0.0))
 
     counters = job_result.counters
     breakdown = CostModel().estimate(job_result)
@@ -118,6 +112,30 @@ def reference_execute(
     if algorithm in ("centralized", "auto"):
         return engine.execute(query, algorithm, grid_size, score_mode)
     return raw_execute(engine, query, algorithm, grid_size, score_mode)
+
+
+def zero_score_padding(
+    reported: Iterable[str], k: int, live_data: Sequence[DataObject]
+) -> List[DataObject]:
+    """The data objects that pad the ``reported`` oids to ``k`` at score 0.0.
+
+    The distributed algorithms, like the paper's, report only positively
+    scored objects, while the centralized oracle returns exactly ``k``.
+    ``live_data`` is the live storage order -- surviving base objects, then
+    every append, a re-appended oid included (``materialize_datasets()``)
+    -- so an engine with a write delta pads with the objects a bulk-swapped
+    engine would.
+    """
+    present = set(reported)
+    missing = max(0, k - len(present))
+    return [obj for obj in live_data if obj.oid not in present][:missing]
+
+
+def padded(result: QueryResult, k: int, live_data: Sequence[DataObject]) -> QueryResult:
+    """``result`` with :func:`zero_score_padding` appended at score 0.0."""
+    padding = zero_score_padding(result.object_ids(), k, live_data)
+    entries = list(result.entries) + [ScoredObject(obj, 0.0) for obj in padding]
+    return QueryResult(entries, stats=result.stats)
 
 
 def assert_same_work(stats: dict, raw_stats: dict) -> None:

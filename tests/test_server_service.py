@@ -308,6 +308,31 @@ class TestLifecycle:
 
 
 class TestServiceStats:
+    @staticmethod
+    def fail_executor(service, monkeypatch):
+        def execute_many(parsed_list):
+            raise RuntimeError("executor down")
+
+        monkeypatch.setattr(service, "_execute_many", execute_many)
+
+    def test_failed_batch_counts_every_request(self, service, monkeypatch):
+        self.fail_executor(service, monkeypatch)
+        specs = [{"keywords": [f"w000{i}"], "k": 2, "radius": 2.0} for i in (1, 2, 3)]
+        with pytest.raises(RuntimeError, match="executor down"):
+            service.submit_many(specs)
+        requests = service.stats()["requests"]
+        assert (requests["submitted"], requests["completed"], requests["failed"]) == (3, 0, 3)
+
+    def test_failed_batch_does_not_fail_its_cache_hits(self, service, monkeypatch):
+        hit = {"keywords": ["w0001"], "k": 2, "radius": 2.0}
+        service.submit(hit)
+        self.fail_executor(service, monkeypatch)
+        misses = [{"keywords": [f"w000{i}"], "k": 2, "radius": 2.0} for i in (2, 3)]
+        with pytest.raises(RuntimeError, match="executor down"):
+            service.submit_many([hit, *misses])
+        requests = service.stats()["requests"]
+        assert (requests["submitted"], requests["completed"], requests["failed"]) == (4, 2, 2)
+
     def test_stats_shape(self, service):
         service.submit({"keywords": ["w0001"], "k": 2, "radius": 2.0})
         stats = service.stats()

@@ -22,6 +22,7 @@ from repro.sharding import (
     partition_datasets,
     shard_layout,
 )
+from repro.sharding import router as sharding_router
 from repro.spatial.geometry import BoundingBox
 
 GRID = 10
@@ -844,10 +845,10 @@ class TestRebalanceController:
         assert count == 10
         assert value == 2.0
 
-    def test_should_rebalance_thresholds(self, small_uniform_dataset):
+    def test_should_rebalance_thresholds(self, small_uniform_dataset, monkeypatch):
+        monkeypatch.setattr(sharding_router, "REBALANCE_MIN_REQUESTS", 10)
         router = make_router(small_uniform_dataset, shards=2)
         router.sharding.rebalance_threshold = 2.0
-        router.sharding.rebalance_min_requests = 10
         flat = [{1.0: 0}, {1.0: 0}]
         skewed = [{1.0: 100}, {16.0: 100}]
         assert router._should_rebalance(flat, skewed) is True
@@ -861,21 +862,20 @@ class TestRebalanceController:
         assert router._should_rebalance([{1.0: 0}], skewed) is False
 
     def test_controller_triggers_rebalance_on_sustained_imbalance(
-        self, small_uniform_dataset
+        self, small_uniform_dataset, monkeypatch
     ):
         import time
 
+        # Sample every 50 ms, trust 10 requests: the production 2 s / 50
+        # would outlast the test.
+        monkeypatch.setattr(sharding_router, "REBALANCE_INTERVAL_SECONDS", 0.05)
+        monkeypatch.setattr(sharding_router, "REBALANCE_MIN_REQUESTS", 10)
         data, features = small_uniform_dataset
         router = ShardRouter(
             data, features,
             engine_config=EngineConfig(grid_size=GRID),
             service_config=ServiceConfig(engines=1, default_grid_size=GRID),
-            sharding=ShardingConfig(
-                shards=2,
-                rebalance_threshold=2.0,
-                rebalance_interval_seconds=0.05,
-                rebalance_min_requests=10,
-            ),
+            sharding=ShardingConfig(shards=2, rebalance_threshold=2.0),
         )
         # Deterministic latency feed: one balanced baseline sample, then a
         # steady 16x-imbalanced cumulative snapshot -- the first window

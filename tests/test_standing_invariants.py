@@ -59,6 +59,10 @@ def build(mode: str, dataset):
                        service_config=config, sharding=ShardingConfig(shards=2))
 
 
+def failing_executor(parsed_list):
+    raise RuntimeError("executor down")
+
+
 def engines_of(front):
     if isinstance(front, ShardRouter):
         return [engine for service in front.services for engine in service.engines]
@@ -66,7 +70,7 @@ def engines_of(front):
 
 
 @pytest.mark.parametrize("mode", ["service", "shards"])
-def test_in_process_front_door(mode, small_uniform_dataset):
+def test_in_process_front_door(mode, small_uniform_dataset, monkeypatch):
     data, features = small_uniform_dataset
     with standing_invariants():
         front = build(mode, small_uniform_dataset)
@@ -76,6 +80,11 @@ def test_in_process_front_door(mode, small_uniform_dataset):
                 front.submit(spec(number, algorithm))
             assert front.submit(spec(0, "pspq")).get("cached") is True
             front.submit_many([spec(number) for number in range(4, 8)])
+            with monkeypatch.context() as patch:
+                # A failed batch: one cache hit, two requests it fails.
+                patch.setattr(front, "_execute_many", failing_executor)
+                with pytest.raises(RuntimeError, match="executor down"):
+                    front.submit_many([spec(4), spec(10), spec(11)])
             with RetiredIndexWatch(lambda: engines_of(front)):
                 front.apply_objects(
                     append_data=[DataObject("new-d", 50.0, 50.0)],

@@ -1,8 +1,12 @@
-"""The open-loop load generator: invariants, ledger, reconciliation."""
+"""The open-loop load generator of ``benchmarks/traffic_lab.py``: invariants,
+ledger, reconciliation."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import pathlib
+import sys
 import threading
 import time
 
@@ -10,15 +14,25 @@ import pytest
 
 from repro.core.centralized import dataset_extent
 from repro.server import QueryService, ServiceConfig, make_server
-from repro.traffic import (
-    HttpTarget,
-    LoadGenerator,
-    ResultsLedger,
-    TrafficModel,
-    WorkloadConfig,
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location(
+    "traffic_lab", ROOT / "benchmarks" / "traffic_lab.py"
 )
-from repro.traffic.loadgen import OUTCOMES, RequestRecord, SendResult
-from repro.traffic.workload import ScheduledRequest
+traffic_lab = importlib.util.module_from_spec(_SPEC)
+# Registered first: dataclasses look their module up while they are built.
+sys.modules[_SPEC.name] = traffic_lab
+_SPEC.loader.exec_module(traffic_lab)
+
+HttpTarget = traffic_lab.HttpTarget
+LoadGenerator = traffic_lab.LoadGenerator
+OUTCOMES = traffic_lab.OUTCOMES
+RequestRecord = traffic_lab.RequestRecord
+ResultsLedger = traffic_lab.ResultsLedger
+ScheduledRequest = traffic_lab.ScheduledRequest
+SendResult = traffic_lab.SendResult
+TrafficModel = traffic_lab.TrafficModel
+WorkloadConfig = traffic_lab.WorkloadConfig
 
 
 def _schedule(count, gap, spec=None, profile="steady"):

@@ -1,15 +1,31 @@
-"""Property tests for the seeded open-loop workload models."""
+"""Property tests for the seeded open-loop workload models of
+``benchmarks/traffic_lab.py``."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import pathlib
+import sys
 
 import pytest
 
 from repro.core.centralized import dataset_extent
 from repro.core.engine import ALGORITHM_CHOICES
 from repro.server.protocol import RequestDefaults, parse_query_spec
-from repro.traffic import ScheduledRequest, TrafficModel, WorkloadConfig
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location(
+    "traffic_lab", ROOT / "benchmarks" / "traffic_lab.py"
+)
+traffic_lab = importlib.util.module_from_spec(_SPEC)
+# Registered first: dataclasses look their module up while they are built.
+sys.modules[_SPEC.name] = traffic_lab
+_SPEC.loader.exec_module(traffic_lab)
+
+ScheduledRequest = traffic_lab.ScheduledRequest
+TrafficModel = traffic_lab.TrafficModel
+WorkloadConfig = traffic_lab.WorkloadConfig
 
 DEFAULTS = RequestDefaults(k=10, radius=5.0, algorithm="espq-sco", grid_size=10)
 
