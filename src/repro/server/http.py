@@ -169,10 +169,11 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     #: silent client cannot pin a handler thread forever; active request
     #: processing does not read the socket and is unaffected.
     timeout = 120.0
-    #: Responses go out as two small writes (header flush, then body); with
-    #: Nagle on, the second write stalls behind the peer's delayed ACK once
+    #: A response goes out as one write (:meth:`_send_text`), but with
+    #: Nagle on a write can still stall behind the peer's delayed ACK once
     #: a keep-alive connection ages out of quick-ACK mode (~40ms per
-    #: response).  TCP_NODELAY sends both immediately.
+    #: response), e.g. when a large body spans segments.  TCP_NODELAY
+    #: sends it immediately.
     disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------ #
@@ -347,7 +348,12 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             # protocol in sync.  429 is covered by this same >= 400 rule.
             self.send_header("Connection", "close")
             self.close_connection = True
-        self.end_headers()
+        # One write for the whole response: status line, headers and body
+        # leave together instead of as a header flush and a body write.
+        # (An HTTP/0.9 request gets the body alone: it has no headers.)
+        if self.request_version != "HTTP/0.9":
+            data = b"".join(self._headers_buffer) + b"\r\n" + data
+            self._headers_buffer = []
         self.wfile.write(data)
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002

@@ -248,7 +248,8 @@ class ScatterGatherRouter(FrontDoor):
         #: Serializes state changes (swaps, rebalances, writes, resyncs).
         self._swap_lock = threading.Lock()
         self._gate = QuiesceGate()  # over scatter-gathers
-        #: One task per shard per in-flight request (threads spawn lazily).
+        #: One task per shard but the first per in-flight request (threads
+        #: spawn lazily).
         self._pool = ThreadPoolExecutor(
             max_workers=min(64, shards * 8),
             thread_name_prefix="repro-scatter",
@@ -399,14 +400,14 @@ class ScatterGatherRouter(FrontDoor):
         """
         spec = resolved_spec(parsed.item)
         shard_ids = sorted(self._data_bearing)
-        if len(shard_ids) <= 1:
-            outcomes = [self._targets[s].query(spec) for s in shard_ids]
-        else:
-            futures = [
-                self._pool.submit(self._targets[s].query, spec)
-                for s in shard_ids
-            ]
-            outcomes = [future.result() for future in futures]
+        # The calling thread queries the first shard itself while the pool
+        # takes the rest: one thread hand-off fewer per request.
+        futures = [
+            self._pool.submit(self._targets[s].query, spec)
+            for s in shard_ids[1:]
+        ]
+        outcomes = [self._targets[s].query(spec) for s in shard_ids[:1]]
+        outcomes += [future.result() for future in futures]
         answered: List[Tuple[int, Dict[str, object]]] = []
         missing: List[int] = []
         for s, response in zip(shard_ids, outcomes):

@@ -11,8 +11,10 @@ import pytest
 
 from raw_oracle import raw_execute
 from repro.core.engine import EngineConfig, SPQEngine
+from repro.exceptions import OverloadError
 from repro.model.query import SpatialPreferenceQuery
 from repro.server import QueryService, ServiceConfig, make_server
+from repro.server.http import _ServiceRequestHandler
 
 GRID = 10
 
@@ -277,6 +279,109 @@ class TestOperationalEndpoints:
         for thread in threads:
             thread.join()
         assert not errors
+
+
+class _SendallSpy:
+    """A handler's socket, recording every ``sendall`` it is given."""
+
+    def __init__(self, sock, writes):
+        self._sock = sock
+        self._writes = writes
+
+    def sendall(self, data, *args):
+        self._writes.append(bytes(data))
+        return self._sock.sendall(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+@pytest.fixture()
+def response_writes(monkeypatch):
+    """Every ``sendall`` of every handler connection accepted from now on."""
+    writes = []
+    setup = _ServiceRequestHandler.setup
+
+    def spying_setup(handler):
+        handler.request = _SendallSpy(handler.request, writes)
+        setup(handler)
+
+    monkeypatch.setattr(_ServiceRequestHandler, "setup", spying_setup)
+    return writes
+
+
+class TestSingleWriteResponses:
+    """A response leaves in one write: status line, headers and body."""
+
+    def _exchange(self, connection, writes, method, path, body=None):
+        before = len(writes)
+        connection.request(method, path, body=body)
+        response = connection.getresponse()
+        payload = response.read()
+        assert len(writes) == before + 1, writes[before:]
+        assert writes[-1].startswith(b"HTTP/1.1 %d " % response.status)
+        assert writes[-1].endswith(b"\r\n\r\n" + payload)
+        return response, json.loads(payload)
+
+    def test_200_400_and_429_are_one_write_each(self, live_server, response_writes):
+        import http.client
+
+        service, url = live_server
+        host, port = url.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=5)
+        try:
+            response, payload = self._exchange(
+                connection, response_writes, "GET", "/healthz"
+            )
+            assert response.status == 200 and payload["status"] == "ok"
+            assert response.getheader("Connection") is None
+
+            response, payload = self._exchange(
+                connection, response_writes, "POST", "/query", b"{not json"
+            )
+            assert response.status == 400 and "error" in payload
+            assert response.getheader("Connection") == "close"
+
+            def shed(spec):
+                raise OverloadError("admission queue full", retry_after_ms=2400.0)
+
+            service.submit = shed
+            response, payload = self._exchange(
+                connection, response_writes, "POST", "/query",
+                json.dumps({"keywords": ["w0001"], "k": 2}).encode(),
+            )
+            assert response.status == 429
+            assert payload["shed"] is True and payload["retry_after_ms"] == 2400.0
+            assert response.getheader("Retry-After") == "2"
+            assert response.getheader("Connection") == "close"
+        finally:
+            connection.close()
+
+    def test_keep_alive_client_reads_back_to_back_responses(
+        self, live_server, response_writes
+    ):
+        import http.client
+
+        _, url = live_server
+        host, port = url.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=5)
+        try:
+            connection.connect()
+            sock = connection.sock
+            for index in range(6):
+                spec = {"keywords": [f"w00{10 + index}"], "k": 3, "radius": 2.0}
+                _, payload = self._exchange(
+                    connection, response_writes, "POST", "/query",
+                    json.dumps(spec).encode(),
+                )
+                assert len(payload["results"]) <= 3
+                _, health = self._exchange(
+                    connection, response_writes, "GET", "/healthz"
+                )
+                assert health["status"] == "ok"
+            assert connection.sock is sock  # one connection throughout
+        finally:
+            connection.close()
 
 
 class TestDatasetsEndpoint:
