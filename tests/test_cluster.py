@@ -40,7 +40,9 @@ from repro.cluster.transport import (
     NodeTransportError,
     close_pooled_connections,
     get_json,
+    pool_stats,
     post_json,
+    reset_pool_stats,
 )
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_uniform
@@ -552,6 +554,33 @@ class TestNodeLifecycle:
             healed = fleet.router.submit(spec)
             assert "degraded" not in healed
             assert response_entries(healed) == offline_entries(swapped, spec)
+
+    def test_batches_and_short_lived_callers_share_node_connections(
+        self, small_uniform_dataset
+    ):
+        """A ``/batch`` call's workers and a reconnecting client's request
+        threads are short-lived, and each queries the first shard itself:
+        they ride the pooled connections, so the connections opened are
+        bounded by the requests in flight at once (two nodes, at most 8
+        batch workers each), not by the batches or threads served."""
+        specs = [
+            {"keywords": [f"w{word:04d}"], "k": 3, "radius": 2.0}
+            for word in range(1, 9)
+        ]
+        with Fleet(
+            small_uniform_dataset, shards=2, result_cache_capacity=0
+        ) as fleet:
+            reset_pool_stats()
+            for _ in range(6):
+                fleet.router.submit_many(specs)
+            for spec in specs * 2:
+                caller = threading.Thread(target=fleet.router.submit, args=(spec,))
+                caller.start()
+                caller.join()
+            stats = pool_stats()
+        assert stats["requests"] == 2 * (6 * len(specs) + 2 * len(specs))
+        assert stats["opened"] <= 2 * 8
+        assert stats["stale_retries"] == 0
 
     def test_shutdown_closes_every_node_connection(self, small_uniform_dataset):
         """The keep-alive connections of the scatter pool, a batch pool and
