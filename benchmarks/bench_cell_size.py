@@ -29,8 +29,8 @@ def test_cell_size_pspq_job(benchmark, uniform_spec, grid_size):
         return runner.run(PSPQJob(query, grid), records)
 
     result = benchmark(run_job)
-    max_work = max(report.work_units() for report in result.reduce_reports)
-    total_work = sum(report.work_units() for report in result.reduce_reports)
+    max_work = max(report.work_units for report in result.reduce_reports)
+    total_work = sum(report.work_units for report in result.reduce_reports)
     benchmark.extra_info["max_reducer_work"] = max_work
     benchmark.extra_info["total_work"] = total_work
     assert max_work <= total_work

@@ -55,7 +55,7 @@ TAG_DATA = 0
 TAG_FEATURE = 1
 
 #: Work-counter names.
-WORK_GROUP = "work"
+WORK_GROUP = counter_names.GROUP_WORK
 FEATURES_EXAMINED = "features_examined"
 SCORE_COMPUTATIONS = "score_computations"
 

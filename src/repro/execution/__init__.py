@@ -18,7 +18,6 @@ from repro.execution.tasks import (
     ReduceTask,
     ReduceTaskReport,
     run_map_task,
-    run_reduce_task,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "ReduceTaskReport",
     "SerialBackend",
     "run_map_task",
-    "run_reduce_task",
 ]

@@ -14,25 +14,27 @@ functions, which :class:`~repro.execution.serial.SerialBackend` runs inline:
   ``(sort_key, sequence, key, value)`` entries numbered with a *task-local*
   sequence, which the orchestrator rebases onto a global counter in task
   order -- the emission order of a fully serial run, bit for bit.
-* :func:`run_reduce_task` feeds each group of one partition to
-  ``job.reduce`` through a consumption-tracking iterator (early termination
-  accounting), after injecting the partition's preloaded block, if any,
-  ahead of its group's live values.  Runs need no sort, no grouping and no
-  value list -- each is one group, read lazily; only an entry bucket is
+* :func:`reduce_groups` lays one reduce partition out for the reduce loop
+  (:meth:`~repro.execution.serial.SerialBackend.run_reduce_tasks`): its
+  groups in reduce order, each a lazily read run, with the partition's
+  preloaded block, if any, placed ahead of its group's live values.  Runs
+  need no sort, no grouping and no value list; only an entry bucket is
   sorted by ``(sort_key, sequence)`` and grouped by ``group_key`` here.
 * :func:`block_without` is the one place a data tombstone is applied: the
   copy of a block a reducer is handed when some of the cell's rows are
   deleted.
 
-Each task gets its own :class:`~repro.mapreduce.counters.Counters`; the
-orchestrator merges them in task-index order.
+Each map task gets its own :class:`~repro.mapreduce.counters.Counters`,
+which the orchestrator merges in task-index order; reduce tasks write into
+the run's one ``Counters`` and report their cost as a
+:class:`ReduceTaskReport` of plain ints.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.exceptions import JobExecutionError
 from repro.index.columns import DataBlock
@@ -49,30 +51,6 @@ ShuffleEntry = Tuple[Any, int, Any, Any]
 #: One reduce partition's live input: entries to sort and group (the
 #: record-at-a-time route), or one ready run per cell (a mapped split).
 Bucket = Union[List[ShuffleEntry], Dict[int, CellRun]]
-
-
-@dataclass
-class ReduceTaskReport:
-    """Execution statistics of one reduce task (== one grid cell in SPQ jobs)."""
-
-    task_index: int
-    num_groups: int = 0
-    input_records: int = 0
-    consumed_records: int = 0
-    output_records: int = 0
-    shuffle_bytes: int = 0
-    counters: Counters = field(default_factory=Counters)
-
-    def work_units(self) -> int:
-        """Algorithm-reported work (counters in group ``"work"``), if any.
-
-        Falls back to the number of consumed records so that jobs that do not
-        report explicit work units still get a sensible cost.
-        """
-        work_group = self.counters.group("work")
-        if work_group:
-            return sum(work_group.values())
-        return self.consumed_records
 
 
 @dataclass
@@ -98,8 +76,7 @@ class MapTaskResult:
     counters: Counters
 
 
-@dataclass
-class ReduceTask:
+class ReduceTask(NamedTuple):
     """One reduce partition, ready to be reduced.
 
     Attributes:
@@ -112,33 +89,33 @@ class ReduceTask:
         preloaded: The run's
             :class:`~repro.mapreduce.runtime.PreloadedShuffle`, if any: the
             handle that hands this partition its preloaded block.
+        counters: The run's one :class:`~repro.mapreduce.counters.Counters`,
+            which the reducers write into directly (every task of a run
+            carries the same object).
     """
 
     task_index: int
     entries: Bucket
-    preloaded: Optional[Any] = None
+    preloaded: Optional[Any]
+    counters: Counters
 
 
-class _ConsumptionTrackingIterator:
-    """Wraps a value iterator and counts how many items the reducer pulled.
+class ReduceTaskReport(NamedTuple):
+    """What one reduce task (== one grid cell in SPQ jobs) cost, as plain ints.
 
-    A :class:`~repro.index.columns.DataBlock` stands in for that many
-    individual data records, so pulling one weighs ``len(block)`` -- the
-    consumption accounting stays identical to a run that mapped the
-    records one by one.
+    Attributes:
+        task_index: The reduce partition index.
+        input_records: Live values plus preloaded block rows the task was
+            handed.
+        work_units: What its reducers added to the ``"work"`` counter group
+            (score computations, features examined), or, when they added
+            nothing, the records they consumed -- so jobs that report no
+            explicit work still get a sensible cost.
     """
 
-    def __init__(self, values: Iterable[Any]) -> None:
-        self._pull = iter(values).__next__
-        self.consumed = 0
-
-    def __iter__(self) -> "_ConsumptionTrackingIterator":
-        return self
-
-    def __next__(self) -> Any:
-        value = self._pull()
-        self.consumed += len(value) if value.__class__ is DataBlock else 1
-        return value
+    task_index: int
+    input_records: int
+    work_units: int
 
 
 def run_map_task(
@@ -224,59 +201,46 @@ def sort_bucket(bucket: List[ShuffleEntry]) -> None:
     bucket.sort()
 
 
-def run_reduce_task(
-    job: MapReduceJob,
-    task_index: int,
-    bucket: Bucket,
-    preloaded_block: Optional[Tuple[Any, DataBlock]] = None,
-) -> Tuple[List[Any], ReduceTaskReport]:
-    """Reduce one partition bucket, group by group.
+#: The live run of a group that has none: its block is reduced alone.
+NO_RUN = CellRun((), (), ())
 
-    ``preloaded_block`` is the partition's preloaded records: a ``(group,
-    DataBlock)`` pair injected ahead of the live values of its group (data
-    always sorts before features in SPQ jobs, so "first" is exactly where
-    mapping the records would have put them).  A block whose group has no
-    live entries is reduced as its own data-only group, in group order;
-    accounting (``input_records``, ``num_groups``, consumption) counts the
-    block as ``len(block)`` records, matching a run that mapped them.
-    Requires orderable group keys, which every preloaded-shuffle job has
-    (cell ids).
+
+def reduce_groups(
+    job: MapReduceJob, bucket: Bucket, preloaded_block: Optional[Tuple[Any, DataBlock]]
+) -> List[Tuple[Any, Optional[DataBlock], CellRun]]:
+    """One partition's groups in reduce order, as ``(group, block, run)``.
+
+    A run (the index path) is one cell's live values already in reduce
+    order; an entry bucket (the generic record route) is sorted by
+    ``(sort_key, sequence)`` and grouped by ``group_key`` here, each group's
+    values becoming a run of its own.  ``preloaded_block`` is the
+    partition's preloaded records: a ``(group, DataBlock)`` pair that rides
+    ahead of the live run of its group (data always sorts before features
+    in SPQ jobs, so "first" is exactly where mapping the records would have
+    put them).  A block whose group has no live run is reduced alone, in
+    group order, with :data:`NO_RUN`.  Requires orderable group keys, which
+    every preloaded-shuffle job has (cell ids).
     """
-    block_group: Any = None
-    block: Optional[DataBlock] = None
-    block_records = 0
+    if isinstance(bucket, dict):
+        groups = [(cell, None, bucket[cell]) for cell in sorted(bucket)]
+    else:
+        sort_bucket(bucket)
+        groups = []
+        for group, entries in itertools.groupby(
+            bucket, key=lambda entry: job.group_key(entry[2])
+        ):
+            values = [value for _, _, _, value in entries]
+            groups.append((group, None, CellRun(range(len(values)), values, ())))
     if preloaded_block is not None:
         block_group, block = preloaded_block
-        block_records = len(block)
-    groups: Iterator[Tuple[Any, Iterable[Any]]]
-    if isinstance(bucket, dict):
-        live_records = sum(len(run.rows) for run in bucket.values())
-        groups = ((cell, bucket[cell].read()) for cell in sorted(bucket))
-    else:
-        live_records = len(bucket)
-        sort_bucket(bucket)
-        groups = (
-            (group, [value for _, _, _, value in entries])
-            for group, entries in itertools.groupby(
-                bucket, key=lambda entry: job.group_key(entry[2])
-            )
-        )
-    report = ReduceTaskReport(
-        task_index=task_index, input_records=live_records + block_records
-    )
-    outputs: List[Any] = []
-
-    for group, values in groups:
-        if block is not None and block_group <= group:
-            if block_group < group:
-                _reduce_group(job, task_index, block_group, (block,), report, outputs)
-            else:
-                values = itertools.chain((block,), values)
-            block = None
-        _reduce_group(job, task_index, group, values, report, outputs)
-    if block is not None:
-        _reduce_group(job, task_index, block_group, (block,), report, outputs)
-    return outputs, report
+        at = 0
+        while at < len(groups) and not block_group <= groups[at][0]:
+            at += 1
+        if at < len(groups) and groups[at][0] == block_group:
+            groups[at] = (block_group, block, groups[at][2])
+        else:
+            groups.insert(at, (block_group, block, NO_RUN))
+    return groups
 
 
 def block_without(
@@ -304,26 +268,3 @@ def block_without(
         [block.ys[row] for row in keep],
         memo=False,
     )
-
-
-def _reduce_group(
-    job: MapReduceJob,
-    task_index: int,
-    group: Any,
-    values: Iterable[Any],
-    report: ReduceTaskReport,
-    outputs: List[Any],
-) -> None:
-    """Feed one group to ``job.reduce`` and fold the results into the report."""
-    report.num_groups += 1
-    iterator = _ConsumptionTrackingIterator(values)
-    try:
-        produced = job.reduce(group, iterator, report.counters)
-        produced = list(produced) if produced is not None else []
-    except Exception as exc:  # pragma: no cover - defensive re-raise
-        raise JobExecutionError(
-            f"reduce failed for group {group!r} in task {task_index}: {exc}"
-        ) from exc
-    report.consumed_records += iterator.consumed
-    report.output_records += len(produced)
-    outputs.extend(produced)

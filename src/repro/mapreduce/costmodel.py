@@ -152,7 +152,7 @@ class CostModel:
         map_work = counters.get(counter_names.GROUP_MAP, counter_names.MAP_SCORE_COMPUTATIONS)
         shuffle_bytes = counters.get(counter_names.GROUP_SHUFFLE, counter_names.SHUFFLE_BYTES)
         reduce_costs = [
-            self.reduce_task_cost(report.input_records, report.work_units())
+            self.reduce_task_cost(report.input_records, report.work_units)
             for report in result.reduce_reports
         ]
         return self.compose(

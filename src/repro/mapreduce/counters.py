@@ -27,6 +27,11 @@ class Counters:
         """Current value of a counter (0 if never incremented)."""
         return self._values.get(group, {}).get(name, 0)
 
+    def total(self, group: str) -> int:
+        """Sum of every counter in a group (0 if it has none)."""
+        names = self._values.get(group)
+        return sum(names.values()) if names else 0
+
     def group(self, group: str) -> Dict[str, int]:
         """Copy of all counters in a group."""
         return dict(self._values.get(group, {}))
@@ -62,6 +67,9 @@ class Counters:
 GROUP_MAP = "map"
 GROUP_SHUFFLE = "shuffle"
 GROUP_REDUCE = "reduce"
+#: Algorithm work units (score computations, features examined): what the
+#: cost model charges a reduce task for.
+GROUP_WORK = "work"
 
 MAP_INPUT_RECORDS = "input_records"
 MAP_OUTPUT_RECORDS = "output_records"

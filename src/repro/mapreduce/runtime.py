@@ -20,13 +20,14 @@ runs of row numbers that are *born* in that order, so steps 2-4 cost nothing
 per record there and a reducer materialises only the values it reads.
 
 The runner is an *orchestrator*: it builds splits, rebases shuffle sequence
-numbers (or, for runs, merges the cells several map tasks fed), merges
-counters and reports -- always in task-index order -- and hands the tasks
-of each phase to a :class:`~repro.execution.serial.SerialBackend`, which
-runs them inline.
-
-The runner collects global counters and a per-reduce-task report that the
-cluster cost model converts into simulated job time.
+numbers (or, for runs, merges the cells several map tasks fed), merges the
+map tasks' counters -- always in task-index order -- and hands the tasks of
+each phase to a :class:`~repro.execution.serial.SerialBackend`, which runs
+them inline.  The reduce phase is one loop there that writes into the run's
+one :class:`~repro.mapreduce.counters.Counters` and returns, per reduce
+task, a :class:`~repro.execution.tasks.ReduceTaskReport` of plain ints
+(input records, work units) that the cluster cost model converts into
+simulated job time.
 """
 
 from __future__ import annotations
@@ -183,9 +184,12 @@ class LocalJobRunner:
             counters.increment(
                 counter_names.GROUP_REDUCE, counter_names.REDUCE_TASKS_SKIPPED, len(skipped)
             )
-        outputs, reports = self._run_reduce_phase(
-            job, live, counters, preloaded, skipped
-        )
+        tasks = [
+            ReduceTask(index, bucket, preloaded, counters)
+            for index, bucket in enumerate(live)
+            if skipped is None or index not in skipped
+        ]
+        outputs, reports = self.backend.run_reduce_tasks(job, tasks)
 
         job.cleanup(counters)
         return JobResult(
@@ -280,50 +284,3 @@ class LocalJobRunner:
         total_inputs = num_records + preloaded_records
         num_map_tasks = -(-total_inputs // self.split_size) if total_inputs else 1
         return live, num_map_tasks, touched
-
-    # ------------------------------------------------------------------ #
-    # reduce
-
-    def _run_reduce_phase(
-        self,
-        job: MapReduceJob,
-        live: List[Bucket],
-        counters: Counters,
-        preloaded: Optional[PreloadedShuffle] = None,
-        skipped: Optional[Set[int]] = None,
-    ) -> Tuple[List[Any], List[ReduceTaskReport]]:
-        tasks = [
-            ReduceTask(task_index=index, entries=bucket, preloaded=preloaded)
-            for index, bucket in enumerate(live)
-            if skipped is None or index not in skipped
-        ]
-
-        task_results = self.backend.run_reduce_tasks(job, tasks)
-
-        # Results come back in task-index order, so this merge -- and
-        # therefore the aggregated counters -- is deterministic.
-        outputs: List[Any] = []
-        reports: List[ReduceTaskReport] = []
-        for task_outputs, report in task_results:
-            outputs.extend(task_outputs)
-            reports.append(report)
-            counters.merge(report.counters)
-            counters.increment(
-                counter_names.GROUP_REDUCE, counter_names.REDUCE_INPUT_GROUPS, report.num_groups
-            )
-            counters.increment(
-                counter_names.GROUP_REDUCE,
-                counter_names.REDUCE_INPUT_RECORDS,
-                report.input_records,
-            )
-            counters.increment(
-                counter_names.GROUP_REDUCE,
-                counter_names.REDUCE_CONSUMED_RECORDS,
-                report.consumed_records,
-            )
-            counters.increment(
-                counter_names.GROUP_REDUCE,
-                counter_names.REDUCE_OUTPUT_RECORDS,
-                report.output_records,
-            )
-        return outputs, reports

@@ -190,8 +190,18 @@ def cell_size_experiment(
     normalised analytic cost.
     """
     from repro.paper.analysis import reducer_cost_model
-    from repro.core.jobs import PSPQJob
+    from repro.core.jobs import SCORE_COMPUTATIONS, WORK_GROUP, PSPQJob
     from repro.mapreduce.runtime import LocalJobRunner
+
+    class CellMeteredPSPQJob(PSPQJob):
+        """pSPQ that keeps each cell's score computations: with one cell per
+        reduce task, what each reducer computed."""
+
+        def reduce(self, group, values, counters):
+            before = counters.get(WORK_GROUP, SCORE_COMPUTATIONS)
+            output = super().reduce(group, values, counters)
+            cell_work.append(counters.get(WORK_GROUP, SCORE_COMPUTATIONS) - before)
+            return output
 
     spec = _uniform_spec(num_objects)
     table: Dict[int, Dict[str, float]] = {}
@@ -200,13 +210,13 @@ def cell_size_experiment(
         query = varied.build_query()
         engine = varied.build_engine()
         grid = engine.build_grid(grid_size)
-        job = PSPQJob(query, grid)
+        cell_work = []
         runner = LocalJobRunner(num_reducers=grid.num_cells)
-        result = runner.run(job, list(spec.data_objects) + list(spec.feature_objects))
-        max_work = max(
-            (report.counters.get("work", "score_computations") for report in result.reduce_reports),
-            default=0,
+        runner.run(
+            CellMeteredPSPQJob(query, grid),
+            list(spec.data_objects) + list(spec.feature_objects),
         )
+        max_work = max(cell_work, default=0)
         normalised_side = 1.0 / grid_size
         normalised_radius = normalised_side * varied.radius_fraction
         table[grid_size] = {

@@ -71,7 +71,7 @@ class LoadBalanceStats:
 
 def load_balance(result: JobResult) -> LoadBalanceStats:
     """Compute the work-distribution statistics of a finished job."""
-    work = [report.work_units() for report in result.reduce_reports]
+    work = [report.work_units for report in result.reduce_reports]
     if not work:
         return LoadBalanceStats(0, 0, 0, 0.0, 1.0, 0.0, 0)
     total = sum(work)

@@ -373,19 +373,10 @@ class ScatterGatherRouter(FrontDoor):
     def _execute_many(
         self, parsed_list: Sequence[ParsedRequest]
     ) -> Iterator[Dict[str, object]]:
-        """Scatter-gather the misses concurrently on a batch-local pool, so
-        their round-trips overlap -- distinct from the shard scatter pool
-        (batch tasks block on scatter tasks, never the reverse, so the two
-        levels cannot deadlock each other)."""
-        execute = functools.partial(self._execute, deadline=None)
-        if len(parsed_list) <= 1:
-            yield from map(execute, parsed_list)
-            return
-        with ThreadPoolExecutor(
-            max_workers=min(len(parsed_list), 8),
-            thread_name_prefix="repro-router-batch",
-        ) as pool:
-            yield from pool.map(execute, parsed_list)
+        """Scatter-gather the misses one after another on the calling
+        thread; each scatter still fans out across the shards.  Per-batch
+        threads bought no overlap: the shards' CPUs are the bottleneck."""
+        return map(functools.partial(self._execute, deadline=None), parsed_list)
 
     def _scatter(
         self, parsed: ParsedRequest

@@ -37,11 +37,10 @@ def _sweep():
 
 
 def _job_result(work_per_task):
-    reports = []
-    for index, work in enumerate(work_per_task):
-        report = ReduceTaskReport(task_index=index)
-        report.counters.increment("work", "score_computations", work)
-        reports.append(report)
+    reports = [
+        ReduceTaskReport(task_index=index, input_records=0, work_units=work)
+        for index, work in enumerate(work_per_task)
+    ]
     return JobResult(
         job_name="synthetic", outputs=[], counters=Counters(),
         reduce_reports=reports, num_map_tasks=1, num_reduce_tasks=len(reports),

@@ -50,6 +50,7 @@ from repro.exceptions import InvalidQueryError
 from repro.model.query import SpatialPreferenceQuery
 from repro.server import QueryService, ServiceConfig, make_server
 from repro.sharding import ShardRouter, ShardingConfig
+from test_sharding import assert_batch_misses_on_the_calling_thread
 
 GRID = 10
 
@@ -389,6 +390,12 @@ class TestClusterIdentity:
                 small_uniform_dataset, spec
             )
 
+    def test_submit_many_runs_the_misses_on_the_calling_thread(
+        self, small_uniform_dataset
+    ):
+        with Fleet(small_uniform_dataset, shards=2, result_cache_capacity=0) as fleet:
+            assert_batch_misses_on_the_calling_thread(fleet.router)
+
     def test_invalid_requests_rejected_locally(self, small_uniform_dataset):
         with Fleet(small_uniform_dataset, shards=2) as fleet:
             with pytest.raises(InvalidQueryError, match="unknown request field"):
@@ -558,11 +565,12 @@ class TestNodeLifecycle:
     def test_batches_and_short_lived_callers_share_node_connections(
         self, small_uniform_dataset
     ):
-        """A ``/batch`` call's workers and a reconnecting client's request
-        threads are short-lived, and each queries the first shard itself:
-        they ride the pooled connections, so the connections opened are
-        bounded by the requests in flight at once (two nodes, at most 8
-        batch workers each), not by the batches or threads served."""
+        """A ``/batch`` call's misses run on its calling thread, and a
+        reconnecting client's request threads are short-lived; each queries
+        the first shard itself.  They ride the pooled connections, so the
+        connections opened are bounded by the requests in flight at once
+        (two nodes, well under 8 each), not by the batches or threads
+        served."""
         specs = [
             {"keywords": [f"w{word:04d}"], "k": 3, "radius": 2.0}
             for word in range(1, 9)
@@ -583,7 +591,7 @@ class TestNodeLifecycle:
         assert stats["stale_retries"] == 0
 
     def test_shutdown_closes_every_node_connection(self, small_uniform_dataset):
-        """The keep-alive connections of the scatter pool, a batch pool and
+        """The keep-alive connections of the scatter pool, a batch's and
         the caller's own probes close with the router: this process's fds and
         threads (the nodes' handler threads among them) are back at baseline."""
         spec = {"keywords": ["w0001"], "k": 3, "radius": 2.0}

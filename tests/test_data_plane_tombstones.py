@@ -25,9 +25,10 @@ from object_oracle import select_reduce_loop
 from repro.core.centralized import dataset_extent
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob, _SPQJobBase
-from repro.execution.tasks import block_without, run_map_task, run_reduce_task
+from repro.execution.tasks import block_without, run_map_task
 from repro.index.columns import DataBlock
 from repro.index.dataset_index import DatasetIndex
+from repro.mapreduce.runtime import PreloadedShuffle
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
 from repro.spatial.geometry import BoundingBox
@@ -223,8 +224,6 @@ class TestTheFallbackIsGone:
     """Fails at the parent commit: tombstones left the block path there."""
 
     def test_tombstoned_reads_stay_on_the_block_path(self, monkeypatch):
-        import repro.execution.serial as execution_serial
-
         data, features, deletes, appends = build_scenario()
         base_oids = {obj.oid for obj in data}
         mapped_splits, mapped_records = [], []
@@ -241,12 +240,13 @@ class TestTheFallbackIsGone:
         monkeypatch.setattr(_SPQJobBase, "map", spying_map)
         monkeypatch.setattr(_SPQJobBase, "map_split", spying_map_split)
         reduced = {}
+        real_reduce_block = PreloadedShuffle.reduce_block
 
-        def spying_reduce(job, task_index, bucket, preloaded_block=None):
-            reduced[task_index] = preloaded_block
-            return run_reduce_task(job, task_index, bucket, preloaded_block)
+        def spying_reduce_block(shuffle, task_index):
+            reduced[task_index] = block = real_reduce_block(shuffle, task_index)
+            return block
 
-        monkeypatch.setattr(execution_serial, "run_reduce_task", spying_reduce)
+        monkeypatch.setattr(PreloadedShuffle, "reduce_block", spying_reduce_block)
 
         some, every = oids_in(data, SOME_ROWS), oids_in(data, ALL_ROWS)
         tombstone_sets = ([some[0]], [some[3], some[7]], every)

@@ -221,9 +221,7 @@ def assert_same_task(
 
 
 def report_fields(report):
-    fields = dict(vars(report))
-    fields["counters"] = ordered(fields["counters"])
-    return fields
+    return report._asdict()
 
 
 @pytest.fixture(scope="module")

@@ -17,11 +17,10 @@ def _make_result(map_inputs=1000, map_outputs=1000, shuffle_bytes=10_000,
     counters.increment("map", "output_records", map_outputs)
     counters.increment("shuffle", "records", map_outputs)
     counters.increment("shuffle", "bytes", shuffle_bytes)
-    reports = []
-    for index, work in enumerate(reduce_work):
-        report = ReduceTaskReport(task_index=index, input_records=work, consumed_records=work)
-        report.counters.increment("work", "score_computations", work)
-        reports.append(report)
+    reports = [
+        ReduceTaskReport(task_index=index, input_records=work, work_units=work)
+        for index, work in enumerate(reduce_work)
+    ]
     return JobResult(
         job_name="test",
         outputs=[],

@@ -14,6 +14,7 @@ import pytest
 
 from repro.exceptions import JobConfigurationError, JobExecutionError
 from repro.execution.serial import SerialBackend
+from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import LocalJobRunner
 
@@ -89,12 +90,28 @@ class BadPartitionJob(WordCountJob):
 
 
 class ThreadedReduce(SerialBackend):
-    """Reduce tasks on two threads, through the runner's ``backend`` seam."""
+    """Reduce tasks on two threads, through the runner's ``backend`` seam.
+
+    The reduce loop writes its tasks' one ``Counters`` directly, so each
+    thread reduces its task into counters of its own, merged into the run's
+    in task order.
+    """
 
     def run_reduce_tasks(self, job, tasks):
         reduce_one = super().run_reduce_tasks
+
+        def one(task):
+            task = task._replace(counters=Counters())
+            return task.counters, reduce_one(job, [task])
+
         with ThreadPoolExecutor(2) as pool:
-            return list(pool.map(lambda task: reduce_one(job, [task])[0], tasks))
+            done = list(pool.map(one, tasks))
+        outputs, reports = [], []
+        for counters, (task_outputs, task_reports) in done:
+            tasks[0].counters.merge(counters)
+            outputs += task_outputs
+            reports += task_reports
+        return outputs, reports
 
 
 class TestRunnerConfiguration:
@@ -188,7 +205,8 @@ class TestEarlyTermination:
         # value >= 3, i.e. after consuming 3 records out of 7.
         report = result.reduce_reports[0]
         assert report.input_records == 7
-        assert report.consumed_records == 3
+        assert result.counters.get("reduce", "consumed_records") == 3
+        assert report.work_units == 3
         assert dict(result.outputs)["g"] == [1, 2, 3]
 
     def test_work_units_default_to_consumed_records(self):
@@ -196,7 +214,7 @@ class TestEarlyTermination:
         runner = LocalJobRunner(num_reducers=1)
         result = runner.run(EarlyStopJob(), records)
         report = result.reduce_reports[0]
-        assert report.work_units() == report.consumed_records
+        assert report.work_units == result.counters.get("reduce", "consumed_records") == 4
 
 
 class TestErrorHandling:

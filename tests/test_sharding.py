@@ -41,6 +41,40 @@ def make_router(dataset, shards=2, max_radius=None, grid=GRID, **service_kwargs)
     )
 
 
+def assert_batch_misses_on_the_calling_thread(router):
+    """``submit_many`` of several misses on a started router (its result
+    cache must be off) runs each on the calling thread and starts no thread
+    beyond the long-lived scatter pool's lazily spawned workers; the answers
+    equal per-request ``submit``."""
+    specs = [
+        {"keywords": [f"w{word:04d}"], "k": 3, "radius": 2.0} for word in range(1, 6)
+    ]
+    callers, started = [], []
+    real_start = threading.Thread.start
+
+    def spying_start(thread):
+        started.append(thread.name)
+        return real_start(thread)
+
+    single = [router.submit(spec) for spec in specs]
+    real_execute = router._execute
+
+    def spying_execute(parsed, deadline):
+        callers.append(threading.get_ident())
+        return real_execute(parsed, deadline)
+
+    router._execute = spying_execute
+    threading.Thread.start = spying_start
+    try:
+        batch = router.submit_many(specs)
+    finally:
+        threading.Thread.start = real_start
+        del router._execute
+    assert callers == [threading.get_ident()] * len(specs)
+    assert all(name.startswith("repro-scatter") for name in started), started
+    assert batch == single
+
+
 def offline_entries(dataset, spec, grid=GRID):
     """(oid, score) oracle from a fresh unsharded engine for one request."""
     data, features = dataset
@@ -504,35 +538,16 @@ class TestRouterServing:
         with pytest.raises(RuntimeError, match="shut down"):
             router.submit({"keywords": ["w0001"]})
 
-    def test_submit_many_overlaps_requests(self, small_uniform_dataset):
-        """Batch items run concurrently, not one full round-trip at a time."""
-        import time
-
-        with make_router(small_uniform_dataset, shards=2) as router:
-            original = router.services[0].submit
-            active = []
-            peak = []
-            lock = threading.Lock()
-
-            def tracking_submit(spec):
-                with lock:
-                    active.append(1)
-                    peak.append(len(active))
-                time.sleep(0.05)
-                try:
-                    return original(spec)
-                finally:
-                    with lock:
-                        active.pop()
-
-            router.services[0].submit = tracking_submit
-            specs = [
-                {"keywords": [f"w00{10 + i}"], "k": 3, "radius": 2.0}
-                for i in range(4)
-            ]
-            responses = router.submit_many(specs)
-        assert [r["keywords"] for r in responses] == [s["keywords"] for s in specs]
-        assert max(peak) >= 2  # at least two batch items in flight at once
+    def test_submit_many_runs_the_misses_on_the_calling_thread(
+        self, small_uniform_dataset
+    ):
+        """A multi-miss batch starts no thread of its own: the misses
+        scatter one after another from the caller, and answer as
+        per-request submits do."""
+        with make_router(
+            small_uniform_dataset, shards=2, result_cache_capacity=0
+        ) as router:
+            assert_batch_misses_on_the_calling_thread(router)
 
     def test_lifecycle_guards(self, small_uniform_dataset):
         router = make_router(small_uniform_dataset, shards=2)

@@ -35,7 +35,9 @@ by wrapping the function with ``perf_counter`` for the whole run -- not
 cProfile, whose per-call hook inflates the many-small-calls reducers about
 twice over.  Layers nest: ``DataBlock.rows_within`` (the pSPQ / eSPQlen
 in-range rows: memo misses compute them, hits are a dict look-up) runs
-inside those two reduces, and every reduce inside the run.
+inside those two reduces, and every reduce inside the ``reduce phase``
+(``SerialBackend.run_reduce_tasks``, the whole reduce side of a job run):
+the phase minus the reducer rows is what the reduce loop itself costs.
 
 ``--memory`` traces allocations from before the dataset is built and,
 after the replay, prints the Python heap's ``TOP_SITES`` largest
@@ -70,6 +72,7 @@ LAYERS: List[Tuple[str, str, str]] = [
     ("DatasetIndex.fold", "repro.index.dataset_index", "DatasetIndex.fold"),
     ("index.prepare", "repro.index.dataset_index", "DatasetIndex.prepare"),
     ("map_split", "repro.core.jobs", "_SPQJobBase.map_split"),
+    ("reduce phase", "repro.execution.serial", "SerialBackend.run_reduce_tasks"),
     ("reduce pspq", "repro.core.jobs", "PSPQJob.reduce"),
     ("reduce espq-len", "repro.core.jobs", "ESPQLenJob.reduce"),
     ("reduce espq-sco", "repro.core.jobs", "ESPQScoJob.reduce"),
