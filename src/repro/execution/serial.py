@@ -28,9 +28,9 @@ REDUCE_TOTALS = (
 class SerialBackend:
     """Runs every task inline and returns results in task-index order.
 
-    The runner (:class:`~repro.mapreduce.runtime.LocalJobRunner`) owns
-    every merge; this class only runs the tasks of one phase.  It holds no
-    state, so one instance serves any number of runs.
+    The runner (:class:`~repro.mapreduce.runtime.LocalJobRunner`) merges
+    the map tasks' results; the reduce phase writes the run's counters
+    itself.  It holds no state, so one instance serves any number of runs.
     """
 
     def run_map_tasks(
