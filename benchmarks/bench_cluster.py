@@ -10,8 +10,8 @@ a :class:`~repro.cluster.router.ClusterRouter`:
    MapReduce algorithms, ``auto`` and zero-match queries, on a
    shard-aligned grid (where the identity contract covers tie composition
    too -- see ``docs/sharding.md``).  ``auto`` responses are checked
-   against the oracle running the algorithm the response names as
-   planned, which is eSPQsco on every node.
+   against the centralized oracle's positively scored prefix, ties
+   included, on any grid.
 2. **Failover** -- a 2-shard x 2-replica fleet serves a concurrent
    workload (default 3000 requests from 8 clients) while one node is
    SIGKILLed mid-run.  The gate requires **zero lost** requests (every
@@ -49,7 +49,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
-from _oracle import raw_execute, reference_execute
+from _oracle import reference_execute
 from repro.cluster import (
     ClusterConfig,
     ClusterRouter,
@@ -192,13 +192,13 @@ def oracle_entries(
     oracle: SPQEngine, spec: Dict[str, object], grid_size: int,
     algorithm: str, k: int = None,
 ) -> List[Entry]:
-    """One explicit-algorithm oracle run."""
+    """One oracle run of ``algorithm`` (``reference_execute``)."""
     query = SpatialPreferenceQuery.create(
         k=k if k is not None else spec["k"],
         radius=spec["radius"],
         keywords=set(spec["keywords"]),
     )
-    result = raw_execute(oracle, query, algorithm=algorithm, grid_size=grid_size)
+    result = reference_execute(oracle, query, algorithm=algorithm, grid_size=grid_size)
     return [(entry.obj.oid, entry.score) for entry in result]
 
 
@@ -208,9 +208,9 @@ def run_identity_phase(
 ) -> Dict[str, object]:
     """Healthy fleet responses vs the unsharded oracle, bit-for-bit.
 
-    Every spec compares against the oracle running the algorithm that
-    answered it: the spec's own, or for ``auto`` the response's
-    ``planned_algorithm``.
+    Every spec compares against the oracle of its algorithm
+    (``reference_execute``): the raw stream of a named algorithm, the
+    centralized oracle's positively scored prefix for ``auto``.
     """
     specs = identity_specs(keyword_sets=6, seed=seed)
     started = time.perf_counter()
@@ -233,8 +233,7 @@ def run_identity_phase(
                 got = response_entries(response)
                 algorithm = spec["algorithm"]
                 if algorithm == "auto":
-                    algorithm = response["planned_algorithm"]
-                    auto_planned.append(algorithm)
+                    auto_planned.append(response["planned_algorithm"])
                 if got != oracle_entries(oracle, spec, grid_size, algorithm):
                     mismatches += 1
     return {

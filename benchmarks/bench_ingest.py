@@ -9,8 +9,8 @@ Four checks over the delta-index write path (``POST /objects``,
    identical (oids and scores, ties included) to a fresh engine
    bulk-swapped to the final dataset state with the served extent pinned
    -- across pSPQ, eSPQlen, eSPQsco and ``auto`` (an ``auto`` answer must
-   equal some explicit algorithm's oracle answer, which is exactly the
-   planner's contract).  Re-checked after a compaction folds the delta.
+   equal the centralized oracle's positively scored prefix, ties
+   included).  Re-checked after a compaction folds the delta.
 2. **Incremental cost** -- absorbing a 1% append batch (write + first
    probe query) must be at least ``--min-speedup`` (default 5x) cheaper
    than a full ``swap_datasets`` of the same final state (swap + first
@@ -63,7 +63,7 @@ import threading
 import time
 from typing import Dict, List, Sequence, Tuple
 
-from _oracle import raw_execute
+from _oracle import reference_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.datagen.synthetic import (
     SyntheticDatasetConfig,
@@ -193,8 +193,9 @@ def oracle_answers(
 ) -> List[Dict[str, Tuple[Entry, ...]]]:
     """Per-spec oracle fingerprints from a pinned-extent bulk-swap engine.
 
-    Explicit specs map to one fingerprint; ``auto`` specs map to the three
-    explicit fingerprints (any planned choice must equal one of them).
+    An explicit spec maps to its algorithm's raw-stream fingerprint; an
+    ``auto`` spec to the centralized oracle's positively scored prefix,
+    ties included (``reference_execute``).
     """
     answers: List[Dict[str, Tuple[Entry, ...]]] = []
     with SPQEngine(
@@ -205,16 +206,10 @@ def oracle_answers(
                 k=spec["k"], radius=spec["radius"],
                 keywords=set(spec["keywords"]),
             )
-            algorithms = (
-                MR_ALGORITHMS
-                if spec["algorithm"] == "auto"
-                else (spec["algorithm"],)
-            )
             answers.append({
-                algorithm: engine_entries(
-                    raw_execute(engine, query, algorithm=algorithm, grid_size=grid_size)
-                )
-                for algorithm in algorithms
+                spec["algorithm"]: engine_entries(reference_execute(
+                    engine, query, algorithm=spec["algorithm"], grid_size=grid_size
+                ))
             })
     return answers
 

@@ -8,7 +8,8 @@ Three checks over the skew-aware shard layout and live rebalancing
    on a fresh unsharded engine, across all three MapReduce algorithms,
    ``auto`` and zero-match queries (the bench grid equals the layout
    resolution, so the layout is grid-aligned and the identity contract
-   covers tie composition too -- see ``docs/sharding.md``).
+   covers tie composition too -- see ``docs/sharding.md``; an ``auto``
+   answer is the centralized oracle's positively scored prefix).
 2. **Hotspot p99** -- on a dataset with ~90% of its mass in one corner, a
    uniform 2x2 layout parks nearly every object in one shard: that shard
    serializes the fleet and caps tail latency.  The skew layout splits the
@@ -41,7 +42,7 @@ import threading
 import time
 from typing import Dict, List, Sequence, Tuple
 
-from _oracle import raw_execute, reference_execute
+from _oracle import reference_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.datagen.synthetic import SyntheticDatasetConfig, generate_clustered
 from repro.model.objects import DataObject, FeatureObject
@@ -152,8 +153,9 @@ def run_identity_phase(
 ) -> Dict[str, object]:
     """Skew-layout router responses vs the unsharded oracle, bit-for-bit.
 
-    ``auto`` specs are compared through the response's
-    ``planned_algorithm``: the oracle runs the algorithm that answered.
+    Every spec compares against the oracle of its algorithm
+    (``reference_execute``): the raw stream of a named algorithm, the
+    centralized oracle's positively scored prefix for ``auto``.
     """
     specs = identity_specs(seed)
     mismatches = 0
@@ -163,7 +165,7 @@ def run_identity_phase(
         query = SpatialPreferenceQuery.create(
             k=spec["k"], radius=spec["radius"], keywords=set(spec["keywords"])
         )
-        result = raw_execute(engine, query, algorithm=algorithm, grid_size=grid_size)
+        result = reference_execute(engine, query, algorithm=algorithm, grid_size=grid_size)
         return [(entry.obj.oid, entry.score) for entry in result]
 
     with engine, make_router(data, features, shards, grid_size, "skew") as router:
@@ -173,8 +175,7 @@ def run_identity_phase(
         for spec in specs:
             response = router.submit(spec)
             got = response_entries(response)
-            algorithm = response.get("planned_algorithm", spec["algorithm"])
-            if got != oracle(spec, algorithm):
+            if got != oracle(spec, spec["algorithm"]):
                 mismatches += 1
     return {
         "num_specs": len(specs),

@@ -6,7 +6,9 @@ Three checks over the shard router (``src/repro/sharding/``):
    identical (oids and scores) to offline ``SPQEngine.execute`` on a fresh
    unsharded engine, across all three MapReduce algorithms, ``auto`` and
    zero-match queries (the bench grid is shard-aligned, where the identity
-   contract covers tie composition too -- see ``docs/sharding.md``).
+   contract covers tie composition too -- see ``docs/sharding.md``; an
+   ``auto`` answer is the centralized oracle's positively scored prefix,
+   ties included, on any grid).
 2. **Throughput** -- under concurrent clients, 4 shards must clear
    ``--min-speedup`` (default 1.5x) over 1 shard of the same configuration.
    What runs: four ``QueryService`` instances *in this one process*, each

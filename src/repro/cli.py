@@ -123,7 +123,8 @@ def _default_help(what: str) -> dict:
         "k": f"default k for {what}",
         "radius": "default absolute radius (overrides --radius-fraction)",
         "radius_fraction": "default radius as a fraction of the grid-cell side",
-        "algorithm": f"default algorithm for {what} ('auto' runs espq-sco)",
+        "algorithm": f"default algorithm for {what} ('auto': one global "
+                     "score-ordered scan, exact)",
     }
 
 
@@ -261,17 +262,18 @@ def _cmd_query(args: argparse.Namespace) -> int:
     for rank, entry in enumerate(result, start=1):
         print(f"  {rank:>3}. {entry.obj.oid:<16} score={entry.score:.4f} "
               f"({entry.obj.x:.3f}, {entry.obj.y:.3f})")
-    if args.stats and "simulated_seconds" in result.stats:
-        stats = result.stats
+    stats = result.stats
+    if args.stats and "features_examined" in stats:
         print("\nExecution statistics:")
         if "planned_algorithm" in stats:
             print(f"  planned algorithm:   {stats['planned_algorithm']}")
-        print(f"  reduce tasks:        {stats['num_reduce_tasks']}")
-        print(f"  shuffled records:    {stats['shuffled_records']}")
-        print(f"  features pruned:     {stats['features_pruned']}")
         print(f"  features examined:   {stats['features_examined']}")
         print(f"  score computations:  {stats['score_computations']}")
-        print(f"  simulated job time:  {stats['simulated_seconds']:.1f}s")
+        if "simulated_seconds" in stats:  # a paper job ran (``auto`` runs none)
+            print(f"  reduce tasks:        {stats['num_reduce_tasks']}")
+            print(f"  shuffled records:    {stats['shuffled_records']}")
+            print(f"  features pruned:     {stats['features_pruned']}")
+            print(f"  simulated job time:  {stats['simulated_seconds']:.1f}s")
     return 0
 
 
@@ -698,7 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
         "radius": "absolute query radius (overrides --radius-fraction)",
         "radius_fraction": "radius as a fraction of the grid-cell side "
                            "(default 0.10)",
-        "algorithm": "algorithm to run ('auto' runs espq-sco)",
+        "algorithm": "algorithm to run ('auto': one global score-ordered "
+                     "scan, exact)",
     })
     query.add_argument("--stats", action="store_true", help="print execution statistics")
     _add_backend_argument(query)

@@ -29,6 +29,14 @@ duplication lists are shared by every later query of the engine;
 
     results = engine.execute_many(queries, algorithm="espq-sco")
 
+``"auto"`` takes the same index and delta snapshot but runs no job: the
+paper's eSPQsco stops per cell because its reducers run on separate
+machines, while here every cell is in one process, so Lemma 3 holds across
+the whole grid and one score-ordered scan (:meth:`DatasetIndex.scan`)
+answers -- exactly, ties included, usually after a few features.  The
+named algorithms keep the paper's per-cell jobs: they are the
+reproduction.
+
 The paper's plain formulation -- every data and feature object streamed
 through the per-record ``map`` -- is not an engine route any more: it is the
 test oracle ``tests/raw_oracle.py::raw_execute``, kept beside the centralized
@@ -39,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.centralized import CentralizedSPQ, dataset_extent
 from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob, _SPQJobBase
@@ -49,7 +57,7 @@ from repro.exceptions import (
     ResultIntegrityError,
 )
 from repro.index.cache import IndexCache
-from repro.index.dataset_index import DatasetIndex
+from repro.index.dataset_index import DatasetIndex, ScanResult
 from repro.index.delta import (
     DatasetDelta,
     DeltaSnapshot,
@@ -71,7 +79,8 @@ from repro.spatial.grid import UniformGrid
 ALGORITHMS = ("pspq", "espq-len", "espq-sco", "centralized")
 
 #: Everything ``algorithm=`` accepts: the concrete algorithms plus
-#: ``"auto"``, which runs eSPQsco (:data:`~repro.planner.core.AUTO_CHOICE`).
+#: ``"auto"``, which runs no paper job but one global Lemma-3 scan
+#: (:meth:`SPQEngine._execute_scan`, :data:`~repro.planner.core.AUTO_CHOICE`).
 ALGORITHM_CHOICES = ALGORITHMS + (AUTO_ALGORITHM,)
 
 _JOB_CLASSES = {
@@ -214,7 +223,7 @@ class SPQEngine:
         #: list identity like the oid lookup.
         self._base_oids: Optional[Tuple[Set[str], Set[str]]] = None
         self._base_oids_source: Optional[List[DataObject]] = None
-        #: Resolves ``auto`` and walks each query's posting lists.
+        #: Walks each query's posting lists and counts ``auto`` queries.
         self.planner = QueryPlanner()
         #: The paper's 16-node cluster at the default per-unit costs: the
         #: model behind ``simulated_seconds``.
@@ -485,8 +494,11 @@ class SPQEngine:
         Args:
             query: The query ``q(k, r, W)``.
             algorithm: One of ``"pspq"``, ``"espq-len"``, ``"espq-sco"``,
-                ``"centralized"``, or ``"auto"``, which runs ``"espq-sco"``
-                and records it in ``result.stats["planned_algorithm"]``.
+                ``"centralized"``, or ``"auto"``: eSPQsco's Lemma 3 applied
+                across the whole grid in one score-ordered scan, whose
+                answer is the centralized oracle's positively scored
+                prefix, ties included (``stats["planned_algorithm"]`` names
+                it; no ``simulated_seconds``).
             grid_size: Cells per axis for this query (defaults to the engine
                 configuration); ignored by the centralized algorithm.
             score_mode: ``"range"`` (the paper's score, default) or
@@ -609,9 +621,10 @@ class SPQEngine:
         index, cache_hit = self._get_index(item.grid_size)
         statistics = self.planner.collect(index, item.query, item.grid_size)
         hits, candidates = statistics
-        algorithm = item.algorithm
-        if algorithm == AUTO_ALGORITHM:
-            algorithm = self.planner.decide(statistics)
+        if item.algorithm == AUTO_ALGORITHM:
+            return self._execute_scan(
+                item, index, cache_hit, hits, self.planner.decide(statistics), snapshot
+            )
         extra_pruned = 0
         deleted_positions: Set[int] = set()
         if snapshot is not None and snapshot.deleted_feature_oids:
@@ -629,7 +642,7 @@ class SPQEngine:
                 if position not in deleted_positions
             ]
         prepared = index.prepare(item.query, candidates=candidates, hits=hits)
-        job = self._make_job(algorithm, item.query, index.grid, item.score_mode)
+        job = self._make_job(item.algorithm, item.query, index.grid, item.score_mode)
         split = prepared.split
         tombstoned: List[DataObject] = []
         if snapshot is not None:
@@ -665,7 +678,6 @@ class SPQEngine:
                 "candidate_features": prepared.num_candidates,
                 "index_build_seconds": index.stats.build_seconds,
             },
-            planned_algorithm=algorithm if item.algorithm == AUTO_ALGORITHM else None,
             delta_snapshot=snapshot,
         )
 
@@ -690,7 +702,6 @@ class SPQEngine:
         preloaded: PreloadedShuffle,
         pruned_by_index: int,
         index_stats: Dict[str, object],
-        planned_algorithm: Optional[str] = None,
         delta_snapshot: Optional[DeltaSnapshot] = None,
     ) -> QueryResult:
         runner = LocalJobRunner(num_reducers=grid.num_cells)
@@ -724,9 +735,45 @@ class SPQEngine:
             "features_pruned": job_result.counters.get("spq", "features_pruned"),
         }
         stats["index"] = index_stats
-        if planned_algorithm is not None:
-            stats["planned_algorithm"] = planned_algorithm
         return QueryResult(entries, stats=stats)
+
+    def _execute_scan(
+        self,
+        item: PlannedQuery,
+        index: DatasetIndex,
+        cache_hit: bool,
+        hits: Mapping[int, int],
+        algorithm: str,
+        snapshot: Optional[DeltaSnapshot],
+    ) -> QueryResult:
+        """``auto``: one score-ordered Lemma-3 scan across the whole grid
+        (:meth:`DatasetIndex.scan`) instead of a per-cell job -- no map,
+        shuffle, reduce or cost model.  Its reports pass the job path's
+        checks and ranking (:meth:`_merge`); its stats report the work it
+        did and no ``simulated_seconds``: no simulated job ran."""
+        started = time.perf_counter()
+        scan = index.scan(item.query, hits, snapshot)
+        scan.job_name = algorithm
+        entries = self._merge(scan, item.query, snapshot=snapshot)
+        work = {
+            "features_examined": scan.features_examined,
+            "score_computations": scan.rows_tested,
+        }
+        return QueryResult(entries, stats={
+            "algorithm": algorithm,
+            "grid_size": index.grid.cells_x,
+            "num_cells": index.grid.num_cells,
+            "wall_seconds": time.perf_counter() - started,
+            "counters": {"work": dict(work)},
+            **work,
+            "index": {
+                "index_cache_hit": cache_hit,
+                "radius_cache_hit": scan.radius_cache_hit,
+                "candidate_features": scan.num_candidates,
+                "index_build_seconds": index.stats.build_seconds,
+            },
+            "planned_algorithm": algorithm,
+        })
 
     def _oid_lookup(self) -> Dict[str, DataObject]:
         """Cached oid -> data object mapping (reset by :meth:`invalidate_indexes`).
@@ -745,7 +792,7 @@ class SPQEngine:
 
     def _merge(
         self,
-        job_result: JobResult,
+        job_result: Union[JobResult, ScanResult],
         query: SpatialPreferenceQuery,
         snapshot: Optional[DeltaSnapshot] = None,
     ) -> List[ScoredObject]:

@@ -40,6 +40,7 @@ import time
 from bisect import bisect_right
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.index.columns import DataBlock
@@ -47,7 +48,7 @@ from repro.index.delta import DeltaSnapshot, surviving
 from repro.index.records import MapSplit, feature_record_size
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import PreloadedShuffle
-from repro.model.objects import DataObject, FeatureObject
+from repro.model.objects import DataObject, FeatureObject, shared_words
 from repro.model.query import SpatialPreferenceQuery
 from repro.spatial.geometry import BoundingBox
 from repro.spatial.grid import UniformGrid
@@ -103,6 +104,32 @@ class PreparedQuery:
     num_candidates: int
     num_pruned: int
     radius_cache_hit: bool
+
+
+@dataclass
+class ScanResult:
+    """What :meth:`DatasetIndex.scan` reported, and the work it did.
+
+    Attributes:
+        outputs: ``(cell_id, oid, score)`` per reported data object, in
+            report order -- the shape of a job's reducer outputs, so the
+            engine checks and ranks them through the same merge.
+        features_examined: Features whose in-range data the scan read.
+        rows_tested: Data rows those features had in range (base rows and
+            appended objects), each tested for a report.
+        num_candidates: Base features that survived keyword pruning and
+            tombstones (what :class:`PreparedQuery` counts).
+        radius_cache_hit: True when the examined base features' Lemma-1
+            lists were all cached already (:class:`PreparedQuery`'s flag).
+        job_name: What ran, for the merge's error messages.
+    """
+
+    outputs: List[Tuple[int, str, float]]
+    features_examined: int
+    rows_tested: int
+    num_candidates: int
+    radius_cache_hit: bool
+    job_name: str = "auto"
 
 
 @dataclass
@@ -443,13 +470,16 @@ class DatasetIndex:
         cell's data is a single list lookup -- no entry copying, no
         re-sorting (a block also caches its x-sorted permutation).
         """
+        return self._data_blocks()[partition]
+
+    def _data_blocks(self) -> List[Optional[Tuple[int, DataBlock]]]:
         blocks = self._blocks
         if blocks is None:
             with self._blocks_lock:
                 blocks = self._blocks
                 if blocks is None:
                     blocks = self._blocks = self._build_blocks()
-        return blocks[partition]
+        return blocks
 
     def _partition_of(self, cell_id: int) -> int:
         """The SPQ jobs' partition rule: one reduce partition per grid cell."""
@@ -530,3 +560,106 @@ class DatasetIndex:
             num_pruned=self.features_within(query.radius) - len(candidates),
             radius_cache_hit=radius_cache_hit,
         )
+
+    # ------------------------------------------------------------------ #
+    # the auto route
+
+    def scan(
+        self,
+        query: SpatialPreferenceQuery,
+        hits: Mapping[int, int],
+        snapshot: Optional[DeltaSnapshot] = None,
+    ) -> ScanResult:
+        """``auto``'s answer: Lemma 3 applied across every cell at once.
+
+        eSPQsco stops per cell because the paper's reducers run apart; here
+        every cell is in one process, so the bound is global.  The
+        candidates (``hits``, :meth:`keyword_hits`) are walked one score
+        level at a time, best first: only the distinct ``(|f.W ∩ q.W|,
+        |f.W|)`` pairs are scored -- with :meth:`prepare`'s division, so the
+        floats are bit-equal -- and sorted.  A data object within ``r`` of a
+        feature of the level in hand and not reported yet scores exactly
+        that level: no unseen feature scores higher.  Once ``k`` objects are
+        reported the level in hand is finished -- equal scores keep going,
+        so every object tied at the k-th score is found and the merge's
+        ``(-score, oid)`` ranking settles the tie as the centralized oracle
+        does -- and the scan stops before the first level strictly below.
+
+        A feature's data is its Lemma-1 cells' blocks
+        (:meth:`DataBlock.rows_within`) plus ``snapshot``'s appended data
+        homed in those cells.  Tombstoned data rows and features are
+        skipped and an appended feature joins its level when it reaches the
+        scope, so the answer is a bulk swap's; a replaced oid's base row is
+        tombstoned and its appended successor live.
+        """
+        radius = query.radius
+        squared_radius = radius * radius
+        query_size = len(query.keywords)
+        dead: frozenset = frozenset()
+        appended_data: Dict[int, List[DataObject]] = {}
+        # (|f.W ∩ q.W|, |f.W|) -> the appended features' (x, y, Lemma-1 cells).
+        extra: Dict[Tuple[int, int], List[Tuple[float, float, List[int]]]] = {}
+        if snapshot is not None:
+            positions = self.feature_positions_by_oid()
+            deleted = {positions[oid] for oid in snapshot.deleted_feature_oids if oid in positions}
+            if deleted:
+                hits = {p: common for p, common in hits.items() if p not in deleted}
+            dead = snapshot.deleted_data_oids
+            for obj in snapshot.data:
+                appended_data.setdefault(self.grid.locate(obj.x, obj.y), []).append(obj)
+            partitioner = GridPartitioner(self.grid, radius)
+            for f in snapshot.features:
+                if self.scope is None or self.scope.min_distance(f.x, f.y) <= radius:
+                    if common := shared_words(f.keywords, query.keywords):
+                        extra.setdefault((common, len(f.keywords)), []).append(
+                            (f.x, f.y, partitioner.assign_feature_object(f))
+                        )
+        # The base candidates' pairs in ``hits`` order, built at C speed: a
+        # level's positions are one ``compress`` over them.
+        pairs = list(zip(hits.values(), map(self._keyword_counts.__getitem__, hits)))
+        levels: Dict[float, Set[Tuple[int, int]]] = {}
+        for key in {*pairs, *extra}:
+            common, size = key
+            levels.setdefault(common / (size + query_size - common), set()).add(key)
+
+        blocks = self._data_blocks()
+        features = self._feature_objects
+        outputs: List[Tuple[int, str, float]] = []
+        seen: Set[str] = set()
+        examined = tested = 0
+        radius_cache_hit = True
+        for score in sorted(levels, reverse=True):
+            if len(outputs) >= query.k:
+                break
+            keys = levels[score]
+            located: List[Tuple[float, float, Sequence[int]]] = []
+            positions = list(compress(hits, map(keys.__contains__, pairs)))
+            if positions:
+                cells, known = self._gather_cells(radius, positions)
+                radius_cache_hit = radius_cache_hit and known
+                located.extend(
+                    (features[p].x, features[p].y, c) for p, c in zip(positions, cells)
+                )
+            for key in keys:
+                located.extend(extra.get(key, ()))
+            examined += len(located)
+            for fx, fy, cells in located:
+                for cell in cells:
+                    entry = blocks[cell - 1]  # the partition of ``cell``
+                    if entry is not None:
+                        rows = entry[1].rows_within(fx, fy, radius)
+                        tested += len(rows)
+                        oids = entry[1].oids
+                        for row in rows:
+                            oid = oids[row]
+                            if oid not in seen and oid not in dead:
+                                seen.add(oid)
+                                outputs.append((cell, oid, score))
+                    for obj in appended_data.get(cell, ()) if appended_data else ():
+                        tested += 1
+                        dx = obj.x - fx
+                        dy = obj.y - fy
+                        if dx * dx + dy * dy <= squared_radius and obj.oid not in seen:
+                            seen.add(obj.oid)
+                            outputs.append((cell, obj.oid, score))
+        return ScanResult(outputs, examined, tested, len(pairs), radius_cache_hit)

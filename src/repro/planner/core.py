@@ -1,18 +1,23 @@
-"""What ``algorithm="auto"`` runs: eSPQsco, as a constant.
+"""What ``algorithm="auto"`` runs: the global Lemma-3 scan, as a constant.
 
 The paper compares pSPQ, eSPQlen and eSPQsco on a simulated Hadoop
 cluster and finds the winner moving with the grid, ``|q.W|``, the radius
-and ``k``.  Measured per query on this engine's CPU over the same
-Section 7 axes, eSPQsco wins or ties nearly everywhere; where it does not
-(a few regimes of the uniform dataset), a cost-based planner that
-estimated the choice from index statistics did not pick the winner
-either -- it picked eSPQsco on every query measured.  ``docs/paper-map.md``
-has the table and ``benchmarks/bench_planner.py`` re-measures it.
+and ``k``.  ``auto`` chooses none of them: every cell of a query is
+reduced in one process here, so eSPQsco's per-cell bound (Lemma 3) can be
+applied across the whole grid at once -- one score-ordered scan
+(``DatasetIndex.scan``) that examines a few features per query and
+answers exactly as the centralized oracle does, ties included.
+``docs/paper-map.md`` has the measured table and
+``benchmarks/bench_planner.py`` re-measures it.
 
 :class:`QueryPlanner` is the seam every query runs through:
-:meth:`~QueryPlanner.collect` walks the query's posting lists once for
-:meth:`~repro.index.dataset_index.DatasetIndex.prepare`, and
-:meth:`~QueryPlanner.decide` resolves ``auto``.
+:meth:`~QueryPlanner.collect` walks the query's posting lists once (for
+``DatasetIndex.prepare`` or the scan), and :meth:`~QueryPlanner.decide`
+names what ``auto`` runs and counts it.  Nothing is left to plan; the
+class stays because ``benchmarks/e2e/trace.py`` patches its ``collect`` /
+``decide`` / ``observe`` (the ``planner.*`` per-layer metrics), and the
+benchmark's harness is not edited in a change that claims a gain.  It
+goes when the tracer reads spans from the source (ROADMAP item 2(i)).
 """
 
 from __future__ import annotations
@@ -25,12 +30,14 @@ from repro.model.query import SpatialPreferenceQuery
 #: The algorithm name that asks the engine to choose.
 AUTO_ALGORITHM = "auto"
 
-#: The algorithm ``auto`` runs.
-AUTO_CHOICE = "espq-sco"
+#: What ``auto`` runs: the engine's global Lemma-3 scan
+#: (``DatasetIndex.scan``), named in ``stats["algorithm"]`` and
+#: ``planned_algorithm``.
+AUTO_CHOICE = "global-scan"
 
 
 class QueryPlanner:
-    """Per-engine ``auto`` resolution plus the shared posting-list walk."""
+    """Per-engine ``auto`` accounting plus the shared posting-list walk."""
 
     def __init__(self) -> None:
         #: ``auto`` queries resolved (the ``/stats`` planner surface).
@@ -45,7 +52,7 @@ class QueryPlanner:
         return hits, sorted(hits)
 
     def decide(self, stats: Tuple[Mapping[int, int], List[int]]) -> str:
-        """The algorithm an ``auto`` query runs: always :data:`AUTO_CHOICE`."""
+        """What an ``auto`` query runs: always :data:`AUTO_CHOICE`."""
         self.decisions += 1
         return AUTO_CHOICE
 

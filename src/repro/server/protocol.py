@@ -12,7 +12,7 @@ offline query files replay against a live server verbatim::
     {"keywords": ["w0001", "w0002"],   # or a "w0001,w0002" string
      "k": 10,                          # optional, service default otherwise
      "radius": 2.0,                    # optional
-     "algorithm": "espq-sco",          # optional; "auto" runs espq-sco
+     "algorithm": "espq-sco",          # optional; "auto": the global scan
      "grid_size": 20,                  # optional
      "score_mode": "range",            # optional
      "deadline_ms": 250,               # optional latency budget (admission)
@@ -22,9 +22,10 @@ One response is one JSON object::
 
     {"results": [{"oid": ..., "score": ..., "x": ..., "y": ...}, ...],
      "algorithm": "espq-sco",          # as requested (may be "auto")
-     "planned_algorithm": "espq-sco",  # what "auto" ran
+     "planned_algorithm": "global-scan",  # what "auto" ran
      "cached": false,                  # served from the result cache?
-     "stats": {...}}                   # only when requested
+     "stats": {...}}                   # only when requested; an "auto"
+                                       # answer has no "simulated_seconds"
 
 Parsing resolves every optional field against the service defaults, so the
 parsed request carries concrete values -- that is what makes the *canonical

@@ -588,7 +588,7 @@ class QueryService(FrontDoor):
             },
         }
         stats["planner"] = {
-            "mode": "on",  # the key is wire format: `auto` always runs eSPQsco
+            "mode": "on",  # wire format: `auto` always runs the global scan
             "decisions": sum(engine.planner.decisions for engine in self._engines),
         }
         return stats

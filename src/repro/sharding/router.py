@@ -63,7 +63,7 @@ from repro.exceptions import InvalidQueryError
 from repro.index.delta import DatasetDelta, materialize
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.result import QueryResult, merge_top_k
-from repro.planner.core import AUTO_ALGORITHM, AUTO_CHOICE
+from repro.planner.core import AUTO_ALGORITHM
 from repro.server.frontdoor import FrontDoor
 from repro.server.gate import QuiesceGate
 from repro.server.protocol import (
@@ -438,7 +438,9 @@ class ScatterGatherRouter(FrontDoor):
         ``simulated_seconds`` is the *maximum* over shards -- they execute
         in parallel, so the simulated sharded job time is the slowest
         shard's -- while the work counters are sums.  An ``auto`` request
-        reports the ``planned_algorithm`` every shard runs for it.
+        runs no simulated job, so it reports no ``simulated_seconds``, and
+        its ``planned_algorithm`` is the one its shards name, when they
+        agree.
         """
         stats: Dict[str, object] = {
             "algorithm": parsed.item.algorithm,
@@ -459,10 +461,12 @@ class ScatterGatherRouter(FrontDoor):
                     totals[name] += shard_stats[name]
             makespan = max(makespan, shard_stats.get("simulated_seconds", 0.0))
         stats.update(totals)
-        stats["simulated_seconds"] = makespan
+        if parsed.item.algorithm != AUTO_ALGORITHM:
+            stats["simulated_seconds"] = makespan
         stats[self._stats_key] = self._scatter_stats(len(answered), missing)
-        if parsed.item.algorithm == AUTO_ALGORITHM:
-            stats["planned_algorithm"] = AUTO_CHOICE
+        planned = {response.get("planned_algorithm") for _, response in answered}
+        if len(planned) == 1 and None not in planned:
+            stats["planned_algorithm"] = planned.pop()
         return stats
 
     def _scatter_stats(self, queried: int, missing: List[int]) -> Dict[str, object]:

@@ -106,10 +106,14 @@ def reference_execute(
     """The reference answer for a request whose algorithm the caller chose.
 
     The three MapReduce algorithms go through :func:`raw_execute`;
-    ``centralized`` is its own oracle and ``auto`` never had a raw route (it
-    plans on the index), so those two are the engine's own answer.
+    ``centralized`` is its own oracle, and ``auto`` must be that oracle's
+    positively scored prefix -- ids and scores, ties included -- so that
+    prefix is its reference.
     """
-    if algorithm in ("centralized", "auto"):
+    if algorithm == "auto":
+        oracle = engine.execute(query, "centralized", grid_size, score_mode)
+        return QueryResult([entry for entry in oracle if entry.score > 0.0])
+    if algorithm == "centralized":
         return engine.execute(query, algorithm, grid_size, score_mode)
     return raw_execute(engine, query, algorithm, grid_size, score_mode)
 

@@ -212,7 +212,9 @@ class TestAutoAlgorithmFlags:
         assert code == 0
         out = capsys.readouterr().out
         assert "algorithm=auto" in out
-        assert "planned algorithm:" in out
+        assert "planned algorithm:   global-scan" in out
+        assert "features examined:" in out and "score computations:" in out
+        assert "simulated job time" not in out  # no simulated job ran
 
     def test_auto_result_matches_chosen_fixed_algorithm(self, dataset_file, capsys):
         code = main([
@@ -222,19 +224,19 @@ class TestAutoAlgorithmFlags:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        chosen = next(
-            line.split(":")[1].strip()
-            for line in out.splitlines()
-            if "planned algorithm:" in line
-        )
         data, features = load_dataset(dataset_file)
         engine = SPQEngine(data, features)
         query = SpatialPreferenceQuery.create(
             k=4, radius=6.0, keywords={"w0001", "w0002"}
         )
-        expected = raw_execute(engine, query, algorithm=chosen, grid_size=6)
+        # ``auto`` is the centralized oracle's positively scored prefix.
+        expected = [
+            entry for entry in engine.execute(query, algorithm="centralized")
+            if entry.score > 0.0
+        ]
+        assert expected
         for rank, entry in enumerate(expected, start=1):
-            assert f"{rank:>3}. {entry.obj.oid:<16}" in out
+            assert f"{rank:>3}. {entry.obj.oid:<16} score={entry.score:.4f}" in out
 
     def test_batch_default_auto(self, dataset_file, tmp_path, capsys):
         query_file = tmp_path / "q.jsonl"
@@ -253,8 +255,9 @@ class TestAutoAlgorithmFlags:
             if line.strip()
         ]
         assert lines[0]["algorithm"] == "auto"
-        assert lines[0]["planned_algorithm"] == "espq-sco"
-        assert lines[0]["stats"]["algorithm"] == "eSPQsco"
+        assert lines[0]["planned_algorithm"] == "global-scan"
+        assert lines[0]["stats"]["algorithm"] == "global-scan"
+        assert "simulated_seconds" not in lines[0]["stats"]
         # The fixed-algorithm line is not planned.
         assert lines[1]["algorithm"] == "pspq"
         assert "planned_algorithm" not in lines[1]
@@ -276,7 +279,7 @@ class TestAutoAlgorithmFlags:
             if line.strip()
         ]
         assert lines[0]["algorithm"] == "auto"
-        assert lines[0]["planned_algorithm"] == "espq-sco"
+        assert lines[0]["planned_algorithm"] == "global-scan"
         assert lines[1]["algorithm"] == "espq-sco"
         assert "planned_algorithm" not in lines[1]
 
@@ -595,7 +598,7 @@ class TestServeCommand:
             )
             with urllib.request.urlopen(request, timeout=10) as reply:
                 payload = json.loads(reply.read())
-            assert payload["planned_algorithm"] == "espq-sco"
+            assert payload["planned_algorithm"] == "global-scan"
         finally:
             process.send_signal(signal.SIGTERM)
             _, err = process.communicate(timeout=20)

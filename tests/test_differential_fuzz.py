@@ -4,13 +4,15 @@ Seeded random datasets (uniform + clustered) crossed with seeded random
 queries -- k, radius, keyword sets including zero-match and
 everywhere-matching ("stop-word-only") extremes -- asserting that
 
-* the three MapReduce algorithms (pSPQ, eSPQlen, eSPQsco) and the adaptive
-  planner (``auto``) reproduce the centralized oracle's positively scored
-  prefix: identical score sequences, every reported object's score exactly
-  its ground-truth ``tau(p)``, and identical object ids whenever score ties
-  leave the top-k composition well-defined (with ties, any maximal set of
-  tied objects is a correct answer -- eSPQsco's Lemma 3 reports the first
-  ``k`` found per cell, the oracle breaks ties by object id);
+* the three MapReduce algorithms (pSPQ, eSPQlen, eSPQsco) reproduce the
+  centralized oracle's positively scored prefix: identical score
+  sequences, every reported object's score exactly its ground-truth
+  ``tau(p)``, and identical object ids whenever score ties leave the top-k
+  composition well-defined (with ties, any maximal set of tied objects is
+  a correct answer -- eSPQsco's Lemma 3 reports the first ``k`` found per
+  cell, the oracle breaks ties by object id);
+* ``auto`` (one global Lemma-3 scan) *is* that prefix, ids and scores,
+  ties included -- unsharded, on a sharded router and with a live delta;
 * ``execute_many`` is bit-for-bit identical (ids *and* scores, ties
   included) to the raw record stream (``tests/raw_oracle.py`` -- per-query
   ``execute`` is the same index path since PR 23, so it is not the
@@ -121,6 +123,13 @@ def expected_prefix(truth: Dict[str, float], k: int) -> List[Tuple[str, float]]:
     return ranked[:k]
 
 
+def centralized_prefix(engine, query) -> Tuple[Tuple[str, float], ...]:
+    """The centralized oracle's positively scored top-k over ``engine``'s
+    live datasets: what ``auto`` must return, ties included."""
+    result = engine.execute(query, algorithm="centralized")
+    return tuple(pair for pair in fingerprint(result) if pair[1] > 0.0)
+
+
 def assert_matches_oracle(result, truth: Dict[str, float], k: int, label: str) -> None:
     """The oracle-equivalence contract (see module docstring)."""
     actual = fingerprint(result)
@@ -193,20 +202,14 @@ class TestSerialDifferentialFuzz:
         for query in queries:
             truth = oracle_scores(data, features, query)
             result = engine.execute(query, algorithm="auto", grid_size=6)
-            assert_matches_oracle(
-                result,
-                truth,
-                query.k,
-                f"auto ({result.stats['planned_algorithm']}) on "
-                f"{case_label(kind, seed, query)}",
-            )
-            # Bit-for-bit against an explicit run of the chosen algorithm:
-            # planning must never change the answer, ties included.
-            chosen = result.stats["planned_algorithm"]
-            explicit = engine.execute_many([query], algorithm=chosen, grid_size=6)[0]
-            assert fingerprint(result) == fingerprint(explicit)
-            raw = raw_execute(engine, query, algorithm=chosen, grid_size=6)
-            assert fingerprint(result) == fingerprint(raw)
+            label = f"auto on {case_label(kind, seed, query)}"
+            assert_matches_oracle(result, truth, query.k, label)
+            # Bit-for-bit against the centralized oracle, ties included --
+            # and against the exhaustive ground truth ranked the same way.
+            assert fingerprint(result) == centralized_prefix(engine, query), label
+            assert list(fingerprint(result)) == expected_prefix(truth, query.k), label
+            batched = engine.execute_many([query], algorithm="auto", grid_size=6)[0]
+            assert fingerprint(result) == fingerprint(batched)
 
 
 class TestIngestParityFuzz:
@@ -216,11 +219,10 @@ class TestIngestParityFuzz:
     **bit-for-bit** like a fresh engine bulk-swapped to the final state --
     ids and scores, ties included -- with the extent pinned (incremental
     appends may not widen the served extent, so neither may the oracle's).
-    ``auto`` is compared via the planner's chosen algorithm: the delta
-    engine plans on base statistics while the oracle sees final statistics,
-    so the decision itself may differ, but the chosen plan's *answer* must
-    not.  Both reduce loops are fuzzed: a data tombstone hands either one a
-    filtered view of the cell's block, which must stay exact.
+    ``auto`` is compared with the centralized oracle over the bulk-swapped
+    state, ids and scores, ties included.  Both reduce loops are fuzzed: a
+    data tombstone hands either one a filtered view of the cell's block,
+    which must stay exact.
     """
 
     CHECK_QUERIES = 3
@@ -300,13 +302,9 @@ class TestIngestParityFuzz:
                                 f"({kind}/{seed}, {dataplane})"
                             )
                         auto = engine.execute(query, algorithm="auto", grid_size=6)
-                        chosen = auto.stats["planned_algorithm"]
-                        want = raw_execute(
-                            oracle, query, algorithm=chosen, grid_size=6
-                        )
-                        assert fingerprint(auto) == fingerprint(want), (
-                            f"auto ({chosen}) diverged at step {step} "
-                            f"({kind}/{seed}, {dataplane})"
+                        assert fingerprint(auto) == centralized_prefix(oracle, query), (
+                            f"auto diverged from the centralized oracle at step "
+                            f"{step} ({kind}/{seed}, {dataplane})"
                         )
 
 
@@ -321,9 +319,8 @@ class TestSkewLayoutParityFuzz:
     ties included -- with the extent pinned (rebalances pin the extent, so
     neither may the oracle's drift).  This is the live-rebalancing twin of
     :class:`TestIngestParityFuzz`: layout changes move *work*, never
-    *answers*.  ``auto`` is compared through the router's agreed planned
-    algorithm when the shards converge on one (shards plan on shard-local
-    statistics, so the decision may legitimately differ from the oracle's).
+    *answers*.  ``auto`` is compared with the centralized oracle over the
+    current state, ids and scores, ties included.
     """
 
     CHECK_QUERIES = 3
@@ -433,19 +430,13 @@ class TestSkewLayoutParityFuzz:
                                 f"({kind}/{seed}, rebalances={rebalances})"
                             )
                         auto = router.submit({**spec, "algorithm": "auto"})
-                        chosen = auto.get("planned_algorithm")
-                        if chosen:  # every shard agreed on one plan
-                            got = tuple(
-                                (e["oid"], e["score"])
-                                for e in auto["results"]
-                            )
-                            want = fingerprint(raw_execute(
-                                oracle, query, algorithm=chosen, grid_size=grid
-                            ))
-                            assert got == want, (
-                                f"auto ({chosen}) diverged at step {step} "
-                                f"({kind}/{seed})"
-                            )
+                        got = tuple(
+                            (e["oid"], e["score"]) for e in auto["results"]
+                        )
+                        assert got == centralized_prefix(oracle, query), (
+                            f"auto diverged from the centralized oracle at "
+                            f"step {step} ({kind}/{seed})"
+                        )
             assert router.stats()["sharding"]["balance"]["rebalances"] == (
                 rebalances
             )

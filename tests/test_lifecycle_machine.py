@@ -7,7 +7,8 @@ path), a full swap -- against an unsharded 2-engine ``QueryService`` and a
 2-shard ``ShardRouter``.  A mirror of the whole dataset follows every write,
 and every read is checked against ``tests/raw_oracle.py`` over that mirror:
 the raw record stream, no index.  pSPQ and eSPQlen must match it exactly;
-eSPQsco (and ``auto``, which is eSPQsco) under the tie contract.  A read
+eSPQsco under the tie contract; ``auto`` must match the centralized
+oracle's positively scored prefix exactly, ties included.  A read
 right after a compaction is the first read of a folded index, the stale
 ``rows_within`` memo trap.  Every compaction and swap runs under a
 :class:`~invariants.RetiredIndexWatch`, and each run ends with the ledger
@@ -28,7 +29,7 @@ from invariants import (
     RetiredIndexWatch,
     assert_counters_reconcile,
 )
-from raw_oracle import raw_execute
+from raw_oracle import reference_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
@@ -108,14 +109,14 @@ class LifecycleMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------ checks
 
     def check(self, spec, response) -> None:
-        algorithm = "espq-sco" if spec["algorithm"] == "auto" else spec["algorithm"]
+        algorithm = spec["algorithm"]
         query = SpatialPreferenceQuery.create(
             k=spec["k"], radius=spec["radius"], keywords=set(spec["keywords"])
         )
         with SPQEngine(self.data, self.features,
                        config=EngineConfig(grid_size=GRID)) as mirror:
             want = [(entry.obj.oid, entry.score)
-                    for entry in raw_execute(mirror, query, algorithm, GRID)]
+                    for entry in reference_execute(mirror, query, algorithm, GRID)]
         got = [(entry["oid"], entry["score"]) for entry in response["results"]]
         if algorithm == "espq-sco":
             assert answers_match(got, want), (spec, got, want)

@@ -1,4 +1,6 @@
-"""Tests for ``algorithm="auto"``: it runs eSPQsco, on every surface."""
+"""Tests for ``algorithm="auto"``: on every surface it answers as the
+centralized oracle does (ties included) with eSPQsco's scores, by one
+global Lemma-3 scan."""
 
 from __future__ import annotations
 
@@ -56,40 +58,11 @@ class TestStatisticsCollection:
 
 
 # --------------------------------------------------------------------- #
-# auto == espq-sco
+# auto == the centralized oracle (and eSPQsco's scores)
 
 
-#: Keys a fingerprint leaves out: the clocks, and the fields that name the
-#: requested algorithm rather than the one that ran.
-SKIPPED = {"wall_seconds", "index_build_seconds", "algorithm", "planned_algorithm"}
-
-
-def tree(value):
-    """A stats or payload tree as nested ``(key, value)`` lists: key order
-    counts, the skipped keys do not."""
-    if isinstance(value, dict):
-        return [(key, tree(item)) for key, item in value.items() if key not in SKIPPED]
-    return value
-
-
-def engine_fingerprint(result):
-    """Everything an ``auto`` run shares with an ``espq-sco`` run: ids,
-    scores, the counter tree in key order, ``simulated_seconds``, the job
-    name and every other stat but the clocks."""
-    return (
-        result.object_ids(),
-        result.scores(),
-        tree(result.stats["counters"]),
-        result.stats["simulated_seconds"],
-        result.stats["algorithm"],
-        tree(result.stats),
-    )
-
-
-def payload_fingerprint(payload):
-    """A response and its stats, key order included (a router's
-    ``stats["algorithm"]`` is the requested name, so it is skipped too)."""
-    return tree(payload)
+def make_request_query(spec):
+    return make_query(k=spec["k"], radius=spec["radius"], keywords=spec["keywords"])
 
 
 def request(algorithm, keywords=("w0001", "w0002"), k=5):
@@ -108,7 +81,7 @@ def run_execute(dataset, algorithm):
     ]
     runs = [[engine.execute(q, algorithm=algorithm, grid_size=GRID) for q in queries]
             for _ in range(2)]
-    return runs[-1], [engine_fingerprint(result) for result in runs[-1]]
+    return runs[-1], queries
 
 
 def run_execute_many(dataset, algorithm):
@@ -122,16 +95,15 @@ def run_execute_many(dataset, algorithm):
     results = engine.execute_many(items, algorithm="espq-len", grid_size=GRID)
     assert [r.stats["algorithm"] for r in results[1:]] == ["pSPQ", "eSPQlen"]
     assert not any("planned_algorithm" in r.stats for r in results[1:])
-    return results[:1], [engine_fingerprint(result) for result in results]
+    return results[:1], [items[0].query]
 
 
 def run_zero_match(dataset, algorithm):
     engine = SPQEngine(*dataset)
-    result = engine.execute(
-        make_query(keywords=("zz-missing",)), algorithm=algorithm, grid_size=GRID
-    )
+    query = make_query(keywords=("zz-missing",))
+    result = engine.execute(query, algorithm=algorithm, grid_size=GRID)
     assert result.object_ids() == []
-    return [result], [engine_fingerprint(result)]
+    return [result], [query]
 
 
 def run_service(dataset, algorithm, batch):
@@ -142,7 +114,7 @@ def run_service(dataset, algorithm, batch):
             payloads = service.submit_many(specs) if batch else [
                 service.submit(spec) for spec in specs
             ]
-    return payloads, [payload_fingerprint(payload) for payload in payloads]
+    return payloads, [make_request_query(spec) for spec in specs]
 
 
 def run_sharded(dataset, algorithm):
@@ -154,7 +126,7 @@ def run_sharded(dataset, algorithm):
     ) as router:
         for _ in range(2):
             payload = router.submit(request(algorithm))
-    return [payload], [payload_fingerprint(payload)]
+    return [payload], [make_request_query(request(algorithm))]
 
 
 SURFACES = {
@@ -172,27 +144,69 @@ def planned(answer):
     return (stats if stats is not None else answer).get("planned_algorithm")
 
 
+def pairs(answer):
+    """``(oid, score)`` of an engine result or a response payload."""
+    if isinstance(answer, dict):
+        return [(entry["oid"], entry["score"]) for entry in answer["results"]]
+    return list(zip(answer.object_ids(), answer.scores()))
+
+
+def answer_stats(answer):
+    return answer.stats if not isinstance(answer, dict) else answer["stats"]
+
+
+def oracle_prefix(dataset, query):
+    """The centralized oracle's positively scored top-k, ties by oid."""
+    result = SPQEngine(*dataset).execute(query, algorithm="centralized")
+    return [(oid, score) for oid, score in pairs(result) if score > 0.0]
+
+
 class TestAutoIsEspqSco:
     """Each surface runs the same requests twice per algorithm (the second
     run is compared, so cache-hit flags agree) on fresh state."""
 
     @pytest.mark.parametrize("surface", sorted(SURFACES))
     def test_auto_answers_as_espq_sco(self, planner_dataset, surface):
+        """``auto`` is the centralized oracle's positively scored prefix,
+        ids and scores, ties included; its scores are eSPQsco's.  It names
+        the scan it ran, reports the work that scan did and no simulated
+        job time."""
         run = SURFACES[surface]
-        auto_answers, auto = run(planner_dataset, AUTO_ALGORITHM)
-        sco_answers, sco = run(planner_dataset, "espq-sco")
-        assert auto == sco
-        assert all(planned(answer) == "espq-sco" for answer in auto_answers)
+        auto_answers, queries = run(planner_dataset, AUTO_ALGORITHM)
+        sco_answers, _ = run(planner_dataset, "espq-sco")
+        assert len(auto_answers) == len(queries) == len(sco_answers)
+        for auto, sco, query in zip(auto_answers, sco_answers, queries):
+            assert pairs(auto) == oracle_prefix(planner_dataset, query)
+            assert [s for _, s in pairs(auto)] == [s for _, s in pairs(sco)]
+            assert planned(auto) == AUTO_CHOICE
+            stats = answer_stats(auto)
+            assert stats["algorithm"] in (AUTO_CHOICE, AUTO_ALGORITHM)
+            assert "simulated_seconds" not in stats
+            assert "simulated_seconds" in answer_stats(sco)
+            if "counters" in stats:
+                assert stats["counters"] == {"work": {
+                    "features_examined": stats["features_examined"],
+                    "score_computations": stats["score_computations"],
+                }}
         assert not any(planned(answer) for answer in sco_answers)
 
     def test_zero_match_answers_agree_across_algorithms(self, planner_dataset):
         """No feature carries the keyword: every algorithm returns the same
-        empty answer with the same counters."""
-        fingerprints = {
-            algorithm: run_zero_match(planner_dataset, algorithm)[1][0][:4]
+        empty answer; the named jobs agree on their counters and simulated
+        time, and ``auto`` did no work."""
+        answers = {
+            algorithm: run_zero_match(planner_dataset, algorithm)[0][0]
             for algorithm in ("auto", "pspq", "espq-len", "espq-sco")
         }
-        assert len({repr(value) for value in fingerprints.values()}) == 1
+        assert {repr(pairs(answer)) for answer in answers.values()} == {"[]"}
+        jobs = {
+            repr((answer.stats["counters"], answer.stats["simulated_seconds"]))
+            for algorithm, answer in answers.items() if algorithm != "auto"
+        }
+        assert len(jobs) == 1
+        assert answers["auto"].stats["counters"] == {
+            "work": {"features_examined": 0, "score_computations": 0}
+        }
 
 
 class TestAutoAlgorithm:
@@ -233,8 +247,8 @@ class TestAutoAlgorithm:
             make_query(keywords=("w0005",)),
         ]
         results = engine.execute_many(items, algorithm="espq-len", grid_size=GRID)
-        assert results[0].stats["planned_algorithm"] == "espq-sco"
-        assert results[0].stats["algorithm"] == "eSPQsco"
+        assert results[0].stats["planned_algorithm"] == AUTO_CHOICE
+        assert results[0].stats["algorithm"] == AUTO_CHOICE
         assert "planned_algorithm" not in results[1].stats
         assert results[1].stats["algorithm"] == "pSPQ"
         assert results[2].stats["algorithm"] == "eSPQlen"
@@ -269,5 +283,5 @@ class TestStandalonePlanner:
         index = DatasetIndex(data, features, grid)
         planner = QueryPlanner()
         stats = planner.collect(index, make_query(), 8)
-        assert planner.decide(stats) == AUTO_CHOICE == "espq-sco"
+        assert planner.decide(stats) == AUTO_CHOICE == "global-scan"
         assert planner.decisions == 1

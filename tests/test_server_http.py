@@ -99,8 +99,9 @@ class TestQueryEndpoint:
             "algorithm": "auto", "stats": True,
         })
         assert status == 200
-        assert payload["planned_algorithm"] == "espq-sco"
-        assert payload["stats"]["algorithm"] == "eSPQsco"
+        assert payload["planned_algorithm"] == "global-scan"
+        assert payload["stats"]["algorithm"] == "global-scan"
+        assert "simulated_seconds" not in payload["stats"]
 
     def test_invalid_json_is_400(self, live_server):
         _, url = live_server

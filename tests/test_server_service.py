@@ -64,7 +64,7 @@ class TestSubmitIdentity:
         response = service.submit(
             {"keywords": ["w0002"], "k": 3, "radius": 2.0, "algorithm": "auto"}
         )
-        assert response["planned_algorithm"] == "espq-sco"
+        assert response["planned_algorithm"] == "global-scan"
 
     def test_stats_flag_attaches_stats(self, service):
         response = service.submit(

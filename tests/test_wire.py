@@ -32,6 +32,7 @@ from repro.index.planner import BatchQuery
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
 from repro.model.result import QueryResult, ScoredObject
+from repro.planner import AUTO_CHOICE
 from repro.server import make_server
 from repro.server.protocol import (
     ParsedRequest,
@@ -113,6 +114,35 @@ class _Served:
         self.server.server_close()
         self.thread.join()
         self.service.shutdown()
+
+
+# --------------------------------------------------------------------- #
+# what an ``auto`` answer carries
+
+
+class TestAutoStatsContract:
+    """``auto`` runs no simulated job, so no door reports a
+    ``simulated_seconds`` for it -- the router's max-over-shards rule takes
+    the absence as it is -- while a named algorithm keeps its simulated
+    time; ``auto`` names what ran and reports the work it did."""
+
+    @pytest.mark.parametrize("extra_flags", [(), ("--shards", "2")],
+                             ids=["unsharded", "2-shards"])
+    def test_auto_has_no_simulated_seconds(self, dataset_file, extra_flags):
+        request = {"keywords": ["w0001", "w0002"], "k": 3, "radius": 5.0, "stats": True}
+        with _Served(dataset_file, *extra_flags) as url:
+            auto, named = (
+                json.loads(_post(f"{url}/query", json.dumps(
+                    {**request, "algorithm": algorithm}
+                ).encode())[1])
+                for algorithm in ("auto", "espq-sco")
+            )
+        assert auto["results"] and auto["planned_algorithm"] == AUTO_CHOICE
+        assert "simulated_seconds" not in auto["stats"]
+        assert auto["stats"]["features_examined"] > 0
+        assert auto["stats"]["score_computations"] > 0
+        assert named["stats"]["simulated_seconds"] > 0.0
+        assert "planned_algorithm" not in named
 
 
 # --------------------------------------------------------------------- #

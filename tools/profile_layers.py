@@ -76,6 +76,7 @@ LAYERS: List[Tuple[str, str, str]] = [
     ("reduce pspq", "repro.core.jobs", "PSPQJob.reduce"),
     ("reduce espq-len", "repro.core.jobs", "ESPQLenJob.reduce"),
     ("reduce espq-sco", "repro.core.jobs", "ESPQScoJob.reduce"),
+    ("DatasetIndex.scan", "repro.index.dataset_index", "DatasetIndex.scan"),
     ("DataBlock.rows_within", "repro.index.columns", "DataBlock.rows_within"),
     ("engine _merge", "repro.core.engine", "SPQEngine._merge"),
     ("planner collect", "repro.planner.core", "QueryPlanner.collect"),
