@@ -61,6 +61,7 @@ import statistics
 import sys
 import threading
 import time
+from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
 from _oracle import reference_execute
@@ -512,7 +513,8 @@ def run_tombstone_phase(
         index = tombstoned.get_index(grid_size)
         # Victims come from the most crowded cells, where a filtered view
         # costs the most and nearly every read touches it.
-        crowded = sorted(index.data_cell_counts, key=index.data_cell_counts.get)
+        cell_counts = Counter(index.data_cell_of(p) for p in range(len(data)))
+        crowded = sorted(cell_counts, key=cell_counts.get)
         victims = [
             next(
                 obj.oid

@@ -387,10 +387,10 @@ def _from_flags(args: argparse.Namespace, build):
 
 def _front_door(
     args: argparse.Namespace, data, features, service_config,
-    engine_config=None, **sharding,
+    engine_config=None,
 ):
     """The in-process service of ``serve``: a query service, or with
-    ``--shards > 1`` a shard router (``sharding`` = its other knobs)."""
+    ``--shards > 1`` a shard router."""
     from repro.server import QueryService
 
     if args.shards <= 1:
@@ -404,7 +404,7 @@ def _front_door(
         features,
         engine_config=engine_config,
         service_config=service_config,
-        sharding=ShardingConfig(shards=args.shards, **sharding),
+        sharding=ShardingConfig(shards=args.shards, max_radius=args.max_radius),
     )
 
 
@@ -423,7 +423,7 @@ def _bind_server(args: argparse.Namespace, service):
 
 def _print_banner(
     who: str, args: argparse.Namespace, server, detail: str,
-    extra_post: str = "", extra_get: str = "",
+    extra_get: str = "",
 ) -> None:
     """The two start-up lines of a serving command.  The cluster spawner
     tails node logs for the exact "listening on http://..." wording to
@@ -431,7 +431,7 @@ def _print_banner(
     print(f"{who} listening on http://{args.host}:{server.port}  ({detail})")
     print(
         "endpoints: POST /query  POST /batch  POST /objects  "
-        f"POST /datasets{extra_post}  GET /healthz  GET /stats{extra_get}"
+        f"POST /datasets  GET /healthz  GET /stats{extra_get}"
     )
     sys.stdout.flush()
 
@@ -445,34 +445,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise _CliError(f"--shards must be >= 1, got {args.shards}")
     if args.max_radius is not None and not sharded:
         _warn("--max-radius only affects sharded serving (--shards > 1); ignored")
-    if not sharded and (
-        args.layout != "uniform" or args.rebalance_threshold is not None
-    ):
-        _warn(
-            "--layout/--rebalance-threshold only affect sharded serving "
-            "(--shards > 1); ignored"
-        )
 
     service = _from_flags(
         args,
         lambda engine_config, service_config: _front_door(
             args, data, features, service_config, engine_config,
-            max_radius=args.max_radius,
-            layout=args.layout,
-            rebalance_threshold=args.rebalance_threshold,
         ),
     )
     server = _bind_server(args, service)
 
     service.start()
-    shard_note = (
-        f", {args.shards} shards ({args.layout} layout)" if sharded else ""
-    )
+    shard_note = f", {args.shards} shards" if sharded else ""
     _print_banner(
         "repro serve:", args, server,
         f"{len(data)} data objects, {len(features)} feature objects, "
         f"{args.engines} engines{shard_note}",
-        extra_post="  POST /rebalance" if sharded else "",
     )
 
     # The service's shutdown drains and closes engines.
@@ -740,16 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="spatial shards: partition the dataset into N disjoint "
                             "extent slices, one query service per shard, "
                             "scatter-gather merge (1 = unsharded)")
-    serve.add_argument("--layout", choices=("uniform", "skew"), default="uniform",
-                       help="with --shards > 1: shard extent layout -- 'uniform' "
-                            "splits the extent most-square, 'skew' balances "
-                            "per-shard object counts with kd splits over the data "
-                            "histogram (clustered datasets)")
-    serve.add_argument("--rebalance-threshold", type=float, default=None,
-                       help="with --shards > 1: per-shard p99 imbalance ratio above "
-                            "which the background controller re-derives a skew "
-                            "layout from the live data distribution (default: "
-                            "controller off; POST /rebalance stays available)")
     serve.add_argument("--cluster", type=int, default=0,
                        help="cluster mode: spawn N shard-node processes (each its "
                             "own OS process behind HTTP) and front them with the "

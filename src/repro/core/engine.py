@@ -619,12 +619,14 @@ class SPQEngine:
                 item.query, item.score_mode, snapshot=snapshot
             )
         index, cache_hit = self._get_index(item.grid_size)
-        statistics = self.planner.collect(index, item.query, item.grid_size)
-        hits, candidates = statistics
+        hits = self.planner.collect(index, item.query, item.grid_size)
         if item.algorithm == AUTO_ALGORITHM:
             return self._execute_scan(
-                item, index, cache_hit, hits, self.planner.decide(statistics), snapshot
+                item, index, cache_hit, hits, self.planner.decide(hits), snapshot
             )
+        # The job path streams candidates in storage order; the scan never
+        # reads them, so only jobs pay for the sort.
+        candidates = sorted(hits)
         extra_pruned = 0
         deleted_positions: Set[int] = set()
         if snapshot is not None and snapshot.deleted_feature_oids:

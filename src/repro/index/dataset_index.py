@@ -38,7 +38,7 @@ import math
 import threading
 import time
 from bisect import bisect_right
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from itertools import compress
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
@@ -196,8 +196,6 @@ class DatasetIndex:
         #: jobs): the per-row cell assignment and the per-partition reduce
         #: blocks (built on first use).
         self._data_cells: List[int] = data_cells
-        #: cell id -> number of data objects homed there.
-        self._data_cell_counts: Dict[int, int] = dict(Counter(data_cells))
         #: storage position -> shuffle record size and ``|f.W|`` of every
         #: feature (``prepare`` slices the first into a split's ``sizes``
         #: and scores from the second, so no query re-derives either), and
@@ -307,11 +305,6 @@ class DatasetIndex:
         """Precomputed cell id of the data object at ``position``."""
         return self._data_cells[position]
 
-    @property
-    def data_cell_counts(self) -> Mapping[int, int]:
-        """Cell id -> number of data objects homed there (do not mutate)."""
-        return self._data_cell_counts
-
     def features_within(self, radius: float) -> int:
         """How many features are in reach at ``radius`` (every feature,
         unscoped)."""
@@ -321,7 +314,7 @@ class DatasetIndex:
 
     def in_reach(self, positions: Iterable[int], radius: float) -> List[int]:
         """The ``positions`` whose features reach the scope at ``radius``:
-        ``MINDIST <= radius``, ``ShardLayout.shards_within``'s test."""
+        ``MINDIST <= radius``, ``ShardingPlan.shards_within``'s test."""
         reach = self._reach
         return list(positions) if reach is None else [p for p in positions if reach[p] <= radius]
 

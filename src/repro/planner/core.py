@@ -22,7 +22,7 @@ goes when the tracer reads spans from the source (ROADMAP item 2(i)).
 
 from __future__ import annotations
 
-from typing import List, Mapping, Tuple
+from typing import Mapping
 
 from repro.index.dataset_index import DatasetIndex
 from repro.model.query import SpatialPreferenceQuery
@@ -45,13 +45,12 @@ class QueryPlanner:
 
     def collect(
         self, index: DatasetIndex, query: SpatialPreferenceQuery, grid_size: int
-    ) -> Tuple[Mapping[int, int], List[int]]:
-        """The query's keyword hits and sorted candidate positions (one
-        posting-list walk, handed on to ``prepare``)."""
-        hits = index.keyword_hits(query.keywords, query.radius)
-        return hits, sorted(hits)
+    ) -> Mapping[int, int]:
+        """The query's keyword hits, feature position -> ``|f.W ∩ q.W|``
+        (one posting-list walk, handed on to the scan or ``prepare``)."""
+        return index.keyword_hits(query.keywords, query.radius)
 
-    def decide(self, stats: Tuple[Mapping[int, int], List[int]]) -> str:
+    def decide(self, hits: Mapping[int, int]) -> str:
         """What an ``auto`` query runs: always :data:`AUTO_CHOICE`."""
         self.decisions += 1
         return AUTO_CHOICE

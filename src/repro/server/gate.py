@@ -1,9 +1,9 @@
 """The quiesce gate: pause flag + in-flight count + condition, written once.
 
 Every state change that must be atomic with respect to serving -- a hot
-swap, a rebalance, a compaction's engine swap, a routed multi-shard write
--- runs the same protocol: stop new units of work from starting, wait for
-the in-flight ones to finish, change the state, let work resume.
+swap, a compaction's engine swap, a routed multi-shard write -- runs the
+same protocol: stop new units of work from starting, wait for the
+in-flight ones to finish, change the state, let work resume.
 :class:`~repro.server.service.QueryService` holds one gate over
 micro-batches, the scatter-gather routers one over scatter-gathers.
 """

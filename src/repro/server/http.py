@@ -23,10 +23,6 @@ Endpoints (see ``docs/service.md`` for the full protocol reference):
 * ``GET /heartbeat`` -- cluster-node identity probe (node id, shard index,
   dataset epoch/version); only served when the bound service exposes a
   ``heartbeat()`` method (shard nodes do), ``404`` otherwise.
-* ``POST /rebalance`` -- re-derive the shard layout from the live data
-  distribution (``docs/sharding.md``); only served when the bound service
-  exposes a ``rebalance()`` method (the shard router does), ``404``
-  otherwise.  Body: empty or ``{"layout": "skew"|"uniform"}``.
 
 The bound service is a :class:`~repro.server.service.QueryService`, a
 :class:`~repro.sharding.router.ShardRouter` (``repro serve --shards N``),
@@ -39,7 +35,7 @@ table (:data:`_ROUTES`: verb, body parser, service method, response
 envelope) served by one dispatch; the body shapes themselves live in
 :mod:`repro.server.protocol`.  Mode-specific capabilities are duck-typed,
 in that one dispatch: a route whose method the service lacks
-(``heartbeat``, ``rebalance``) answers ``404``, and a service declaring
+(``heartbeat``) answers ``404``, and a service declaring
 ``accepts_dataset_epoch`` may receive the optional ``"epoch"`` field on
 ``POST /datasets`` and ``POST /objects`` (the cluster router tags
 fleet-wide swaps and write batches with it).
@@ -76,7 +72,6 @@ from repro.server.protocol import (
     error_payload,
     load_json,
     parse_dataset_spec,
-    parse_rebalance_body,
     split_batch_body,
     split_epoch,
 )
@@ -184,7 +179,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         self._serve("GET")
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        """Serve ``/query``, ``/batch``, ``/datasets``, ``/objects``, ``/rebalance``."""
+        """Serve ``/query``, ``/batch``, ``/datasets`` and ``/objects``."""
         self._serve("POST")
 
     def _serve(self, verb: str) -> None:
@@ -204,8 +199,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         method = getattr(service, route.method, None)
         if not callable(method):
             # Capabilities are duck-typed: a service without the route's
-            # method (``heartbeat`` on anything but a shard node,
-            # ``rebalance`` on anything but the shard router) does not
+            # method (``heartbeat`` on anything but a shard node) does not
             # serve the route.
             self._send_json(404, error_payload(route.not_served))
             return
@@ -231,7 +225,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             # not a bad request, and the body must carry the shed contract.
             self._send_shed(shed_payload(str(exc), exc.retry_after_ms))
             return
-        except route.client_errors as exc:
+        except ReproError as exc:
             self._send_json(400, error_payload(str(exc)))
             return
         except Exception as exc:  # noqa: BLE001 - surfaced as a 500
@@ -398,10 +392,6 @@ def _objects_call(body: bytes, epoch_ok: bool) -> _Call:
     return (), {**update, **epoch}
 
 
-def _rebalance_call(body: bytes, epoch_ok: bool) -> _Call:
-    return (), parse_rebalance_body(body)
-
-
 class _Route(NamedTuple):
     """One endpoint.
 
@@ -413,7 +403,6 @@ class _Route(NamedTuple):
             "ok"``; None sends the result itself (a list as JSONL).
         not_served: The 404 text of a service lacking ``method``.
         fast_shed: Probe admission before reading the body.
-        client_errors: Exceptions of the call answered with a 400.
     """
 
     verb: str
@@ -422,7 +411,6 @@ class _Route(NamedTuple):
     envelope: Optional[str] = None
     not_served: str = "this server does not serve this endpoint"
     fast_shed: bool = False
-    client_errors: Tuple[type, ...] = (ReproError,)
 
 
 _ROUTES: Dict[str, _Route] = {
@@ -436,11 +424,6 @@ _ROUTES: Dict[str, _Route] = {
     "/batch": _Route("POST", _batch_call, "submit_many"),
     "/datasets": _Route("POST", _datasets_call, "swap_datasets", "dataset"),
     "/objects": _Route("POST", _objects_call, "apply_objects", "applied"),
-    "/rebalance": _Route(
-        "POST", _rebalance_call, "rebalance", "rebalance",
-        not_served="this server is not a sharded router; nothing to rebalance",
-        client_errors=(ReproError, ValueError),
-    ),
 }
 
 

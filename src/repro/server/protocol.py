@@ -385,23 +385,6 @@ def split_batch_body(body: Union[bytes, str]) -> List[Tuple[int, object]]:
     return numbered
 
 
-def parse_rebalance_body(body: Union[bytes, str]) -> Dict[str, object]:
-    """``POST /rebalance`` body -> keyword arguments of ``rebalance()``.
-
-    The body is empty or ``{"layout": "skew"|"uniform"}``; the layout name
-    itself is validated by the router.
-
-    Raises:
-        ValueError: for invalid JSON or any other shape.
-    """
-    if not body.strip():
-        return {}
-    spec = load_json(body)
-    if not isinstance(spec, Mapping) or set(spec) - {"layout"}:
-        raise ValueError("body must be empty or {\"layout\": ...}")
-    return dict(spec)
-
-
 # --------------------------------------------------------------------- #
 # object lists and the state-changing bodies built from them
 

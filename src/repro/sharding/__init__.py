@@ -3,46 +3,32 @@
 Public surface:
 
 * :func:`~repro.sharding.partition.partition_datasets` /
-  :func:`~repro.sharding.layout.shard_layout` -- the extent-splitting
-  partitioner (Lemma-1 feature replication at shard granularity).
-* :class:`~repro.sharding.layout.ShardLayout` -- the shard-extent layouts
-  behind it: the historical uniform most-square split and the skew-aware
-  count-balancing kd split (``repro serve --layout skew``).
+  :func:`~repro.sharding.partition.shard_layout` -- the extent-splitting
+  partitioner: the most-square ``cols x rows`` split of the extent, one
+  shard per cell, with Lemma-1 feature replication at shard granularity.
 * :class:`~repro.sharding.router.ShardRouter` /
   :class:`~repro.sharding.router.ShardingConfig` -- the scatter-gather
-  front-end behind ``repro serve --shards N``, including live rebalancing
-  (``POST /rebalance`` and the ``--rebalance-threshold`` controller).
+  front-end behind ``repro serve --shards N``.
 
 See ``docs/sharding.md`` for the shard lifecycle, routing rule, hot-swap
-quiesce protocol, skew layout algorithm, rebalance lifecycle and tuning
-guidance.
+quiesce protocol and tuning guidance.
 """
 
-from repro.sharding.layout import (
-    DEFAULT_SKEW_RESOLUTION,
-    LAYOUT_CHOICES,
-    ShardLayout,
-    data_cell_histogram,
-    shard_layout,
-)
 from repro.sharding.partition import (
     ShardDataset,
     ShardingPlan,
     ShardingStats,
     partition_datasets,
+    shard_layout,
 )
 from repro.sharding.router import ShardRouter, ShardingConfig
 
 __all__ = [
-    "DEFAULT_SKEW_RESOLUTION",
-    "LAYOUT_CHOICES",
     "ShardDataset",
-    "ShardLayout",
     "ShardRouter",
     "ShardingConfig",
     "ShardingPlan",
     "ShardingStats",
-    "data_cell_histogram",
     "partition_datasets",
     "shard_layout",
 ]

@@ -24,24 +24,20 @@ parse, admit, cache probe, record), written against the small
   (see :meth:`~repro.sharding.partition.ShardingPlan.grid_aligned` for the
   exact tie contract); a shard whose target reports no answer makes the
   response *degraded* (explicitly marked, never cached);
-* every state change -- hot swap (``POST /datasets``), rebalance, routed
-  write batch (``POST /objects``) -- holds the router's
+* every state change -- hot swap (``POST /datasets``), routed write batch
+  (``POST /objects``) -- holds the router's
   :class:`~repro.server.gate.QuiesceGate` paused, so every scatter-gather
   sees one whole dataset state on every shard: what makes the merge exact.
 
 :class:`ShardRouter` (``repro serve --shards N``) is the core over one
 in-process :class:`QueryService` per shard (:class:`LocalShardTarget`) plus
-what is sharding-only: skew layouts, **rebalancing** (``POST /rebalance``
-or the ``--rebalance-threshold`` controller: a fresh layout is derived from
-the live data histogram and applied through the swap path, content
-unchanged, so answers stay bit-for-bit identical) and per-shard
-compaction.  :class:`~repro.cluster.router.ClusterRouter` is the
-same core over remote targets.
+per-shard compaction.  :class:`~repro.cluster.router.ClusterRouter` is the
+same core over remote targets.  Both split the extent the one way
+:func:`~repro.sharding.partition.partition_datasets` does: the most-square
+``cols x rows`` grid, one cell per shard.
 
 ``benchmarks/bench_sharding.py --check`` gates result identity, 4-shard
-throughput and loss-free hot swaps under load;
-``benchmarks/bench_rebalance.py --check`` gates the skew layout's p99 win
-on clustered data plus loss-free rebalancing under load.
+throughput and loss-free hot swaps under load.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Protocol, Sequence, Tuple
@@ -60,7 +55,7 @@ from repro.core.engine import (
     validate_algorithm_combination,
 )
 from repro.exceptions import InvalidQueryError
-from repro.index.delta import DatasetDelta, materialize
+from repro.index.delta import DatasetDelta
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.result import QueryResult, merge_top_k
 from repro.planner.core import AUTO_ALGORITHM
@@ -78,16 +73,7 @@ from repro.server.service import (
     ServiceConfig,
     resolve_request_defaults,
 )
-from repro.sharding.layout import LAYOUT_CHOICES
 from repro.sharding.partition import ShardingPlan, partition_datasets
-from repro.spatial.geometry import BoundingBox
-
-#: Seconds between two samples of the rebalance controller.
-REBALANCE_INTERVAL_SECONDS = 2.0
-#: Fewest scatter requests a controller window must see before its
-#: imbalance verdict is trusted (a handful of requests make a meaningless
-#: p99).
-REBALANCE_MIN_REQUESTS = 50
 
 
 @dataclass
@@ -99,30 +85,15 @@ class ShardingConfig:
         max_radius: Largest query radius the shards answer exactly; the
             feature replication radius of the partitioner.  ``None``
             replicates every feature to every shard and accepts any radius.
-        layout: Initial shard layout kind: ``"uniform"`` (the historical
-            most-square extent split) or ``"skew"`` (count-balancing kd
-            split over the data histogram; see
-            :mod:`repro.sharding.layout`).  A skew layout snaps to the
-            served default query grid, which keeps that grid
-            layout-aligned (the score-tie contract).
-        rebalance_threshold: Per-shard p99 imbalance ratio (slowest shard
-            p99 over the median shard p99, measured over the controller's
-            observation window) above which the background controller
-            triggers a skew rebalance.  ``None`` disables the controller;
-            :meth:`ShardRouter.rebalance` stays available either way.
-            The controller samples every :data:`REBALANCE_INTERVAL_SECONDS`
-            and trusts a window of :data:`REBALANCE_MIN_REQUESTS` requests.
     """
 
     shards: int = 2
     max_radius: Optional[float] = None
-    layout: str = "uniform"
-    rebalance_threshold: Optional[float] = None
 
 
 class CacheVersion(NamedTuple):
-    """The router result-cache version: swaps and rebalances bump
-    ``dataset``, routed write batches bump ``write``; both only grow, so a
+    """The router result-cache version: swaps bump ``dataset``, routed
+    write batches bump ``write``; both only grow, so a
     cached response can never outlive the state change that changed its
     answer."""
 
@@ -145,17 +116,14 @@ class ShardTarget(Protocol):
 
 def _shard_slice(plan: ShardingPlan, shard_id: int) -> Dict[str, object]:
     """``shard_id``'s slice of ``plan`` as shard-service arguments: its data
-    and features, the full extent to grid over and its box as the scope
-    (empty and unscoped past the plan's end)."""
-    if shard_id < len(plan.shards):
-        shard = plan.shards[shard_id]
-        return dict(
-            data_objects=shard.data_objects,
-            feature_objects=shard.feature_objects,
-            extent=plan.extent,
-            scope=shard.box,
-        )
-    return dict(data_objects=[], feature_objects=[], extent=plan.extent, scope=None)
+    and features, the full extent to grid over and its box as the scope."""
+    shard = plan.shards[shard_id]
+    return dict(
+        data_objects=shard.data_objects,
+        feature_objects=shard.feature_objects,
+        extent=plan.extent,
+        scope=shard.box,
+    )
 
 
 class LocalShardTarget:
@@ -205,7 +173,6 @@ class ScatterGatherRouter(FrontDoor):
         result_cache_capacity: int,
         engine_config: Optional[EngineConfig],
         service_config: Optional[ServiceConfig],
-        layout: str = "uniform",
     ) -> None:
         """Partition the dataset and build the serving structures.
 
@@ -224,11 +191,6 @@ class ScatterGatherRouter(FrontDoor):
             self._service_config.default_deadline_ms,
             result_cache_capacity,
         )
-        #: Skew layouts snap to this grid; following the served default
-        #: query grid keeps the default grid layout-aligned.
-        self._layout_resolution = (
-            self._service_config.default_grid_size or self._engine_config.grid_size
-        )
         #: One per shard, in shard-id order; filled by the subclass.
         self._targets: List[ShardTarget] = []
         #: Router-level mirror of the incremental write stream: the single
@@ -238,14 +200,14 @@ class ScatterGatherRouter(FrontDoor):
         #: whole, up front.  Kept incrementally, so a write costs O(batch).
         self._delta = DatasetDelta()
         self._adopt(
-            self._partition(data_objects, feature_objects, layout),
+            self._partition(data_objects, feature_objects),
             data_objects,
             feature_objects,
         )
         #: One attribute, so a reader takes both components in one step;
         #: replaced only with the gate paused.
         self._version = CacheVersion()
-        #: Serializes state changes (swaps, rebalances, writes, resyncs).
+        #: Serializes state changes (swaps, writes, resyncs).
         self._swap_lock = threading.Lock()
         self._gate = QuiesceGate()  # over scatter-gathers
         #: One task per shard but the first per in-flight request (threads
@@ -259,17 +221,9 @@ class ScatterGatherRouter(FrontDoor):
         self,
         data_objects: Sequence[DataObject],
         feature_objects: Sequence[FeatureObject],
-        layout: str,
-        extent: Optional[BoundingBox] = None,
     ) -> ShardingPlan:
         return partition_datasets(
-            data_objects,
-            feature_objects,
-            self._shards,
-            max_radius=self._max_radius,
-            extent=extent,
-            layout=layout,
-            layout_resolution=self._layout_resolution,
+            data_objects, feature_objects, self._shards, max_radius=self._max_radius
         )
 
     def _adopt(
@@ -280,10 +234,9 @@ class ScatterGatherRouter(FrontDoor):
     ) -> None:
         """Make ``plan`` over this base snapshot the router's current state."""
         self._plan = plan
-        self._layout_kind = plan.stats.kind
         #: The base snapshot behind the shards, in storage order; together
         #: with the delta mirror this is the full current dataset in
-        #: bulk-swap order (what a rebalance or a node resync materializes).
+        #: bulk-swap order (what a node resync materializes).
         self._base_data = list(data_objects)
         self._base_features = list(feature_objects)
         self._base_data_oids = {obj.oid for obj in data_objects}
@@ -504,35 +457,21 @@ class ScatterGatherRouter(FrontDoor):
         new snapshot once the gate reopens.
         """
         with self._swap_lock:
-            self._install_plan_locked(
-                data_objects, feature_objects, self._layout_kind
-            )
+            # The write mirror was relative to the old base, so it is reset.
+            with self._gate.paused():
+                plan = self._partition(data_objects, feature_objects)
+                self._adopt(plan, data_objects, feature_objects)
+                self._delta.reset()
+                self._version = self._version._replace(
+                    dataset=self._version.dataset + 1
+                )
+                self._cache.invalidate()
+                self._swap_targets(plan)
             self._bump("swaps")
         return self.dataset_info()
 
-    def _install_plan_locked(
-        self,
-        data_objects: Sequence[DataObject],
-        feature_objects: Sequence[FeatureObject],
-        layout: str,
-        extent: Optional[BoundingBox] = None,
-    ) -> ShardingPlan:
-        """Repartition + apply a dataset under the quiesce gate (the shared
-        tail of a swap and a rebalance; the caller holds ``_swap_lock``).
-        The write mirror was relative to the old base, so it is reset."""
-        with self._gate.paused():
-            plan = self._partition(data_objects, feature_objects, layout, extent)
-            self._adopt(plan, data_objects, feature_objects)
-            self._delta.reset()
-            self._version = self._version._replace(
-                dataset=self._version.dataset + 1
-            )
-            self._cache.invalidate()
-            self._swap_targets(plan)
-        return plan
-
     def _swap_targets(self, plan: ShardingPlan) -> None:
-        """Hand every target its slice (empty past a shorter plan's end)."""
+        """Hand every target its slice."""
         for shard_id, target in enumerate(self._targets):
             target.swap(plan, shard_id)
 
@@ -608,10 +547,9 @@ class ScatterGatherRouter(FrontDoor):
         of it (all shards when unbounded) and deletes are broadcast (shard
         deltas are idempotent, so non-owners simply ignore them).
         """
-        layout = self._plan.layout
-        assert layout is not None  # partition_datasets always sets it
+        plan = self._plan
         max_radius = self._max_radius
-        everywhere = range(layout.num_shards)
+        everywhere = range(len(plan.shards))
         updates: List[Dict[str, list]] = [
             {
                 "append_data": [],
@@ -622,12 +560,12 @@ class ScatterGatherRouter(FrontDoor):
             for _ in everywhere
         ]
         for obj in append_data:
-            updates[layout.locate(obj.x, obj.y)]["append_data"].append(obj)
+            updates[plan.locate(obj.x, obj.y)]["append_data"].append(obj)
         for feature in append_features:
             reach = (
                 everywhere
                 if max_radius is None
-                else layout.shards_within(feature.x, feature.y, max_radius)
+                else plan.shards_within(feature.x, feature.y, max_radius)
             )
             for shard_id in reach:
                 updates[shard_id]["append_features"].append(feature)
@@ -671,11 +609,6 @@ class ShardRouter(ScatterGatherRouter):
             JobConfigurationError: for invalid engine configuration.
         """
         self.sharding = sharding or ShardingConfig()
-        if self.sharding.layout not in LAYOUT_CHOICES:
-            raise ValueError(
-                f"unknown layout {self.sharding.layout!r}; "
-                f"expected one of {LAYOUT_CHOICES}"
-            )
         service_config = service_config or ServiceConfig()
         super().__init__(
             data_objects,
@@ -685,12 +618,7 @@ class ShardRouter(ScatterGatherRouter):
             result_cache_capacity=service_config.result_cache_capacity,
             engine_config=engine_config,
             service_config=service_config,
-            layout=self.sharding.layout,
         )
-        # One service per *configured* shard, even when a degenerate
-        # layout produced fewer: a later swap or rebalance may grow the
-        # plan back, and extra services idle over empty slices until then
-        # (the scatter path only targets plan shards).
         self._services: List[QueryService] = [
             QueryService(
                 **_shard_slice(self._plan, shard_id),
@@ -700,10 +628,6 @@ class ShardRouter(ScatterGatherRouter):
             for shard_id in range(self.sharding.shards)
         ]
         self._targets = [LocalShardTarget(s) for s in self._services]
-        #: Background imbalance watcher (started only with a threshold).
-        self._rebalance_thread: Optional[threading.Thread] = None
-        self._last_rebalance_unix: Optional[float] = None
-        self._last_observed_imbalance: Optional[float] = None
 
     def _shard_service_config(self) -> ServiceConfig:
         # Shards disable their result caches (the router caches merged
@@ -720,10 +644,6 @@ class ShardRouter(ScatterGatherRouter):
     def _on_start(self) -> None:
         for service in self._services:
             service.start()
-        if self.sharding.rebalance_threshold is not None:
-            self._rebalance_thread = self._start_background(
-                self._run_rebalance_controller, "repro-rebalance"
-            )
 
     def _stop_targets(self) -> None:
         for service in self._services:
@@ -795,51 +715,7 @@ class ShardRouter(ScatterGatherRouter):
         }
 
     # ------------------------------------------------------------------ #
-    # rebalancing (see docs/sharding.md)
-
-    def rebalance(self, layout: str = "skew") -> Dict[str, object]:
-        """Re-derive the shard layout from the live data distribution.
-
-        The current dataset -- base snapshot plus delta overlay -- is
-        materialized in bulk-swap order (the identity contract's storage
-        order), a fresh ``layout`` (skew by default) is derived from its
-        per-cell histogram, and the result is applied through the same
-        quiesce path as a hot swap, with the extent pinned so the query
-        grids never drift.  The dataset *content* is unchanged, so every
-        answer after the rebalance is bit-for-bit the answer before it;
-        only the per-shard work distribution moves.
-
-        Returns:
-            A summary of the new layout: kind, shard count, per-shard data
-            share and imbalance ratio.
-
-        Raises:
-            ValueError: for an unknown layout kind.
-            RuntimeError: when the router is not started or shut down.
-        """
-        if layout not in LAYOUT_CHOICES:
-            raise ValueError(
-                f"unknown layout {layout!r}; expected one of {LAYOUT_CHOICES}"
-            )
-        self._require_serving()
-        with self._swap_lock:
-            data_objects, feature_objects = materialize(
-                self._base_data, self._base_features, self._delta.snapshot()
-            )
-            plan = self._install_plan_locked(
-                data_objects, feature_objects, layout, extent=self._plan.extent
-            )
-            self._bump("rebalances")
-            self._last_rebalance_unix = time.time()
-        counts = [len(shard.data_objects) for shard in plan.shards]
-        return {
-            "layout": plan.stats.kind,
-            "shards": plan.stats.num_shards,
-            "empty_shards": plan.stats.empty_shards,
-            "data_share": self._data_share(counts),
-            "imbalance": self._imbalance(counts),
-            "dataset": self.dataset_info(),
-        }
+    # introspection
 
     @staticmethod
     def _data_share(counts: Sequence[int]) -> List[float]:
@@ -855,106 +731,6 @@ class ShardRouter(ScatterGatherRouter):
         if not counts or not total:
             return 1.0
         return max(counts) / (total / len(counts))
-
-    # -- the background controller ------------------------------------- #
-
-    def _run_rebalance_controller(self) -> None:
-        """Watch per-shard p99 latencies; rebalance on sustained imbalance.
-
-        Every interval the controller snapshots each data-bearing shard's
-        latency histogram buckets and computes the *windowed* p99 -- the
-        p99 of only the requests served since the previous sample, from
-        bucket-count deltas (the histograms themselves are cumulative).
-        When the slowest shard's windowed p99 exceeds the median shard's
-        by the configured threshold (and the window saw enough requests to
-        mean anything), it triggers :meth:`rebalance` and restarts its
-        observation window.
-        """
-        interval = REBALANCE_INTERVAL_SECONDS
-        previous: Optional[List[Dict[object, int]]] = None
-        while not self._background_stop.wait(interval):
-            try:
-                current = self._shard_bucket_counts()
-                if previous is not None and self._should_rebalance(
-                    previous, current
-                ):
-                    self.rebalance()
-                    current = None  # fresh window over the new layout
-                previous = current
-            except RuntimeError:
-                return  # raced shutdown
-            except Exception:  # pragma: no cover - keep watching
-                previous = None
-
-    def _shard_bucket_counts(self) -> List[Dict[object, int]]:
-        """Cumulative latency bucket counts per data-bearing shard."""
-        return [
-            {
-                bucket["le_ms"]: bucket["count"]
-                for bucket in self._services[shard_id].stats()["latency"][
-                    "buckets"
-                ]
-            }
-            for shard_id in sorted(self._data_bearing)
-        ]
-
-    def _should_rebalance(
-        self,
-        previous: List[Dict[object, int]],
-        current: List[Dict[object, int]],
-    ) -> bool:
-        if len(previous) != len(current):
-            return False  # the shard set changed under the window
-        windows = [
-            self._windowed_p99(before, after)
-            for before, after in zip(previous, current)
-        ]
-        total = sum(count for count, _ in windows)
-        p99s = sorted(p99 for count, p99 in windows if count and p99 is not None)
-        if total < REBALANCE_MIN_REQUESTS or len(p99s) < 2:
-            self._last_observed_imbalance = None
-            return False
-        # Lower median: for an even shard count the upper-middle element
-        # can *be* the slowest shard (2 shards: median == max, ratio
-        # pegged at 1.0), which would blind the controller entirely.
-        median = p99s[(len(p99s) - 1) // 2]
-        imbalance = p99s[-1] / median if median > 0 else 1.0
-        self._last_observed_imbalance = imbalance
-        threshold = self.sharding.rebalance_threshold
-        return threshold is not None and imbalance >= threshold
-
-    @staticmethod
-    def _windowed_p99(
-        before: Dict[object, int], after: Dict[object, int]
-    ) -> Tuple[int, Optional[float]]:
-        """(request count, p99 ms) of one window from bucket-count deltas."""
-
-        def bound(le_ms: object) -> float:
-            return float("inf") if le_ms == "inf" else float(le_ms)
-
-        deltas = [
-            (bound(le_ms), after[le_ms] - before.get(le_ms, 0))
-            for le_ms in sorted(after, key=bound)
-        ]
-        count = sum(delta for _, delta in deltas)
-        if count <= 0:
-            return (0, None)
-        rank = 0.99 * count
-        seen = 0
-        largest_finite = 0.0
-        for le_ms, delta in deltas:
-            if le_ms != float("inf"):
-                largest_finite = le_ms
-            seen += delta
-            if seen >= rank:
-                # The overflow bucket has no upper bound; report past the
-                # last finite one so it still dominates any finite p99.
-                return (count, le_ms if le_ms != float("inf")
-                        else largest_finite * 2.0)
-        return (count, largest_finite * 2.0)  # pragma: no cover - defensive
-
-    # ------------------------------------------------------------------ #
-    # introspection
 
     @property
     def services(self) -> List[QueryService]:
@@ -1000,7 +776,6 @@ class ShardRouter(ScatterGatherRouter):
             "sharding": {
                 "shards": plan_stats.num_shards,
                 "layout": list(plan_stats.layout),
-                "layout_kind": plan_stats.kind,
                 "max_radius": sharding.max_radius,
                 "active_shards": plan_stats.num_shards - plan_stats.empty_shards,
                 "empty_shards": plan_stats.empty_shards,
@@ -1009,18 +784,8 @@ class ShardRouter(ScatterGatherRouter):
                     self._defaults.grid_size
                 ),
                 "balance": {
-                    "kind": plan_stats.kind,
                     "data_share": self._data_share(shard_data_counts),
                     "imbalance": self._imbalance(shard_data_counts),
-                    "rebalances": counters["rebalances"],
-                    "last_rebalance_unix": self._last_rebalance_unix,
-                    "controller": {
-                        "enabled": sharding.rebalance_threshold is not None,
-                        "threshold": sharding.rebalance_threshold,
-                        "interval_seconds": REBALANCE_INTERVAL_SECONDS,
-                        "min_requests": REBALANCE_MIN_REQUESTS,
-                        "last_observed_imbalance": self._last_observed_imbalance,
-                    },
                 },
             },
             "ingest": {

@@ -223,13 +223,13 @@ class TestSharded:
     @given(data=st.data(), dataset=datasets(), grid=st.sampled_from((2, 4, 6, 8)))
     def test_aligned_grid(self, data, dataset, grid):
         router = self._check(data, dataset, grid)
-        assert router.plan.layout.grid_aligned(grid)
+        assert router.plan.grid_aligned(grid)
 
     @ROUTER_SETTINGS
     @given(data=st.data(), dataset=datasets(), grid=st.sampled_from((3, 5, 7)))
     def test_non_aligned_grid(self, data, dataset, grid):
         router = self._check(data, dataset, grid)
-        assert not router.plan.layout.grid_aligned(grid)
+        assert not router.plan.grid_aligned(grid)
 
 
 # --------------------------------------------------------------------- #

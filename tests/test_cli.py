@@ -506,6 +506,15 @@ class TestServeCommand:
         assert args.shards == 1
         assert args.max_radius is None
 
+    @pytest.mark.parametrize("flag", [
+        ["--layout", "skew"], ["--rebalance-threshold", "3"],
+    ])
+    def test_removed_layout_flags_exit_2(self, flag, capsys):
+        """One shard layout: the layout and rebalance knobs are gone."""
+        assert_exits_2(
+            ["serve", "--input", "x.tsv", "--shards", "2", *flag], capsys, flag[0]
+        )
+
     def test_rejects_nonpositive_shards(self, dataset_file, capsys):
         code = main([
             "serve", "--input", str(dataset_file), "--port", "0",

@@ -308,19 +308,19 @@ class TestIngestParityFuzz:
                         )
 
 
-class TestSkewLayoutParityFuzz:
-    """Randomized rebalances interleaved with queries and ingest.
+class TestShardedParityFuzz:
+    """Randomized hot swaps and compactions interleaved with ingest, sharded.
 
-    A 4-shard router starts on a skew layout, then a seeded schedule of
-    incremental write batches, live ``rebalance()`` calls (flipping between
-    skew and uniform layouts) and checkpoint queries runs against it.  At
-    every checkpoint the router must answer **bit-for-bit** like a fresh
-    unsharded engine bulk-swapped to the current state -- ids and scores,
-    ties included -- with the extent pinned (rebalances pin the extent, so
-    neither may the oracle's drift).  This is the live-rebalancing twin of
-    :class:`TestIngestParityFuzz`: layout changes move *work*, never
-    *answers*.  ``auto`` is compared with the centralized oracle over the
-    current state, ids and scores, ties included.
+    A 4-shard router (2 x 2 over a 6-cell grid: aligned) runs a seeded
+    schedule of incremental write batches, hot swaps to its own live state
+    (``swap_datasets``: a repartition over the re-derived extent) and
+    per-shard compactions, with checkpoint queries between them.  At every
+    checkpoint the router must answer **bit-for-bit** like a fresh
+    unsharded engine bulk-swapped to the current state on the router's
+    current extent -- ids and scores, ties included: the sharded twin of
+    :class:`TestIngestParityFuzz`.  ``auto`` is compared with the
+    centralized oracle over the current state, ids and scores, ties
+    included.
     """
 
     CHECK_QUERIES = 3
@@ -328,7 +328,7 @@ class TestSkewLayoutParityFuzz:
     GRID = 6
 
     @pytest.mark.parametrize("kind,seed", (("clustered", 9102), ("uniform", 9001)))
-    def test_interleaved_rebalances_match_bulk_swap(self, kind, seed):
+    def test_interleaved_swaps_match_bulk_swap(self, kind, seed):
         from repro.core.engine import EngineConfig, SPQEngine
         from repro.model.objects import DataObject, FeatureObject
         from repro.server import ServiceConfig
@@ -344,23 +344,26 @@ class TestSkewLayoutParityFuzz:
             service_config=ServiceConfig(
                 engines=1, default_grid_size=grid, result_cache_capacity=0
             ),
-            sharding=ShardingConfig(shards=4, layout="skew"),
+            sharding=ShardingConfig(shards=4),
         )
         with router:
-            extent = router.plan.extent
+            assert router.plan.grid_aligned(grid)
             # The bulk-swap mirror: surviving objects in storage order,
             # appends at the tail -- exactly ``materialize``'s order, which
-            # rebalancing re-bases but never reorders.
+            # swaps and compactions re-base but never reorder.
             live_data = list(data)
             live_features = list(features)
-            rebalances = 0
+            swaps = compactions = 0
             for step in range(self.MUTATION_STEPS):
-                if rng.random() < 0.5:
-                    layout = rng.choice(("skew", "uniform"))
-                    info = router.rebalance(layout)
-                    rebalances += 1
-                    assert info["layout"] == layout
-                    assert sum(info["data_share"]) == pytest.approx(1.0)
+                roll = rng.random()
+                if roll < 0.3:
+                    info = router.swap_datasets(live_data, live_features)
+                    swaps += 1
+                    assert info["data_objects"] == len(live_data)
+                elif roll < 0.6:
+                    router.compact()
+                    compactions += 1
+                extent = router.plan.extent
                 append_data, append_features = [], []
                 delete_data, delete_features = [], []
                 live_data_oids = {obj.oid for obj in live_data}
@@ -405,7 +408,7 @@ class TestSkewLayoutParityFuzz:
                     continue
                 with SPQEngine(
                     live_data, live_features,
-                    config=EngineConfig(grid_size=grid), extent=extent,
+                    config=EngineConfig(grid_size=grid), extent=router.plan.extent,
                 ) as oracle:
                     for query in rng.sample(queries, self.CHECK_QUERIES):
                         spec = {
@@ -427,7 +430,8 @@ class TestSkewLayoutParityFuzz:
                             ))
                             assert got == want, (
                                 f"{algorithm} diverged at step {step} "
-                                f"({kind}/{seed}, rebalances={rebalances})"
+                                f"({kind}/{seed}, swaps={swaps}, "
+                                f"compactions={compactions})"
                             )
                         auto = router.submit({**spec, "algorithm": "auto"})
                         got = tuple(
@@ -437,9 +441,8 @@ class TestSkewLayoutParityFuzz:
                             f"auto diverged from the centralized oracle at "
                             f"step {step} ({kind}/{seed})"
                         )
-            assert router.stats()["sharding"]["balance"]["rebalances"] == (
-                rebalances
-            )
+            assert router.stats()["dataset"]["swaps"] == swaps
+            assert swaps and compactions  # the schedule exercised both
 
 
 class TestDataplaneParity:

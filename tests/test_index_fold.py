@@ -43,8 +43,6 @@ def index_fields(index: DatasetIndex) -> dict:
         "scope": index.scope,
         "data": index._data_objects,
         "data_cells": index._data_cells,
-        # Same counts *and* the same dict order as a fresh build.
-        "data_cell_counts": list(index.data_cell_counts.items()),
         "features": index._feature_objects,
         "record_sizes": index._record_sizes,
         "keyword_counts": index._keyword_counts,

@@ -35,7 +35,7 @@ CONFIG_FIELDS = {
         "default_radius", "default_radius_fraction", "default_algorithm",
         "default_grid_size",
     },
-    ShardingConfig: {"shards", "max_radius", "layout", "rebalance_threshold"},
+    ShardingConfig: {"shards", "max_radius"},
     ClusterConfig: {
         "shards", "max_radius", "heartbeat_interval", "liveness_timeout",
         "node_deadline", "result_cache_capacity",
@@ -82,7 +82,7 @@ CLI_OPTIONS = {
     "batch": {"--input", "--queries", "--output", "--stats"}
     | _QUERY_DEFAULTS | _BACKEND,
     "serve": {
-        "--input", "--shards", "--layout", "--rebalance-threshold", "--cluster",
+        "--input", "--shards", "--cluster",
         "--replication", "--heartbeat-interval", "--liveness-timeout",
         "--node-deadline", "--node-log-dir", "--batch-window-ms",
         "--admission-depth", "--default-deadline-ms",

@@ -1,13 +1,14 @@
-"""Property tests for shard layouts (``repro.sharding.layout``).
+"""Property tests for the shard layout (``repro.sharding.partition``).
 
 Seeded randomized datasets -- uniform, clustered, hotspot-skewed and
-degenerate (single-cell, collinear, single-point) -- crossed with shard
-counts and layout resolutions, asserting every invariant the scatter-gather
-identity contract rests on:
+degenerate (single-cell, collinear, single-point, empty) -- crossed with
+shard counts and query grid sizes, asserting every invariant the
+scatter-gather identity contract rests on.  There is one layout: the
+most-square ``cols x rows`` split of the extent, one shard per cell.
 
-* **tiling** -- the layout's cell regions cover the layout grid exactly
-  once (no gaps, no overlaps), the shard boxes tile the extent exactly,
-  and every shard edge lies on a layout-grid line (boundary snapping);
+* **tiling** -- every shard-grid cell is owned by exactly one shard, the
+  shard boxes tile the extent exactly, and every shard edge lies on a
+  shard-grid line (and, on an aligned query grid, on a query-grid line);
 * **data partitioning** -- every data object lands in exactly one shard,
   inside that shard's box, with storage order preserved within the shard;
 * **feature replication** -- Lemma 1 at shard granularity: a feature is
@@ -15,19 +16,19 @@ identity contract rests on:
   verified against an exhaustive per-box check, replication order
   preserved;
 * **grid alignment** -- ``grid_aligned`` agrees with its definition
-  (every used shard boundary coincides with a query-grid line) and, for
-  uniform layouts, with the historical divisibility rule;
-* **identity** -- a skew-sharded router answers bit-for-bit like a fresh
-  unsharded engine across all algorithms (``pspq``, ``espq-len``,
-  ``espq-sco``, ``auto``) on each generated layout;
-* **degenerate inputs** -- a histogram collapsed into one layout cell
-  reduces the shard *count* instead of emitting empty-extent shards
-  (regression: this used to matter for all-objects-in-one-grid-cell
-  datasets), and the reduced layout still serves exact answers.
+  (every shard boundary coincides with a query-grid line, so no query-grid
+  cell straddles two shards);
+* **identity** -- a router over skewed (clustered, hotspot) data answers
+  bit-for-bit like a fresh unsharded engine across all algorithms
+  (``pspq``, ``espq-len``, ``espq-sco``, ``auto``);
+* **degenerate inputs** -- a dataset collapsed into one cell, onto one
+  point or one line, or empty, still yields ``num_shards`` shards with
+  positive-area extents, and still serves exact answers.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Tuple
 
@@ -40,10 +41,8 @@ from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
 from repro.server import ServiceConfig
 from repro.sharding import (
-    ShardLayout,
     ShardRouter,
     ShardingConfig,
-    data_cell_histogram,
     partition_datasets,
     shard_layout,
 )
@@ -51,7 +50,8 @@ from repro.spatial.grid import UniformGrid
 
 GRID = 10
 
-#: (kind, seed, shards, resolution) cases the property tests sweep.
+#: (kind, seed, shards, query grid size) cases the property tests sweep;
+#: 4 / 10, 3 / 12 and 8 / 20 are aligned, 5 / 8 and 7 / 16 are not.
 LAYOUT_CASES = (
     ("uniform", 4101, 4, 10),
     ("uniform", 4102, 5, 8),
@@ -100,17 +100,27 @@ def build_dataset(kind: str, seed: int, num_objects: int = 400):
     return data, features
 
 
-def build_layout(kind: str, seed: int, shards: int, resolution: int):
+def build_plan(kind: str, seed: int, shards: int, **kwargs):
     data, features = build_dataset(kind, seed)
-    extent = dataset_extent(data, features)
-    grid = UniformGrid(extent, resolution, resolution)
-    histogram = data_cell_histogram(grid, data)
-    layout = ShardLayout.skew(extent, shards, histogram, resolution=resolution)
-    return data, features, extent, grid, histogram, layout
+    return data, features, partition_datasets(data, features, shards, **kwargs)
+
+
+def grid_lines(grid: UniformGrid) -> Tuple[set, set]:
+    """The x and y coordinates of every line of ``grid``."""
+    extent = grid.extent
+    x_lines = {grid.cell_box(grid.cell_id(col, 0)).min_x
+               for col in range(grid.cells_x)} | {extent.max_x}
+    y_lines = {grid.cell_box(grid.cell_id(0, row)).min_y
+               for row in range(grid.cells_y)} | {extent.max_y}
+    return x_lines, y_lines
+
+
+def on_a_line(value: float, lines: set) -> bool:
+    return any(value == pytest.approx(line, rel=1e-12, abs=1e-9) for line in lines)
 
 
 # --------------------------------------------------------------------- #
-# tiling: regions cover the grid once; boxes tile the extent on grid lines
+# tiling: shard cells are owned once; boxes tile the extent on grid lines
 
 
 @pytest.mark.parametrize("kind,seed,shards,resolution", LAYOUT_CASES,
@@ -119,71 +129,82 @@ class TestLayoutTiling:
     def test_regions_cover_every_cell_exactly_once(
         self, kind, seed, shards, resolution
     ):
-        _, _, _, grid, _, layout = build_layout(kind, seed, shards, resolution)
-        covered = [0] * grid.num_cells
-        for col0, row0, col1, row1 in layout.regions:
-            assert 0 <= col0 <= col1 < grid.cells_x
-            assert 0 <= row0 <= row1 < grid.cells_y
-            for row in range(row0, row1 + 1):
-                for col in range(col0, col1 + 1):
-                    covered[row * grid.cells_x + col] += 1
-        assert covered == [1] * grid.num_cells  # no gaps, no overlaps
+        _, _, plan = build_plan(kind, seed, shards)
+        cols, rows = shard_layout(shards)
+        assert plan.stats.layout == (cols, rows)
+        assert (plan.grid.cells_x, plan.grid.cells_y) == (cols, rows)
+        assert [shard.shard_id for shard in plan.shards] == list(range(shards))
+        owners = []
+        for cell_id in range(1, plan.grid.num_cells + 1):
+            box = plan.grid.cell_box(cell_id)
+            owners.append(plan.locate((box.min_x + box.max_x) / 2,
+                                      (box.min_y + box.max_y) / 2))
+            assert plan.shards[owners[-1]].box == box
+        assert sorted(owners) == list(range(shards))  # no gaps, no overlaps
 
     def test_boxes_tile_the_extent_exactly(self, kind, seed, shards, resolution):
-        _, _, extent, _, _, layout = build_layout(kind, seed, shards, resolution)
+        _, _, plan = build_plan(kind, seed, shards)
+        extent = plan.extent
         area = sum(
-            (box.max_x - box.min_x) * (box.max_y - box.min_y)
-            for box in layout.boxes
+            (shard.box.max_x - shard.box.min_x) * (shard.box.max_y - shard.box.min_y)
+            for shard in plan.shards
         )
         extent_area = (extent.max_x - extent.min_x) * (
             extent.max_y - extent.min_y
         )
         assert area == pytest.approx(extent_area, rel=1e-12)
-        assert 1 <= layout.num_shards <= shards
+        assert len(plan.shards) == plan.stats.num_shards == shards
 
     def test_every_shard_edge_lies_on_a_grid_line(
         self, kind, seed, shards, resolution
     ):
-        _, _, extent, grid, _, layout = build_layout(
-            kind, seed, shards, resolution
-        )
-        x_lines = {grid.cell_box(grid.cell_id(col, 0)).min_x
-                   for col in range(grid.cells_x)} | {extent.max_x}
-        y_lines = {grid.cell_box(grid.cell_id(0, row)).min_y
-                   for row in range(grid.cells_y)} | {extent.max_y}
-        for box in layout.boxes:
+        _, _, plan = build_plan(kind, seed, shards)
+        x_lines, y_lines = grid_lines(plan.grid)
+        for shard in plan.shards:
+            box = shard.box
             assert box.min_x in x_lines and box.max_x in x_lines
             assert box.min_y in y_lines and box.max_y in y_lines
+        if plan.grid_aligned(resolution):
+            query_x, query_y = grid_lines(
+                UniformGrid(plan.extent, resolution, resolution)
+            )
+            for shard in plan.shards:
+                box = shard.box
+                assert on_a_line(box.min_x, query_x) and on_a_line(box.max_x, query_x)
+                assert on_a_line(box.min_y, query_y) and on_a_line(box.max_y, query_y)
 
     def test_locate_owns_every_point_exactly_once(
         self, kind, seed, shards, resolution
     ):
-        _, _, extent, _, _, layout = build_layout(kind, seed, shards, resolution)
+        _, _, plan = build_plan(kind, seed, shards)
+        extent = plan.extent
         rng = random.Random(seed + 13)
+        boxes = [shard.box for shard in plan.shards]
         # Interior samples plus exact shard-edge coordinates (the tie case).
         samples = [
             (rng.uniform(extent.min_x, extent.max_x),
              rng.uniform(extent.min_y, extent.max_y))
             for _ in range(200)
         ]
-        samples += [(box.min_x, box.min_y) for box in layout.boxes]
-        samples += [(box.max_x, box.max_y) for box in layout.boxes]
+        samples += [(box.min_x, box.min_y) for box in boxes]
+        samples += [(box.max_x, box.max_y) for box in boxes]
         for x, y in samples:
-            shard_id = layout.locate(x, y)
-            assert 0 <= shard_id < layout.num_shards
-            box = layout.boxes[shard_id]
+            shard_id = plan.locate(x, y)
+            assert 0 <= shard_id < len(plan.shards)
+            box = boxes[shard_id]
             assert box.min_x <= x <= box.max_x
             assert box.min_y <= y <= box.max_y
 
     def test_data_counts_account_for_every_object(
         self, kind, seed, shards, resolution
     ):
-        data, _, _, _, histogram, layout = build_layout(
-            kind, seed, shards, resolution
-        )
-        counts = layout.data_counts(histogram)
-        assert len(counts) == layout.num_shards
-        assert sum(counts) == len(data)
+        data, _, plan = build_plan(kind, seed, shards)
+        counts = [0] * shards
+        for obj in data:
+            counts[plan.locate(obj.x, obj.y)] += 1
+        assert counts == [len(shard.data_objects) for shard in plan.shards]
+        assert sum(counts) == len(data) == plan.stats.num_data
+        assert plan.stats.empty_shards == counts.count(0)
 
 
 # --------------------------------------------------------------------- #
@@ -194,10 +215,7 @@ class TestLayoutTiling:
                          ids=CASE_IDS)
 class TestDataPartitionProperties:
     def test_disjoint_complete_and_ordered(self, kind, seed, shards, resolution):
-        data, features = build_dataset(kind, seed)
-        plan = partition_datasets(
-            data, features, shards, layout="skew", layout_resolution=resolution
-        )
+        data, _, plan = build_plan(kind, seed, shards)
         position = {obj.oid: index for index, obj in enumerate(data)}
         seen: List[str] = []
         for shard in plan.shards:
@@ -209,7 +227,6 @@ class TestDataPartitionProperties:
             assert positions == sorted(positions)  # storage order preserved
         assert sorted(seen) == sorted(obj.oid for obj in data)
         assert len(seen) == len(set(seen))  # each object in exactly one shard
-        assert plan.stats.kind == "skew"
         assert plan.stats.num_data == len(data)
 
 
@@ -225,12 +242,7 @@ class TestFeatureReplicationProperties:
     def test_replication_is_exactly_the_mindist_rule(
         self, kind, seed, shards, resolution
     ):
-        data, features = build_dataset(kind, seed)
-        plan = partition_datasets(
-            data, features, shards,
-            max_radius=self.RADIUS, layout="skew",
-            layout_resolution=resolution,
-        )
+        _, features, plan = build_plan(kind, seed, shards, max_radius=self.RADIUS)
         for shard in plan.shards:
             expected = [
                 feature for feature in features
@@ -238,20 +250,21 @@ class TestFeatureReplicationProperties:
             ]
             got = shard.feature_objects
             assert [f.oid for f in got] == [f.oid for f in expected]
+        assert plan.stats.num_feature_copies == sum(
+            len(shard.feature_objects) for shard in plan.shards
+        )
 
     def test_own_shard_always_receives_the_feature(
         self, kind, seed, shards, resolution
     ):
-        _, features, _, _, _, layout = build_layout(
-            kind, seed, shards, resolution
-        )
+        _, features, plan = build_plan(kind, seed, shards)
         for feature in features:
-            within = layout.shards_within(feature.x, feature.y, 0.0)
-            assert layout.locate(feature.x, feature.y) in within
+            within = plan.shards_within(feature.x, feature.y, 0.0)
+            assert plan.locate(feature.x, feature.y) in within
 
 
 # --------------------------------------------------------------------- #
-# grid alignment: the definition, and the historical uniform rule
+# grid alignment: the divisibility rule against its definitions
 
 
 class TestGridAlignmentProperties:
@@ -260,54 +273,65 @@ class TestGridAlignmentProperties:
     def test_matches_the_boundary_definition(
         self, kind, seed, shards, resolution
     ):
-        _, _, _, grid, _, layout = build_layout(kind, seed, shards, resolution)
-        x_bounds = sorted(
-            {r[0] for r in layout.regions if r[0] > 0}
-            | {r[2] + 1 for r in layout.regions if r[2] + 1 < grid.cells_x}
-        )
-        y_bounds = sorted(
-            {r[1] for r in layout.regions if r[1] > 0}
-            | {r[3] + 1 for r in layout.regions if r[3] + 1 < grid.cells_y}
-        )
+        _, _, plan = build_plan(kind, seed, shards)
+        cols, rows = plan.stats.layout
+        # Interior shard boundary b (of cols) sits at b / cols of the
+        # extent; it is a query-grid line iff b * grid_size / cols is whole.
         for grid_size in (resolution // 2, resolution - 1, resolution,
                           resolution + 1, 2 * resolution, 3 * resolution):
             if grid_size < 1:
                 continue
             expected = all(
-                b * grid_size % grid.cells_x == 0 for b in x_bounds
+                b * grid_size % cols == 0 for b in range(1, cols)
             ) and all(
-                b * grid_size % grid.cells_y == 0 for b in y_bounds
+                b * grid_size % rows == 0 for b in range(1, rows)
             )
-            assert layout.grid_aligned(grid_size) is expected
+            assert plan.grid_aligned(grid_size) is expected
 
     @pytest.mark.parametrize("kind,seed,shards,resolution", LAYOUT_CASES,
                              ids=CASE_IDS)
     def test_layout_resolution_multiples_are_always_aligned(
         self, kind, seed, shards, resolution
     ):
-        _, _, _, _, _, layout = build_layout(kind, seed, shards, resolution)
-        assert layout.grid_aligned(resolution)
-        assert layout.grid_aligned(2 * resolution)
+        _, _, plan = build_plan(kind, seed, shards)
+        cols, rows = plan.stats.layout
+        lcm = cols * rows // math.gcd(cols, rows)
+        assert plan.grid_aligned(lcm)
+        assert plan.grid_aligned(2 * lcm)
+        assert plan.grid_aligned(resolution) is (
+            resolution % cols == 0 and resolution % rows == 0
+        )
 
     @pytest.mark.parametrize("shards", [1, 2, 3, 4, 5, 6, 8, 9, 12])
     @pytest.mark.parametrize("grid_size", [4, 6, 7, 9, 10, 12, 50])
     def test_uniform_reduces_to_the_historical_rule(self, shards, grid_size):
+        """``grid_aligned`` is true exactly when no query-grid cell
+        straddles a shard boundary."""
         data, features = build_dataset("uniform", 4999, num_objects=50)
-        extent = dataset_extent(data, features)
-        layout = ShardLayout.uniform(extent, shards)
-        cols, rows = shard_layout(shards)
-        assert layout.grid_aligned(grid_size) is (
-            grid_size % cols == 0 and grid_size % rows == 0
-        )
+        plan = partition_datasets(data, features, shards)
+        query_grid = UniformGrid(dataset_extent(data, features), grid_size, grid_size)
+        tolerance = 1e-9
+        contained = True
+        for cell_id in range(1, query_grid.num_cells + 1):
+            cell = query_grid.cell_box(cell_id)
+            box = plan.shards[plan.locate((cell.min_x + cell.max_x) / 2,
+                                          (cell.min_y + cell.max_y) / 2)].box
+            contained &= (
+                box.min_x - tolerance <= cell.min_x
+                and cell.max_x <= box.max_x + tolerance
+                and box.min_y - tolerance <= cell.min_y
+                and cell.max_y <= box.max_y + tolerance
+            )
+        assert plan.grid_aligned(grid_size) is contained
 
 
 # --------------------------------------------------------------------- #
-# degenerate inputs: shard-count reduction, never empty-extent shards
+# degenerate inputs: every shard keeps a valid extent
 
 
 class TestDegenerateLayouts:
     def one_cell_dataset(self):
-        """Every object inside a single layout-grid cell (the regression)."""
+        """Every object inside a single query-grid cell."""
         rng = random.Random(5001)
         data = [
             DataObject(f"d{i:03d}", rng.uniform(50.0, 50.9),
@@ -323,20 +347,22 @@ class TestDegenerateLayouts:
         data += [DataObject("d-lo", 0.0, 0.0), DataObject("d-hi", 100.0, 100.0)]
         return data, features
 
-    def test_single_cell_histogram_reduces_shard_count(self):
-        """Regression: all mass in one grid cell must not emit empty-extent
-        shards -- the unsplittable region becomes exactly one shard."""
-        data, features = self.one_cell_dataset()
-        plan = partition_datasets(
-            data, features, 4, layout="skew", layout_resolution=10
-        )
-        layout = plan.layout
-        assert layout is not None and layout.kind == "skew"
-        assert 1 <= layout.num_shards <= 4
-        for box in layout.boxes:
-            assert box.max_x > box.min_x and box.max_y > box.min_y
+    @staticmethod
+    def assert_valid_shards(plan, shards: int, data) -> None:
+        assert len(plan.shards) == shards
+        for shard in plan.shards:
+            assert shard.box.max_x > shard.box.min_x
+            assert shard.box.max_y > shard.box.min_y
         seen = [obj.oid for shard in plan.shards for obj in shard.data_objects]
         assert sorted(seen) == sorted(obj.oid for obj in data)
+
+    def test_single_cell_dataset_keeps_every_shard_valid(self):
+        """All mass in one grid cell: the other shards are empty, never
+        empty-extent."""
+        data, features = self.one_cell_dataset()
+        plan = partition_datasets(data, features, 4)
+        self.assert_valid_shards(plan, 4, data)
+        assert plan.stats.empty_shards >= 1
 
     def test_single_cell_layout_still_serves_exact_answers(self):
         data, features = self.one_cell_dataset()
@@ -345,7 +371,7 @@ class TestDegenerateLayouts:
             data, features,
             engine_config=EngineConfig(grid_size=GRID),
             service_config=ServiceConfig(engines=1, default_grid_size=GRID),
-            sharding=ShardingConfig(shards=4, layout="skew"),
+            sharding=ShardingConfig(shards=4),
         )
         with router:
             got = [(e["oid"], e["score"])
@@ -359,13 +385,8 @@ class TestDegenerateLayouts:
     def test_all_objects_on_one_point(self):
         data = [DataObject(f"d{i}", 5.0, 5.0) for i in range(20)]
         features = [FeatureObject("f0", 5.0, 5.0, frozenset({"w"}))]
-        plan = partition_datasets(
-            data, features, 4, layout="skew", layout_resolution=8
-        )
-        assert plan.layout is not None
-        assert plan.layout.num_shards >= 1
-        total = sum(len(shard.data_objects) for shard in plan.shards)
-        assert total == len(data)
+        plan = partition_datasets(data, features, 4)
+        self.assert_valid_shards(plan, 4, data)
 
     def test_collinear_dataset(self):
         data = [DataObject(f"d{i}", float(i), 3.0) for i in range(30)]
@@ -373,64 +394,33 @@ class TestDegenerateLayouts:
             FeatureObject(f"f{i}", float(i) + 0.25, 3.0, frozenset({"w"}))
             for i in range(10)
         ]
-        plan = partition_datasets(
-            data, features, 3, layout="skew", layout_resolution=6
-        )
+        plan = partition_datasets(data, features, 3)
+        self.assert_valid_shards(plan, 3, data)
         seen = [obj.oid for shard in plan.shards for obj in shard.data_objects]
-        assert sorted(seen) == sorted(obj.oid for obj in data)
         assert len(seen) == len(set(seen))
 
-    def test_empty_dataset_keeps_one_valid_shard(self):
-        plan = partition_datasets([], [], 4, layout="skew",
-                                  layout_resolution=8)
-        assert plan.layout is not None
-        assert plan.layout.num_shards == 1
-        box = plan.layout.boxes[0]
-        assert box.max_x > box.min_x and box.max_y > box.min_y
+    def test_empty_dataset_keeps_valid_shards(self):
+        plan = partition_datasets([], [], 4)
+        self.assert_valid_shards(plan, 4, [])
+        assert plan.stats.empty_shards == 4
 
 
 # --------------------------------------------------------------------- #
-# balance: the point of the skew layout on skewed data
-
-
-class TestSkewBalancesCounts:
-    @pytest.mark.parametrize("seed", [4301, 4302, 4303])
-    def test_skew_beats_uniform_on_hotspot_data(self, seed):
-        data, features = build_dataset("hotspot", seed)
-        extent = dataset_extent(data, features)
-        # The hotspot box spans several cells at this resolution, so the kd
-        # split can actually divide the hot mass (a coarser layout grid
-        # would see it as one unsplittable cell).
-        histogram = data_cell_histogram(UniformGrid(extent, 50, 50), data)
-        uniform = ShardLayout.uniform(extent, 4)
-        skew = ShardLayout.skew(extent, 4, histogram, resolution=50)
-
-        def imbalance(layout: ShardLayout) -> float:
-            counts = [0] * layout.num_shards
-            for obj in data:
-                counts[layout.locate(obj.x, obj.y)] += 1
-            return max(counts) / (sum(counts) / len(counts))
-
-        assert imbalance(skew) < imbalance(uniform)
-        # ~90% of objects sit in one corner box: a uniform 2x2 layout puts
-        # nearly all of them in one shard, the skew layout spreads them.
-        assert imbalance(uniform) > 2.0
-        assert imbalance(skew) < 2.0
-
-
-# --------------------------------------------------------------------- #
-# identity: sharded == unsharded, bit-for-bit, on skew layouts
+# identity: sharded == unsharded, bit-for-bit, on skewed data
 
 
 class TestSkewShardedIdentity:
-    CASES = (("clustered", 4201, 4), ("hotspot", 4301, 3))
+    """Skewed (clustered, hotspot) data on the uniform layout, each case on
+    a query grid its layout divides: 2 x 2 shards over 10, 3 x 1 over 12."""
+
+    CASES = (("clustered", 4201, 4, 10), ("hotspot", 4301, 3, 12))
 
     @pytest.mark.parametrize("algorithm", [
         "pspq", "espq-len", "espq-sco", "auto",
     ])
-    @pytest.mark.parametrize("kind,seed,shards", CASES,
-                             ids=[f"{k}-{s}-s{n}" for k, s, n in CASES])
-    def test_bit_for_bit_identity(self, kind, seed, shards, algorithm):
+    @pytest.mark.parametrize("kind,seed,shards,grid", CASES,
+                             ids=[f"{k}-{s}-s{n}" for k, s, n, _ in CASES])
+    def test_bit_for_bit_identity(self, kind, seed, shards, grid, algorithm):
         data, features = build_dataset(kind, seed)
         specs = [
             {"keywords": ["w0003"], "k": 5, "radius": 8.0,
@@ -442,28 +432,27 @@ class TestSkewShardedIdentity:
         ]
         router = ShardRouter(
             data, features,
-            engine_config=EngineConfig(grid_size=GRID),
+            engine_config=EngineConfig(grid_size=grid),
             service_config=ServiceConfig(
-                engines=1, default_grid_size=GRID, result_cache_capacity=0
+                engines=1, default_grid_size=grid, result_cache_capacity=0
             ),
-            sharding=ShardingConfig(shards=shards, layout="skew"),
+            sharding=ShardingConfig(shards=shards),
         )
         with router:
-            assert router.plan.stats.kind == "skew"
-            assert router.plan.grid_aligned(GRID)
+            assert router.plan.grid_aligned(grid)
             got = [
                 [(e["oid"], e["score"]) for e in router.submit(spec)["results"]]
                 for spec in specs
             ]
         with SPQEngine(data, features,
-                       config=EngineConfig(grid_size=GRID)) as engine:
+                       config=EngineConfig(grid_size=grid)) as engine:
             for spec, entries in zip(specs, got):
                 query = SpatialPreferenceQuery.create(
                     k=spec["k"], radius=spec["radius"],
                     keywords=set(spec["keywords"]),
                 )
                 result = reference_execute(
-                    engine, query, algorithm=spec["algorithm"], grid_size=GRID
+                    engine, query, algorithm=spec["algorithm"], grid_size=grid
                 )
                 assert entries == [
                     (entry.obj.oid, entry.score) for entry in result

@@ -43,18 +43,15 @@ def make_query(k=10, radius=4.0, keywords=("w0001", "w0002")):
 class TestStatisticsCollection:
     def test_candidates_match_inverted_index(self, planner_index):
         query = make_query()
-        hits, candidates = QueryPlanner().collect(planner_index, query, 12)
-        assert candidates == planner_index.candidate_positions(query.keywords)
+        hits = QueryPlanner().collect(planner_index, query, 12)
         assert hits == planner_index.keyword_hits(query.keywords, query.radius)
-
-    def test_data_histogram_covers_every_object(self, planner_index):
-        assert sum(planner_index.data_cell_counts.values()) == planner_index.num_data
+        assert sorted(hits) == planner_index.candidate_positions(query.keywords)
 
     def test_zero_candidate_query(self, planner_index):
-        hits, candidates = QueryPlanner().collect(
+        hits = QueryPlanner().collect(
             planner_index, make_query(keywords=("zz-unknown",)), 12
         )
-        assert hits == {} and candidates == []
+        assert hits == {}
 
 
 # --------------------------------------------------------------------- #
@@ -282,6 +279,6 @@ class TestStandalonePlanner:
         )
         index = DatasetIndex(data, features, grid)
         planner = QueryPlanner()
-        stats = planner.collect(index, make_query(), 8)
-        assert planner.decide(stats) == AUTO_CHOICE == "global-scan"
+        hits = planner.collect(index, make_query(), 8)
+        assert planner.decide(hits) == AUTO_CHOICE == "global-scan"
         assert planner.decisions == 1

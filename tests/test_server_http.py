@@ -482,103 +482,9 @@ class TestDatasetsEndpoint:
         code, _ = http_error(get, f"{url}/datasets")
         assert code == 405
 
-    def test_rebalance_endpoint_and_load(self, small_clustered_dataset):
-        """POST /rebalance under sustained client load: zero failures, and
-        every answer -- before, during and after the layout changes -- is
-        bit-for-bit the unsharded oracle's (the dataset never changes, so
-        there is exactly one valid answer per spec)."""
-        from repro.sharding import ShardRouter, ShardingConfig
-
-        data, features = small_clustered_dataset
-        router = ShardRouter(
-            data, features,
-            engine_config=EngineConfig(grid_size=GRID),
-            service_config=ServiceConfig(
-                engines=1, default_grid_size=GRID, result_cache_capacity=0
-            ),
-            sharding=ShardingConfig(shards=4),
-        )
-        specs = [
-            {"keywords": [f"w000{i}"], "k": 3, "radius": 2.0} for i in (1, 2, 3)
-        ]
-        oracle = []
-        with SPQEngine(data, features,
-                       config=EngineConfig(grid_size=GRID)) as engine:
-            for spec in specs:
-                result = raw_execute(
-                    engine,
-                    SpatialPreferenceQuery.create(
-                        k=spec["k"], radius=spec["radius"],
-                        keywords=set(spec["keywords"]),
-                    ),
-                    algorithm="espq-sco", grid_size=GRID,
-                )
-                oracle.append([
-                    [entry.obj.oid, entry.score] for entry in result
-                ])
-        errors, invalid = [], []
-        stop = threading.Event()
-        with router:
-            server = make_server(router)
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
-            thread.start()
-            url = f"http://127.0.0.1:{server.port}"
-
-            def client(worker: int) -> None:
-                turn = 0
-                while not stop.is_set():
-                    index = (worker + turn) % len(specs)
-                    turn += 1
-                    try:
-                        status, payload = post_json(
-                            f"{url}/query", specs[index]
-                        )
-                        assert status == 200
-                    except Exception as exc:  # noqa: BLE001
-                        errors.append(exc)
-                        return
-                    entries = [
-                        [e["oid"], e["score"]] for e in payload["results"]
-                    ]
-                    if entries != oracle[index]:
-                        invalid.append((specs[index], entries))
-
-            try:
-                clients = [
-                    threading.Thread(target=client, args=(worker,))
-                    for worker in range(4)
-                ]
-                for worker in clients:
-                    worker.start()
-                # Several layout changes under load: skew, back to uniform,
-                # skew again.
-                for layout in ("skew", "uniform", "skew"):
-                    status, payload = post_json(
-                        f"{url}/rebalance", {"layout": layout}
-                    )
-                    assert status == 200
-                    assert payload["status"] == "ok"
-                    assert payload["rebalance"]["layout"] == layout
-                stop.set()
-                for worker in clients:
-                    worker.join()
-                # An empty body defaults to a skew rebalance.
-                status, payload = post_json(f"{url}/rebalance", {})
-                assert status == 200
-                assert payload["rebalance"]["layout"] == "skew"
-                _, stats = get(f"{url}/stats")
-            finally:
-                stop.set()
-                server.shutdown()
-                server.server_close()
-                thread.join()
-        assert not errors
-        assert not invalid
-        assert stats["requests"]["failed"] == 0
-        assert stats["sharding"]["balance"]["rebalances"] == 4
-        assert stats["sharding"]["balance"]["kind"] == "skew"
-
-    def test_rebalance_bad_bodies_and_methods(self, small_uniform_dataset):
+    def test_rebalance_on_sharded_router_is_404(self, small_uniform_dataset):
+        """There is one shard layout and nothing re-derives it: ``/rebalance``
+        is an unknown path on a sharded server too."""
         from repro.sharding import ShardRouter, ShardingConfig
 
         data, features = small_uniform_dataset
@@ -594,29 +500,25 @@ class TestDatasetsEndpoint:
             thread.start()
             url = f"http://127.0.0.1:{server.port}"
             try:
-                code, payload = http_error(
-                    post, f"{url}/rebalance",
-                    json.dumps({"layout": "bogus"}).encode(),
-                )
-                assert code == 400
-                assert "layout" in payload["error"]
-                code, payload = http_error(
-                    post, f"{url}/rebalance",
-                    json.dumps({"bogus": 1}).encode(),
-                )
-                assert code == 400
+                for body in (b"{}", json.dumps({"layout": "skew"}).encode()):
+                    code, payload = http_error(post, f"{url}/rebalance", body)
+                    assert code == 404
+                    assert "unknown path" in payload["error"]
                 code, _ = http_error(get, f"{url}/rebalance")
-                assert code == 405
+                assert code == 404
+                _, stats = get(f"{url}/stats")
             finally:
                 server.shutdown()
                 server.server_close()
                 thread.join()
+        assert "rebalances" not in stats["sharding"]["balance"]
+        assert stats["dataset"]["version"] == 0
 
     def test_rebalance_on_unsharded_service_is_404(self, live_server):
         _, url = live_server
         code, payload = http_error(post, f"{url}/rebalance", b"{}")
         assert code == 404
-        assert "sharded" in payload["error"]
+        assert "unknown path" in payload["error"]
 
     def test_sharded_server_serves_same_surface(self, small_uniform_dataset):
         """make_server over a ShardRouter: query, stats and swap all work."""

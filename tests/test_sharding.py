@@ -22,7 +22,6 @@ from repro.sharding import (
     partition_datasets,
     shard_layout,
 )
-from repro.sharding import router as sharding_router
 from repro.spatial.geometry import BoundingBox
 
 GRID = 10
@@ -310,21 +309,17 @@ class TestScopeIdentity:
     @given(
         seed=st.integers(0, 10_000),
         clustered=st.booleans(),
-        layout=st.sampled_from(["uniform", "skew"]),
         shards=st.integers(2, 4),
         radius_cells=st.floats(0.0, 2.0),
     )
     def test_scoped_engine_equals_a_max_radius_partition(
-        self, seed, clustered, layout, shards, radius_cells
+        self, seed, clustered, shards, radius_cells
     ):
         data, features, batch = scope_dataset(seed, clustered)
-        plan = partition_datasets(
-            data, features, shards, layout=layout, layout_resolution=GRID
-        )
+        plan = partition_datasets(data, features, shards)
         radius = radius_cells * plan.extent.width / GRID
         bounded = partition_datasets(
             data, features, shards, max_radius=radius, extent=plan.extent,
-            layout=plan.layout,
         )
         queries = [
             SpatialPreferenceQuery.create(k=k, radius=radius, keywords=words)
@@ -345,7 +340,7 @@ class TestScopeIdentity:
             # locates it, a feature append to every shard within the
             # replication radius (all of them, unbounded), deletes to all.
             mine = [obj for obj in batch["append_data"]
-                    if plan.layout.locate(obj.x, obj.y) == shard.shard_id]
+                    if plan.locate(obj.x, obj.y) == shard.shard_id]
             deletes = dict(delete_data_oids=batch["delete_data_oids"],
                            delete_feature_oids=batch["delete_feature_oids"])
             scoped.apply_updates(
@@ -357,7 +352,7 @@ class TestScopeIdentity:
                 append_features=[
                     f for f in batch["append_features"]
                     if shard.shard_id
-                    in bounded.layout.shards_within(f.x, f.y, radius)
+                    in bounded.shards_within(f.x, f.y, radius)
                 ],
                 **deletes,
             )
@@ -732,195 +727,3 @@ class TestQueryServiceSwap:
         assert stats["requests"]["failed"] == 0
         assert stats["dataset"]["swaps"] == 6
         assert stats["latency"]["count"] == stats["requests"]["completed"]
-
-
-class TestRebalance:
-    """Live layout changes: identity, balance reporting, the controller."""
-
-    def test_rebalance_preserves_answers_bit_for_bit(
-        self, small_clustered_dataset
-    ):
-        specs = [
-            {"keywords": ["w0002"], "k": 5, "radius": 3.0,
-             "algorithm": algorithm}
-            for algorithm in ("pspq", "espq-len", "espq-sco")
-        ]
-        with make_router(small_clustered_dataset, shards=4) as router:
-            before = [response_entries(router.submit(spec)) for spec in specs]
-            info = router.rebalance()
-            after = [response_entries(router.submit(spec)) for spec in specs]
-        assert info["layout"] == "skew"
-        assert sum(info["data_share"]) == pytest.approx(1.0)
-        assert after == before
-        for spec, entries in zip(specs, after):
-            assert entries == offline_entries(small_clustered_dataset, spec)
-
-    def test_rebalance_improves_balance_on_skewed_data(
-        self, small_clustered_dataset
-    ):
-        with make_router(small_clustered_dataset, shards=4) as router:
-            uniform_imbalance = (
-                router.stats()["sharding"]["balance"]["imbalance"]
-            )
-            info = router.rebalance()
-            stats = router.stats()["sharding"]
-        assert info["imbalance"] <= uniform_imbalance
-        assert stats["layout_kind"] == "skew"
-        assert stats["balance"]["kind"] == "skew"
-        assert stats["balance"]["rebalances"] == 1
-        assert stats["balance"]["last_rebalance_unix"] is not None
-
-    def test_rebalance_folds_the_write_delta(self, small_uniform_dataset):
-        """Pending incremental writes survive a rebalance (base+delta is
-        materialized, not dropped) and stay queryable afterwards."""
-        with make_router(small_uniform_dataset, shards=2) as router:
-            router.apply_objects(
-                append_data=[DataObject("rb-d1", 5.0, 5.0)],
-                append_features=[FeatureObject(
-                    "rb-f1", 5.0, 5.0, frozenset({"rb-word"})
-                )],
-            )
-            router.rebalance()
-            assert router.stats()["ingest"]["delta"]["appended_data"] == 0
-            response = router.submit(
-                {"keywords": ["rb-word"], "k": 3, "radius": 2.0}
-            )
-        assert [e["oid"] for e in response["results"]] == ["rb-d1"]
-
-    def test_rebalance_guards(self, small_uniform_dataset):
-        router = make_router(small_uniform_dataset, shards=2)
-        with pytest.raises(RuntimeError, match="not started"):
-            router.rebalance()
-        with router:
-            with pytest.raises(ValueError, match="layout"):
-                router.rebalance(layout="bogus")
-        with pytest.raises(RuntimeError, match="shut down"):
-            router.rebalance()
-
-    def test_rebalance_under_concurrent_load_loses_nothing(
-        self, small_clustered_dataset
-    ):
-        """Clients hammer across rebalances: the dataset never changes, so
-        every response must equal the single oracle -- no failures, no
-        layout-transition artifacts."""
-        specs = [
-            {"keywords": [f"w000{i}"], "k": 3, "radius": 2.0} for i in (1, 2, 3)
-        ]
-        oracle = [
-            offline_entries(small_clustered_dataset, spec) for spec in specs
-        ]
-        errors, invalid = [], []
-        stop = threading.Event()
-        with make_router(
-            small_clustered_dataset, shards=4, result_cache_capacity=0
-        ) as router:
-            def client(worker):
-                turn = 0
-                while not stop.is_set():
-                    index = (worker + turn) % len(specs)
-                    turn += 1
-                    try:
-                        response = router.submit(specs[index])
-                    except Exception as exc:  # noqa: BLE001
-                        errors.append(exc)
-                        return
-                    if response_entries(response) != oracle[index]:
-                        invalid.append(specs[index])
-
-            threads = [
-                threading.Thread(target=client, args=(worker,))
-                for worker in range(4)
-            ]
-            for thread in threads:
-                thread.start()
-            for layout in ("skew", "uniform", "skew"):
-                router.rebalance(layout)
-            stop.set()
-            for thread in threads:
-                thread.join()
-            stats = router.stats()
-        assert not errors
-        assert not invalid
-        assert stats["requests"]["failed"] == 0
-        assert stats["sharding"]["balance"]["rebalances"] == 3
-
-
-class TestRebalanceController:
-    """The background imbalance watcher (windowed p99 math + the loop)."""
-
-    def test_windowed_p99_from_bucket_deltas(self):
-        p99 = ShardRouter._windowed_p99
-        assert p99({}, {}) == (0, None)
-        assert p99({0.25: 3}, {0.25: 3}) == (0, None)  # no new requests
-        assert p99({}, {0.25: 10}) == (10, 0.25)
-        count, value = p99({0.25: 5}, {0.25: 5, 1.0: 90, 4.0: 10})
-        assert count == 100
-        assert value == 4.0  # the 99th request lands in the 4ms bucket
-        # Overflow bucket: reported past the largest finite bound.
-        count, value = p99({}, {1.0: 5, "inf": 5})
-        assert count == 10
-        assert value == 2.0
-
-    def test_should_rebalance_thresholds(self, small_uniform_dataset, monkeypatch):
-        monkeypatch.setattr(sharding_router, "REBALANCE_MIN_REQUESTS", 10)
-        router = make_router(small_uniform_dataset, shards=2)
-        router.sharding.rebalance_threshold = 2.0
-        flat = [{1.0: 0}, {1.0: 0}]
-        skewed = [{1.0: 100}, {16.0: 100}]
-        assert router._should_rebalance(flat, skewed) is True
-        assert router._last_observed_imbalance == pytest.approx(16.0)
-        # Below the minimum window size nothing is trusted.
-        assert router._should_rebalance(flat, [{1.0: 4}, {16.0: 4}]) is False
-        assert router._last_observed_imbalance is None
-        # Balanced shards never trigger.
-        assert router._should_rebalance(flat, [{1.0: 60}, {1.0: 60}]) is False
-        # A shard-set change under the window is ignored.
-        assert router._should_rebalance([{1.0: 0}], skewed) is False
-
-    def test_controller_triggers_rebalance_on_sustained_imbalance(
-        self, small_uniform_dataset, monkeypatch
-    ):
-        import time
-
-        # Sample every 50 ms, trust 10 requests: the production 2 s / 50
-        # would outlast the test.
-        monkeypatch.setattr(sharding_router, "REBALANCE_INTERVAL_SECONDS", 0.05)
-        monkeypatch.setattr(sharding_router, "REBALANCE_MIN_REQUESTS", 10)
-        data, features = small_uniform_dataset
-        router = ShardRouter(
-            data, features,
-            engine_config=EngineConfig(grid_size=GRID),
-            service_config=ServiceConfig(engines=1, default_grid_size=GRID),
-            sharding=ShardingConfig(shards=2, rebalance_threshold=2.0),
-        )
-        # Deterministic latency feed: one balanced baseline sample, then a
-        # steady 16x-imbalanced cumulative snapshot -- the first window
-        # shows the imbalance, later windows are empty (no new requests).
-        samples = iter([[{1.0: 0}, {1.0: 0}]])
-        steady = [{1.0: 100}, {16.0: 100}]
-        router._shard_bucket_counts = lambda: next(samples, steady)
-        spec = {"keywords": ["w0001"], "k": 3, "radius": 2.0}
-        with router:
-            before = router.submit(spec)
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if router.stats()["sharding"]["balance"]["rebalances"]:
-                    break
-                time.sleep(0.02)
-            stats = router.stats()["sharding"]["balance"]
-            after = router.submit(spec)
-        assert stats["rebalances"] == 1  # fired once, then the window reset
-        assert stats["kind"] == "skew"
-        assert stats["controller"]["enabled"] is True
-        assert stats["controller"]["last_observed_imbalance"] == (
-            pytest.approx(16.0)
-        )
-        assert response_entries(after) == response_entries(before)
-
-    def test_controller_not_started_without_threshold(
-        self, small_uniform_dataset
-    ):
-        with make_router(small_uniform_dataset, shards=2) as router:
-            assert router._rebalance_thread is None
-            controller = router.stats()["sharding"]["balance"]["controller"]
-            assert controller["enabled"] is False

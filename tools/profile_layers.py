@@ -213,7 +213,7 @@ def main(argv=None) -> int:
             engine.apply_updates(append_features=features, delete_data_oids=delete_data,
                                  delete_feature_oids=delete_features)
         for obj in data:
-            owner = by_shard.get(plan.layout.locate(obj.x, obj.y)) if shards else engines[0]
+            owner = by_shard.get(plan.locate(obj.x, obj.y)) if shards else engines[0]
             if owner is not None:
                 owner.apply_updates(append_data=[obj])
         if compact:
