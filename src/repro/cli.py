@@ -129,12 +129,11 @@ def _default_help(what: str) -> dict:
 
 
 def _add_serving_arguments(
-    parser: argparse.ArgumentParser, *, port, engines, result_cache, help
+    parser: argparse.ArgumentParser, *, port, engines, result_cache
 ) -> None:
     """The flags ``serve`` and ``shard-node`` both declare.
 
-    ``port`` / ``engines`` / ``result_cache`` are the per-command defaults;
-    ``help`` maps the flags whose meaning differs by command to their text.
+    ``port`` / ``engines`` / ``result_cache`` are the per-command defaults.
     """
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=port,
@@ -142,9 +141,7 @@ def _add_serving_arguments(
                              "the 'listening on' line)")
     parser.add_argument("--engines", type=int, default=engines,
                         help="warm engine-pool size = micro-batch dispatcher "
-                             "threads (per shard or node)")
-    parser.add_argument("--max-batch", type=int, default=8,
-                        help="largest micro-batch per execute_many call")
+                             "threads (per node)")
     parser.add_argument("--compact-threshold", type=int, default=0,
                         help="fold the write delta into the base dataset once it "
                              "holds this many ops (0 disables auto-compaction; "
@@ -155,8 +152,6 @@ def _add_serving_arguments(
                              "router caches merged responses and node caches "
                              "would only hide executions)")
     parser.add_argument("--grid-size", type=int, default=50)
-    parser.add_argument("--max-radius", type=float, default=None,
-                        help=help["max_radius"])
     parser.add_argument("--access-log", action="store_true",
                         help="log one line per HTTP request to stderr")
 
@@ -165,7 +160,6 @@ def _add_serving_arguments(
 #: command that does not declare a flag keeps the dataclass default.
 _SERVICE_CONFIG_FLAGS = {
     "engines": "engines",
-    "max_batch": "max_batch",
     "result_cache_capacity": "result_cache",
     "compact_threshold": "compact_threshold",
     "default_k": "k",
@@ -178,14 +172,14 @@ _SERVICE_CONFIG_FLAGS = {
 }
 
 
-def _config_from_flags(config_class, flags, args: argparse.Namespace, **extra):
+def _config_from_flags(config_class, flags, args: argparse.Namespace):
     """``config_class`` built from the flags a command declares."""
     values = {
         field: getattr(args, dest)
         for field, dest in flags.items()
         if hasattr(args, dest)
     }
-    return config_class(**values, **extra)
+    return config_class(**values)
 
 
 def _request_defaults(args: argparse.Namespace, data, features):
@@ -207,10 +201,7 @@ def _service_config(args: argparse.Namespace):
     """Service configuration from a serving command's flags."""
     from repro.server import ServiceConfig
 
-    extra = {}
-    if hasattr(args, "batch_window_ms"):
-        extra["batch_window_seconds"] = args.batch_window_ms / 1000.0
-    return _config_from_flags(ServiceConfig, _SERVICE_CONFIG_FLAGS, args, **extra)
+    return _config_from_flags(ServiceConfig, _SERVICE_CONFIG_FLAGS, args)
 
 
 # --------------------------------------------------------------------- #
@@ -385,29 +376,6 @@ def _from_flags(args: argparse.Namespace, build):
         raise _CliError(str(exc)) from exc
 
 
-def _front_door(
-    args: argparse.Namespace, data, features, service_config,
-    engine_config=None,
-):
-    """The in-process service of ``serve``: a query service, or with
-    ``--shards > 1`` a shard router."""
-    from repro.server import QueryService
-
-    if args.shards <= 1:
-        return QueryService(
-            data, features, engine_config=engine_config, config=service_config
-        )
-    from repro.sharding import ShardRouter, ShardingConfig
-
-    return ShardRouter(
-        data,
-        features,
-        engine_config=engine_config,
-        service_config=service_config,
-        sharding=ShardingConfig(shards=args.shards, max_radius=args.max_radius),
-    )
-
-
 def _bind_server(args: argparse.Namespace, service):
     """The HTTP server of ``service`` on ``--host``/``--port`` (exit 2 when
     the address cannot be bound)."""
@@ -439,27 +407,22 @@ def _print_banner(
 def _cmd_serve(args: argparse.Namespace) -> int:
     if args.cluster:
         return _cmd_serve_cluster(args)
-    data, features = _load_nonempty_dataset(args.input)
-    sharded = args.shards > 1
-    if args.shards < 1:
-        raise _CliError(f"--shards must be >= 1, got {args.shards}")
-    if args.max_radius is not None and not sharded:
-        _warn("--max-radius only affects sharded serving (--shards > 1); ignored")
+    from repro.server import QueryService
 
+    data, features = _load_nonempty_dataset(args.input)
     service = _from_flags(
         args,
-        lambda engine_config, service_config: _front_door(
-            args, data, features, service_config, engine_config,
+        lambda engine_config, service_config: QueryService(
+            data, features, engine_config=engine_config, config=service_config
         ),
     )
     server = _bind_server(args, service)
 
     service.start()
-    shard_note = f", {args.shards} shards" if sharded else ""
     _print_banner(
         "repro serve:", args, server,
         f"{len(data)} data objects, {len(features)} feature objects, "
-        f"{args.engines} engines{shard_note}",
+        f"{args.engines} engines",
     )
 
     # The service's shutdown drains and closes engines.
@@ -481,11 +444,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         terminate_nodes,
     )
 
-    if args.shards > 1:
-        raise _CliError(
-            "--cluster and --shards are mutually exclusive (--cluster N "
-            "already shards the dataset across N node processes)"
-        )
     if args.cluster < 1 or args.replication < 1:
         raise _CliError(
             f"--cluster and --replication must be >= 1, got "
@@ -498,9 +456,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     service_config = _service_config(args)
     cluster_config = ClusterConfig(
         shards=args.cluster,
-        max_radius=args.max_radius,
         heartbeat_interval=args.heartbeat_interval,
-        liveness_timeout=args.liveness_timeout,
         node_deadline=args.node_deadline,
         result_cache_capacity=args.result_cache,
     )
@@ -522,7 +478,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             host=args.host,
             grid_size=args.grid_size,
             engines=args.engines,
-            max_radius=args.max_radius,
             dataset=(data, features),
             log_dir=args.node_log_dir,
             extra_args=extra_args,
@@ -589,7 +544,6 @@ def _cmd_shard_node(args: argparse.Namespace) -> int:
             node_config=NodeConfig(
                 shard_index=args.shard_index,
                 shards=args.shards,
-                max_radius=args.max_radius,
                 dataset_epoch=args.dataset_epoch,
             ),
             engine_config=engine_config,
@@ -717,36 +671,22 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the persistent HTTP query service over a dataset file"
     )
     serve.add_argument("--input", required=True, help="dataset file (TSV)")
-    _add_serving_arguments(serve, port=8787, engines=2, result_cache=256, help={
-        "max_radius": "with --shards > 1: largest query radius served exactly "
-                      "(bounds cross-shard feature replication; queries above "
-                      "it are rejected; default: unbounded, features "
-                      "replicated to every shard)",
-    })
-    serve.add_argument("--shards", type=int, default=1,
-                       help="spatial shards: partition the dataset into N disjoint "
-                            "extent slices, one query service per shard, "
-                            "scatter-gather merge (1 = unsharded)")
+    _add_serving_arguments(serve, port=8787, engines=2, result_cache=256)
     serve.add_argument("--cluster", type=int, default=0,
                        help="cluster mode: spawn N shard-node processes (each its "
                             "own OS process behind HTTP) and front them with the "
                             "cluster router -- heartbeats, failover, degraded mode "
-                            "(0 = off; mutually exclusive with --shards)")
+                            "(0 = off: one in-process query service)")
     serve.add_argument("--replication", type=int, default=1,
                        help="with --cluster: node processes per shard; >= 2 lets "
                             "queries fail over when a node dies")
     serve.add_argument("--heartbeat-interval", type=float, default=2.0,
                        help="with --cluster: seconds between fleet heartbeat rounds")
-    serve.add_argument("--liveness-timeout", type=float, default=6.0,
-                       help="with --cluster: silence after which a node is dead")
     serve.add_argument("--node-deadline", type=float, default=10.0,
                        help="with --cluster: per-node request deadline in seconds")
     serve.add_argument("--node-log-dir", default=None,
                        help="with --cluster: directory for per-node log files "
                             "(default: a fresh temporary directory)")
-    serve.add_argument("--batch-window-ms", type=float, default=0.0,
-                       help="how long a dispatcher waits for batchmates "
-                            "(0 = natural batching: group only what is queued)")
     _add_query_arguments(serve, help=_default_help("requests"), grid_size=False)
     serve.add_argument("--admission-depth", type=int, default=0,
                        help="admission queue depth (max requests admitted but "
@@ -780,10 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     shard_node.add_argument("--dataset-epoch", default="boot",
                             help="epoch tag of the boot dataset (the router "
                                  "re-tags it on every hot swap)")
-    _add_serving_arguments(shard_node, port=0, engines=1, result_cache=0, help={
-        "max_radius": "feature replication radius of the partitioning "
-                      "(must match the router's; default: unbounded)",
-    })
+    _add_serving_arguments(shard_node, port=0, engines=1, result_cache=0)
     _add_backend_argument(shard_node)
     shard_node.set_defaults(func=_cmd_shard_node)
 

@@ -4,15 +4,14 @@
 :class:`ShardNodeService`: the full dataset file is loaded, partitioned
 with the *same* deterministic :func:`~repro.sharding.partition.
 partition_datasets` call every other node (and the router) makes, and the
-node keeps only shard ``i``'s slice -- data objects disjoint, feature
-objects replicated by the Lemma-1 ``MINDIST <= max_radius`` rule and,
-per query, scoped to the shard box (a feature farther than the query's
-radius from it is never mapped).  The
-inner :class:`~repro.server.service.QueryService` grids over the *full*
-dataset extent, so this node's partial answers merge bit-for-bit with its
-peers' exactly like in-process shard services do (see
-``docs/sharding.md``); process isolation changes where the service runs,
-not what it answers.
+node keeps only shard ``i``'s slice (:meth:`~repro.sharding.partition.
+ShardingPlan.shard_slice`) -- data objects disjoint, every feature object,
+per query scoped to the shard box (a feature farther than the query's
+radius from it is never mapped).  The inner
+:class:`~repro.server.service.QueryService` grids over the *full* dataset
+extent, so this node's partial answers merge bit-for-bit with its peers'
+exactly like in-process shard services do (see ``docs/sharding.md``);
+process isolation changes where the service runs, not what it answers.
 
 The node serves the existing JSON-over-HTTP protocol unchanged
 (:mod:`repro.server.http` treats it as a drop-in service) plus:
@@ -57,14 +56,11 @@ class NodeConfig:
     Attributes:
         shard_index: Which shard slice this node serves (0-based).
         shards: Total shard count of the cluster partitioning.
-        max_radius: The partitioner's feature replication radius
-            (None = unbounded; must match the router's).
         dataset_epoch: The epoch tag of the boot dataset.
     """
 
     shard_index: int = 0
     shards: int = 1
-    max_radius: Optional[float] = None
     dataset_epoch: str = BOOT_EPOCH
 
 
@@ -105,7 +101,6 @@ class ShardNodeService:
 
         Raises:
             ValueError: for an out-of-range shard index or bad pool size.
-            InvalidQueryError: for a negative ``max_radius``.
         """
         self.node_config = node_config or NodeConfig()
         if not 0 <= self.node_config.shard_index < self.node_config.shards:
@@ -120,31 +115,14 @@ class ShardNodeService:
         self._service_config = service_config or ServiceConfig()
         self._epoch_lock = threading.Lock()
         self._dataset_epoch = self.node_config.dataset_epoch
-        self._plan, self._service = self._build_service(
-            data_objects, feature_objects
+        self._plan = partition_datasets(
+            data_objects, feature_objects, self.node_config.shards
         )
-
-    def _build_service(
-        self,
-        data_objects: Sequence[DataObject],
-        feature_objects: Sequence[FeatureObject],
-    ):
-        plan = partition_datasets(
-            data_objects,
-            feature_objects,
-            self.node_config.shards,
-            max_radius=self.node_config.max_radius,
-        )
-        shard = plan.shards[self.node_config.shard_index]
-        service = QueryService(
-            shard.data_objects,
-            shard.feature_objects,
+        self._service = QueryService(
+            **self._plan.shard_slice(self.node_config.shard_index),
             engine_config=self._engine_config,
             config=self._service_config,
-            extent=plan.extent,
-            scope=shard.box,
         )
-        return plan, service
 
     # ------------------------------------------------------------------ #
     # lifecycle (delegated)
@@ -203,14 +181,10 @@ class ShardNodeService:
         see the new epoch on a node still serving the old slice.
         """
         plan = partition_datasets(
-            data_objects,
-            feature_objects,
-            self.node_config.shards,
-            max_radius=self.node_config.max_radius,
+            data_objects, feature_objects, self.node_config.shards
         )
-        shard = plan.shards[self.node_config.shard_index]
         info = self._service.swap_datasets(
-            shard.data_objects, shard.feature_objects, extent=plan.extent, scope=shard.box
+            **plan.shard_slice(self.node_config.shard_index)
         )
         self._plan = plan
         if epoch is not None:
@@ -305,7 +279,6 @@ class ShardNodeService:
             "node_id": self.node_id,
             "shard_index": self.node_config.shard_index,
             "shards": self.node_config.shards,
-            "max_radius": self.node_config.max_radius,
             "dataset_epoch": self.dataset_epoch,
             "box": [
                 shard.box.min_x, shard.box.min_y,

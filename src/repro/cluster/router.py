@@ -1,21 +1,19 @@
 """Scatter-gather over process-isolated shard nodes, with failover.
 
-:class:`ClusterRouter` is the cluster-mode counterpart of
-:class:`~repro.sharding.router.ShardRouter`: the same
-:class:`~repro.sharding.router.ScatterGatherRouter` core -- request
-lifecycle, quiesce gate, swap and write paths -- but where the shard router
-scatters to N in-process services, this router scatters to
-:class:`RemoteShardTarget`, which speaks the existing JSON-over-HTTP
+:class:`ClusterRouter` is the scale-out front door of ``repro serve
+--cluster N``: the :class:`~repro.sharding.router.ScatterGatherRouter`
+core -- request lifecycle, quiesce gate, swap and write paths -- scattering
+to :class:`RemoteShardTarget`, which speaks the existing JSON-over-HTTP
 protocol to the *node endpoints* of one shard, each a
-:class:`~repro.cluster.node.ShardNodeService` in its own OS process
-(``repro serve --cluster N``).  What that buys over ``--shards``:
+:class:`~repro.cluster.node.ShardNodeService` in its own OS process.  What
+that buys over the in-process :class:`~repro.sharding.router.ShardRouter`:
 
 * **no single-process ceiling** -- every shard has its own interpreter
   (its own GIL) and its own crash domain;
 * **liveness tracking** -- a heartbeat thread probes every node's
-  ``GET /heartbeat`` on a fixed cadence; consecutive misses or a liveness
-  timeout mark a node dead, one success re-admits it
-  (:mod:`repro.cluster.membership`);
+  ``GET /heartbeat`` on a fixed cadence; :data:`MAX_MISSES` consecutive
+  misses or :data:`LIVENESS_TIMEOUT` seconds of silence mark a node dead,
+  one success re-admits it (:mod:`repro.cluster.membership`);
 * **failover** -- each scattered sub-request carries a deadline and one
   retry: when the primary replica of a shard fails (connection refused,
   reset, timeout, 5xx), the request is retried on the next live replica of
@@ -73,6 +71,8 @@ from repro.sharding.router import ScatterGatherRouter
 FAILOVER_RETRIES = 1
 #: Consecutive failures (heartbeats or requests) after which a node is dead.
 MAX_MISSES = 3
+#: Silence (seconds) after which a node is dead.
+LIVENESS_TIMEOUT = 6.0
 
 
 @dataclass(frozen=True)
@@ -95,22 +95,15 @@ class ClusterConfig:
     Attributes:
         shards: Shard count of the cluster partitioning (>= 1); must match
             what every node was booted with.
-        max_radius: Feature replication radius of the partitioning (None =
-            unbounded); over-radius queries are rejected, as in sharded
-            mode.
         heartbeat_interval: Seconds between fleet heartbeat rounds
             (0 disables the background thread; probes can still be driven
             explicitly via :meth:`ClusterRouter.probe_now`).
-        liveness_timeout: Silence (seconds) after which a node is dead
-            (:data:`MAX_MISSES` consecutive failures also kill it).
         node_deadline: Per-sub-request socket deadline (seconds).
         result_cache_capacity: Router response LRU entries (0 disables).
     """
 
     shards: int = 2
-    max_radius: Optional[float] = None
     heartbeat_interval: float = 2.0
-    liveness_timeout: float = 6.0
     node_deadline: float = 10.0
     result_cache_capacity: int = 256
 
@@ -215,7 +208,6 @@ class ClusterRouter(ScatterGatherRouter):
         Raises:
             ValueError: for an empty fleet, a bad shard count, or a node
                 spec outside ``[0, shards)``.
-            InvalidQueryError: for a negative ``max_radius``.
         """
         self.cluster = cluster or ClusterConfig()
         if self.cluster.shards < 1:
@@ -232,7 +224,6 @@ class ClusterRouter(ScatterGatherRouter):
             data_objects,
             feature_objects,
             shards=self.cluster.shards,
-            max_radius=self.cluster.max_radius,
             result_cache_capacity=self.cluster.result_cache_capacity,
             engine_config=engine_config,
             service_config=service_config,
@@ -240,7 +231,7 @@ class ClusterRouter(ScatterGatherRouter):
         self._membership = ClusterMembership(
             MembershipConfig(
                 max_misses=MAX_MISSES,
-                liveness_timeout=self.cluster.liveness_timeout,
+                liveness_timeout=LIVENESS_TIMEOUT,
             )
         )
         for spec in nodes:
@@ -386,13 +377,12 @@ class ClusterRouter(ScatterGatherRouter):
         """Serve one request object; returns its response payload.
 
         Identical request/response contract to ``QueryService.submit``
-        plus the cluster additions: over-``max_radius`` queries are
-        rejected, and when one or more shards have no live replica the
-        payload carries ``"degraded": true`` with ``"shards_answered"`` /
-        ``"shards_missing"`` listed.
+        plus the cluster addition: when one or more shards have no live
+        replica the payload carries ``"degraded": true`` with
+        ``"shards_answered"`` / ``"shards_missing"`` listed.
 
         Raises:
-            InvalidQueryError: for an invalid request or an over-radius one.
+            InvalidQueryError: for an invalid request.
             RuntimeError: when the router is not started or already shut
                 down.
         """
@@ -497,12 +487,11 @@ class ClusterRouter(ScatterGatherRouter):
         stats["cluster"] = {
             "shards": plan_stats.num_shards,
             "layout": list(plan_stats.layout),
-            "max_radius": self.cluster.max_radius,
             "nodes": self._membership.snapshot(),
             "alive_nodes": self._membership.alive_count(),
             "dataset_epoch": self._epoch,
             "heartbeat_interval_seconds": self.cluster.heartbeat_interval,
-            "liveness_timeout_seconds": self.cluster.liveness_timeout,
+            "liveness_timeout_seconds": self._membership.config.liveness_timeout,
             "max_misses": self._membership.config.max_misses,
             "node_deadline_seconds": self.cluster.node_deadline,
             "retries": FAILOVER_RETRIES,

@@ -141,7 +141,6 @@ def spawn_local_nodes(
     host: str = "127.0.0.1",
     grid_size: Optional[int] = None,
     engines: Optional[int] = None,
-    max_radius: Optional[float] = None,
     dataset: Optional[Tuple[Sequence, Sequence]] = None,
     log_dir: Optional[os.PathLike] = None,
     extra_args: Sequence[str] = (),
@@ -161,7 +160,6 @@ def spawn_local_nodes(
         host: Interface the nodes bind (loopback by default).
         grid_size: ``--grid-size`` for the nodes (None = node default).
         engines: ``--engines`` per node (None = node default).
-        max_radius: ``--max-radius`` partitioning radius (None = unbounded).
         dataset: The already-parsed ``(data_objects, feature_objects)``.
             When given and ``os.memfd_create`` exists, the spawner writes
             the dataset once into a memory file and passes its inherited
@@ -227,8 +225,6 @@ def spawn_local_nodes(
                         command += ["--grid-size", str(grid_size)]
                     if engines is not None:
                         command += ["--engines", str(engines)]
-                    if max_radius is not None:
-                        command += ["--max-radius", str(max_radius)]
                     command += list(extra_args)
                     with open(log_path, "wb") as log_file:
                         process = subprocess.Popen(

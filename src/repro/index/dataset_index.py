@@ -157,7 +157,7 @@ class DatasetIndex:
             cannot reach a data object in the box at radius ``r`` (Lemma 1
             at shard granularity), so every query treats it as *absent* --
             never planned, mapped or counted as pruned -- exactly as if the
-            shard had been partitioned with ``max_radius = r``, while the
+            shard held only the features within ``r`` of its box, while the
             index still holds it for any larger radius.
 
     The index holds references to the same object instances as the engine, so
@@ -314,7 +314,7 @@ class DatasetIndex:
 
     def in_reach(self, positions: Iterable[int], radius: float) -> List[int]:
         """The ``positions`` whose features reach the scope at ``radius``:
-        ``MINDIST <= radius``, ``ShardingPlan.shards_within``'s test."""
+        ``MINDIST <= radius``, Lemma 1 at shard granularity."""
         reach = self._reach
         return list(positions) if reach is None else [p for p in positions if reach[p] <= radius]
 

@@ -4,15 +4,13 @@ The batch engine's amortisation (PR 1) was built for offline workloads --
 one caller, many queries.  Online traffic arrives as many callers, one query
 each.  The :class:`MicroBatcher` bridges the two: requests land in a shared
 queue, and each dispatcher thread (one per pooled engine) drains whatever
-has accumulated -- up to ``max_batch`` -- into a single
+has accumulated -- up to :data:`MAX_BATCH` -- into a single
 ``SPQEngine.execute_many`` call.
 
-Batching is *natural* by default (``window_seconds=0``): a dispatcher never
-waits for company, it simply takes everything already queued, so an idle
-service adds zero latency while a busy one forms batches automatically --
-requests pile up exactly while every dispatcher is busy executing the
-previous batch.  A positive window makes dispatchers linger for batchmates,
-trading per-request latency for larger batches.
+Batching is *natural*: a dispatcher never waits for company, it simply
+takes everything already queued, so an idle service adds zero latency
+while a busy one forms batches automatically -- requests pile up exactly
+while every dispatcher is busy executing the previous batch.
 
 Micro-batch composition never changes a request's result: every request is
 fully resolved (no deferred defaults) and ``execute_many`` returns results
@@ -24,7 +22,6 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from typing import Callable, List, Optional, Sequence
 
 
@@ -65,6 +62,10 @@ class PendingRequest:
 #: Queue sentinel: one per dispatcher, consumed exactly once each.
 _SHUTDOWN = object()
 
+#: Largest micro-batch handed to one ``execute`` call (read at use, so a
+#: test may monkeypatch it).
+MAX_BATCH = 8
+
 
 class MicroBatcher:
     """Shared request queue drained by one dispatcher thread per engine.
@@ -75,29 +76,17 @@ class MicroBatcher:
             It must not raise -- failures belong on the pending requests.
         workers: Number of dispatcher threads (the service's engine-pool
             size: dispatcher *i* owns engine *i*).
-        max_batch: Largest micro-batch handed to one ``execute`` call.
-        window_seconds: How long a dispatcher lingers for batchmates after
-            receiving the first request of a batch.  ``0`` (default) means
-            natural batching: take what is queued, never wait.
     """
 
     def __init__(
         self,
         execute: Callable[[int, Sequence[PendingRequest]], None],
         workers: int = 2,
-        max_batch: int = 8,
-        window_seconds: float = 0.0,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if window_seconds < 0:
-            raise ValueError(f"window_seconds must be >= 0, got {window_seconds}")
         self._execute = execute
         self.workers = workers
-        self.max_batch = max_batch
-        self.window_seconds = window_seconds
         self._queue: "queue.Queue[object]" = queue.Queue()
         self._threads: List[threading.Thread] = []
         self._started = False
@@ -185,26 +174,16 @@ class MicroBatcher:
                 return
 
     def _gather(self, batch: List[object]) -> bool:
-        """Fill ``batch`` up to ``max_batch``; True if a sentinel was seen.
+        """Fill ``batch`` up to :data:`MAX_BATCH` from what is already
+        queued, never waiting; True if a sentinel was seen.
 
-        With a zero window this only drains what is already queued; with a
-        positive window it blocks until the window closes or the batch is
-        full.  A sentinel encountered mid-gather finishes the current batch
-        first, then makes this dispatcher exit -- its sentinel is consumed,
-        the other dispatchers still get theirs.
+        A sentinel encountered mid-gather finishes the current batch first,
+        then makes this dispatcher exit -- its sentinel is consumed, the
+        other dispatchers still get theirs.
         """
-        deadline = (
-            time.monotonic() + self.window_seconds if self.window_seconds else None
-        )
-        while len(batch) < self.max_batch:
+        while len(batch) < MAX_BATCH:
             try:
-                if deadline is None:
-                    item = self._queue.get_nowait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    item = self._queue.get(timeout=remaining)
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is _SHUTDOWN:

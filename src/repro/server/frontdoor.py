@@ -1,8 +1,9 @@
 """The front door: one request lifecycle for every serving mode.
 
 ``repro serve`` answers a request the same way however the dataset is
-deployed -- one engine pool, ``--shards N`` in-process shards or
-``--cluster N`` node processes.  :class:`FrontDoor` is the part of that
+deployed -- one engine pool, or ``--cluster N`` node processes (and, in
+library use, the in-process shards of a
+:class:`~repro.sharding.router.ShardRouter`).  :class:`FrontDoor` is the part of that
 promise that is about the *request* rather than the data: lifecycle
 guards, admission, the result-cache probe, outcome accounting and the
 ``/stats`` subtrees every mode reports.  It is written once and extended by

@@ -19,15 +19,16 @@ Endpoints (see ``docs/service.md`` for the full protocol reference):
 * ``GET /healthz``   -- liveness: ``{"status": "ok"}`` plus uptime.
 * ``GET /stats``     -- the service's full counter tree (requests, latency
   histograms, batching, result/index caches, planner decisions and --
-  when sharded -- the router + per-shard subtrees).
+  behind a router -- the router's subtrees).
 * ``GET /heartbeat`` -- cluster-node identity probe (node id, shard index,
   dataset epoch/version); only served when the bound service exposes a
   ``heartbeat()`` method (shard nodes do), ``404`` otherwise.
 
-The bound service is a :class:`~repro.server.service.QueryService`, a
-:class:`~repro.sharding.router.ShardRouter` (``repro serve --shards N``),
-a :class:`~repro.cluster.router.ClusterRouter` (``--cluster N``) or a
-:class:`~repro.cluster.node.ShardNodeService` (``repro shard-node``); all
+The bound service is a :class:`~repro.server.service.QueryService`
+(``repro serve``), a :class:`~repro.cluster.router.ClusterRouter`
+(``repro serve --cluster N``), a
+:class:`~repro.cluster.node.ShardNodeService` (``repro shard-node``) or,
+in library use, a :class:`~repro.sharding.router.ShardRouter`; all
 expose the same serving surface (``submit``, ``submit_many``, ``stats``,
 ``uptime_seconds``, ``swap_datasets``, ``apply_objects``), so the handler
 never branches on which it is.  Every endpoint is one row of the route

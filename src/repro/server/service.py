@@ -34,6 +34,7 @@ from repro.datagen.queries import radius_from_cell_fraction
 from repro.model.objects import DataObject, FeatureObject
 from repro.index.cache import IndexCache
 from repro.index.delta import DatasetDelta
+from repro.server import batching
 from repro.server.batching import MicroBatcher, PendingRequest
 from repro.server.frontdoor import FrontDoor
 from repro.server.gate import QuiesceGate
@@ -86,9 +87,6 @@ class ServiceConfig:
     Attributes:
         engines: Warm engine-pool size; also the number of micro-batch
             dispatcher threads (dispatcher *i* owns engine *i*).
-        max_batch: Largest micro-batch handed to one ``execute_many`` call.
-        batch_window_seconds: How long a dispatcher lingers for batchmates
-            (0 = natural batching: group what is queued, never wait).
         result_cache_capacity: Entries of the response LRU (0 disables it).
         compact_threshold: Once the delta overlay holds this many live
             operations (appends + tombstones), a background compaction
@@ -113,8 +111,6 @@ class ServiceConfig:
     """
 
     engines: int = 2
-    max_batch: int = 8
-    batch_window_seconds: float = 0.0
     result_cache_capacity: int = 256
     compact_threshold: int = 0
     admission_queue_depth: int = 0
@@ -190,12 +186,7 @@ class QueryService(FrontDoor):
             )
             for _ in range(self.config.engines)
         ]
-        self._batcher = MicroBatcher(
-            self._execute_batch,
-            workers=self.config.engines,
-            max_batch=self.config.max_batch,
-            window_seconds=self.config.batch_window_seconds,
-        )
+        self._batcher = MicroBatcher(self._execute_batch, workers=self.config.engines)
         self._defaults = self._resolve_defaults()
         #: Compaction outcomes for ``stats()`` (written under the
         #: front-door lock, next to their counters).
@@ -571,8 +562,7 @@ class QueryService(FrontDoor):
                 "mean_batch": (
                     counters["batched_requests"] / batches if batches else 0.0
                 ),
-                "max_batch": self.config.max_batch,
-                "window_seconds": self.config.batch_window_seconds,
+                "max_batch": batching.MAX_BATCH,
                 "queue_depth": self._batcher.queue_depth(),
             },
             "index_cache": self._index_cache.stats.as_dict(),

@@ -1,37 +1,30 @@
-"""Extent-splitting dataset partitioner behind the shard router.
+"""Extent-splitting dataset partitioner behind the shard routers.
 
 The paper's grid (Section 4.1) splits one query's work into per-cell reduce
 tasks; sharding lifts the same idea one level up, to *service* granularity:
 the dataset extent is divided into the most-square ``cols x rows`` grid of
 disjoint rectangular shard extents (one grid cell per shard), every data
 object is assigned to exactly one shard (the shards are disjoint and cover
-the dataset), and feature objects are *replicated* to every shard whose
-extent they can influence, exactly Lemma 1 applied at shard granularity: a
-feature ``f`` must reach shard ``S`` iff ``MINDIST(f, extent(S)) <= r``.
-
-Because the supported query radius is not known at partition time, the
-replication radius is a partitioning parameter (``max_radius``); queries
-with a larger radius cannot be answered exactly from the shards and are
-rejected by the router.  ``max_radius=None`` replicates every feature to
-every shard, which is exact for *any* radius at the cost of feature-side
-memory (data objects -- the ranked set -- still split N ways).  Replication
-alone does not split the *work*: a shard holding every feature would plan,
-map and reduce every candidate of a query, copies sent to its data-less
-cells included.  What splits it is the shard engine's *scope*, the shard's
-``box``: per query, each shard drops the features with ``MINDIST(f, box) >
-r`` before planning (``DatasetIndex``), the same test as
-:meth:`ShardingPlan.shards_within`, so it does exactly the work of a shard
-partitioned with ``max_radius = r`` for every radius ``r`` it serves.
+the dataset), and every feature object is copied to every shard, which is
+exact for *any* query radius (data objects -- the ranked set -- still split
+N ways).  Replication alone does not split the *work*: a shard holding every
+feature would plan, map and reduce every candidate of a query, copies sent
+to its data-less cells included.  What splits it is the shard engine's
+*scope*, the shard's ``box``: per query, each shard drops the features with
+``MINDIST(f, box) > r`` before planning (``DatasetIndex``) -- Lemma 1 at
+shard granularity -- so it does exactly the work of a shard holding only
+the features within ``r`` of its box, for every radius ``r`` it serves.
+:meth:`ShardingPlan.shard_slice` is the one rule that turns a shard of the
+plan into the arguments of the ``QueryService`` serving it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.centralized import dataset_extent
-from repro.exceptions import InvalidQueryError
 from repro.model.objects import DataObject, FeatureObject
 from repro.spatial.geometry import BoundingBox
 from repro.spatial.grid import UniformGrid
@@ -65,8 +58,8 @@ class ShardDataset:
             shared borders; border points belong to exactly one shard via
             :meth:`ShardingPlan.locate`).
         data_objects: Data objects homed in ``box``, in storage order.
-        feature_objects: Feature objects within ``max_radius`` of ``box``
-            (all features when replication is unbounded), in storage order.
+        feature_objects: Every feature object, in storage order (the
+            shard engine's scope narrows them per query).
     """
 
     shard_id: int
@@ -118,14 +111,12 @@ class ShardingPlan:
             scatter-gather results identical).
         grid: The coarse shard grid, one cell per shard (cell id ``s + 1``
             is shard ``s``).
-        max_radius: The replication radius (None = unbounded).
         shards: Per-shard datasets, in shard-id order.
         stats: Replication accounting (set once the shards are filled).
     """
 
     extent: BoundingBox
     grid: UniformGrid
-    max_radius: Optional[float]
     shards: List[ShardDataset]
     stats: ShardingStats = field(init=False)
 
@@ -137,19 +128,6 @@ class ShardingPlan:
         maps every point to exactly one cell.
         """
         return self.grid.locate(x, y) - 1
-
-    def shards_within(self, x: float, y: float, radius: float) -> List[int]:
-        """Ids of shards with ``MINDIST((x, y), extent(S)) <= radius``.
-
-        Lemma 1 at shard granularity: a feature object must be replicated
-        to every returned shard (its own shard always qualifies with
-        ``MINDIST == 0``).
-        """
-        return [
-            shard.shard_id
-            for shard in self.shards
-            if shard.box.min_distance(x, y) <= radius
-        ]
 
     def grid_aligned(self, grid_size: int) -> bool:
         """True when a ``grid_size`` x ``grid_size`` query grid never splits a shard.
@@ -164,12 +142,25 @@ class ShardingPlan:
         """
         return grid_size % self.grid.cells_x == 0 and grid_size % self.grid.cells_y == 0
 
+    def shard_slice(self, shard_id: int) -> Dict[str, object]:
+        """``shard_id``'s slice as the keyword arguments of the
+        ``QueryService`` serving it (its constructor or ``swap_datasets``):
+        the shard's data and features, the full extent to grid over -- so
+        its query grid is cell-for-cell the unsharded engine's -- and its
+        box as the scope."""
+        shard = self.shards[shard_id]
+        return dict(
+            data_objects=shard.data_objects,
+            feature_objects=shard.feature_objects,
+            extent=self.extent,
+            scope=shard.box,
+        )
+
 
 def partition_datasets(
     data_objects: Sequence[DataObject],
     feature_objects: Sequence[FeatureObject],
     num_shards: int,
-    max_radius: Optional[float] = None,
     extent: Optional[BoundingBox] = None,
 ) -> ShardingPlan:
     """Split the dataset into ``num_shards`` spatially disjoint shards.
@@ -178,26 +169,19 @@ def partition_datasets(
     (:func:`shard_layout`), one cell per shard.  Data objects are assigned
     to the shard enclosing them (storage order is preserved within each
     shard -- a requirement of result identity: a shard's per-cell reduce
-    streams must be subsequences of the unsharded engine's).  Feature
-    objects are replicated via :meth:`ShardingPlan.shards_within` --
-    Lemma 1 at shard granularity -- or to every shard when ``max_radius``
-    is None.
+    streams must be subsequences of the unsharded engine's).  Every
+    feature object is copied to every shard.
 
     Args:
         data_objects: The object dataset ``O`` in storage order.
         feature_objects: The feature dataset ``F`` in storage order.
         num_shards: Number of shards (>= 1).
-        max_radius: Largest query radius the shards must answer exactly
-            (None = unbounded, full feature replication).
         extent: Explicit full extent; derived from the datasets otherwise.
 
     Raises:
         ValueError: for a non-positive shard count.
-        InvalidQueryError: for a negative ``max_radius``.
     """
     cols, rows = shard_layout(num_shards)
-    if max_radius is not None and max_radius < 0:
-        raise InvalidQueryError(f"max_radius must be >= 0, got {max_radius}")
     if extent is None:
         extent = dataset_extent(data_objects, feature_objects)
     grid = UniformGrid(extent, cols, rows)
@@ -205,27 +189,18 @@ def partition_datasets(
         ShardDataset(shard_id=shard_id, box=grid.cell_box(shard_id + 1))
         for shard_id in range(num_shards)
     ]
-    plan = ShardingPlan(extent=extent, grid=grid, max_radius=max_radius, shards=shards)
+    plan = ShardingPlan(extent=extent, grid=grid, shards=shards)
     for obj in data_objects:
         shards[plan.locate(obj.x, obj.y)].data_objects.append(obj)
-
-    num_copies = 0
-    if max_radius is None or num_shards == 1:
-        for shard in shards:
-            shard.feature_objects = list(feature_objects)
-        num_copies = len(feature_objects) * num_shards
-    else:
-        for feature in feature_objects:
-            for shard_id in plan.shards_within(feature.x, feature.y, max_radius):
-                shards[shard_id].feature_objects.append(feature)
-                num_copies += 1
+    for shard in shards:
+        shard.feature_objects = list(feature_objects)
 
     plan.stats = ShardingStats(
         num_shards=num_shards,
         layout=(cols, rows),
         num_data=len(data_objects),
         num_features=len(feature_objects),
-        num_feature_copies=num_copies,
+        num_feature_copies=len(feature_objects) * num_shards,
         empty_shards=sum(1 for shard in shards if shard.is_empty),
     )
     return plan

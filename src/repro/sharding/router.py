@@ -1,7 +1,9 @@
 """Scatter-gather query routing: the router core and the in-process shard router.
 
-:class:`ScatterGatherRouter` is the executor both sharded deployment modes
-serve through -- gate, scatter, gather, store -- behind the request
+:class:`ScatterGatherRouter` is the executor of the cluster front door
+(:class:`~repro.cluster.router.ClusterRouter`, ``repro serve --cluster N``)
+and of the in-process :class:`ShardRouter` -- gate, scatter, gather,
+store -- behind the request
 lifecycle every mode shares (:class:`~repro.server.frontdoor.FrontDoor`:
 parse, admit, cache probe, record), written against the small
 :class:`ShardTarget` protocol:
@@ -13,10 +15,10 @@ parse, admit, cache probe, record), written against the small
 * a request is parsed and resolved once at the router, answered from the
   router's result cache when possible (before the gate, without taking an
   admission slot), and otherwise *scattered* -- in parallel -- to every
-  shard that owns data (the routing rule; feature reach is Lemma 1 at
-  shard granularity, ``MINDIST(f, box) <= r``: resolved at partition time
-  up to ``max_radius`` and, per query, by each shard engine's scope -- its
-  box -- for the query's own radius);
+  shard that owns data (the routing rule; every shard holds every feature,
+  and feature reach is Lemma 1 at shard granularity, ``MINDIST(f, box) <=
+  r``, applied per query by each shard engine's scope -- its box -- for the
+  query's own radius);
 * the per-shard top-k partials are *gathered* through
   :func:`~repro.model.result.merge_top_k` -- the same merge, with the same
   ``(-score, oid)`` tie order, the engine uses for per-cell lists -- which
@@ -29,15 +31,14 @@ parse, admit, cache probe, record), written against the small
   :class:`~repro.server.gate.QuiesceGate` paused, so every scatter-gather
   sees one whole dataset state on every shard: what makes the merge exact.
 
-:class:`ShardRouter` (``repro serve --shards N``) is the core over one
-in-process :class:`QueryService` per shard (:class:`LocalShardTarget`) plus
-per-shard compaction.  :class:`~repro.cluster.router.ClusterRouter` is the
-same core over remote targets.  Both split the extent the one way
+:class:`ShardRouter` is the core over one in-process :class:`QueryService`
+per shard (:class:`LocalShardTarget`) plus per-shard compaction: no
+command serves it, it is the library form the test suites, the ingest and
+traffic gates and the end-to-end benchmark's sharding replay drive.
+:class:`~repro.cluster.router.ClusterRouter` is the same core over remote
+targets.  Both split the extent the one way
 :func:`~repro.sharding.partition.partition_datasets` does: the most-square
 ``cols x rows`` grid, one cell per shard.
-
-``benchmarks/bench_sharding.py --check`` gates result identity, 4-shard
-throughput and loss-free hot swaps under load.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from repro.core.engine import (
     EngineConfig,
     validate_algorithm_combination,
 )
-from repro.exceptions import InvalidQueryError
 from repro.index.delta import DatasetDelta
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.result import QueryResult, merge_top_k
@@ -82,13 +82,9 @@ class ShardingConfig:
 
     Attributes:
         shards: Number of shards (>= 1).
-        max_radius: Largest query radius the shards answer exactly; the
-            feature replication radius of the partitioner.  ``None``
-            replicates every feature to every shard and accepts any radius.
     """
 
     shards: int = 2
-    max_radius: Optional[float] = None
 
 
 class CacheVersion(NamedTuple):
@@ -114,18 +110,6 @@ class ShardTarget(Protocol):
         """Absorb this shard's slice of one validated, routed write batch."""
 
 
-def _shard_slice(plan: ShardingPlan, shard_id: int) -> Dict[str, object]:
-    """``shard_id``'s slice of ``plan`` as shard-service arguments: its data
-    and features, the full extent to grid over and its box as the scope."""
-    shard = plan.shards[shard_id]
-    return dict(
-        data_objects=shard.data_objects,
-        feature_objects=shard.feature_objects,
-        extent=plan.extent,
-        scope=shard.box,
-    )
-
-
 class LocalShardTarget:
     """A shard served by an in-process :class:`QueryService`; it never reports
     a missing answer (a failing service raises and fails the whole request)."""
@@ -139,7 +123,7 @@ class LocalShardTarget:
 
     def swap(self, plan: ShardingPlan, shard_id: int) -> None:
         """Swap the service onto its slice, gridding over the full extent."""
-        self.service.swap_datasets(**_shard_slice(plan, shard_id))
+        self.service.swap_datasets(**plan.shard_slice(shard_id))
 
     def apply(self, update: Mapping[str, Sequence]) -> None:
         """Apply the sub-update, unless the batch routed nothing here."""
@@ -169,7 +153,6 @@ class ScatterGatherRouter(FrontDoor):
         data_objects: Sequence[DataObject],
         feature_objects: Sequence[FeatureObject],
         shards: int,
-        max_radius: Optional[float],
         result_cache_capacity: int,
         engine_config: Optional[EngineConfig],
         service_config: Optional[ServiceConfig],
@@ -178,12 +161,10 @@ class ScatterGatherRouter(FrontDoor):
 
         Raises:
             ValueError: for a non-positive shard count.
-            InvalidQueryError: for a negative ``max_radius``.
         """
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self._shards = shards
-        self._max_radius = max_radius
         self._engine_config = engine_config or EngineConfig()
         self._service_config = service_config or ServiceConfig()
         super().__init__(
@@ -222,9 +203,7 @@ class ScatterGatherRouter(FrontDoor):
         data_objects: Sequence[DataObject],
         feature_objects: Sequence[FeatureObject],
     ) -> ShardingPlan:
-        return partition_datasets(
-            data_objects, feature_objects, self._shards, max_radius=self._max_radius
-        )
+        return partition_datasets(data_objects, feature_objects, self._shards)
 
     def _adopt(
         self,
@@ -281,14 +260,6 @@ class ScatterGatherRouter(FrontDoor):
         validate_algorithm_combination(
             parsed.item.algorithm, parsed.item.score_mode
         )
-        max_radius = self._max_radius
-        if max_radius is not None and parsed.item.query.radius > max_radius:
-            raise InvalidQueryError(
-                f"query radius {parsed.item.query.radius} exceeds the shard "
-                f"replication radius (max_radius={max_radius}); features "
-                "beyond it were not replicated across shard boundaries, so "
-                "the shards cannot answer this query exactly"
-            )
         return parsed
 
     def _cache_version(self) -> CacheVersion:
@@ -543,32 +514,21 @@ class ScatterGatherRouter(FrontDoor):
         """Slice one validated batch into per-shard sub-updates.
 
         A data append goes to the one shard whose extent contains it, a
-        feature append is replicated to every shard within ``max_radius``
-        of it (all shards when unbounded) and deletes are broadcast (shard
+        feature append goes to every shard, and deletes are broadcast (shard
         deltas are idempotent, so non-owners simply ignore them).
         """
         plan = self._plan
-        max_radius = self._max_radius
-        everywhere = range(len(plan.shards))
         updates: List[Dict[str, list]] = [
             {
                 "append_data": [],
-                "append_features": [],
+                "append_features": list(append_features),
                 "delete_data_oids": delete_data_oids,
                 "delete_feature_oids": delete_feature_oids,
             }
-            for _ in everywhere
+            for _ in plan.shards
         ]
         for obj in append_data:
             updates[plan.locate(obj.x, obj.y)]["append_data"].append(obj)
-        for feature in append_features:
-            reach = (
-                everywhere
-                if max_radius is None
-                else plan.shards_within(feature.x, feature.y, max_radius)
-            )
-            for shard_id in reach:
-                updates[shard_id]["append_features"].append(feature)
         return updates
 
     def _apply_targets(self, updates: List[Dict[str, list]]) -> None:
@@ -605,7 +565,6 @@ class ShardRouter(ScatterGatherRouter):
 
         Raises:
             ValueError: for a non-positive shard count or engine pool.
-            InvalidQueryError: for a negative ``max_radius``.
             JobConfigurationError: for invalid engine configuration.
         """
         self.sharding = sharding or ShardingConfig()
@@ -614,14 +573,13 @@ class ShardRouter(ScatterGatherRouter):
             data_objects,
             feature_objects,
             shards=self.sharding.shards,
-            max_radius=self.sharding.max_radius,
             result_cache_capacity=service_config.result_cache_capacity,
             engine_config=engine_config,
             service_config=service_config,
         )
         self._services: List[QueryService] = [
             QueryService(
-                **_shard_slice(self._plan, shard_id),
+                **self._plan.shard_slice(shard_id),
                 engine_config=self._engine_config,
                 config=self._shard_service_config(),
             )
@@ -656,12 +614,10 @@ class ShardRouter(ScatterGatherRouter):
         """Serve one request object; returns its response payload.
 
         Identical request/response contract to :meth:`QueryService.submit`;
-        see :mod:`repro.server.protocol`.  Additionally rejects queries
-        whose radius exceeds the configured ``max_radius`` (the shards'
-        feature replication cannot answer them exactly).
+        see :mod:`repro.server.protocol`.
 
         Raises:
-            InvalidQueryError: for an invalid request or an over-radius one.
+            InvalidQueryError: for an invalid request.
             RuntimeError: when the router is not started or already shut
                 down.
         """
@@ -745,7 +701,6 @@ class ShardRouter(ScatterGatherRouter):
         each shard's own latency histogram -- under ``"shards"``.
         """
         counters = self._snapshot_counters()
-        sharding = self.sharding
         plan_stats = self._plan.stats
         shard_data_counts = [
             len(shard.data_objects) for shard in self._plan.shards
@@ -776,7 +731,6 @@ class ShardRouter(ScatterGatherRouter):
             "sharding": {
                 "shards": plan_stats.num_shards,
                 "layout": list(plan_stats.layout),
-                "max_radius": sharding.max_radius,
                 "active_shards": plan_stats.num_shards - plan_stats.empty_shards,
                 "empty_shards": plan_stats.empty_shards,
                 "feature_replication_factor": plan_stats.replication_factor,

@@ -502,60 +502,34 @@ class TestServeCommand:
         assert list(tmp_path.iterdir()) == [dataset_file]
 
     def test_parser_shard_defaults(self):
+        """Serving in process is unsharded: the parser carries no shard
+        count or replication radius (a cluster is the one sharded path)."""
         args = build_parser().parse_args(["serve", "--input", "x.tsv"])
-        assert args.shards == 1
-        assert args.max_radius is None
+        assert args.cluster == 0
+        assert not hasattr(args, "shards")
+        assert not hasattr(args, "max_radius")
+
+    def test_rejects_nonpositive_shards(self, dataset_file, capsys):
+        assert_exits_2([
+            "serve", "--input", str(dataset_file), "--port", "0",
+            "--shards", "0",
+        ], capsys, "--shards")
 
     @pytest.mark.parametrize("flag", [
         ["--layout", "skew"], ["--rebalance-threshold", "3"],
+        ["--shards", "2"], ["--max-radius", "1"], ["--batch-window-ms", "1"],
+        ["--max-batch", "4"], ["--liveness-timeout", "3"],
+        ["shard-node", "--max-radius", "1"], ["shard-node", "--max-batch", "4"],
     ])
     def test_removed_layout_flags_exit_2(self, flag, capsys):
-        """One shard layout: the layout and rebalance knobs are gone."""
-        assert_exits_2(
-            ["serve", "--input", "x.tsv", "--shards", "2", *flag], capsys, flag[0]
-        )
-
-    def test_rejects_nonpositive_shards(self, dataset_file, capsys):
-        code = main([
-            "serve", "--input", str(dataset_file), "--port", "0",
-            "--shards", "0",
-        ])
-        assert code == 2
-        assert "--shards" in capsys.readouterr().err
-
-    def test_max_radius_without_shards_warns(
-        self, dataset_file, capsys, monkeypatch
-    ):
-        from repro.server.http import QueryHTTPServer
-
-        monkeypatch.setattr(
-            QueryHTTPServer, "serve_forever", lambda self, poll_interval=0.1: None
-        )
-        code = main([
-            "serve", "--input", str(dataset_file), "--port", "0",
-            "--grid-size", "8", "--engines", "1", "--max-radius", "2.0",
-        ])
-        assert code == 0
-        assert "--max-radius" in capsys.readouterr().err
-
-    def test_serve_sharded_startup_and_shutdown_in_process(
-        self, dataset_file, tmp_path, capsys, monkeypatch
-    ):
-        """`repro serve --shards 2` builds a router behind the same server."""
-        from repro.server.http import QueryHTTPServer
-
-        monkeypatch.setattr(
-            QueryHTTPServer, "serve_forever", lambda self, poll_interval=0.1: None
-        )
-        argv = [
-            "serve", "--input", str(dataset_file), "--port", "0",
-            "--grid-size", "8", "--engines", "1", "--shards", "2",
-            "--max-radius", "3.0",
-        ]
-        assert main(argv) == 0
-        captured = capsys.readouterr()
-        assert "2 shards" in captured.out
-        assert "POST /datasets" in captured.out
+        """One way to serve in process, one shard layout: the in-process
+        shard fork, its layout, rebalance and replication-radius knobs and
+        the serving knobs only tests set are gone (a leading ``shard-node``
+        tries the flag on that command instead of ``serve``)."""
+        command = BACKEND_COMMANDS["serve"]
+        if flag[0] == "shard-node":
+            command, flag = BACKEND_COMMANDS["shard-node"], flag[1:]
+        assert_exits_2([*command, *flag], capsys, flag[0])
 
     def test_serve_lifecycle_in_a_real_process(self, dataset_file):
         """A real ``repro serve`` process: listen, answer an ``auto`` query
@@ -629,7 +603,6 @@ class TestClusterCommands:
         assert args.cluster == 0
         assert args.replication == 1
         assert args.heartbeat_interval == 2.0
-        assert args.liveness_timeout == 6.0
         assert args.node_deadline == 10.0
 
     def test_parser_shard_node_binds_port_zero_by_default(self):
@@ -644,12 +617,12 @@ class TestClusterCommands:
     def test_cluster_and_shards_are_mutually_exclusive(
         self, dataset_file, capsys
     ):
-        code = main([
+        """``--cluster`` is the only way to shard ``serve``: adding the
+        in-process ``--shards`` stops in argparse before any node starts."""
+        assert_exits_2([
             "serve", "--input", str(dataset_file),
             "--cluster", "2", "--shards", "2",
-        ])
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        ], capsys, "--shards")
 
     def test_cluster_rejects_bad_replication(self, dataset_file, capsys):
         code = main([

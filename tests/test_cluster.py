@@ -96,14 +96,12 @@ class NodeHandle:
         self.node.shutdown()
 
 
-def start_node(dataset, shard_index, shards, max_radius=None, grid=GRID):
+def start_node(dataset, shard_index, shards, grid=GRID):
     data, features = dataset
     node = ShardNodeService(
         data,
         features,
-        node_config=NodeConfig(
-            shard_index=shard_index, shards=shards, max_radius=max_radius
-        ),
+        node_config=NodeConfig(shard_index=shard_index, shards=shards),
         engine_config=EngineConfig(grid_size=grid),
         service_config=ServiceConfig(
             engines=1, result_cache_capacity=0, default_grid_size=grid
@@ -116,17 +114,14 @@ def start_node(dataset, shard_index, shards, max_radius=None, grid=GRID):
 class Fleet:
     """A router plus its in-process nodes, cleaned up as one unit."""
 
-    def __init__(self, dataset, shards=2, replication=1, max_radius=None,
-                 grid=GRID, **cluster_kwargs):
+    def __init__(self, dataset, shards=2, replication=1, grid=GRID,
+                 **cluster_kwargs):
         data, features = dataset
         self.handles = []
         specs = []
         for shard_index in range(shards):
             for _ in range(replication):
-                handle = start_node(
-                    dataset, shard_index, shards, max_radius=max_radius,
-                    grid=grid,
-                )
+                handle = start_node(dataset, shard_index, shards, grid=grid)
                 self.handles.append(handle)
                 specs.append(NodeSpec(url=handle.url, shard_index=shard_index))
         # Heartbeats are driven explicitly (probe_now) for determinism.
@@ -136,9 +131,7 @@ class Fleet:
             data,
             features,
             specs,
-            cluster=ClusterConfig(
-                shards=shards, max_radius=max_radius, **cluster_kwargs
-            ),
+            cluster=ClusterConfig(shards=shards, **cluster_kwargs),
             engine_config=EngineConfig(grid_size=grid),
             service_config=ServiceConfig(engines=1, default_grid_size=grid),
         )
@@ -409,12 +402,6 @@ class TestClusterIdentity:
                     {"keywords": ["w1"], "algorithm": "espq-len",
                      "score_mode": "influence"}
                 )
-
-    def test_max_radius_rejects_larger_queries(self, small_uniform_dataset):
-        with Fleet(small_uniform_dataset, shards=2, max_radius=2.0) as fleet:
-            fleet.router.submit({"keywords": ["w0001"], "radius": 2.0})
-            with pytest.raises(InvalidQueryError, match="replication radius"):
-                fleet.router.submit({"keywords": ["w0001"], "radius": 2.5})
 
 
 # --------------------------------------------------------------------- #

@@ -30,23 +30,21 @@ ENVIRONMENT = set()
 CONFIG_FIELDS = {
     EngineConfig: {"grid_size", "backend"},
     ServiceConfig: {
-        "engines", "max_batch", "batch_window_seconds", "result_cache_capacity",
-        "compact_threshold", "admission_queue_depth", "default_deadline_ms", "default_k",
+        "engines", "result_cache_capacity", "compact_threshold",
+        "admission_queue_depth", "default_deadline_ms", "default_k",
         "default_radius", "default_radius_fraction", "default_algorithm",
         "default_grid_size",
     },
-    ShardingConfig: {"shards", "max_radius"},
+    ShardingConfig: {"shards"},
     ClusterConfig: {
-        "shards", "max_radius", "heartbeat_interval", "liveness_timeout",
-        "node_deadline", "result_cache_capacity",
+        "shards", "heartbeat_interval", "node_deadline", "result_cache_capacity",
     },
-    NodeConfig: {"shard_index", "shards", "max_radius", "dataset_epoch"},
+    NodeConfig: {"shard_index", "shards", "dataset_epoch"},
 }
 
 #: Config field -> the CLI option that sets it, where the two are not the
-#: same word (``max_radius`` is ``--max-radius`` and needs no entry).
+#: same word (``node_deadline`` is ``--node-deadline`` and needs no entry).
 CLI_SPELLING = {
-    (ServiceConfig, "batch_window_seconds"): "--batch-window-ms",
     (ServiceConfig, "result_cache_capacity"): "--result-cache",
     (ServiceConfig, "admission_queue_depth"): "--admission-depth",
     (ServiceConfig, "default_k"): "--k",
@@ -59,10 +57,15 @@ CLI_SPELLING = {
 }
 
 #: Fields no CLI option reaches -> ``"<file that sets it>: <why it stays>"``.
-#: The file lives outside ``src/`` and passes ``<field>=``.  Empty: a value
-#: only tests or one benchmark set is a module constant (a test that needs
-#: another value monkeypatches it) or is derived from other configuration.
-API_ONLY = {}
+#: The file lives outside ``src/`` and passes ``<field>=``.  Otherwise a
+#: value only tests set is a module constant (a test that needs another
+#: value monkeypatches it) or is derived from other configuration.
+API_ONLY = {
+    (ShardingConfig, "shards"): (
+        "benchmarks/e2e/runner.py: its sharding replay builds an in-process "
+        "ShardRouter, which no command serves any more"
+    ),
+}
 
 #: ``--backend`` (and ``EngineConfig.backend``) accept one value, ``serial``:
 #: every task runs serially since the process backend left, but
@@ -71,8 +74,8 @@ API_ONLY = {}
 _BACKEND = {"--backend"}
 _QUERY_DEFAULTS = {"--k", "--radius", "--radius-fraction", "--grid-size", "--algorithm"}
 _NODE_SERVING = {
-    "--host", "--port", "--engines", "--max-batch", "--compact-threshold",
-    "--result-cache", "--grid-size", "--max-radius", "--access-log",
+    "--host", "--port", "--engines", "--compact-threshold",
+    "--result-cache", "--grid-size", "--access-log",
 }
 
 CLI_OPTIONS = {
@@ -82,9 +85,9 @@ CLI_OPTIONS = {
     "batch": {"--input", "--queries", "--output", "--stats"}
     | _QUERY_DEFAULTS | _BACKEND,
     "serve": {
-        "--input", "--shards", "--cluster",
-        "--replication", "--heartbeat-interval", "--liveness-timeout",
-        "--node-deadline", "--node-log-dir", "--batch-window-ms",
+        "--input", "--cluster",
+        "--replication", "--heartbeat-interval",
+        "--node-deadline", "--node-log-dir",
         "--admission-depth", "--default-deadline-ms",
     } | _NODE_SERVING | _QUERY_DEFAULTS | _BACKEND,
     "shard-node": {

@@ -11,10 +11,6 @@ most-square ``cols x rows`` split of the extent, one shard per cell.
   shard-grid line (and, on an aligned query grid, on a query-grid line);
 * **data partitioning** -- every data object lands in exactly one shard,
   inside that shard's box, with storage order preserved within the shard;
-* **feature replication** -- Lemma 1 at shard granularity: a feature is
-  copied to shard ``S`` iff ``MINDIST(f, extent(S)) <= max_radius``,
-  verified against an exhaustive per-box check, replication order
-  preserved;
 * **grid alignment** -- ``grid_aligned`` agrees with its definition
   (every shard boundary coincides with a query-grid line, so no query-grid
   cell straddles two shards);
@@ -100,9 +96,9 @@ def build_dataset(kind: str, seed: int, num_objects: int = 400):
     return data, features
 
 
-def build_plan(kind: str, seed: int, shards: int, **kwargs):
+def build_plan(kind: str, seed: int, shards: int):
     data, features = build_dataset(kind, seed)
-    return data, features, partition_datasets(data, features, shards, **kwargs)
+    return data, features, partition_datasets(data, features, shards)
 
 
 def grid_lines(grid: UniformGrid) -> Tuple[set, set]:
@@ -228,39 +224,6 @@ class TestDataPartitionProperties:
         assert sorted(seen) == sorted(obj.oid for obj in data)
         assert len(seen) == len(set(seen))  # each object in exactly one shard
         assert plan.stats.num_data == len(data)
-
-
-# --------------------------------------------------------------------- #
-# feature replication: Lemma 1 at shard granularity, iff MINDIST
-
-
-@pytest.mark.parametrize("kind,seed,shards,resolution", LAYOUT_CASES,
-                         ids=CASE_IDS)
-class TestFeatureReplicationProperties:
-    RADIUS = 7.5
-
-    def test_replication_is_exactly_the_mindist_rule(
-        self, kind, seed, shards, resolution
-    ):
-        _, features, plan = build_plan(kind, seed, shards, max_radius=self.RADIUS)
-        for shard in plan.shards:
-            expected = [
-                feature for feature in features
-                if shard.box.min_distance(feature.x, feature.y) <= self.RADIUS
-            ]
-            got = shard.feature_objects
-            assert [f.oid for f in got] == [f.oid for f in expected]
-        assert plan.stats.num_feature_copies == sum(
-            len(shard.feature_objects) for shard in plan.shards
-        )
-
-    def test_own_shard_always_receives_the_feature(
-        self, kind, seed, shards, resolution
-    ):
-        _, features, plan = build_plan(kind, seed, shards)
-        for feature in features:
-            within = plan.shards_within(feature.x, feature.y, 0.0)
-            assert plan.locate(feature.x, feature.y) in within
 
 
 # --------------------------------------------------------------------- #

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from raw_oracle import raw_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.exceptions import InvalidQueryError
 from repro.model.query import SpatialPreferenceQuery
-from repro.server import QueryService, ServiceConfig
+from repro.server import QueryService, ServiceConfig, batching
 from repro.server.cache import ResultCache
 
 GRID = 10
@@ -224,32 +225,49 @@ class TestValidation:
 
 
 class TestMicroBatching:
-    def test_concurrent_requests_share_batches(self, small_uniform_dataset):
+    def test_concurrent_requests_share_batches(
+        self, small_uniform_dataset, monkeypatch
+    ):
+        """Natural batching: while the one dispatcher is held on a batch,
+        more than ``MAX_BATCH`` requests queue up; released, it takes them
+        together, at most ``MAX_BATCH`` to a batch."""
+        held, release = threading.Event(), threading.Event()
+        real_execute_many = SPQEngine.execute_many
+
+        def hold_first_batch(engine, *args, **kwargs):
+            if not held.is_set():
+                held.set()
+                release.wait(timeout=30)
+            return real_execute_many(engine, *args, **kwargs)
+
+        monkeypatch.setattr(SPQEngine, "execute_many", hold_first_batch)
+        queued = batching.MAX_BATCH + 2
+        specs = [
+            {"keywords": [f"w00{10 + i}"], "k": 3, "radius": 2.0}
+            for i in range(1 + queued)
+        ]
         with make_service(
-            small_uniform_dataset,
-            engines=1,
-            max_batch=8,
-            batch_window_seconds=0.05,
-            result_cache_capacity=0,
+            small_uniform_dataset, engines=1, result_cache_capacity=0
         ) as service:
-            specs = [
-                {"keywords": [f"w00{10 + i}"], "k": 3, "radius": 2.0}
-                for i in range(6)
-            ]
             threads = [
                 threading.Thread(target=service.submit, args=(spec,))
                 for spec in specs
             ]
-            for thread in threads:
+            threads[0].start()
+            assert held.wait(timeout=30)
+            for thread in threads[1:]:
                 thread.start()
+            deadline = time.monotonic() + 30
+            while service.stats()["batching"]["queue_depth"] < queued:
+                assert time.monotonic() < deadline, "requests never queued"
+                time.sleep(0.005)
+            release.set()
             for thread in threads:
                 thread.join()
-            batching = service.stats()["batching"]
-            assert batching["batched_requests"] == 6
-            # Six requests in well under the 50ms window: they cannot all
-            # have run alone.
-            assert batching["batches"] < 6
-            assert batching["max_batch_observed"] >= 2
+            stats = service.stats()["batching"]
+        assert stats["batched_requests"] == 1 + queued
+        assert 2 <= stats["max_batch_observed"] <= batching.MAX_BATCH
+        assert stats["max_batch"] == batching.MAX_BATCH
 
     def test_execution_error_fails_request_not_service(
         self, service, monkeypatch

@@ -22,12 +22,11 @@ from repro.sharding import (
     partition_datasets,
     shard_layout,
 )
-from repro.spatial.geometry import BoundingBox
 
 GRID = 10
 
 
-def make_router(dataset, shards=2, max_radius=None, grid=GRID, **service_kwargs):
+def make_router(dataset, shards=2, grid=GRID, **service_kwargs):
     data, features = dataset
     service_kwargs.setdefault("engines", 1)
     service_kwargs.setdefault("default_grid_size", grid)
@@ -36,7 +35,7 @@ def make_router(dataset, shards=2, max_radius=None, grid=GRID, **service_kwargs)
         features,
         engine_config=EngineConfig(grid_size=grid),
         service_config=ServiceConfig(**service_kwargs),
-        sharding=ShardingConfig(shards=shards, max_radius=max_radius),
+        sharding=ShardingConfig(shards=shards),
     )
 
 
@@ -131,30 +130,10 @@ class TestPartitionDatasets:
 
     def test_unbounded_radius_replicates_everywhere(self, small_uniform_dataset):
         data, features = small_uniform_dataset
-        plan = partition_datasets(data, features, 3, max_radius=None)
+        plan = partition_datasets(data, features, 3)
         for shard in plan.shards:
             assert len(shard.feature_objects) == len(features)
         assert plan.stats.replication_factor == 3.0
-
-    def test_bounded_radius_replicates_boundary_band_only(self):
-        # Extent [0,10] x [0,1], two shards split at x = 5.
-        data = [DataObject("p-left", 1.0, 0.5), DataObject("p-right", 9.0, 0.5)]
-        features = [
-            FeatureObject("f-far-left", 1.0, 0.5, frozenset({"w"})),
-            FeatureObject("f-near-left", 4.5, 0.5, frozenset({"w"})),
-            FeatureObject("f-near-right", 5.5, 0.5, frozenset({"w"})),
-            FeatureObject("f-far-right", 9.0, 0.5, frozenset({"w"})),
-        ]
-        extent = BoundingBox(0.0, 0.0, 10.0, 1.0)
-        plan = partition_datasets(data, features, 2, max_radius=1.0, extent=extent)
-        left, right = plan.shards
-        assert [f.oid for f in left.feature_objects] == [
-            "f-far-left", "f-near-left", "f-near-right"
-        ]
-        assert [f.oid for f in right.feature_objects] == [
-            "f-near-left", "f-near-right", "f-far-right"
-        ]
-        assert plan.stats.num_feature_copies == 6
 
     def test_grid_alignment_rule(self, small_uniform_dataset):
         data, features = small_uniform_dataset
@@ -165,11 +144,6 @@ class TestPartitionDatasets:
         plan3 = partition_datasets(data, features, 3)  # 3 x 1
         assert plan3.grid_aligned(9)
         assert not plan3.grid_aligned(10)
-
-    def test_rejects_negative_max_radius(self, small_uniform_dataset):
-        data, features = small_uniform_dataset
-        with pytest.raises(InvalidQueryError):
-            partition_datasets(data, features, 2, max_radius=-1.0)
 
 
 # --------------------------------------------------------------------- #
@@ -196,18 +170,6 @@ class TestScatterGatherIdentity:
         with make_router(small_clustered_dataset, shards=4) as router:
             got = response_entries(router.submit(spec))
         assert got == offline_entries(small_clustered_dataset, spec)
-
-    def test_identity_with_bounded_replication_radius(
-        self, small_uniform_dataset
-    ):
-        spec = {"keywords": ["w0004"], "k": 8, "radius": 3.0}
-        with make_router(
-            small_uniform_dataset, shards=4, max_radius=3.0
-        ) as router:
-            replication = router.plan.stats.replication_factor
-            assert 1.0 < replication < 2.0  # boundary bands only, not full copies
-            got = response_entries(router.submit(spec))
-        assert got == offline_entries(small_uniform_dataset, spec)
 
     def test_zero_match_query_is_empty_everywhere(self, small_uniform_dataset):
         spec = {"keywords": ["zz-no-such-keyword"], "k": 5, "radius": 2.0}
@@ -299,11 +261,18 @@ def scope_dataset(seed, clustered):
     return data, features, batch
 
 
+def within_reach(box, features, radius):
+    """The features with ``MINDIST(f, box) <= radius``: what a shard would
+    hold had it been partitioned with replication radius ``radius`` (Lemma 1
+    at shard granularity), in storage order."""
+    return [f for f in features if box.min_distance(f.x, f.y) <= radius]
+
+
 class TestScopeIdentity:
     """A shard engine holding every feature, scoped to its box, does exactly
-    the work of one built from ``partition_datasets(max_radius=r)``: same
-    answers, every counter in value and key order and the same simulated
-    time."""
+    the work of one holding only the features within ``r`` of its box (the
+    :func:`within_reach` reference): same answers, every counter in value
+    and key order and the same simulated time."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -318,27 +287,23 @@ class TestScopeIdentity:
         data, features, batch = scope_dataset(seed, clustered)
         plan = partition_datasets(data, features, shards)
         radius = radius_cells * plan.extent.width / GRID
-        bounded = partition_datasets(
-            data, features, shards, max_radius=radius, extent=plan.extent,
-        )
         queries = [
             SpatialPreferenceQuery.create(k=k, radius=radius, keywords=words)
             for k, words in ((5, {"s1"}), (12, {"s2", "s5"}), (3, {"s0", "s3", "s6"}))
         ]
         config = EngineConfig(grid_size=GRID)
-        for shard, reference_shard in zip(plan.shards, bounded.shards):
-            assert shard.box == reference_shard.box
+        for shard in plan.shards:
             scoped = SPQEngine(
                 shard.data_objects, shard.feature_objects, config,
                 extent=plan.extent, scope=shard.box,
             )
             reference = SPQEngine(
-                reference_shard.data_objects, reference_shard.feature_objects,
+                shard.data_objects, within_reach(shard.box, features, radius),
                 config, extent=plan.extent,
             )
             # Routed as the router routes: a data append to the shard that
-            # locates it, a feature append to every shard within the
-            # replication radius (all of them, unbounded), deletes to all.
+            # locates it, a feature append to every shard (to the reference
+            # only within reach), deletes to all.
             mine = [obj for obj in batch["append_data"]
                     if plan.locate(obj.x, obj.y) == shard.shard_id]
             deletes = dict(delete_data_oids=batch["delete_data_oids"],
@@ -349,11 +314,9 @@ class TestScopeIdentity:
             )
             reference.apply_updates(
                 append_data=mine,
-                append_features=[
-                    f for f in batch["append_features"]
-                    if shard.shard_id
-                    in bounded.shards_within(f.x, f.y, radius)
-                ],
+                append_features=within_reach(
+                    shard.box, batch["append_features"], radius
+                ),
                 **deletes,
             )
             for query in queries:
@@ -491,14 +454,6 @@ class TestRouterServing:
             ]
             with pytest.raises(InvalidQueryError):
                 router.submit_many([specs[0], {"keywords": []}])
-
-    def test_max_radius_rejects_larger_queries(self, small_uniform_dataset):
-        with make_router(
-            small_uniform_dataset, shards=2, max_radius=2.0
-        ) as router:
-            router.submit({"keywords": ["w0001"], "k": 3, "radius": 2.0})
-            with pytest.raises(InvalidQueryError, match="max_radius"):
-                router.submit({"keywords": ["w0001"], "k": 3, "radius": 2.5})
 
     def test_shutdown_drains_inflight_requests(self, small_uniform_dataset):
         """A request accepted before shutdown completes instead of 500ing."""

@@ -5,7 +5,8 @@ node pushes all go through :mod:`repro.server.protocol`, so these tests feed
 *one* input to several entry points and compare:
 
 * a query file replays against a live server verbatim (same answers, same
-  resolved parameters, line for line), unsharded and sharded;
+  resolved parameters, line for line), unsharded and through a 2-shard
+  router's scatter-gather merge;
 * a malformed line is rejected with the same message by the parser, by
   ``POST /query`` (400) and by ``repro batch`` (exit 2, no traceback);
 * every encoder/decoder pair round-trips through JSON text bit-for-bit --
@@ -33,7 +34,7 @@ from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
 from repro.model.result import QueryResult, ScoredObject
 from repro.planner import AUTO_CHOICE
-from repro.server import make_server
+from repro.server import QueryService, make_server
 from repro.server.protocol import (
     ParsedRequest,
     RequestDefaults,
@@ -50,6 +51,7 @@ from repro.server.protocol import (
     split_batch_body,
     split_epoch,
 )
+from repro.sharding import ShardRouter, ShardingConfig
 
 #: The flags both doors are started with (2 shards split a 10-cell grid on
 #: a cell boundary, and so they do the 4- and 20-cell per-line overrides).
@@ -88,17 +90,26 @@ def _post(url, body: bytes):
 
 
 class _Served:
-    """A front door built from ``repro serve`` flags, behind a live server."""
+    """A front door configured from ``repro serve`` flags, behind a live
+    server: the query service ``repro serve`` builds, or a ``shards``-way
+    shard router."""
 
-    def __init__(self, dataset_file, *extra_flags):
+    def __init__(self, dataset_file, shards=1):
         args = build_parser().parse_args(
-            ["serve", "--input", str(dataset_file), *FLAGS, *extra_flags]
+            ["serve", "--input", str(dataset_file), *FLAGS]
         )
-        # What `repro serve` itself builds from these flags.
-        self.service = cli._front_door(
-            args, *load_dataset(dataset_file), cli._service_config(args),
-            cli._engine_config(args),
-        )
+        data, features = load_dataset(dataset_file)
+        engine_config, service_config = cli._engine_config(args), cli._service_config(args)
+        if shards == 1:
+            self.service = QueryService(
+                data, features, engine_config=engine_config, config=service_config
+            )
+        else:
+            self.service = ShardRouter(
+                data, features, engine_config=engine_config,
+                service_config=service_config,
+                sharding=ShardingConfig(shards=shards),
+            )
 
     def __enter__(self):
         self.service.start()
@@ -126,11 +137,10 @@ class TestAutoStatsContract:
     the absence as it is -- while a named algorithm keeps its simulated
     time; ``auto`` names what ran and reports the work it did."""
 
-    @pytest.mark.parametrize("extra_flags", [(), ("--shards", "2")],
-                             ids=["unsharded", "2-shards"])
-    def test_auto_has_no_simulated_seconds(self, dataset_file, extra_flags):
+    @pytest.mark.parametrize("shards", [1, 2], ids=["unsharded", "2-shards"])
+    def test_auto_has_no_simulated_seconds(self, dataset_file, shards):
         request = {"keywords": ["w0001", "w0002"], "k": 3, "radius": 5.0, "stats": True}
-        with _Served(dataset_file, *extra_flags) as url:
+        with _Served(dataset_file, shards) as url:
             auto, named = (
                 json.loads(_post(f"{url}/query", json.dumps(
                     {**request, "algorithm": algorithm}
@@ -150,10 +160,9 @@ class TestAutoStatsContract:
 
 
 class TestReplayIsVerbatim:
-    @pytest.mark.parametrize("extra_flags", [(), ("--shards", "2")],
-                             ids=["unsharded", "2-shards"])
+    @pytest.mark.parametrize("shards", [1, 2], ids=["unsharded", "2-shards"])
     def test_query_file_replays_against_post_batch(
-        self, dataset_file, tmp_path, extra_flags
+        self, dataset_file, tmp_path, shards
     ):
         query_file = tmp_path / "queries.jsonl"
         query_file.write_text(QUERY_FILE)
@@ -162,7 +171,7 @@ class TestReplayIsVerbatim:
                      "--queries", str(query_file), "--output", str(output)]) == 0
         offline = [json.loads(line) for line in output.read_text().splitlines()]
 
-        with _Served(dataset_file, *extra_flags) as url:
+        with _Served(dataset_file, shards) as url:
             status, body = _post(f"{url}/batch", query_file.read_bytes())
         assert status == 200
         online = [json.loads(line) for line in body.splitlines()]
