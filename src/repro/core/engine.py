@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.centralized import CentralizedSPQ, dataset_extent
 from repro.core.jobs import ESPQLenJob, ESPQScoJob, PSPQJob, _SPQJobBase
@@ -619,13 +619,10 @@ class SPQEngine:
                 item.query, item.score_mode, snapshot=snapshot
             )
         index, cache_hit = self._get_index(item.grid_size)
-        hits = self.planner.collect(index, item.query, item.grid_size)
         if item.algorithm == AUTO_ALGORITHM:
-            return self._execute_scan(
-                item, index, cache_hit, hits, self.planner.decide(hits), snapshot
-            )
-        # The job path streams candidates in storage order; the scan never
-        # reads them, so only jobs pay for the sort.
+            return self._execute_scan(item, index, cache_hit, self.planner.decide(), snapshot)
+        # The job path streams its candidates in storage order.
+        hits = self.planner.collect(index, item.query, item.grid_size)
         candidates = sorted(hits)
         extra_pruned = 0
         deleted_positions: Set[int] = set()
@@ -744,7 +741,6 @@ class SPQEngine:
         item: PlannedQuery,
         index: DatasetIndex,
         cache_hit: bool,
-        hits: Mapping[int, int],
         algorithm: str,
         snapshot: Optional[DeltaSnapshot],
     ) -> QueryResult:
@@ -754,7 +750,7 @@ class SPQEngine:
         checks and ranking (:meth:`_merge`); its stats report the work it
         did and no ``simulated_seconds``: no simulated job ran."""
         started = time.perf_counter()
-        scan = index.scan(item.query, hits, snapshot)
+        scan = index.scan(item.query, snapshot)
         scan.job_name = algorithm
         entries = self._merge(scan, item.query, snapshot=snapshot)
         work = {

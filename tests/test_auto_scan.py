@@ -13,7 +13,11 @@ k-th score resolved by oid -- on every surface and dataset state:
 * live data and feature appends, both kinds of tombstone and a
   delete-then-append replace, in one write batch or two;
 * k = 1, k past the number of matching objects, keyword sets that match
-  nothing and keyword sets of stop words only.
+  nothing and keyword sets of stop words only;
+* features of up to ten words, so the scan's size walk (Equation 1's
+  bound over size-ordered posting lists) opens several sizes and equal
+  scores come from different sizes (``TestLongFeatures``), and the
+  ``candidate_features`` it reports (``TestSizeWalk``).
 
 The datasets sit on a coarse lattice and draw keywords from a tiny
 vocabulary, so equal distances and equal scores -- the tie cases a per-cell
@@ -46,6 +50,7 @@ from repro.model.query import SpatialPreferenceQuery
 from repro.server import ServiceConfig
 from repro.server.protocol import objects_body
 from repro.sharding import ShardingConfig, ShardRouter
+from repro.spatial.geometry import BoundingBox
 from repro.text.tokenizer import DEFAULT_STOPWORDS
 
 #: Feature vocabulary; "common" is the everywhere-matching extreme.
@@ -67,26 +72,26 @@ _keywords = st.sets(st.sampled_from(VOCABULARY), min_size=1, max_size=4)
 
 
 @st.composite
-def datasets(draw):
+def datasets(draw, keywords=_keywords):
     """Lattice data (oids drawn so tie order is not storage order) and
-    features over the tiny vocabulary."""
+    features over the tiny vocabulary (or those ``keywords`` draws)."""
     points = draw(st.lists(_points, min_size=1, max_size=24))
     names = draw(st.permutations(range(len(points))))
     data = [DataObject(f"d{name:02d}", x, y) for name, (x, y) in zip(names, points)]
     features = [
         FeatureObject(f"f{number:02d}", x, y, keywords=words)
         for number, ((x, y), words) in enumerate(
-            draw(st.lists(st.tuples(_points, _keywords), min_size=1, max_size=16))
+            draw(st.lists(st.tuples(_points, keywords), min_size=1, max_size=16))
         )
     ]
     return [*ANCHORS, *data], features
 
 
 @st.composite
-def queries(draw):
+def queries(draw, vocabulary=VOCABULARY):
     kind = draw(st.sampled_from(("vocabulary", "vocabulary", "vocabulary", "no-match")))
     keywords = (
-        draw(st.sets(st.sampled_from(VOCABULARY + ("zz-none",)), min_size=1, max_size=3))
+        draw(st.sets(st.sampled_from(vocabulary + ("zz-none",)), min_size=1, max_size=3))
         if kind == "vocabulary" else draw(st.sampled_from(NO_MATCH))
     )
     return SpatialPreferenceQuery.create(
@@ -97,7 +102,8 @@ def queries(draw):
 
 
 @st.composite
-def writes(draw, data: Sequence[DataObject], features: Sequence[FeatureObject]):
+def writes(draw, data: Sequence[DataObject], features: Sequence[FeatureObject],
+           keywords=_keywords):
     """Write batches: appends, tombstones of base objects, replaces."""
     batches = []
     for step in range(draw(st.integers(1, 4))):
@@ -106,7 +112,7 @@ def writes(draw, data: Sequence[DataObject], features: Sequence[FeatureObject]):
         for number, (x, y) in enumerate(draw(st.lists(_points, max_size=3))):
             batch["append_data"].append(DataObject(f"n{step}-{number}", x, y))
         for number, ((x, y), words) in enumerate(
-            draw(st.lists(st.tuples(_points, _keywords), max_size=2))
+            draw(st.lists(st.tuples(_points, keywords), max_size=2))
         ):
             batch["append_features"].append(
                 FeatureObject(f"g{step}-{number}", x, y, keywords=words)
@@ -201,9 +207,9 @@ class TestUnsharded:
 
 
 class TestSharded:
-    def _check(self, data, dataset, grid):
-        batches = data.draw(writes(*dataset)) if data.draw(st.booleans()) else []
-        query_batch = data.draw(st.lists(queries(), min_size=1, max_size=3))
+    def _check(self, data, dataset, grid, keywords=_keywords, vocabulary=VOCABULARY):
+        batches = data.draw(writes(*dataset, keywords)) if data.draw(st.booleans()) else []
+        query_batch = data.draw(st.lists(queries(vocabulary), min_size=1, max_size=3))
         router = ShardRouter(
             *dataset,
             engine_config=EngineConfig(grid_size=grid),
@@ -230,6 +236,94 @@ class TestSharded:
     def test_non_aligned_grid(self, data, dataset, grid):
         router = self._check(data, dataset, grid)
         assert not router.plan.grid_aligned(grid)
+
+
+# --------------------------------------------------------------------- #
+# long features: the size walk extends several times
+
+
+#: Twelve words, 1-10 of them per feature: sizes reach well past ``|q.W|``
+#: <= 3, so the walk opens several sizes, and equal scores come from
+#: different sizes (``|q.W| = 3``: one word shared of one, two of five and
+#: three of nine all score 1/3).
+WIDE_VOCABULARY = tuple(f"v{n:02d}" for n in range(12))
+_wide_keywords = st.sets(st.sampled_from(WIDE_VOCABULARY), min_size=1, max_size=10)
+
+
+class TestLongFeatures:
+    @SCAN_SETTINGS
+    @given(dataset=datasets(_wide_keywords),
+           batch=st.lists(queries(WIDE_VOCABULARY), min_size=1, max_size=4),
+           grid=st.integers(1, 9))
+    def test_auto_is_the_oracle(self, dataset, batch, grid):
+        with SPQEngine(*dataset, EngineConfig(grid_size=grid)) as engine:
+            for query in batch:
+                got = engine.execute(query, algorithm="auto")
+                assert entries(got) == oracle(*dataset, query), query
+
+    @SCAN_SETTINGS
+    @given(data=st.data(), dataset=datasets(_wide_keywords), grid=st.integers(1, 9))
+    def test_live_delta_is_a_bulk_swap(self, data, dataset, grid):
+        batches = data.draw(writes(*dataset, _wide_keywords))
+        query_batch = data.draw(st.lists(queries(WIDE_VOCABULARY), min_size=1, max_size=3))
+        with SPQEngine(*dataset, EngineConfig(grid_size=grid)) as engine:
+            apply_all(engine.apply_updates, batches)
+            final = mirror(*dataset, batches)
+            for query in query_batch:
+                got = engine.execute(query, algorithm="auto")
+                assert entries(got) == oracle(*final, query), (query, batches)
+
+    @ROUTER_SETTINGS
+    @given(data=st.data(), dataset=datasets(_wide_keywords),
+           grid=st.sampled_from((2, 3, 4, 5, 6)))
+    def test_scoped_router(self, data, dataset, grid):
+        TestSharded()._check(data, dataset, grid, _wide_keywords, WIDE_VOCABULARY)
+
+
+class TestSizeWalk:
+    """The walk stops where Equation 1 says, and ``candidate_features``
+    counts the in-reach, untombstoned base features it resolved."""
+
+    QUERY = dict(radius=1.0, keywords={"w1", "w2", "w3"})
+
+    @staticmethod
+    def dataset():
+        """Nine points around (1.5, 1.5); three features holding exactly
+        the query's words (score 1), two on the points and one off at
+        (3.5, 3.5); four of eight words sharing one (score 1/10) on the
+        points."""
+        data = [DataObject(f"d{n}", 1.0 + (n % 3) * STEP, 1.0 + (n // 3) * STEP)
+                for n in range(9)]
+        exact = [FeatureObject(f"e{n}", at, at, ("w1", "w2", "w3"))
+                 for n, at in enumerate((1.5, 1.5, 3.5))]
+        long = [FeatureObject(f"l{n}", 1.5, 1.5, ("w1", *(f"x{m}" for m in range(7))))
+                for n in range(4)]
+        return [*ANCHORS, *data], [*long, *exact]
+
+    def resolved(self, engine, k):
+        query = SpatialPreferenceQuery.create(k=k, **self.QUERY)
+        got = engine.execute(query, algorithm="auto")
+        return got.stats["index"]["candidate_features"]
+
+    def test_the_bound_cuts_the_walk(self):
+        with SPQEngine(*self.dataset(), EngineConfig(grid_size=4)) as engine:
+            hits = engine.get_index().keyword_hits(self.QUERY["keywords"])
+            assert len(hits) == 7
+            # Score 1 fills k = 2, and no feature of four words or more
+            # can reach it (3/4 < 1): the eight-word ones stay unopened.
+            assert self.resolved(engine, 2) == 3 < len(hits)
+
+    def test_candidate_features_is_what_the_walk_resolved(self):
+        with SPQEngine(*self.dataset(), EngineConfig(grid_size=4)) as engine:
+            assert self.resolved(engine, 100) == 7  # k past the matches: all open
+            engine.apply_updates(delete_feature_oids=["e0", "l0"])
+            assert self.resolved(engine, 2) == 2
+            assert self.resolved(engine, 100) == 5
+        # Scoped to the box around the points, (3.5, 3.5) is out of reach.
+        box = BoundingBox(0.0, 0.0, 2.0, 2.0)
+        with SPQEngine(*self.dataset(), EngineConfig(grid_size=4), scope=box) as engine:
+            assert self.resolved(engine, 2) == 2
+            assert self.resolved(engine, 100) == 6
 
 
 # --------------------------------------------------------------------- #
@@ -340,9 +434,9 @@ class TestScanIntegrity:
             assert victim not in engine.execute(self.QUERY, algorithm="auto").object_ids()
             scan = DatasetIndex.scan
 
-            def leaky(index, query, hits, snapshot=None):
+            def leaky(index, query, snapshot=None):
                 blind = dataclasses.replace(snapshot, deleted_data_oids=frozenset())
-                return scan(index, query, hits, blind)
+                return scan(index, query, blind)
 
             monkeypatch.setattr(DatasetIndex, "scan", leaky)
             with pytest.raises(ResultIntegrityError, match=f"deleted data object '{victim}'"):
@@ -351,8 +445,8 @@ class TestScanIntegrity:
     def test_an_unknown_oid_raises(self, monkeypatch):
         scan = DatasetIndex.scan
 
-        def ghostly(index, query, hits, snapshot=None):
-            result = scan(index, query, hits, snapshot)
+        def ghostly(index, query, snapshot=None):
+            result = scan(index, query, snapshot)
             result.outputs.append((1, "ghost", result.outputs[-1][2]))
             return result
 

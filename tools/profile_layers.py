@@ -38,6 +38,10 @@ in-range rows: memo misses compute them, hits are a dict look-up) runs
 inside those two reduces, and every reduce inside the ``reduce phase``
 (``SerialBackend.run_reduce_tasks``, the whole reduce side of a job run):
 the phase minus the reducer rows is what the reduce loop itself costs.
+``SizeWalk.open`` (the posting prefixes an ``auto`` scan counts, one
+feature size range per call) and ``DataBlock.rows_within`` run inside
+``DatasetIndex.scan``; ``planner collect`` is the named algorithms' whole
+posting-list walk, which ``auto`` no longer calls.
 
 ``--memory`` traces allocations from before the dataset is built and,
 after the replay, prints the Python heap's ``TOP_SITES`` largest
@@ -77,6 +81,7 @@ LAYERS: List[Tuple[str, str, str]] = [
     ("reduce espq-len", "repro.core.jobs", "ESPQLenJob.reduce"),
     ("reduce espq-sco", "repro.core.jobs", "ESPQScoJob.reduce"),
     ("DatasetIndex.scan", "repro.index.dataset_index", "DatasetIndex.scan"),
+    ("SizeWalk.open", "repro.text.inverted_index", "SizeWalk.open"),
     ("DataBlock.rows_within", "repro.index.columns", "DataBlock.rows_within"),
     ("engine _merge", "repro.core.engine", "SPQEngine._merge"),
     ("planner collect", "repro.planner.core", "QueryPlanner.collect"),
