@@ -35,7 +35,7 @@ import struct
 from array import array
 from bisect import bisect_left, bisect_right
 from sys import intern
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.model.objects import DataObject, FeatureObject
 from repro.spatial.geometry import candidate_halfwidth
@@ -477,6 +477,23 @@ class DataBlock:
             self._sorted_rows = [row for row in order]
             self._sorted_xs = sorted_xs = [self.xs[row] for row in order]
         return self._sorted_rows[bisect_left(sorted_xs, low) : bisect_right(sorted_xs, high)]
+
+    @staticmethod
+    def retain(blocks: Sequence["DataBlock"], features: Iterable[FeatureObject]) -> None:
+        """Forget the rows ``blocks`` memoized for points where none of
+        ``features`` stands, and give their room back.
+
+        A block carried into the next snapshot keeps its rows, so its memo
+        stays exact; this keeps it to the features that snapshot holds, as
+        if the block had been built for it and asked the same queries.
+        """
+        blocks = [block for block in blocks if block._within]
+        if blocks:
+            points = {(f.x, f.y) for f in features}
+            for block in blocks:
+                within = block._within
+                for key in [key for key in within if key[:2] not in points]:
+                    block._room += len(within.pop(key))
 
     def rows_within(self, fx: float, fy: float, radius: float) -> Tuple[int, ...]:
         """Storage rows within ``radius`` of ``(fx, fy)``, ascending (memoized).

@@ -279,6 +279,6 @@ class TestStandalonePlanner:
         )
         index = DatasetIndex(data, features, grid)
         planner = QueryPlanner()
-        hits = planner.collect(index, make_query(), 8)
-        assert planner.decide(hits) == AUTO_CHOICE == "global-scan"
+        planner.collect(index, make_query(), 8)
+        assert planner.decide() == AUTO_CHOICE == "global-scan"
         assert planner.decisions == 1

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.model.objects import FeatureObject
-from repro.text.inverted_index import InvertedIndex
+from repro.text import inverted_index
+from repro.text.inverted_index import InvertedIndex, PositionalInvertedIndex
 from repro.text.similarity import non_spatial_score
 
 
@@ -82,3 +86,33 @@ class TestScoredCandidates:
 
     def test_empty_query_returns_nothing(self, index):
         assert index.scored_candidates(set()) == []
+
+
+class TestSizeOrder:
+    """Posting lists in ``(|f.W|, position)`` order, searched by size."""
+
+    BISECTIONS = [inverted_index._bisect_size_loop] + (
+        [inverted_index._bisect_size_keyed] if sys.version_info >= (3, 10) else []
+    )
+
+    @pytest.mark.parametrize("bisect", BISECTIONS, ids=lambda f: f.__name__)
+    @given(
+        sizes=st.lists(st.integers(1, 6), max_size=30),
+        size=st.integers(0, 7),
+        lo=st.integers(0, 30),
+    )
+    def test_bisection_ends_the_prefix_of_at_most_size(self, bisect, sizes, size, lo):
+        postings = sorted(range(len(sizes)), key=sizes.__getitem__)
+        lo = min(lo, len(postings))
+        end = bisect(postings, sizes, size, lo)
+        assert all(sizes[p] <= size for p in postings[lo:end])
+        assert all(sizes[p] > size for p in postings[end:])
+
+    def test_add_goes_last_among_its_size(self, features):
+        index = PositionalInvertedIndex(features[:3])
+        index.add(features[3])
+        f5 = FeatureObject("f5", 4, 4, {"italian", "cheap"})
+        index.add(f5)
+        fresh = PositionalInvertedIndex([*features, f5])
+        assert dict(index._postings) == dict(fresh._postings)
+        assert index._postings["italian"] == [2, 0, 4, 3]
