@@ -1,6 +1,6 @@
 """Streaming-ingest gates: identity, incremental cost, writes under load.
 
-Four checks over the delta-index write path (``POST /objects``,
+Six checks over the delta-index write path (``POST /objects``,
 ``src/repro/index/delta.py``; see ``docs/ingest.md``):
 
 1. **Identity** -- after a scripted sequence of incremental append/delete
@@ -44,6 +44,16 @@ Four checks over the delta-index write path (``POST /objects``,
    most ``MAX_FOLD_RATIO`` of the swapped one, both must answer alike,
    and the warmed query must find its Lemma-1 lists carried over the
    fold (``radius_cache_hit``).
+
+6. **Live delta** -- two engines over the same 10k clustered dataset take
+   the same 63-op delta (47 appended features of 10-100 words over the
+   whole vocabulary, so the query's words are held by some of them, 8
+   appended data objects, 4 tombstones of each kind); one keeps it live,
+   the other compacts it.  The same ``auto`` reads are timed on both,
+   interleaved with sides alternating, ``reads`` (240) a side after a
+   warming pass: the median live read may be at most
+   ``MAX_LIVE_DELTA_RATIO`` of the compacted one, and both must answer
+   alike.
 
 Run it as::
 
@@ -674,6 +684,86 @@ def run_fold_phase(
     }
 
 
+# --------------------------------------------------------------------- #
+# phase 6: an auto read over a live delta vs the same read compacted
+
+#: Phase-6 gate: median live-delta read / median compacted read.
+MAX_LIVE_DELTA_RATIO = 1.25
+
+
+def run_live_delta_phase(
+    grid_size: int, seed: int, reads: int = 240
+) -> Dict[str, object]:
+    """Phase 6: what a live delta costs an ``auto`` read."""
+    data, features = generate_clustered(
+        SyntheticDatasetConfig(num_objects=10_000, seed=7)
+    )
+    rng = random.Random(seed + 6)
+    vocabulary = SyntheticDatasetConfig().vocabulary()
+    radius = 0.25 * 100.0 / grid_size
+    queries = [
+        SpatialPreferenceQuery.create(k=10, radius=radius, keywords=rng.sample(vocabulary, 3))
+        for _ in range(reads)
+    ]
+    # A delta one op short of a 64-op compaction threshold: long appended
+    # features over the whole vocabulary (each query's words are held by a
+    # few of them), appended data, and tombstones of both kinds.
+    delta = {
+        "append_features": [
+            FeatureObject(
+                oid=f"live-f{i}", x=rng.uniform(10, 90), y=rng.uniform(10, 90),
+                keywords=rng.sample(vocabulary, rng.randint(10, 100)),
+            )
+            for i in range(47)
+        ],
+        "append_data": [
+            DataObject(oid=f"live-d{i}", x=rng.uniform(10, 90), y=rng.uniform(10, 90))
+            for i in range(8)
+        ],
+        "delete_data_oids": [obj.oid for obj in rng.sample(data, 4)],
+        "delete_feature_oids": [obj.oid for obj in rng.sample(features, 4)],
+    }
+    held = {word for f in delta["append_features"] for word in f.keywords}
+
+    def read(engine, query) -> Tuple[float, Tuple[Entry, ...]]:
+        started = time.perf_counter()
+        result = engine.execute(query, algorithm="auto")
+        return (time.perf_counter() - started) * 1000.0, engine_entries(result)
+
+    config = EngineConfig(grid_size=grid_size)
+    samples: Dict[str, List[float]] = {"live": [], "compacted": []}
+    mismatches = 0
+    with SPQEngine(data, features, config=config) as live, \
+            SPQEngine(data, features, config=config) as compacted:
+        for engine in (live, compacted):
+            engine.apply_updates(**delta)
+        compacted.compact()
+        for query in queries:  # warm: index, fold, radius lists, blocks, memos
+            read(live, query)
+            read(compacted, query)
+        gc.collect()  # the earlier phases' garbage is not this phase's cost
+        for number, query in enumerate(queries):
+            order = ((live, compacted), (compacted, live))[number % 2]
+            answers = {}
+            for engine in order:
+                name = "live" if engine is live else "compacted"
+                elapsed, answers[name] = read(engine, query)
+                samples[name].append(elapsed)
+            mismatches += answers["live"] != answers["compacted"]
+        live_deltas = live.delta.snapshot().num_ops
+    medians = {name: statistics.median(values) for name, values in samples.items()}
+    return {
+        "objects": len(data) + len(features),
+        "reads_per_side": reads,
+        "delta_ops": live_deltas,
+        "queries_with_an_appended_word": sum(bool(held & set(q.keywords)) for q in queries),
+        "live_ms": medians["live"],
+        "compacted_ms": medians["compacted"],
+        "ratio": medians["live"] / medians["compacted"],
+        "mismatches": mismatches,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--objects", type=int, default=20_000)
@@ -741,6 +831,12 @@ def main(argv=None) -> int:
           f"{fold['mismatches']} mismatches, "
           f"{fold['cold_radius_reads']} reads without the carried radius")
 
+    live_delta = run_live_delta_phase(args.grid_size, args.seed)
+    print(f"live-delta phase: auto read over a {live_delta['delta_ops']}-op live delta "
+          f"{live_delta['live_ms']:.3f}ms vs compacted {live_delta['compacted_ms']:.3f}ms -> "
+          f"x{live_delta['ratio']:.2f} over {live_delta['reads_per_side']} reads a side; "
+          f"{live_delta['mismatches']} mismatches")
+
     summary = {
         "workload": {
             "objects": args.objects,
@@ -756,6 +852,7 @@ def main(argv=None) -> int:
         "load_sharded": loads["router"],
         "tombstone": tombstone,
         "fold": fold,
+        "live_delta": live_delta,
     }
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -816,6 +913,16 @@ def main(argv=None) -> int:
                 f"the swap's, {fold['cold_radius_reads']} warmed reads missed "
                 "their carried radius"
             )
+        if live_delta["ratio"] > MAX_LIVE_DELTA_RATIO:
+            failures.append(
+                f"live delta: an auto read over it is x{live_delta['ratio']:.2f} the "
+                f"compacted read, above x{MAX_LIVE_DELTA_RATIO}"
+            )
+        if live_delta["mismatches"]:
+            failures.append(
+                f"live delta: {live_delta['mismatches']} answers differ from the "
+                "compacted engine's"
+            )
         if failures:
             for failure in failures:
                 print(f"FAIL: {failure}", file=sys.stderr)
@@ -829,7 +936,8 @@ def main(argv=None) -> int:
               f"x{tombstone['worst_first_read_ratio']:.2f} <= "
               f"x{MAX_FIRST_READ_RATIO}), the first read after a compaction "
               f"x{fold['ratio']:.2f} <= x{MAX_FOLD_RATIO} the first read "
-              "after a swap")
+              f"after a swap, an auto read over a live delta x{live_delta['ratio']:.2f} "
+              f"<= x{MAX_LIVE_DELTA_RATIO} the compacted one")
     return 0
 
 

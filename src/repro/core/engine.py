@@ -626,20 +626,20 @@ class SPQEngine:
         candidates = sorted(hits)
         extra_pruned = 0
         deleted_positions: Set[int] = set()
-        if snapshot is not None and snapshot.deleted_feature_oids:
+        if snapshot is not None:
             # Feature tombstones: drop the deleted candidates *before*
             # prepare, so the surviving records keep their relative
             # storage order -- the same stream a bulk swap of the
             # shrunken feature set would produce.  One out of reach was
             # never a candidate, and is not counted below.
-            positions = index.feature_positions_by_oid()
-            deleted = [positions[oid] for oid in snapshot.deleted_feature_oids if oid in positions]
-            deleted_positions = set(index.in_reach(deleted, item.query.radius))
-            candidates = [
-                position
-                for position in candidates
-                if position not in deleted_positions
-            ]
+            tombstoned = index.delta_view(snapshot).tombstoned
+            deleted_positions = set(index.in_reach(tombstoned, item.query.radius))
+            if deleted_positions:
+                candidates = [
+                    position
+                    for position in candidates
+                    if position not in deleted_positions
+                ]
         prepared = index.prepare(item.query, candidates=candidates, hits=hits)
         job = self._make_job(item.algorithm, item.query, index.grid, item.score_mode)
         split = prepared.split

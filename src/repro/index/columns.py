@@ -35,7 +35,7 @@ import struct
 from array import array
 from bisect import bisect_left, bisect_right
 from sys import intern
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.model.objects import DataObject, FeatureObject
 from repro.spatial.geometry import candidate_halfwidth
@@ -414,7 +414,7 @@ class DataBlock:
 
     __slots__ = (
         "group", "objs", "xs", "ys", "_sorted_xs", "_sorted_rows", "_oids", "_oid_rows",
-        "_within", "_room",
+        "_within", "_radii", "_room",
     )
 
     def __init__(self, group: int, objs: List[DataObject], xs, ys, memo: bool = True) -> None:
@@ -427,6 +427,9 @@ class DataBlock:
         self._oids: Optional[List[str]] = None
         self._oid_rows: Optional[List[Tuple[int, ...]]] = None
         self._within: Dict[Tuple[float, float, float], Tuple[int, ...]] = {}
+        # Every radius ``_within`` has a key at: a point's rows are found by
+        # one lookup per radius, never by scanning the keys.
+        self._radii: Tuple[float, ...] = ()
         # Row numbers rows_within may still keep.  A block built for one
         # reduce (``memo=False``) gets -1: it keeps nothing, not even ().
         self._room = MEMO_ROWS_PER_ROW * len(xs) if memo else -1
@@ -479,21 +482,25 @@ class DataBlock:
         return self._sorted_rows[bisect_left(sorted_xs, low) : bisect_right(sorted_xs, high)]
 
     @staticmethod
-    def retain(blocks: Sequence["DataBlock"], features: Iterable[FeatureObject]) -> None:
-        """Forget the rows ``blocks`` memoized for points where none of
-        ``features`` stands, and give their room back.
+    def retain(blocks: Sequence["DataBlock"], points: Collection[Tuple[float, float]]) -> None:
+        """Forget the rows ``blocks`` memoized at ``points``, and give their
+        room back.
 
         A block carried into the next snapshot keeps its rows, so its memo
-        stays exact; this keeps it to the features that snapshot holds, as
-        if the block had been built for it and asked the same queries.
+        stays exact; dropping the points where that snapshot has no feature
+        keeps it to the features the snapshot holds, as if the block had
+        been built for it and asked the same queries.  The cost is one
+        lookup per block, point and memoized radius.
         """
-        blocks = [block for block in blocks if block._within]
-        if blocks:
-            points = {(f.x, f.y) for f in features}
+        if points:
             for block in blocks:
                 within = block._within
-                for key in [key for key in within if key[:2] not in points]:
-                    block._room += len(within.pop(key))
+                if within:
+                    for radius in block._radii:
+                        for fx, fy in points:
+                            rows = within.pop((fx, fy, radius), None)
+                            if rows is not None:
+                                block._room += len(rows)
 
     def rows_within(self, fx: float, fy: float, radius: float) -> Tuple[int, ...]:
         """Storage rows within ``radius`` of ``(fx, fy)``, ascending (memoized).
@@ -524,8 +531,11 @@ class DataBlock:
             rows = tuple(matched)
             room = self._room - len(rows)
             if room >= 0:
-                # Unlocked: racing threads can overdraw the room a little;
-                # it bounds memory, never an answer.
+                # Unlocked: racing threads can overdraw the room a little,
+                # or lose a radius from ``_radii`` and keep its rows past a
+                # fold; both bound memory, never an answer.
                 self._room = room
                 self._within[key] = rows
+                if radius not in self._radii:
+                    self._radii += (radius,)
         return rows

@@ -311,6 +311,28 @@ def surviving(base: Sequence, deleted_oids: frozenset) -> List[int]:
     ]
 
 
+def dropped(kept: Sequence[int], total: int) -> List[int]:
+    """The positions below ``total`` that ``kept`` -- ascending, as
+    :func:`surviving` returns them -- leaves out, ascending.
+
+    ``kept[i] - i`` counts the positions dropped before ``kept[i]``, so each
+    dropped one is found by bisection: O(dropped * log(kept)), not a pass
+    over every position.
+    """
+    gaps: List[int] = []
+    lo = 0
+    for before in range(total - len(kept)):
+        hi = len(kept)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if kept[mid] - mid > before:
+                hi = mid
+            else:
+                lo = mid + 1
+        gaps.append(lo + before)
+    return gaps
+
+
 def materialize(
     base_data: Sequence[DataObject],
     base_features: Sequence[FeatureObject],
@@ -375,6 +397,7 @@ __all__ = [
     "DatasetDelta",
     "DeltaCounters",
     "DeltaSnapshot",
+    "dropped",
     "materialize",
     "surviving",
     "with_delta_appends",

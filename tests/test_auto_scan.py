@@ -325,6 +325,18 @@ class TestSizeWalk:
             assert self.resolved(engine, 2) == 2
             assert self.resolved(engine, 100) == 6
 
+    def test_a_long_appended_feature_does_not_widen_the_walk(self):
+        # Twenty words with one of the query's: it scores 1/22, and a jump
+        # steered by its level would open every size up to 66.
+        long = FeatureObject("g0", 1.5, 1.5, ("w1", *(f"y{m}" for m in range(19))))
+        query = SpatialPreferenceQuery.create(k=2, **self.QUERY)
+        with SPQEngine(*self.dataset(), EngineConfig(grid_size=4)) as engine:
+            alone = self.resolved(engine, 2)
+            engine.apply_updates(append_features=[long])
+            assert self.resolved(engine, 2) == alone == 3
+            got = engine.execute(query, algorithm="auto")
+            assert entries(got) == oracle(*engine.materialize_datasets(), query)
+
 
 # --------------------------------------------------------------------- #
 # the named cases, on one fixed dataset

@@ -23,8 +23,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.index.dataset_index import DatasetIndex
-from repro.index.delta import materialize
+from repro.index.delta import dropped, materialize
 from repro.model.objects import DataObject, FeatureObject
+from repro.model.query import SpatialPreferenceQuery
 from repro.server import QueryService, ServiceConfig
 from repro.spatial.geometry import BoundingBox
 
@@ -197,6 +198,36 @@ def test_feature_churn_keeps_memoizing_new_features():
         )
         engine.compact()
         assert engine.get_index().partition_block(0)[1] is block
+
+
+def test_a_fold_forgets_only_the_points_left_without_a_feature():
+    """The memo of a point goes with its last feature: a deleted feature
+    whose point a survivor shares keeps it, a point left empty -- by a
+    tombstone or by an append deleted again before the compaction --
+    gives its room back."""
+    data = [DataObject(f"d{i}", 10.0 + i, 10.0 + i) for i in range(3)]
+    features = [FeatureObject(oid, x, 12.0, keywords={"cafe"})
+                for oid, x in (("f0", 12.0), ("f1", 12.0), ("f2", 13.0), ("f3", 14.0))]
+    engine = SPQEngine(data, features, EngineConfig(grid_size=1), extent=EXTENT)
+    block = engine.get_index().partition_block(0)[1]
+    room = block._room
+    withdrawn = FeatureObject("g0", 15.0, 12.0, keywords={"cafe"})
+    engine.apply_updates(append_features=[withdrawn])
+    engine.execute(SpatialPreferenceQuery.create(k=9, radius=200.0, keywords={"cafe"}),
+                   algorithm="auto")
+    assert set(block._within) == {(x, 12.0, 200.0) for x in (12.0, 13.0, 14.0, 15.0)}
+    assert block._room == room - 4 * 3
+    engine.apply_updates(delete_feature_oids={"f0", "f2", "g0"})
+    engine.compact()
+    assert engine.get_index().partition_block(0)[1] is block
+    assert set(block._within) == {(12.0, 12.0, 200.0), (14.0, 12.0, 200.0)}
+    assert block._room == room - 2 * 3
+
+
+@given(st.lists(st.booleans(), max_size=40))
+def test_dropped_is_what_survival_leaves_out(keep):
+    kept = [position for position, alive in enumerate(keep) if alive]
+    assert dropped(kept, len(keep)) == [p for p, alive in enumerate(keep) if not alive]
 
 
 def test_fold_refuses_another_grid():

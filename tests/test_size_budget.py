@@ -361,6 +361,22 @@ SRC = pathlib.Path(repro.__file__).resolve().parent
 #: the fold's ascending-prefix cut went.  ``core`` 1 052 -> 1 049: ``auto``
 #: no longer walks the postings through ``planner.collect`` nor hands them
 #: to the scan.
+#:
+#: A live delta stops making ``auto`` open every posting: ``"."`` 8 609 ->
+#: 8 685 (+76) and the ceiling 7 821 -> 7 897; nothing moved between
+#: directories, 30 lines deleted and 106 added, all in ``index`` 1 176 ->
+#: 1 252 and ``core`` (-4 +4).  ``dataset_index.py`` 373 -> 430 (-18
+#: +75): ``DeltaView`` and ``delta_view`` (the tombstoned positions,
+#: appended data by cell and, on first use, appended-feature postings,
+#: once per snapshot, in place of the scan's per-read loops), the walk's
+#: base-level jump rule, ``_fold_points`` (the per-point feature count a
+#: fold updates from the delta) and the fold's O(delta) touched cells; the
+#: scan's per-read tombstone and cell grouping and the fold's
+#: ``set(range(num_data))`` went.  ``columns.py`` 327 -> 332 (-8 +13): ``DataBlock.retain`` looks
+#: points up through the radii each block memoized instead of scanning
+#: every key.  ``delta.py`` 223 -> 237 (+14): ``dropped``, the positions
+#: :func:`surviving` leaves out, by bisection.  ``engine.py`` reads the
+#: tombstoned positions from the view.
 BUDGET = {
     "server": 1541,
     "sharding": 539,
@@ -369,14 +385,14 @@ BUDGET = {
     "core": 1049,
     "execution": 220,
     "mapreduce": 414,
-    "index": 1176,
+    "index": 1252,
     "paper": 788,
-    ".": 8609,
+    ".": 8685,
 }
 
 #: What the serving path can reach (``src/repro`` minus ``repro.paper``) may
 #: not grow past this, whatever moves in or out of ``paper``.
-OUTSIDE_PAPER_CEILING = 7821
+OUTSIDE_PAPER_CEILING = 7897
 
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,

@@ -30,7 +30,11 @@ every shard), and after the burst's compaction batch every engine compacts
 through ``SPQEngine.compact``, the code the service runs, so the next read
 of each grid folds the delta into the retired index.  The
 ``DatasetIndex`` build and fold layers then show what the compaction cycle
-costs; the end-to-end figure includes the writes.  Each layer is timed
+costs, and the fold splits into its parts: ``PositionalInvertedIndex.fold``
+(the posting lists renumbered and the appended postings inserted) and
+``DataBlock.retain`` (the carried blocks' memos of the points left without
+a feature); the fold minus those two is the carried columns, Lemma-1 lists
+and rebuilt blocks.  The end-to-end figure includes the writes.  Each layer is timed
 by wrapping the function with ``perf_counter`` for the whole run -- not
 cProfile, whose per-call hook inflates the many-small-calls reducers about
 twice over.  Layers nest: ``DataBlock.rows_within`` (the pSPQ / eSPQlen
@@ -74,6 +78,8 @@ sys.path[:0] = [str(ROOT / "src"), str(E2E)]
 LAYERS: List[Tuple[str, str, str]] = [
     ("DatasetIndex build", "repro.index.dataset_index", "DatasetIndex.__init__"),
     ("DatasetIndex.fold", "repro.index.dataset_index", "DatasetIndex.fold"),
+    ("PositionalInvertedIndex.fold", "repro.text.inverted_index", "PositionalInvertedIndex.fold"),
+    ("DataBlock.retain", "repro.index.columns", "DataBlock.retain"),
     ("index.prepare", "repro.index.dataset_index", "DatasetIndex.prepare"),
     ("map_split", "repro.core.jobs", "_SPQJobBase.map_split"),
     ("reduce phase", "repro.execution.serial", "SerialBackend.run_reduce_tasks"),
@@ -113,16 +119,19 @@ def install_timers(totals: Dict[str, float]) -> None:
         owner, attribute = path.split(".")
         cls = getattr(importlib.import_module(module_name), owner)
         original = cls.__dict__[attribute]
+        static = isinstance(original, staticmethod)
+        function = original.__func__ if static else original
         totals[label] = 0.0
 
-        def timed(*args, __original=original, __label=label, **kwargs):
+        def timed(*args, __original=function, __label=label, **kwargs):
             started = clock()
             try:
                 return __original(*args, **kwargs)
             finally:
                 totals[__label] += clock() - started
 
-        setattr(cls, attribute, functools.wraps(original)(timed))
+        timed = functools.wraps(function)(timed)
+        setattr(cls, attribute, staticmethod(timed) if static else timed)
 
 
 def peak_rss_mib() -> str:
@@ -254,9 +263,9 @@ def main(argv=None) -> int:
     sharded = f"  {len(engines)} shard engines" if shards else ""
     replayed = "reads + write bursts" if args.writes else "reads only"
     print(f"{args.workload}  seed {args.seed}  {answered} queries ({replayed}){sharded}")
-    print(f"  {'end to end':<22} {1000.0 * elapsed / answered:8.3f} ms/query")
+    print(f"  {'end to end':<28} {1000.0 * elapsed / answered:8.3f} ms/query")
     for label, _, _ in LAYERS:
-        print(f"  {label:<22} {1000.0 * totals[label] / answered:8.3f} ms/query")
+        print(f"  {label:<28} {1000.0 * totals[label] / answered:8.3f} ms/query")
     if args.memory:
         print_memory(TOP_SITES)
     for engine in engines:
