@@ -10,8 +10,9 @@ The subcommands cover the full workflow a downstream user needs:
 * ``serve``       -- run the persistent HTTP query service: warm engine
   pool, micro-batching, result cache.  ``--cluster N`` spawns N
   ``shard-node`` processes side by side and hands them the parsed dataset
-  through one inherited, anonymous memory file.
-* ``shard-node``  -- one cluster shard node: reads the dataset from the
+  through one inherited, anonymous memory file holding one ``marshal`` of
+  plain rows (``repro.cluster.spawn``).
+* ``shard-node``  -- one cluster shard node: loads the dataset from the
   spawner's descriptor (``--dataset-fd``) or, failing that, parses
   ``--input``, keeps its shard's slice and serves it over HTTP.
 * ``analyze``     -- print the Section 6 analytical tables (duplication factor

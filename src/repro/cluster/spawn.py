@@ -9,18 +9,21 @@ no port is ever guessed and two fleets on one CI runner cannot collide.
 Every node is launched before the spawner waits for any ready line, so the
 nodes start up side by side.
 
-When the caller already holds the parsed dataset, the spawner writes its
-columnar form (:class:`~repro.index.columns.ColumnStore`) once into an
-anonymous memory file (``os.memfd_create``) and every node inherits a
-descriptor to it (``--dataset-fd``): the node maps the file, materializes
-the objects and closes the descriptor, instead of re-reading and
-re-parsing the dataset file.  The file has no name.  The spawner closes
-its own descriptor right after the last launch, and the kernel frees the
-memory once every node has closed its copy -- nothing to unlink, nothing
-for a tracker process to watch.  ``--input`` stays on each command line as
-the fallback: where ``os.memfd_create`` does not exist, and for a node
-that cannot read its descriptor.  This module owns both ends of that
-hand-off (:func:`publish_dataset`, :func:`attach_dataset`).
+When the caller already holds the parsed dataset, the spawner writes it
+once into an anonymous memory file (``os.memfd_create``) as one
+:mod:`marshal` of plain rows -- ``(oid, x, y)`` per data object, ``(oid, x,
+y, keywords)`` per feature -- and every node inherits a descriptor to it
+(``--dataset-fd``): the node maps the file, loads the rows, builds the
+objects through their own constructors and closes the descriptor, instead
+of re-reading and re-parsing the dataset file.  ``marshal`` runs no code
+on load and keeps an interned keyword interned, so a node's features share
+one ``str`` per word, as a parsed file's do.  The file has no name.  The
+spawner closes its own descriptor right after the last launch, and the
+kernel frees the memory once every node has closed its copy -- nothing to
+unlink, nothing for a tracker process to watch.  ``--input`` stays on each
+command line as the fallback: where ``os.memfd_create`` does not exist,
+and for a node that cannot read its descriptor.  This module owns both
+ends of that hand-off (:func:`publish_dataset`, :func:`attach_dataset`).
 
 Node stdout/stderr go to per-node log files rather than pipes: a pipe
 nobody drains would eventually block the child, and a crashed node's log
@@ -29,6 +32,7 @@ tail is the first thing an operator (or the spawn error message) wants.
 
 from __future__ import annotations
 
+import marshal
 import mmap
 import os
 import re
@@ -37,10 +41,11 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from repro.index.columns import ColumnStore
+from repro.model.objects import DataObject, FeatureObject
 
 #: The shard-node CLI's ready line; the URL carries the OS-assigned port.
 _READY_PATTERN = re.compile(r"listening on (http://\S+)")
@@ -51,7 +56,7 @@ DATASET_MEMFD = "repro-dataset"
 
 
 def publish_dataset(data_objects, feature_objects) -> int:
-    """Write the datasets' column bytes into a fresh memory file.
+    """Write the datasets' rows into a fresh memory file.
 
     Returns the descriptor, which the caller closes.  It is close-on-exec:
     only a launch that lists it in ``pass_fds`` hands it on.
@@ -60,9 +65,10 @@ def publish_dataset(data_objects, feature_objects) -> int:
         OSError: when the memory file cannot be created or written
             (callers fall back to file loading on every node).
     """
-    payload = memoryview(ColumnStore.from_datasets(
-        data_objects=data_objects, feature_objects=feature_objects
-    ).to_bytes())
+    payload = memoryview(marshal.dumps((
+        [(obj.oid, obj.x, obj.y) for obj in data_objects],
+        [(f.oid, f.x, f.y, f.keywords) for f in feature_objects],
+    )))
     fd = os.memfd_create(DATASET_MEMFD)
     try:
         while payload:
@@ -76,9 +82,9 @@ def publish_dataset(data_objects, feature_objects) -> int:
 def attach_dataset(fd: int):
     """Materialize ``(data_objects, feature_objects)`` from a dataset fd.
 
-    Maps the file read-only, copies the rows out as model objects (equal
-    to the objects the publisher packed), then unmaps it.  ``fd`` is closed
-    whatever happens.
+    Maps the file read-only, loads the rows and builds model objects from
+    them (equal to the objects the publisher wrote), then unmaps it.
+    ``fd`` is closed whatever happens.
 
     Raises:
         OSError: when ``fd`` is not an open, mappable file.
@@ -89,13 +95,12 @@ def attach_dataset(fd: int):
     finally:
         os.close(fd)
     with mapping:
-        store = ColumnStore.attach(mapping)
         try:
-            if store.data is None or store.features is None:
-                raise ValueError(f"fd {fd} does not hold a dataset")
-            return store.data.to_objects(), store.features.to_objects()
-        finally:
-            store.detach()
+            data_rows, feature_rows = marshal.loads(mapping)
+            data = list(starmap(DataObject, data_rows))
+            return data, list(starmap(FeatureObject, feature_rows))
+        except (EOFError, TypeError, ValueError) as exc:
+            raise ValueError(f"fd {fd} does not hold a dataset: {exc}") from None
 
 
 @dataclass
@@ -163,11 +168,10 @@ def spawn_local_nodes(
         dataset: The already-parsed ``(data_objects, feature_objects)``.
             When given and ``os.memfd_create`` exists, the spawner writes
             the dataset once into a memory file and passes its inherited
-            descriptor as ``--dataset-fd`` so every node maps it (an
-            ``mmap`` and a header parse, constant in dataset size) instead
-            of re-reading and re-parsing ``input_path``; the file stays on
-            each command line as the fallback.  The spawner's descriptor is
-            closed right after the last launch.
+            descriptor as ``--dataset-fd`` so every node maps and loads it
+            instead of re-reading and re-parsing ``input_path``; the file
+            stays on each command line as the fallback.  The spawner's
+            descriptor is closed right after the last launch.
         log_dir: Directory for per-node log files (a fresh temporary
             directory when None).
         extra_args: Extra ``repro shard-node`` arguments appended verbatim

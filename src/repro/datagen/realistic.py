@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from sys import intern
 from typing import List, Tuple
 
 from repro.model.objects import DataObject, FeatureObject
@@ -82,7 +83,8 @@ class _ZipfSampler:
         for weight in weights:
             running += weight / total
             self._cumulative.append(running)
-        self._vocabulary = [f"t{rank:06d}" for rank in range(1, vocabulary_size + 1)]
+        # Interned: sample_set's canonical tuples reach FeatureObject as is.
+        self._vocabulary = [intern(f"t{rank:06d}") for rank in range(1, vocabulary_size + 1)]
 
     def sample(self) -> str:
         u = self._rng.random()

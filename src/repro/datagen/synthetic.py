@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from sys import intern
 from typing import List, Sequence, Tuple
 
 from repro.model.objects import DataObject, FeatureObject
@@ -47,8 +48,9 @@ class SyntheticDatasetConfig:
             raise ValueError("num_clusters must be >= 1")
 
     def vocabulary(self) -> List[str]:
-        """The synthetic vocabulary ``w0000 .. wNNNN``."""
-        return [f"w{i:04d}" for i in range(self.vocabulary_size)]
+        """The synthetic vocabulary ``w0000 .. wNNNN``, interned: the words
+        reach :class:`FeatureObject` as canonical tuples, kept as they are."""
+        return [intern(f"w{i:04d}") for i in range(self.vocabulary_size)]
 
 
 def _random_keywords(rng: random.Random, config: SyntheticDatasetConfig,

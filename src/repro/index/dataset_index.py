@@ -702,17 +702,19 @@ class DatasetIndex:
         are bit-equal.  Once every feature of at most ``S`` words is open, an
         unopened one scores at most ``upper_bound_for_length(S + 1, |q.W|)``
         (Equation 1, eSPQlen's Lemma 2), so a level *strictly* above that is
-        final; an equal score of an unopened size is still found.  When the
+        final; an equal score of an unopened size is still found.  With no
+        level pending, the walk opens the least size held.  When the
         best pending level holds base features, the walk jumps straight to
         the ``S`` that makes it final; when it holds appended features only
         -- a live delta's, which may be long and score low -- it opens one
         size more, so the base features found there steer the jump.  Which
         levels it reads depends on the bound alone, so the answer is the
-        same whatever it opens; which sizes it opens depends on the query
-        and the features in reach, not on those a scoped shard holds out of
-        reach, so it resolves the same features a shard holding only its
-        features in reach would.  Final levels are read best
-        first: a data object within ``r`` of a feature of the level in hand
+        same whatever it opens.  With a level pending, the sizes it opens
+        depend on the query and the levels alone; with none, a size a scoped
+        shard holds only out of reach resolves nothing and leaves no level
+        to steer the next step, so the shard resolves the same features a
+        shard holding only its features in reach would.  Final levels are
+        read best first: a data object within ``r`` of a feature of the level in hand
         and not reported yet scores exactly that level, since no unread
         feature scores higher.  Once ``k`` objects are reported the level
         in hand is finished -- equal scores keep going, so every object
@@ -769,15 +771,22 @@ class DatasetIndex:
             score = max(levels, default=0.0)
             upcoming = walk.next_size()
             if upcoming is not None and upper_bound_for_length(opened + 1, query_size) >= score:
-                # Open what the best level needs opened to be final, sizes up
-                # to ``|q.W| / score`` (one short, the next pass opens the
-                # next one), when it holds base features; else one size more
-                # -- not ``upcoming``, the least size held, which counts the
-                # features a scoped shard holds out of reach.  An appended
-                # feature may be long and score low, and its level would open
-                # every posting at once.
-                base = levels[score][0] if levels else None
-                opened = max(opened + 1, int(query_size / score)) if base else opened + 1
+                # With no level pending, open the least size held: no bound is
+                # consulted, and the sizes skipped hold no feature.  Else open
+                # what the best level needs opened to be final, sizes up to
+                # ``|q.W| / score`` (one short, the next pass opens the next
+                # one), when it holds base features; else one size more --
+                # not ``upcoming``, the least size held, which counts the
+                # features a scoped shard holds out of reach and would make
+                # the jump differ from a shard holding only those in reach.
+                # An appended feature may be long and score low, and its
+                # level would open every posting at once.
+                if not levels:
+                    opened = upcoming
+                elif levels[score][0]:
+                    opened = max(opened + 1, int(query_size / score))
+                else:
+                    opened += 1
                 for p, common in walk.open(opened).items():
                     if (reach is None or reach[p] <= radius) and p not in deleted:
                         resolved += 1

@@ -51,6 +51,7 @@ from repro.server import ServiceConfig
 from repro.server.protocol import objects_body
 from repro.sharding import ShardingConfig, ShardRouter
 from repro.spatial.geometry import BoundingBox
+from repro.text.inverted_index import SizeWalk
 from repro.text.tokenizer import DEFAULT_STOPWORDS
 
 #: Feature vocabulary; "common" is the everywhere-matching extreme.
@@ -336,6 +337,49 @@ class TestSizeWalk:
             assert self.resolved(engine, 2) == alone == 3
             got = engine.execute(query, algorithm="auto")
             assert entries(got) == oracle(*engine.materialize_datasets(), query)
+
+    @staticmethod
+    def long_features():
+        """Features of six words or more on the points: three of six words
+        holding the query's (score 1/2) and two of nine sharing one."""
+        return [
+            *(FeatureObject(f"s{n}", 1.5, 1.5, ("w1", "w2", "w3", "x0", "x1", "x2"))
+              for n in range(3)),
+            *(FeatureObject(f"n{n}", 1.5, 1.5, ("w1", *(f"x{m}" for m in range(8))))
+              for n in range(2)),
+        ]
+
+    def test_no_pending_level_opens_the_least_size_held(self, monkeypatch):
+        # No feature is shorter than six words: with no level pending the
+        # walk opens size 6 at once, not sizes 1 to 6 one by one.
+        opens = []
+        walk_open = SizeWalk.open
+        monkeypatch.setattr(
+            SizeWalk, "open", lambda walk, size: opens.append(size) or walk_open(walk, size)
+        )
+        data, _ = self.dataset()
+        with SPQEngine(data, self.long_features(), EngineConfig(grid_size=4)) as engine:
+            assert self.resolved(engine, 2) == 3
+        assert opens[0] == 6 and len(opens) <= 2, opens
+
+    def test_a_size_held_out_of_reach_resolves_nothing(self):
+        # The least size held (two words) is out of the box's reach: the
+        # scoped engine resolves what one holding only the in-reach
+        # features resolves, at every k.
+        far = FeatureObject("z0", 3.5, 3.5, ("w1", "w2"))
+        data, _ = self.dataset()
+        box = BoundingBox(0.0, 0.0, 2.0, 2.0)
+        config = EngineConfig(grid_size=4)
+        with SPQEngine(data, [far, *self.long_features()], config, scope=box) as scoped, \
+                SPQEngine(data, self.long_features(), config) as in_reach:
+            for k in (1, 2, 100):
+                query = SpatialPreferenceQuery.create(k=k, **self.QUERY)
+                got = scoped.execute(query, algorithm="auto")
+                want = in_reach.execute(query, algorithm="auto")
+                assert entries(got) == entries(want), k
+                assert got.stats["index"]["candidate_features"] == (
+                    want.stats["index"]["candidate_features"]
+                ), k
 
 
 # --------------------------------------------------------------------- #

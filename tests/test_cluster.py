@@ -11,6 +11,7 @@ startup cost.  The subprocess path (``repro shard-node``) is covered by
 
 from __future__ import annotations
 
+import marshal
 import os
 import subprocess
 import sys
@@ -851,16 +852,22 @@ class TestShardNodeProcess:
     def test_unreadable_dataset_fd_falls_back_to_the_file(
         self, dataset_file, tmp_path
     ):
-        """A node handed a truncated, empty or already-closed dataset fd
-        warns, loads ``--input`` and answers exactly as the fd path does."""
-        from repro.cluster.spawn import NodeProcess, _wait_for_ready
+        """A node handed a truncated, empty, already-closed or wrong-shaped
+        dataset fd warns, loads ``--input`` and answers exactly as the fd
+        path does."""
+        from repro.cluster.spawn import NodeProcess, _wait_for_ready, publish_dataset
         from repro.datagen.io import load_dataset
-        from repro.index.columns import ColumnStore
 
         data, features = load_dataset(dataset_file)
-        payload = ColumnStore.from_datasets(data, features).to_bytes()
+        published = publish_dataset(data, features)
+        try:
+            payload = os.pread(published, os.fstat(published).st_size, 0)
+        finally:
+            os.close(published)
+        # Well-formed marshal, but the data rows alone: no (data, features) pair.
+        wrong_shape = marshal.dumps(marshal.loads(payload)[0])
         cases = {"fd": payload, "truncated": payload[: len(payload) // 2],
-                 "empty": b"", "closed": None}
+                 "empty": b"", "closed": None, "wrong-shape": wrong_shape}
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         nodes = []
@@ -892,7 +899,7 @@ class TestShardNodeProcess:
         logs = {name: node.log_path.read_text()
                 for name, node in zip(cases, nodes)}
         assert "dataset from inherited fd" in logs["fd"]
-        for name in ("truncated", "empty", "closed"):
+        for name in ("truncated", "empty", "closed", "wrong-shape"):
             assert "cannot read the dataset from fd" in logs[name], logs[name]
             assert f"dataset from file {dataset_file}" in logs[name]
 

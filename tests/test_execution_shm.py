@@ -1,14 +1,15 @@
 """The cluster dataset hand-off: one anonymous memory file, inherited by fd.
 
-``repro.cluster.spawn.publish_dataset`` writes the datasets' column bytes
-into a ``memfd``; ``attach_dataset`` maps it read-only, materializes the
-objects and closes the descriptor.  The file has no name, so the only
-lifecycle left is the kernel's: the memory lives while some descriptor or
-mapping does.  ("Segment" in the class names is the hand-off's old name.)
+``repro.cluster.spawn.publish_dataset`` writes the datasets as one
+``marshal`` of plain rows into a ``memfd``; ``attach_dataset`` maps it
+read-only, builds the objects and closes the descriptor.  The file has no
+name, so the only lifecycle left is the kernel's: the memory lives while
+some descriptor or mapping does.  ("Segment" in the class names is the hand-off's old name.)
 """
 
 from __future__ import annotations
 
+import marshal
 import mmap
 import os
 import random
@@ -19,7 +20,6 @@ import pytest
 from invariants import dataset_memfds, shm_strays
 from repro.cluster.spawn import attach_dataset, publish_dataset
 from repro.core.engine import EngineConfig, SPQEngine
-from repro.index.columns import ColumnStore
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.query import SpatialPreferenceQuery
 
@@ -51,6 +51,15 @@ def read_all(fd: int) -> bytes:
         return bytes(mapping)
 
 
+def published(data, features) -> bytes:
+    """The bytes ``publish_dataset`` writes for the datasets."""
+    fd = publish_dataset(data, features)
+    try:
+        return read_all(fd)
+    finally:
+        os.close(fd)
+
+
 def memfd_holding(payload: bytes) -> int:
     fd = os.memfd_create("repro-dataset")
     os.write(fd, payload)
@@ -71,9 +80,10 @@ class TestSegmentLifecycle:
         data, features = make_dataset(20)
         fd = publish_dataset(data, features)
         try:
-            assert read_all(fd) == ColumnStore.from_datasets(
-                data_objects=data, feature_objects=features
-            ).to_bytes()
+            assert marshal.loads(read_all(fd)) == (
+                [(obj.oid, obj.x, obj.y) for obj in data],
+                [(f.oid, f.x, f.y, f.keywords) for f in features],
+            )
         finally:
             os.close(fd)
         assert dataset_memfds() == []
@@ -135,9 +145,9 @@ class TestSegmentLifecycle:
     def test_attach_unknown_name_raises(self):
         # A descriptor that is open but is no dataset file.
         with tempfile.TemporaryFile() as handle:
-            handle.write(b"not a column store, just bytes" * 4)
+            handle.write(b"not a dataset, just bytes" * 4)
             handle.flush()
-            with pytest.raises(ValueError, match="magic"):
+            with pytest.raises(ValueError, match="does not hold a dataset"):
                 attach_dataset(os.dup(handle.fileno()))
         reader, writer = os.pipe()
         os.close(writer)
@@ -178,17 +188,30 @@ class TestDatasetSegment:
         assert dataset_memfds() == []
 
     def test_attach_rejects_reduce_plane(self):
-        # A file holding data columns but no feature columns is not a
-        # dataset, whatever else it carries.
+        # A file holding data rows but no feature rows is not a dataset,
+        # whatever else it carries.
         data, _ = make_dataset(10)
-        fd = memfd_holding(ColumnStore.from_datasets(data_objects=data).to_bytes())
+        data_rows, _ = marshal.loads(published(data, []))
+        fd = memfd_holding(marshal.dumps((data_rows,)))
         with pytest.raises(ValueError, match="dataset"):
             attach_dataset(fd)
+        assert not is_open(fd)
+        assert dataset_memfds() == []
+
+    @pytest.mark.parametrize("payload", [
+        7, None, "rows", ([], [], []), ([("p0", 1.0)], []),
+        ([], [("f0", 1.0, 2.0, ("a",), "extra")]), ([], [("f0", 1.0, 2.0, "ab")]),
+    ])
+    def test_a_well_formed_payload_of_the_wrong_shape_raises(self, payload):
+        fd = memfd_holding(marshal.dumps(payload))
+        with pytest.raises(ValueError, match="does not hold a dataset"):
+            attach_dataset(fd)
+        assert not is_open(fd)
         assert dataset_memfds() == []
 
     @pytest.mark.parametrize("keep", [0.0, 0.01, 0.05, 0.5, 0.99])
     def test_truncated_payload_raises(self, keep):
-        payload = ColumnStore.from_datasets(*make_dataset(40)).to_bytes()
+        payload = published(*make_dataset(40))
         fd = memfd_holding(payload[: int(len(payload) * keep)])
         with pytest.raises(ValueError):
             attach_dataset(fd)

@@ -1,25 +1,19 @@
-"""Columnar data plane: framed sections, column groups, blocks."""
+"""Cell data blocks, and the cluster dataset hand-off's round trip."""
 
 from __future__ import annotations
 
+import os
 import random
+import struct
 import sys
 import threading
-from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.spawn import attach_dataset, publish_dataset
 from repro.execution.tasks import block_without
-from repro.index.columns import (
-    MEMO_ROWS_PER_ROW,
-    ColumnStore,
-    DataBlock,
-    DataColumns,
-    FeatureColumns,
-    pack_sections,
-    unpack_sections,
-)
+from repro.index.columns import MEMO_ROWS_PER_ROW, DataBlock
 from repro.model.objects import DataObject, FeatureObject
 
 
@@ -45,123 +39,51 @@ def make_features(count: int, seed: int = 8):
     ]
 
 
-class TestSectionFraming:
-    def test_round_trip_and_alignment(self):
-        sections = [
-            (b"AAAA", b"hello"),
-            (b"BBBB", array("d", [1.5, -2.25])),
-            (b"CCCC", b""),
-        ]
-        blob = pack_sections(sections)
-        views = unpack_sections(blob)
-        assert bytes(views[b"AAAA"]) == b"hello"
-        assert views[b"BBBB"].cast("d").tolist() == [1.5, -2.25]
-        assert bytes(views[b"CCCC"]) == b""
-        # Every section starts 8-byte aligned so memoryview casts are legal.
-        for tag in views:
-            # A cast to doubles requires alignment; 'd' casts must not raise.
-            assert len(bytes(views[tag])) == len(views[tag])
-
-    def test_double_sections_cast_zero_copy(self):
-        xs = array("d", [0.1, 0.2, 0.3])
-        blob = pack_sections([(b"ODDS", b"xyz"), (b"DBLS", xs)])
-        view = unpack_sections(blob)[b"DBLS"].cast("d")
-        assert list(view) == xs.tolist()
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError, match="magic"):
-            unpack_sections(b"NOPE" + b"\x00" * 32)
-
-    def test_truncated_buffer_rejected(self):
-        with pytest.raises(ValueError):
-            unpack_sections(b"RP")
-
-    def test_bad_tag_length_rejected(self):
-        with pytest.raises(ValueError, match="tag"):
-            pack_sections([(b"TOOLONG", b"x")])
+requires_memfd = pytest.mark.skipif(
+    not hasattr(os, "memfd_create"), reason="os.memfd_create unavailable here"
+)
 
 
-class TestDataColumns:
-    def test_round_trip_is_exact(self):
-        objects = make_data(40)
-        columns = DataColumns.from_objects(objects)
-        rebuilt = ColumnStore.attach(
-            ColumnStore(data=columns).to_bytes()
-        ).data.to_objects()
-        assert rebuilt == objects
-        # Bit-for-bit doubles, not approximate equality.
-        assert [o.x for o in rebuilt] == [o.x for o in objects]
+def round_trip(data, features):
+    """The dataset as a cluster node gets it: published, then attached."""
+    return attach_dataset(publish_dataset(data, features))
+
+
+@requires_memfd
+class TestDatasetRoundTrip:
+    """The cluster's dataset hand-off gives a node objects equal to the
+    spawner's, with the same doubles and the same keyword tuples."""
+
+    def test_data_round_trip_is_exact(self):
+        data, features = make_data(40), make_features(40)
+        assert round_trip(data, features) == (data, features)
+
+    def test_doubles_round_trip_bit_for_bit(self):
+        values = [-0.0, 0.0, 0.1, -2.25, 5e-324, 1.7976931348623157e308, float("inf")]
+        data = [DataObject(f"p{n}", x, -x) for n, x in enumerate(values)]
+        features = [FeatureObject(f"f{n}", -x, x, ("a",)) for n, x in enumerate(values)]
+        rebuilt_data, rebuilt_features = round_trip(data, features)
+        for got, want in zip([*rebuilt_data, *rebuilt_features], [*data, *features]):
+            # ``-0.0 == 0.0``: compare the bits, not the values.
+            assert struct.pack("<dd", got.x, got.y) == struct.pack("<dd", want.x, want.y)
 
     def test_empty_dataset(self):
-        columns = DataColumns.from_objects([])
-        assert len(columns) == 0
-        attached = ColumnStore.attach(ColumnStore(data=columns).to_bytes())
-        assert attached.data.to_objects() == []
+        assert round_trip([], []) == ([], [])
 
     def test_unicode_oids(self):
-        objects = [DataObject("pé-中文", 1.0, 2.0)]
-        attached = ColumnStore.attach(
-            ColumnStore(data=DataColumns.from_objects(objects)).to_bytes()
-        )
-        assert attached.data.to_objects() == objects
+        data = [DataObject("pé-中文", 1.0, 2.0)]
+        features = [FeatureObject("f-ü", 0.5, 0.5, ("café", "中文"))]
+        assert round_trip(data, features) == (data, features)
 
-    def test_object_at_matches_source(self):
-        objects = make_data(10)
-        columns = DataColumns.from_objects(objects)
-        assert [columns.object_at(i) for i in range(10)] == objects
-
-
-class TestFeatureColumns:
     def test_round_trip_rebuilds_equal_keyword_sets(self):
-        objects = make_features(40)
-        attached = ColumnStore.attach(
-            ColumnStore(features=FeatureColumns.from_objects(objects)).to_bytes()
-        )
-        rebuilt = attached.features.to_objects()
-        assert rebuilt == objects
-        assert [o.keywords for o in rebuilt] == [o.keywords for o in objects]
-
-    def test_keyword_count_avoids_materialization(self):
-        objects = make_features(25)
-        columns = FeatureColumns.from_objects(objects)
-        for index, obj in enumerate(objects):
-            assert columns.keyword_count(index) == len(obj.keywords)
-
-    def test_vocabulary_is_sorted_union(self):
-        objects = make_features(25)
-        columns = FeatureColumns.from_objects(objects)
-        expected = sorted({w for o in objects for w in o.keywords})
-        assert columns.vocabulary == expected
+        features = make_features(40)
+        _, rebuilt = round_trip(make_data(3), features)
+        assert [f.keywords for f in rebuilt] == [f.keywords for f in features]
+        assert all(type(f.keywords) is tuple for f in rebuilt)
 
     def test_empty_keyword_sets_round_trip(self):
-        objects = [FeatureObject("f0", 0.0, 0.0, frozenset())]
-        columns = FeatureColumns.from_objects(objects)
-        assert columns.to_objects() == objects
-
-
-class TestColumnStore:
-    def test_partial_stores(self):
-        data = make_data(12)
-        features = make_features(9)
-        only_data = ColumnStore.attach(
-            ColumnStore.from_datasets(data_objects=data).to_bytes()
-        )
-        assert only_data.data is not None
-        assert only_data.features is None
-        both = ColumnStore.attach(
-            ColumnStore.from_datasets(
-                data_objects=data, feature_objects=features
-            ).to_bytes()
-        )
-        assert both.data.to_objects() == data
-        assert both.features.to_objects() == features
-
-    def test_detach_drops_views(self):
-        store = ColumnStore.attach(
-            ColumnStore.from_datasets(data_objects=make_data(5)).to_bytes()
-        )
-        store.detach()
-        assert store.data is None and store.features is None
+        features = [FeatureObject("f0", 0.0, 0.0, frozenset())]
+        assert round_trip([], features) == ([], features)
 
 
 class TestDataBlock:

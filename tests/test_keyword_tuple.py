@@ -1,8 +1,8 @@
 """A feature's keywords are a sorted tuple of distinct, interned words.
 
 ``FeatureObject.keywords`` is the canonical form of ``f.W``: every producer
-(the generators, the record parser, the wire decoder, the columnar store)
-emits it, and the constructor normalises anything else to it.  These tests
+(the generators, the record parser, the wire decoder, the cluster's
+dataset hand-off) emits it, and the constructor normalises anything else to it.  These tests
 pin that contract, what it costs in memory, that the renderings of a
 feature did not change, and that a bare string is refused rather than
 split into its characters.
@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 import tracemalloc
+from operator import is_
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cluster.spawn import attach_dataset, publish_dataset
 from repro.datagen import generate_uniform, load_dataset, save_dataset
 from repro.datagen.synthetic import SyntheticDatasetConfig
-from repro.index.columns import FeatureColumns
 from repro.model.objects import FeatureObject, keyword_tuple
 from repro.model.query import SpatialPreferenceQuery
 from repro.server.protocol import decode_objects, encode_objects
@@ -98,10 +100,11 @@ class TestInterning:
         fresh = "".join(["pi", "er"])  # built at run time, so not interned
         row = {"oid": "f2", "x": 0, "y": 0, "keywords": [fresh]}
         (decoded,) = decode_objects([row], True)
-        (attached,) = FeatureColumns.from_objects([decoded]).to_objects()
+        _, (attached,) = attach_dataset(publish_dataset([], [decoded]))
         parsed = FeatureObject.from_record("f1\t0\t0\tpier")
         assert decoded.keywords[0] is parsed.keywords[0]
         assert attached.keywords[0] is parsed.keywords[0]
+        assert attached.keywords[0] is sys.intern("pier")
 
 
 class TestBareStringIsRefused:
@@ -150,12 +153,17 @@ def _retained(build):
 
 class TestResidentCost:
     def test_features_from_columns(self, dataset):
-        _, features = dataset
-        columns = FeatureColumns.from_objects(features)
-        rebuilt, retained = _retained(columns.to_objects)
-        assert rebuilt == features
+        # The dataset as a cluster node builds it from the spawner's file.
+        data, features = dataset
+        fd = publish_dataset(data, features)
+        rebuilt, retained = _retained(lambda: attach_dataset(fd))
+        assert rebuilt == (data, features)
+        # Each keyword is the interned word itself, not an equal copy.
+        for got, want in zip(rebuilt[1], features):
+            assert all(map(is_, got.keywords, want.keywords))
         keywords = sum(len(f.keywords) for f in features)
-        assert retained <= BYTES_PER_KEYWORD * keywords + BYTES_PER_OBJECT * len(features)
+        objects = len(data) + len(features)
+        assert retained <= BYTES_PER_KEYWORD * keywords + BYTES_PER_OBJECT * objects
 
     def test_objects_from_a_dataset_file(self, dataset, tmp_path):
         data, features = dataset
