@@ -41,7 +41,8 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import chain, starmap
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -79,6 +80,26 @@ def publish_dataset(data_objects, feature_objects) -> int:
     return fd
 
 
+#: What a row's fields may hold: the constructors check a row's shape and
+#: keep its values as given (a strictly sorted tuple of keywords too).
+_FIELD_TYPES = (("oid", {str}), ("x", {float, int}), ("y", {float, int}))
+
+
+def _require_field_types(data, features) -> None:
+    """Raise ``TypeError`` unless every oid and keyword is a ``str`` and
+    every coordinate a number: one pass per field, each in C."""
+    for name, allowed in _FIELD_TYPES:
+        get = attrgetter(name)
+        if not set(map(type, chain(map(get, data), map(get, features)))) <= allowed:
+            raise TypeError(f"a row's {name} has the wrong type")
+    # A feature's keywords are a strictly ``<``-sorted tuple, and ``<``
+    # between a ``str`` and anything else ``marshal`` loads raises: a tuple
+    # whose first word is a ``str`` holds nothing else.
+    first_words = map(itemgetter(0), filter(None, map(attrgetter("keywords"), features)))
+    if not set(map(type, first_words)) <= {str}:
+        raise TypeError("a feature's keyword has the wrong type")
+
+
 def attach_dataset(fd: int):
     """Materialize ``(data_objects, feature_objects)`` from a dataset fd.
 
@@ -88,7 +109,9 @@ def attach_dataset(fd: int):
 
     Raises:
         OSError: when ``fd`` is not an open, mappable file.
-        ValueError: when the file is empty, truncated or holds no dataset.
+        ValueError: when the file is empty, truncated or holds no dataset,
+            or a row whose oid or keyword is not a ``str`` or whose
+            coordinate is not a number.
     """
     try:
         mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
@@ -98,7 +121,9 @@ def attach_dataset(fd: int):
         try:
             data_rows, feature_rows = marshal.loads(mapping)
             data = list(starmap(DataObject, data_rows))
-            return data, list(starmap(FeatureObject, feature_rows))
+            features = list(starmap(FeatureObject, feature_rows))
+            _require_field_types(data, features)
+            return data, features
         except (EOFError, TypeError, ValueError) as exc:
             raise ValueError(f"fd {fd} does not hold a dataset: {exc}") from None
 

@@ -1,16 +1,26 @@
-"""Micro-batching dispatcher: group concurrent requests for ``execute_many``.
+"""Micro-batching: run a request on an idle engine, or group it for ``execute_many``.
 
-The batch engine's amortisation (PR 1) was built for offline workloads --
+The batch engine's amortisation was built for offline workloads --
 one caller, many queries.  Online traffic arrives as many callers, one query
-each.  The :class:`MicroBatcher` bridges the two: requests land in a shared
-queue, and each dispatcher thread (one per pooled engine) drains whatever
-has accumulated -- up to :data:`MAX_BATCH` -- into a single
-``SPQEngine.execute_many`` call.
+each.  The :class:`MicroBatcher` bridges the two over a pool of engines that
+no thread owns: an engine is either idle in the pool or held by the one
+thread running a batch on it.
 
-Batching is *natural*: a dispatcher never waits for company, it simply
-takes everything already queued, so an idle service adds zero latency
-while a busy one forms batches automatically -- requests pile up exactly
-while every dispatcher is busy executing the previous batch.
+* **Inline.** A request submitted with ``inline=True`` that finds the queue
+  empty and an engine idle runs as a batch of one on the submitting thread:
+  no hand-off to another thread and back, so an idle service adds no
+  thread hop to a read.
+* **Queued.** Any other request joins a FIFO queue.  A dispatcher thread
+  that holds an idle engine drains whatever has accumulated -- up to
+  :data:`MAX_BATCH` -- into a single ``SPQEngine.execute_many`` call.
+  Batching is *natural*: a dispatcher never waits for company, so batches
+  form exactly while every engine is busy.
+
+One lock and condition guard both the pool and the queue, which is what
+keeps the two paths honest: a request runs inline only while nothing is
+queued (FIFO order holds), a dispatcher takes queued work only with an
+idle engine in hand, and an engine returns to the pool only under the lock,
+waking a dispatcher when work is queued (nothing queued is stranded).
 
 Micro-batch composition never changes a request's result: every request is
 fully resolved (no deferred defaults) and ``execute_many`` returns results
@@ -20,9 +30,9 @@ performance decision.
 
 from __future__ import annotations
 
-import queue
 import threading
-from typing import Callable, List, Optional, Sequence
+from collections import deque
+from typing import Callable, Deque, List, Optional, Sequence
 
 
 class PendingRequest:
@@ -59,23 +69,21 @@ class PendingRequest:
         return self.response
 
 
-#: Queue sentinel: one per dispatcher, consumed exactly once each.
-_SHUTDOWN = object()
-
 #: Largest micro-batch handed to one ``execute`` call (read at use, so a
 #: test may monkeypatch it).
 MAX_BATCH = 8
 
 
 class MicroBatcher:
-    """Shared request queue drained by one dispatcher thread per engine.
+    """A pool of idle engines and a FIFO queue, guarded by one condition.
 
     Args:
-        execute: Callback ``execute(worker_index, batch)`` that runs one
-            micro-batch and completes/fails every pending request in it.
-            It must not raise -- failures belong on the pending requests.
-        workers: Number of dispatcher threads (the service's engine-pool
-            size: dispatcher *i* owns engine *i*).
+        execute: Callback ``execute(engine_index, batch)`` that runs one
+            micro-batch on pooled engine ``engine_index`` and
+            completes/fails every pending request in it.  It must not
+            raise -- failures belong on the pending requests.
+        workers: The engine-pool size, which is also the number of
+            dispatcher threads draining the queue.
     """
 
     def __init__(
@@ -87,25 +95,26 @@ class MicroBatcher:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self._execute = execute
         self.workers = workers
-        self._queue: "queue.Queue[object]" = queue.Queue()
+        #: Engines no thread is running a batch on (LIFO: the warmest first).
+        self._idle: List[int] = list(range(workers))
+        self._queue: Deque[PendingRequest] = deque()
+        self._cond = threading.Condition()
         self._threads: List[threading.Thread] = []
         self._started = False
         self._closed = False
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # lifecycle
 
     def start(self) -> None:
         """Spawn the dispatcher threads (idempotent)."""
-        with self._lock:
+        with self._cond:
             if self._started:
                 return
             self._started = True
             for index in range(self.workers):
                 thread = threading.Thread(
                     target=self._run_dispatcher,
-                    args=(index,),
                     name=f"repro-dispatch-{index}",
                     daemon=True,
                 )
@@ -113,24 +122,17 @@ class MicroBatcher:
                 thread.start()
 
     def stop(self) -> None:
-        """Drain and join every dispatcher (idempotent).
-
-        Requests already queued are still served; new submissions are
-        rejected from the moment stop is called.
-        """
-        with self._lock:
-            if self._closed:
-                return
+        """Reject new submissions, drain the queue, and return once every
+        engine is idle (idempotent): requests already queued are still
+        served, and a batch running inline finishes before this returns."""
+        with self._cond:
             self._closed = True
-            started = self._started
-            if started:
-                # Under the same lock as submit's closed-check, so no
-                # request can slip in behind the sentinels and starve.
-                for _ in self._threads:
-                    self._queue.put(_SHUTDOWN)
-        if started:
-            for thread in self._threads:
-                thread.join()
+            self._cond.notify_all()
+        for thread in self._threads:
+            thread.join()
+        with self._cond:
+            while len(self._idle) < self.workers:
+                self._cond.wait()
 
     @property
     def closed(self) -> bool:
@@ -138,55 +140,57 @@ class MicroBatcher:
         return self._closed
 
     def queue_depth(self) -> int:
-        """Requests currently waiting for a dispatcher (approximate)."""
-        return self._queue.qsize()
+        """Requests currently waiting for an engine."""
+        return len(self._queue)
 
     # ------------------------------------------------------------------ #
     # submission
 
-    def submit(self, payload: object) -> PendingRequest:
-        """Enqueue one request; returns the pending handle to wait on.
+    def submit(self, payload: object, inline: bool = False) -> PendingRequest:
+        """Run one request inline, or enqueue it; returns the handle to wait on.
+
+        With ``inline`` and an idle engine and nothing queued, the request
+        runs as a batch of one on this thread before ``submit`` returns;
+        otherwise it is queued for a dispatcher.
 
         Raises:
             RuntimeError: if the batcher is stopped or never started.
         """
-        with self._lock:
+        pending = PendingRequest(payload)
+        with self._cond:
             if self._closed:
                 raise RuntimeError("the query service is shut down")
             if not self._started:
                 raise RuntimeError("the query service is not started")
-            pending = PendingRequest(payload)
-            self._queue.put(pending)
-            return pending
+            if not (inline and self._idle and not self._queue):
+                self._queue.append(pending)
+                self._cond.notify()
+                return pending
+            engine = self._idle.pop()
+        self._run(engine, [pending])
+        return pending
 
     # ------------------------------------------------------------------ #
-    # dispatcher loop
+    # execution
 
-    def _run_dispatcher(self, index: int) -> None:
+    def _run(self, engine: int, batch: Sequence[PendingRequest]) -> None:
+        """Run ``batch`` on ``engine``, then hand the engine back to the pool."""
+        try:
+            self._execute(engine, batch)
+        finally:
+            with self._cond:
+                self._idle.append(engine)
+                if self._queue or self._closed:
+                    self._cond.notify_all()
+
+    def _run_dispatcher(self) -> None:
         while True:
-            first = self._queue.get()
-            if first is _SHUTDOWN:
-                return
-            batch = [first]
-            exiting = self._gather(batch)
-            self._execute(index, batch)
-            if exiting:
-                return
-
-    def _gather(self, batch: List[object]) -> bool:
-        """Fill ``batch`` up to :data:`MAX_BATCH` from what is already
-        queued, never waiting; True if a sentinel was seen.
-
-        A sentinel encountered mid-gather finishes the current batch first,
-        then makes this dispatcher exit -- its sentinel is consumed, the
-        other dispatchers still get theirs.
-        """
-        while len(batch) < MAX_BATCH:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SHUTDOWN:
-                return True
-            batch.append(item)
-        return False
+            with self._cond:
+                while not (self._queue and self._idle):
+                    if self._closed and not self._queue:
+                        return
+                    self._cond.wait()
+                engine = self._idle.pop()
+                size = min(MAX_BATCH, len(self._queue))
+                batch = [self._queue.popleft() for _ in range(size)]
+            self._run(engine, batch)

@@ -7,10 +7,12 @@ system:
   instances over one dataset snapshot, all sharing a single
   :class:`~repro.index.cache.IndexCache` (an index built for any request
   serves every later request, whichever engine runs it);
-* **micro-batching** -- concurrent requests are grouped by the
-  :class:`~repro.server.batching.MicroBatcher` into ``execute_many`` calls,
-  so the batch-reuse machinery built for offline workloads applies to
-  online traffic;
+* **inline runs and micro-batching** -- the
+  :class:`~repro.server.batching.MicroBatcher` runs a ``/query`` miss that
+  finds an engine idle and nothing queued on the thread that received it;
+  every other miss (and every ``/batch`` item) queues, and concurrent
+  requests are grouped into ``execute_many`` calls, so the batch-reuse
+  machinery built for offline workloads applies to online traffic;
 * a **result cache** -- an LRU of response payloads keyed by
   ``(dataset_version, canonical query)``
   (:class:`~repro.server.cache.ResultCache`), answering repeated queries
@@ -86,7 +88,8 @@ class ServiceConfig:
 
     Attributes:
         engines: Warm engine-pool size; also the number of micro-batch
-            dispatcher threads (dispatcher *i* owns engine *i*).
+            dispatcher threads (no thread owns an engine: an idle one runs
+            whichever inline request or queued batch takes it first).
         result_cache_capacity: Entries of the response LRU (0 disables it).
         compact_threshold: Once the delta overlay holds this many live
             operations (appends + tombstones), a background compaction
@@ -172,7 +175,7 @@ class QueryService(FrontDoor):
         engine_config = engine_config or EngineConfig()
         self._index_cache = IndexCache()
         #: One delta overlay shared by the whole pool: a write absorbed via
-        #: any engine is visible to every dispatcher's next batch.
+        #: any engine is visible to every engine's next batch.
         self._delta = DatasetDelta()
         self._engines: List[SPQEngine] = [
             SPQEngine(
@@ -207,8 +210,9 @@ class QueryService(FrontDoor):
         self._derive_extent_on_swap = extent is None
         #: Single-flight gate of the background auto-compaction thread.
         self._compaction_thread: Optional[threading.Thread] = None
-        #: Quiesce gate over micro-batches: a dispatcher enters it for the
-        #: duration of one batch, a dataset swap holds it paused.
+        #: Quiesce gate over engine runs: whichever thread runs a batch,
+        #: inline or dispatched, enters it for the batch's duration; a
+        #: dataset swap holds it paused.
         self._gate = QuiesceGate()
 
     def _resolve_defaults(self) -> RequestDefaults:
@@ -228,9 +232,10 @@ class QueryService(FrontDoor):
     def _on_shutdown(self) -> None:
         """Stop serving, close every engine.
 
-        Queued requests are drained before the dispatchers exit; engines
-        are closed afterwards, and closing an already-closed engine is a
-        no-op, so external ``close()`` calls on pooled engines are safe.
+        Queued requests are drained and every inline run finishes before
+        the batcher stops; engines are closed afterwards, and closing an
+        already-closed engine is a no-op, so external ``close()`` calls on
+        pooled engines are safe.
         """
         self._batcher.stop()
         compaction = self._compaction_thread
@@ -257,8 +262,9 @@ class QueryService(FrontDoor):
 
         The quiesce protocol (the ``POST /datasets`` endpoint runs this):
 
-        1. new micro-batches are *paused* -- dispatcher threads block before
-           touching an engine, while submissions keep queueing normally;
+        1. new engine runs are *paused* -- a dispatcher or an inline
+           request blocks before touching its engine, while submissions
+           keep queueing normally;
         2. the swap waits for every in-flight micro-batch to finish (those
            requests are answered from the old snapshot);
         3. every pooled engine swaps atomically with respect to serving --
@@ -430,7 +436,8 @@ class QueryService(FrontDoor):
 
         The request is parsed and validated on the caller's thread (a bad
         request fails alone, never its micro-batch), answered from the
-        result cache when possible, and otherwise queued for the next
+        result cache when possible, and otherwise run on this thread when
+        an engine is idle and nothing is queued, or queued for the next
         micro-batch (:meth:`FrontDoor._serve` is the lifecycle).
 
         Raises:
@@ -467,10 +474,10 @@ class QueryService(FrontDoor):
     def _execute(
         self, parsed: ParsedRequest, deadline: Optional[float]
     ) -> Dict[str, object]:
-        """Queue ``(parsed, deadline)`` for the next micro-batch and wait for
-        the answer (an ``OverloadError`` is the dispatcher's queue-expiry
-        failure)."""
-        pending = self._batcher.submit((parsed, deadline))
+        """Run ``(parsed, deadline)`` inline on an idle engine, else queue it
+        for the next micro-batch; wait for the answer (an ``OverloadError``
+        is the queue-expiry failure of :meth:`_execute_batch_inner`)."""
+        pending = self._batcher.submit((parsed, deadline), inline=True)
         return pending.wait(REQUEST_TIMEOUT_SECONDS)  # type: ignore[return-value]
 
     def _execute_many(
@@ -482,12 +489,12 @@ class QueryService(FrontDoor):
             yield pending.wait(REQUEST_TIMEOUT_SECONDS)  # type: ignore[misc]
 
     # ------------------------------------------------------------------ #
-    # micro-batch execution (dispatcher threads)
+    # micro-batch execution (an inline submitter or a dispatcher thread)
 
     def _execute_batch(
-        self, worker_index: int, batch: Sequence[PendingRequest]
+        self, engine_index: int, batch: Sequence[PendingRequest]
     ) -> None:
-        """Run one micro-batch on this dispatcher's engine (never raises).
+        """Run one micro-batch on pooled engine ``engine_index`` (never raises).
 
         Holds the quiesce gate for the duration of the batch: a concurrent
         :meth:`swap_datasets` waits for it, and while a swap is pausing
@@ -495,12 +502,12 @@ class QueryService(FrontDoor):
         runs against a half-swapped pool.
         """
         with self._gate.enter():
-            self._execute_batch_inner(worker_index, batch)
+            self._execute_batch_inner(engine_index, batch)
 
     def _execute_batch_inner(
-        self, worker_index: int, batch: Sequence[PendingRequest]
+        self, engine_index: int, batch: Sequence[PendingRequest]
     ) -> None:
-        engine = self._engines[worker_index]
+        engine = self._engines[engine_index]
         admission = self._admission
         if admission.enabled:
             # Deadline enforcement at the last responsible moment: a

@@ -257,6 +257,30 @@ class TestServiceAdmission:
         _reconciled(snapshot)
         del calls_before
 
+    def test_deadline_expired_at_a_paused_gate_is_shed_inline(self, service):
+        """The inline path sheds as the queued one does: a request that
+        found an engine idle, then waited at a swap's paused gate past its
+        budget, fails with the queue-expiry error and never runs."""
+        service, features = service
+        started, release = _gate_engines(service)
+        release.set()
+        with service._gate.paused():
+            doomed = _submit_async(
+                service, _spec(features, 1, deadline_ms=30.0)
+            )
+            time.sleep(0.15)  # its budget expires at the gate
+            # Held at the gate on an engine of its own, not queued.
+            assert service.stats()["batching"]["queue_depth"] == 0
+            assert doomed["thread"].is_alive()
+        doomed["thread"].join(10)
+        assert isinstance(doomed.get("error"), OverloadError)
+        assert doomed["error"].reason == "deadline"
+        assert "never executed" in str(doomed["error"])
+        assert not started.is_set()
+        snapshot = service.stats()["admission"]
+        assert snapshot["deadline_miss"] == 1
+        _reconciled(snapshot)
+
     @staticmethod
     def _planner_decisions(service):
         return service.stats()["planner"]["decisions"]

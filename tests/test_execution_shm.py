@@ -201,6 +201,11 @@ class TestDatasetSegment:
     @pytest.mark.parametrize("payload", [
         7, None, "rows", ([], [], []), ([("p0", 1.0)], []),
         ([], [("f0", 1.0, 2.0, ("a",), "extra")]), ([], [("f0", 1.0, 2.0, "ab")]),
+        # Well-shaped rows of the wrong types: a keyword that is not a str,
+        # an oid and coordinates that are not an id and numbers.
+        ([], [("f0", 1.0, 2.0, (3,))]), ([], [("f0", 1.0, 2.0, (1, 2))]),
+        ([("a", "b", "c")], []), ([(7, 1.0, 2.0)], []), ([("p0", 1.0, None)], []),
+        ([], [(b"f0", 1.0, 2.0, ("a",))]), ([], [("f0", "1", 2.0, ("a",))]),
     ])
     def test_a_well_formed_payload_of_the_wrong_shape_raises(self, payload):
         fd = memfd_holding(marshal.dumps(payload))

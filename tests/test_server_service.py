@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
 import pytest
 
+from invariants import standing_invariants
 from raw_oracle import raw_execute
 from repro.core.engine import EngineConfig, SPQEngine
 from repro.exceptions import InvalidQueryError
+from repro.index.delta import materialize
+from repro.model.objects import FeatureObject
 from repro.model.query import SpatialPreferenceQuery
-from repro.server import QueryService, ServiceConfig, batching
+from repro.server import MicroBatcher, QueryService, ServiceConfig, batching
 from repro.server.cache import ResultCache
 
 GRID = 10
@@ -224,49 +228,116 @@ class TestValidation:
             service.submit(spec)
 
 
+def record_batches(monkeypatch, hold: int = 0):
+    """Patch ``execute_many`` to log ``(thread id, first keyword of each
+    item)`` per call; the first ``hold`` calls block until released.
+
+    Returns ``(calls, held, release)``: ``held`` is released once per
+    blocked call.
+    """
+    calls, lock = [], threading.Lock()
+    held, release = threading.Semaphore(0), threading.Event()
+    real_execute_many = SPQEngine.execute_many
+
+    def recording(engine, queries, *args, **kwargs):
+        with lock:
+            words = [sorted(item.query.keywords)[0] for item in queries]
+            calls.append((threading.get_ident(), words))
+            blocking = len(calls) <= hold
+        if blocking:
+            held.release()
+            assert release.wait(timeout=30), "test never released the batch"
+        return real_execute_many(engine, queries, *args, **kwargs)
+
+    monkeypatch.setattr(SPQEngine, "execute_many", recording)
+    return calls, held, release
+
+
+def wait_for_queue(service, depth: int) -> None:
+    deadline = time.monotonic() + 30
+    while service.stats()["batching"]["queue_depth"] < depth:
+        assert time.monotonic() < deadline, "requests never queued"
+        time.sleep(0.002)
+
+
 class TestMicroBatching:
+    def test_idle_service_runs_the_request_on_the_submitting_thread(
+        self, small_uniform_dataset, monkeypatch
+    ):
+        calls, _, _ = record_batches(monkeypatch)
+        with make_service(
+            small_uniform_dataset, engines=2, result_cache_capacity=0
+        ) as service:
+            service.submit({"keywords": ["w0001"], "k": 3, "radius": 2.0})
+            service.submit({"keywords": ["w0002"], "k": 3, "radius": 2.0})
+            # ``/batch`` always queues, so its items still share a batch.
+            service.submit_many(
+                [{"keywords": [f"w000{i}"], "k": 3, "radius": 2.0} for i in (3, 4)]
+            )
+            stats = service.stats()["batching"]
+        me = threading.get_ident()
+        assert [thread == me for thread, _ in calls] == [True, True, False]
+        assert [words for _, words in calls] == [
+            ["w0001"], ["w0002"], ["w0003", "w0004"]
+        ]
+        assert (stats["batches"], stats["batched_requests"]) == (3, 4)
+
     def test_concurrent_requests_share_batches(
         self, small_uniform_dataset, monkeypatch
     ):
-        """Natural batching: while the one dispatcher is held on a batch,
-        more than ``MAX_BATCH`` requests queue up; released, it takes them
-        together, at most ``MAX_BATCH`` to a batch."""
-        held, release = threading.Event(), threading.Event()
-        real_execute_many = SPQEngine.execute_many
+        self.held_engines_queue_requests_that_run_fifo_in_batches(
+            small_uniform_dataset, monkeypatch, engines=1
+        )
 
-        def hold_first_batch(engine, *args, **kwargs):
-            if not held.is_set():
-                held.set()
-                release.wait(timeout=30)
-            return real_execute_many(engine, *args, **kwargs)
+    def test_concurrent_requests_share_batches_over_two_engines(
+        self, small_uniform_dataset, monkeypatch
+    ):
+        self.held_engines_queue_requests_that_run_fifo_in_batches(
+            small_uniform_dataset, monkeypatch, engines=2
+        )
 
-        monkeypatch.setattr(SPQEngine, "execute_many", hold_first_batch)
+    @staticmethod
+    def held_engines_queue_requests_that_run_fifo_in_batches(
+        small_uniform_dataset, monkeypatch, engines
+    ):
+        """Natural batching: while every engine is held by an inline run,
+        more than ``MAX_BATCH`` requests queue up; released, they run in
+        submission order, at most ``MAX_BATCH`` to a batch."""
+        calls, held, release = record_batches(monkeypatch, hold=engines)
         queued = batching.MAX_BATCH + 2
-        specs = [
-            {"keywords": [f"w00{10 + i}"], "k": 3, "radius": 2.0}
-            for i in range(1 + queued)
-        ]
+        words = [f"w00{10 + i}" for i in range(engines + queued)]
+        results = []
         with make_service(
-            small_uniform_dataset, engines=1, result_cache_capacity=0
+            small_uniform_dataset, engines=engines, result_cache_capacity=0
         ) as service:
             threads = [
-                threading.Thread(target=service.submit, args=(spec,))
-                for spec in specs
+                threading.Thread(target=lambda w=word: results.append(
+                    service.submit({"keywords": [w], "k": 3, "radius": 2.0})
+                ))
+                for word in words
             ]
-            threads[0].start()
-            assert held.wait(timeout=30)
-            for thread in threads[1:]:
+            for thread in threads[:engines]:
                 thread.start()
-            deadline = time.monotonic() + 30
-            while service.stats()["batching"]["queue_depth"] < queued:
-                assert time.monotonic() < deadline, "requests never queued"
-                time.sleep(0.005)
+                assert held.acquire(timeout=30), "no engine ran inline"
+            for depth, thread in enumerate(threads[engines:], start=1):
+                thread.start()
+                wait_for_queue(service, depth)
             release.set()
             for thread in threads:
                 thread.join()
             stats = service.stats()["batching"]
-        assert stats["batched_requests"] == 1 + queued
-        assert 2 <= stats["max_batch_observed"] <= batching.MAX_BATCH
+        assert len(results) == len(words)
+        inline, dispatched = calls[:engines], calls[engines:]
+        me = {thread.ident for thread in threads[:engines]}
+        assert {thread for thread, _ in inline} == me
+        assert sorted(batch for _, batch in inline) == [[w] for w in words[:engines]]
+        # Dispatchers may finish in any order; each took a contiguous run
+        # from the front of the queue.
+        runs = sorted((batch for _, batch in dispatched), key=lambda b: words.index(b[0]))
+        assert all(1 <= len(run) <= batching.MAX_BATCH for run in runs)
+        assert [word for run in runs for word in run] == words[engines:]
+        assert stats["batched_requests"] == len(words)
+        assert stats["max_batch_observed"] == batching.MAX_BATCH
         assert stats["max_batch"] == batching.MAX_BATCH
 
     def test_execution_error_fails_request_not_service(
@@ -323,6 +394,182 @@ class TestLifecycle:
     def test_rejects_nonpositive_engine_pool(self, small_uniform_dataset):
         with pytest.raises(ValueError, match="engines"):
             make_service(small_uniform_dataset, engines=0)
+
+
+class TestEnginePool:
+    """The batcher's rules, driven by hand: no dispatcher runs until the
+    test starts one, so every interleaving below is constructed."""
+
+    @staticmethod
+    def batcher(monkeypatch, workers=1, hold=None):
+        ran = []
+
+        def execute(engine, batch):
+            if hold is not None and not ran:
+                assert hold.wait(30)
+            ran.append((engine, [p.payload for p in batch]))
+            for pending in batch:
+                pending.complete(pending.payload)
+
+        dispatch = MicroBatcher._run_dispatcher
+        monkeypatch.setattr(MicroBatcher, "_run_dispatcher", lambda self: None)
+        batcher = MicroBatcher(execute, workers)
+        batcher.start()
+        dispatcher = threading.Thread(target=dispatch, args=(batcher,))
+        return batcher, ran, dispatcher
+
+    def test_a_request_runs_inline_only_while_nothing_is_queued(self, monkeypatch):
+        batcher, ran, dispatcher = self.batcher(monkeypatch)
+        assert batcher.submit("a", inline=True).wait(0) == "a"
+        queued = batcher.submit("b")  # a /batch item always queues
+        late = batcher.submit("c", inline=True)  # must not overtake it
+        assert (batcher.queue_depth(), ran) == (2, [(0, ["a"])])
+        dispatcher.start()
+        assert (queued.wait(30), late.wait(30)) == ("b", "c")
+        batcher.stop()
+        dispatcher.join(30)
+        assert ran == [(0, ["a"]), (0, ["b", "c"])]
+
+    def test_a_dispatcher_takes_work_only_with_an_idle_engine(self, monkeypatch):
+        release = threading.Event()
+        batcher, ran, dispatcher = self.batcher(monkeypatch, hold=release)
+        inline = threading.Thread(target=batcher.submit, args=("a",), kwargs={"inline": True})
+        inline.start()
+        deadline = time.monotonic() + 30
+        while batcher._idle:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        queued = batcher.submit("b")
+        dispatcher.start()
+        time.sleep(0.05)
+        assert (ran, batcher.queue_depth()) == ([], 1)
+        release.set()
+        assert queued.wait(30) == "b"
+        inline.join(30)
+        batcher.stop()
+        dispatcher.join(30)
+        assert ran == [(0, ["a"]), (0, ["b"])]
+        with pytest.raises(RuntimeError, match="shut down"):
+            batcher.submit("c", inline=True)
+
+
+class TestInlineRaces:
+    SPECS = [{"keywords": [f"w000{i}"], "k": 5, "radius": 2.0} for i in range(1, 9)]
+
+    @pytest.mark.parametrize("engines", [1, 2])
+    def test_nothing_is_lost_under_a_racing_swap_and_compaction(
+        self, small_uniform_dataset, engines
+    ):
+        """8 clients x 50 reads, inline or queued as the pool allows, while
+        a compaction and a swap race them.  Neither changes the dataset the
+        reads see (the delta is staged first, the swap installs what the
+        compaction folded), so every answer equals one oracle."""
+        data, features = small_uniform_dataset
+        appended = [
+            FeatureObject(f"race-f{i}", f.x, f.y, ("w0001", "w0002", "w0005"))
+            for i, f in enumerate(features[:6])
+        ]
+        with make_service(
+            small_uniform_dataset, engines=engines, result_cache_capacity=0
+        ) as service:
+            service.apply_objects(
+                append_features=appended,
+                delete_feature_oids=[features[-1].oid],
+                delete_data_oids=[data[0].oid],
+            )
+            staged = materialize(data, features, service.delta.snapshot())
+            with SPQEngine(*staged) as engine:
+                oracle = {
+                    spec["keywords"][0]: [
+                        (e.obj.oid, e.score)
+                        for e in raw_execute(
+                            engine,
+                            SpatialPreferenceQuery.create(
+                                k=5, radius=2.0, keywords=set(spec["keywords"])
+                            ),
+                            grid_size=GRID,
+                        )
+                    ]
+                    for spec in self.SPECS
+                }
+            answers, failures = [], []
+
+            def client(number):
+                for i in range(50):
+                    spec = self.SPECS[(number + i) % len(self.SPECS)]
+                    try:
+                        response = service.submit(spec)
+                    except BaseException as exc:  # noqa: BLE001 - asserted below
+                        failures.append(exc)
+                        continue
+                    answers.append((
+                        spec["keywords"][0],
+                        [(e["oid"], e["score"]) for e in response["results"]],
+                    ))
+
+            def churn():
+                while len(answers) < 40:
+                    time.sleep(0.001)
+                assert service.compact()["compacted"]
+                service.swap_datasets(*staged)
+
+            threads = [threading.Thread(target=client, args=(n,)) for n in range(8)]
+            racer = threading.Thread(target=churn)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the pool's check-then-act
+            try:
+                for thread in [*threads, racer]:
+                    thread.start()
+                for thread in [*threads, racer]:
+                    thread.join(120)
+                    assert not thread.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+            stats = service.stats()
+        assert failures == []
+        assert len(answers) == 8 * 50
+        assert all(got == oracle[word] for word, got in answers)
+        assert stats["requests"]["completed"] == 8 * 50
+        assert stats["batching"]["batched_requests"] == 8 * 50
+        assert stats["ingest"]["compactions"] == 1
+        assert stats["dataset"]["swaps"] == 2
+
+    def test_shutdown_during_an_inline_run_waits_for_it(
+        self, small_uniform_dataset, monkeypatch
+    ):
+        """``shutdown()`` returns only once the run it caught on the
+        submitting thread has finished, and closes nothing under it."""
+        closed_with_idle = []
+        real_close = SPQEngine.close
+        monkeypatch.setattr(SPQEngine, "close", lambda engine: (
+            closed_with_idle.append(len(service._batcher._idle)), real_close(engine)
+        ))
+        with standing_invariants():
+            calls, held, release = record_batches(monkeypatch, hold=1)
+            service = make_service(small_uniform_dataset, engines=1)
+            service.start()
+            outcome = {}
+
+            submitter = threading.Thread(target=lambda: outcome.update(
+                response=service.submit(self.SPECS[0])
+            ))
+            submitter.start()
+            assert held.acquire(timeout=30)
+            stopper = threading.Thread(target=service.shutdown)
+            stopper.start()
+            time.sleep(0.1)
+            assert stopper.is_alive(), "shutdown returned under a running batch"
+            assert closed_with_idle == []
+            release.set()
+            stopper.join(30)
+            submitter.join(30)
+            assert not stopper.is_alive() and not submitter.is_alive()
+        assert calls[0][0] == submitter.ident
+        assert outcome["response"]["results"]
+        # The engine was closed only once it was back in the pool.
+        assert closed_with_idle == [1]
+        with pytest.raises(RuntimeError, match="shut down"):
+            service.submit(self.SPECS[1])
 
 
 class TestServiceStats:

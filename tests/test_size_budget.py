@@ -391,22 +391,33 @@ SRC = pathlib.Path(repro.__file__).resolve().parent
 #: error of a truncated or wrong-shaped file into ``ValueError``.
 #: Outside the pins, ``datagen`` +2: the generators intern their
 #: vocabularies, as the canonical keyword tuple requires.
+#:
+#: An idle service runs a read on the thread that received it: ``"."``
+#: 8 448 -> 8 460 (+12) and the ceiling 7 660 -> 7 672; nothing moved
+#: between directories, 45 lines deleted and 57 added.  ``server`` is
+#: flat at 1 541: ``batching.py`` stays at 100 (-38 +38), the
+#: dispatcher-owned engines and their shutdown sentinels replaced by a
+#: pool of idle engines and a deque under one condition, with the inline
+#: run in ``submit``; ``service.py`` -5 +5 (the inline flag,
+#: ``engine_index``).  ``cluster`` 1 031 -> 1 043: ``spawn.py`` 178 ->
+#: 190 (-2 +14), the hand-off's type check of every oid, coordinate and
+#: keyword, which the constructors do not make.
 BUDGET = {
     "server": 1541,
     "sharding": 539,
-    "cluster": 1031,
+    "cluster": 1043,
     "cli.py": 552,
     "core": 1049,
     "execution": 220,
     "mapreduce": 414,
     "index": 1011,
     "paper": 788,
-    ".": 8448,
+    ".": 8460,
 }
 
 #: What the serving path can reach (``src/repro`` minus ``repro.paper``) may
 #: not grow past this, whatever moves in or out of ``paper``.
-OUTSIDE_PAPER_CEILING = 7660
+OUTSIDE_PAPER_CEILING = 7672
 
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,

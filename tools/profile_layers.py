@@ -47,6 +47,23 @@ feature size range per call) and ``DataBlock.rows_within`` run inside
 ``DatasetIndex.scan``; ``planner collect`` is the named algorithms' whole
 posting-list walk, which ``auto`` no longer calls.
 
+``--service`` replays the reads through an in-process ``QueryService``
+configured as the workload's server -- the pool, result cache and request
+defaults ``repro serve`` gets from the benchmark, or, for a ``cluster``
+workload, one shard node's service per data-bearing shard -- calling
+``QueryService.submit`` (``submit_many`` for a batched read) instead of the
+engines, and times the service layer too: ``MicroBatcher.submit`` (with an
+idle engine this contains the whole inline run), ``PendingRequest.wait``
+(the hand-off a queued request waits out), ``QueryService.
+_execute_batch_inner`` (one batch on an engine), ``result_payload`` and
+``ResultCache.put``::
+
+    python tools/profile_layers.py serve_http_rw --service
+    python tools/profile_layers.py cluster_scatter_rw --service --writes
+
+With ``--writes`` the bursts go through ``QueryService.apply_objects`` and
+each compaction through ``QueryService.compact``.
+
 ``--memory`` traces allocations from before the dataset is built and,
 after the replay, prints the Python heap's ``TOP_SITES`` largest
 allocation sites (file and line) and the process's peak resident set
@@ -95,6 +112,15 @@ LAYERS: List[Tuple[str, str, str]] = [
     ("CostModel.estimate", "repro.mapreduce.costmodel", "CostModel.estimate"),
 ]
 
+#: The service layer ``--service`` times on top of :data:`LAYERS`.
+SERVICE_LAYERS: List[Tuple[str, str, str]] = [
+    ("MicroBatcher.submit", "repro.server.batching", "MicroBatcher.submit"),
+    ("PendingRequest.wait", "repro.server.batching", "PendingRequest.wait"),
+    ("_execute_batch_inner", "repro.server.service", "QueryService._execute_batch_inner"),
+    ("result_payload", "repro.server.service", "result_payload"),
+    ("ResultCache.put", "repro.server.cache", "ResultCache.put"),
+]
+
 
 #: Allocation sites ``--memory`` prints, largest first.
 TOP_SITES = 15
@@ -112,13 +138,16 @@ def workload_sizes(workload: str) -> Dict[str, object]:
     return sizes
 
 
-def install_timers(totals: Dict[str, float]) -> None:
-    """Wrap every layer function so its calls add wall time to ``totals``."""
+def install_timers(totals: Dict[str, float], layers) -> None:
+    """Wrap every layer function (a class's or a module's) so its calls add
+    wall time to ``totals``."""
     clock = time.perf_counter
-    for label, module_name, path in LAYERS:
-        owner, attribute = path.split(".")
-        cls = getattr(importlib.import_module(module_name), owner)
-        original = cls.__dict__[attribute]
+    for label, module_name, path in layers:
+        *owners, attribute = path.split(".")
+        cls = importlib.import_module(module_name)
+        for owner in owners:
+            cls = getattr(cls, owner)
+        original = vars(cls)[attribute]
         static = isinstance(original, staticmethod)
         function = original.__func__ if static else original
         totals[label] = 0.0
@@ -177,6 +206,10 @@ def main(argv=None) -> int:
         help="replay each block's write burst and its compaction too",
     )
     parser.add_argument(
+        "--service", action="store_true",
+        help="replay through an in-process QueryService and time its layers",
+    )
+    parser.add_argument(
         "--memory", action="store_true",
         help="trace allocations; print the top sites and VmHWM after the replay",
     )
@@ -185,8 +218,9 @@ def main(argv=None) -> int:
         tracemalloc.start()
 
     from inputs import OpStream, make_dataset, objects_from_write
-    from targets import default_radius, engine_config, make_query
+    from targets import default_radius, engine_config, make_query, service_defaults
     from repro.core.engine import SPQEngine
+    from repro.server import QueryService, ServiceConfig
     from repro.sharding import partition_datasets
 
     sizes = workload_sizes(args.workload)
@@ -194,18 +228,30 @@ def main(argv=None) -> int:
         str(sizes["dataset"]), int(sizes["objects"]), int(sizes["dataset_seed"])
     )
     shards = int(sizes.get("cluster", 0))
+
+    def target(data_objects, feature_objects, **where):
+        if not args.service:
+            return SPQEngine(data_objects, feature_objects, engine_config(sizes), **where)
+        # ``repro serve``'s pool (its nodes' too); a node caches nothing.
+        # Compactions are replayed explicitly, so the threshold stays off.
+        config = ServiceConfig(
+            engines=2, result_cache_capacity=0 if shards else int(sizes["result_cache"]),
+            **service_defaults(sizes),
+        )
+        service = QueryService(data_objects, feature_objects, engine_config(sizes), config, **where)
+        return service.start()
+
     if shards:
         plan = partition_datasets(*dataset, shards)
         by_shard = {
-            number: SPQEngine(shard.data_objects, shard.feature_objects,
-                              engine_config(sizes), extent=plan.extent, scope=shard.box)
+            number: target(**plan.shard_slice(number))
             for number, shard in enumerate(plan.shards)
             if not shard.is_empty
         }
         engines = list(by_shard.values())
     else:
-        engines = [SPQEngine(*dataset, engine_config(sizes))]
-    radius = default_radius(engines[0], sizes)
+        engines = [target(*dataset)]
+    radius = default_radius(engines[0].engines[0] if args.service else engines[0], sizes)
     stream = OpStream(args.workload, sizes, args.seed, dataset)
     #: The write batch of a burst after which the service compacts
     #: (``inputs.OpStream``: the next-to-last one crosses the threshold).
@@ -223,13 +269,14 @@ def main(argv=None) -> int:
 
     def write(batch, compact: bool) -> None:
         data, features, delete_data, delete_features = objects_from_write(batch)
+        apply = "apply_objects" if args.service else "apply_updates"
         for engine in engines:
-            engine.apply_updates(append_features=features, delete_data_oids=delete_data,
-                                 delete_feature_oids=delete_features)
+            getattr(engine, apply)(append_features=features, delete_data_oids=delete_data,
+                                   delete_feature_oids=delete_features)
         for obj in data:
             owner = by_shard.get(plan.locate(obj.x, obj.y)) if shards else engines[0]
             if owner is not None:
-                owner.apply_updates(append_data=[obj])
+                getattr(owner, apply)(append_data=[obj])
         if compact:
             for engine in engines:
                 engine.compact()
@@ -238,6 +285,11 @@ def main(argv=None) -> int:
         if isinstance(op, tuple):
             write(*op[1:])
             return 0
+        if args.service:
+            submit = "submit_many" if isinstance(op, list) else "submit"
+            for service in engines:
+                getattr(service, submit)(op)
+            return len(op) if isinstance(op, list) else 1
         if isinstance(op, list):
             queries = [make_query(spec, radius) for spec in op]
             for engine in engines:
@@ -253,23 +305,25 @@ def main(argv=None) -> int:
     while warm < args.warmup:
         warm += run(next(stream_ops))
     totals: Dict[str, float] = {}
-    install_timers(totals)
+    layers = LAYERS + SERVICE_LAYERS if args.service else LAYERS
+    install_timers(totals, layers)
     answered = 0
     started = time.perf_counter()
     while answered < args.queries:
         answered += run(next(stream_ops))
     elapsed = time.perf_counter() - started
 
-    sharded = f"  {len(engines)} shard engines" if shards else ""
+    kind = "services" if args.service else "engines"
+    sharded = f"  {len(engines)} shard {kind}" if shards else ""
     replayed = "reads + write bursts" if args.writes else "reads only"
     print(f"{args.workload}  seed {args.seed}  {answered} queries ({replayed}){sharded}")
     print(f"  {'end to end':<28} {1000.0 * elapsed / answered:8.3f} ms/query")
-    for label, _, _ in LAYERS:
+    for label, _, _ in layers:
         print(f"  {label:<28} {1000.0 * totals[label] / answered:8.3f} ms/query")
     if args.memory:
         print_memory(TOP_SITES)
     for engine in engines:
-        engine.close()
+        getattr(engine, "shutdown" if args.service else "close")()
     return 0
 
 
